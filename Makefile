@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet vuln staticcheck cobra-lint cobra-escape lint fmt-check cover bench bench-quick serve-bench ci
+.PHONY: all build test race vet vuln staticcheck cobra-lint cobra-escape lint fmt-check cover bench bench-quick benchmark-smoke serve-bench ci
 
 all: build
 
@@ -39,7 +39,8 @@ cobra-lint:
 # Heap-escape ratchet (cmd/cobra-escape, also a `tool` in go.mod):
 # recompiles the hot packages with -gcflags=-m=2 (replayed from the build
 # cache when warm), inventories the escape sites per function into
-# ESCAPES.json, and fails if any function exceeds escape_budget.json.
+# ESCAPES.json (untracked; CI uploads it), and fails if any function
+# exceeds escape_budget.json.
 # Re-baseline deliberately with `go tool cobra-escape -update`.
 cobra-escape:
 	$(GO) tool cobra-escape
@@ -70,9 +71,16 @@ bench:
 bench-quick:
 	$(GO) test -run='^$$' -bench='^BenchmarkE1_' -benchtime=1x .
 
+# The BENCHMARK.json program is a module of its own (benchmark/go.mod), so
+# `go build ./... && go test ./...` never compiles it. Its smoke test runs
+# all seven workloads on small inputs with every answer checked (~6 s): it
+# is what notices a change to a function the benchmark calls.
+benchmark-smoke:
+	cd benchmark && $(GO) test .
+
 # Sustained cobra-serve HTTP throughput (EvalBatch req/s with a hard
 # floor, BENCH_SERVE_MIN=1000 by default); records BENCH_serve.json.
 serve-bench:
 	sh scripts/bench_serve.sh
 
-ci: fmt-check vet cobra-lint cobra-escape build race bench-quick serve-bench
+ci: fmt-check vet cobra-lint cobra-escape build race bench-quick benchmark-smoke serve-bench

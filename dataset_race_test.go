@@ -229,6 +229,84 @@ func TestDatasetConcurrentEvictionTraffic(t *testing.T) {
 	}
 }
 
+// TestDatasetFirstEvalBatchConcurrent fires the first EvalBatch of a fresh
+// in-memory Dataset from eight goroutines at once, across WithWorkers
+// views. The first evaluation compiles the program and builds what sparse
+// scenarios are answered from; every caller must get the rows an
+// out-of-core copy of the set (which evaluates every polynomial, shard by
+// shard) gives. Run under -race.
+func TestDatasetFirstEvalBatchConcurrent(t *testing.T) {
+	ctx := context.Background()
+	names := cobra.NewNames()
+	set := cobra.NewSet(names)
+	for g := 0; g < 40; g++ {
+		poly := cobra.MustParsePolynomial(fmt.Sprintf("%d*x%d*s + %d*y%d*s + 7", g+2, g%10, g+3, g%7), names)
+		if err := set.Add(fmt.Sprintf("g%d", g), poly); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var asgs []*cobra.Assignment
+	for i := 0; i < 24; i++ {
+		a := cobra.NewAssignment(names)
+		if i%3 > 0 { // every third scenario moves nothing
+			if err := a.Set(fmt.Sprintf("x%d", i%10), 0.5+float64(i)/16); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if i%8 == 7 { // s is in every polynomial
+			if err := a.Set("s", 1.25); err != nil {
+				t.Fatal(err)
+			}
+		}
+		asgs = append(asgs, a)
+	}
+	opts := cobra.Options{MaxResidentMonomials: set.Size() / 4, SpillDir: t.TempDir()}
+	ss, err := cobra.ShardSet(set, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ooc, err := cobra.OpenDataset("ooc", ss, nil, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ooc.Close()
+	want, err := ooc.EvalBatch(ctx, asgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for round := 0; round < 20; round++ {
+		ds, err := cobra.OpenDataset("fresh", set, nil, cobra.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		got := make([][][]float64, 8)
+		errs := make([]error, 8)
+		for g := range got {
+			view := ds.WithWorkers([]int{1, 2, 8}[g%3])
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				got[g], errs[g] = view.EvalBatch(ctx, asgs)
+			}()
+		}
+		close(start)
+		wg.Wait()
+		for g := range got {
+			if errs[g] != nil {
+				t.Fatalf("round %d goroutine %d: %v", round, g, errs[g])
+			}
+			rowsEqual(t, got[g], want, fmt.Sprintf("round %d goroutine %d", round, g))
+		}
+		if err := ds.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func testName(format string, args ...any) string {
 	return fmt.Sprintf(format, args...)
 }

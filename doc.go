@@ -87,6 +87,31 @@
 // budget, graceful shutdown. Responses are bit-identical to direct
 // library calls (encoding/json round-trips float64 exactly).
 //
+// # Evaluation
+//
+// A compiled Program holds the polynomials as flat arrays. Compile notes
+// whether every exponent is 1 — all SUM provenance is — and such a program
+// runs a kernel that loads no exponents and takes no branch per term;
+// programs with higher powers keep the general kernel. Both multiply a
+// monomial left to right and add a polynomial's monomials in order.
+//
+// A what-if scenario moves a few variables off 1 and leaves the rest, so
+// the first EvalBatch on a Program builds, once, an index from each
+// variable to the polynomials that mention it and the row every polynomial
+// takes when all variables are 1. A scenario's row is then that baseline
+// row with only the polynomials of its moved variables evaluated again;
+// once a scenario touches every polynomial the full pass runs instead.
+// "Moved" means a value != 1, not presence in the assignment: Induced
+// sets every meta-variable of a cut, nearly all of them to exactly 1, and
+// an explicit 1 moves nothing. 0, NaN and the infinities are != 1 and are
+// evaluated like any other value; variables outside the program's
+// namespace are ignored. The rows are bit-identical to evaluating every
+// polynomial: a re-evaluated polynomial runs the same kernel over the same
+// values, and a skipped one would have read only ones, exactly as it did
+// for the baseline row. Out-of-core datasets compile each shard for one
+// batch and drop it, so those programs evaluate every polynomial and build
+// no index.
+//
 // # Parallelism
 //
 // Every stage of the instrument → capture → compress → evaluate pipeline
@@ -334,10 +359,10 @@
 // Alongside the analyzers, cmd/cobra-escape (also a go.mod `tool`, run
 // as `make cobra-escape`) ratchets the compiler's own escape analysis:
 // it rebuilds the hot packages with -gcflags=-m=2, inventories the
-// heap-escape sites per function into ESCAPES.json, and fails when any
-// function exceeds the checked-in escape_budget.json. Fixes lower the
-// budget via `go tool cobra-escape -update`; regressions fail CI with
-// the exact new positions.
+// heap-escape sites per function into ESCAPES.json (a build output, not
+// checked in), and fails when any function exceeds the checked-in
+// escape_budget.json. Fixes lower the budget via `go tool cobra-escape
+// -update`; regressions fail CI with the exact new positions.
 //
 // Each analyzer has a justification escape hatch — a //cobra:<name>
 // <reason> comment on (or immediately above) the flagged line — for the

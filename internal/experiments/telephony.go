@@ -233,6 +233,7 @@ func E5SpeedupSweep(cfg Config) (*Table, error) {
 			fmt.Sprintf("%.0f%%", tm.Speedup*100))
 	}
 	t.Note("times are per full assignment (all groups), minimum of 3 repetitions")
+	t.Note("every variable here occurs in every polynomial, so a scenario touches them all; where it touches few (the retail benchmark: 0.06 of them), EvalBatch re-evaluates only those, which speeds the full provenance more than the compressed one: the full/compressed slider ratio fell from 1.66 to 1.04")
 	t.Elapsed = time.Since(start)
 	return t, nil
 }

@@ -2,6 +2,7 @@ package valuation
 
 import (
 	"github.com/cobra-prov/cobra/internal/parallel"
+	"github.com/cobra-prov/cobra/internal/polynomial"
 )
 
 // EvalBatch evaluates the program under many assignments — the multi-analyst
@@ -13,31 +14,119 @@ func (p *Program) EvalBatch(assignments []*Assignment, out [][]float64) [][]floa
 }
 
 // EvalBatchN is EvalBatch distributed over up to workers goroutines. The
-// scenarios are chunked into contiguous ranges, one dense valuation arena
-// per worker (rebuilt per assignment: most scenario assignments are sparse,
-// so re-filling beats allocating), and each row is written to its own output
-// slot, so the result rows are bit-identical to EvalBatch's for every worker
-// count. workers <= 1 runs sequentially. The assignments must not be mutated
-// concurrently with the call.
+// scenarios are chunked into contiguous ranges and each row is written to
+// its own output slot, so the result rows are bit-identical to EvalBatch's
+// for every worker count. workers <= 1 runs sequentially. The assignments
+// must not be mutated concurrently with the call.
+//
+// A what-if scenario moves a few variables off 1 and leaves the rest, so a
+// row is the memoized all-ones row with only the polynomials that mention a
+// moved variable evaluated again (found through a variable → polynomials
+// index the first call builds). An entry that is exactly 1, explicit or
+// not, moves nothing: Induced sets every meta-variable of a cut, nearly all
+// of them to 1. A re-evaluated polynomial runs the same kernel over the
+// same dense vector as a full pass, and a skipped one would have seen only
+// ones, as the memoized row did, so the rows are bit-identical to
+// evaluating every polynomial. Once a scenario touches every polynomial
+// the full pass runs instead.
 func (p *Program) EvalBatchN(assignments []*Assignment, out [][]float64, workers int) [][]float64 {
+	p.sparseOnce.Do(p.buildSparse)
+	return p.evalBatch(assignments, out, workers, true)
+}
+
+// evalBatch is EvalBatchN; with sparse false it evaluates every polynomial
+// for every scenario and needs no index, which is what a program compiled
+// for one use wants.
+func (p *Program) evalBatch(assignments []*Assignment, out [][]float64, workers int, sparse bool) [][]float64 {
 	if cap(out) >= len(assignments) {
 		out = out[:len(assignments)]
 	} else {
 		out = make([][]float64, len(assignments))
 	}
 	parallel.Chunks(workers, len(assignments), func(_, lo, hi int) {
-		dense := make([]float64, p.numVars)
+		s := sweep{p: p, dense: ones(p.numVars)}
+		if sparse {
+			s.mark = make([]uint32, p.NumPolys())
+			s.touched = make([]int32, 0, p.NumPolys())
+		}
 		for i := lo; i < hi; i++ {
-			for j := range dense {
-				dense[j] = 1
-			}
-			for _, item := range assignments[i].Items() {
-				if int(item.Var) < len(dense) {
-					dense[item.Var] = item.Value
-				}
-			}
-			out[i] = p.Eval(dense, out[i])
+			out[i] = s.eval(assignments[i], out[i])
 		}
 	})
+	return out
+}
+
+// sweep is one worker's scratch for evaluating scenario after scenario.
+type sweep struct {
+	p       *Program
+	dense   []float64 // all ones between scenarios
+	moved   []int32   // the variables the current scenario moves off 1
+	mark    []uint32  // mark[pi] == epoch: pi is in touched; nil for a dense sweep
+	epoch   uint32
+	touched []int32
+}
+
+// eval returns the row of scenario a, reusing row's capacity.
+func (s *sweep) eval(a *Assignment, row []float64) []float64 {
+	s.moved = s.moved[:0]
+	//cobra:deterministic writes to distinct slice indices, and no polynomial's value depends on the order polynomials are evaluated in
+	for v, x := range a.vals {
+		if x != 1 && inRange(v, len(s.dense)) {
+			s.dense[v] = x
+			s.moved = append(s.moved, int32(v))
+		}
+	}
+	if s.mark != nil && s.touch() {
+		row = append(row[:0], s.p.base...)
+		for _, pi := range s.touched {
+			row[pi] = s.p.evalPoly(int(pi), s.dense)
+		}
+	} else {
+		row = s.p.Eval(s.dense, row)
+	}
+	for _, v := range s.moved {
+		s.dense[v] = 1
+	}
+	return row
+}
+
+// touch collects the polynomials that mention a moved variable into
+// s.touched, and reports false as soon as that is all of them.
+func (s *sweep) touch() bool {
+	s.epoch++
+	if s.epoch == 0 {
+		// Wrapped: marks left by the scenario 2^32 ago would read as
+		// current.
+		clear(s.mark)
+		s.epoch = 1
+	}
+	s.touched = s.touched[:0]
+	p := s.p
+	for _, v := range s.moved {
+		for _, pi := range p.posts[p.postOff[v]:p.postOff[v+1]] {
+			if s.mark[pi] != s.epoch {
+				s.mark[pi] = s.epoch
+				s.touched = append(s.touched, pi)
+			}
+		}
+		if len(s.touched) == len(s.mark) {
+			return false
+		}
+	}
+	return true
+}
+
+// inRange reports whether v indexes a dense vector of length n. An
+// assignment may name variables interned after the program was compiled,
+// or NoVar; neither occurs in the program.
+func inRange(v polynomial.Var, n int) bool { return v >= 0 && int(v) < n }
+
+// ones returns a vector of n ones: the valuation every assignment starts
+// from.
+func ones(n int) []float64 {
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = 1
+	}
 	return out
 }

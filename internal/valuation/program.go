@@ -1,6 +1,8 @@
 package valuation
 
 import (
+	"sync"
+
 	"github.com/cobra-prov/cobra/internal/polynomial"
 )
 
@@ -17,13 +19,21 @@ type Program struct {
 	coefs   []float64
 	monOff  []int32 // monomial j covers terms monOff[j]..monOff[j+1]
 	tVars   []int32
-	tExps   []int32
+	tExps   []int32 // nil when every exponent is 1, as in all SUM provenance
+
+	// What EvalBatchN needs to re-evaluate only the polynomials a sparse
+	// scenario touches; built by buildSparse on its first call.
+	sparseOnce sync.Once
+	postOff    []int32   // variable v occurs in polynomials posts[postOff[v]:postOff[v+1]]
+	posts      []int32   // ascending per variable, each polynomial once
+	base       []float64 // the row under the all-ones valuation
 }
 
 // Compile flattens set into a Program.
 func Compile(set *polynomial.Set) *Program {
 	p := &Program{names: set.Names, numVars: set.Names.Len()}
 	p.polyOff = make([]int32, 1, len(set.Polys)+1)
+	exp1 := true
 	for _, poly := range set.Polys {
 		for _, m := range poly.Mons {
 			p.coefs = append(p.coefs, m.Coef)
@@ -31,11 +41,15 @@ func Compile(set *polynomial.Set) *Program {
 			for _, t := range m.Terms {
 				p.tVars = append(p.tVars, int32(t.Var))
 				p.tExps = append(p.tExps, t.Exp)
+				exp1 = exp1 && t.Exp == 1
 			}
 		}
 		p.polyOff = append(p.polyOff, int32(len(p.coefs)))
 	}
 	p.monOff = append(p.monOff, int32(len(p.tVars)))
+	if exp1 {
+		p.tExps = nil
+	}
 	return p
 }
 
@@ -52,24 +66,81 @@ func (p *Program) NumVars() int { return p.numVars }
 // Var; callers typically use Assignment.Dense). The result is appended into
 // out (reused if capacity allows) and returned.
 func (p *Program) Eval(vals []float64, out []float64) []float64 {
-	out = out[:0]
-	for pi := 0; pi+1 < len(p.polyOff); pi++ {
-		sum := 0.0
-		for mi := p.polyOff[pi]; mi < p.polyOff[pi+1]; mi++ {
-			x := p.coefs[mi]
-			for ti := p.monOff[mi]; ti < p.monOff[mi+1]; ti++ {
-				v := vals[p.tVars[ti]]
-				if e := p.tExps[ti]; e == 1 {
-					x *= v
-				} else {
-					x *= powInt(v, e)
-				}
+	n := p.NumPolys()
+	if cap(out) < n {
+		out = make([]float64, n)
+	}
+	out = out[:n]
+	for pi := range out {
+		out[pi] = p.evalPoly(pi, vals)
+	}
+	return out
+}
+
+// evalPoly evaluates polynomial pi under vals. Both kernels multiply a
+// monomial's coefficient by its terms left to right and add the monomials
+// in order, so a polynomial's value does not depend on which one ran.
+func (p *Program) evalPoly(pi int, vals []float64) float64 {
+	lo, hi := p.polyOff[pi], p.polyOff[pi+1]
+	coefs, ends := p.coefs[lo:hi], p.monOff[lo+1:hi+1]
+	ti := p.monOff[lo]
+	sum := 0.0
+	if p.tExps == nil {
+		// One cursor runs over the polynomial's terms; a monomial ends
+		// where the next begins.
+		tVars := p.tVars
+		for j, x := range coefs {
+			for end := ends[j]; ti < end; ti++ {
+				x *= vals[tVars[ti]]
 			}
 			sum += x
 		}
-		out = append(out, sum)
+		return sum
 	}
-	return out
+	for j, x := range coefs {
+		for end := ends[j]; ti < end; ti++ {
+			v := vals[p.tVars[ti]]
+			if e := p.tExps[ti]; e == 1 {
+				x *= v
+			} else {
+				x *= powInt(v, e)
+			}
+		}
+		sum += x
+	}
+	return sum
+}
+
+// buildSparse builds the postings index and the all-ones row.
+func (p *Program) buildSparse() {
+	// A variable is listed once per polynomial however many monomials
+	// mention it: seen[v] holds the last polynomial (plus one) that
+	// visited v.
+	seen := make([]int32, p.numVars)
+	eachDistinct := func(visit func(v, pi int32)) {
+		clear(seen)
+		for pi := int32(0); int(pi) < p.NumPolys(); pi++ {
+			for _, v := range p.tVars[p.monOff[p.polyOff[pi]]:p.monOff[p.polyOff[pi+1]]] {
+				if seen[v] != pi+1 {
+					seen[v] = pi + 1
+					visit(v, pi)
+				}
+			}
+		}
+	}
+	p.postOff = make([]int32, p.numVars+1)
+	eachDistinct(func(v, _ int32) { p.postOff[v+1]++ })
+	for v := 0; v < p.numVars; v++ {
+		p.postOff[v+1] += p.postOff[v]
+	}
+	p.posts = make([]int32, p.postOff[p.numVars])
+	next := append([]int32(nil), p.postOff[:p.numVars]...)
+	eachDistinct(func(v, pi int32) {
+		p.posts[next[v]] = pi
+		next[v]++
+	})
+
+	p.base = p.Eval(ones(p.numVars), nil)
 }
 
 // EvalAssignment evaluates under a sparse Assignment.

@@ -1,0 +1,325 @@
+package valuation
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"github.com/cobra-prov/cobra/internal/abstraction"
+	"github.com/cobra-prov/cobra/internal/polynomial"
+)
+
+// referenceEvalBatch is the evaluation loop as it was before the sparse
+// path and the exponent-1 kernel: a dense vector of numVars ones refilled
+// for every scenario, every polynomial evaluated, one branch per term. It
+// reads the set, not a compiled program, so it checks Compile as well.
+func referenceEvalBatch(set *polynomial.Set, numVars int, assignments []*Assignment) [][]float64 {
+	out := make([][]float64, len(assignments))
+	dense := make([]float64, numVars)
+	for i, a := range assignments {
+		for j := range dense {
+			dense[j] = 1
+		}
+		for v, x := range a.vals {
+			if v >= 0 && int(v) < numVars {
+				dense[v] = x
+			}
+		}
+		row := make([]float64, 0, len(set.Polys))
+		for _, poly := range set.Polys {
+			sum := 0.0
+			for _, m := range poly.Mons {
+				x := m.Coef
+				for _, t := range m.Terms {
+					if v := dense[t.Var]; t.Exp == 1 {
+						x *= v
+					} else {
+						x *= powInt(v, t.Exp)
+					}
+				}
+				sum += x
+			}
+			row = append(row, sum)
+		}
+		out[i] = row
+	}
+	return out
+}
+
+func sameBits(t *testing.T, label string, got, want [][]float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d rows, want %d", label, len(got), len(want))
+	}
+	for i := range want {
+		if len(got[i]) != len(want[i]) {
+			t.Fatalf("%s: row %d has %d cells, want %d", label, i, len(got[i]), len(want[i]))
+		}
+		for j := range want[i] {
+			if math.Float64bits(got[i][j]) != math.Float64bits(want[i][j]) {
+				t.Fatalf("%s: row %d cell %d: %v (%#x) != %v (%#x)", label, i, j,
+					got[i][j], math.Float64bits(got[i][j]), want[i][j], math.Float64bits(want[i][j]))
+			}
+		}
+	}
+}
+
+// randomSet draws a set over used variables v0..v{used-1} of a namespace
+// that also holds unused ones: some polynomials empty, some monomials
+// constant, exponents all 1 or mixed 1–4.
+func randomSet(r *rand.Rand, allOnes bool) *polynomial.Set {
+	names := polynomial.NewNames()
+	used := 1 + r.Intn(30)
+	for v := 0; v < used+r.Intn(5); v++ {
+		names.Var(fmt.Sprintf("v%d", v))
+	}
+	set := polynomial.NewSet(names)
+	for g, n := 0, r.Intn(25); g < n; g++ {
+		var b polynomial.Builder
+		if r.Intn(8) > 0 {
+			for m, mons := 0, 1+r.Intn(12); m < mons; m++ {
+				var terms []polynomial.Term
+				// Distinct variables, so that merging cannot raise an
+				// exponent of the all-ones mode above 1.
+				for _, v := range r.Perm(used)[:min(used, r.Intn(4))] {
+					e := int32(1)
+					if !allOnes && r.Intn(3) == 0 {
+						e = int32(2 + r.Intn(3))
+					}
+					terms = append(terms, polynomial.TExp(polynomial.Var(v), e))
+				}
+				b.Add(float64(r.Intn(2000)-1000)/64+0.01, terms...)
+			}
+		}
+		if err := set.Add(fmt.Sprintf("g%d", g), b.Polynomial()); err != nil {
+			panic(err)
+		}
+	}
+	return set
+}
+
+// randomAssignments draws scenarios of every shape the sparse path tells
+// apart. beyond lists variables outside the compiled namespace.
+func randomAssignments(r *rand.Rand, names *polynomial.Names, numVars int, beyond []polynomial.Var) []*Assignment {
+	special := []float64{0, math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 1}
+	value := func() float64 {
+		if r.Intn(6) == 0 {
+			return special[r.Intn(len(special))]
+		}
+		return r.Float64() * 2
+	}
+	var out []*Assignment
+	for s, n := 0, 1+r.Intn(24); s < n; s++ {
+		a := New(names)
+		switch r.Intn(5) {
+		case 0: // all ones, nothing explicit
+		case 1: // sparse
+			for k := 0; k < 1+r.Intn(3); k++ {
+				a.SetVar(polynomial.Var(r.Intn(numVars)), value())
+			}
+		case 2: // dense
+			for v := 0; v < numVars; v++ {
+				a.SetVar(polynomial.Var(v), value())
+			}
+		case 3: // every variable explicit, almost all exactly 1: what Induced builds
+			for v := 0; v < numVars; v++ {
+				a.SetVar(polynomial.Var(v), 1)
+			}
+			a.SetVar(polynomial.Var(r.Intn(numVars)), value())
+		case 4: // outside the namespace only, or mixed with one inside
+			if r.Intn(2) == 0 {
+				a.SetVar(polynomial.Var(r.Intn(numVars)), value())
+			}
+		}
+		if r.Intn(3) == 0 {
+			a.SetVar(beyond[r.Intn(len(beyond))], value())
+		}
+		out = append(out, a)
+	}
+	return out
+}
+
+// TestEvalBatchNMatchesReference: on generated programs and scenarios,
+// EvalBatchN's rows are bit-identical to the pre-change loop for every
+// worker count and with reused row buffers, and so are EvalBatchSource's
+// over a sharded copy of the set.
+func TestEvalBatchNMatchesReference(t *testing.T) {
+	kernels := map[bool]int{}
+	for trial := 0; trial < 300; trial++ {
+		r := rand.New(rand.NewSource(int64(trial)))
+		allOnes := trial%2 == 0
+		set := randomSet(r, allOnes)
+		prog := Compile(set)
+		if allOnes && prog.tExps != nil {
+			t.Fatalf("trial %d: an all-ones program kept its exponents", trial)
+		}
+		kernels[prog.tExps == nil]++
+		numVars := prog.NumVars()
+
+		// Variables interned after Compile lie beyond the program's
+		// namespace, as does NoVar.
+		beyond := []polynomial.Var{polynomial.NoVar, set.Names.Var("late0"), set.Names.Var("late1")}
+		assignments := randomAssignments(r, set.Names, numVars, beyond)
+		want := referenceEvalBatch(set, numVars, assignments)
+
+		var reuse [][]float64
+		for _, workers := range []int{1, 2, 8} {
+			label := fmt.Sprintf("trial %d workers %d", trial, workers)
+			sameBits(t, label, prog.EvalBatchN(assignments, nil, workers), want)
+			// Stale rows of other scenarios in the reused buffer.
+			reuse = prog.EvalBatchN(assignments[len(assignments)/2:], reuse, workers)
+			reuse = prog.EvalBatchN(assignments, reuse, workers)
+			sameBits(t, label+" reused", reuse, want)
+		}
+
+		opts := polynomial.ShardOptions{TargetMonomials: 1 + r.Intn(20)}
+		if trial%10 == 0 {
+			opts.MaxResidentMonomials, opts.SpillDir = 2+set.Size()/3, t.TempDir()
+		}
+		ss, err := polynomial.BuildSharded(set, opts)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		for _, workers := range []int{1, 2, 8} {
+			got, err := EvalBatchSource(ss, assignments, workers)
+			if err != nil {
+				t.Fatalf("trial %d: %v", trial, err)
+			}
+			sameBits(t, fmt.Sprintf("trial %d sharded workers %d", trial, workers), got, want)
+		}
+		if err := ss.Close(); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+	}
+	if kernels[true] == 0 || kernels[false] == 0 {
+		t.Fatalf("kernels exercised: %v", kernels)
+	}
+}
+
+// TestNegativeVarIgnored: an assignment holding NoVar used to index the
+// dense vector at -1 and panic.
+func TestNegativeVarIgnored(t *testing.T) {
+	names := polynomial.NewNames()
+	set := polynomial.NewSet(names)
+	set.Add("g", polynomial.MustParse("2*x*y + 3", names))
+	a := New(names).MustSet("x", 5)
+	a.SetVar(polynomial.NoVar, 7)
+
+	if got, want := a.Dense(names.Len()), []float64{5, 1}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("Dense = %v, want %v", got, want)
+	}
+	prog := Compile(set)
+	if got := prog.EvalBatchN([]*Assignment{a}, nil, 1); got[0][0] != 13 {
+		t.Fatalf("EvalBatchN = %v, want [[13]]", got)
+	}
+	if got := prog.EvalAssignment(a, nil); got[0] != 13 {
+		t.Fatalf("EvalAssignment = %v, want [13]", got)
+	}
+	got, err := EvalBatchSource(set, []*Assignment{a}, 1)
+	if err != nil || got[0][0] != 13 {
+		t.Fatalf("EvalBatchSource = %v, %v, want [[13]]", got, err)
+	}
+}
+
+// TestSweepEpochWrap: when the epoch counter wraps, marks left by earlier
+// scenarios must not read as current ones.
+func TestSweepEpochWrap(t *testing.T) {
+	names := polynomial.NewNames()
+	set := polynomial.NewSet(names)
+	for g := 0; g < 6; g++ {
+		set.Add(fmt.Sprintf("g%d", g), polynomial.MustParse(fmt.Sprintf("%d*x%d*s", g+2, g%3), names))
+	}
+	set.Add("other", polynomial.MustParse("y", names))
+	prog := Compile(set)
+	prog.sparseOnce.Do(prog.buildSparse)
+
+	var scenarios []*Assignment
+	for i := 0; i < 8; i++ {
+		scenarios = append(scenarios, New(names).MustSet(fmt.Sprintf("x%d", i%3), 0.5+float64(i)))
+	}
+	want := referenceEvalBatch(set, prog.NumVars(), scenarios)
+
+	s := sweep{p: prog, dense: ones(prog.numVars), mark: make([]uint32, prog.NumPolys())}
+	// The stamps a scenario 2^32 ago left: the first epoch after the wrap.
+	for pi := range s.mark {
+		s.mark[pi] = 1
+	}
+	s.epoch = math.MaxUint32 - 2
+	var got [][]float64
+	for _, a := range scenarios {
+		got = append(got, s.eval(a, nil))
+		if len(s.touched) != 2 {
+			t.Fatalf("epoch %d: touched %v, want two polynomials", s.epoch, s.touched)
+		}
+	}
+	if s.epoch >= 8 {
+		t.Fatalf("epoch %d: the counter did not wrap", s.epoch)
+	}
+	sameBits(t, "across the wrap", got, want)
+}
+
+// TestInducedMatchesGroupedLeaves: Induced walks the tree itself; its values
+// and its length are those of averaging Cut.GroupedLeaves, bit for bit.
+func TestInducedMatchesGroupedLeaves(t *testing.T) {
+	for trial := 0; trial < 50; trial++ {
+		r := rand.New(rand.NewSource(int64(trial)))
+		names := polynomial.NewNames()
+		tree := abstraction.NewTree("root", names)
+		for leaf, n := 0, 1+r.Intn(40); leaf < n; leaf++ {
+			path := []string{fmt.Sprintf("a%d", r.Intn(4))}
+			if r.Intn(2) == 0 {
+				path = append(path, fmt.Sprintf("%s_b%d", path[0], r.Intn(3)))
+			}
+			if _, err := tree.AddPath(append(path, fmt.Sprintf("leaf%d", leaf))...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ctx := names.Var("context")
+		// A random cut: from the root down, keep a node or descend.
+		var picked []string
+		var pick func(id abstraction.NodeID)
+		pick = func(id abstraction.NodeID) {
+			node := tree.Node(id)
+			if len(node.Children) == 0 || r.Intn(3) == 0 {
+				picked = append(picked, node.Name)
+				return
+			}
+			for _, c := range node.Children {
+				pick(c)
+			}
+		}
+		pick(tree.Root())
+		cut, err := tree.CutOf(picked...)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		base := New(names)
+		base.SetVar(ctx, 3)
+		for _, v := range tree.LeafVars() {
+			if r.Intn(3) == 0 {
+				base.SetVar(v, r.Float64()*2)
+			}
+		}
+		want := base.Clone()
+		for i, leaves := range cut.GroupedLeaves() {
+			sum := 0.0
+			for _, l := range leaves {
+				sum += base.Get(l)
+			}
+			want.SetVar(tree.Node(cut.Nodes[i]).Var, sum/float64(len(leaves)))
+		}
+
+		got := Induced(base, cut)
+		if got.Len() != want.Len() {
+			t.Fatalf("trial %d: Len = %d, want %d", trial, got.Len(), want.Len())
+		}
+		for v := polynomial.Var(0); int(v) < names.Len(); v++ {
+			if got.Has(v) != want.Has(v) || math.Float64bits(got.Get(v)) != math.Float64bits(want.Get(v)) {
+				t.Fatalf("trial %d: %s = %v (explicit %v), want %v (explicit %v)",
+					trial, names.Name(v), got.Get(v), got.Has(v), want.Get(v), want.Has(v))
+			}
+		}
+	}
+}

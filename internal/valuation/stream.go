@@ -13,7 +13,9 @@ import (
 // and shards concatenate in set order, the rows are bit-identical to
 // compiling the materialized set and calling EvalBatchN, for every source
 // representation and worker count. An in-memory Set presents itself as a
-// single shard, so the in-memory streaming path compiles once.
+// single shard, so the in-memory streaming path compiles once. A shard's
+// program is used for this one batch, so it evaluates every polynomial and
+// never builds the index sparse scenarios are answered from.
 func EvalBatchSource(src polynomial.SetSource, assignments []*Assignment, workers int) ([][]float64, error) {
 	out := make([][]float64, len(assignments))
 	for i := range out {
@@ -23,7 +25,7 @@ func EvalBatchSource(src polynomial.SetSource, assignments []*Assignment, worker
 	var rows [][]float64
 	err := polynomial.ForEachShardN(src, workers, func(_, _ int, s *polynomial.Set) error {
 		prog := Compile(s)
-		rows = prog.EvalBatchN(assignments, rows, workers)
+		rows = prog.evalBatch(assignments, rows, workers, false)
 		for a := range rows {
 			out[a] = append(out[a], rows[a]...)
 		}

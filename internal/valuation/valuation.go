@@ -76,13 +76,10 @@ func (a *Assignment) Func() func(polynomial.Var) float64 { return a.Get }
 // Dense materializes the assignment as a slice of length n indexed by Var,
 // with 1 for unassigned variables.
 func (a *Assignment) Dense(n int) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = 1
-	}
+	out := ones(n)
 	//cobra:deterministic writes to distinct slice indices; visit order cannot reach the result
 	for v, x := range a.vals {
-		if int(v) < n {
+		if inRange(v, n) {
 			out[v] = x
 		}
 	}
@@ -90,8 +87,11 @@ func (a *Assignment) Dense(n int) []float64 {
 }
 
 // Clone returns an independent copy.
-func (a *Assignment) Clone() *Assignment {
-	c := New(a.names)
+func (a *Assignment) Clone() *Assignment { return a.clone(0) }
+
+// clone is Clone with room for extra more entries.
+func (a *Assignment) clone(extra int) *Assignment {
+	c := &Assignment{names: a.names, vals: make(map[polynomial.Var]float64, len(a.vals)+extra)}
 	//cobra:deterministic map-to-map copy; visit order cannot reach the result
 	for v, x := range a.vals {
 		c.vals[v] = x
@@ -121,27 +121,38 @@ type Item struct {
 // values under base ("a default value (average over the abstracted
 // variables' values)", §3). Context variables keep their base values.
 func Induced(base *Assignment, cuts ...abstraction.Cut) *Assignment {
-	out := base.Clone()
+	metas := 0
 	for _, c := range cuts {
-		groups := c.GroupedLeaves()
-		for i, id := range c.Nodes {
-			leaves := groups[i]
-			if len(leaves) == 0 {
-				continue
-			}
-			sum := 0.0
-			for _, l := range leaves {
-				sum += base.Get(l)
-			}
-			out.SetVar(c.Tree.Node(id).Var, sum/float64(len(leaves)))
+		metas += len(c.Nodes)
+	}
+	out := base.clone(metas)
+	for _, c := range cuts {
+		for _, id := range c.Nodes {
+			sum, leaves := leafSum(c.Tree, id, base, 0, 0)
+			out.SetVar(c.Tree.Node(id).Var, sum/float64(leaves))
 		}
 	}
 	return out
 }
 
+// leafSum adds base's value of every leaf under id to sum, depth-first (the
+// order of Cut.GroupedLeaves), and their number to n. A node without
+// children is its own one leaf. It sits on the slider's path, once per
+// scenario, so it builds no list of the leaves.
+func leafSum(t *abstraction.Tree, id abstraction.NodeID, base *Assignment, sum float64, n int) (float64, int) {
+	node := t.Node(id)
+	if len(node.Children) == 0 {
+		return sum + base.Get(node.Var), n + 1
+	}
+	for _, c := range node.Children {
+		sum, n = leafSum(t, c, base, sum, n)
+	}
+	return sum, n
+}
+
 // InducedWeighted is Induced with leaves weighted by their total absolute
-// coefficient mass in set — an extension evaluated in the ablation study
-// (design choice #2 in DESIGN.md). Leaves that never occur get weight 0; if
+// coefficient mass in set — an extension compared against the plain average
+// in experiment E6's error table. Leaves that never occur get weight 0; if
 // an entire group has zero mass the unweighted average is used.
 func InducedWeighted(base *Assignment, set *polynomial.Set, cuts ...abstraction.Cut) *Assignment {
 	mass := make(map[polynomial.Var]float64)
