@@ -1,6 +1,6 @@
 package cobra_test
 
-// One benchmark per experiment in DESIGN.md's index (E1–E10, plus the
+// One benchmark per experiment in the internal/experiments index (E1–E10, plus the
 // E14 out-of-core, E15 streaming-capture and E16 frontier-sweep runs),
 // plus micro-benchmarks for the ablations (compiled vs naive evaluation,
 // DP vs greedy) and the paired sweep-vs-recompress comparison. The experiment benches run the same runners as cmd/cobra-bench
@@ -222,7 +222,7 @@ func BenchmarkIndexedDecode(b *testing.B) {
 	})
 }
 
-// --- micro-benchmarks for the DESIGN.md ablations ------------------------
+// --- micro-benchmarks for the ablations ----------------------------------
 
 // benchSet builds the telephony provenance at a fixed moderate scale.
 func benchSet(b *testing.B) (*cobra.Set, *cobra.Tree) {
@@ -490,9 +490,11 @@ func BenchmarkCaptureWorkers(b *testing.B) {
 // the paired workloads with workers=2 may not allocate more than a small
 // overhead above workers=1 (pool bookkeeping — goroutines and per-worker
 // scratch — is O(workers), far below the per-item work). The regressions
-// this assertion pins down were 10× on CompressDP and +20% on
-// ForestDescent before the sharded signature scan interned keys through
-// elided map reads and forest descent dropped its speculative round.
+// this assertion pins down were 10× on CompressDP (a parallel signature
+// scan that materialized a key string per monomial) and +20% on
+// ForestDescent (a speculative round). Today workers > 1 run the one
+// signature scan over runs of whole polynomials, so the only extra
+// allocations are each worker's counters and scratch.
 func TestWorkerAllocParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc-parity sweep is not -short friendly")

@@ -1,5 +1,5 @@
 // Command cobra-bench runs the reproduction experiment suite (E1–E16, see
-// DESIGN.md) and prints each experiment's paper-vs-measured table. With
+// internal/experiments) and prints each experiment's paper-vs-measured table. With
 // -markdown it emits the tables in the format used by EXPERIMENTS.md.
 //
 // Usage:

@@ -129,9 +129,11 @@
 //
 // Determinism guarantee: parallel runs return bit-identical results to the
 // sequential path for every worker count. Only deterministic work is
-// sharded — signature indexing (per-range signature sets interned locally
-// and merged in range order), cut application (each polynomial mapped by
-// the exact sequential code, preserving float summation order), chunked
+// sharded — signature indexing (each worker scans a contiguous run of
+// whole polynomials into per-node counters of its own, and the counters
+// are added up: integer sums, so their order cannot matter), cut
+// application (each polynomial mapped by the exact sequential code,
+// preserving float summation order), chunked
 // scenario evaluation (each row written
 // to its own slot from a per-worker arena), and partition-parallel SQL
 // execution and provenance capture (contiguous row ranges concatenated in
@@ -285,8 +287,11 @@
 //
 // The same discipline governs scratch memory in the parallel stages.
 // Arena lifetime rules: each worker allocates its scratch — name-render
-// byte slabs, signature key buffers, per-range intern maps — once per
-// contiguous shard range, never per row or per monomial; slab windows
+// byte slabs, the signature scan's record array, hash table and per-node
+// counters (sized by the largest polynomial met and reused for every
+// polynomial of every shard), the term slab a polynomial's mapped
+// monomials are carved from — once per contiguous shard range or per
+// polynomial, never per row or per monomial; slab windows
 // handed onward (interned names, rendered values) are never rewritten
 // after they are published, so append-grown backings stay valid; and
 // every per-worker partial is merged into shared state sequentially in
@@ -375,8 +380,8 @@
 // telephony running example and a TPC-H workload (internal/datagen), fast
 // compiled valuation (Compile, MeasureSpeedup), accuracy metrics, and
 // serialization for interoperating with external provenance engines
-// (ReadSet*/WriteSet*, streaming via SetWriter/SetReader). See DESIGN.md
-// and EXPERIMENTS.md in the repository
-// root, the runnable programs under examples/, and the command-line tools
-// under cmd/.
+// (ReadSet*/WriteSet*, streaming via SetWriter/SetReader). See ROADMAP.md
+// in the repository root, the experiment index in internal/experiments
+// (cmd/cobra-bench prints its tables), the runnable programs under
+// examples/, and the command-line tools under cmd/.
 package cobra

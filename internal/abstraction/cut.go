@@ -201,18 +201,26 @@ func ApplyN(s *polynomial.Set, workers int, cuts ...Cut) *polynomial.Set {
 	return s.MapVarsN(cutMapping(cuts), workers)
 }
 
-// cutMapping combines the cuts' substitutions into one remap function.
+// cutMapping combines the cuts' substitutions into one remap function: a
+// dense table indexed by Var (identity where no cut applies, and beyond the
+// largest leaf Var), each leaf mapped to the cut node covering it.
 func cutMapping(cuts []Cut) func(polynomial.Var) polynomial.Var {
-	mapping := make(map[polynomial.Var]polynomial.Var)
+	var table []polynomial.Var
 	for _, c := range cuts {
-		//cobra:deterministic map-to-map merge over disjoint keys; visit order cannot reach the result
-		for from, to := range c.VarMapping() {
-			mapping[from] = to
+		for _, id := range c.Nodes {
+			to := c.Tree.Node(id).Var
+			for _, leaf := range c.Tree.LeavesUnder(id) {
+				from := c.Tree.Node(leaf).Var
+				for int(from) >= len(table) {
+					table = append(table, polynomial.Var(len(table)))
+				}
+				table[from] = to
+			}
 		}
 	}
 	return func(v polynomial.Var) polynomial.Var {
-		if to, ok := mapping[v]; ok {
-			return to
+		if uint(v) < uint(len(table)) {
+			return table[v]
 		}
 		return v
 	}

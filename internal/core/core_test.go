@@ -96,11 +96,22 @@ func TestIndexMultiVarError(t *testing.T) {
 	names := polynomial.NewNames()
 	tree, _ := abstraction.FromPaths("T", names, []string{"a"}, []string{"b"})
 	set := polynomial.NewSet(names)
-	set.Add("g", polynomial.MustParse("3*a*b", names)) // two leaves of T in one monomial
+	// Two leaves of T in one monomial, between two well-formed siblings.
+	set.Add("g", polynomial.MustParse("2*a*x + 3*a*b + 5*b*y", names))
 	_, err := buildIndex(set, tree)
 	var mv *MultiVarError
 	if !errors.As(err, &mv) {
 		t.Fatalf("want MultiVarError, got %v", err)
+	}
+	// Mono is the offending monomial alone, not its whole polynomial.
+	if mv.Key != "g" || mv.Mono != "3*a*b" {
+		t.Fatalf("MultiVarError{Key: %q, Mono: %q}, want {g, 3*a*b}", mv.Key, mv.Mono)
+	}
+	// The forest scan reports the same error for the same monomial.
+	other, _ := abstraction.FromPaths("U", names, []string{"p"}, []string{"q"})
+	_, ferr := FrontierForest(set, abstraction.Forest{tree, other}, 1)
+	if ferr == nil || ferr.Error() != err.Error() {
+		t.Fatalf("forest scan error %v, want %v", ferr, err)
 	}
 }
 

@@ -11,7 +11,8 @@ import (
 // cuts whose compressed size is at most bound, it returns one with the
 // maximum number of cut nodes (meta-variables), breaking ties towards the
 // smaller compressed size. It runs in O(L²) knapsack time (L = number of
-// leaves) plus O(M·log) signature indexing (M = number of monomials).
+// leaves) plus one O(M·depth) signature-indexing scan (M = number of
+// monomials).
 //
 // It returns *InfeasibleError if even the root cut exceeds bound, and
 // *MultiVarError if a monomial contains two leaves of the tree.

@@ -18,7 +18,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"github.com/cobra-prov/cobra/internal/abstraction"
 	"github.com/cobra-prov/cobra/internal/parallel"
@@ -256,10 +255,10 @@ func BestForForestBound(points []ForestFrontierPoint, bound int) (ForestFrontier
 // forestPartitionSource scans the source once, checking that every
 // monomial contains leaves of at most one tree and counting the monomials
 // containing no leaf of any tree — the fixed part every joint cut shares.
-// Large shards scan their monomial ranges in parallel; the range counts
-// are order-independent and on error the earliest range's first error wins
-// (the same monomial a sequential scan would report), so both the count
-// and the error are identical for every worker count.
+// Large shards scan runs of whole polynomials in parallel (polyRuns); the
+// run counts are order-independent and on error the earliest run's first
+// error wins (the same monomial a sequential scan would report), so both
+// the count and the error are identical for every worker count.
 func forestPartitionSource(src polynomial.SetSource, trees abstraction.Forest, workers int) (int, error) {
 	owners := trees.LeafOwners()
 	fixed := 0
@@ -279,65 +278,34 @@ func forestPartitionSource(src polynomial.SetSource, trees abstraction.Forest, w
 
 // scanForestPartition checks one shard; see forestPartitionSource.
 func scanForestPartition(s *polynomial.Set, owners map[polynomial.Var]abstraction.ForestLeaf, workers int) (int, error) {
-	if workers == 1 || s.Size() < minParallelIndexMons {
-		fixed := 0
-		for pi, p := range s.Polys {
-			for _, m := range p.Mons {
-				hasLeaf, err := forestLeafCheck(m, owners, s.Keys[pi], p, s.Names)
-				if err != nil {
-					return 0, err
-				}
-				if !hasLeaf {
-					fixed++
-				}
-			}
-		}
-		return fixed, nil
-	}
-
-	// offs[i] = number of monomials before polynomial i.
-	offs := make([]int, len(s.Polys)+1)
-	for i, p := range s.Polys {
-		offs[i+1] = offs[i] + len(p.Mons)
-	}
-	total := offs[len(s.Polys)]
-
-	type rangeScan struct {
+	type runScan struct {
 		fixed int
 		err   error
 	}
-	shards := make([]rangeScan, parallel.Normalize(workers))
-	n := parallel.Chunks(workers, total, func(shard, lo, hi int) {
-		sh := &shards[shard]
-		pi := sort.SearchInts(offs, lo+1) - 1
-		for ; pi < len(s.Polys) && offs[pi] < hi; pi++ {
-			p := s.Polys[pi]
-			mlo, mhi := 0, len(p.Mons)
-			if v := lo - offs[pi]; v > mlo {
-				mlo = v
-			}
-			if v := hi - offs[pi]; v < mhi {
-				mhi = v
-			}
-			for _, m := range p.Mons[mlo:mhi] {
-				hasLeaf, err := forestLeafCheck(m, owners, s.Keys[pi], p, s.Names)
+	bounds := polyRuns(s, workers)
+	runs := make([]runScan, len(bounds)-1)
+	parallel.ForEach(workers, len(runs), func(i int) {
+		run := &runs[i]
+		for pi := bounds[i]; pi < bounds[i+1]; pi++ {
+			for _, m := range s.Polys[pi].Mons {
+				hasLeaf, err := forestLeafCheck(m, owners, s.Keys[pi], s.Names)
 				if err != nil {
-					sh.err = err
+					run.err = err
 					return
 				}
 				if !hasLeaf {
-					sh.fixed++
+					run.fixed++
 				}
 			}
 		}
 	})
 
 	fixed := 0
-	for si := 0; si < n; si++ {
-		if shards[si].err != nil {
-			return 0, shards[si].err
+	for _, run := range runs {
+		if run.err != nil {
+			return 0, run.err
 		}
-		fixed += shards[si].fixed
+		fixed += run.fixed
 	}
 	return fixed, nil
 }
@@ -347,7 +315,7 @@ func scanForestPartition(s *polynomial.Set, owners map[polynomial.Var]abstractio
 // single-tree DP's own precondition), of a different tree with a
 // CrossTreeError (additivity across trees would break). The first
 // offending term pair in term order wins, deterministically.
-func forestLeafCheck(m polynomial.Monomial, owners map[polynomial.Var]abstraction.ForestLeaf, key string, p polynomial.Polynomial, names *polynomial.Names) (bool, error) {
+func forestLeafCheck(m polynomial.Monomial, owners map[polynomial.Var]abstraction.ForestLeaf, key string, names *polynomial.Names) (bool, error) {
 	first := -1
 	for _, t := range m.Terms {
 		o, ok := owners[t.Var]
@@ -359,11 +327,10 @@ func forestLeafCheck(m polynomial.Monomial, owners map[polynomial.Var]abstractio
 			continue
 		}
 		if o.Tree == first {
-			// Match the single-tree scan's error rendering exactly.
-			return false, &MultiVarError{Key: key, Mono: p.String(names)}
+			// The error the single-tree scan reports for this monomial.
+			return false, &MultiVarError{Key: key, Mono: monoString(m, names)}
 		}
-		mono := polynomial.Polynomial{Mons: []polynomial.Monomial{m}}
-		return false, &CrossTreeError{Key: key, Mono: mono.String(names), TreeA: first, TreeB: o.Tree}
+		return false, &CrossTreeError{Key: key, Mono: monoString(m, names), TreeA: first, TreeB: o.Tree}
 	}
 	return first >= 0, nil
 }

@@ -1,9 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
-	"sort"
-
 	"github.com/cobra-prov/cobra/internal/abstraction"
 	"github.com/cobra-prov/cobra/internal/parallel"
 	"github.com/cobra-prov/cobra/internal/polynomial"
@@ -28,273 +25,262 @@ type index struct {
 	distinct []int64
 }
 
-// minParallelIndexMons is the set size below which sharded signature
-// scanning costs more in goroutine handoff and map merging than it saves.
+// minParallelIndexMons is the shard size below which splitting a scan over
+// goroutines costs more in handoff than it saves.
 const minParallelIndexMons = 4096
 
-// buildIndex scans the set once and computes per-node distinct counts via
-// bottom-up small-to-large set union. It returns a MultiVarError if any
-// monomial contains two or more leaves of the tree.
+// buildIndex is buildIndexSource over an in-memory set on one goroutine.
 func buildIndex(set *polynomial.Set, tree *abstraction.Tree) (*index, error) {
 	return buildIndexSource(set, tree, 1)
 }
 
 // buildIndexSource is the one signature-index construction every
-// compression path shares: it scans any SetSource one shard at a time into
-// shared signature maps, offsetting each shard's polynomial indices by its
-// global position. An in-memory Set presents itself as a single shard, so
-// the in-memory and out-of-core paths run literally the same code. Within
-// a shard large enough to amortize the pool, the scan is sharded over
-// contiguous monomial ranges across up to workers goroutines, each range
-// interning signatures into a private map merged in range order into
-// global ids. distinct(v) counts only signature-set cardinalities, which
-// are independent of id assignment and of shard/range boundaries, so the
-// index — and everything the DP derives from it — is identical for every
-// source representation and worker count.
+// compression path shares. A signature embeds its polynomial's index, so
+// distinct(v) is a plain sum over polynomials: each polynomial is scanned
+// on its own (indexScan.scanPoly) and adds to per-node counters. The
+// source is consumed one shard at a time — an in-memory Set presents
+// itself as a single shard — and a shard large enough to amortize the pool
+// is split into contiguous runs of whole polynomials, one indexScan (its
+// own scratch and counters) per run. The counters are summed at the end:
+// integer adds, so the index — and everything the DP derives from it — is
+// identical for every source representation and worker count. The first
+// MultiVarError in scan order wins: shards arrive in order, and within a
+// shard each run stops at its first offender and the lowest run reports.
 func buildIndexSource(src polynomial.SetSource, tree *abstraction.Tree, workers int) (*index, error) {
-	leafOf := tree.LeafVarSet()
-	idx := &index{
-		tree:     tree,
-		distinct: make([]int64, tree.Len()),
-	}
-
 	workers = parallel.Normalize(workers)
-	sigIDs := make(map[string]int32)
-	perLeaf := make(map[abstraction.NodeID]map[int32]struct{})
+	leafOf, parent := leafTable(tree)
+	scans := make([]indexScan, workers)
 	// ForEachShardN overlaps shard decode with the scan on sources that
-	// support it; the scan itself still runs shard-at-a-time in shard
-	// order, so the index is unchanged.
-	err := polynomial.ForEachShardN(src, workers, func(_, firstPoly int, s *polynomial.Set) error {
-		if workers == 1 || s.Size() < minParallelIndexMons {
-			return scanSignaturesInto(s, leafOf, tree, idx, firstPoly, sigIDs, perLeaf)
+	// support it; the callback still runs shard-at-a-time in shard order.
+	err := polynomial.ForEachShardN(src, workers, func(_, _ int, s *polynomial.Set) error {
+		bounds := polyRuns(s, workers)
+		parallel.ForEach(workers, len(bounds)-1, func(i int) {
+			sc := &scans[i]
+			if sc.distinct == nil {
+				sc.leafOf, sc.parent = leafOf, parent
+				sc.distinct = make([]int64, tree.Len())
+				sc.stamp = make([]uint64, tree.Len())
+			}
+			sc.err = sc.scan(s, bounds[i], bounds[i+1])
+		})
+		for i := range bounds[1:] {
+			if scans[i].err != nil {
+				return scans[i].err
+			}
 		}
-		return scanSignaturesShardedInto(s, leafOf, tree, idx, firstPoly, sigIDs, perLeaf, workers)
+		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	finishIndex(idx, tree, perLeaf)
+	idx := &index{tree: tree, distinct: make([]int64, tree.Len())}
+	for i := range scans {
+		idx.fixed += scans[i].fixed
+		for v, d := range scans[i].distinct {
+			idx.distinct[v] += d
+		}
+	}
 	return idx, nil
 }
 
-// finishIndex turns the per-leaf signature-id sets into per-node distinct
-// counts via bottom-up small-to-large set union.
-func finishIndex(idx *index, tree *abstraction.Tree, perLeaf map[abstraction.NodeID]map[int32]struct{}) {
-	sets := make([]map[int32]struct{}, tree.Len())
-	for _, v := range tree.Postorder() {
-		n := tree.Node(v)
-		if len(n.Children) == 0 {
-			s := perLeaf[v]
-			if s == nil {
-				s = map[int32]struct{}{}
-			}
-			sets[v] = s
-			idx.distinct[v] = int64(len(s))
-			continue
+// leafTable flattens what the scan reads of the tree: leafOf maps a Var to
+// the leaf bound to it (NoNode for every other Var below the largest leaf
+// Var), parent maps a node to its parent.
+func leafTable(tree *abstraction.Tree) (leafOf, parent []abstraction.NodeID) {
+	parent = make([]abstraction.NodeID, tree.Len())
+	maxVar := polynomial.Var(-1)
+	for v := range parent {
+		n := tree.Node(abstraction.NodeID(v))
+		parent[v] = n.Parent
+		if len(n.Children) == 0 && n.Var > maxVar {
+			maxVar = n.Var
 		}
-		// Small-to-large: merge all children into the largest child's set.
-		var acc map[int32]struct{}
-		accChild := abstraction.NoNode
-		for _, c := range n.Children {
-			if acc == nil || len(sets[c]) > len(acc) {
-				acc = sets[c]
-				accChild = c
-			}
-		}
-		if acc == nil {
-			acc = map[int32]struct{}{}
-		}
-		for _, c := range n.Children {
-			if c != accChild {
-				//cobra:deterministic set union into a map; visit order cannot reach the result
-				for id := range sets[c] {
-					acc[id] = struct{}{}
-				}
-			}
-			sets[c] = nil // release child storage
-		}
-		sets[v] = acc
-		idx.distinct[v] = int64(len(acc))
 	}
+	leafOf = make([]abstraction.NodeID, int(maxVar)+1)
+	for i := range leafOf {
+		leafOf[i] = abstraction.NoNode
+	}
+	for v := range parent {
+		if n := tree.Node(abstraction.NodeID(v)); len(n.Children) == 0 {
+			leafOf[n.Var] = n.ID
+		}
+	}
+	return leafOf, parent
 }
 
-// scanSignaturesInto is the sequential signature scan: it interns every
-// leaf-bearing monomial's signature into sigIDs, fills idx.fixed, and
-// extends the per-leaf signature-id sets. piOff is the global index of the
-// set's first polynomial, so that a set scanned shard-at-a-time (each
-// shard one call, sharing sigIDs/perLeaf) indexes identically to one
-// scanned whole.
-func scanSignaturesInto(set *polynomial.Set, leafOf map[polynomial.Var]abstraction.NodeID, tree *abstraction.Tree, idx *index, piOff int, sigIDs map[string]int32, perLeaf map[abstraction.NodeID]map[int32]struct{}) error {
-	var keyBuf []byte
+// polyRuns splits the shard's polynomials into at most workers contiguous
+// non-empty runs of near-equal monomial count, returned as boundaries
+// (run i is polynomials [b[i], b[i+1])). A shard too small to be worth
+// the pool, or workers == 1, is a single run.
+func polyRuns(s *polynomial.Set, workers int) []int {
+	total := s.Size()
+	if workers == 1 || total < minParallelIndexMons {
+		return []int{0, len(s.Polys)}
+	}
+	bounds := make([]int, 1, workers+1)
+	before := 0 // monomials in polynomials [0, pi)
+	for pi, p := range s.Polys {
+		if len(bounds) < workers && before >= len(bounds)*total/workers {
+			bounds = append(bounds, pi)
+		}
+		before += len(p.Mons)
+	}
+	return append(bounds, len(s.Polys))
+}
 
-	for pi, p := range set.Polys {
-		for _, m := range p.Mons {
-			leaf, leafExp, err := leafOfMonomial(m, leafOf, set.Keys[pi], p, set.Names)
-			if err != nil {
-				return err
-			}
-			if leaf == abstraction.NoNode {
-				idx.fixed++
+// sigRec is one leaf-bearing monomial of the polynomial being scanned.
+type sigRec struct {
+	hash uint64 // of (residual term vector, leaf exponent)
+	mon  int32  // index of the monomial within its polynomial
+	at   int32  // position of the leaf term within the monomial
+	leaf abstraction.NodeID
+	next int32 // next monomial of the same signature, -1 ends the chain
+}
+
+// indexScan is one goroutine's share of an index build: its partial
+// counters, plus scratch sized by the largest polynomial it has met and
+// reused for every polynomial of every shard it scans.
+type indexScan struct {
+	leafOf, parent []abstraction.NodeID // leafTable; shared, read-only
+
+	fixed    int
+	distinct []int64
+	err      error
+
+	// stamp[v] == epoch: v is already counted for the signature whose
+	// leaves are being walked. A new signature is a new epoch, so the
+	// stamps never need clearing.
+	stamp []uint64
+	epoch uint64
+
+	recs  []sigRec
+	table []int32 // open-addressed; 1 + index into recs of a signature's first monomial, 0 = empty
+	heads []int32 // first monomial of each signature, in order of appearance
+}
+
+// scan indexes polynomials [lo, hi) of the shard.
+func (sc *indexScan) scan(s *polynomial.Set, lo, hi int) error {
+	for pi := lo; pi < hi; pi++ {
+		if err := sc.scanPoly(s.Keys[pi], s.Polys[pi].Mons, s.Names); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// scanPoly adds one polynomial's signatures to the counters, in three
+// passes over scratch. (1) Find each monomial's tree leaf and hash its
+// residual — the terms other than the leaf's, in order, so the hash does
+// not depend on where the leaf term sits — together with the leaf
+// exponent. (2) Group the leaf-bearing monomials by signature: a hash
+// table over this polynomial only, every hash tie settled by comparing
+// exponents and residuals term by term, each signature's monomials
+// chained from its first. (3) For each signature, walk from every one of
+// its leaves towards the root, counting each node once: the walk stops at
+// the first node already stamped for this signature, so the work is the
+// size of the union of the paths.
+func (sc *indexScan) scanPoly(key string, mons []polynomial.Monomial, names *polynomial.Names) error {
+	recs := sc.recs[:0]
+	for mi, m := range mons {
+		at, h := -1, uint64(0)
+		for ti, t := range m.Terms {
+			if uint(t.Var) < uint(len(sc.leafOf)) && sc.leafOf[t.Var] != abstraction.NoNode {
+				if at >= 0 {
+					return &MultiVarError{Key: key, Mono: monoString(m, names)}
+				}
+				at = ti
 				continue
 			}
-			keyBuf = appendSigKey(keyBuf[:0], piOff+pi, leafExp, m.Terms, tree.Node(leaf).Var)
-			// Lookup with string(keyBuf) directly: the compiler elides
-			// the conversion on map reads, so the key string is only
-			// materialized once per distinct signature, on the miss.
-			sid, ok := sigIDs[string(keyBuf)]
-			if !ok {
-				sid = int32(len(sigIDs))
-				//cobra:hotalloc the map retains its key: one allocation per distinct signature, not per monomial
-				sigIDs[string(keyBuf)] = sid
-			}
-			s := perLeaf[leaf]
-			if s == nil {
-				s = make(map[int32]struct{})
-				perLeaf[leaf] = s
-			}
-			s[sid] = struct{}{}
+			h = mix(h, uint64(uint32(t.Var))<<32|uint64(uint32(t.Exp)))
 		}
-	}
-
-	return nil
-}
-
-// sigShard holds one shard's partial scan: locally-interned signatures
-// (keys indexed by local id) and one packed (leaf, local-id) pair per
-// leaf-bearing monomial, over a contiguous run of whole polynomials.
-type sigShard struct {
-	fixed int
-	keys  []string
-	pairs []uint64 // leaf<<32 | local sid, one per leaf-bearing monomial
-	err   error
-}
-
-// scanSignaturesShardedInto runs the signature scan over contiguous runs
-// of polynomials in parallel and merges the partial results in range
-// order into the shared sigIDs/perLeaf maps (piOff as in
-// scanSignaturesInto). Chunk boundaries snap to polynomial boundaries:
-// signatures embed the polynomial index, so whole-polynomial shards
-// intern disjoint signature sets and the parallel scan materializes
-// exactly one key string per distinct signature, like the sequential
-// scan. Each shard's allocations beyond that are O(1) slabs reused
-// across its whole range — the per-worker-arena invariant the alloc-
-// parity test in bench_test.go pins down. If several ranges hit a
-// MultiVarError, the error of the earliest range — the first offending
-// monomial in scan order, as in the sequential path — wins.
-func scanSignaturesShardedInto(set *polynomial.Set, leafOf map[polynomial.Var]abstraction.NodeID, tree *abstraction.Tree, idx *index, piOff int, sigIDs map[string]int32, perLeaf map[abstraction.NodeID]map[int32]struct{}, workers int) error {
-	// offs[i] = number of monomials before polynomial i.
-	offs := make([]int, len(set.Polys)+1)
-	for i, p := range set.Polys {
-		offs[i+1] = offs[i] + len(p.Mons)
-	}
-	total := offs[len(set.Polys)]
-
-	shards := make([]sigShard, parallel.Normalize(workers))
-	n := parallel.Chunks(workers, total, func(shard, lo, hi int) {
-		sh := &shards[shard]
-		localIDs := make(map[string]int32)
-		var keyBuf []byte
-		// The shard owns the polynomials whose first monomial lies in
-		// [lo, hi) — every polynomial lands in exactly one shard, in
-		// scan order across shards.
-		for pi := sort.SearchInts(offs, lo); pi < len(set.Polys) && offs[pi] < hi; pi++ {
-			p := set.Polys[pi]
-			for _, m := range p.Mons {
-				leaf, leafExp, err := leafOfMonomial(m, leafOf, set.Keys[pi], p, set.Names)
-				if err != nil {
-					if sh.err == nil {
-						sh.err = err
-					}
-					return
-				}
-				if leaf == abstraction.NoNode {
-					sh.fixed++
-					continue
-				}
-				keyBuf = appendSigKey(keyBuf[:0], piOff+pi, leafExp, m.Terms, tree.Node(leaf).Var)
-				// Lookup with string(keyBuf) directly (elided on map
-				// reads); the key string materializes only once per
-				// distinct signature, on the miss.
-				sid, ok := localIDs[string(keyBuf)]
-				if !ok {
-					sid = int32(len(localIDs))
-					//cobra:hotalloc the map and keys retain the string: one allocation per distinct signature, not per monomial
-					key := string(keyBuf)
-					localIDs[key] = sid
-					sh.keys = append(sh.keys, key)
-				}
-				sh.pairs = append(sh.pairs, uint64(uint32(leaf))<<32|uint64(uint32(sid)))
-			}
-		}
-	})
-
-	// Merge in range order: remap each range's local ids to global ids,
-	// then replay the (leaf, sid) occurrences into the shared per-leaf
-	// sets — the same per-monomial inserts the sequential scan performs.
-	for si := 0; si < n; si++ {
-		sh := &shards[si]
-		if sh.err != nil {
-			return sh.err
-		}
-		idx.fixed += sh.fixed
-		remap := make([]int32, len(sh.keys))
-		for lid, key := range sh.keys {
-			gid, ok := sigIDs[key]
-			if !ok {
-				gid = int32(len(sigIDs))
-				sigIDs[key] = gid
-			}
-			remap[lid] = gid
-		}
-		for _, pr := range sh.pairs {
-			leaf := abstraction.NodeID(int32(pr >> 32))
-			s := perLeaf[leaf]
-			if s == nil {
-				s = make(map[int32]struct{})
-				perLeaf[leaf] = s
-			}
-			s[remap[uint32(pr)]] = struct{}{}
-		}
-	}
-
-	return nil
-}
-
-// leafOfMonomial finds the unique tree leaf occurring in the monomial (or
-// NoNode), returning a MultiVarError when the monomial contains two or more
-// leaves of the tree.
-func leafOfMonomial(m polynomial.Monomial, leafOf map[polynomial.Var]abstraction.NodeID, key string, p polynomial.Polynomial, names *polynomial.Names) (abstraction.NodeID, int32, error) {
-	leaf := abstraction.NoNode
-	leafExp := int32(0)
-	for _, t := range m.Terms {
-		if id, ok := leafOf[t.Var]; ok {
-			if leaf != abstraction.NoNode {
-				return abstraction.NoNode, 0, &MultiVarError{Key: key, Mono: p.String(names)}
-			}
-			leaf = id
-			leafExp = t.Exp
-		}
-	}
-	return leaf, leafExp, nil
-}
-
-// appendSigKey encodes a monomial's signature: group index, leaf exponent,
-// residual term vector (the monomial minus its tree-leaf variable).
-func appendSigKey(buf []byte, pi int, leafExp int32, terms []polynomial.Term, skip polynomial.Var) []byte {
-	buf = binary.AppendUvarint(buf, uint64(pi))
-	buf = binary.AppendUvarint(buf, uint64(uint32(leafExp)))
-	return appendResidualKey(buf, terms, skip)
-}
-
-func appendResidualKey(buf []byte, terms []polynomial.Term, skip polynomial.Var) []byte {
-	for _, t := range terms {
-		if t.Var == skip {
+		if at < 0 {
+			sc.fixed++
 			continue
 		}
-		buf = binary.AppendUvarint(buf, uint64(uint32(t.Var)))
-		buf = binary.AppendUvarint(buf, uint64(uint32(t.Exp)))
+		lt := m.Terms[at]
+		recs = append(recs, sigRec{
+			hash: mix(h, uint64(uint32(lt.Exp))),
+			mon:  int32(mi),
+			at:   int32(at),
+			leaf: sc.leafOf[lt.Var],
+			next: -1,
+		})
 	}
-	return buf
+	sc.recs = recs
+
+	size := 4
+	for size < 2*len(recs) {
+		size <<= 1
+	}
+	if cap(sc.table) < size {
+		sc.table = make([]int32, size)
+	}
+	table := sc.table[:size]
+	clear(table)
+	mask := uint64(size - 1)
+	heads := sc.heads[:0]
+	for i := range recs {
+		r := &recs[i]
+		for slot := r.hash & mask; ; slot = (slot + 1) & mask {
+			j := table[slot]
+			if j == 0 {
+				table[slot] = int32(i + 1)
+				heads = append(heads, int32(i))
+				break
+			}
+			if first := &recs[j-1]; first.hash == r.hash && sameSignature(mons, first, r) {
+				r.next, first.next = first.next, int32(i)
+				break
+			}
+		}
+	}
+	sc.heads = heads
+
+	for _, first := range heads {
+		sc.epoch++
+		for i := first; i >= 0; i = recs[i].next {
+			for v := recs[i].leaf; v != abstraction.NoNode && sc.stamp[v] != sc.epoch; v = sc.parent[v] {
+				sc.stamp[v] = sc.epoch
+				sc.distinct[v]++
+			}
+		}
+	}
+	return nil
+}
+
+// mix folds one word into a running 64-bit hash (multiply, then fold the
+// high half down so the low bits the table masks depend on every input bit).
+func mix(h, x uint64) uint64 {
+	h = (h ^ x) * 0x9e3779b97f4a7c15
+	return h ^ h>>32
+}
+
+// sameSignature reports whether two leaf-bearing monomials of one
+// polynomial have equal leaf exponents and equal residual term vectors.
+func sameSignature(mons []polynomial.Monomial, a, b *sigRec) bool {
+	ta, tb := mons[a.mon].Terms, mons[b.mon].Terms
+	if len(ta) != len(tb) || ta[a.at].Exp != tb[b.at].Exp {
+		return false
+	}
+	for i, j := 0, 0; i < len(ta); {
+		switch {
+		case i == int(a.at):
+			i++
+		case j == int(b.at):
+			j++
+		case ta[i] != tb[j]:
+			return false
+		default:
+			i++
+			j++
+		}
+	}
+	return true
+}
+
+// monoString renders one monomial the way Polynomial.String does.
+func monoString(m polynomial.Monomial, names *polynomial.Names) string {
+	return polynomial.Polynomial{Mons: []polynomial.Monomial{m}}.String(names)
 }
 
 // cutSize returns the provenance size after applying a cut, using the

@@ -1,5 +1,5 @@
 // Package experiments implements the reproduction harness: one runner per
-// experiment in DESIGN.md's index (E1–E17), each producing a Table that
+// experiment of the index All returns (E1–E17), each producing a Table that
 // pairs the paper's reported values with our measurements. The harness
 // backs cmd/cobra-bench (which regenerates EXPERIMENTS.md) and the
 // bench_test.go benchmarks.
@@ -157,7 +157,7 @@ type Runner struct {
 	Run  func(Config) (*Table, error)
 }
 
-// All lists every experiment in DESIGN.md order.
+// All is the experiment index: every runner, in E-number order.
 func All() []Runner {
 	return []Runner{
 		{"E1", "Running example provenance (Example 2)", E1RunningExample},

@@ -1,7 +1,9 @@
 package polynomial
 
 import (
+	"cmp"
 	"encoding/binary"
+	"slices"
 	"sort"
 )
 
@@ -46,7 +48,7 @@ func MonoIn(coef float64, terms []Term) Monomial {
 func (m *Monomial) normalize() {
 	ts := m.Terms
 	if len(ts) > 1 {
-		sort.Slice(ts, func(i, j int) bool { return ts[i].Var < ts[j].Var })
+		slices.SortFunc(ts, func(a, b Term) int { return cmp.Compare(a.Var, b.Var) })
 	}
 	out := ts[:0]
 	for _, t := range ts {

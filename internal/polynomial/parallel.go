@@ -9,27 +9,22 @@ import (
 const minParallelMons = 4096
 
 // MapVarsN is MapVars distributed over up to workers goroutines. Only the
-// per-monomial mapping phase is sharded (over contiguous monomial ranges);
-// the mapped monomials land in their original positions and the final
-// sort-and-merge is the same sequential pass MapVars runs, so the result —
-// including the left-to-right floating-point summation order of merged
-// coefficients — is bit-identical to MapVars for every worker count.
+// per-monomial mapping phase is sharded (over contiguous monomial ranges,
+// each carving its terms from a slab of its own); the mapped monomials land
+// in their original positions and the final sort-and-merge is one
+// sequential pass, so the result — including the left-to-right
+// floating-point summation order of merged coefficients — is bit-identical
+// for every worker count.
 func MapVarsN(p Polynomial, f func(Var) Var, workers int) Polynomial {
-	workers = parallel.Normalize(workers)
-	if workers == 1 || len(p.Mons) < minParallelMons {
-		return MapVars(p, f)
+	if len(p.Mons) == 0 {
+		return Polynomial{}
+	}
+	if len(p.Mons) < minParallelMons {
+		workers = 1
 	}
 	mons := make([]Monomial, len(p.Mons))
 	parallel.Chunks(workers, len(p.Mons), func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			m := p.Mons[i]
-			nm := Monomial{Coef: m.Coef, Terms: make([]Term, len(m.Terms))}
-			for j, t := range m.Terms {
-				nm.Terms[j] = Term{Var: f(t.Var), Exp: t.Exp}
-			}
-			nm.normalize()
-			mons[i] = nm
-		}
+		mapMons(mons[lo:hi], p.Mons[lo:hi], f)
 	})
 	return Polynomial{Mons: sortAndMerge(mons)}
 }

@@ -23,25 +23,6 @@ func bigMapInstance(r *rand.Rand, names *Names) Polynomial {
 	return b.Polynomial()
 }
 
-func TestMapVarsNBitIdentical(t *testing.T) {
-	r := rand.New(rand.NewSource(33))
-	names := NewNames()
-	p := bigMapInstance(r, names)
-	// Merge variables pairwise: v2k, v2k+1 -> v2k. This collapses many
-	// monomials, forcing coefficient summation during the merge.
-	f := func(v Var) Var { return v &^ 1 }
-	want := MapVars(p, f)
-	for _, workers := range []int{1, 2, 8} {
-		got := MapVarsN(p, f, workers)
-		if len(got.Mons) != len(want.Mons) {
-			t.Fatalf("workers=%d: %d monomials, want %d", workers, len(got.Mons), len(want.Mons))
-		}
-		if !Equal(got, want) {
-			t.Fatalf("workers=%d: result differs from sequential MapVars", workers)
-		}
-	}
-}
-
 func TestSetMapVarsNBitIdentical(t *testing.T) {
 	r := rand.New(rand.NewSource(34))
 	names := NewNames()

@@ -2,7 +2,7 @@ package polynomial
 
 import (
 	"math"
-	"sort"
+	"slices"
 )
 
 // Polynomial is a sum of monomials in canonical form: every monomial is
@@ -105,14 +105,25 @@ func (p Polynomial) Clone() Polynomial {
 	return out
 }
 
-// Vars appends the distinct variables of p to dst (deduplicated via seen,
-// which maps Var -> already-appended). Pass nil maps/slices to start fresh.
-func (p Polynomial) Vars(dst []Var, seen map[Var]bool) ([]Var, map[Var]bool) {
-	if seen == nil {
-		seen = make(map[Var]bool)
-	}
+// Vars appends the distinct variables of p to dst, deduplicated via seen
+// (seen[v]: v is already in dst), which grows to the largest Var met. Pass
+// nil slices to start fresh. A negative Var (NoVar) is deduplicated against
+// dst itself.
+func (p Polynomial) Vars(dst []Var, seen []bool) ([]Var, []bool) {
 	for _, m := range p.Mons {
 		for _, t := range m.Terms {
+			switch {
+			case t.Var < 0:
+				// No valid set holds one; it is listed all the same, so
+				// that a writer validating UsedVars rejects it.
+				if !slices.Contains(dst, t.Var) {
+					dst = append(dst, t.Var)
+				}
+				continue
+			case int(t.Var) >= len(seen):
+				//cobra:hotalloc append doubles the capacity, so seen is reallocated O(log maxVar) times per set, not per term
+				seen = append(seen, make([]bool, int(t.Var)+1-len(seen))...)
+			}
 			if !seen[t.Var] {
 				seen[t.Var] = true
 				dst = append(dst, t.Var)
@@ -125,7 +136,7 @@ func (p Polynomial) Vars(dst []Var, seen map[Var]bool) ([]Var, map[Var]bool) {
 // VarList returns the distinct variables of p in ascending order.
 func (p Polynomial) VarList() []Var {
 	vs, _ := p.Vars(nil, nil)
-	sort.Slice(vs, func(i, j int) bool { return vs[i] < vs[j] })
+	slices.Sort(vs)
 	return vs
 }
 
@@ -223,17 +234,32 @@ func Mul(p, q Polynomial) Polynomial {
 // (monomials that become equal are merged). This is the algebraic operation
 // behind abstraction: replacing leaf variables by their meta-variable.
 func MapVars(p Polynomial, f func(Var) Var) Polynomial {
-	var b Builder
-	b.Grow(len(p.Mons))
-	for _, m := range p.Mons {
-		nm := Monomial{Coef: m.Coef, Terms: make([]Term, len(m.Terms))}
-		for i, t := range m.Terms {
-			nm.Terms[i] = Term{Var: f(t.Var), Exp: t.Exp}
+	return MapVarsN(p, f, 1)
+}
+
+// mapMons writes to dst[i] the monomial src[i] with f applied to every
+// variable, canonical again. All mapped terms are carved from one slab; a
+// monomial is re-sorted and merged only when the substitution broke its
+// order, repeated a variable, or the input carried a zero exponent.
+func mapMons(dst, src []Monomial, f func(Var) Var) {
+	slab := make([]Term, Polynomial{Mons: src}.NumTerms())
+	for i, m := range src {
+		n := len(m.Terms)
+		nm := Monomial{Coef: m.Coef, Terms: slab[:n:n]}
+		slab = slab[n:]
+		canonical := true
+		for j, t := range m.Terms {
+			v := f(t.Var)
+			nm.Terms[j] = Term{Var: v, Exp: t.Exp}
+			if t.Exp == 0 || (j > 0 && v <= nm.Terms[j-1].Var) {
+				canonical = false
+			}
 		}
-		nm.normalize()
-		b.AddMonomial(nm)
+		if !canonical {
+			nm.normalize()
+		}
+		dst[i] = nm
 	}
-	return b.Polynomial()
 }
 
 // Eval evaluates p under the valuation val.
@@ -326,9 +352,7 @@ func floatNear(a, b, eps float64) bool {
 // sortAndMerge re-establishes the canonical order of mons, merging equal
 // term vectors. It is the slow path used by Builder.Polynomial.
 func sortAndMerge(mons []Monomial) []Monomial {
-	sort.Slice(mons, func(i, j int) bool {
-		return compareTerms(mons[i].Terms, mons[j].Terms) < 0
-	})
+	slices.SortFunc(mons, func(a, b Monomial) int { return compareTerms(a.Terms, b.Terms) })
 	out := mons[:0]
 	for _, m := range mons {
 		if m.Coef == 0 {

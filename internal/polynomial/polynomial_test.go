@@ -3,6 +3,7 @@ package polynomial
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -507,5 +508,48 @@ func TestDegreeAndCounts(t *testing.T) {
 	}
 	if p.NumMonomials() != 3 {
 		t.Fatalf("NumMonomials = %d", p.NumMonomials())
+	}
+}
+
+// TestUsedVarsMatchesMapReference: the seen-slice UsedVars/VarList return
+// what the map-based ones did — every distinct variable once, ascending —
+// including variables far above the rest and a negative (invalid) one.
+func TestUsedVarsMatchesMapReference(t *testing.T) {
+	for seed := int64(0); seed < 50; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		set := NewSet(nil)
+		want := map[Var]bool{}
+		for pi := r.Intn(5); pi >= 0; pi-- {
+			var mons []Monomial
+			for mi := r.Intn(20); mi > 0; mi-- {
+				var ts []Term
+				for n := r.Intn(4); n > 0; n-- {
+					v := Var(r.Intn(30))
+					switch r.Intn(20) {
+					case 0:
+						v = Var(1000 + r.Intn(5000))
+					case 1:
+						v = NoVar
+					}
+					ts = append(ts, T(v))
+					want[v] = true
+				}
+				mons = append(mons, Monomial{Coef: 1, Terms: ts})
+			}
+			p := Polynomial{Mons: mons}
+			set.Add("k", p)
+			if vs := p.VarList(); !slices.IsSorted(vs) {
+				t.Fatalf("seed %d: VarList not ascending: %v", seed, vs)
+			}
+		}
+		got := set.UsedVars()
+		if len(got) != len(want) || !slices.IsSorted(got) {
+			t.Fatalf("seed %d: UsedVars = %v, want the %d distinct variables ascending", seed, got, len(want))
+		}
+		for _, v := range got {
+			if !want[v] {
+				t.Fatalf("seed %d: UsedVars lists %d, which no term holds", seed, v)
+			}
+		}
 	}
 }

@@ -2,7 +2,7 @@ package polynomial
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -74,11 +74,11 @@ func (s *Set) NumTerms() int {
 // UsedVars returns the distinct variables appearing in the set, ascending.
 func (s *Set) UsedVars() []Var {
 	var vs []Var
-	var seen map[Var]bool
+	var seen []bool
 	for _, p := range s.Polys {
 		vs, seen = p.Vars(vs, seen)
 	}
-	sort.Slice(vs, func(i, j int) bool { return vs[i] < vs[j] })
+	slices.Sort(vs)
 	return vs
 }
 
