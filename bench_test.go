@@ -446,46 +446,6 @@ func BenchmarkEvalBatchWorkers(b *testing.B) {
 	}
 }
 
-// benchInstrumentedCatalog builds the instrumented telephony catalog at a
-// scale where the engine path (materialized join) stays benchmark-friendly.
-func benchInstrumentedCatalog(b *testing.B) (cobra.Catalog, *cobra.Names) {
-	b.Helper()
-	names := cobra.NewNames()
-	cat, err := telephony.InstrumentPrices(telephony.Generate(telephony.Config{Customers: 5_000}), names)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return cat, names
-}
-
-func BenchmarkSQLRunWorkers(b *testing.B) {
-	cat, _ := benchInstrumentedCatalog(b)
-	for _, w := range workerSweep() {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := cobra.RunSQLWith(telephony.RevenueQuery, cat, cobra.Options{Workers: w}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkCaptureWorkers(b *testing.B) {
-	cat, names := benchInstrumentedCatalog(b)
-	for _, w := range workerSweep() {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := cobra.CaptureWith(telephony.RevenueQuery, cat, names, "revenue", cobra.Options{Workers: w}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // TestWorkerAllocParity guards the per-worker arena work: running any of
 // the paired workloads with workers=2 may not allocate more than a small
 // overhead above workers=1 (pool bookkeeping — goroutines and per-worker
@@ -505,8 +465,6 @@ func TestWorkerAllocParity(t *testing.T) {
 	bound := set.Size() / 2
 	forest := abstraction.Forest{telephony.PlansTree(names), telephony.MonthsTree(names, 12)}
 	fbound := set.Size() / 4
-	cat, catNames := benchWorkerCatalog(t)
-
 	cases := []struct {
 		name string
 		run  func(workers int) error
@@ -524,14 +482,6 @@ func TestWorkerAllocParity(t *testing.T) {
 			if err == nil {
 				abstraction.ApplyN(set, w, res.Cuts...)
 			}
-			return err
-		}},
-		{"SQLRun", func(w int) error {
-			_, err := cobra.RunSQLWith(telephony.RevenueQuery, cat, cobra.Options{Workers: w})
-			return err
-		}},
-		{"Capture", func(w int) error {
-			_, err := cobra.CaptureWith(telephony.RevenueQuery, cat, catNames, "revenue", cobra.Options{Workers: w})
 			return err
 		}},
 	}
@@ -553,17 +503,6 @@ func TestWorkerAllocParity(t *testing.T) {
 			t.Errorf("%s: workers=2 allocates %.0f/op vs %.0f/op at workers=1", tc.name, w2, w1)
 		}
 	}
-}
-
-// benchWorkerCatalog is benchInstrumentedCatalog for tests.
-func benchWorkerCatalog(t *testing.T) (cobra.Catalog, *cobra.Names) {
-	t.Helper()
-	names := cobra.NewNames()
-	cat, err := telephony.InstrumentPrices(telephony.Generate(telephony.Config{Customers: 5_000}), names)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return cat, names
 }
 
 func BenchmarkFrontier(b *testing.B) {

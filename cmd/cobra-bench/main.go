@@ -7,7 +7,7 @@
 //	cobra-bench                      # default scale (100k customers, SF 0.01)
 //	cobra-bench -scale paper         # the paper's 1M-customer measurement
 //	cobra-bench -only E3,E8 -markdown
-//	cobra-bench -only E13 -workers 0 # parallel capture speedup at GOMAXPROCS
+//	cobra-bench -only E13 -workers 0 # instrumentation and capture-rendering speedup at GOMAXPROCS
 //	cobra-bench -only E14            # out-of-core compression under a memory budget
 //	cobra-bench -only E15            # streaming capture under a memory budget
 //	cobra-bench -only E16            # batched frontier sweep vs per-bound recompression

@@ -23,6 +23,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 
@@ -64,6 +65,10 @@ func main() {
 		if err != nil {
 			fatalf("%s: %v", pkg, err)
 		}
+		// Compiling a package also instantiates the generic code of the
+		// packages it imports, and reports that code's sites again: a
+		// site belongs to the package its file is in.
+		sites = slices.DeleteFunc(sites, func(s Site) bool { return filepath.Dir(s.File) != pkg })
 		byFunc := attribute(root, sites)
 		fns := make(map[string]int, len(byFunc))
 		for name, ss := range byFunc {

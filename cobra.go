@@ -100,11 +100,11 @@ type Options struct {
 	// keeps every code path sequential. Parallel runs shard only
 	// deterministic work — signature indexing, cut application,
 	// speculative per-tree re-optimization, chunked scenario evaluation,
-	// and partition-parallel SQL execution and capture (row-range sharded
-	// scans/filters/projections, per-worker join build tables merged in
-	// shard order, per-group aggregate folds) — so results are
-	// bit-identical for every value of Workers. Set Workers to
-	// AutoWorkers() to saturate the machine.
+	// instrumentation, and the rendering of captured result rows into keys
+	// and polynomials — so results are bit-identical for every value of
+	// Workers. A SQL query itself always runs on the engine's one
+	// sequential executor. Set Workers to AutoWorkers() to saturate the
+	// machine.
 	Workers int
 
 	// MaxResidentMonomials bounds the monomials a ShardedSet keeps in
@@ -471,12 +471,11 @@ func Sensitivity(set *Set, a *Assignment) []SensitivityEntry {
 // provenance-aware engine.
 func RunSQL(query string, cat Catalog) (*Relation, error) { return sql.Run(query, cat) }
 
-// RunSQLWith is RunSQL executing the plan with opts.Workers goroutines:
-// scans, filters, projections, join build/probe phases and group
-// accumulation shard their rows over the pool. The result is bit-identical
-// to RunSQL's for every worker count.
-func RunSQLWith(query string, cat Catalog, opts Options) (*Relation, error) {
-	return sql.RunN(query, cat, opts.Workers)
+// RunSQLWith is RunSQL: the engine has one sequential executor, so no
+// field of opts changes how — or how fast — a query runs. It completes the
+// XWith family for callers that thread one Options value everywhere.
+func RunSQLWith(query string, cat Catalog, _ Options) (*Relation, error) {
+	return sql.Run(query, cat)
 }
 
 // ExplainSQL renders the planned operator tree (pushed filters, join order,
@@ -489,9 +488,9 @@ func CaptureLineage(query string, cat Catalog, names *Names) (*Set, error) {
 	return provenance.CaptureLineage(query, cat, names)
 }
 
-// CaptureLineageWith is CaptureLineage using opts.Workers goroutines for
-// query execution and row-key rendering; the set is bit-identical to
-// CaptureLineage's for every worker count.
+// CaptureLineageWith is CaptureLineage rendering the row keys across
+// opts.Workers goroutines (the query runs on the one sequential executor);
+// the set is bit-identical to CaptureLineage's for every worker count.
 func CaptureLineageWith(query string, cat Catalog, names *Names, opts Options) (*Set, error) {
 	return provenance.CaptureLineageN(query, cat, names, opts.Workers)
 }
@@ -526,10 +525,10 @@ func Capture(query string, cat Catalog, names *Names, valueCol string) (*Set, er
 	return provenance.Capture(query, cat, names, valueCol)
 }
 
-// CaptureWith is Capture using opts.Workers goroutines end to end: the
-// query executes through the engine's partition-parallel path and the
-// result polynomials are collected across the pool. The captured set is
-// bit-identical to Capture's for every worker count.
+// CaptureWith is Capture rendering the result rows — group keys and
+// polynomial extraction — across opts.Workers goroutines; the query runs on
+// the one sequential executor. The captured set is bit-identical to
+// Capture's for every worker count.
 func CaptureWith(query string, cat Catalog, names *Names, valueCol string, opts Options) (*Set, error) {
 	return provenance.CaptureN(query, cat, names, valueCol, opts.Workers)
 }

@@ -9,6 +9,8 @@ import (
 	"testing"
 
 	cobra "github.com/cobra-prov/cobra"
+	"github.com/cobra-prov/cobra/internal/datagen/telephony"
+	"github.com/cobra-prov/cobra/internal/polynomial"
 )
 
 // TestFacadeEndToEnd exercises the documented public API surface: build a
@@ -400,6 +402,54 @@ func TestFacadeParallelCapture(t *testing.T) {
 		}
 		if lin.Len() != 200 {
 			t.Fatalf("workers=%d: lineage rows = %d", w, lin.Len())
+		}
+	}
+}
+
+// TestRunNWorkerSweep: every query returns the same relation, bit for bit,
+// at Workers ∈ {1, 2, 8}, over the concrete and the instrumented Figure-1
+// database. The engine has one sequential executor, so this holds by
+// construction; the test pins that RunSQLWith stays a faithful entry point.
+func TestRunNWorkerSweep(t *testing.T) {
+	names := cobra.NewNames()
+	concrete := telephony.Figure1DB()
+	symbolic, err := telephony.InstrumentPrices(concrete, names)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []struct {
+		name, query string
+		cat         cobra.Catalog
+	}{
+		{"revenue-concrete", telephony.RevenueQuery, concrete},
+		{"revenue-symbolic", telephony.RevenueQuery, symbolic},
+		{"spj", "SELECT Cust.ID, Calls.Dur FROM Cust, Calls WHERE Cust.ID = Calls.CID AND Calls.Mo = 1 ORDER BY Cust.ID", concrete},
+		{"cross-pred", "SELECT c.ID, p.Plan FROM Cust c, Plans p WHERE c.ID < 3 AND p.Mo = 1 ORDER BY c.ID, p.Plan", concrete},
+		{"agg-having", "SELECT Zip, COUNT(*) AS n, AVG(ID) AS a FROM Cust GROUP BY Zip HAVING COUNT(*) > 1 ORDER BY Zip", concrete},
+		{"limit", "SELECT ID FROM Cust ORDER BY ID DESC LIMIT 3", concrete},
+		{"star-filter", "SELECT * FROM Cust WHERE Zip = '10002'", concrete},
+	} {
+		want, err := cobra.RunSQL(q.query, q.cat)
+		if err != nil {
+			t.Fatalf("%s: %v", q.name, err)
+		}
+		for _, workers := range []int{1, 2, 8} {
+			got, err := cobra.RunSQLWith(q.query, q.cat, cobra.Options{Workers: workers})
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", q.name, workers, err)
+			}
+			if len(got.Rows) != len(want.Rows) {
+				t.Fatalf("%s workers=%d: %d rows, want %d", q.name, workers, len(got.Rows), len(want.Rows))
+			}
+			for ri, row := range want.Rows {
+				for ci, w := range row.Values {
+					g := got.Rows[ri].Values[ci]
+					if g.Kind != w.Kind || g.I != w.I || g.S != w.S || g.B != w.B ||
+						math.Float64bits(g.F) != math.Float64bits(w.F) || !polynomial.Equal(g.P, w.P) {
+						t.Fatalf("%s workers=%d: row %d column %d: %v, want %v", q.name, workers, ri, ci, g, w)
+					}
+				}
+			}
 		}
 	}
 }

@@ -115,14 +115,16 @@
 // # Parallelism
 //
 // Every stage of the instrument → capture → compress → evaluate pipeline
-// scales across cores through the Options knob: RunSQLWith, CaptureWith,
-// CaptureLineageWith, ParameterizeColumnWith, AnnotateTuplesWith,
-// CompressWith, ApplyWith, FrontierWith, FrontierForest, FrontierSweep and
-// EvalBatch accept Options{Workers: n} and shard their work over up to n
-// goroutines
-// (AutoWorkers returns the saturating count). Workers <= 1 — and every
-// plain entry point (RunSQL, Capture, Compress, Apply, Frontier) — runs
-// fully sequentially.
+// but one scales across cores through the Options knob:
+// ParameterizeColumnWith, AnnotateTuplesWith, CaptureWith,
+// CaptureLineageWith, CompressWith, ApplyWith, FrontierWith, FrontierForest,
+// FrontierSweep and EvalBatch accept Options{Workers: n} and shard their
+// work over up to n goroutines (AutoWorkers returns the saturating count).
+// The one stage is query execution: the SQL engine has a single sequential
+// executor (see "The SQL engine" below), so of a capture only the rendering
+// of result rows into keys and polynomials is sharded, and RunSQLWith runs
+// exactly as RunSQL does. Workers <= 1 — and every plain entry point
+// (RunSQL, Capture, Compress, Apply, Frontier) — runs fully sequentially.
 //
 //	res, err := cobra.CompressWith(set, cobra.Forest{tree}, bound,
 //		cobra.Options{Workers: cobra.AutoWorkers()})
@@ -135,13 +137,11 @@
 // application (each polynomial mapped by the exact sequential code,
 // preserving float summation order), chunked
 // scenario evaluation (each row written
-// to its own slot from a per-worker arena), and partition-parallel SQL
-// execution and provenance capture (contiguous row ranges concatenated in
-// shard order, per-worker join build tables merged in shard order,
-// per-group aggregate state folded by a single worker in input-row order,
-// and variable interning kept sequential so Var allocation order never
-// changes). Streaming capture preserves the same guarantee: rows render
-// in parallel batches but reach the sink sequentially in row order.
+// to its own slot from a per-worker arena), instrumentation and the
+// rendering of captured rows (contiguous row ranges, with variable
+// interning kept sequential so Var allocation order never changes).
+// Streaming capture preserves the same guarantee: rows render in parallel
+// batches but reach the sink sequentially in row order.
 // What-if answers therefore never depend on the machine's core count.
 //
 // # Frontier sweeps: one DP run, many bounds
@@ -298,10 +298,48 @@
 // range order, which is what keeps results bit-identical and keeps the
 // allocation count flat across worker counts (a paired test asserts
 // workers=2 allocates no more per op than workers=1 on the compression,
-// descent, apply, capture and SQL paths). Row values obey the same
+// descent and apply paths). Row values obey the same
 // borrow contract: a Tuple's Values are valid only until the iterator's
 // next Next or Close, so buffering consumers copy, and annotations are
 // immutable once attached.
+//
+// # The SQL engine: one executor, narrow rows
+//
+// A query runs on one Volcano pull loop (Scan, Filter, HashJoin,
+// NestedLoopJoin, GroupBy, Sort, Project, Limit); there is no second,
+// materializing implementation of the operators for Workers > 1. Three
+// rules make the join → aggregate pipeline allocate per distinct key and
+// per group, never per row, and they are contracts a caller can rely on.
+//
+// Key equivalence. Hash joins, GROUP BY and DISTINCT share one key table:
+// a 64-bit hash of the key cells by kind, every hash tie settled by
+// comparing the cells. Two keys are equal exactly when Value.Compare says 0
+// on every cell — INT 2 joins FLOAT 2.0 and -0.0 groups with +0.0, just as
+// the = of a WHERE clause decides when the same predicate runs as a filter
+// — NULL is a group of its own but never joins, and a symbolic cell in a
+// key is an error. Join output is probe-row order × build insertion order;
+// groups and distinct rows come in first-seen order, showing the key values
+// of their first row.
+//
+// Live columns. The planner gives every hash join the columns something
+// above it still reads: the select list, GROUP BY, HAVING and ORDER BY
+// expressions plus every WHERE conjunct not applied yet. The join stores
+// and emits only those (ExplainSQL prints them as "keep [...]"; SELECT *
+// keeps everything), writing the probe row's part of an output row once
+// per probe row. On the running example the two joins keep 4 of 6 and 3 of
+// 9 columns.
+//
+// Summation order. A symbolic SUM, COUNT or AVG — and a group's annotation
+// — merges each row's monomials into an accumulator keyed on the term
+// vector as the rows arrive; only the distinct term vectors are sorted at
+// the end, and SUM(concrete * symbolic) feeds coefficient·factor straight
+// in without building the scaled polynomial. A merged coefficient is
+// therefore the left-to-right float64 sum of its contributions in input-row
+// order, with the sum of the group's concrete contributions added last.
+// This replaced "collect every monomial, sort, merge neighbours", which
+// sorted 12 000 monomials per group to keep 132 and left the order of a
+// float sum to whatever the sort did with equal keys; the arrival order is
+// both cheaper and something that can be stated.
 //
 // # Iterator lifecycle
 //

@@ -191,7 +191,7 @@ func (sc *indexScan) scanPoly(key string, mons []polynomial.Monomial, names *pol
 				at = ti
 				continue
 			}
-			h = mix(h, uint64(uint32(t.Var))<<32|uint64(uint32(t.Exp)))
+			h = polynomial.Mix(h, uint64(uint32(t.Var))<<32|uint64(uint32(t.Exp)))
 		}
 		if at < 0 {
 			sc.fixed++
@@ -199,7 +199,7 @@ func (sc *indexScan) scanPoly(key string, mons []polynomial.Monomial, names *pol
 		}
 		lt := m.Terms[at]
 		recs = append(recs, sigRec{
-			hash: mix(h, uint64(uint32(lt.Exp))),
+			hash: polynomial.Mix(h, uint64(uint32(lt.Exp))),
 			mon:  int32(mi),
 			at:   int32(at),
 			leaf: sc.leafOf[lt.Var],
@@ -246,13 +246,6 @@ func (sc *indexScan) scanPoly(key string, mons []polynomial.Monomial, names *pol
 		}
 	}
 	return nil
-}
-
-// mix folds one word into a running 64-bit hash (multiply, then fold the
-// high half down so the low bits the table masks depend on every input bit).
-func mix(h, x uint64) uint64 {
-	h = (h ^ x) * 0x9e3779b97f4a7c15
-	return h ^ h>>32
 }
 
 // sameSignature reports whether two leaf-bearing monomials of one

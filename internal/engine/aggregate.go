@@ -72,9 +72,10 @@ func (g *GroupBy) Close() error             { g.rows = nil; return g.in.Close() 
 
 // aggState accumulates one aggregate within one group.
 type aggState struct {
-	// sum accumulation: concrete fast path + symbolic slow path
+	// sum accumulation: concrete contributions in f, symbolic ones merged
+	// into acc as they arrive (f joins them last, in finalize)
 	f        float64
-	poly     polynomial.Builder
+	acc      polynomial.Accumulator
 	symbolic bool
 	count    int64
 	// min/max
@@ -82,10 +83,33 @@ type aggState struct {
 	haveVal bool
 }
 
-type group struct {
-	keyVals []relation.Value
-	states  []aggState
-	ann     polynomial.Polynomial
+// annSum is a group's annotation: the sum of its rows' annotations, kept as
+// a float while every one of them is constant (un-instrumented rows all
+// carry 1) and merged term by term from the first that is not. Both give
+// the bits a chain of polynomial.Add over the rows would.
+type annSum struct {
+	f        float64
+	acc      polynomial.Accumulator
+	symbolic bool
+}
+
+func (a *annSum) add(p polynomial.Polynomial) {
+	if !a.symbolic {
+		if c, ok := p.IsConstant(); ok {
+			a.f += c
+			return
+		}
+		a.symbolic = true
+		a.acc.Add(a.f, nil)
+	}
+	a.acc.AddPolynomial(p)
+}
+
+func (a *annSum) polynomial() polynomial.Polynomial {
+	if a.symbolic {
+		return a.acc.Polynomial()
+	}
+	return polynomial.Const(a.f)
 }
 
 func (g *GroupBy) Open() error {
@@ -99,15 +123,20 @@ func (g *GroupBy) Open() error {
 	return nil
 }
 
-// build drains the (already opened) input and materializes the groups.
+// build drains the (already opened) input and materializes the groups, in
+// the order their keys were first seen. Group keys are the keyTable's
+// (Compare == 0 cell by cell; NULL is a key of its own).
 func (g *GroupBy) build() error {
 	g.rows = g.rows[:0]
 	g.pos = 0
 
-	index := make(map[string]int)
-	var groups []*group
-	var buf []byte
-	scratch := make([]relation.Value, len(g.keys))
+	nk, na := len(g.keys), len(g.aggs)
+	var groups keyTable
+	// A group's aggregate states and annotation materialize when its key
+	// is first seen — per distinct group, not per row.
+	states := chunked[aggState]{width: na}
+	anns := chunked[annSum]{width: 1}
+	key, keyCols := make([]relation.Value, nk), columns(nk)
 
 	// t is hoisted out of the loop: Eval/accumulate take its address
 	// through an interface, and a loop-local tuple would escape per row.
@@ -122,7 +151,6 @@ func (g *GroupBy) build() error {
 		if !ok {
 			break
 		}
-		buf = buf[:0]
 		for i, k := range g.keys {
 			v, err := k.Eval(&t)
 			if err != nil {
@@ -131,43 +159,30 @@ func (g *GroupBy) build() error {
 			if v.Kind == relation.KindPoly {
 				return fmt.Errorf("engine: GROUP BY over a symbolic value")
 			}
-			scratch[i] = v
-			buf = v.Key(buf)
+			key[i] = v
 		}
-		// Read with string(buf) directly (the conversion is elided on
-		// map reads); the key string, key values and aggregate states
-		// materialize only on the miss — per distinct group, not per row.
-		gi, exists := index[string(buf)]
-		if !exists {
-			gi = len(groups)
-			//cobra:hotalloc the map retains its key: one allocation per distinct group, not per input row
-			index[string(buf)] = gi
-			//cobra:hotalloc group materialization: key values and states allocate once per distinct group
-			groups = append(groups, &group{keyVals: append([]relation.Value(nil), scratch...), states: make([]aggState, len(g.aggs)), ann: polynomial.Zero()})
-		}
-		grp := groups[gi]
-		grp.ann = polynomial.Add(grp.ann, t.Ann)
+		gi, _ := groups.lookup(hashKey(key, keyCols), key, keyCols, true)
+		anns.at(gi)[0].add(t.Ann)
+		st := states.at(gi)
 		for ai := range g.aggs {
-			if err := g.accumulate(&grp.states[ai], &g.aggs[ai], &t); err != nil {
+			if err := g.accumulate(&st[ai], &g.aggs[ai], &t); err != nil {
 				return err
 			}
 		}
 	}
 
-	for _, grp := range groups {
-		out := relation.Tuple{
-			Values: make([]relation.Value, 0, len(grp.keyVals)+len(g.aggs)),
-			Ann:    grp.ann,
-		}
-		out.Values = append(out.Values, grp.keyVals...)
+	vals := make([]relation.Value, 0, groups.len()*(nk+na))
+	for gi := 0; gi < groups.len(); gi++ {
+		off := len(vals)
+		vals = append(vals, groups.key(gi)...)
 		for ai := range g.aggs {
-			v, err := finalize(&grp.states[ai], &g.aggs[ai])
+			v, err := finalize(&states.at(gi)[ai], &g.aggs[ai])
 			if err != nil {
 				return err
 			}
-			out.Values = append(out.Values, v)
+			vals = append(vals, v)
 		}
-		g.rows = append(g.rows, out)
+		g.rows = append(g.rows, relation.Tuple{Values: vals[off:len(vals):len(vals)], Ann: anns.at(gi)[0].polynomial()})
 	}
 	return nil
 }
@@ -180,11 +195,18 @@ func (g *GroupBy) accumulate(st *aggState, spec *AggSpec, t *relation.Tuple) err
 
 	var arg relation.Value
 	if spec.Arg != nil {
-		v, err := spec.Arg.Eval(t)
+		var err error
+		if mul, ok := spec.Arg.(*Arith); ok && mul.Op == OpMul && annIsOne && (spec.Kind == AggSum || spec.Kind == AggAvg) {
+			var fused bool
+			if arg, fused, err = st.sumProduct(mul, t); fused {
+				return nil
+			}
+		} else {
+			arg, err = spec.Arg.Eval(t)
+		}
 		if err != nil {
 			return err
 		}
-		arg = v
 		if arg.IsNull() {
 			return nil // SQL aggregates skip NULLs
 		}
@@ -195,7 +217,7 @@ func (g *GroupBy) accumulate(st *aggState, spec *AggSpec, t *relation.Tuple) err
 		st.count++
 		if !annIsOne {
 			st.symbolic = true
-			st.poly.AddPolynomial(t.Ann)
+			st.acc.AddPolynomial(t.Ann)
 		} else {
 			st.f++ // concrete count mirror, used when group stays concrete
 		}
@@ -215,7 +237,7 @@ func (g *GroupBy) accumulate(st *aggState, spec *AggSpec, t *relation.Tuple) err
 		// Semimodule path: ann ⊗ value.
 		vp, _ := arg.AsPoly()
 		st.symbolic = true
-		st.poly.AddPolynomial(polynomial.Mul(t.Ann, vp))
+		st.acc.AddPolynomial(polynomial.Mul(t.Ann, vp))
 	case AggMin, AggMax:
 		if spec.Arg == nil {
 			return fmt.Errorf("engine: %s requires an argument", spec.Kind)
@@ -241,15 +263,63 @@ func (g *GroupBy) accumulate(st *aggState, spec *AggSpec, t *relation.Tuple) err
 	return nil
 }
 
+// sumProduct evaluates the argument of SUM(l * r) on a row annotated 1.
+// When exactly one factor is symbolic — the shape of every instrumented
+// revenue query — the row is added here (fused) and the scaled polynomial
+// is never materialized; otherwise the product comes back as Eval's value.
+func (st *aggState) sumProduct(mul *Arith, t *relation.Tuple) (v relation.Value, fused bool, err error) {
+	l, r, err := mul.operands(t)
+	if err != nil || l.IsNull() {
+		return relation.Null(), false, err
+	}
+	if lp, rp := l.Kind == relation.KindPoly, r.Kind == relation.KindPoly; lp != rp {
+		if lp {
+			l, r = r, l
+		}
+		c, _ := l.AsFloat()
+		st.count++
+		st.addScaled(r.P, c)
+		return relation.Null(), true, nil
+	}
+	v, err = mul.apply(l, r)
+	return v, false, err
+}
+
+// addScaled adds c·p to the sum with the outcome of adding the value
+// simplify(Scale(p, c)): a product with no monomial left (c = 0, or every
+// coefficient underflows) or with a single constant one is a concrete
+// contribution; anything else is symbolic, one merged monomial per
+// surviving term vector.
+func (st *aggState) addScaled(p polynomial.Polynomial, c float64) {
+	n, last := 0, 0
+	for i := range p.Mons {
+		if p.Mons[i].Coef*c != 0 {
+			n++
+			last = i
+		}
+	}
+	switch {
+	case n == 0:
+	case n == 1 && p.Mons[last].IsConstant():
+		st.f += p.Mons[last].Coef * c
+	default:
+		st.symbolic = true
+		for i := range p.Mons {
+			st.acc.Add(p.Mons[i].Coef*c, p.Mons[i].Terms)
+		}
+	}
+}
+
+// finalize turns a group's state into the aggregate's value. A symbolic
+// sum is its merged monomials plus the concrete contributions, added last.
 func finalize(st *aggState, spec *AggSpec) (relation.Value, error) {
+	if st.symbolic && st.f != 0 {
+		st.acc.Add(st.f, nil)
+	}
 	switch spec.Kind {
 	case AggCount:
 		if st.symbolic {
-			// Symbolic multiplicities also include the concrete mirror.
-			if st.f != 0 {
-				st.poly.AddMonomial(polynomial.Mono(st.f))
-			}
-			return simplify(st.poly.Polynomial()), nil
+			return simplify(st.acc.Polynomial()), nil
 		}
 		return relation.Int(st.count), nil
 	case AggSum:
@@ -257,10 +327,7 @@ func finalize(st *aggState, spec *AggSpec) (relation.Value, error) {
 			return relation.Null(), nil
 		}
 		if st.symbolic {
-			if st.f != 0 {
-				st.poly.AddMonomial(polynomial.Mono(st.f))
-			}
-			return simplify(st.poly.Polynomial()), nil
+			return simplify(st.acc.Polynomial()), nil
 		}
 		return relation.Float(st.f), nil
 	case AggAvg:
@@ -268,10 +335,7 @@ func finalize(st *aggState, spec *AggSpec) (relation.Value, error) {
 			return relation.Null(), nil
 		}
 		if st.symbolic {
-			if st.f != 0 {
-				st.poly.AddMonomial(polynomial.Mono(st.f))
-			}
-			return simplify(polynomial.Scale(st.poly.Polynomial(), 1/float64(st.count))), nil
+			return simplify(polynomial.Scale(st.acc.Polynomial(), 1/float64(st.count))), nil
 		}
 		return relation.Float(st.f / float64(st.count)), nil
 	case AggMin, AggMax:

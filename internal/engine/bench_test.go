@@ -1,0 +1,69 @@
+package engine_test
+
+import (
+	"testing"
+
+	"github.com/cobra-prov/cobra/internal/datagen/telephony"
+	"github.com/cobra-prov/cobra/internal/datagen/tpch"
+	"github.com/cobra-prov/cobra/internal/engine"
+	"github.com/cobra-prov/cobra/internal/polynomial"
+	"github.com/cobra-prov/cobra/internal/sql"
+)
+
+// BenchmarkExecute is the layer benchmark of the executor (ROADMAP 1b,
+// "engine execute"): one planned query collected per iteration — planning is
+// off the clock — in base rows scanned per second, on the shapes
+// BENCHMARK.json's capture workloads run: the telephony 3-way hash join
+// under a SUM over 10 000 customers, on the concrete catalog (float sums,
+// annotations all 1) and on the instrumented one (a symbolic SUM merging
+// 130 k monomials into 11 polynomials), and the TPC-H Q3 and Q5 plans at
+// SF 0.01 (selective filters under 2 and 5 joins, many small groups).
+func BenchmarkExecute(b *testing.B) {
+	telNames := polynomial.NewNames()
+	tel := telephony.Generate(telephony.Config{Customers: 10_000})
+	telInst, err := telephony.InstrumentPrices(tel, telNames)
+	if err != nil {
+		b.Fatal(err)
+	}
+	hNames := polynomial.NewNames()
+	h := tpch.Generate(tpch.Config{SF: 0.01})
+	byMonth, err := tpch.InstrumentByShipMonth(h, hNames)
+	if err != nil {
+		b.Fatal(err)
+	}
+	byNation, err := tpch.InstrumentBySupplierNation(h, hNames)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name, query string
+		cat         engine.Catalog
+	}{
+		{"telephony/concrete", telephony.RevenueQuery, tel},
+		{"telephony/instrumented", telephony.RevenueQuery, telInst},
+		{"tpch/Q3", tpch.Q3Prov, byMonth},
+		{"tpch/Q5", tpch.Q5Prov, byNation},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			stmt, err := sql.Parse(c.query)
+			if err != nil {
+				b.Fatal(err)
+			}
+			rows := 0
+			for _, ref := range stmt.From {
+				rows += c.cat[ref.Name].Len()
+			}
+			plan, err := sql.Plan(stmt, c.cat)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := engine.Collect("result", plan); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(rows)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
+		})
+	}
+}

@@ -216,7 +216,7 @@ func TestHashJoin(t *testing.T) {
 	ls, rsc := NewScan(left, ""), NewScan(right, "")
 	li, _ := ls.Schema().Index("grp")
 	ri, _ := rsc.Schema().Index("g.grp")
-	j, err := NewHashJoin(ls, rsc, []int{li}, []int{ri})
+	j, err := NewHashJoin(ls, rsc, []int{li}, []int{ri}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestHashJoinAnnotationsMultiply(t *testing.T) {
 	r.Append(relation.Int(1))
 	r.Rows[0].Ann = polynomial.VarPoly(y)
 
-	j, _ := NewHashJoin(NewScan(l, ""), NewScan(r, ""), []int{0}, []int{0})
+	j, _ := NewHashJoin(NewScan(l, ""), NewScan(r, ""), []int{0}, []int{0}, nil)
 	out, err := Collect("out", j)
 	if err != nil {
 		t.Fatal(err)

@@ -55,7 +55,14 @@ func describe(sb *strings.Builder, it Iterator, depth int) {
 			sb.WriteString(" = ")
 			sb.WriteString(op.right.Schema().Cols[op.rightKeys[i]].Qualified())
 		}
-		sb.WriteByte('\n')
+		sb.WriteString(" keep [")
+		for i, c := range op.schema.Cols {
+			if i > 0 {
+				sb.WriteString(", ")
+			}
+			sb.WriteString(c.Qualified())
+		}
+		sb.WriteString("]\n")
 		describe(sb, op.left, depth+1)
 		describe(sb, op.right, depth+1)
 	case *NestedLoopJoin:

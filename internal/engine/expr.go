@@ -4,6 +4,23 @@
 // symbolic (polynomial-valued), and aggregation combines annotations and
 // values in the aggregation semimodule of Amsterdamer et al., producing the
 // provenance polynomials COBRA compresses.
+//
+// There is one executor: the pull loop of Stream, which Collect
+// materializes. Its contracts, beyond the Iterator's row-validity rule:
+//
+//   - Keys (keyTable): hash joins, GROUP BY and DISTINCT hash the key cells
+//     by kind and settle every tie by comparing cells; equality is
+//     Value.Compare == 0, so INT and FLOAT keys meet. NULL never joins and
+//     is a group of its own; a symbolic key cell is an error.
+//   - Order: a hash join emits probe rows in input order, each with its
+//     matches in build-input order; groups and distinct rows come in
+//     first-seen order.
+//   - Width: a HashJoin stores and emits only the columns its constructor
+//     is told are still read above it.
+//   - Sums: a symbolic aggregate merges monomials as rows arrive
+//     (polynomial.Accumulator); a merged coefficient is the left-to-right
+//     float64 sum of its contributions in input-row order, the group's
+//     concrete contributions added last.
 package engine
 
 import (
@@ -65,20 +82,30 @@ type Arith struct {
 }
 
 func (a *Arith) Eval(t *relation.Tuple) (relation.Value, error) {
-	l, err := a.L.Eval(t)
-	if err != nil {
+	l, r, err := a.operands(t)
+	if err != nil || l.IsNull() {
 		return relation.Null(), err
 	}
-	r, err := a.R.Eval(t)
-	if err != nil {
-		return relation.Null(), err
+	return a.apply(l, r)
+}
+
+// operands evaluates both sides. A NULL on either side makes both come
+// back NULL; operands that are not numeric are an error.
+func (a *Arith) operands(t *relation.Tuple) (l, r relation.Value, err error) {
+	if l, err = a.L.Eval(t); err != nil {
+		return relation.Null(), relation.Null(), err
 	}
-	if l.IsNull() || r.IsNull() {
-		return relation.Null(), nil
+	if r, err = a.R.Eval(t); err != nil || l.IsNull() || r.IsNull() {
+		return relation.Null(), relation.Null(), err
 	}
 	if !l.IsNumeric() || !r.IsNumeric() {
-		return relation.Null(), fmt.Errorf("engine: %s requires numeric operands, got %s and %s", a.Op, l.Kind, r.Kind)
+		return relation.Null(), relation.Null(), fmt.Errorf("engine: %s requires numeric operands, got %s and %s", a.Op, l.Kind, r.Kind)
 	}
+	return l, r, nil
+}
+
+// apply computes l Op r for numeric operands.
+func (a *Arith) apply(l, r relation.Value) (relation.Value, error) {
 	// Symbolic path. A concrete operand is folded in directly (Scale for
 	// * and /, a constant polynomial only where unavoidable) so the per-row
 	// hot path does not allocate a one-monomial polynomial just to wrap a

@@ -31,7 +31,23 @@ type Catalog map[string]*relation.Relation
 // always closed; a Close error is reported even when the drain itself
 // succeeded (the Next error wins when both fail).
 func Collect(name string, it Iterator) (*relation.Relation, error) {
-	rows, err := drain(it)
+	// Values are copied out of the operators' reused row buffers
+	// (row-validity contract) into slabs carved in chunks — the copies are
+	// the materialized result itself.
+	var rows []relation.Tuple
+	var slab []relation.Value
+	err := Stream(it, func(t relation.Tuple) error {
+		n := len(t.Values)
+		if len(slab) < n {
+			//cobra:hotalloc slab refill amortized over thousands of materialized rows
+			slab = make([]relation.Value, max(8192, n))
+		}
+		vals := slab[:n:n]
+		slab = slab[n:]
+		copy(vals, t.Values)
+		rows = append(rows, relation.Tuple{Values: vals, Ann: t.Ann})
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -275,9 +291,8 @@ func (s *Sort) build() error {
 }
 
 // sortByKeys stably sorts rows by their pre-evaluated key values,
-// permuting an index vector so tuples are moved only once. It is shared by
-// the sequential and parallel sort paths, so both produce the identical
-// order (and the identical first comparison error).
+// permuting an index vector so tuples are moved only once; the first
+// comparison error is reported.
 func sortByKeys(rows []relation.Tuple, keyVals [][]relation.Value, keys []SortKey) ([]relation.Tuple, error) {
 	idx := make([]int, len(rows))
 	for i := range idx {
@@ -321,8 +336,10 @@ func (s *Sort) Next() (relation.Tuple, bool, error) {
 }
 
 // Distinct merges duplicate tuples, adding their annotations (the semiring
-// semantics of duplicate elimination). Symbolic values cannot be hashed, so
-// Distinct requires concrete tuples.
+// semantics of duplicate elimination), in the order they were first seen.
+// Rows are duplicates when the keyTable says so (Compare == 0 cell by cell,
+// NULL equal to NULL); symbolic values have no such equality, so Distinct
+// requires concrete tuples.
 type Distinct struct {
 	in   Iterator
 	rows []relation.Tuple
@@ -346,37 +363,36 @@ func (d *Distinct) Open() error {
 	return nil
 }
 
-// build drains the (already opened) input, merging duplicates.
+// build drains the (already opened) input, merging duplicates. The key
+// table's copy of each distinct row is the retained row.
 func (d *Distinct) build() error {
 	d.rows = d.rows[:0]
 	d.pos = 0
-	index := make(map[string]int)
-	var buf []byte
+	var seen keyTable
+	cols := columns(d.in.Schema().Len())
 	for {
 		t, ok, err := d.in.Next()
 		if err != nil {
 			return err
 		}
 		if !ok {
-			return nil
+			break
 		}
-		buf = buf[:0]
-		for _, v := range t.Values {
-			if v.Kind == relation.KindPoly {
+		for i := range t.Values {
+			if t.Values[i].Kind == relation.KindPoly {
 				return fmt.Errorf("engine: DISTINCT over symbolic values is not supported")
 			}
-			buf = v.Key(buf)
 		}
-		// Read with string(buf) directly (elided on map reads); the key
-		// only materializes for rows seen the first time.
-		if i, dup := index[string(buf)]; dup {
+		if i, dup := seen.lookup(hashKey(t.Values, cols), t.Values, cols, true); dup {
 			d.rows[i].Ann = polynomial.Add(d.rows[i].Ann, t.Ann)
-			continue
+		} else {
+			d.rows = append(d.rows, relation.Tuple{Ann: t.Ann})
 		}
-		//cobra:hotalloc the map retains its key: one allocation per distinct row, not per input row
-		index[string(buf)] = len(d.rows)
-		d.rows = append(d.rows, t.Clone())
 	}
+	for i := range d.rows {
+		d.rows[i].Values = seen.key(i)
+	}
+	return nil
 }
 
 func (d *Distinct) Next() (relation.Tuple, bool, error) {

@@ -7,36 +7,65 @@ import (
 	"github.com/cobra-prov/cobra/internal/relation"
 )
 
-// HashJoin is an equi-join: build a hash table on the right (build) side,
+// HashJoin is an equi-join: build a key table on the right (build) side,
 // probe with the left side. Join multiplies annotations (⊗ in the semiring
-// model). Key columns must hold concrete (hashable) values.
+// model). Key columns must hold concrete values; key equality is the
+// keyTable's (Compare == 0, so INT and FLOAT keys meet), and a NULL key
+// never joins.
+//
+// Row order: probe rows in input order, each followed by its matching
+// build rows in build-input order.
+//
+// Only the columns in keep are stored for the build side and emitted: the
+// planner passes the columns something above the join still reads.
 type HashJoin struct {
 	left, right         Iterator
 	leftKeys, rightKeys []int
+	leftKeep, rightKeep []int // emitted columns, as indices into each child's schema
 	schema              *relation.Schema
 
-	table map[string][]relation.Tuple
-	// probe state
-	cur     relation.Tuple
-	matches []relation.Tuple
-	mi      int
-	probing bool
+	keys keyTable // distinct build keys
+	// Build rows with one key are chained in insertion order: first and
+	// last row per key id, next row per build row (-1 ends the chain).
+	first, last, next []int32
+	rows              chunked[relation.Value] // the build rows' kept cells
+	anns              chunked[polynomial.Polynomial]
 
-	probeBuf  []byte           // reused probe-key scratch across Next calls
-	outBuf    []relation.Value // reused output row (row-validity contract)
-	buildSlab []relation.Value // build-side value storage, carved in chunks
+	match   int32 // next build row to emit for the current probe row, -1 = none
+	leftAnn polynomial.Polynomial
+	outBuf  []relation.Value // reused output row (row-validity contract)
 }
 
 // NewHashJoin joins left and right on left.leftKeys[i] = right.rightKeys[i].
-func NewHashJoin(left, right Iterator, leftKeys, rightKeys []int) (*HashJoin, error) {
+// keep lists the output columns as ascending indices into the concatenated
+// schema (left's columns, then right's); nil keeps them all.
+func NewHashJoin(left, right Iterator, leftKeys, rightKeys, keep []int) (*HashJoin, error) {
 	if len(leftKeys) != len(rightKeys) || len(leftKeys) == 0 {
 		return nil, fmt.Errorf("engine: hash join needs matching, non-empty key lists")
 	}
-	return &HashJoin{
+	all := left.Schema().Concat(right.Schema())
+	nl := left.Schema().Len()
+	if keep == nil {
+		keep = make([]int, all.Len())
+		for i := range keep {
+			keep[i] = i
+		}
+	}
+	j := &HashJoin{
 		left: left, right: right,
 		leftKeys: leftKeys, rightKeys: rightKeys,
-		schema: left.Schema().Concat(right.Schema()),
-	}, nil
+		schema: &relation.Schema{Cols: make([]relation.Column, len(keep))},
+		outBuf: make([]relation.Value, len(keep)),
+	}
+	for i, c := range keep {
+		j.schema.Cols[i] = all.Cols[c]
+		if c < nl {
+			j.leftKeep = append(j.leftKeep, c)
+		} else {
+			j.rightKeep = append(j.rightKeep, c-nl)
+		}
+	}
+	return j, nil
 }
 
 func (j *HashJoin) Schema() *relation.Schema { return j.schema }
@@ -54,16 +83,18 @@ func (j *HashJoin) Open() error {
 		j.right.Close()
 		return err
 	}
-	j.probing = false
-	j.mi = 0
-	j.matches = nil
+	j.match = -1
 	return nil
 }
 
-// buildTable drains the (already opened) build side into the hash table.
+// buildTable drains the (already opened) build side into the key table.
+// The build side is retained for the whole probe phase, so the kept cells
+// are copied out of the child's reused row buffer (row-validity contract).
 func (j *HashJoin) buildTable() error {
-	j.table = make(map[string][]relation.Tuple)
-	var buf []byte
+	j.keys = keyTable{}
+	j.first, j.last, j.next = j.first[:0], j.last[:0], j.next[:0]
+	j.rows = chunked[relation.Value]{width: len(j.rightKeep)}
+	j.anns = chunked[polynomial.Polynomial]{width: 1}
 	for {
 		t, ok, err := j.right.Next()
 		if err != nil {
@@ -72,53 +103,47 @@ func (j *HashJoin) buildTable() error {
 		if !ok {
 			return nil
 		}
-		key, skip, err := joinKey(&t, j.rightKeys, buf[:0])
+		skip, err := unjoinable(t.Values, j.rightKeys)
 		if err != nil {
 			return err
 		}
 		if skip {
 			continue
 		}
-		buf = key
-		// The build side is retained for the whole probe phase, so its
-		// values must be copied out of the child's reused row buffer
-		// (row-validity contract); copies are carved from a chunked slab.
-		n := len(t.Values)
-		if len(j.buildSlab) < n {
-			chunk := 8192
-			if chunk < n {
-				chunk = n
-			}
-			//cobra:hotalloc slab refill amortized over thousands of build-side rows
-			j.buildSlab = make([]relation.Value, chunk)
+		row := len(j.next)
+		id, seen := j.keys.lookup(hashKey(t.Values, j.rightKeys), t.Values, j.rightKeys, true)
+		if seen {
+			j.next[j.last[id]] = int32(row)
+			j.last[id] = int32(row)
+		} else {
+			j.first = append(j.first, int32(row))
+			j.last = append(j.last, int32(row))
 		}
-		vals := j.buildSlab[:n:n]
-		j.buildSlab = j.buildSlab[n:]
-		copy(vals, t.Values)
-		t.Values = vals
-		//cobra:hotalloc the hash table retains its key string: one allocation per build-side row is the table itself
-		j.table[string(key)] = append(j.table[string(key)], t)
+		j.next = append(j.next, -1)
+		kept := j.rows.at(row)
+		for i, c := range j.rightKeep {
+			kept[i] = t.Values[c]
+		}
+		j.anns.at(row)[0] = t.Ann
 	}
 }
 
-// joinKey encodes the key columns of t into buf. skip reports a NULL key
-// column (NULL never joins); symbolic key columns are an error.
-func joinKey(t *relation.Tuple, keys []int, buf []byte) (key []byte, skip bool, err error) {
-	for _, k := range keys {
-		v := t.Values[k]
-		if v.IsNull() {
-			return nil, true, nil
+// unjoinable checks the key columns of a row: skip reports a NULL (NULL
+// never joins); a symbolic key column is an error.
+func unjoinable(row []relation.Value, cols []int) (skip bool, err error) {
+	for _, c := range cols {
+		switch row[c].Kind {
+		case relation.KindNull:
+			return true, nil
+		case relation.KindPoly:
+			return false, fmt.Errorf("engine: cannot hash-join on symbolic column %d", c)
 		}
-		if v.Kind == relation.KindPoly {
-			return nil, false, fmt.Errorf("engine: cannot hash-join on symbolic column %d", k)
-		}
-		buf = v.Key(buf)
 	}
-	return buf, false, nil
+	return false, nil
 }
 
 func (j *HashJoin) Close() error {
-	j.table = nil
+	j.keys, j.rows, j.anns = keyTable{}, chunked[relation.Value]{}, chunked[polynomial.Polynomial]{}
 	err1 := j.left.Close()
 	err2 := j.right.Close()
 	if err1 != nil {
@@ -127,44 +152,36 @@ func (j *HashJoin) Close() error {
 	return err2
 }
 
+// Next emits the next joined row: annotations multiply, and the output row
+// buffer is reused across pulls (row-validity contract) — its left part is
+// written once per probe row, its right part once per match.
 func (j *HashJoin) Next() (relation.Tuple, bool, error) {
-	for {
-		if j.probing && j.mi < len(j.matches) {
-			r := j.matches[j.mi]
-			j.mi++
-			return j.joined(j.cur, r), true, nil
-		}
+	for j.match < 0 {
 		t, ok, err := j.left.Next()
 		if err != nil || !ok {
 			return relation.Tuple{}, false, err
 		}
-		key, skip, err := joinKey(&t, j.leftKeys, j.probeBuf[:0])
+		skip, err := unjoinable(t.Values, j.leftKeys)
 		if err != nil {
 			return relation.Tuple{}, false, err
 		}
 		if skip {
 			continue
 		}
-		j.probeBuf = key
-		j.cur = t
-		j.matches = j.table[string(key)]
-		j.mi = 0
-		j.probing = true
+		id, ok := j.keys.lookup(hashKey(t.Values, j.leftKeys), t.Values, j.leftKeys, false)
+		if !ok {
+			continue
+		}
+		j.match = j.first[id]
+		j.leftAnn = t.Ann
+		for i, c := range j.leftKeep {
+			j.outBuf[i] = t.Values[c]
+		}
 	}
-}
-
-// joined concatenates values and multiplies annotations. The output row
-// buffer is reused across pulls (row-validity contract), so emitting a
-// joined row allocates nothing after the first call.
-func (j *HashJoin) joined(l, r relation.Tuple) relation.Tuple {
-	n := len(l.Values) + len(r.Values)
-	if cap(j.outBuf) < n {
-		j.outBuf = make([]relation.Value, n)
-	}
-	vals := j.outBuf[:n:n]
-	copy(vals, l.Values)
-	copy(vals[len(l.Values):], r.Values)
-	return relation.Tuple{Values: vals, Ann: polynomial.Mul(l.Ann, r.Ann)}
+	r := int(j.match)
+	j.match = j.next[r]
+	copy(j.outBuf[len(j.leftKeep):], j.rows.at(r))
+	return relation.Tuple{Values: j.outBuf, Ann: polynomial.Mul(j.leftAnn, j.anns.at(r)[0])}, true, nil
 }
 
 // joinTuples concatenates values and multiplies annotations (the

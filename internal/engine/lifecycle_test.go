@@ -98,7 +98,7 @@ func lifecyclePlans(t *testing.T) map[string]func(l, r *trackIter) Iterator {
 			return gb
 		},
 		"hashjoin": func(l, r *trackIter) Iterator {
-			hj, err := NewHashJoin(l, r, []int{0}, []int{0})
+			hj, err := NewHashJoin(l, r, []int{0}, []int{0}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -219,29 +219,5 @@ func TestCollectReportsCloseError(t *testing.T) {
 	}
 	if tr.closes != 1 {
 		t.Fatalf("closes = %d", tr.closes)
-	}
-}
-
-// TestLifecycleParallelCollect drives the same lifecycle audit through the
-// parallel path. Tracked children are opaque to the partition-parallel
-// planner, so they are drained through the ordinary iterator protocol —
-// the pairing invariant must hold there too.
-func TestLifecycleParallelCollect(t *testing.T) {
-	rel := testRel(t)
-	for name, build := range lifecyclePlans(t) {
-		for _, workers := range []int{2, 8} {
-			l, r := track(NewScan(rel, "")), track(NewScan(rel, "x"))
-			if _, err := CollectN("out", build(l, r), workers); err != nil {
-				t.Fatalf("%s workers=%d: %v", name, workers, err)
-			}
-			assertBalanced(t, l, r)
-
-			l, r = track(NewScan(rel, "")), track(NewScan(rel, "x"))
-			l.failNextAt = 2
-			if _, err := CollectN("out", build(l, r), workers); !errors.Is(err, errInjected) {
-				t.Fatalf("%s workers=%d: err = %v, want injected", name, workers, err)
-			}
-			assertBalanced(t, l, r)
-		}
 	}
 }

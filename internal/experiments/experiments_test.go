@@ -243,8 +243,8 @@ func TestE13CaptureIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tab.Rows) != 3 {
-		t.Fatalf("rows = %d, want 3:\n%s", len(tab.Rows), tab.Render())
+	if len(tab.Rows) != 2 {
+		t.Fatalf("rows = %d, want 2:\n%s", len(tab.Rows), tab.Render())
 	}
 	for _, row := range tab.Rows {
 		if row[len(row)-1] != "yes" {

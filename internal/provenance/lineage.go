@@ -23,11 +23,12 @@ func CaptureLineage(query string, cat engine.Catalog, names *polynomial.Names) (
 	return CaptureLineageN(query, cat, names, 1)
 }
 
-// CaptureLineageN is CaptureLineage using up to workers goroutines for
-// query execution (sql.RunN) and row-key rendering; the set is assembled in
-// row order and is bit-identical to the sequential one for any worker count.
+// CaptureLineageN is CaptureLineage rendering the row keys across up to
+// workers goroutines; the query runs on the engine's one sequential
+// executor and the set is assembled in row order, so it is bit-identical
+// for any worker count.
 func CaptureLineageN(query string, cat engine.Catalog, names *polynomial.Names, workers int) (*polynomial.Set, error) {
-	out, err := sql.RunN(query, cat, workers)
+	out, err := sql.Run(query, cat)
 	if err != nil {
 		return nil, err
 	}

@@ -352,12 +352,12 @@ func Capture(query string, cat engine.Catalog, names *polynomial.Names, valueCol
 	return CaptureN(query, cat, names, valueCol, 1)
 }
 
-// CaptureN is Capture using up to workers goroutines: the query executes
-// through the engine's partition-parallel path (sql.RunN) and the result
-// polynomials are collected across the pool (FromRelationN). The captured
-// set is bit-identical to the sequential one for any worker count.
+// CaptureN is Capture rendering the result rows (group keys, polynomial
+// extraction) across up to workers goroutines (FromRelationN). The query
+// itself runs on the engine's one sequential executor, so the captured set
+// is bit-identical for any worker count.
 func CaptureN(query string, cat engine.Catalog, names *polynomial.Names, valueCol string, workers int) (*polynomial.Set, error) {
-	out, err := sql.RunN(query, cat, workers)
+	out, err := sql.Run(query, cat)
 	if err != nil {
 		return nil, err
 	}

@@ -265,6 +265,33 @@ func sameSet(a, b *polynomial.Set) bool {
 	return true
 }
 
+// TestCaptureAllocations pins what the engine's join → aggregate pipeline
+// allocates on the running example at benchmark scale: 130 132 base rows
+// into 11 polynomials. Keys hashed in place, pruned build rows stored in
+// chunks and a merging accumulator leave a few hundred objects — the key
+// tables, the build sides, eleven groups' accumulators and the captured
+// set; a map key or a scaled polynomial per row was 260 906.
+func TestCaptureAllocations(t *testing.T) {
+	if testing.Short() {
+		t.Skip("generates the 10 000-customer catalog")
+	}
+	names := polynomial.NewNames()
+	cat, err := telephony.InstrumentPrices(telephony.Generate(telephony.Config{Customers: 10_000}), names)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(3, func() {
+		set, err := Capture(telephony.RevenueQuery, cat, names, "revenue")
+		if err != nil || set.Len() != 11 {
+			t.Fatalf("capture: %v, %d polynomials", err, set.Len())
+		}
+	})
+	if allocs >= 2000 {
+		t.Fatalf("Capture allocates %.0f objects per call, want < 2000", allocs)
+	}
+	t.Logf("Capture: %.0f allocs per call", allocs)
+}
+
 // TestCaptureNWorkerSweep: parallel capture is bit-identical to sequential
 // capture for Workers ∈ {1, 2, 8}, including the interning order of a
 // fresh namespace.

@@ -29,10 +29,10 @@ const captureBatchRows = 4096
 // provenance polynomials into sink row-at-a-time — the non-materializing
 // counterpart of Capture. The sink must share the namespace the catalog
 // was instrumented under. Keys, polynomials and their order are exactly
-// Capture's for every worker count: the plan executes through the
-// sequential Volcano schedule (bit-identical to RunN by the engine's
-// determinism guarantee), rendering within a batch shards over up to
-// workers goroutines, and sink.Add is called sequentially in row order —
+// Capture's for every worker count: the plan executes through the same
+// sequential Volcano schedule sql.Run collects, rendering within a batch
+// shards over up to workers goroutines, and sink.Add is called
+// sequentially in row order —
 // so variables reach the sink in the same order the materialized path
 // interns them, and a spilling sink builds the identical ShardedSet.
 //

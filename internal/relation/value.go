@@ -178,33 +178,6 @@ func (v Value) Equal(o Value) bool {
 	return err == nil && c == 0
 }
 
-// Key appends a canonical byte encoding of the value for hashing (group-by
-// and join keys). Symbolic values are not hashable and panic — the planner
-// never hashes them.
-func (v Value) Key(buf []byte) []byte {
-	switch v.Kind {
-	case KindNull:
-		return append(buf, 0)
-	case KindInt:
-		buf = append(buf, 1)
-		return strconv.AppendInt(buf, v.I, 10)
-	case KindFloat:
-		buf = append(buf, 2)
-		return strconv.AppendFloat(buf, v.F, 'g', -1, 64)
-	case KindString:
-		buf = append(buf, 3)
-		buf = append(buf, v.S...)
-		return append(buf, 0)
-	case KindBool:
-		if v.B {
-			return append(buf, 4, 1)
-		}
-		return append(buf, 4, 0)
-	default:
-		panic("relation: symbolic values cannot be used as hash keys")
-	}
-}
-
 // String renders the value for display. Symbolic values render with
 // placeholder variable ids (use Format with a namespace for names).
 func (v Value) String() string {

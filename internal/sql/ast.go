@@ -166,6 +166,14 @@ type SelectItem struct {
 	Alias string
 }
 
+// name is the item's output column name: its alias, or its text.
+func (it SelectItem) name() string {
+	if it.Alias != "" {
+		return it.Alias
+	}
+	return it.Expr.String()
+}
+
 // TableRef is one FROM entry.
 type TableRef struct {
 	Name  string
@@ -249,4 +257,39 @@ func (s *SelectStmt) String() string {
 		fmt.Fprintf(&sb, " LIMIT %d", s.Limit)
 	}
 	return sb.String()
+}
+
+// walkExpr calls fn on e and then on e's sub-expressions, depth first and
+// left to right. fn returning false skips the sub-expressions of the node
+// it was called on.
+func walkExpr(e Expr, fn func(Expr) bool) {
+	if e == nil || !fn(e) {
+		return
+	}
+	switch x := e.(type) {
+	case *Binary:
+		walkExpr(x.L, fn)
+		walkExpr(x.R, fn)
+	case *Unary:
+		walkExpr(x.E, fn)
+	case *Call:
+		walkExpr(x.Arg, fn)
+	case *InExpr:
+		walkExpr(x.E, fn)
+		for _, v := range x.List {
+			walkExpr(v, fn)
+		}
+	case *BetweenExpr:
+		walkExpr(x.E, fn)
+		walkExpr(x.Lo, fn)
+		walkExpr(x.Hi, fn)
+	case *LikeExpr:
+		walkExpr(x.E, fn)
+	case *CaseExpr:
+		for _, w := range x.Whens {
+			walkExpr(w.Cond, fn)
+			walkExpr(w.Result, fn)
+		}
+		walkExpr(x.Else, fn)
+	}
 }

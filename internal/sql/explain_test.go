@@ -29,6 +29,40 @@ func TestExplainRunningExample(t *testing.T) {
 	}
 }
 
+// TestExplainShowsPruning pins the live-column rule on the running example:
+// the first join keeps 4 of its 6 input columns (the later join's keys, the
+// SUM operand, the group key), the second 3 of 9; SELECT * prunes nothing.
+func TestExplainShowsPruning(t *testing.T) {
+	out, err := Explain(revenueQuery, testCatalog())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"HashJoin on Calls.CID = Cust.ID keep [Calls.Mo, Calls.Dur, Cust.Plan, Cust.Zip]\n",
+		"HashJoin on Cust.Plan = Plans.Plan AND Calls.Mo = Plans.Mo keep [Calls.Dur, Cust.Zip, Plans.Price]\n",
+	} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("Explain missing %q:\n%s", want, out)
+		}
+	}
+	out, err = Explain("SELECT * FROM Cust, Calls WHERE Cust.ID = Calls.CID", testCatalog())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "keep [Cust.ID, Cust.Plan, Cust.Zip, Calls.CID, Calls.Mo, Calls.Dur]\n"; !strings.Contains(out, want) {
+		t.Fatalf("SELECT * must keep every column, want %q:\n%s", want, out)
+	}
+	// A column read only by a predicate applied above the join stays until
+	// that predicate has run; a join key nothing else reads does not.
+	out, err = Explain("SELECT Cust.Zip FROM Cust, Calls WHERE Cust.ID = Calls.CID AND Calls.Dur > Cust.ID * 100", testCatalog())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "keep [Cust.ID, Cust.Zip, Calls.Dur]\n"; !strings.Contains(out, want) {
+		t.Fatalf("want %q:\n%s", want, out)
+	}
+}
+
 func TestExplainPushdownVisible(t *testing.T) {
 	out, err := Explain("SELECT ID FROM Cust, Plans WHERE Cust.Plan = Plans.Plan AND Zip = '10001'", testCatalog())
 	if err != nil {

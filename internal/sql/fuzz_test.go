@@ -57,46 +57,6 @@ func TestPlanNeverPanicsOnParsedQueries(t *testing.T) {
 	}
 }
 
-// TestRunRandomValidQueries executes a grammar-directed random workload to
-// shake out execution-time panics.
-func TestRunRandomValidQueries(t *testing.T) {
-	r := rand.New(rand.NewSource(149))
-	cat := testCatalog()
-	cols := []string{"ID", "Zip", "Plan"}
-	for i := 0; i < 300; i++ {
-		col := cols[r.Intn(len(cols))]
-		var sb strings.Builder
-		sb.WriteString("SELECT ")
-		agg := r.Intn(3)
-		switch agg {
-		case 0:
-			sb.WriteString(col + " FROM Cust")
-		case 1:
-			sb.WriteString(col + ", COUNT(*) AS n FROM Cust")
-		default:
-			sb.WriteString("COUNT(*) AS n FROM Cust")
-		}
-		if r.Intn(2) == 0 {
-			sb.WriteString(" WHERE ID > " + []string{"0", "3", "9"}[r.Intn(3)])
-		}
-		if agg == 1 {
-			sb.WriteString(" GROUP BY " + col)
-		}
-		if agg == 0 && r.Intn(2) == 0 {
-			sb.WriteString(" ORDER BY " + col)
-			if r.Intn(2) == 0 {
-				sb.WriteString(" DESC")
-			}
-		}
-		if r.Intn(3) == 0 {
-			sb.WriteString(" LIMIT " + []string{"0", "2", "100"}[r.Intn(3)])
-		}
-		if _, err := Run(sb.String(), cat); err != nil {
-			t.Fatalf("query %q failed: %v", sb.String(), err)
-		}
-	}
-}
-
 // FuzzParsePlan is the native-fuzzing entry point behind CI's fuzz-smoke
 // step: any input must lex and parse without panicking, and anything that
 // parses must plan (or fail cleanly) against a real catalog.

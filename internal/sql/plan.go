@@ -10,20 +10,11 @@ import (
 
 // Run parses, plans, and executes a SELECT against the catalog.
 func Run(query string, cat engine.Catalog) (*relation.Relation, error) {
-	return RunN(query, cat, 1)
-}
-
-// RunN is Run executing the plan with up to workers goroutines
-// (engine.CollectN): scans, filters, projections, join build/probe phases
-// and group accumulation shard their rows over the pool. workers <= 1 stays
-// fully sequential, and the result is bit-identical to the sequential one
-// for every worker count.
-func RunN(query string, cat engine.Catalog, workers int) (*relation.Relation, error) {
 	plan, err := Open(query, cat)
 	if err != nil {
 		return nil, err
 	}
-	return engine.CollectN("result", plan, workers)
+	return engine.Collect("result", plan)
 }
 
 // Open parses and plans a SELECT without executing it, returning the
@@ -53,8 +44,8 @@ func Stream(query string, cat engine.Catalog, fn func(relation.Tuple) error) err
 
 // Plan binds a parsed statement against the catalog and builds an engine
 // plan: filters pushed below joins, hash joins on extracted equality
-// predicates (left-deep in FROM order), aggregation, HAVING, projection,
-// ORDER BY, LIMIT.
+// predicates (left-deep in FROM order) that emit only the columns still
+// read above them, aggregation, HAVING, projection, ORDER BY, LIMIT.
 func Plan(stmt *SelectStmt, cat engine.Catalog) (engine.Iterator, error) {
 	if len(stmt.From) == 0 {
 		return nil, fmt.Errorf("sql: FROM is required")
@@ -83,6 +74,7 @@ type plannedTable struct {
 type equiPred struct {
 	lTable, rTable string
 	l, r           *Ident
+	reads          []relation.Column // the two columns, for liveColumns
 	used           bool
 }
 
@@ -96,12 +88,15 @@ type planner struct {
 	equi []equiPred
 	rest []restPred // conjuncts applied once their tables are joined
 
+	readAbove []relation.Column // what the clauses other than WHERE read (liveColumns)
+
 	aggCtx *aggContext
 }
 
 type restPred struct {
 	expr    Expr
 	tables  map[string]bool
+	reads   []relation.Column // the columns expr reads, for liveColumns
 	applied bool
 }
 
@@ -136,61 +131,17 @@ func splitConjuncts(e Expr, out []Expr) []Expr {
 // identifiers against the planned tables.
 func (p *planner) tablesOf(e Expr) (map[string]bool, error) {
 	out := make(map[string]bool)
-	var walk func(Expr) error
-	walk = func(e Expr) error {
-		switch x := e.(type) {
-		case *Ident:
-			alias, err := p.resolveIdent(x)
-			if err != nil {
-				return err
-			}
-			out[alias] = true
-		case *Binary:
-			if err := walk(x.L); err != nil {
-				return err
-			}
-			return walk(x.R)
-		case *Unary:
-			return walk(x.E)
-		case *Call:
-			if x.Arg != nil {
-				return walk(x.Arg)
-			}
-		case *InExpr:
-			if err := walk(x.E); err != nil {
-				return err
-			}
-			for _, v := range x.List {
-				if err := walk(v); err != nil {
-					return err
-				}
-			}
-		case *BetweenExpr:
-			if err := walk(x.E); err != nil {
-				return err
-			}
-			if err := walk(x.Lo); err != nil {
-				return err
-			}
-			return walk(x.Hi)
-		case *LikeExpr:
-			return walk(x.E)
-		case *CaseExpr:
-			for _, w := range x.Whens {
-				if err := walk(w.Cond); err != nil {
-					return err
-				}
-				if err := walk(w.Result); err != nil {
-					return err
-				}
-			}
-			if x.Else != nil {
-				return walk(x.Else)
+	var err error
+	walkExpr(e, func(e Expr) bool {
+		if id, ok := e.(*Ident); ok && err == nil {
+			var alias string
+			if alias, err = p.resolveIdent(id); err == nil {
+				out[alias] = true
 			}
 		}
-		return nil
-	}
-	if err := walk(e); err != nil {
+		return err == nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -255,12 +206,12 @@ func (p *planner) classifyConjuncts() error {
 						return err
 					}
 					if la != ra {
-						p.equi = append(p.equi, equiPred{lTable: la, rTable: ra, l: li, r: ri})
+						p.equi = append(p.equi, equiPred{lTable: la, rTable: ra, l: li, r: ri, reads: p.columnsRead(c, nil)})
 						continue
 					}
 				}
 			}
-			p.rest = append(p.rest, restPred{expr: c, tables: tabs})
+			p.rest = append(p.rest, restPred{expr: c, tables: tabs, reads: p.columnsRead(c, nil)})
 		}
 	}
 	return nil
@@ -322,7 +273,7 @@ func (p *planner) buildJoinTree() (engine.Iterator, error) {
 			ep.used = true
 		}
 		if len(leftIdxs) > 0 {
-			hj, err := engine.NewHashJoin(cur, right, leftIdxs, rightIdxs)
+			hj, err := engine.NewHashJoin(cur, right, leftIdxs, rightIdxs, p.liveColumns(cur.Schema(), right.Schema()))
 			if err != nil {
 				return nil, err
 			}
@@ -356,6 +307,84 @@ func (p *planner) buildJoinTree() (engine.Iterator, error) {
 		}
 	}
 	return cur, nil
+}
+
+// columnsRead appends to dst the columns e reads. An unqualified name
+// reads the column of every table that has one, so binding meets the same
+// ambiguities, and reports the same errors, with and without pruning.
+func (p *planner) columnsRead(e Expr, dst []relation.Column) []relation.Column {
+	walkExpr(e, func(e Expr) bool {
+		if id, ok := e.(*Ident); ok {
+			for _, pt := range p.tables {
+				if id.Table != "" && !strings.EqualFold(id.Table, pt.alias) {
+					continue
+				}
+				for _, c := range pt.schema.Cols {
+					if strings.EqualFold(c.Name, id.Name) {
+						dst = append(dst, c)
+					}
+				}
+			}
+		}
+		return true
+	})
+	return dst
+}
+
+// liveColumns lists, as ascending indices into the concatenation of the
+// two schemas, the columns of a join that something above it still reads:
+// the select list, GROUP BY, HAVING and ORDER BY, and every WHERE conjunct
+// not applied yet (the join's own keys are already marked used). nil means
+// every column (SELECT *). An ORDER BY key that is a select alias names no
+// column, unless a column shares the name — which is then kept for
+// nothing, and harmlessly.
+func (p *planner) liveColumns(left, right *relation.Schema) []int {
+	stmt := p.stmt
+	if stmt.Star {
+		return nil
+	}
+	if p.readAbove == nil {
+		for _, it := range stmt.Items {
+			p.readAbove = p.columnsRead(it.Expr, p.readAbove)
+		}
+		for _, g := range stmt.GroupBy {
+			p.readAbove = p.columnsRead(g, p.readAbove)
+		}
+		p.readAbove = p.columnsRead(stmt.Having, p.readAbove)
+		for _, o := range stmt.OrderBy {
+			p.readAbove = p.columnsRead(o.Expr, p.readAbove)
+		}
+	}
+	live := make(map[relation.Column]bool)
+	for _, c := range p.readAbove {
+		live[c] = true
+	}
+	for ei := range p.equi {
+		if ep := &p.equi[ei]; !ep.used {
+			for _, c := range ep.reads {
+				live[c] = true
+			}
+		}
+	}
+	for ri := range p.rest {
+		if rp := &p.rest[ri]; !rp.applied {
+			for _, c := range rp.reads {
+				live[c] = true
+			}
+		}
+	}
+	keep := make([]int, 0, left.Len()+right.Len())
+	for i, c := range left.Cols {
+		if live[c] {
+			keep = append(keep, i)
+		}
+	}
+	for i, c := range right.Cols {
+		if live[c] {
+			keep = append(keep, left.Len()+i)
+		}
+	}
+	return keep
 }
 
 // applyCovered filters cur with remaining predicates whose tables are all
@@ -443,12 +472,8 @@ func (p *planner) buildUpper(cur engine.Iterator) (engine.Iterator, error) {
 				if err != nil {
 					return nil, err
 				}
-				name := it.Alias
-				if name == "" {
-					name = it.Expr.String()
-				}
-				projections = append(projections, engine.Projection{Expr: bound, Name: name})
-				outNames = append(outNames, name)
+				projections = append(projections, engine.Projection{Expr: bound, Name: it.name()})
+				outNames = append(outNames, it.name())
 			}
 		}
 	}
@@ -511,35 +536,13 @@ func matchSelectItem(e Expr, items []SelectItem, outNames []string) int {
 }
 
 func containsCall(e Expr) bool {
-	switch x := e.(type) {
-	case *Call:
-		return true
-	case *Binary:
-		return containsCall(x.L) || containsCall(x.R)
-	case *Unary:
-		return containsCall(x.E)
-	case *InExpr:
-		if containsCall(x.E) {
-			return true
-		}
-		for _, v := range x.List {
-			if containsCall(v) {
-				return true
-			}
-		}
-	case *BetweenExpr:
-		return containsCall(x.E) || containsCall(x.Lo) || containsCall(x.Hi)
-	case *LikeExpr:
-		return containsCall(x.E)
-	case *CaseExpr:
-		for _, w := range x.Whens {
-			if containsCall(w.Cond) || containsCall(w.Result) {
-				return true
-			}
-		}
-		return x.Else != nil && containsCall(x.Else)
-	}
-	return false
+	found := false
+	walkExpr(e, func(e Expr) bool {
+		_, call := e.(*Call)
+		found = found || call
+		return !found
+	})
+	return found
 }
 
 // aggContext is established by buildAggregate for post-aggregation
@@ -577,75 +580,36 @@ func (p *planner) buildAggregate(cur engine.Iterator) (engine.Iterator, []engine
 	aggIdx := make(map[string]int)
 	var specs []engine.AggSpec
 	collect := func(e Expr) error {
-		var walk func(Expr) error
-		walk = func(e Expr) error {
-			switch x := e.(type) {
-			case *Call:
-				key := x.String()
-				if _, seen := aggIdx[key]; seen {
-					return nil
+		var err error
+		walkExpr(e, func(e Expr) bool {
+			x, ok := e.(*Call)
+			if !ok || err != nil {
+				return err == nil
+			}
+			key := x.String()
+			if _, seen := aggIdx[key]; seen {
+				return false
+			}
+			kind, ok := aggCtxKinds[x.Func]
+			if !ok {
+				err = fmt.Errorf("sql: unknown aggregate %q", x.Func)
+				return false
+			}
+			var arg engine.Expr
+			if !x.Star {
+				if containsCall(x.Arg) {
+					err = fmt.Errorf("sql: nested aggregates in %s", x)
+					return false
 				}
-				kind, ok := aggCtxKinds[x.Func]
-				if !ok {
-					return fmt.Errorf("sql: unknown aggregate %q", x.Func)
-				}
-				var arg engine.Expr
-				if !x.Star {
-					if containsCall(x.Arg) {
-						return fmt.Errorf("sql: nested aggregates in %s", x)
-					}
-					bound, err := bind(x.Arg, cur.Schema())
-					if err != nil {
-						return err
-					}
-					arg = bound
-				}
-				aggIdx[key] = len(keyNames) + len(specs)
-				specs = append(specs, engine.AggSpec{Kind: kind, Arg: arg, Name: key})
-				return nil
-			case *Binary:
-				if err := walk(x.L); err != nil {
-					return err
-				}
-				return walk(x.R)
-			case *Unary:
-				return walk(x.E)
-			case *InExpr:
-				if err := walk(x.E); err != nil {
-					return err
-				}
-				for _, v := range x.List {
-					if err := walk(v); err != nil {
-						return err
-					}
-				}
-				return nil
-			case *BetweenExpr:
-				if err := walk(x.E); err != nil {
-					return err
-				}
-				if err := walk(x.Lo); err != nil {
-					return err
-				}
-				return walk(x.Hi)
-			case *LikeExpr:
-				return walk(x.E)
-			case *CaseExpr:
-				for _, w := range x.Whens {
-					if err := walk(w.Cond); err != nil {
-						return err
-					}
-					if err := walk(w.Result); err != nil {
-						return err
-					}
-				}
-				if x.Else != nil {
-					return walk(x.Else)
+				if arg, err = bind(x.Arg, cur.Schema()); err != nil {
+					return false
 				}
 			}
-			return nil
-		}
-		return walk(e)
+			aggIdx[key] = len(keyNames) + len(specs)
+			specs = append(specs, engine.AggSpec{Kind: kind, Arg: arg, Name: key})
+			return false
+		})
+		return err
 	}
 	for _, it := range stmt.Items {
 		if err := collect(it.Expr); err != nil {
@@ -688,12 +652,8 @@ func (p *planner) buildAggregate(cur engine.Iterator) (engine.Iterator, []engine
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		name := it.Alias
-		if name == "" {
-			name = it.Expr.String()
-		}
-		projections = append(projections, engine.Projection{Expr: bound, Name: name})
-		outNames = append(outNames, name)
+		projections = append(projections, engine.Projection{Expr: bound, Name: it.name()})
+		outNames = append(outNames, it.name())
 	}
 	return out, projections, outNames, nil
 }

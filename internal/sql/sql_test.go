@@ -421,94 +421,65 @@ func TestCaseParseErrors(t *testing.T) {
 	}
 }
 
-// symbolicCatalog instruments the Figure-1 Plans prices so worker sweeps
-// exercise the polynomial paths end to end.
-func symbolicCatalog(t *testing.T, names *polynomial.Names) engine.Catalog {
-	t.Helper()
-	cat := testCatalog()
-	plans := cat["Plans"].Clone()
-	planIdx, _ := plans.Schema.Index("Plan")
-	moIdx, _ := plans.Schema.Index("Mo")
-	priceIdx, _ := plans.Schema.Index("Price")
-	for ri := range plans.Rows {
-		row := &plans.Rows[ri]
-		base, _ := row.Values[priceIdx].AsFloat()
-		p := polynomial.New(polynomial.Mono(base,
-			polynomial.T(names.Var("p_"+row.Values[planIdx].S)),
-			polynomial.T(names.Var("m"+row.Values[moIdx].String()))))
-		row.Values[priceIdx] = relation.Poly(p)
+// TestEquiJoinMixedNumericKeys: an INT column equi-joined to a FLOAT column
+// matches exactly the rows the same predicate matches as a Filter over the
+// cross product (which is how the planner runs it once the left side is an
+// expression), including the two zeros; GROUP BY merges the kinds the same
+// way. The hash join used to tag INT and FLOAT keys apart and return no
+// row.
+func TestEquiJoinMixedNumericKeys(t *testing.T) {
+	a := relation.NewRelation("A", relation.NewSchema(relation.Column{Name: "x"}, relation.Column{Name: "n"}))
+	for i, x := range []relation.Value{relation.Int(1), relation.Int(2), relation.Int(0), relation.Float(math.Copysign(0, -1)), relation.Null(), relation.Int(2)} {
+		a.Append(x, relation.Int(int64(i)))
 	}
-	cat["Plans"] = plans
-	return cat
-}
-
-// sameResultRelation compares query outputs bit-exactly (floats via
-// Float64bits, polynomials and annotations exactly).
-func sameResultRelation(a, b *relation.Relation) bool {
-	if len(a.Rows) != len(b.Rows) {
-		return false
+	b := relation.NewRelation("B", relation.NewSchema(relation.Column{Name: "y"}, relation.Column{Name: "w"}))
+	for i, y := range []relation.Value{relation.Float(2), relation.Float(0), relation.Float(1.5), relation.Int(2), relation.Null()} {
+		b.Append(y, relation.Int(int64(10*i)))
 	}
-	for i := range a.Rows {
-		if len(a.Rows[i].Values) != len(b.Rows[i].Values) {
-			return false
-		}
-		for c := range a.Rows[i].Values {
-			v, w := a.Rows[i].Values[c], b.Rows[i].Values[c]
-			if v.Kind != w.Kind {
-				return false
-			}
-			switch v.Kind {
-			case relation.KindPoly:
-				if !polynomial.Equal(v.P, w.P) {
-					return false
-				}
-			case relation.KindFloat:
-				if math.Float64bits(v.F) != math.Float64bits(w.F) {
-					return false
-				}
-			default:
-				if !v.Equal(w) {
-					return false
-				}
-			}
-		}
-		if !polynomial.Equal(a.Rows[i].Ann, b.Rows[i].Ann) {
-			return false
-		}
-	}
-	return true
-}
-
-// TestRunNWorkerSweep: every query produces bit-identical results for
-// Workers ∈ {1, 2, 8}, over both concrete and symbolic catalogs.
-func TestRunNWorkerSweep(t *testing.T) {
-	names := polynomial.NewNames()
-	queries := []struct {
-		name  string
-		query string
-		cat   engine.Catalog
-	}{
-		{"revenue-concrete", revenueQuery, testCatalog()},
-		{"revenue-symbolic", revenueQuery, symbolicCatalog(t, names)},
-		{"spj", "SELECT Cust.ID, Calls.Dur FROM Cust, Calls WHERE Cust.ID = Calls.CID AND Calls.Mo = 1 ORDER BY Cust.ID", testCatalog()},
-		{"cross-pred", "SELECT c.ID, p.Plan FROM Cust c, Plans p WHERE c.ID < 3 AND p.Mo = 1 ORDER BY c.ID, p.Plan", testCatalog()},
-		{"agg-having", "SELECT Zip, COUNT(*) AS n, AVG(ID) AS a FROM Cust GROUP BY Zip HAVING COUNT(*) > 1 ORDER BY Zip", testCatalog()},
-		{"limit", "SELECT ID FROM Cust ORDER BY ID DESC LIMIT 3", testCatalog()},
-		{"star-filter", "SELECT * FROM Cust WHERE Zip = '10002'", testCatalog()},
-	}
-	for _, q := range queries {
-		want, err := RunN(q.query, q.cat, 1)
+	cat := engine.Catalog{"A": a, "B": b}
+	render := func(q string) string {
+		out, err := Run(q, cat)
 		if err != nil {
-			t.Fatalf("%s sequential: %v", q.name, err)
+			t.Fatalf("%s: %v", q, err)
 		}
-		for _, workers := range []int{2, 8} {
-			got, err := RunN(q.query, q.cat, workers)
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", q.name, workers, err)
-			}
-			if !sameResultRelation(want, got) {
-				t.Fatalf("%s workers=%d diverged from sequential", q.name, workers)
-			}
-		}
+		return out.String()
+	}
+	hashed := render("SELECT A.n, B.w FROM A, B WHERE A.x = B.y")
+	filtered := render("SELECT A.n, B.w FROM A, B WHERE A.x + 0 = B.y")
+	if hashed != filtered {
+		t.Fatalf("hash join:\n%s\nfilter over the cross product:\n%s", hashed, filtered)
+	}
+	if n := strings.Count(hashed, "\n") - 1; n != 6 { // 2↔{2.0, 2} twice, 0↔0.0, -0.0↔0.0
+		t.Fatalf("%d joined rows, want 6:\n%s", n, hashed)
+	}
+	ex, err := Explain("SELECT A.n, B.w FROM A, B WHERE A.x = B.y", cat)
+	if err != nil || !strings.Contains(ex, "HashJoin") {
+		t.Fatalf("not a hash join: %v\n%s", err, ex)
+	}
+	if ex, err = Explain("SELECT A.n, B.w FROM A, B WHERE A.x + 0 = B.y", cat); err != nil || !strings.Contains(ex, "NestedLoopJoin") {
+		t.Fatalf("not a filter over the cross product: %v\n%s", err, ex)
+	}
+	// Mixed-kind GROUP BY: {1}, {2, 2}, {0, -0.0}, {NULL}.
+	groups, err := Run("SELECT x, COUNT(*) AS c FROM A GROUP BY x", cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var counts []int64
+	for _, row := range groups.Rows {
+		counts = append(counts, row.Values[1].I)
+	}
+	if len(counts) != 4 || counts[0] != 1 || counts[1] != 2 || counts[2] != 2 || counts[3] != 1 {
+		t.Fatalf("group counts = %v, want [1 2 2 1]", counts)
+	}
+	b2 := relation.NewRelation("B", b.Schema)
+	b2.Rows = append(b2.Rows, b.Rows...)
+	b2.Append(relation.Float(2), relation.Int(50))
+	merged, err := Run("SELECT y, COUNT(*) AS c FROM B GROUP BY y", engine.Catalog{"B": b2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// FLOAT 2, INT 2 and FLOAT 2 again are one group, shown as first seen.
+	if merged.Len() != 4 || merged.Rows[0].Values[0].Kind != relation.KindFloat || merged.Rows[0].Values[1].I != 3 {
+		t.Fatalf("mixed-kind groups:\n%s", merged)
 	}
 }

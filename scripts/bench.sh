@@ -9,11 +9,9 @@
 #
 # Environment:
 #   BENCH_PATTERN   benchmark regexp (default: the E1–E9 and E14–E17
-#                   experiment benches, the parallel workers pairs —
-#                   including the E13 capture pairs, SQLRunWorkers /
-#                   CaptureWorkers — the BoundSweep32 mode pair, and the
-#                   DiskFormatWrite / IndexedDecode format and decode
-#                   pairs)
+#                   experiment benches, the parallel workers pairs, the
+#                   BoundSweep32 mode pair, and the DiskFormatWrite /
+#                   IndexedDecode format and decode pairs)
 #   BENCH_TIME      -benchtime value (default 1x: one run per benchmark —
 #                   coarse but cheap; raise for stable numbers)
 #   BENCH_ALLOW_SINGLE_CPU
@@ -28,7 +26,7 @@ set -eu
 cd "$(dirname "$0")/.."
 
 OUT=${1:-BENCH_core.json}
-PATTERN=${BENCH_PATTERN:-'^Benchmark(E[1-9]_|E14_|E15_|E16_|E17_|BoundSweep32|DiskFormatWrite|IndexedDecode|CompressDPWorkers|ForestDescentWorkers|ApplyCutWorkers|EvalBatchWorkers|SQLRunWorkers|CaptureWorkers)'}
+PATTERN=${BENCH_PATTERN:-'^Benchmark(E[1-9]_|E14_|E15_|E16_|E17_|BoundSweep32|DiskFormatWrite|IndexedDecode|CompressDPWorkers|ForestDescentWorkers|ApplyCutWorkers|EvalBatchWorkers)'}
 TIME=${BENCH_TIME:-1x}
 
 # The parallel speedup pairs are meaningless on a single CPU: workers>1
