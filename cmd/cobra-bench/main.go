@@ -1,5 +1,5 @@
-// Command cobra-bench runs the reproduction experiment suite (E1–E16, see
-// internal/experiments) and prints each experiment's paper-vs-measured table. With
+// Command cobra-bench runs the reproduction experiment suite (E1–E11 and
+// E14–E17, see internal/experiments) and prints each experiment's paper-vs-measured table. With
 // -markdown it emits the tables in the format used by EXPERIMENTS.md.
 //
 // Usage:
@@ -7,7 +7,7 @@
 //	cobra-bench                      # default scale (100k customers, SF 0.01)
 //	cobra-bench -scale paper         # the paper's 1M-customer measurement
 //	cobra-bench -only E3,E8 -markdown
-//	cobra-bench -only E13 -workers 0 # instrumentation and capture-rendering speedup at GOMAXPROCS
+//	cobra-bench -only E4 -workers 0  # the hot paths at GOMAXPROCS workers (tables are identical for every count)
 //	cobra-bench -only E14            # out-of-core compression under a memory budget
 //	cobra-bench -only E15            # streaming capture under a memory budget
 //	cobra-bench -only E16            # batched frontier sweep vs per-bound recompression

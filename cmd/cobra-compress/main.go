@@ -6,7 +6,10 @@
 // Usage:
 //
 //	cobra-compress -in prov.txt -tree tree.json -bound 94600 -out compressed.txt
-//	cobra-compress -in prov.bin -in-format binary -tree tree.json -bound 40000 -algo greedy
+//	cobra-compress -in prov.bin -tree tree.json -bound 40000 -algo greedy -out-format json
+//
+// The input format (text, JSON or any binary version) is detected from the
+// first bytes of the input.
 package main
 
 import (
@@ -21,29 +24,25 @@ import (
 func main() {
 	var (
 		in        = flag.String("in", "-", "input provenance set (- = stdin)")
-		inFormat  = flag.String("in-format", "text", "text | json | binary")
 		treeFile  = flag.String("tree", "", "abstraction tree JSON (required)")
 		bound     = flag.Int("bound", 0, "bound on the number of monomials (required)")
 		algo      = flag.String("algo", "dp", "dp (optimal) | greedy")
 		out       = flag.String("out", "-", "output file for the compressed set (- = stdout)")
-		outFormat = flag.String("out-format", "", "text | json | binary (default: same as input)")
+		outFormat = flag.String("out-format", "", "text | json | binary | stream (default: same as input)")
 	)
 	flag.Parse()
-	if err := run(*in, *inFormat, *treeFile, *bound, *algo, *out, *outFormat); err != nil {
+	if err := run(*in, *treeFile, *bound, *algo, *out, cobra.Format(*outFormat)); err != nil {
 		fmt.Fprintln(os.Stderr, "cobra-compress:", err)
 		os.Exit(1)
 	}
 }
 
-func run(in, inFormat, treeFile string, bound int, algo, out, outFormat string) error {
+func run(in, treeFile string, bound int, algo, out string, outFormat cobra.Format) error {
 	if treeFile == "" {
 		return fmt.Errorf("-tree is required")
 	}
 	if bound <= 0 {
 		return fmt.Errorf("-bound must be positive")
-	}
-	if outFormat == "" {
-		outFormat = inFormat
 	}
 
 	var r io.Reader = os.Stdin
@@ -56,22 +55,12 @@ func run(in, inFormat, treeFile string, bound int, algo, out, outFormat string) 
 		r = f
 	}
 	names := cobra.NewNames()
-	var (
-		set *cobra.Set
-		err error
-	)
-	switch inFormat {
-	case "text":
-		set, err = cobra.ReadSetText(r, names)
-	case "json":
-		set, err = cobra.ReadSetJSON(r, names)
-	case "binary":
-		set, err = cobra.ReadSetBinary(r, names)
-	default:
-		return fmt.Errorf("unknown input format %q", inFormat)
-	}
+	set, inFormat, err := cobra.ReadSet(r, names)
 	if err != nil {
 		return err
+	}
+	if outFormat == "" {
+		outFormat = inFormat
 	}
 
 	treeData, err := os.ReadFile(treeFile)
@@ -86,7 +75,7 @@ func run(in, inFormat, treeFile string, bound int, algo, out, outFormat string) 
 	var res *cobra.Result
 	switch algo {
 	case "dp":
-		res, err = cobra.Compress(set, cobra.Forest{tree}, bound)
+		res, err = cobra.Compress(set, cobra.Forest{tree}, bound, cobra.Options{})
 	case "greedy":
 		res, err = cobra.CompressGreedy(set, tree, bound)
 	default:
@@ -109,14 +98,5 @@ func run(in, inFormat, treeFile string, bound int, algo, out, outFormat string) 
 		defer f.Close()
 		w = f
 	}
-	switch outFormat {
-	case "text":
-		return cobra.WriteSetText(w, comp)
-	case "json":
-		return cobra.WriteSetJSON(w, comp)
-	case "binary":
-		return cobra.WriteSetBinary(w, comp)
-	default:
-		return fmt.Errorf("unknown output format %q", outFormat)
-	}
+	return cobra.WriteSet(w, comp, outFormat)
 }

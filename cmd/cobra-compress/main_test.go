@@ -32,7 +32,7 @@ func writeFixtures(t *testing.T) (provPath, treePath string) {
 func TestCompressDP(t *testing.T) {
 	prov, tree := writeFixtures(t)
 	out := filepath.Join(t.TempDir(), "comp.txt")
-	if err := run(prov, "text", tree, 4, "dp", out, ""); err != nil {
+	if err := run(prov, tree, 4, "dp", out, ""); err != nil {
 		t.Fatal(err)
 	}
 	f, err := os.Open(out)
@@ -40,9 +40,12 @@ func TestCompressDP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	set, err := cobra.ReadSetText(f, nil)
+	set, format, err := cobra.ReadSet(f, nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if format != cobra.FormatText {
+		t.Fatalf("output format = %q, want the input's (text)", format)
 	}
 	// Merging a,b into AB: g1 has (AB, c), g2 has (a->AB, c) => 4 monomials.
 	if set.Size() != 4 {
@@ -53,14 +56,17 @@ func TestCompressDP(t *testing.T) {
 func TestCompressGreedyAndFormats(t *testing.T) {
 	prov, tree := writeFixtures(t)
 	out := filepath.Join(t.TempDir(), "comp.json")
-	if err := run(prov, "text", tree, 4, "greedy", out, "json"); err != nil {
+	if err := run(prov, tree, 4, "greedy", out, "json"); err != nil {
 		t.Fatal(err)
 	}
 	f, _ := os.Open(out)
 	defer f.Close()
-	set, err := cobra.ReadSetJSON(f, nil)
+	set, format, err := cobra.ReadSet(f, nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if format != cobra.FormatJSON {
+		t.Fatalf("output format = %q, want json", format)
 	}
 	if set.Size() > 4 {
 		t.Fatalf("greedy exceeded bound: %d", set.Size())
@@ -69,25 +75,25 @@ func TestCompressGreedyAndFormats(t *testing.T) {
 
 func TestCompressErrors(t *testing.T) {
 	prov, tree := writeFixtures(t)
-	if err := run(prov, "text", "", 4, "dp", "-", ""); err == nil {
+	if err := run(prov, "", 4, "dp", "-", ""); err == nil {
 		t.Fatal("missing tree should fail")
 	}
-	if err := run(prov, "text", tree, 0, "dp", "-", ""); err == nil {
+	if err := run(prov, tree, 0, "dp", "-", ""); err == nil {
 		t.Fatal("missing bound should fail")
 	}
-	if err := run(prov, "text", tree, 4, "nope", "-", ""); err == nil {
+	if err := run(prov, tree, 4, "nope", "-", ""); err == nil {
 		t.Fatal("unknown algorithm should fail")
 	}
-	if err := run(prov, "nope", tree, 4, "dp", "-", ""); err == nil {
-		t.Fatal("unknown input format should fail")
+	if err := run(prov, tree, 4, "dp", filepath.Join(t.TempDir(), "out"), "nope"); err == nil {
+		t.Fatal("unknown output format should fail")
 	}
-	if err := run("/no/such/file", "text", tree, 4, "dp", "-", ""); err == nil {
+	if err := run("/no/such/file", tree, 4, "dp", "-", ""); err == nil {
 		t.Fatal("missing input should fail")
 	}
-	if err := run(prov, "text", "/no/such/tree", 4, "dp", "-", ""); err == nil {
+	if err := run(prov, "/no/such/tree", 4, "dp", "-", ""); err == nil {
 		t.Fatal("missing tree file should fail")
 	}
-	if err := run(prov, "text", tree, 1, "dp", "-", ""); err == nil {
+	if err := run(prov, tree, 1, "dp", "-", ""); err == nil {
 		t.Fatal("infeasible bound should fail")
 	}
 }

@@ -75,7 +75,7 @@ func loadDataset(dataset string, customers int, names *polynomial.Names) (*cobra
 		if err != nil {
 			return nil, "", err
 		}
-		set, err := cobra.Capture(telephony.RevenueQuery, cat, names, "revenue")
+		set, err := cobra.Capture(telephony.RevenueQuery, cat, names, "revenue", cobra.Options{})
 		if err != nil {
 			return nil, "", err
 		}
@@ -133,7 +133,7 @@ func run(dataset string, customers, bound int, scenario, treeFile string, hood b
 	if bound <= 0 {
 		bound = set.Size() * 2 / 3
 	}
-	frontier, err := cobra.Frontier(set, tree)
+	frontier, err := cobra.Frontier(set, tree, cobra.Options{})
 	if err != nil {
 		return err
 	}
@@ -141,7 +141,7 @@ func run(dataset string, customers, bound int, scenario, treeFile string, hood b
 	if !ok {
 		return &cobra.InfeasibleError{Bound: bound, MinAchievable: minAchievable(frontier)}
 	}
-	comp := cobra.Apply(set, point.Cut)
+	comp := cobra.Apply(set, cobra.Options{}, point.Cut)
 	ratio := 1.0
 	if set.Size() > 0 {
 		ratio = float64(point.MinSize) / float64(set.Size())

@@ -224,7 +224,7 @@ func (s *session) cmdCut(out io.Writer, args []string) {
 	}
 	s.cut = cut
 	s.metaOverride = valuation.New(s.names)
-	fmt.Fprintf(out, "cut %s: %d monomials\n", s.cut, cobra.Apply(s.set, s.cut).Size())
+	fmt.Fprintf(out, "cut %s: %d monomials\n", s.cut, cobra.Apply(s.set, cobra.Options{}, s.cut).Size())
 }
 
 func (s *session) cmdRefineCoarsen(out io.Writer, args []string, refine bool) {
@@ -252,7 +252,7 @@ func (s *session) cmdRefineCoarsen(out io.Writer, args []string, refine bool) {
 	}
 	s.cut = next
 	s.metaOverride = valuation.New(s.names)
-	fmt.Fprintf(out, "cut %s: %d monomials\n", s.cut, cobra.Apply(s.set, s.cut).Size())
+	fmt.Fprintf(out, "cut %s: %d monomials\n", s.cut, cobra.Apply(s.set, cobra.Options{}, s.cut).Size())
 }
 
 // isCutNode reports whether name is one of the current cut's inner nodes.
@@ -349,7 +349,7 @@ func (s *session) printMetaDefaults(out io.Writer) {
 }
 
 func (s *session) cmdShow(out io.Writer) {
-	comp := cobra.Apply(s.set, s.cut)
+	comp := cobra.Apply(s.set, cobra.Options{}, s.cut)
 	eff := s.effective()
 	full := cobra.EvalSet(s.set, s.leafAssign)
 	approx := cobra.EvalSet(comp, eff)

@@ -98,7 +98,7 @@ func TestReplSweep(t *testing.T) {
 func TestReplBoundMatchesCompress(t *testing.T) {
 	s := newTestSession(t)
 	for bound := 4; bound <= 15; bound++ {
-		res, err := cobra.Compress(s.set, cobra.Forest{s.tree}, bound)
+		res, err := cobra.Compress(s.set, cobra.Forest{s.tree}, bound, cobra.Options{})
 		if err != nil {
 			t.Fatalf("bound %d: %v", bound, err)
 		}

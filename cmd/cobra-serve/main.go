@@ -39,6 +39,18 @@ func main() {
 	}
 }
 
+// Connection timeouts: a client that stalls sending its headers or body, or
+// parks an idle keep-alive connection, is cut off instead of holding a
+// goroutine and a file descriptor forever. There is no write timeout: a
+// sweep or eval over a large dataset may legitimately compute for longer
+// than any fixed bound, and the request context already cancels it when the
+// client goes away.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 2 * time.Minute // a maximal 64 MiB register body at ≈ 0.5 MB/s
+	idleTimeout       = 2 * time.Minute
+)
+
 // run builds and serves until ctx is canceled. ready, when non-nil, is
 // called with the bound address once the listener accepts connections —
 // the test seam (use addr "127.0.0.1:0" for an ephemeral port).
@@ -68,8 +80,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, ready fun
 		return err
 	}
 	httpSrv := &http.Server{
-		Handler:     srv.Handler(),
-		BaseContext: func(net.Listener) context.Context { return ctx },
+		Handler:           srv.Handler(),
+		BaseContext:       func(net.Listener) context.Context { return ctx },
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
 	}
 
 	fmt.Fprintf(stdout, "cobra-serve listening on %s\n", ln.Addr())

@@ -28,7 +28,7 @@ func main() {
 		customers = flag.Int("customers", 100_000, "telephony scale")
 		sf        = flag.Float64("sf", 0.01, "TPC-H scale factor")
 		queryName = flag.String("query", "Q1", "TPC-H query: Q1 | Q3 | Q5 | Q6 | Q10")
-		format    = flag.String("format", "text", "text | json | binary")
+		format    = flag.String("format", "text", "text | json | binary | stream")
 		out       = flag.String("out", "-", "output file (- = stdout)")
 		treeOut   = flag.String("tree-out", "", "also write the matching abstraction tree JSON here")
 	)
@@ -53,7 +53,7 @@ func run(dataset string, customers int, sf float64, queryName, format, out, tree
 		if err != nil {
 			return err
 		}
-		set, err = cobra.Capture(telephony.RevenueQuery, cat, names, "revenue")
+		set, err = cobra.Capture(telephony.RevenueQuery, cat, names, "revenue", cobra.Options{})
 		tree = telephony.PlansTree(names)
 	case "telephony":
 		set = telephony.DirectProvenance(telephony.Config{Customers: customers}, names)
@@ -81,7 +81,7 @@ func run(dataset string, customers int, sf float64, queryName, format, out, tree
 		if err != nil {
 			return err
 		}
-		set, err = cobra.Capture(q.Prov, inst, names, q.ValueCol)
+		set, err = cobra.Capture(q.Prov, inst, names, q.ValueCol, cobra.Options{})
 	default:
 		return fmt.Errorf("unknown dataset %q", dataset)
 	}
@@ -98,17 +98,7 @@ func run(dataset string, customers int, sf float64, queryName, format, out, tree
 		defer f.Close()
 		w = f
 	}
-	switch format {
-	case "text":
-		err = cobra.WriteSetText(w, set)
-	case "json":
-		err = cobra.WriteSetJSON(w, set)
-	case "binary":
-		err = cobra.WriteSetBinary(w, set)
-	default:
-		return fmt.Errorf("unknown format %q", format)
-	}
-	if err != nil {
+	if err := cobra.WriteSet(w, set, cobra.Format(format)); err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "provgen: wrote %d polynomials, %d monomials, %d variables\n",

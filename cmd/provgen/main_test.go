@@ -19,18 +19,13 @@ func TestProvgenFormats(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var set *cobra.Set
-		switch format {
-		case "text":
-			set, err = cobra.ReadSetText(f, nil)
-		case "json":
-			set, err = cobra.ReadSetJSON(f, nil)
-		default:
-			set, err = cobra.ReadSetBinary(f, nil)
-		}
+		set, got, err := cobra.ReadSet(f, nil)
 		f.Close()
 		if err != nil {
 			t.Fatalf("%s: %v", format, err)
+		}
+		if string(got) != format {
+			t.Fatalf("wrote %s, read back as %s", format, got)
 		}
 		if set.Size() != 14 {
 			t.Fatalf("%s: size = %d, want 14", format, set.Size())

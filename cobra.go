@@ -34,8 +34,8 @@ type (
 	// per query-output group).
 	Set = polynomial.Set
 	// ShardedSet is a Set split into fixed-size shards that spill to disk
-	// past a memory budget — the out-of-core representation behind
-	// CompressStreamed and EvalStreamed.
+	// past a memory budget — the out-of-core representation every pipeline
+	// stage streams through.
 	ShardedSet = polynomial.ShardedSet
 	// ShardBuilder streams polynomials into a ShardedSet without ever
 	// materializing the whole set.
@@ -60,8 +60,6 @@ type (
 
 	// Result describes a chosen abstraction and its effect.
 	Result = core.Result
-	// Problem is a compression instance (set, trees, bound).
-	Problem = core.Problem
 	// InfeasibleError reports an unreachable bound.
 	InfeasibleError = core.InfeasibleError
 
@@ -205,32 +203,29 @@ func TreeFromJSON(data []byte, names *Names) (*Tree, error) {
 	return abstraction.TreeFromJSON(data, names)
 }
 
-// Apply applies cuts to a set, returning the compressed set.
-func Apply(set *Set, cuts ...Cut) *Set { return abstraction.Apply(set, cuts...) }
-
-// ApplyWith is Apply using opts.Workers goroutines; the compressed set is
-// bit-identical to Apply's.
-func ApplyWith(set *Set, opts Options, cuts ...Cut) *Set {
-	return abstraction.ApplyN(set, opts.Workers, cuts...)
+// Apply applies cuts to an in-memory set, returning the compressed set,
+// using opts.Workers goroutines; the compressed set is bit-identical for
+// every worker count. To apply cuts to an out-of-core set, open it as a
+// Dataset and use Dataset.Apply.
+func Apply(set *Set, opts Options, cuts ...Cut) *Set {
+	return abstraction.Apply(set, opts.Workers, cuts...)
 }
 
 // Compress finds the optimal abstraction under the bound: the exact DP for
-// one tree, coordinate descent for a forest. See also CompressGreedy and
-// CompressExhaustive for the baseline algorithms. One-shot: for repeated
-// bounds over the same set, open a Dataset and use its memoized Compress.
-func Compress(set *Set, trees Forest, bound int) (*Result, error) {
-	return CompressWith(set, trees, bound, Options{})
-}
-
-// CompressWith is Compress using opts.Workers goroutines for the signature
-// indexing, cut application and per-tree re-optimization hot paths. The
-// result is bit-identical to Compress's for every worker count.
-func CompressWith(set *Set, trees Forest, bound int, opts Options) (*Result, error) {
-	ds, err := OpenDataset("", set, trees, opts)
+// one tree, coordinate descent for a forest, over any SetSource — a sharded
+// set is indexed shard-at-a-time, with peak memory of one shard plus the
+// index. opts.Workers goroutines shard the signature indexing and cut
+// application; the result is bit-identical for every worker count and
+// source representation. See also CompressGreedy and CompressExhaustive for
+// the baseline algorithms. One-shot: for repeated bounds over the same set,
+// open a Dataset and use its memoized Compress, which also accepts a
+// context.
+func Compress(src SetSource, trees Forest, bound int, opts Options) (*Result, error) {
+	ds, err := OpenDataset("", src, trees, opts)
 	if err != nil {
 		return nil, err
 	}
-	//cobra:ctx deprecated context-free wrapper; the Dataset API threads the caller's context
+	//cobra:ctx one-shot context-free wrapper; the Dataset API threads the caller's context
 	return ds.Compress(context.Background(), bound)
 }
 
@@ -246,9 +241,9 @@ func CompressExhaustive(set *Set, tree *Tree, bound int) (*Result, error) {
 
 // Out-of-core pipeline: sharded sets stream through compression,
 // application and valuation one shard at a time, so provenance larger
-// than MaxResidentMonomials never materializes. Every streamed entry
-// point returns results bit-identical to its in-memory counterpart for
-// every worker count.
+// than MaxResidentMonomials never materializes. Every entry point that
+// takes a SetSource returns results bit-identical to the in-memory ones
+// for every worker count.
 
 // ShardSet splits an in-memory set into a ShardedSet under
 // opts.MaxResidentMonomials (the caller should drop the original set to
@@ -262,52 +257,6 @@ func ShardSet(set *Set, opts Options) (*ShardedSet, error) {
 // the full set never materializes.
 func NewShardedSetBuilder(names *Names, opts Options) *ShardBuilder {
 	return polynomial.NewShardBuilder(names, opts.shardOptions())
-}
-
-// CompressStreamed is Compress over a sharded set: the signature index is
-// built shard-at-a-time (exact DP for one tree, coordinate descent for a
-// forest) with peak memory of one shard plus the index. The result is
-// bit-identical to Compress on the materialized set for every worker
-// count.
-//
-// Deprecated: open the set as a Dataset (OpenDataset) and use
-// Dataset.Compress, which memoizes per bound and accepts a context. This
-// wrapper remains for back-compat.
-func CompressStreamed(ss *ShardedSet, trees Forest, bound int, opts Options) (*Result, error) {
-	ds, err := OpenDataset("", ss, trees, opts)
-	if err != nil {
-		return nil, err
-	}
-	//cobra:ctx deprecated context-free wrapper; the Dataset API threads the caller's context
-	return ds.Compress(context.Background(), bound)
-}
-
-// ApplyStreamed applies cuts to a sharded set shard-at-a-time, producing
-// a new ShardedSet under the same memory budget; materializing it yields
-// exactly ApplyWith of the materialized input.
-//
-// Deprecated: open the set as a Dataset (OpenDataset) and use
-// Dataset.Apply, which returns the compressed provenance as a new Dataset
-// ready for evaluation. This wrapper remains for back-compat.
-func ApplyStreamed(ss *ShardedSet, opts Options, cuts ...Cut) (*ShardedSet, error) {
-	return abstraction.ApplySharded(ss, opts.Workers, cuts...)
-}
-
-// EvalStreamed evaluates every polynomial of a sharded set under many
-// scenario assignments, compiling and evaluating one shard at a time.
-// Rows are bit-identical to Compile + EvalBatch on the materialized set
-// for every worker count.
-//
-// Deprecated: open the set as a Dataset (OpenDataset) and use
-// Dataset.EvalBatch, which accepts a context and reuses compiled state
-// where possible. This wrapper remains for back-compat.
-func EvalStreamed(ss *ShardedSet, assignments []*Assignment, opts Options) ([][]float64, error) {
-	ds, err := OpenDataset("", ss, nil, opts)
-	if err != nil {
-		return nil, err
-	}
-	//cobra:ctx deprecated context-free wrapper; the Dataset API threads the caller's context
-	return ds.EvalBatch(context.Background(), assignments)
 }
 
 // Frontier sweeps: one DP run, many bounds. Hypothetical reasoning in
@@ -335,37 +284,17 @@ type CrossTreeError = core.CrossTreeError
 
 // Frontier computes the complete tradeoff curve for a tree in one DP run:
 // for every feasible number of meta-variables, the minimal compressed size
-// and a cut attaining it.
-func Frontier(set *Set, tree *Tree) ([]FrontierPoint, error) {
-	return FrontierWith(set, tree, Options{})
-}
-
-// FrontierWith is Frontier using opts.Workers goroutines for the signature
-// indexing pass; the curve is identical for every worker count.
-func FrontierWith(set *Set, tree *Tree, opts Options) ([]FrontierPoint, error) {
-	ds, err := OpenDataset("", set, Forest{tree}, opts)
-	if err != nil {
-		return nil, err
-	}
-	//cobra:ctx deprecated context-free wrapper; the Dataset API threads the caller's context
-	return ds.Frontier(context.Background())
-}
-
-// FrontierStreamed is Frontier over any SetSource — in particular a
-// sharded out-of-core set, whose peak residency stays within its
-// MaxResidentMonomials budget while the curve is computed. The points are
-// bit-identical to Frontier's on the materialized set for every worker
-// count.
-//
-// Deprecated: open the source as a Dataset (OpenDataset) and use
-// Dataset.Frontier, which memoizes the curve and accepts a context. This
-// wrapper remains for back-compat.
-func FrontierStreamed(src SetSource, tree *Tree, opts Options) ([]FrontierPoint, error) {
+// and a cut attaining it. It takes any SetSource — for a sharded
+// out-of-core set peak residency stays within its MaxResidentMonomials
+// budget — and uses opts.Workers goroutines for the signature indexing
+// pass; the points are bit-identical for every source representation and
+// worker count.
+func Frontier(src SetSource, tree *Tree, opts Options) ([]FrontierPoint, error) {
 	ds, err := OpenDataset("", src, Forest{tree}, opts)
 	if err != nil {
 		return nil, err
 	}
-	//cobra:ctx deprecated context-free wrapper; the Dataset API threads the caller's context
+	//cobra:ctx one-shot context-free wrapper; the Dataset API threads the caller's context
 	return ds.Frontier(context.Background())
 }
 
@@ -381,7 +310,7 @@ func FrontierForest(src SetSource, trees Forest, opts Options) ([]ForestFrontier
 	if err != nil {
 		return nil, err
 	}
-	//cobra:ctx deprecated context-free wrapper; the Dataset API threads the caller's context
+	//cobra:ctx one-shot context-free wrapper; the Dataset API threads the caller's context
 	return ds.ForestFrontier(context.Background())
 }
 
@@ -402,7 +331,7 @@ func BestForForestBound(points []ForestFrontierPoint, bound int) (ForestFrontier
 // tradeoff curve is computed once and every bound becomes a lookup, so a
 // batch of N bounds costs one compression instead of N. For a single tree
 // each answer is bit-identical — cut, sizes, statistics, error — to
-// CompressWith at that bound, for every worker count; for a forest the
+// Compress at that bound, for every worker count; for a forest the
 // answers are exact optima over partitioned instances (each monomial
 // touching at most one tree; CrossTreeError otherwise), where Compress's
 // coordinate descent may settle for less. Per-bound infeasibility lands in
@@ -412,7 +341,7 @@ func FrontierSweep(src SetSource, trees Forest, bounds []int, opts Options) ([]S
 	if err != nil {
 		return nil, err
 	}
-	//cobra:ctx deprecated context-free wrapper; the Dataset API threads the caller's context
+	//cobra:ctx one-shot context-free wrapper; the Dataset API threads the caller's context
 	return ds.Sweep(context.Background(), bounds)
 }
 
@@ -468,30 +397,20 @@ func Sensitivity(set *Set, a *Assignment) []SensitivityEntry {
 }
 
 // RunSQL parses, plans and executes a SELECT over the catalog using the
-// provenance-aware engine.
+// provenance-aware engine. It takes no Options: the engine has one
+// sequential executor, so no field of Options changes how — or how fast —
+// a query runs.
 func RunSQL(query string, cat Catalog) (*Relation, error) { return sql.Run(query, cat) }
-
-// RunSQLWith is RunSQL: the engine has one sequential executor, so no
-// field of opts changes how — or how fast — a query runs. It completes the
-// XWith family for callers that thread one Options value everywhere.
-func RunSQLWith(query string, cat Catalog, _ Options) (*Relation, error) {
-	return sql.Run(query, cat)
-}
 
 // ExplainSQL renders the planned operator tree (pushed filters, join order,
 // hash keys) without executing the query.
 func ExplainSQL(query string, cat Catalog) (string, error) { return sql.Explain(query, cat) }
 
 // CaptureLineage extracts tuple-level (how-)provenance: one N[X] polynomial
-// per output row of the query, from tuple-annotated relations.
-func CaptureLineage(query string, cat Catalog, names *Names) (*Set, error) {
-	return provenance.CaptureLineage(query, cat, names)
-}
-
-// CaptureLineageWith is CaptureLineage rendering the row keys across
-// opts.Workers goroutines (the query runs on the one sequential executor);
-// the set is bit-identical to CaptureLineage's for every worker count.
-func CaptureLineageWith(query string, cat Catalog, names *Names, opts Options) (*Set, error) {
+// per output row of the query, from tuple-annotated relations. The row keys
+// render across opts.Workers goroutines (the query runs on the one
+// sequential executor); the set is bit-identical for every worker count.
+func CaptureLineage(query string, cat Catalog, names *Names, opts Options) (*Set, error) {
 	return provenance.CaptureLineageN(query, cat, names, opts.Workers)
 }
 
@@ -509,27 +428,25 @@ func MinimalCost(lineage Polynomial, cost func(Var) float64) float64 {
 
 // ParameterizeColumn instruments a numeric column: each cell is multiplied
 // by the product of the variables derived from specs (cell-level
-// instrumentation).
-func ParameterizeColumn(rel *Relation, target string, specs []VarSpec, names *Names) (*Relation, error) {
-	return provenance.ParameterizeColumn(rel, target, specs, names)
+// instrumentation), using opts.Workers goroutines. Variable interning stays
+// sequential in row order, so the instrumented relation is bit-identical
+// for every worker count.
+func ParameterizeColumn(rel *Relation, target string, specs []VarSpec, names *Names, opts Options) (*Relation, error) {
+	return provenance.ParameterizeColumnN(rel, target, specs, names, opts.Workers)
 }
 
 // AnnotateTuples instruments a relation at the tuple level: each tuple's
-// annotation becomes a fresh variable derived from spec.
-func AnnotateTuples(rel *Relation, spec VarSpec, names *Names) (*Relation, error) {
-	return provenance.AnnotateTuples(rel, spec, names)
+// annotation becomes a fresh variable derived from spec, using opts.Workers
+// goroutines; bit-identical for every worker count.
+func AnnotateTuples(rel *Relation, spec VarSpec, names *Names, opts Options) (*Relation, error) {
+	return provenance.AnnotateTuplesN(rel, spec, names, opts.Workers)
 }
 
-// Capture runs a query and extracts its provenance polynomials.
-func Capture(query string, cat Catalog, names *Names, valueCol string) (*Set, error) {
-	return provenance.Capture(query, cat, names, valueCol)
-}
-
-// CaptureWith is Capture rendering the result rows — group keys and
-// polynomial extraction — across opts.Workers goroutines; the query runs on
-// the one sequential executor. The captured set is bit-identical to
-// Capture's for every worker count.
-func CaptureWith(query string, cat Catalog, names *Names, valueCol string, opts Options) (*Set, error) {
+// Capture runs a query and extracts its provenance polynomials. The result
+// rows — group keys and polynomial extraction — render across opts.Workers
+// goroutines; the query runs on the one sequential executor. The captured
+// set is bit-identical for every worker count.
+func Capture(query string, cat Catalog, names *Names, valueCol string, opts Options) (*Set, error) {
 	return provenance.CaptureN(query, cat, names, valueCol, opts.Workers)
 }
 
@@ -569,20 +486,6 @@ func CaptureLineageToShards(query string, cat Catalog, names *Names, opts Option
 	return b.Finish()
 }
 
-// ParameterizeColumnWith is ParameterizeColumn instrumenting the column
-// with opts.Workers goroutines (variable interning stays sequential in row
-// order, so the instrumented relation is bit-identical to the sequential
-// one).
-func ParameterizeColumnWith(rel *Relation, target string, specs []VarSpec, names *Names, opts Options) (*Relation, error) {
-	return provenance.ParameterizeColumnN(rel, target, specs, names, opts.Workers)
-}
-
-// AnnotateTuplesWith is AnnotateTuples instrumenting the relation with
-// opts.Workers goroutines; bit-identical to the sequential path.
-func AnnotateTuplesWith(rel *Relation, spec VarSpec, names *Names, opts Options) (*Relation, error) {
-	return provenance.AnnotateTuplesN(rel, spec, names, opts.Workers)
-}
-
 // Concretize evaluates every symbolic cell under the assignment, producing
 // a concrete catalog for query re-execution.
 func Concretize(cat Catalog, a *Assignment) Catalog { return provenance.Concretize(cat, a) }
@@ -595,45 +498,33 @@ func CheckCommutation(query string, cat Catalog, names *Names, valueCol string, 
 
 // Serialization — the interface to external provenance engines.
 
-// WriteSetText writes the human-readable text format.
-func WriteSetText(w io.Writer, set *Set) error { return polyio.WriteSetText(w, set) }
+// Format names a set encoding: FormatText (human-readable lines),
+// FormatJSON, FormatBinary (compact v1, the whole set as one record) or
+// FormatStream (framed, one frame per shard, for sets larger than memory).
+type Format = polyio.Format
 
-// ReadSetText parses the text format.
-func ReadSetText(r io.Reader, names *Names) (*Set, error) { return polyio.ReadSetText(r, names) }
+// The set encodings WriteSet writes and ReadSet detects.
+const (
+	FormatText   = polyio.FormatText
+	FormatJSON   = polyio.FormatJSON
+	FormatBinary = polyio.FormatBinary
+	FormatStream = polyio.FormatStream
+)
 
-// WriteSetJSON writes the JSON format.
-func WriteSetJSON(w io.Writer, set *Set) error { return polyio.WriteSetJSON(w, set) }
-
-// ReadSetJSON parses the JSON format.
-func ReadSetJSON(r io.Reader, names *Names) (*Set, error) { return polyio.ReadSetJSON(r, names) }
-
-// WriteSetBinary writes the compact binary format.
-func WriteSetBinary(w io.Writer, set *Set) error { return polyio.WriteSetBinary(w, set) }
-
-// ReadSetBinary parses the binary format.
-func ReadSetBinary(r io.Reader, names *Names) (*Set, error) { return polyio.ReadSetBinary(r, names) }
-
-// SetWriter incrementally writes the v2 streaming binary format, one
-// shard frame per WriteShard call (used-variables-only tables, an end
-// frame guarding against truncation).
-type SetWriter = polyio.SetWriter
-
-// SetReader incrementally reads the v2 streaming binary format, one shard
-// per Next call (io.EOF after the end frame).
-type SetReader = polyio.SetReader
-
-// NewSetWriter starts a v2 set stream on w.
-func NewSetWriter(w io.Writer) (*SetWriter, error) { return polyio.NewSetWriter(w) }
-
-// NewSetReader opens a v2 set stream for shard-at-a-time reading.
-func NewSetReader(r io.Reader, names *Names) (*SetReader, error) {
-	return polyio.NewSetReader(r, names)
+// WriteSet writes any SetSource (an in-memory Set or a ShardedSet) in the
+// given format. FormatStream writes one frame per shard and never holds
+// more than one shard in memory; the other formats encode the set as a
+// single record and materialize a sharded source first.
+func WriteSet(w io.Writer, src SetSource, format Format) error {
+	return polyio.WriteSet(w, src, format)
 }
 
-// WriteSetStream writes any SetSource (an in-memory Set or a ShardedSet)
-// as a v2 stream, one frame per shard, never holding more than one shard
-// in memory.
-func WriteSetStream(w io.Writer, src SetSource) error { return polyio.WriteSetStream(w, src) }
+// ReadSet reads a set in any format into memory and reports the format it
+// detected from the first bytes: a binary magic (v1, v2 and v3 streams all
+// read), '{' for JSON, text otherwise.
+func ReadSet(r io.Reader, names *Names) (*Set, Format, error) {
+	return polyio.ReadSet(r, names)
+}
 
 // ReadSetStream reads a binary set stream (v1 or v2) into a ShardedSet,
 // decoding polynomial-at-a-time straight into the budgeted store — the

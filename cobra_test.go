@@ -5,12 +5,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"testing"
 
 	cobra "github.com/cobra-prov/cobra"
-	"github.com/cobra-prov/cobra/internal/datagen/telephony"
-	"github.com/cobra-prov/cobra/internal/polynomial"
 )
 
 // TestFacadeEndToEnd exercises the documented public API surface: build a
@@ -30,7 +29,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res, err := cobra.Compress(set, cobra.Forest{tree}, 2)
+	res, err := cobra.Compress(set, cobra.Forest{tree}, 2, cobra.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +72,7 @@ func TestFacadeCompressBaselines(t *testing.T) {
 		t.Fatalf("baselines: greedy=%d exhaustive=%d", g.Size, e.Size)
 	}
 
-	_, err = cobra.Compress(set, cobra.Forest{tree}, 0)
+	_, err = cobra.Compress(set, cobra.Forest{tree}, 0, cobra.Options{})
 	var ie *cobra.InfeasibleError
 	if !errors.As(err, &ie) || !errors.Is(err, cobra.ErrInfeasible) {
 		t.Fatalf("expected InfeasibleError, got %v", err)
@@ -85,33 +84,24 @@ func TestFacadeSerializationRoundTrip(t *testing.T) {
 	set := cobra.NewSet(names)
 	set.Add("k", cobra.MustParsePolynomial("2*x*y + 7", names))
 
-	var text, js, bin bytes.Buffer
-	if err := cobra.WriteSetText(&text, set); err != nil {
-		t.Fatal(err)
-	}
-	if err := cobra.WriteSetJSON(&js, set); err != nil {
-		t.Fatal(err)
-	}
-	if err := cobra.WriteSetBinary(&bin, set); err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range []*bytes.Buffer{&text, &js, &bin} {
-		var back *cobra.Set
-		var err error
-		switch i {
-		case 0:
-			back, err = cobra.ReadSetText(r, nil)
-		case 1:
-			back, err = cobra.ReadSetJSON(r, nil)
-		default:
-			back, err = cobra.ReadSetBinary(r, nil)
+	for _, format := range []cobra.Format{cobra.FormatText, cobra.FormatJSON, cobra.FormatBinary, cobra.FormatStream} {
+		var buf bytes.Buffer
+		if err := cobra.WriteSet(&buf, set, format); err != nil {
+			t.Fatalf("%s: %v", format, err)
 		}
+		back, got, err := cobra.ReadSet(&buf, nil)
 		if err != nil {
-			t.Fatalf("format %d: %v", i, err)
+			t.Fatalf("%s: %v", format, err)
 		}
-		if back.Size() != set.Size() {
-			t.Fatalf("format %d: size %d != %d", i, back.Size(), set.Size())
+		if got != format {
+			t.Fatalf("wrote %s, detected %s", format, got)
 		}
+		if back.String() != set.String() {
+			t.Fatalf("%s: round trip changed the set:\n%s\nvs\n%s", format, back, set)
+		}
+	}
+	if err := cobra.WriteSet(io.Discard, set, "yaml"); err == nil {
+		t.Fatal("unknown format should fail")
 	}
 }
 
@@ -156,7 +146,7 @@ func TestFacadeStreamedPipeline(t *testing.T) {
 	}
 
 	bound := set.Size() / 2
-	want, err := cobra.Compress(set, cobra.Forest{tree}, bound)
+	want, err := cobra.Compress(set, cobra.Forest{tree}, bound, cobra.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +163,7 @@ func TestFacadeStreamedPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer compressed.Close()
-	wantApplied := cobra.Apply(set, want.Cuts...)
+	wantApplied := cobra.Apply(set, cobra.Options{}, want.Cuts...)
 	if compressed.Size() != wantApplied.Size() || compressed.Len() != wantApplied.Len() {
 		t.Fatalf("streamed apply: len/size %d/%d, want %d/%d",
 			compressed.Len(), compressed.Size(), wantApplied.Len(), wantApplied.Size())
@@ -222,7 +212,7 @@ func TestFacadeStreamedPipeline(t *testing.T) {
 
 	// v2 stream round trip under the same budget.
 	var buf bytes.Buffer
-	if err := cobra.WriteSetStream(&buf, ss); err != nil {
+	if err := cobra.WriteSet(&buf, ss, cobra.FormatStream); err != nil {
 		t.Fatal(err)
 	}
 	back, err := cobra.ReadSetStream(&buf, nil, opts)
@@ -247,12 +237,12 @@ func TestFacadeSQLAndProvenance(t *testing.T) {
 	sales.Append(cobra.Str("a"), cobra.Float(10))
 	sales.Append(cobra.Str("a"), cobra.Float(20))
 	sales.Append(cobra.Str("b"), cobra.Float(5))
-	inst, err := cobra.ParameterizeColumn(sales, "amount", []cobra.VarSpec{{Prefix: "c_", Columns: []string{"cat"}}}, names)
+	inst, err := cobra.ParameterizeColumn(sales, "amount", []cobra.VarSpec{{Prefix: "c_", Columns: []string{"cat"}}}, names, cobra.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cat := cobra.Catalog{"sales": inst}
-	set, err := cobra.Capture("SELECT cat, SUM(amount) AS total FROM sales GROUP BY cat ORDER BY cat", cat, names, "total")
+	set, err := cobra.Capture("SELECT cat, SUM(amount) AS total FROM sales GROUP BY cat ORDER BY cat", cat, names, "total", cobra.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,34 +288,34 @@ func TestFacadeParallelOptions(t *testing.T) {
 	}
 	opts := cobra.Options{Workers: 4}
 
-	seq, err := cobra.Compress(set, cobra.Forest{tree}, 3)
+	seq, err := cobra.Compress(set, cobra.Forest{tree}, 3, cobra.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := cobra.CompressWith(set, cobra.Forest{tree}, 3, opts)
+	par, err := cobra.Compress(set, cobra.Forest{tree}, 3, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if par.Size != seq.Size || par.NumMeta != seq.NumMeta || !par.Cuts[0].Equal(seq.Cuts[0]) {
-		t.Fatalf("CompressWith diverged: seq=%+v par=%+v", seq, par)
+		t.Fatalf("Compress diverged across workers: seq=%+v par=%+v", seq, par)
 	}
 
-	sf, err := cobra.Frontier(set, tree)
+	sf, err := cobra.Frontier(set, tree, cobra.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pf, err := cobra.FrontierWith(set, tree, opts)
+	pf, err := cobra.Frontier(set, tree, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(sf) != len(pf) {
-		t.Fatalf("FrontierWith: %d points vs %d", len(pf), len(sf))
+		t.Fatalf("Frontier across workers: %d points vs %d", len(pf), len(sf))
 	}
 
-	compSeq := cobra.Apply(set, seq.Cuts...)
-	compPar := cobra.ApplyWith(set, opts, par.Cuts...)
+	compSeq := cobra.Apply(set, cobra.Options{}, seq.Cuts...)
+	compPar := cobra.Apply(set, opts, par.Cuts...)
 	if compSeq.Size() != compPar.Size() || compSeq.String() != compPar.String() {
-		t.Fatalf("ApplyWith diverged:\n%s\nvs\n%s", compSeq, compPar)
+		t.Fatalf("Apply diverged across workers:\n%s\nvs\n%s", compSeq, compPar)
 	}
 
 	a := cobra.NewAssignment(names)
@@ -340,10 +330,9 @@ func TestFacadeParallelOptions(t *testing.T) {
 	}
 }
 
-// TestFacadeParallelCapture exercises the parallel SQL/capture surface:
-// RunSQLWith, CaptureWith, CaptureLineageWith, ParameterizeColumnWith and
-// AnnotateTuplesWith must return exactly what the sequential entry points
-// return, for several worker counts.
+// TestFacadeParallelCapture exercises the capture surface across worker
+// counts: Capture, CaptureLineage, ParameterizeColumn and AnnotateTuples
+// must return exactly what they return sequentially (zero Options).
 func TestFacadeParallelCapture(t *testing.T) {
 	build := func() (*cobra.Relation, *cobra.Names) {
 		names := cobra.NewNames()
@@ -358,11 +347,11 @@ func TestFacadeParallelCapture(t *testing.T) {
 	specs := []cobra.VarSpec{{Prefix: "c_", Columns: []string{"cat"}}}
 
 	seqSales, seqNames := build()
-	seqInst, err := cobra.ParameterizeColumn(seqSales, "amount", specs, seqNames)
+	seqInst, err := cobra.ParameterizeColumn(seqSales, "amount", specs, seqNames, cobra.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	seqSet, err := cobra.Capture(query, cobra.Catalog{"sales": seqInst}, seqNames, "total")
+	seqSet, err := cobra.Capture(query, cobra.Catalog{"sales": seqInst}, seqNames, "total", cobra.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,13 +359,13 @@ func TestFacadeParallelCapture(t *testing.T) {
 	for _, w := range []int{1, 2, 8} {
 		opts := cobra.Options{Workers: w}
 		sales, names := build()
-		inst, err := cobra.ParameterizeColumnWith(sales, "amount", specs, names, opts)
+		inst, err := cobra.ParameterizeColumn(sales, "amount", specs, names, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		cat := cobra.Catalog{"sales": inst}
 
-		out, err := cobra.RunSQLWith(query, cat, opts)
+		out, err := cobra.RunSQL(query, cat)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -384,72 +373,24 @@ func TestFacadeParallelCapture(t *testing.T) {
 			t.Fatalf("workers=%d: rows = %d", w, out.Len())
 		}
 
-		set, err := cobra.CaptureWith(query, cat, names, "total", opts)
+		set, err := cobra.Capture(query, cat, names, "total", opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if set.Len() != seqSet.Len() || set.String() != seqSet.String() {
-			t.Fatalf("workers=%d: CaptureWith diverged:\n%s\nvs\n%s", w, set, seqSet)
+			t.Fatalf("workers=%d: Capture diverged:\n%s\nvs\n%s", w, set, seqSet)
 		}
 
-		ann, err := cobra.AnnotateTuplesWith(sales, cobra.VarSpec{Prefix: "t", Columns: []string{"cat"}}, names, opts)
+		ann, err := cobra.AnnotateTuples(sales, cobra.VarSpec{Prefix: "t", Columns: []string{"cat"}}, names, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		lin, err := cobra.CaptureLineageWith("SELECT cat FROM sales", cobra.Catalog{"sales": ann}, names, opts)
+		lin, err := cobra.CaptureLineage("SELECT cat FROM sales", cobra.Catalog{"sales": ann}, names, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if lin.Len() != 200 {
 			t.Fatalf("workers=%d: lineage rows = %d", w, lin.Len())
-		}
-	}
-}
-
-// TestRunNWorkerSweep: every query returns the same relation, bit for bit,
-// at Workers ∈ {1, 2, 8}, over the concrete and the instrumented Figure-1
-// database. The engine has one sequential executor, so this holds by
-// construction; the test pins that RunSQLWith stays a faithful entry point.
-func TestRunNWorkerSweep(t *testing.T) {
-	names := cobra.NewNames()
-	concrete := telephony.Figure1DB()
-	symbolic, err := telephony.InstrumentPrices(concrete, names)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, q := range []struct {
-		name, query string
-		cat         cobra.Catalog
-	}{
-		{"revenue-concrete", telephony.RevenueQuery, concrete},
-		{"revenue-symbolic", telephony.RevenueQuery, symbolic},
-		{"spj", "SELECT Cust.ID, Calls.Dur FROM Cust, Calls WHERE Cust.ID = Calls.CID AND Calls.Mo = 1 ORDER BY Cust.ID", concrete},
-		{"cross-pred", "SELECT c.ID, p.Plan FROM Cust c, Plans p WHERE c.ID < 3 AND p.Mo = 1 ORDER BY c.ID, p.Plan", concrete},
-		{"agg-having", "SELECT Zip, COUNT(*) AS n, AVG(ID) AS a FROM Cust GROUP BY Zip HAVING COUNT(*) > 1 ORDER BY Zip", concrete},
-		{"limit", "SELECT ID FROM Cust ORDER BY ID DESC LIMIT 3", concrete},
-		{"star-filter", "SELECT * FROM Cust WHERE Zip = '10002'", concrete},
-	} {
-		want, err := cobra.RunSQL(q.query, q.cat)
-		if err != nil {
-			t.Fatalf("%s: %v", q.name, err)
-		}
-		for _, workers := range []int{1, 2, 8} {
-			got, err := cobra.RunSQLWith(q.query, q.cat, cobra.Options{Workers: workers})
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", q.name, workers, err)
-			}
-			if len(got.Rows) != len(want.Rows) {
-				t.Fatalf("%s workers=%d: %d rows, want %d", q.name, workers, len(got.Rows), len(want.Rows))
-			}
-			for ri, row := range want.Rows {
-				for ci, w := range row.Values {
-					g := got.Rows[ri].Values[ci]
-					if g.Kind != w.Kind || g.I != w.I || g.S != w.S || g.B != w.B ||
-						math.Float64bits(g.F) != math.Float64bits(w.F) || !polynomial.Equal(g.P, w.P) {
-						t.Fatalf("%s workers=%d: row %d column %d: %v, want %v", q.name, workers, ri, ci, g, w)
-					}
-				}
-			}
 		}
 	}
 }
@@ -489,7 +430,7 @@ func TestFacadeFrontierForestSweep(t *testing.T) {
 			t.Fatalf("point %d = (%d, %d), want (%d, %d)",
 				i, curve[i].NumMeta, curve[i].MinSize, want.k, want.size)
 		}
-		if got := cobra.Apply(set, curve[i].Cuts...).Size(); got != want.size {
+		if got := cobra.Apply(set, cobra.Options{}, curve[i].Cuts...).Size(); got != want.size {
 			t.Fatalf("point %d: applied %d != %d", i, got, want.size)
 		}
 	}

@@ -381,7 +381,7 @@ func (d *Dataset) Close() error {
 // Compress finds the optimal abstraction under the bound — the exact DP
 // for one tree, coordinate descent for a forest — memoized per bound: the
 // first call per bound pays the solve, repeats are a lookup. The Result is
-// bit-identical to CompressWith on the materialized set for every worker
+// bit-identical to Compress on the materialized set for every worker
 // count and source representation.
 func (d *Dataset) Compress(ctx context.Context, bound int) (*Result, error) {
 	st := d.st
@@ -422,7 +422,7 @@ func (d *Dataset) Apply(ctx context.Context, cuts ...Cut) (*Dataset, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		return OpenDataset(name, abstraction.ApplyN(s, d.workers, cuts...), st.trees, st.opts)
+		return OpenDataset(name, abstraction.Apply(s, d.workers, cuts...), st.trees, st.opts)
 	}
 	if st.outOfCore {
 		// ShardedSet or a reloaded IndexedSet: stream into a fresh budgeted

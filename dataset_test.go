@@ -92,7 +92,7 @@ func TestDatasetMatchesOneShotCalls(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := cobra.CompressWith(set, trees, bound, cobra.Options{})
+			want, err := cobra.Compress(set, trees, bound, cobra.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -105,7 +105,7 @@ func TestDatasetMatchesOneShotCalls(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantFr, err := cobra.Frontier(set, trees[0])
+			wantFr, err := cobra.Frontier(set, trees[0], cobra.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -168,7 +168,7 @@ func TestDatasetMatchesOneShotCalls(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			applied := cobra.Apply(set, res.Cuts...)
+			applied := cobra.Apply(set, cobra.Options{}, res.Cuts...)
 			wantDerived := cobra.EvalBatch(cobra.Compile(applied), induced, cobra.Options{})
 			rowsEqual(t, gotDerived, wantDerived, "derived EvalBatch")
 		})
@@ -253,7 +253,7 @@ func TestDatasetEvictionAnswersIdentically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := cobra.Compress(set, ds.Trees(), bound)
+	want, err := cobra.Compress(set, ds.Trees(), bound, cobra.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +347,7 @@ func TestCaptureDatasetMatchesCapture(t *testing.T) {
 				t.Fatalf("OutOfCore() = %v", ds.OutOfCore())
 			}
 
-			want, err := cobra.Capture(telephony.RevenueQuery, cat, names, "revenue")
+			want, err := cobra.Capture(telephony.RevenueQuery, cat, names, "revenue", cobra.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}

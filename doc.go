@@ -116,17 +116,17 @@
 //
 // Every stage of the instrument → capture → compress → evaluate pipeline
 // but one scales across cores through the Options knob:
-// ParameterizeColumnWith, AnnotateTuplesWith, CaptureWith,
-// CaptureLineageWith, CompressWith, ApplyWith, FrontierWith, FrontierForest,
-// FrontierSweep and EvalBatch accept Options{Workers: n} and shard their
-// work over up to n goroutines (AutoWorkers returns the saturating count).
-// The one stage is query execution: the SQL engine has a single sequential
-// executor (see "The SQL engine" below), so of a capture only the rendering
-// of result rows into keys and polynomials is sharded, and RunSQLWith runs
-// exactly as RunSQL does. Workers <= 1 — and every plain entry point
-// (RunSQL, Capture, Compress, Apply, Frontier) — runs fully sequentially.
+// ParameterizeColumn, AnnotateTuples, Capture, CaptureLineage, Compress,
+// Apply, Frontier, FrontierForest, FrontierSweep and EvalBatch take an
+// Options value and shard their work over up to Options.Workers goroutines
+// (AutoWorkers returns the saturating count); each has exactly one name and
+// one signature. The one stage is query execution: the SQL engine has a
+// single sequential executor (see "The SQL engine" below), so of a capture
+// only the rendering of result rows into keys and polynomials is sharded,
+// and RunSQL takes no Options at all. Workers <= 1 — the zero Options —
+// runs fully sequentially.
 //
-//	res, err := cobra.CompressWith(set, cobra.Forest{tree}, bound,
+//	res, err := cobra.Compress(set, cobra.Forest{tree}, bound,
 //		cobra.Options{Workers: cobra.AutoWorkers()})
 //
 // Determinism guarantee: parallel runs return bit-identical results to the
@@ -153,7 +153,7 @@
 // provenance — every time. A frontier is the complete bound→optimum curve
 // from ONE such run: for every feasible number of meta-variables k, the
 // minimal compressed size and a cut attaining it (Dataset.Frontier; the
-// one-shot Frontier/FrontierWith helpers wrap it). Any bound is then
+// one-shot Frontier helper wraps it). Any bound is then
 // answered by lookup (BestForBound: maximal feasible k, ties toward the
 // smaller size — the DP's own choice), and Dataset.Sweep answers an
 // arbitrary batch of bounds this way — the curve is memoized on the
@@ -162,7 +162,7 @@
 //	answers, err := ds.Sweep(ctx, []int{9000, 6000, 3000, 1000})
 //
 // For a single tree every sweep answer — cut, sizes, statistics, and
-// error — is bit-identical to CompressWith at that bound, for every worker
+// error — is bit-identical to Compress at that bound, for every worker
 // count and source representation; a 32-bound batch costs one compression
 // instead of 32 (the E16 experiment measures the speedup).
 //
@@ -194,12 +194,11 @@
 //	SetSource ──Dataset.Compress─▶ cut            (index built shard-at-a-time)
 //	SetSource ──Dataset.Apply────▶ SetSink        (compressed shards re-spill)
 //	SetSource ──Dataset.EvalBatch▶ result rows    (one shard compiled at a time)
-//	SetSource ──WriteSetStream───▶ v2 frames ──ReadSetStream──▶ SetSink
+//	SetSource ──WriteSet(FormatStream)─▶ v2 frames ──ReadSetStream──▶ SetSink
 //
 // A Dataset opened over a ShardedSet routes every method down this
-// streaming path automatically; the older explicit entry points
-// (CompressStreamed, ApplyStreamed, EvalStreamed, FrontierStreamed) are
-// deprecated wrappers kept for compatibility.
+// streaming path automatically, and the one-shot Compress and Frontier
+// take any SetSource, so there is no separate "streamed" entry point.
 //
 // Capture is streaming too: CaptureToShards (and CaptureLineageToShards
 // for tuple-level lineage) executes the query through the engine's
@@ -218,18 +217,23 @@
 //
 // # On-disk formats
 //
-// Three binary encodings exist, all readable by ReadSetBinary. The v1
-// format (WriteSetBinary) is a single record: magic "CPRVB1\n", a
+// WriteSet(w, src, format) writes the text, JSON and two binary encodings;
+// ReadSet(r, names) reads any of them — and v3 — and reports the Format it
+// detected from the first bytes, so no caller passes an input format.
+//
+// Three binary encodings exist, all readable by ReadSet and ReadSetStream.
+// The v1 format (FormatBinary) is a single record: magic "CPRVB1\n", a
 // used-variables-only name table, then every polynomial with varint
-// terms referencing table indices. The v2 streaming format (NewSetWriter
-// / NewSetReader, WriteSetStream / ReadSetStream) is framed: magic
+// terms referencing table indices. The v2 streaming format (FormatStream,
+// read out-of-core by ReadSetStream) is framed: magic
 // "CPRVB2\n", then one self-describing shard frame per shard — marker
 // 'S', the shard's own used-variable table, its polynomials — and an end
 // frame ('E' plus the shard count) so truncation is always detected.
 // Neither side of a v2 transfer ever holds more than one shard.
 //
-// The v3 indexed format (NewSetWriterV3 / WriteSetStreamV3, read
-// randomly via OpenIndexedSet or sequentially via ReadSetBinary) keeps
+// The v3 indexed format (polyio.WriteSetStreamV3, read randomly via
+// polyio.OpenIndexedSet or sequentially via ReadSet, which reports it as
+// FormatStream) keeps
 // v2's shard framing but makes every shard independently decodable:
 //
 //	magic "CPRVB3\n"
@@ -253,11 +257,8 @@
 // to the sequential stream — same set, same namespace, independent of
 // decode order and worker count. Damage is always a typed error
 // (polyio.CorruptError or polyio.ChecksumError), never a panic or a
-// silent short read. v3 is what Dataset.Evict writes, which is why the
-// Deprecated notes on the *Streamed wrappers (CompressStreamed,
-// ApplyStreamed, EvalStreamed, FrontierStreamed) all point at Dataset:
-// the Dataset path is the one that spills to, and reloads from, the
-// indexed format.
+// silent short read. v3 is what Dataset.Evict writes: the Dataset path is
+// the one that spills to, and reloads from, the indexed format.
 //
 // # Representation: packed monomials and per-worker arenas
 //
@@ -353,7 +354,7 @@
 // # Invariants and the lint suite
 //
 // The guarantees above are not conventions but mechanically enforced
-// invariants: cmd/cobra-lint is a go/analysis-style suite of nine
+// invariants: cmd/cobra-lint is a go/analysis-style suite of eight
 // analyzers, run through the standard vet driver (go vet -vettool, or
 // `make cobra-lint`; the binary is a `tool` in go.mod), and the tree
 // must stay at zero findings. The dataflow-sensitive analyzers share a
@@ -394,18 +395,16 @@
 //     be read with that mutex (or its read lock) held, and only written
 //     with it write-held, on every CFG path from function entry;
 //     *Locked-suffix methods document the caller holds it.
-//   - nodeprecated: no call site inside the module may reference an
-//     entry point carrying a `Deprecated:` doc marker (for example the
-//     *Streamed facades in this package) — deprecations drain instead
-//     of accumulating.
 //
-// Alongside the analyzers, cmd/cobra-escape (also a go.mod `tool`, run
-// as `make cobra-escape`) ratchets the compiler's own escape analysis:
-// it rebuilds the hot packages with -gcflags=-m=2, inventories the
-// heap-escape sites per function into ESCAPES.json (a build output, not
-// checked in), and fails when any function exceeds the checked-in
-// escape_budget.json. Fixes lower the budget via `go tool cobra-escape
-// -update`; regressions fail CI with the exact new positions.
+// Allocation on the hot paths is pinned where it matters by
+// testing.AllocsPerRun tests that each name the invariant they protect:
+// a capture allocates per distinct key, not per row (internal/provenance);
+// signature indexing allocates per run, not per monomial (internal/core);
+// cut application stays within four allocations per polynomial
+// (internal/abstraction); Program.Eval into a reused row allocates nothing
+// (internal/valuation). The shape of this facade is pinned the same way:
+// TestFacadeSurface fails if cobra.go exports more than 57 functions, a
+// deprecated one, or an X beside an XWith.
 //
 // Each analyzer has a justification escape hatch — a //cobra:<name>
 // <reason> comment on (or immediately above) the flagged line — for the
@@ -418,7 +417,7 @@
 // telephony running example and a TPC-H workload (internal/datagen), fast
 // compiled valuation (Compile, MeasureSpeedup), accuracy metrics, and
 // serialization for interoperating with external provenance engines
-// (ReadSet*/WriteSet*, streaming via SetWriter/SetReader). See ROADMAP.md
+// (ReadSet/WriteSet, out-of-core via ReadSetStream). See ROADMAP.md
 // in the repository root, the experiment index in internal/experiments
 // (cmd/cobra-bench prints its tables), the runnable programs under
 // examples/, and the command-line tools under cmd/.

@@ -28,7 +28,7 @@ func main() {
 	}
 
 	// Capture the provenance of the revenue query.
-	set, err := cobra.Capture(telephony.RevenueQuery, inst, names, "revenue")
+	set, err := cobra.Capture(telephony.RevenueQuery, inst, names, "revenue", cobra.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func main() {
 	fmt.Println("\nbound sweep (size / meta-variables):")
 	for _, frac := range []float64{0.8, 0.6, 0.4, 0.3} {
 		bound := int(float64(set.Size()) * frac)
-		res, err := cobra.Compress(set, cobra.Forest{tree}, bound)
+		res, err := cobra.Compress(set, cobra.Forest{tree}, bound, cobra.Options{})
 		if err != nil {
 			fmt.Printf("  bound %5d: %v\n", bound, err)
 			continue
@@ -50,7 +50,7 @@ func main() {
 	}
 
 	// The paper's scenarios on a compressed provenance.
-	res, err := cobra.Compress(set, cobra.Forest{tree}, set.Size()/3)
+	res, err := cobra.Compress(set, cobra.Forest{tree}, set.Size()/3, cobra.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

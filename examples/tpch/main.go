@@ -28,7 +28,7 @@ func main() {
 	tree := tpch.DateTree(names)
 
 	for _, q := range []tpch.Query{tpch.Queries[0], tpch.Queries[3]} { // Q1, Q6
-		set, err := cobra.Capture(q.Prov, inst, names, q.ValueCol)
+		set, err := cobra.Capture(q.Prov, inst, names, q.ValueCol, cobra.Options{})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -37,7 +37,7 @@ func main() {
 
 		// Compress to half, then to a fifth.
 		for _, frac := range []float64{0.5, 0.2} {
-			res, err := cobra.Compress(set, cobra.Forest{tree}, int(float64(set.Size())*frac))
+			res, err := cobra.Compress(set, cobra.Forest{tree}, int(float64(set.Size())*frac), cobra.Options{})
 			if err != nil {
 				fmt.Printf("  bound %.0f%%: %v\n", frac*100, err)
 				continue
@@ -57,7 +57,7 @@ func main() {
 				}
 			}
 		}
-		res, err := cobra.Compress(set, cobra.Forest{tree}, set.Size()/4)
+		res, err := cobra.Compress(set, cobra.Forest{tree}, set.Size()/4, cobra.Options{})
 		if err != nil {
 			log.Fatal(err)
 		}

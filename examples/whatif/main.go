@@ -40,7 +40,7 @@ const plansTreeJSON = `{
 func main() {
 	ctx := context.Background()
 	names := cobra.NewNames()
-	set, err := cobra.ReadSetText(strings.NewReader(externalProvenance), names)
+	set, _, err := cobra.ReadSet(strings.NewReader(externalProvenance), names)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -2,7 +2,4 @@ module github.com/cobra-prov/cobra
 
 go 1.24
 
-tool (
-	github.com/cobra-prov/cobra/cmd/cobra-escape
-	github.com/cobra-prov/cobra/cmd/cobra-lint
-)
+tool github.com/cobra-prov/cobra/cmd/cobra-lint

@@ -186,18 +186,13 @@ func (c Cut) Equal(o Cut) bool {
 	return true
 }
 
-// Apply applies one or more cuts (over disjoint trees) to a polynomial set,
-// returning the compressed set.
-func Apply(s *polynomial.Set, cuts ...Cut) *polynomial.Set {
-	return ApplyN(s, 1, cuts...)
-}
-
-// ApplyN is Apply distributed over up to workers goroutines, sharding the
-// variable remapping across polynomials (and, for sets dominated by a few
-// large polynomials, across monomial ranges within them). The compressed set
-// is bit-identical to Apply's for every worker count; workers <= 1 runs the
-// sequential path.
-func ApplyN(s *polynomial.Set, workers int, cuts ...Cut) *polynomial.Set {
+// Apply applies one or more cuts (over disjoint trees) to an in-memory
+// polynomial set, returning the compressed set. Up to workers goroutines
+// shard the variable remapping across polynomials (and, for sets dominated
+// by a few large polynomials, across monomial ranges within them); the
+// compressed set is bit-identical for every worker count, and workers <= 1
+// runs the sequential path.
+func Apply(s *polynomial.Set, workers int, cuts ...Cut) *polynomial.Set {
 	return s.MapVarsN(cutMapping(cuts), workers)
 }
 

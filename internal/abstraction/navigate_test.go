@@ -113,19 +113,19 @@ func TestNavigateSizeMonotone(t *testing.T) {
 		"208.8*p1*m1 + 240*p1*m3 + 127.4*f1*m1 + 114.45*f1*m3 + 75.9*y1*m1 + 72.5*y1*m3 + 42*v*m1 + 24.2*v*m3", names))
 
 	cut, _ := tr.CutOf("Business", "Special", "Standard")
-	sizeBefore := Apply(set, cut).Size()
+	sizeBefore := Apply(set, 1, cut).Size()
 	refined, err := cut.Refine(tr.ByName("Special"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := Apply(set, refined).Size(); got < sizeBefore {
+	if got := Apply(set, 1, refined).Size(); got < sizeBefore {
 		t.Fatalf("refining shrank the size: %d -> %d", sizeBefore, got)
 	}
 	coarse, err := cut.Coarsen(tr.Root())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := Apply(set, coarse).Size(); got > sizeBefore {
+	if got := Apply(set, 1, coarse).Size(); got > sizeBefore {
 		t.Fatalf("coarsening grew the size: %d -> %d", sizeBefore, got)
 	}
 }

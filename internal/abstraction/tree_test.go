@@ -140,7 +140,7 @@ func TestCutVarMappingAndApply(t *testing.T) {
 		"208.8*p1*m1 + 240*p1*m3 + 127.4*f1*m1 + 114.45*f1*m3 + 75.9*y1*m1 + 72.5*y1*m3 + 42*v*m1 + 24.2*v*m3", n)
 	s := polynomial.NewSet(n)
 	s.Add("10001", p1)
-	comp := Apply(s, c)
+	comp := Apply(s, 1, c)
 	if comp.Size() != 4 {
 		t.Fatalf("P1 under S1: size = %d, want 4", comp.Size())
 	}
@@ -161,7 +161,7 @@ func TestApplyRootCutMatchesExample4S5(t *testing.T) {
 		"208.8*p1*m1 + 240*p1*m3 + 127.4*f1*m1 + 114.45*f1*m3 + 75.9*y1*m1 + 72.5*y1*m3 + 42*v*m1 + 24.2*v*m3", n)
 	s := polynomial.NewSet(n)
 	s.Add("10001", p1)
-	comp := Apply(s, tr.RootCut())
+	comp := Apply(s, 1, tr.RootCut())
 	// Example 4 prints "466.1*Plans*m1 + 451.15*Plans*m3"; the m1 coefficient
 	// is a typo in the paper: 208.8+127.4+75.9+42 = 454.1 (the m3 sum 451.15
 	// matches). We verify the correct sum and the stated monomial/var counts.

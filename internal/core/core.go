@@ -7,12 +7,12 @@
 // reasoning).
 //
 // For a single abstraction tree the problem is solved exactly in polynomial
-// time by a bottom-up dynamic program (DPSingleTree), as described in §2 of
+// time by a bottom-up dynamic program (DPSingleTreeSource), as described in §2 of
 // the paper ("the algorithm traverses the abstraction tree in a bottom-up
 // fashion, and using dynamic programming, computes an abstraction for the
 // sub-tree rooted by each one of the inner nodes"). Exhaustive enumeration
 // (Exhaustive) serves as a testing oracle, Greedy as a baseline for
-// ablation, and ForestDescent extends the solution heuristically to
+// ablation, and ForestDescentSource extends the solution heuristically to
 // multiple trees.
 package core
 
@@ -55,21 +55,9 @@ func (e *MultiVarError) Error() string {
 	return fmt.Sprintf("core: monomial %q in group %q contains more than one variable of the same abstraction tree", e.Mono, e.Key)
 }
 
-// Problem is a compression instance.
-type Problem struct {
-	Set   *polynomial.Set
-	Trees abstraction.Forest
-	Bound int
-	// Workers caps the number of goroutines the solver may use; <= 1 keeps
-	// every code path sequential. Results are identical for every value —
-	// parallelism only shards deterministic work (signature indexing,
-	// cut application, speculative per-tree re-optimization).
-	Workers int
-}
-
 // Result describes a chosen abstraction and its effect.
 type Result struct {
-	// Cuts holds one cut per tree, in Problem.Trees order.
+	// Cuts holds one cut per tree, in forest order.
 	Cuts []abstraction.Cut
 	// Size is the provenance size (total monomials) after applying Cuts.
 	Size int
@@ -100,7 +88,7 @@ func (r *Result) VarMapping() map[polynomial.Var]polynomial.Var {
 
 // Apply materializes the compressed provenance set.
 func (r *Result) Apply(s *polynomial.Set) *polynomial.Set {
-	return abstraction.Apply(s, r.Cuts...)
+	return abstraction.Apply(s, 1, r.Cuts...)
 }
 
 // CompressionRatio returns Size/OriginalSize.
@@ -111,15 +99,11 @@ func (r *Result) CompressionRatio() float64 {
 	return float64(r.Size) / float64(r.OriginalSize)
 }
 
-// Compress solves the instance: exact DP for a single tree, coordinate
-// descent for a forest.
-func Compress(p Problem) (*Result, error) {
-	return CompressSource(p.Set, p.Trees, p.Bound, p.Workers)
-}
-
-// CompressSource solves the instance over any SetSource — the single
-// dispatch behind Compress (in-memory) and CompressSharded (out-of-core):
-// exact DP for a single tree, coordinate descent for a forest.
+// CompressSource solves a compression instance over any SetSource: exact DP
+// for a single tree, coordinate descent for a forest. workers caps the
+// goroutines the solver may use (<= 1 keeps every code path sequential);
+// the result is identical for every value — parallelism only shards
+// deterministic work (signature indexing, cut application).
 func CompressSource(src polynomial.SetSource, trees abstraction.Forest, bound int, workers int) (*Result, error) {
 	switch len(trees) {
 	case 0:

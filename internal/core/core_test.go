@@ -84,7 +84,7 @@ func TestIndexCutSizeMatchesApply(t *testing.T) {
 		t.Fatal(err)
 	}
 	tree.EnumerateCuts(func(c abstraction.Cut) bool {
-		want := abstraction.Apply(set, c).Size()
+		want := abstraction.Apply(set, 1, c).Size()
 		if got := idx.cutSize(c); int(got) != want {
 			t.Fatalf("cut %s: additive size %d != applied size %d", c, got, want)
 		}
@@ -109,7 +109,7 @@ func TestIndexMultiVarError(t *testing.T) {
 	}
 	// The forest scan reports the same error for the same monomial.
 	other, _ := abstraction.FromPaths("U", names, []string{"p"}, []string{"q"})
-	_, ferr := FrontierForest(set, abstraction.Forest{tree, other}, 1)
+	_, ferr := FrontierForestSource(set, abstraction.Forest{tree, other}, 1)
 	if ferr == nil || ferr.Error() != err.Error() {
 		t.Fatalf("forest scan error %v, want %v", ferr, err)
 	}
@@ -144,7 +144,7 @@ func TestDPExample4Cuts(t *testing.T) {
 		{4, 1, 4},
 	}
 	for _, tc := range cases {
-		res, err := DPSingleTree(set, tree, tc.bound)
+		res, err := DPSingleTreeSource(set, tree, tc.bound, 1)
 		if err != nil {
 			t.Fatalf("bound %d: %v", tc.bound, err)
 		}
@@ -161,7 +161,7 @@ func TestDPExample4Cuts(t *testing.T) {
 
 func TestDPInfeasible(t *testing.T) {
 	set, tree := figure2(t)
-	_, err := DPSingleTree(set, tree, 3) // root cut still needs 4
+	_, err := DPSingleTreeSource(set, tree, 3, 1) // root cut still needs 4
 	var ie *InfeasibleError
 	if !errors.As(err, &ie) {
 		t.Fatalf("want InfeasibleError, got %v", err)
@@ -176,7 +176,7 @@ func TestDPInfeasible(t *testing.T) {
 
 func TestDPNegativeBound(t *testing.T) {
 	set, tree := figure2(t)
-	if _, err := DPSingleTree(set, tree, -1); err == nil {
+	if _, err := DPSingleTreeSource(set, tree, -1, 1); err == nil {
 		t.Fatal("negative bound should error")
 	}
 }
@@ -184,7 +184,7 @@ func TestDPNegativeBound(t *testing.T) {
 func TestDPMatchesExhaustiveOnFigure2(t *testing.T) {
 	set, tree := figure2(t)
 	for bound := 4; bound <= 15; bound++ {
-		dp, dpErr := DPSingleTree(set, tree, bound)
+		dp, dpErr := DPSingleTreeSource(set, tree, bound, 1)
 		ex, exErr := Exhaustive(set, tree, bound)
 		if (dpErr == nil) != (exErr == nil) {
 			t.Fatalf("bound %d: dpErr=%v exErr=%v", bound, dpErr, exErr)
@@ -242,7 +242,7 @@ func TestPropertyDPOptimalVsExhaustive(t *testing.T) {
 		set, tree := randInstance(r)
 		orig := set.Size()
 		for _, bound := range []int{0, 1, orig / 2, orig, orig + 3} {
-			dp, dpErr := DPSingleTree(set, tree, bound)
+			dp, dpErr := DPSingleTreeSource(set, tree, bound, 1)
 			ex, exErr := Exhaustive(set, tree, bound)
 			if (dpErr == nil) != (exErr == nil) {
 				t.Fatalf("trial %d bound %d: dpErr=%v exErr=%v\ntree:\n%s", trial, bound, dpErr, exErr, tree)
@@ -277,7 +277,7 @@ func TestPropertyGreedyFeasibleAndDominatedByDP(t *testing.T) {
 		orig := set.Size()
 		for _, bound := range []int{1, orig / 2, orig} {
 			g, gErr := Greedy(set, tree, bound)
-			dp, dpErr := DPSingleTree(set, tree, bound)
+			dp, dpErr := DPSingleTreeSource(set, tree, bound, 1)
 			if (gErr == nil) != (dpErr == nil) {
 				// Greedy reaching the root means min achievable; both must
 				// agree on feasibility because root cut is reachable by both.
@@ -312,14 +312,14 @@ func TestGreedyOnFigure2(t *testing.T) {
 
 func TestCompressDispatch(t *testing.T) {
 	set, tree := figure2(t)
-	res, err := Compress(Problem{Set: set, Trees: abstraction.Forest{tree}, Bound: 6})
+	res, err := CompressSource(set, abstraction.Forest{tree}, 6, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Size != 6 || res.NumMeta != 4 {
 		t.Fatalf("Compress single tree: size=%d vars=%d", res.Size, res.NumMeta)
 	}
-	if _, err := Compress(Problem{Set: set, Bound: 6}); err == nil {
+	if _, err := CompressSource(set, nil, 6, 1); err == nil {
 		t.Fatal("Compress with no trees should error")
 	}
 	if res.OriginalSize != 14 {
@@ -332,7 +332,7 @@ func TestCompressDispatch(t *testing.T) {
 
 func TestResultVarMapping(t *testing.T) {
 	set, tree := figure2(t)
-	res, err := DPSingleTree(set, tree, 6)
+	res, err := DPSingleTreeSource(set, tree, 6, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +383,7 @@ func TestForestDescentMatchesExhaustive(t *testing.T) {
 		t.Fatalf("orig = %d", orig)
 	}
 	for _, bound := range []int{1, 2, 4, 8, 12, 16} {
-		fd, fdErr := ForestDescent(set, forest, bound, 0)
+		fd, fdErr := ForestDescentSource(set, forest, bound, 0, 1)
 		ex, exErr := ExhaustiveForest(set, forest, bound)
 		if (fdErr == nil) != (exErr == nil) {
 			t.Fatalf("bound %d: fdErr=%v exErr=%v", bound, fdErr, exErr)
@@ -410,7 +410,7 @@ func TestForestDescentMatchesExhaustive(t *testing.T) {
 
 func TestForestDescentInfeasible(t *testing.T) {
 	set, forest := twoTreeInstance(t)
-	_, err := ForestDescent(set, forest, 0, 0)
+	_, err := ForestDescentSource(set, forest, 0, 0, 1)
 	var ie *InfeasibleError
 	if !errors.As(err, &ie) {
 		t.Fatalf("want InfeasibleError, got %v", err)
@@ -446,7 +446,7 @@ func TestPropertyForestDescentFeasible(t *testing.T) {
 		forest := abstraction.Forest{tree, t2}
 		orig := set.Size()
 		for _, bound := range []int{1, orig / 2, orig} {
-			fd, err := ForestDescent(set, forest, bound, 0)
+			fd, err := ForestDescentSource(set, forest, bound, 0, 1)
 			if err != nil {
 				var ie *InfeasibleError
 				if errors.As(err, &ie) {
@@ -489,7 +489,7 @@ func TestEmptySetCompresses(t *testing.T) {
 	names := polynomial.NewNames()
 	tree, _ := abstraction.FromPaths("T", names, []string{"a"}, []string{"b"})
 	set := polynomial.NewSet(names)
-	res, err := DPSingleTree(set, tree, 0)
+	res, err := DPSingleTreeSource(set, tree, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -502,7 +502,7 @@ func TestResultUsedMeta(t *testing.T) {
 	set, tree := figure2(t)
 	// Leaf cut: 11 meta-variables defined, but only the 7 occurring leaves
 	// are used (p2, y2, y3, f2 never appear in P1/P2).
-	res, err := DPSingleTree(set, tree, set.Size())
+	res, err := DPSingleTreeSource(set, tree, set.Size(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -510,7 +510,7 @@ func TestResultUsedMeta(t *testing.T) {
 		t.Fatalf("leaf cut: defined=%d used=%d, want 11/7", res.NumMeta, res.UsedMeta)
 	}
 	// Root cut: one meta, used.
-	res, err = DPSingleTree(set, tree, 4)
+	res, err = DPSingleTreeSource(set, tree, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,33 +7,20 @@ import (
 	"github.com/cobra-prov/cobra/internal/polynomial"
 )
 
-// DPSingleTree computes the optimal abstraction for a single tree: among all
-// cuts whose compressed size is at most bound, it returns one with the
-// maximum number of cut nodes (meta-variables), breaking ties towards the
-// smaller compressed size. It runs in O(L²) knapsack time (L = number of
+// DPSingleTreeSource computes the optimal abstraction for a single tree:
+// among all cuts whose compressed size is at most bound, it returns one with
+// the maximum number of cut nodes (meta-variables), breaking ties towards
+// the smaller compressed size. It runs in O(L²) knapsack time (L = number of
 // leaves) plus one O(M·depth) signature-indexing scan (M = number of
-// monomials).
-//
-// It returns *InfeasibleError if even the root cut exceeds bound, and
-// *MultiVarError if a monomial contains two leaves of the tree.
-func DPSingleTree(set *polynomial.Set, tree *abstraction.Tree, bound int) (*Result, error) {
-	return DPSingleTreeN(set, tree, bound, 1)
-}
-
-// DPSingleTreeN is DPSingleTree with the signature-indexing pass (the
-// dominant cost on large provenance) sharded over up to workers goroutines.
-// The result is identical to DPSingleTree's for every worker count;
-// workers <= 1 runs fully sequentially.
-func DPSingleTreeN(set *polynomial.Set, tree *abstraction.Tree, bound int, workers int) (*Result, error) {
-	return DPSingleTreeSource(set, tree, bound, workers)
-}
-
-// DPSingleTreeSource is the single DP implementation behind DPSingleTreeN
-// and DPSingleTreeSharded: the signature index is built shard-at-a-time
-// over any SetSource and the DP runs on it as usual. The result —
+// monomials) — the dominant cost on large provenance, built
+// shard-at-a-time over any SetSource and sharded over up to workers
+// goroutines (workers <= 1 runs fully sequentially). The result —
 // including the input statistics, which come from the source's streaming
 // metadata — is identical for every source representation and worker
 // count.
+//
+// It returns *InfeasibleError if even the root cut exceeds bound, and
+// *MultiVarError if a monomial contains two leaves of the tree.
 func DPSingleTreeSource(src polynomial.SetSource, tree *abstraction.Tree, bound int, workers int) (*Result, error) {
 	if bound < 0 {
 		return nil, errNegativeBound(bound)

@@ -15,7 +15,7 @@ const MaxExhaustiveCuts = 2_000_000
 
 // Exhaustive solves the single-tree problem by enumerating every cut and
 // scoring it with the additive size formula. Results are optimal and used in
-// tests as the oracle against DPSingleTree. It fails if the tree has more
+// tests as the oracle against DPSingleTreeSource. It fails if the tree has more
 // than MaxExhaustiveCuts cuts.
 func Exhaustive(set *polynomial.Set, tree *abstraction.Tree, bound int) (*Result, error) {
 	if bound < 0 {

@@ -10,22 +10,8 @@ import (
 )
 
 // DefaultForestRounds bounds the coordinate-descent iterations of
-// ForestDescent when the caller passes rounds <= 0.
+// ForestDescentSource when the caller passes rounds <= 0.
 const DefaultForestRounds = 8
-
-// ForestDescent compresses under several abstraction trees (one cut each).
-// The joint problem is NP-hard in general (the compressed size is no longer
-// additive across trees), so we use exact coordinate descent: trees start at
-// their coarsest cut (the jointly minimal size — coarsening any tree can
-// only merge more monomials), then each round re-optimizes one tree at a
-// time with DPSingleTree against the provenance reduced by the other trees'
-// current cuts. Every step keeps the bound satisfied and never decreases the
-// per-tree variable count, so the total variable count is monotone and the
-// procedure converges; rounds caps the number of passes (DefaultForestRounds
-// if <= 0).
-func ForestDescent(set *polynomial.Set, trees abstraction.Forest, bound int, rounds int) (*Result, error) {
-	return ForestDescentN(set, trees, bound, rounds, 1)
-}
 
 // reduceSource applies cuts to src, producing a reduced source of the same
 // underlying representation: an in-memory Set yields an in-memory Set, a
@@ -48,7 +34,7 @@ func reduceSource(src polynomial.SetSource, workers int, cuts ...abstraction.Cut
 		// Direct remap — no second copy through a sink. An in-memory set is
 		// a single shard, so the wrapper's per-shard cancellation check
 		// would fire at most once anyway; skipping it costs nothing.
-		return abstraction.ApplyN(s, workers, cuts...), nil
+		return abstraction.Apply(s, workers, cuts...), nil
 	default:
 		out := polynomial.NewSet(src.Namespace())
 		if err := abstraction.ApplySource(src, out, workers, cuts...); err != nil {
@@ -66,18 +52,19 @@ func closeSource(src polynomial.SetSource) {
 	}
 }
 
-// ForestDescentN is ForestDescent distributed over up to workers
-// goroutines; it forwards to ForestDescentSource, the one coordinate-
-// descent implementation shared with the out-of-core path.
-func ForestDescentN(set *polynomial.Set, trees abstraction.Forest, bound int, rounds int, workers int) (*Result, error) {
-	return ForestDescentSource(set, trees, bound, rounds, workers)
-}
-
-// ForestDescentSource runs coordinate descent over any SetSource. Each
-// round re-optimizes one tree at a time with the single-tree DP against
-// the provenance reduced by the other trees' current cuts; reduction,
-// indexing and the DP all stream shard-at-a-time through the SetSource
-// seam, so the same code serves in-memory sets and spilling sharded sets.
+// ForestDescentSource compresses under several abstraction trees (one cut
+// each) over any SetSource. The joint problem is NP-hard in general (the
+// compressed size is no longer additive across trees), so we use exact
+// coordinate descent: trees start at their coarsest cut (the jointly
+// minimal size — coarsening any tree can only merge more monomials), then
+// each round re-optimizes one tree at a time with the single-tree DP
+// against the provenance reduced by the other trees' current cuts. Every
+// step keeps the bound satisfied and never decreases the per-tree variable
+// count, so the total variable count is monotone and the procedure
+// converges; rounds caps the number of passes (DefaultForestRounds if
+// <= 0). Reduction, indexing and the DP all stream shard-at-a-time through
+// the SetSource seam, so the same code serves in-memory sets and spilling
+// sharded sets.
 //
 // With workers > 1, each tree's reduction, signature indexing and DP
 // shard over the pool, but the adoption walk itself is the sequential
@@ -183,7 +170,7 @@ func ForestDescentSource(src polynomial.SetSource, trees abstraction.Forest, bou
 }
 
 // ExhaustiveForest enumerates every combination of cuts across the forest —
-// a testing oracle for ForestDescent on small inputs. It maximizes the total
+// a testing oracle for ForestDescentSource on small inputs. It maximizes the total
 // number of cut nodes subject to the bound, breaking ties toward smaller
 // size. The combination count is the product of per-tree cut counts and must
 // not exceed MaxExhaustiveCuts.
@@ -220,7 +207,7 @@ func ExhaustiveForest(set *polynomial.Set, trees abstraction.Forest, bound int) 
 	var rec func(i int)
 	rec = func(i int) {
 		if i == len(trees) {
-			applied := abstraction.Apply(set, combo...)
+			applied := abstraction.Apply(set, 1, combo...)
 			size := applied.Size()
 			if size < minSize {
 				minSize = size
@@ -257,5 +244,5 @@ func ExhaustiveForest(set *polynomial.Set, trees abstraction.Forest, bound int) 
 // SizeOfCuts returns the provenance size after applying the given cuts —
 // a convenience used by the demo CLI's "under the hood" view.
 func SizeOfCuts(set *polynomial.Set, cuts ...abstraction.Cut) int {
-	return abstraction.Apply(set, cuts...).Size()
+	return abstraction.Apply(set, 1, cuts...).Size()
 }

@@ -16,33 +16,23 @@ type FrontierPoint struct {
 	Cut     abstraction.Cut
 }
 
-// Frontier computes the complete tradeoff curve for a single tree in one DP
-// run: for every structurally feasible number of cut nodes k, the minimal
-// compressed size and an optimal cut. It is what the demo's bound slider
-// explores — given the frontier, the optimum for ANY bound is a lookup
-// (the largest k whose MinSize fits), which is how FrontierSweep answers a
-// whole batch of bounds from one DP run.
+// FrontierSourceN computes the complete tradeoff curve for a single tree in
+// one DP run: for every structurally feasible number of cut nodes k, the
+// minimal compressed size and an optimal cut. It is what the demo's bound
+// slider explores — given the frontier, the optimum for ANY bound is a
+// lookup (the largest k whose MinSize fits), which is how
+// FrontierSweepSource answers a whole batch of bounds from one DP run.
 //
 // Points are returned in increasing k; k values with no valid cut (e.g.
 // k=2 when the root has three children) are omitted. MinSize is
 // non-increasing as k decreases only in the aggregate sense — the curve
 // reports exact per-k minima.
-func Frontier(set *polynomial.Set, tree *abstraction.Tree) ([]FrontierPoint, error) {
-	return FrontierSourceN(set, tree, 1)
-}
-
-// FrontierN is Frontier with the signature-indexing pass sharded over up to
-// workers goroutines; the curve is identical for every worker count.
-func FrontierN(set *polynomial.Set, tree *abstraction.Tree, workers int) ([]FrontierPoint, error) {
-	return FrontierSourceN(set, tree, workers)
-}
-
-// FrontierSourceN is the one frontier implementation behind Frontier and
-// FrontierN: the signature index is built shard-at-a-time over any
-// SetSource — an in-memory Set or a spilling ShardedSet, whose peak
-// residency stays within its MaxResidentMonomials budget — and the curve
-// is extracted from a single DP run. The points are identical for every
-// source representation and worker count.
+//
+// The signature index is built shard-at-a-time over any SetSource — an
+// in-memory Set or a spilling ShardedSet, whose peak residency stays within
+// its MaxResidentMonomials budget — with the indexing pass sharded over up
+// to workers goroutines. The points are identical for every source
+// representation and worker count.
 func FrontierSourceN(src polynomial.SetSource, tree *abstraction.Tree, workers int) ([]FrontierPoint, error) {
 	idx, err := buildIndexSource(src, tree, workers)
 	if err != nil {

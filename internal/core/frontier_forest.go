@@ -9,8 +9,8 @@
 //
 // where fixed counts monomials containing no leaf of any tree. A monomial
 // coupling two trees breaks additivity (its merges depend on both cuts
-// jointly — the NP-hard case), so FrontierForest rejects it with a
-// CrossTreeError; coordinate descent (ForestDescent) remains the tool for
+// jointly — the NP-hard case), so FrontierForestSource rejects it with a
+// CrossTreeError; coordinate descent (ForestDescentSource) remains the tool for
 // coupled instances.
 
 package core
@@ -47,14 +47,8 @@ type CrossTreeError struct {
 }
 
 func (e *CrossTreeError) Error() string {
-	return fmt.Sprintf("core: monomial %q in group %q contains leaves of abstraction trees %d and %d; forest frontier sweeps require each monomial to touch at most one tree (use ForestDescent for coupled instances)",
+	return fmt.Sprintf("core: monomial %q in group %q contains leaves of abstraction trees %d and %d; forest frontier sweeps require each monomial to touch at most one tree (use ForestDescentSource for coupled instances)",
 		e.Mono, e.Key, e.TreeA, e.TreeB)
-}
-
-// FrontierForest computes the forest-level tradeoff curve for an in-memory
-// set; see FrontierForestSource.
-func FrontierForest(set *polynomial.Set, trees abstraction.Forest, workers int) ([]ForestFrontierPoint, error) {
-	return FrontierForestSource(set, trees, workers)
 }
 
 // FrontierForestSource computes the complete forest-level tradeoff curve

@@ -81,7 +81,7 @@ func bruteForestMinima(t *testing.T, set *polynomial.Set, forest abstraction.For
 	var rec func(i, k int)
 	rec = func(i, k int) {
 		if i == len(forest) {
-			size := abstraction.Apply(set, combo...).Size()
+			size := abstraction.Apply(set, 1, combo...).Size()
 			if cur, ok := minByK[k]; !ok || size < cur {
 				minByK[k] = size
 			}
@@ -125,7 +125,7 @@ func checkForestCurveAgainstOracle(t *testing.T, ctx string, set *polynomial.Set
 		if k != p.NumMeta {
 			t.Fatalf("%s: point k=%d but cuts define %d nodes", ctx, p.NumMeta, k)
 		}
-		if got := abstraction.Apply(set, p.Cuts...).Size(); got != p.MinSize {
+		if got := abstraction.Apply(set, 1, p.Cuts...).Size(); got != p.MinSize {
 			t.Fatalf("%s k=%d: applied %d != MinSize %d", ctx, p.NumMeta, got, p.MinSize)
 		}
 	}
@@ -144,7 +144,7 @@ func TestFrontierForestBruteForceOracle(t *testing.T) {
 
 		// A single-tree forest must agree with the single-tree frontier.
 		if len(forest) == 1 {
-			fr, err := Frontier(set, forest[0])
+			fr, err := FrontierSourceN(set, forest[0], 1)
 			if err != nil {
 				t.Fatalf("trial %d: %v", trial, err)
 			}
@@ -216,7 +216,7 @@ func TestFrontierSweepAgreesWithDPForEverySweptBound(t *testing.T) {
 		for b := 0; b <= set.Size()+2; b++ {
 			bounds = append(bounds, b)
 		}
-		answers, err := FrontierSweep(set, abstraction.Forest{tree}, bounds, 1)
+		answers, err := FrontierSweepSource(set, abstraction.Forest{tree}, bounds, 1)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -228,7 +228,7 @@ func TestFrontierSweepAgreesWithDPForEverySweptBound(t *testing.T) {
 			if a.Bound != bound {
 				t.Fatalf("trial %d: answer %d echoes bound %d", trial, i, a.Bound)
 			}
-			want, wantErr := DPSingleTree(set, tree, bound)
+			want, wantErr := DPSingleTreeSource(set, tree, bound, 1)
 			if (a.Err == nil) != (wantErr == nil) {
 				t.Fatalf("trial %d bound %d: sweep err=%v, dp err=%v", trial, bound, a.Err, wantErr)
 			}
@@ -298,7 +298,7 @@ func TestFrontierSweepForestMatchesExhaustive(t *testing.T) {
 					t.Fatalf("trial %d bound %d: sweep (vars=%d,size=%d) != exhaustive (vars=%d,size=%d)",
 						trial, bound, a.Result.NumMeta, a.Result.Size, ex.NumMeta, ex.Size)
 				}
-				if applied := abstraction.Apply(set, a.Result.Cuts...).Size(); applied != a.Result.Size {
+				if applied := abstraction.Apply(set, 1, a.Result.Cuts...).Size(); applied != a.Result.Size {
 					t.Fatalf("trial %d bound %d: sweep size %d != applied %d", trial, bound, a.Result.Size, applied)
 				}
 			}
@@ -397,10 +397,10 @@ func TestFrontierCutInvalidFailpoint(t *testing.T) {
 	}
 
 	set, tree := figure2(t)
-	if _, err := Frontier(set, tree); err == nil || !strings.Contains(err.Error(), "frontier cut invalid at k=1") {
+	if _, err := FrontierSourceN(set, tree, 1); err == nil || !strings.Contains(err.Error(), "frontier cut invalid at k=1") {
 		t.Fatalf("Frontier: want invalid-cut error, got %v", err)
 	}
-	if _, err := FrontierSweep(set, abstraction.Forest{tree}, []int{6}, 1); err == nil || !strings.Contains(err.Error(), "frontier cut invalid at k=1") {
+	if _, err := FrontierSweepSource(set, abstraction.Forest{tree}, []int{6}, 1); err == nil || !strings.Contains(err.Error(), "frontier cut invalid at k=1") {
 		t.Fatalf("FrontierSweep: want invalid-cut error, got %v", err)
 	}
 
@@ -452,10 +452,10 @@ func TestBestForBoundTieBreak(t *testing.T) {
 
 func TestFrontierSweepEmptyAndNoTrees(t *testing.T) {
 	set, tree := figure2(t)
-	if _, err := FrontierSweep(set, nil, []int{5}, 1); err == nil {
+	if _, err := FrontierSweepSource(set, nil, []int{5}, 1); err == nil {
 		t.Fatal("sweep with no trees should error")
 	}
-	answers, err := FrontierSweep(set, abstraction.Forest{tree}, nil, 1)
+	answers, err := FrontierSweepSource(set, abstraction.Forest{tree}, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

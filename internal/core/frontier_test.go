@@ -11,7 +11,7 @@ import (
 
 func TestFrontierOnFigure2(t *testing.T) {
 	set, tree := figure2(t)
-	fr, err := Frontier(set, tree)
+	fr, err := FrontierSourceN(set, tree, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestFrontierOnFigure2(t *testing.T) {
 		if p.Cut.NumVars() != p.NumMeta {
 			t.Fatalf("k=%d: cut has %d nodes", p.NumMeta, p.Cut.NumVars())
 		}
-		if got := abstraction.Apply(set, p.Cut).Size(); got != p.MinSize {
+		if got := abstraction.Apply(set, 1, p.Cut).Size(); got != p.MinSize {
 			t.Fatalf("k=%d: applied %d != MinSize %d", p.NumMeta, got, p.MinSize)
 		}
 	}
@@ -50,13 +50,13 @@ func TestFrontierOnFigure2(t *testing.T) {
 
 func TestFrontierMatchesDPForEveryBound(t *testing.T) {
 	set, tree := figure2(t)
-	fr, err := Frontier(set, tree)
+	fr, err := FrontierSourceN(set, tree, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for bound := 0; bound <= set.Size()+2; bound++ {
 		want, wantOK := BestForBound(fr, bound)
-		res, dpErr := DPSingleTree(set, tree, bound)
+		res, dpErr := DPSingleTreeSource(set, tree, bound, 1)
 		if wantOK != (dpErr == nil) {
 			t.Fatalf("bound %d: frontier ok=%v, dp err=%v", bound, wantOK, dpErr)
 		}
@@ -74,7 +74,7 @@ func TestFrontierRandomAgainstExhaustive(t *testing.T) {
 	r := rand.New(rand.NewSource(71))
 	for trial := 0; trial < 60; trial++ {
 		set, tree := randInstance(r)
-		fr, err := Frontier(set, tree)
+		fr, err := FrontierSourceN(set, tree, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,7 +115,7 @@ func TestFrontierMultiVarError(t *testing.T) {
 	b2, _ := set.Names.Lookup("b2")
 	set.Add("bad", polynomial.New(polynomial.Mono(1, polynomial.T(b1), polynomial.T(b2))))
 	var mv *MultiVarError
-	if _, err := Frontier(set, tree); !errors.As(err, &mv) {
+	if _, err := FrontierSourceN(set, tree, 1); !errors.As(err, &mv) {
 		t.Fatalf("want MultiVarError, got %v", err)
 	}
 }

@@ -12,7 +12,7 @@ import (
 // Starting from the identity (leaf) cut, it repeatedly applies the collapse
 // that saves the most monomials per meta-variable lost, until the bound is
 // met. A collapse replaces all current cut nodes below some inner node u by
-// u itself. Greedy is not optimal in general — DPSingleTree is — but it is
+// u itself. Greedy is not optimal in general — DPSingleTreeSource is — but it is
 // simple, fast, and the natural straw-man.
 func Greedy(set *polynomial.Set, tree *abstraction.Tree, bound int) (*Result, error) {
 	if bound < 0 {

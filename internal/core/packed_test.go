@@ -25,7 +25,7 @@ func TestDPSingleTreePackedMatchesInMemory(t *testing.T) {
 	}
 	tree := telephony.PlansTree(names)
 	bound := set.Size() / 2
-	want, err := DPSingleTree(set, tree, bound)
+	want, err := DPSingleTreeSource(set, tree, bound, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestForestDescentPackedMatchesInMemory(t *testing.T) {
 	}
 	forest := abstraction.Forest{telephony.PlansTree(names), telephony.MonthsTree(names, 12)}
 	bound := set.Size() / 4
-	want, err := ForestDescent(set, forest, bound, 0)
+	want, err := ForestDescentSource(set, forest, bound, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -91,14 +91,14 @@ func TestDPSingleTreeWorkersIdentical(t *testing.T) {
 		r := rand.New(rand.NewSource(int64(100 + trial)))
 		set, tree := bigRandInstance(r)
 		for _, bound := range []int{set.Size() / 4, set.Size() / 2, set.Size()} {
-			seq, seqErr := DPSingleTreeN(set, tree, bound, 1)
+			seq, seqErr := DPSingleTreeSource(set, tree, bound, 1)
 			var seqApplied *polynomial.Set
 			if seqErr == nil {
 				seqApplied = seq.Apply(set)
 			}
 			for _, w := range workerTable[1:] {
 				ctx := fmt.Sprintf("trial %d bound %d workers %d", trial, bound, w)
-				par, parErr := DPSingleTreeN(set, tree, bound, w)
+				par, parErr := DPSingleTreeSource(set, tree, bound, w)
 				if (seqErr == nil) != (parErr == nil) {
 					t.Fatalf("%s: seqErr=%v parErr=%v", ctx, seqErr, parErr)
 				}
@@ -109,7 +109,7 @@ func TestDPSingleTreeWorkersIdentical(t *testing.T) {
 					continue
 				}
 				equalResults(t, ctx, seq, par)
-				equalSets(t, ctx, seqApplied, abstraction.ApplyN(set, w, par.Cuts...))
+				equalSets(t, ctx, seqApplied, abstraction.Apply(set, w, par.Cuts...))
 			}
 		}
 	}
@@ -118,12 +118,12 @@ func TestDPSingleTreeWorkersIdentical(t *testing.T) {
 func TestFrontierWorkersIdentical(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	set, tree := bigRandInstance(r)
-	seq, err := FrontierN(set, tree, 1)
+	seq, err := FrontierSourceN(set, tree, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range workerTable[1:] {
-		par, err := FrontierN(set, tree, w)
+		par, err := FrontierSourceN(set, tree, w)
 		if err != nil {
 			t.Fatalf("workers %d: %v", w, err)
 		}
@@ -198,12 +198,12 @@ func equalForestCurves(t *testing.T, ctx string, seq, par []ForestFrontierPoint)
 func TestFrontierForestWorkersIdentical(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
 	set, forest := bigPartitionedForest(r)
-	seq, err := FrontierForest(set, forest, 1)
+	seq, err := FrontierForestSource(set, forest, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range workerTable[1:] {
-		par, err := FrontierForest(set, forest, w)
+		par, err := FrontierForestSource(set, forest, w)
 		if err != nil {
 			t.Fatalf("workers %d: %v", w, err)
 		}
@@ -229,7 +229,7 @@ func TestFrontierForestWorkersIdentical(t *testing.T) {
 func TestFrontierSourceNWorkersIdentical(t *testing.T) {
 	r := rand.New(rand.NewSource(33))
 	set, tree := bigRandInstance(r)
-	seq, err := FrontierN(set, tree, 1)
+	seq, err := FrontierSourceN(set, tree, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,12 +263,12 @@ func TestFrontierSweepWorkersIdentical(t *testing.T) {
 	size := set.Size()
 	bounds := []int{-1, 0, size / 8, size / 4, size / 2, size * 3 / 4, size, size * 2}
 	for _, trees := range []abstraction.Forest{{forest[0]}, forest} {
-		seq, err := FrontierSweep(set, trees, bounds, 1)
+		seq, err := FrontierSweepSource(set, trees, bounds, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, w := range workerTable[1:] {
-			par, err := FrontierSweep(set, trees, bounds, w)
+			par, err := FrontierSweepSource(set, trees, bounds, w)
 			if err != nil {
 				t.Fatalf("trees %d workers %d: %v", len(trees), w, err)
 			}
@@ -317,10 +317,10 @@ func TestForestDescentWorkersIdentical(t *testing.T) {
 		}
 		forest := abstraction.Forest{tree, t2}
 		for _, bound := range []int{set.Size() / 4, set.Size() / 2} {
-			seq, seqErr := ForestDescentN(set, forest, bound, 0, 1)
+			seq, seqErr := ForestDescentSource(set, forest, bound, 0, 1)
 			for _, w := range workerTable[1:] {
 				ctx := fmt.Sprintf("trial %d bound %d workers %d", trial, bound, w)
-				par, parErr := ForestDescentN(set, forest, bound, 0, w)
+				par, parErr := ForestDescentSource(set, forest, bound, 0, w)
 				if (seqErr == nil) != (parErr == nil) {
 					t.Fatalf("%s: seqErr=%v parErr=%v", ctx, seqErr, parErr)
 				}
@@ -371,15 +371,15 @@ func TestBuildIndexShardedFirstErrorDeterministic(t *testing.T) {
 	}
 }
 
-func TestCompressProblemWorkers(t *testing.T) {
+func TestCompressSourceWorkers(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	set, tree := bigRandInstance(r)
 	bound := set.Size() / 2
-	seq, err := Compress(Problem{Set: set, Trees: abstraction.Forest{tree}, Bound: bound})
+	seq, err := CompressSource(set, abstraction.Forest{tree}, bound, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Compress(Problem{Set: set, Trees: abstraction.Forest{tree}, Bound: bound, Workers: 8})
+	par, err := CompressSource(set, abstraction.Forest{tree}, bound, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,12 +53,12 @@ func TestDPSingleTreeShardedMatchesInMemory(t *testing.T) {
 	set, ss, budget := shardedFixture(t)
 	tree := telephony.PlansTree(set.Names)
 	bound := set.Size() / 2
-	want, err := DPSingleTree(set, tree, bound)
+	want, err := DPSingleTreeSource(set, tree, bound, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range []int{1, 2, 8} {
-		got, err := DPSingleTreeSharded(ss, tree, bound, w)
+		got, err := DPSingleTreeSource(ss, tree, bound, w)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
@@ -77,12 +77,12 @@ func TestForestDescentShardedMatchesInMemory(t *testing.T) {
 	set, ss, _ := shardedFixture(t)
 	forest := abstraction.Forest{telephony.PlansTree(set.Names), telephony.MonthsTree(set.Names, 12)}
 	bound := set.Size() / 4
-	want, err := ForestDescent(set, forest, bound, 0)
+	want, err := ForestDescentSource(set, forest, bound, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range []int{1, 2, 8} {
-		got, err := ForestDescentSharded(ss, forest, bound, 0, w)
+		got, err := ForestDescentSource(ss, forest, bound, 0, w)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
@@ -100,12 +100,17 @@ func TestCompressShardedAppliedOutput(t *testing.T) {
 	tree := telephony.PlansTree(set.Names)
 	bound := set.Size() / 2
 	for _, w := range []int{1, 2, 8} {
-		res, err := CompressSharded(ss, abstraction.Forest{tree}, bound, w)
+		res, err := CompressSource(ss, abstraction.Forest{tree}, bound, w)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
-		want := abstraction.Apply(set, res.Cuts...)
-		compressed, err := abstraction.ApplySharded(ss, w, res.Cuts...)
+		want := abstraction.Apply(set, 1, res.Cuts...)
+		b := polynomial.NewShardBuilder(ss.Names(), ss.Options())
+		if err := abstraction.ApplySource(ss, b, w, res.Cuts...); err != nil {
+			b.Discard()
+			t.Fatalf("workers=%d: %v", w, err)
+		}
+		compressed, err := b.Finish()
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
@@ -141,7 +146,7 @@ func TestBuildIndexShardedMultiVarError(t *testing.T) {
 	}
 	defer ss.Close()
 	for _, w := range []int{1, 8} {
-		_, err := DPSingleTreeSharded(ss, tree, 10, w)
+		_, err := DPSingleTreeSource(ss, tree, 10, w)
 		var mv *MultiVarError
 		if !errors.As(err, &mv) {
 			t.Fatalf("workers=%d: want MultiVarError, got %v", w, err)
@@ -165,12 +170,12 @@ func TestCompressShardedLargeSingleShard(t *testing.T) {
 		t.Fatalf("fixture: %d shards, %d mons", ss.NumShards(), ss.Size())
 	}
 	bound := set.Size() / 2
-	want, err := DPSingleTree(set, tree, bound)
+	want, err := DPSingleTreeSource(set, tree, bound, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range []int{1, 2, 8} {
-		got, err := DPSingleTreeSharded(ss, tree, bound, w)
+		got, err := DPSingleTreeSource(ss, tree, bound, w)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
@@ -180,12 +185,12 @@ func TestCompressShardedLargeSingleShard(t *testing.T) {
 	}
 }
 
-func ExampleCompressSharded() {
+func ExampleCompressSource() {
 	names := polynomial.NewNames()
 	set := telephony.DirectProvenance(telephony.Config{Customers: 1000}, names)
 	ss, _ := polynomial.BuildSharded(set, polynomial.ShardOptions{MaxResidentMonomials: set.Size() / 2})
 	defer ss.Close()
-	res, _ := CompressSharded(ss, abstraction.Forest{telephony.PlansTree(names)}, set.Size()/2, 4)
+	res, _ := CompressSource(ss, abstraction.Forest{telephony.PlansTree(names)}, set.Size()/2, 4)
 	fmt.Println(len(res.Cuts) == 1 && res.Size <= set.Size()/2)
 	// Output: true
 }

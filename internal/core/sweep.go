@@ -23,12 +23,6 @@ type SweepAnswer struct {
 	Err    error
 }
 
-// FrontierSweep answers a batch of bounds over an in-memory set; see
-// FrontierSweepSource.
-func FrontierSweep(set *polynomial.Set, trees abstraction.Forest, bounds []int, workers int) ([]SweepAnswer, error) {
-	return FrontierSweepSource(set, trees, bounds, workers)
-}
-
 // FrontierSweepSource answers an arbitrary batch of bounds from ONE DP run
 // over any SetSource: the tradeoff curve is computed once (FrontierSourceN
 // for a single tree, FrontierForestSource for a forest) and every bound

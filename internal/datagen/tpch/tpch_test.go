@@ -150,7 +150,7 @@ func TestInstrumentByShipMonthProvenance(t *testing.T) {
 		}
 	}
 	// Compressing with the date tree reduces size monotonically with bound.
-	res, err := core.DPSingleTree(set, tree, set.Size()/2)
+	res, err := core.DPSingleTreeSource(set, tree, set.Size()/2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestInstrumentByNationAndRegionTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	comp := abstraction.Apply(set, cut)
+	comp := abstraction.Apply(set, 1, cut)
 	if comp.Size() > set.Size() {
 		t.Fatal("region cut must not grow the provenance")
 	}

@@ -33,7 +33,7 @@ func E7AlgorithmScaling(cfg Config) (*Table, error) {
 		set := telephony.DirectProvenance(telephony.Config{Customers: n}, names)
 		tree := telephony.PlansTree(names)
 		t0 := time.Now()
-		if _, err := core.DPSingleTreeN(set, tree, set.Size()/2, cfg.Workers); err != nil {
+		if _, err := core.DPSingleTreeSource(set, tree, set.Size()/2, cfg.Workers); err != nil {
 			return nil, err
 		}
 		t.AddRow(set.Size(), len(tree.Leaves()), time.Since(t0))
@@ -48,7 +48,7 @@ func E7AlgorithmScaling(cfg Config) (*Table, error) {
 		names := polynomial.NewNames()
 		set, tree := syntheticInstance(names, leaves, 40)
 		t0 := time.Now()
-		if _, err := core.DPSingleTreeN(set, tree, set.Size()/2, cfg.Workers); err != nil {
+		if _, err := core.DPSingleTreeSource(set, tree, set.Size()/2, cfg.Workers); err != nil {
 			return nil, err
 		}
 		t.AddRow(set.Size(), leaves, time.Since(t0))
@@ -130,7 +130,7 @@ func E7Ablation(cfg Config) (*Table, error) {
 		size := inst.set.Size()
 		for _, frac := range []float64{0.7, 0.4} {
 			bound := int(float64(size) * frac)
-			dp, err := core.DPSingleTreeN(inst.set, inst.tree, bound, cfg.Workers)
+			dp, err := core.DPSingleTreeSource(inst.set, inst.tree, bound, cfg.Workers)
 			if err != nil {
 				if errors.Is(err, core.ErrInfeasible) {
 					continue

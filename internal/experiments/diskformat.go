@@ -146,7 +146,7 @@ func E17DiskFormat(cfg Config) (*Table, error) {
 	// Solver oracle straight off the indexed file: Compress and EvalBatch
 	// over the v3 source must equal the in-memory answers at every worker
 	// count.
-	want, err := core.DPSingleTree(set, tree, bound)
+	want, err := core.DPSingleTreeSource(set, tree, bound, 1)
 	if err != nil {
 		return nil, err
 	}

@@ -172,8 +172,6 @@ func All() []Runner {
 		{"E9", "Commutation (correctness guarantee)", E9Commutation},
 		{"E10", "End-to-end pipeline", E10Pipeline},
 		{"E11", "Two-dimensional abstraction (plans × quarters)", E11Forest},
-		{"E12", "Parallel speedup (workers vs sequential)", E12Parallel},
-		{"E13", "Parallel provenance capture (workers vs sequential)", E13CaptureParallel},
 		{"E14", "Out-of-core compression (sharded storage, spill-to-disk)", E14OutOfCore},
 		{"E15", "Streaming provenance capture (non-materializing)", E15StreamingCapture},
 		{"E16", "Batched multi-bound frontier sweep (one DP, many bounds)", E16FrontierSweep},

@@ -221,38 +221,6 @@ func TestE11ForestBeatsSingleTrees(t *testing.T) {
 	}
 }
 
-func TestE12ParallelIdentical(t *testing.T) {
-	tab, err := E12Parallel(quick())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) != 3 {
-		t.Fatalf("rows = %d, want 3:\n%s", len(tab.Rows), tab.Render())
-	}
-	for _, row := range tab.Rows {
-		if row[len(row)-1] != "yes" {
-			t.Fatalf("parallel output diverged from sequential:\n%s", tab.Render())
-		}
-	}
-}
-
-func TestE13CaptureIdentical(t *testing.T) {
-	cfg := quick()
-	cfg.Workers = 4 // force the parallel path even on single-core runners
-	tab, err := E13CaptureParallel(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) != 2 {
-		t.Fatalf("rows = %d, want 2:\n%s", len(tab.Rows), tab.Render())
-	}
-	for _, row := range tab.Rows {
-		if row[len(row)-1] != "yes" {
-			t.Fatalf("parallel capture diverged from sequential:\n%s", tab.Render())
-		}
-	}
-}
-
 func TestE14OutOfCoreIdentical(t *testing.T) {
 	tab, err := E14OutOfCore(quick())
 	if err != nil {
@@ -332,7 +300,7 @@ func TestSweepBounds(t *testing.T) {
 
 func TestAllRegistry(t *testing.T) {
 	rs := All()
-	if len(rs) != 18 {
+	if len(rs) != 16 {
 		t.Fatalf("runners = %d", len(rs))
 	}
 	seen := map[string]bool{}

@@ -39,7 +39,7 @@ func E11Forest(cfg Config) (*Table, error) {
 		bound := int(float64(size) * f)
 
 		// Forest descent over both trees.
-		fd, err := core.ForestDescentN(set, abstraction.Forest{plans, months}, bound, 0, cfg.Workers)
+		fd, err := core.ForestDescentSource(set, abstraction.Forest{plans, months}, bound, 0, cfg.Workers)
 		if err == nil {
 			t.AddRow(fmt.Sprintf("%.2f", f), "plans+months", fd.Size, fd.NumMeta,
 				cutBrief(fd.Cuts[0]), cutBrief(fd.Cuts[1]))
@@ -54,7 +54,7 @@ func E11Forest(cfg Config) (*Table, error) {
 			name string
 			tree *abstraction.Tree
 		}{{"plans only", plans}, {"months only", months}} {
-			res, err := core.DPSingleTreeN(set, alt.tree, bound, cfg.Workers)
+			res, err := core.DPSingleTreeSource(set, alt.tree, bound, cfg.Workers)
 			if err != nil {
 				if errors.Is(err, core.ErrInfeasible) {
 					t.AddRow(fmt.Sprintf("%.2f", f), alt.name, "infeasible", "-", "-", "-")

@@ -37,23 +37,23 @@ func E14OutOfCore(cfg Config) (*Table, error) {
 	}
 
 	// In-memory baseline: the exact DP and its applied provenance.
-	want, err := core.DPSingleTree(set, tree, bound)
+	want, err := core.DPSingleTreeSource(set, tree, bound, 1)
 	if err != nil {
 		return nil, err
 	}
-	wantApplied := abstraction.Apply(set, want.Cuts...)
+	wantApplied := abstraction.Apply(set, 1, want.Cuts...)
 
 	for _, w := range []int{1, 2, 8} {
 		ss, err := polynomial.BuildSharded(set, polynomial.ShardOptions{MaxResidentMonomials: budget})
 		if err != nil {
 			return nil, err
 		}
-		res, err := core.CompressSharded(ss, abstraction.Forest{tree}, bound, w)
+		res, err := core.CompressSource(ss, abstraction.Forest{tree}, bound, w)
 		if err != nil {
 			ss.Close()
 			return nil, err
 		}
-		compressed, err := abstraction.ApplySharded(ss, w, res.Cuts...)
+		compressed, err := applyToShards(ss, w, res.Cuts...)
 		if err != nil {
 			ss.Close()
 			return nil, err
@@ -92,6 +92,18 @@ func E14OutOfCore(cfg Config) (*Table, error) {
 	return t, nil
 }
 
+// applyToShards applies cuts to a sharded set shard-at-a-time into a new
+// ShardedSet under the same options, so the compressed set spills past the
+// same memory budget.
+func applyToShards(ss *polynomial.ShardedSet, workers int, cuts ...abstraction.Cut) (*polynomial.ShardedSet, error) {
+	b := polynomial.NewShardBuilder(ss.Names(), ss.Options())
+	defer b.Discard() // release partial spill files on any error path
+	if err := abstraction.ApplySource(ss, b, workers, cuts...); err != nil {
+		return nil, err
+	}
+	return b.Finish()
+}
+
 // sameSet reports exact equality of two in-memory sets sharing a
 // namespace: same keys, same polynomials, bit-identical coefficients.
 func sameSet(a, b *polynomial.Set) bool {
@@ -101,6 +113,38 @@ func sameSet(a, b *polynomial.Set) bool {
 	for i := range a.Keys {
 		if a.Keys[i] != b.Keys[i] || !polynomial.Equal(a.Polys[i], b.Polys[i]) {
 			return false
+		}
+	}
+	return true
+}
+
+// sameResult compares the fields of two compression results that determine
+// the chosen abstraction.
+func sameResult(a, b *core.Result) bool {
+	if a == nil || b == nil || a.Size != b.Size || a.NumMeta != b.NumMeta || len(a.Cuts) != len(b.Cuts) {
+		return false
+	}
+	for i := range a.Cuts {
+		if !a.Cuts[i].Equal(b.Cuts[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameRows compares two result matrices for exact (bitwise) equality.
+func sameRows(a, b [][]float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if len(a[i]) != len(b[i]) {
+			return false
+		}
+		for j := range a[i] {
+			if a[i][j] != b[i][j] {
+				return false
+			}
 		}
 	}
 	return true

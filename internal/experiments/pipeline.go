@@ -112,7 +112,7 @@ func E10Pipeline(cfg Config) (*Table, error) {
 
 	tree := telephony.PlansTree(names)
 	t0 = time.Now()
-	res, err := core.DPSingleTreeN(set, tree, set.Size()/3, cfg.Workers)
+	res, err := core.DPSingleTreeSource(set, tree, set.Size()/3, cfg.Workers)
 	if err != nil {
 		return nil, err
 	}

@@ -40,7 +40,7 @@ func E15StreamingCapture(cfg Config) (*Table, error) {
 	}
 
 	// The engine path materializes the baseline join, so run at the
-	// moderated capture scale (cf. E13).
+	// moderated capture scale.
 	custs := cfg.TelephonyCustomers / 10
 	if custs > 10_000 {
 		custs = 10_000

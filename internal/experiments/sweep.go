@@ -57,7 +57,7 @@ func E16FrontierSweep(cfg Config) (*Table, error) {
 		perBound := make([]*core.Result, len(bounds))
 		perBoundErr := make([]error, len(bounds))
 		for i, bound := range bounds {
-			perBound[i], perBoundErr[i] = core.DPSingleTreeN(set, tree, bound, w)
+			perBound[i], perBoundErr[i] = core.DPSingleTreeSource(set, tree, bound, w)
 			if perBoundErr[i] != nil && !errors.Is(perBoundErr[i], core.ErrInfeasible) {
 				return nil, perBoundErr[i]
 			}

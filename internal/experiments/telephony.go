@@ -89,7 +89,7 @@ func E2ExampleCuts(Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		comp := abstraction.Apply(set, cut)
+		comp := abstraction.Apply(set, 1, cut)
 		t.AddRow(c.name, cut.String(), comp.Size(), comp.NumVars(), c.paperSize, c.paperVars)
 	}
 	t.Note("the paper reports S1 and S5 only; S5's printed m1 coefficient 466.1 is a typo for 454.1 (= 208.8+127.4+75.9+42)")
@@ -132,7 +132,7 @@ func E3Section4(cfg Config) (*Table, error) {
 	paperSizes := map[int]string{94_600: "88620", 38_600: "37980"}
 	paperSpeedups := map[int]string{94_600: "47%", 38_600: "79%"}
 	for _, bound := range []int{b1, b2} {
-		res, err := core.DPSingleTreeN(set, tree, bound, cfg.Workers)
+		res, err := core.DPSingleTreeSource(set, tree, bound, cfg.Workers)
 		if err != nil {
 			return nil, err
 		}
@@ -182,7 +182,7 @@ func E4BoundSweep(cfg Config) (*Table, error) {
 	}
 	for _, f := range fractions {
 		bound := int(float64(size) * f)
-		res, err := core.DPSingleTreeN(set, tree, bound, cfg.Workers)
+		res, err := core.DPSingleTreeSource(set, tree, bound, cfg.Workers)
 		if err != nil {
 			if errors.Is(err, core.ErrInfeasible) {
 				t.AddRow(fmt.Sprintf("%.1f", f), bound, "-", "-", "infeasible")
@@ -223,7 +223,7 @@ func E5SpeedupSweep(cfg Config) (*Table, error) {
 		iters = 3
 	}
 	for _, f := range fractions {
-		res, err := core.DPSingleTreeN(set, tree, int(float64(size)*f), cfg.Workers)
+		res, err := core.DPSingleTreeSource(set, tree, int(float64(size)*f), cfg.Workers)
 		if err != nil {
 			continue
 		}
@@ -276,7 +276,7 @@ func E6ScenarioAccuracy(cfg Config) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			comp := abstraction.Apply(set, cut)
+			comp := abstraction.Apply(set, 1, cut)
 			accA := valuation.CompareResults(full, valuation.EvalSet(comp, valuation.Induced(sc.a, cut)))
 			accW := valuation.CompareResults(full, valuation.EvalSet(comp, valuation.InducedWeighted(sc.a, set, cut)))
 			exact := "no"

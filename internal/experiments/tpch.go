@@ -73,7 +73,7 @@ func E8TPCH(cfg Config) (*Table, error) {
 		rootSize := abstractionRootSize(set, tree)
 		for _, frac := range []float64{0.5, 0.1} {
 			bound := rootSize + int(float64(set.Size()-rootSize)*frac)
-			res, err := core.DPSingleTreeN(set, tree, bound, cfg.Workers)
+			res, err := core.DPSingleTreeSource(set, tree, bound, cfg.Workers)
 			if err != nil {
 				if errors.Is(err, core.ErrInfeasible) {
 					t.AddRow(q.Name, treeName, set.Len(), set.Size(), set.NumVars(), bound, "infeasible", "-", "-")
@@ -100,5 +100,5 @@ func E8TPCH(cfg Config) (*Table, error) {
 // abstractionRootSize returns the size of the coarsest abstraction — the
 // floor of the achievable range.
 func abstractionRootSize(set *polynomial.Set, tree *abstraction.Tree) int {
-	return abstraction.Apply(set, tree.RootCut()).Size()
+	return abstraction.Apply(set, 1, tree.RootCut()).Size()
 }

@@ -11,7 +11,6 @@ import (
 	"github.com/cobra-prov/cobra/internal/lint/analyzers/hotalloc"
 	"github.com/cobra-prov/cobra/internal/lint/analyzers/iterclose"
 	"github.com/cobra-prov/cobra/internal/lint/analyzers/lockguard"
-	"github.com/cobra-prov/cobra/internal/lint/analyzers/nodeprecated"
 	"github.com/cobra-prov/cobra/internal/lint/analyzers/nogoroutine"
 	"github.com/cobra-prov/cobra/internal/lint/analyzers/nowallclock"
 	"github.com/cobra-prov/cobra/internal/lint/analyzers/sinkerr"
@@ -28,6 +27,5 @@ func All() []*analysis.Analyzer {
 		nowallclock.Analyzer,
 		hotalloc.Analyzer,
 		lockguard.Analyzer,
-		nodeprecated.Analyzer,
 	}
 }

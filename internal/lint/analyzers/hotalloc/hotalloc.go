@@ -1,10 +1,10 @@
 // Package hotalloc flags per-iteration allocation patterns inside loops
-// of the hot packages. BENCH_core.json shows the solve paths are
-// allocation-bound (5.0M allocs/op on E15 streaming capture, 1.35M on
-// E8 TPC-H — badly enough that adding workers makes compression
-// SLOWER), so allocations that recur every loop iteration are the
-// repo's dominant performance bug class; this analyzer finds them
-// mechanically and keeps them from creeping back.
+// of the hot packages. The solve paths were allocation-bound when it was
+// written (5.0M allocs/op on E15 streaming capture, 1.35M on E8 TPC-H —
+// badly enough that adding workers made compression SLOWER), so
+// allocations that recur every loop iteration are the repo's dominant
+// performance bug class; this analyzer finds them mechanically and keeps
+// them from creeping back.
 //
 // Inside every loop detected on the function's control-flow graph
 // (internal/lint/cfg — for/range and goto-formed loops alike), in the
@@ -53,7 +53,7 @@ var Analyzer = &analysis.Analyzer{
 }
 
 // HotPackages are the solve-path packages the allocation discipline
-// binds and cmd/cobra-escape budgets; everything else (cmd, serve,
+// binds; everything else (cmd, serve,
 // experiments, datagen) may allocate freely.
 var HotPackages = []string{
 	"internal/polynomial",

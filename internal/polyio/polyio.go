@@ -4,6 +4,8 @@
 // encodings are provided — a human-readable text format, JSON, a compact v1
 // binary format, and a streaming v2 binary format (stream.go) whose framed
 // per-shard records let sets larger than memory round-trip shard-at-a-time.
+// WriteSet selects one by Format; ReadSet detects which one it is reading
+// (format.go).
 //
 // Every writer emits only the variables the set actually uses: abstracted or
 // unrelated interned names never leak into a file, and files shrink with the

@@ -323,3 +323,21 @@ func TestInducedMatchesGroupedLeaves(t *testing.T) {
 		}
 	}
 }
+
+// TestProgramEvalAllocations pins the invariant the compiled form exists
+// for: Program.Eval into a reused row allocates nothing, on either kernel —
+// every per-evaluation buffer belongs to the caller.
+func TestProgramEvalAllocations(t *testing.T) {
+	for _, kernel := range []string{"generic", "exp1"} {
+		set, _ := retailShaped(kernel == "generic")
+		prog := Compile(set)
+		if (prog.tExps == nil) != (kernel == "exp1") {
+			t.Fatalf("%s program compiled to the other kernel", kernel)
+		}
+		vals := New(set.Names).Dense(prog.NumVars())
+		row := prog.Eval(vals, nil)
+		if allocs := testing.AllocsPerRun(10, func() { row = prog.Eval(vals, row) }); allocs != 0 {
+			t.Fatalf("%s kernel: Eval into a reused row allocates %.0f objects, want 0", kernel, allocs)
+		}
+	}
+}

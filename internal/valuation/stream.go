@@ -36,9 +36,3 @@ func EvalBatchSource(src polynomial.SetSource, assignments []*Assignment, worker
 	}
 	return out, nil
 }
-
-// EvalBatchSharded evaluates a sharded set under many scenario
-// assignments; a thin entry point over EvalBatchSource.
-func EvalBatchSharded(ss *polynomial.ShardedSet, assignments []*Assignment, workers int) ([][]float64, error) {
-	return EvalBatchSource(ss, assignments, workers)
-}

@@ -65,7 +65,7 @@ func TestEvalBatchShardedMatchesInMemory(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, w := range []int{1, 2, 8} {
-		got, err := EvalBatchSharded(ss, assignments, w)
+		got, err := EvalBatchSource(ss, assignments, w)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}

@@ -158,7 +158,7 @@ func TestAbstractionSoundness(t *testing.T) {
 		}
 		base.MustSet("m1", 0.9).MustSet("m3", 1.2)
 		full := EvalSet(set, base)
-		comp := EvalSet(abstraction.Apply(set, cut), Induced(base, cut))
+		comp := EvalSet(abstraction.Apply(set, 1, cut), Induced(base, cut))
 		acc := CompareResults(full, comp)
 		if !acc.Exact(1e-9) {
 			t.Fatalf("cut %s: not exact: %+v\nfull=%v comp=%v", cut, acc, full, comp)
@@ -172,7 +172,7 @@ func TestAccuracyNonConstantGroups(t *testing.T) {
 	cut, _ := tree.CutOf("Plans")
 	base := New(set.Names).MustSet("b1", 2.0) // others stay 1
 	full := EvalSet(set, base)
-	comp := EvalSet(abstraction.Apply(set, cut), Induced(base, cut))
+	comp := EvalSet(abstraction.Apply(set, 1, cut), Induced(base, cut))
 	acc := CompareResults(full, comp)
 	if acc.Exact(1e-9) {
 		t.Fatal("expected approximation error for intra-group variation")

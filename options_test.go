@@ -34,11 +34,11 @@ func optionsFixture(t *testing.T) (*cobra.Names, *cobra.Set, *cobra.Tree) {
 func TestOptionsWorkersEdgeValues(t *testing.T) {
 	names, set, tree := optionsFixture(t)
 	bound := set.Size() / 2
-	want, err := cobra.Compress(set, cobra.Forest{tree}, bound)
+	want, err := cobra.Compress(set, cobra.Forest{tree}, bound, cobra.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantApplied := cobra.Apply(set, want.Cuts...)
+	wantApplied := cobra.Apply(set, cobra.Options{}, want.Cuts...)
 
 	a := cobra.NewAssignment(names)
 	if err := a.Set("m3", 0.8); err != nil {
@@ -48,14 +48,14 @@ func TestOptionsWorkersEdgeValues(t *testing.T) {
 
 	for _, w := range []int{-7, -1, 0} {
 		opts := cobra.Options{Workers: w}
-		got, err := cobra.CompressWith(set, cobra.Forest{tree}, bound, opts)
+		got, err := cobra.Compress(set, cobra.Forest{tree}, bound, opts)
 		if err != nil {
 			t.Fatalf("Workers=%d: %v", w, err)
 		}
 		if got.Size != want.Size || !got.Cuts[0].Equal(want.Cuts[0]) {
 			t.Fatalf("Workers=%d: compress differs", w)
 		}
-		if applied := cobra.ApplyWith(set, opts, got.Cuts...); applied.String() != wantApplied.String() {
+		if applied := cobra.Apply(set, opts, got.Cuts...); applied.String() != wantApplied.String() {
 			t.Fatalf("Workers=%d: apply differs", w)
 		}
 		rows := cobra.EvalBatch(cobra.Compile(set), []*cobra.Assignment{a}, opts)
@@ -64,7 +64,7 @@ func TestOptionsWorkersEdgeValues(t *testing.T) {
 				t.Fatalf("Workers=%d: eval differs at %d", w, j)
 			}
 		}
-		if _, err := cobra.FrontierWith(set, tree, opts); err != nil {
+		if _, err := cobra.Frontier(set, tree, opts); err != nil {
 			t.Fatalf("Workers=%d: frontier: %v", w, err)
 		}
 		answers, err := cobra.FrontierSweep(set, cobra.Forest{tree}, []int{bound}, opts)
@@ -85,7 +85,7 @@ func TestFrontierSweepEdgeValues(t *testing.T) {
 	_, set, tree := optionsFixture(t)
 	forest := cobra.Forest{tree}
 	bound := set.Size() / 2
-	want, err := cobra.Compress(set, forest, bound)
+	want, err := cobra.Compress(set, forest, bound, cobra.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestFrontierSweepEdgeValues(t *testing.T) {
 			t.Fatalf("Workers=%d: %d answers for %d bounds", w, len(answers), len(bounds))
 		}
 		for i, a := range answers {
-			cw, cwErr := cobra.CompressWith(set, forest, bounds[i], cobra.Options{Workers: w})
+			cw, cwErr := cobra.Compress(set, forest, bounds[i], cobra.Options{Workers: w})
 			if (a.Err == nil) != (cwErr == nil) {
 				t.Fatalf("Workers=%d bound %d: sweep err=%v compress err=%v", w, bounds[i], a.Err, cwErr)
 			}
@@ -146,7 +146,7 @@ func TestFrontierSweepEdgeValues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inMem, err := cobra.Frontier(set, tree)
+	inMem, err := cobra.Frontier(set, tree, cobra.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestFrontierSweepEdgeValues(t *testing.T) {
 func TestOptionsResidencyEdgeValues(t *testing.T) {
 	_, set, tree := optionsFixture(t)
 	bound := set.Size() / 2
-	want, err := cobra.Compress(set, cobra.Forest{tree}, bound)
+	want, err := cobra.Compress(set, cobra.Forest{tree}, bound, cobra.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

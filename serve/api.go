@@ -27,8 +27,8 @@ package serve
 import "encoding/json"
 
 // RegisterRequest registers a dataset synchronously from serialized
-// provenance: the text polynomial format and nested-JSON abstraction
-// trees. A positive MaxResidentMonomials selects the out-of-core
+// provenance: the text polynomial format (any format cobra.ReadSet
+// detects is accepted) and nested-JSON abstraction trees. A positive MaxResidentMonomials selects the out-of-core
 // representation (and makes the dataset evictable under registry
 // pressure).
 type RegisterRequest struct {

@@ -1,0 +1,69 @@
+package serve
+
+import (
+	"encoding/json"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"testing"
+)
+
+// padding is an endless run of spaces — JSON whitespace the decoder skips
+// without buffering, so an oversized body costs the test no memory.
+type padding struct{}
+
+func (padding) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+	}
+	return len(p), nil
+}
+
+// TestOversizedBodyRejected: every route that reads a body answers an
+// overrun of its cap with a typed 413 and does nothing else — no dataset,
+// no job — while the same request under the cap is served.
+func TestOversizedBodyRejected(t *testing.T) {
+	srv := New(Config{MaxWorkers: 1})
+	defer srv.Close()
+	send := func(method, path string, body io.Reader) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(method, path, body))
+		return rec
+	}
+	register := `{"provenance":"g\t2*a*m + 3*b*m\n","trees":[{"name":"R","children":[{"name":"a"},{"name":"b"}]}]}`
+	if rec := send("PUT", "/v1/datasets/d", strings.NewReader(register)); rec.Code != http.StatusCreated {
+		t.Fatalf("register under the cap: status %d: %s", rec.Code, rec.Body)
+	}
+
+	for _, tc := range []struct {
+		method, path string
+		limit        int64
+	}{
+		{"PUT", "/v1/datasets/big", maxRegisterBody},
+		{"POST", "/v1/datasets/big/capture", maxRequestBody},
+		{"POST", "/v1/datasets/d/compress", maxRequestBody},
+		{"POST", "/v1/datasets/d/eval", maxRequestBody},
+		{"POST", "/v1/datasets/d/sweep", maxRequestBody},
+	} {
+		rec := send(tc.method, tc.path, io.LimitReader(padding{}, tc.limit+1))
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s %s: status %d, want 413: %s", tc.method, tc.path, rec.Code, rec.Body)
+		}
+		var resp ErrorResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || !strings.Contains(resp.Error, "exceeds") {
+			t.Fatalf("%s %s: body %q is not a typed error (%v)", tc.method, tc.path, rec.Body, err)
+		}
+	}
+
+	var list DatasetsResponse
+	if err := json.Unmarshal(send("GET", "/v1/datasets", nil).Body.Bytes(), &list); err != nil {
+		t.Fatal(err)
+	}
+	if len(list.Datasets) != 1 || list.Datasets[0].Name != "d" {
+		t.Fatalf("rejected requests changed the registry: %+v", list.Datasets)
+	}
+	if rec := send("GET", "/v1/jobs/job-1", nil); rec.Code != http.StatusNotFound {
+		t.Fatalf("a rejected request started a job: status %d", rec.Code)
+	}
+}

@@ -268,7 +268,7 @@ func TestServeRegisterAndErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	var prov strings.Builder
-	if err := cobra.WriteSetText(&prov, set); err != nil {
+	if err := cobra.WriteSet(&prov, set, cobra.FormatText); err != nil {
 		t.Fatal(err)
 	}
 	treeJSON, err := json.Marshal(tree)
@@ -337,7 +337,7 @@ func TestServeEvictionRoundTrip(t *testing.T) {
 		set := telephony.DirectProvenance(telephony.Config{Customers: 40}, names)
 		tree := telephony.PlansTree(names)
 		var prov strings.Builder
-		if err := cobra.WriteSetText(&prov, set); err != nil {
+		if err := cobra.WriteSet(&prov, set, cobra.FormatText); err != nil {
 			t.Fatal(err)
 		}
 		treeJSON, err := json.Marshal(tree)

@@ -159,10 +159,29 @@ func writeErr(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, ErrorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
-func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(r.Body)
+// Request-body caps: a body is untrusted input, so no handler reads one
+// without a bound. Both sit far above real traffic — paper-scale telephony
+// provenance (139k monomials) is ≈ 4 MB of text, a 1000-scenario eval
+// ≈ 300 kB.
+const (
+	// maxRegisterBody caps a register body: serialized provenance and trees.
+	maxRegisterBody = 64 << 20
+	// maxRequestBody caps every other body: assignments, bounds, job
+	// parameters.
+	maxRequestBody = 8 << 20
+)
+
+// decodeJSON decodes a request body of at most limit bytes into v,
+// answering 413 for an overrun and 400 for anything else it cannot decode.
+func decodeJSON(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeErr(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
+			return false
+		}
 		writeErr(w, http.StatusBadRequest, "decoding request: %v", err)
 		return false
 	}
@@ -239,11 +258,11 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	var req RegisterRequest
-	if !decodeJSON(w, r, &req) {
+	if !decodeJSON(w, r, maxRegisterBody, &req) {
 		return
 	}
 	names := cobra.NewNames()
-	set, err := cobra.ReadSetText(strings.NewReader(req.Provenance), names)
+	set, _, err := cobra.ReadSet(strings.NewReader(req.Provenance), names)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "parsing provenance: %v", err)
 		return
@@ -283,7 +302,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleCapture(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	var req CaptureRequest
-	if !decodeJSON(w, r, &req) {
+	if !decodeJSON(w, r, maxRequestBody, &req) {
 		return
 	}
 	switch req.Generator {
@@ -354,7 +373,7 @@ func (s *Server) handleCompress(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req CompressRequest
-	if !decodeJSON(w, r, &req) {
+	if !decodeJSON(w, r, maxRequestBody, &req) {
 		return
 	}
 	as := req.As
@@ -407,7 +426,7 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req EvalRequest
-	if !decodeJSON(w, r, &req) {
+	if !decodeJSON(w, r, maxRequestBody, &req) {
 		return
 	}
 	assignments := make([]*cobra.Assignment, len(req.Assignments))
@@ -445,7 +464,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req SweepRequest
-	if !decodeJSON(w, r, &req) {
+	if !decodeJSON(w, r, maxRequestBody, &req) {
 		return
 	}
 	workers := s.clampWorkers(req.Workers)

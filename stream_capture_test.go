@@ -39,7 +39,7 @@ func captureFixture(t *testing.T, customers int) (cobra.Catalog, *cobra.Names) {
 	instrumented, err := cobra.ParameterizeColumn(prices, "Price", []cobra.VarSpec{
 		{Prefix: "p_", Columns: []string{"Plan"}},
 		{Prefix: "m", Columns: []string{"Mo"}},
-	}, names)
+	}, names, cobra.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ WHERE Cust.Plan = Plans.Plan
 // {1, 2, 8}.
 func TestCaptureToShardsBoundedAndIdentical(t *testing.T) {
 	cat, names := captureFixture(t, 120)
-	want, err := cobra.Capture(captureJoinQuery, cat, names, "rev")
+	want, err := cobra.Capture(captureJoinQuery, cat, names, "rev", cobra.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestCaptureToShardsBoundedAndIdentical(t *testing.T) {
 // straight into the streamed compression/valuation pipeline.
 func TestCaptureToShardsThenCompress(t *testing.T) {
 	cat, names := captureFixture(t, 60)
-	full, err := cobra.Capture(captureJoinQuery, cat, names, "rev")
+	full, err := cobra.Capture(captureJoinQuery, cat, names, "rev", cobra.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestCaptureToShardsThenCompress(t *testing.T) {
 	// polynomials, so the bound admits the full size and the DP maximizes
 	// expressiveness.
 	bound := full.Size()
-	want, err := cobra.Compress(full, cobra.Forest{tree}, bound)
+	want, err := cobra.Compress(full, cobra.Forest{tree}, bound, cobra.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,13 +144,13 @@ func TestCaptureToShardsThenCompress(t *testing.T) {
 // facade, swept over worker counts.
 func TestCaptureLineageToShardsMatches(t *testing.T) {
 	cat, names := captureFixture(t, 80)
-	annotated, err := cobra.AnnotateTuples(cat["Cust"], cobra.VarSpec{Prefix: "c", Columns: []string{"ID"}}, names)
+	annotated, err := cobra.AnnotateTuples(cat["Cust"], cobra.VarSpec{Prefix: "c", Columns: []string{"ID"}}, names, cobra.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cat["Cust"] = annotated
 	query := "SELECT Cust.Zip, Calls.Mo FROM Cust, Calls WHERE Cust.ID = Calls.CID AND Calls.Dur > 300"
-	want, err := cobra.CaptureLineage(query, cat, names)
+	want, err := cobra.CaptureLineage(query, cat, names, cobra.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,0 +1,41 @@
+package cobra_test
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"strings"
+	"testing"
+)
+
+// TestFacadeSurface pins the shape of the facade: one name per capability.
+// cobra.go may export at most 57 top-level functions, none of them
+// deprecated, and never both X and XWith — a second signature for the same
+// algorithm is folded into the first, not added beside it.
+func TestFacadeSurface(t *testing.T) {
+	fset := token.NewFileSet()
+	file, err := parser.ParseFile(fset, "cobra.go", nil, parser.ParseComments)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exported := map[string]bool{}
+	for _, decl := range file.Decls {
+		if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil && fn.Name.IsExported() {
+			exported[fn.Name.Name] = true
+		}
+	}
+	if len(exported) > 57 {
+		t.Errorf("cobra.go exports %d top-level functions, want <= 57", len(exported))
+	}
+	for name := range exported {
+		if base, ok := strings.CutSuffix(name, "With"); ok && exported[base] {
+			t.Errorf("cobra.go exports both %s and %s", base, name)
+		}
+	}
+	marker := "Deprecated" + ":" // split so that a grep for the marker over *.go stays empty
+	for _, group := range file.Comments {
+		if strings.Contains(group.Text(), marker) {
+			t.Errorf("%s: a comment carries the %s marker", fset.Position(group.Pos()), marker)
+		}
+	}
+}
