@@ -457,9 +457,11 @@ const evalChunkRows = 1024
 // assignments — one result row per assignment, in assignment order. For an
 // in-memory dataset the set is compiled to a Program once and reused by
 // every subsequent call (this is the hot path a serving deployment pays
-// per request); out-of-core datasets compile and evaluate one shard at a
-// time within the residency budget. Rows are bit-identical to Compile +
-// EvalBatch on the materialized set for every worker count.
+// per request); out-of-core datasets evaluate one shard at a time within
+// the residency budget, reading each shard's slabs as they were spilled
+// (or decoded from the evicted stream) — no polynomial is rebuilt and
+// nothing is compiled. Rows are bit-identical to Compile + EvalBatch on
+// the materialized set for every worker count.
 func (d *Dataset) EvalBatch(ctx context.Context, assignments []*Assignment) ([][]float64, error) {
 	st := d.st
 	src, release, err := st.acquire()

@@ -229,6 +229,99 @@ func TestDatasetConcurrentEvictionTraffic(t *testing.T) {
 	}
 }
 
+// TestDatasetEvalBatchSharedScratch: eight goroutines evaluate different
+// scenarios on one out-of-core Dataset at once, first against the spilled
+// ShardedSet — whose packed passes all decode into the one scratch the set
+// keeps, so they must serialize on its pass mutex — and then, once every
+// goroutine has answered twice, while another goroutine evicts the dataset
+// in a loop, so passes also start on a source that is being swapped for the
+// reloaded IndexedSet. Every row must equal the in-memory answer to its own
+// scenario: a pass reading another's shard would differ in value, not only
+// under -race.
+func TestDatasetEvalBatchSharedScratch(t *testing.T) {
+	ds, set, trees := telephonyDataset(t, 512)
+	ctx := context.Background()
+	ref, err := cobra.OpenDataset("ref", set, trees, cobra.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+
+	const goroutines, iters = 8, 12
+	var (
+		wg, warm sync.WaitGroup
+		mu       sync.Mutex
+		errs     []string
+	)
+	fail := func(format string, args ...any) {
+		mu.Lock()
+		defer mu.Unlock()
+		if len(errs) < 10 {
+			errs = append(errs, testName(format, args...))
+		}
+	}
+	warm.Add(goroutines)
+	for g := 0; g < goroutines; g++ {
+		a := cobra.NewAssignment(ds.Names())
+		if err := a.Set(fmt.Sprintf("m%d", g+1), 0.5+float64(g)/10); err != nil {
+			t.Fatal(err)
+		}
+		asgs := []*cobra.Assignment{a, cobra.NewAssignment(ds.Names())}
+		want, err := ref.EvalBatch(ctx, asgs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		view := ds.WithWorkers(1 + g%3)
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			warmed := sync.OnceFunc(warm.Done)
+			defer warmed() // also when it fails before answering twice
+			for iter := 0; iter < iters; iter++ {
+				if iter == 2 {
+					warmed()
+				}
+				rows, err := view.EvalBatch(ctx, asgs)
+				if err != nil {
+					fail("goroutine %d iteration %d: %v", g, iter, err)
+					return
+				}
+				for i := range want {
+					for j := range want[i] {
+						if rows[i][j] != want[i][j] {
+							fail("goroutine %d iteration %d row %d col %d: %v != %v", g, iter, i, j, rows[i][j], want[i][j])
+							return
+						}
+					}
+				}
+			}
+		}(g)
+	}
+	stop := make(chan struct{})
+	evictor := make(chan struct{})
+	go func() {
+		defer close(evictor)
+		warm.Wait()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, err := ds.Evict(); err != nil {
+				fail("Evict: %v", err)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	close(stop)
+	<-evictor
+	for _, e := range errs {
+		t.Error(e)
+	}
+}
+
 // TestDatasetFirstEvalBatchConcurrent fires the first EvalBatch of a fresh
 // in-memory Dataset from eight goroutines at once, across WithWorkers
 // views. The first evaluation compiles the program and builds what sparse

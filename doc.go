@@ -69,7 +69,8 @@
 //     answers every bound from the memoized curve by lookup.
 //   - EvalBatch(ctx, assignments) evaluates scenarios against a
 //     memoized compiled program (in-memory) or shard-at-a-time
-//     (out-of-core).
+//     (out-of-core), straight from each shard's slabs as they were
+//     spilled: no polynomial is rebuilt and nothing is compiled.
 //   - WithWorkers(n) returns a view with a different parallelism budget
 //     sharing the same memoized state — sound because results are
 //     bit-identical for every worker count.
@@ -108,9 +109,10 @@
 // namespace are ignored. The rows are bit-identical to evaluating every
 // polynomial: a re-evaluated polynomial runs the same kernel over the same
 // values, and a skipped one would have read only ones, exactly as it did
-// for the baseline row. Out-of-core datasets compile each shard for one
-// batch and drop it, so those programs evaluate every polynomial and build
-// no index.
+// for the baseline row. Out-of-core datasets evaluate each shard for one
+// batch and drop it — one Program pointed at the shard's slabs, which are
+// already a Program's arrays (see "The streaming pipeline") — so they
+// evaluate every polynomial and build no index.
 //
 // # Parallelism
 //
@@ -193,7 +195,7 @@
 //	SQL rows ──CaptureDataset───▶ ShardBuilder ─▶ ShardedSet     (capture: row-at-a-time)
 //	SetSource ──Dataset.Compress─▶ cut            (index built shard-at-a-time)
 //	SetSource ──Dataset.Apply────▶ SetSink        (compressed shards re-spill)
-//	SetSource ──Dataset.EvalBatch▶ result rows    (one shard compiled at a time)
+//	SetSource ──Dataset.EvalBatch▶ result rows    (one shard's slabs evaluated at a time)
 //	SetSource ──WriteSet(FormatStream)─▶ v2 frames ──ReadSetStream──▶ SetSink
 //
 // A Dataset opened over a ShardedSet routes every method down this
@@ -214,6 +216,27 @@
 // resident monomial count would exceed Options.MaxResidentMonomials,
 // whole shards spill to a private temp directory (removed wholesale by
 // Close) and stream back one at a time.
+//
+// A spilled shard on disk is its packed form (see "Representation"
+// below) written slab for slab, every number fixed-width little-endian:
+// magic "CSPILL3\n", five counts, the two offset tables, the
+// coefficients, the variable column, the exponent column — omitted when
+// every exponent is 1, as in all SUM provenance — and the keys. The counts
+// fix the file's length, so one comparison bounds everything the decoder
+// allocates, and decoding is a bulk conversion per slab. The file is
+// private to the process and never outlives it: variables are raw ids
+// with no name table, and there is one version. (The interchange formats
+// are the ones under "On-disk formats".)
+//
+// Stages that need polynomials (the signature index, cut application,
+// serialization) get each loaded shard as a *Set viewed over freshly
+// decoded slabs. Evaluation does not: EvalBatch reads the slabs
+// themselves, decoded into one scratch the ShardedSet reuses for every
+// shard of every pass, and never builds a *Set. That scratch — one shard's
+// worth of memory, within the half of the budget the shard-size clamp
+// reserves for a shard in flight — stays with a ShardedSet that has been
+// evaluated until Close. A dataset reloaded after Evict is evaluated the
+// same way from the slabs its v3 decoder fills.
 //
 // # On-disk formats
 //
@@ -267,24 +290,28 @@
 // vectors are separately allocated: flexible to build and mutate, but a
 // million monomials are over a million small objects for the collector
 // to trace. The packed form (internal/polynomial.PackedSet) holds the
-// same data in five append-only slabs, with int32 offset slices
-// delimiting polynomials and monomials:
+// same data in append-only slabs, with int32 offset slices delimiting
+// polynomials and monomials:
 //
 //	keys:    ["zip 10001", "zip 10002", ...]   one key per polynomial
 //	polyOff: [0, 2, ...]                       poly i's monomials = [polyOff[i], polyOff[i+1])
 //	coefs:   [208.8, 240.0, 115.2, ...]        one coefficient per monomial
 //	monOff:  [0, 2, 4, 5, ...]                 monomial m's terms = [monOff[m], monOff[m+1])
-//	terms:   [p1 m1 | p1 m3 | p2 | ...]        flat (Var, Exp) pairs
+//	vars:    [p1 m1 | p1 m3 | p2 | ...]        the variable of every term, flat
+//	exps:    [ 1  1 |  1  2 |  1 | ...]        their exponents; absent while all are 1
 //
+// These are the arrays a compiled Program evaluates, so a packed set is
+// evaluated where it lies, and they are what a ShardedSet spills.
 // However a packed set is produced — Pack from any SetSource, PackSet
 // from a Set, Add per polynomial, or the BeginPoly/AppendMonomial
 // builder path that never forms an intermediate Polynomial — the slabs
-// are bit-identical for the same logical content. View() overlays the
-// slabs with zero-copy Polynomial windows, so every Set-based algorithm
-// (indexing, cut application, compiled valuation) runs unchanged over
-// either representation and returns bit-identical answers; ForEachShard
-// presents the view as a single shard, which is how a PackedSet flows
-// into the streaming pipeline.
+// are bit-identical for the same logical content. View() zips the two
+// term columns into one slab and overlays it with Polynomial windows
+// (three allocations however many monomials), so every Set-based
+// algorithm (indexing, cut application, compiled valuation) runs
+// unchanged over either representation and returns bit-identical
+// answers; ForEachShard presents the view as a single shard, which is
+// how a PackedSet flows into the streaming pipeline.
 //
 // The same discipline governs scratch memory in the parallel stages.
 // Arena lifetime rules: each worker allocates its scratch — name-render

@@ -281,6 +281,16 @@ func (ix *IndexedSet) trackResident(delta int) {
 // namespace is only read (the footer table was interned at open). The
 // returned Set is freshly decoded; the caller owns it.
 func (ix *IndexedSet) DecodeShard(i int) (*polynomial.Set, error) {
+	ps, err := ix.decodeShardPacked(i)
+	if err != nil {
+		return nil, err
+	}
+	return ps.View(), nil
+}
+
+// decodeShardPacked is DecodeShard up to the PackedSet the v3 decoder
+// builds.
+func (ix *IndexedSet) decodeShardPacked(i int) (*polynomial.PackedSet, error) {
 	if i < 0 || i >= len(ix.shards) {
 		return nil, fmt.Errorf("polyio: shard %d out of range [0,%d)", i, len(ix.shards))
 	}
@@ -316,20 +326,29 @@ func (ix *IndexedSet) DecodeShard(i int) (*polynomial.Set, error) {
 		return nil, corruptf("shard payload", i, "decoded %d polynomials / %d monomials, footer declares %d / %d",
 			ps.Len(), ps.Size(), sh.polys, sh.mons)
 	}
-	return ps.View(), nil
+	return ps, nil
 }
 
 // ForEachShard decodes the shards sequentially in shard order — the
 // SetSource contract. Decoded shards are transient: each is released
 // (residency-wise) when fn returns.
 func (ix *IndexedSet) ForEachShard(fn func(i, firstPoly int, s *polynomial.Set) error) error {
+	return ix.ForEachPackedShard(func(i, firstPoly int, ps *polynomial.PackedSet) error {
+		return fn(i, firstPoly, ps.View())
+	})
+}
+
+// ForEachPackedShard is ForEachShard handing out the PackedSet each shard
+// decodes into, with no *Set built over it
+// (polynomial.PackedShardSource).
+func (ix *IndexedSet) ForEachPackedShard(fn func(i, firstPoly int, ps *polynomial.PackedSet) error) error {
 	for i := range ix.shards {
-		set, err := ix.DecodeShard(i)
+		ps, err := ix.decodeShardPacked(i)
 		if err != nil {
 			return err
 		}
 		ix.trackResident(int(ix.shards[i].mons))
-		err = fn(i, int(ix.shards[i].firstPoly), set)
+		err = fn(i, int(ix.shards[i].firstPoly), ps)
 		ix.trackResident(-int(ix.shards[i].mons))
 		if err != nil {
 			return err
@@ -424,4 +443,7 @@ func minInt64(a, b int64) int64 {
 // Compile-time interface conformance: the IndexedSet is the seam that
 // lets every stage — and FrontierForestSource's parallel tree solves —
 // consume a spilled stream concurrently.
-var _ polynomial.IndexedSource = (*IndexedSet)(nil)
+var (
+	_ polynomial.IndexedSource     = (*IndexedSet)(nil)
+	_ polynomial.PackedShardSource = (*IndexedSet)(nil)
+)

@@ -504,6 +504,108 @@ func TestV3DecodeFailpoint(t *testing.T) {
 	}
 }
 
+// TestV3DecodeFailpointSweep fails the decode of every shard in turn, under
+// each kind of pass — *Set, packed, parallel. Each failure must surface as
+// the injected error at that shard (the sequential passes having delivered
+// exactly the shards before it), close every section it opened, leave no
+// decoded monomial counted as resident and the file as it was; the next
+// pass over the same IndexedSet must answer bit-identically.
+func TestV3DecodeFailpointSweep(t *testing.T) {
+	set := randomSet(71, 60)
+	ss, err := polynomial.BuildSharded(set, polynomial.ShardOptions{TargetMonomials: 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ss.Close()
+	path := filepath.Join(t.TempDir(), "sweep.v3")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteSetStreamV3(f, ss, V3Options{Compress: true}); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := OpenIndexedFile(path, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	if ix.NumShards() < 6 {
+		t.Fatalf("fixture: want several shards, got %d", ix.NumShards())
+	}
+
+	var mu sync.Mutex
+	sections := 0
+	testSectionHook = func(_ int, delta int) {
+		mu.Lock()
+		sections += delta
+		mu.Unlock()
+	}
+	boom := errors.New("injected decode failure")
+	t.Cleanup(func() { testDecodeErr, testSectionHook = nil, nil })
+
+	passes := map[string]func(fn func(i int) error) error{
+		"set": func(fn func(i int) error) error {
+			return ix.ForEachShard(func(i, _ int, _ *polynomial.Set) error { return fn(i) })
+		},
+		"packed": func(fn func(i int) error) error {
+			return ix.ForEachPackedShard(func(i, _ int, _ *polynomial.PackedSet) error { return fn(i) })
+		},
+		"parallel": func(fn func(i int) error) error {
+			return ix.ForEachShardParallel(3, func(i, _ int, _ *polynomial.Set) error { return fn(i) })
+		},
+	}
+	for name, pass := range passes {
+		for failAt := 0; failAt < ix.NumShards(); failAt++ {
+			testDecodeErr = func(shard int) error {
+				if shard == failAt {
+					return boom
+				}
+				return nil
+			}
+			delivered := 0
+			err := pass(func(i int) error {
+				if i != delivered || i >= failAt {
+					t.Errorf("%s, shard %d failing: shard %d delivered after %d others", name, failAt, i, delivered)
+				}
+				delivered++
+				return nil
+			})
+			if !errors.Is(err, boom) {
+				t.Fatalf("%s, shard %d failing: got %v", name, failAt, err)
+			}
+			if name != "parallel" && delivered != failAt {
+				t.Fatalf("%s, shard %d failing: %d shards delivered", name, failAt, delivered)
+			}
+			mu.Lock()
+			open := sections
+			mu.Unlock()
+			if open != 0 || ix.ResidentMonomials() != 0 {
+				t.Fatalf("%s, shard %d failing: %d sections left open, %d monomials left resident", name, failAt, open, ix.ResidentMonomials())
+			}
+			testDecodeErr = nil
+			back, err := materializeIndexed(ix)
+			if err != nil {
+				t.Fatalf("%s, shard %d failing: the next pass: %v", name, failAt, err)
+			}
+			if !setsEquivalent(set, back) {
+				t.Fatalf("%s, shard %d failing: the next pass decoded a different set", name, failAt)
+			}
+		}
+	}
+	after, err := os.ReadFile(path)
+	if err != nil || !bytes.Equal(before, after) {
+		t.Fatalf("the stream file changed under the failures (%v)", err)
+	}
+}
+
 // TestV3SectionTracking: every shard section opened by a decode must be
 // closed — on success, on decode errors, and on early stop — or pooled
 // buffers leak. The hook observes opens (+1) and closes (-1).

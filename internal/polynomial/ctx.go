@@ -1,6 +1,9 @@
 package polynomial
 
-import "context"
+import (
+	"context"
+	"fmt"
+)
 
 // ContextSource wraps a SetSource so that streaming passes observe a
 // context: ForEachShard checks ctx before every shard and stops with
@@ -90,6 +93,22 @@ func (c *ContextSource) ForEachShardParallel(workers int, fn func(i, firstPoly i
 		return ps.ForEachShardParallel(workers, checked)
 	}
 	return c.src.ForEachShard(checked)
+}
+
+// ForEachPackedShard forwards a packed pass to the underlying source with
+// the same per-shard context check as ForEachShard. Callers reach it
+// through PackedShards, which has checked that the source offers one.
+func (c *ContextSource) ForEachPackedShard(fn func(i, firstPoly int, ps *PackedSet) error) error {
+	src, ok := c.src.(PackedShardSource)
+	if !ok {
+		return fmt.Errorf("polynomial: %T hands out no packed shards", c.src)
+	}
+	return src.ForEachPackedShard(func(i, firstPoly int, ps *PackedSet) error {
+		if err := c.ctx.Err(); err != nil {
+			return err
+		}
+		return fn(i, firstPoly, ps)
+	})
 }
 
 // ConcurrentPasses forwards the underlying source's answer: wrapping a

@@ -3,13 +3,13 @@ package polynomial
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
-
-	"github.com/cobra-prov/cobra/internal/parallel"
 )
 
 // DefaultShardMonomials is the shard-size target used when ShardOptions
@@ -68,9 +68,11 @@ type shard struct {
 // polynomials were added as.
 //
 // A finished ShardedSet is safe for concurrent read-path use: streaming
-// passes (ForEachShard and everything built on it) serialize on an
-// internal mutex — they run one at a time, each parallelizing within a
-// shard, never across passes — and the residency counters and the lazy
+// passes (ForEachShard, ForEachPackedShard and everything built on them)
+// serialize on an internal mutex — they run one at a time, each
+// parallelizing within a shard, never across passes, which is also what
+// lets them share one read buffer and one decode scratch — and the
+// residency counters and the lazy
 // used-variables cache are guarded separately so metadata reads never
 // block a pass. Building (ShardBuilder.Add/Finish) is single-goroutine.
 type ShardedSet struct {
@@ -106,6 +108,13 @@ type ShardedSet struct {
 	// only touched by spillShard, whose callers are serialized (building
 	// is single-goroutine; streaming passes hold iterMu).
 	encBuf []byte
+
+	// readBuf holds the bytes of the spill file a pass is decoding, and
+	// scratch the slabs ForEachPackedShard decodes (or copies) every shard
+	// into: one shard's worth of memory, kept from pass to pass until
+	// Close.
+	readBuf []byte    // guarded by iterMu
+	scratch PackedSet // guarded by iterMu
 }
 
 // Names returns the shared variable namespace.
@@ -197,129 +206,89 @@ func (ss *ShardedSet) NumVars() int {
 // polynomials as a Set sharing the namespace. Spilled shards are loaded
 // one at a time and evicted again after fn returns, so the resident
 // footprint stays within the budget. fn must not retain or mutate the Set
-// beyond the call, and must not start another pass (ForEachShard or
-// Materialize) or Close the same set — passes serialize on a mutex held
-// for the whole iteration, so a nested pass deadlocks. Metadata accessors
-// (Size, Len, UsedVars, ResidentMonomials, ...) remain safe to call from
-// fn and from other goroutines. Iteration stops at fn's first error.
+// beyond the call, and must not start another pass (ForEachShard,
+// ForEachPackedShard or Materialize) or Close the same set — passes
+// serialize on a mutex held for the whole iteration, so a nested pass
+// deadlocks. Metadata accessors (Size, Len, UsedVars, ResidentMonomials,
+// ...) remain safe to call from fn and from other goroutines. Iteration
+// stops at fn's first error.
 func (ss *ShardedSet) ForEachShard(fn func(i, firstPoly int, s *Set) error) error {
-	ss.iterMu.Lock()
-	defer ss.iterMu.Unlock()
-	if ss.closed {
-		return fmt.Errorf("polynomial: ShardedSet is closed")
-	}
-	return ss.forEachShardLocked(fn)
-}
-
-// ForEachShardParallel streams the shards into fn in shard order, exactly
-// like ForEachShard, but loads spilled shards from disk on up to workers
-// goroutines so fn never waits on the disk: while fn consumes shard i,
-// shards i+1..i+workers-1 are already being read and decoded. fn itself
-// always runs sequentially, in shard order, on the calling goroutine — the
-// pass is bit-identical to the sequential one for any worker count.
-//
-// The concurrency is clamped so the window of concurrently loaded shards
-// fits the residency budget on top of whatever is already resident; when
-// the budget leaves no headroom for even two in-flight loads the pass
-// degrades to plain ForEachShard. The restrictions of ForEachShard apply
-// unchanged (no nested passes, fn must not retain the Set).
-func (ss *ShardedSet) ForEachShardParallel(workers int, fn func(i, firstPoly int, s *Set) error) error {
-	ss.iterMu.Lock()
-	defer ss.iterMu.Unlock()
-	if ss.closed {
-		return fmt.Errorf("polynomial: ShardedSet is closed")
-	}
-	workers = ss.clampParallelWorkers(workers)
-	if workers <= 1 {
-		return ss.forEachShardLocked(fn)
-	}
-	resident0 := ss.ResidentMonomials()
-	err := parallel.Ordered(workers, len(ss.shards),
-		func(i int) (*Set, error) {
-			sh := ss.shards[i]
-			if sh.set != nil {
-				return sh.set, nil
-			}
-			set, err := readShardFile(sh.path, ss.names)
-			if err != nil {
-				return nil, fmt.Errorf("polynomial: loading shard %d: %w", i, err)
-			}
-			ss.trackResident(sh.mons)
-			return set, nil
-		},
-		func(i int, set *Set) error {
-			sh := ss.shards[i]
-			err := fn(i, ss.polyOff[i], set)
-			if sh.set == nil {
-				ss.trackResident(-sh.mons)
-			}
-			return err
-		})
-	if err != nil {
-		// Loads claimed past the failing shard were tracked by the
-		// producer but never released by the (never-run) consumer; the
-		// transient sets are unreachable once Ordered drains, so restore
-		// the counter to the pre-pass residency.
-		ss.statMu.Lock()
-		ss.resident = resident0
-		ss.statMu.Unlock()
-	}
-	return err
-}
-
-// clampParallelWorkers bounds a parallel pass's worker count so the
-// reorder window of concurrently loaded spilled shards (worst case:
-// workers × the largest spilled shard) fits the residency budget on top
-// of the already-resident shards. iterMu must be held.
-func (ss *ShardedSet) clampParallelWorkers(workers int) int {
-	workers = parallel.Normalize(workers)
-	if workers > len(ss.shards) {
-		workers = len(ss.shards)
-	}
-	budget := ss.opts.MaxResidentMonomials
-	if workers <= 1 || budget <= 0 {
-		return workers
-	}
-	maxMons := 0
-	for _, sh := range ss.shards {
-		if sh.set == nil && sh.mons > maxMons {
-			maxMons = sh.mons
-		}
-	}
-	if maxMons == 0 {
-		return workers // nothing spilled: no loads, no residency cost
-	}
-	if avail := budget - ss.ResidentMonomials(); avail/maxMons < workers {
-		workers = avail / maxMons
-	}
-	return workers
-}
-
-// forEachShardLocked is the body of ForEachShard; iterMu must be held.
-func (ss *ShardedSet) forEachShardLocked(fn func(i, firstPoly int, s *Set) error) error {
-	for i, sh := range ss.shards {
-		set := sh.set
-		loaded := false
+	return ss.pass(nil, func(i int, set *Set, loaded *PackedSet) error {
 		if set == nil {
+			// Spilled monomials were canonical when written; no re-merge needed.
+			set = loaded.View()
+		}
+		return fn(i, ss.polyOff[i], set)
+	})
+}
+
+// ForEachPackedShard is ForEachShard for consumers that read slabs: every
+// shard arrives as a PackedSet — a spilled shard decoded straight into it,
+// a resident one copied — and no *Set is built. The PackedSet is the same
+// scratch for every shard and every pass: fn must not retain it, or
+// anything reached through it, beyond the call. Residency is accounted
+// exactly as in ForEachShard, whose restrictions apply unchanged.
+func (ss *ShardedSet) ForEachPackedShard(fn func(i, firstPoly int, ps *PackedSet) error) error {
+	//cobra:lockguard pass locks iterMu itself and calls fn under it; only the scratch's address is taken here
+	return ss.pass(&ss.scratch, func(i int, resident *Set, _ *PackedSet) error {
+		if resident != nil {
+			if err := ss.scratch.refill(resident); err != nil {
+				return err
+			}
+		}
+		return fn(i, ss.polyOff[i], &ss.scratch)
+	})
+}
+
+// pass is the one streaming pass, under iterMu: fn gets shard i either as
+// the resident Set or, loaded from its spill file, as a PackedSet — into,
+// whose slabs are reused, or a fresh one when into is nil. Spilled shards
+// are loaded one at a time and released again after fn returns.
+func (ss *ShardedSet) pass(into *PackedSet, fn func(i int, resident *Set, loaded *PackedSet) error) error {
+	ss.iterMu.Lock()
+	defer ss.iterMu.Unlock()
+	if ss.closed {
+		return fmt.Errorf("polynomial: ShardedSet is closed")
+	}
+	for i, sh := range ss.shards {
+		var ps *PackedSet
+		if sh.set == nil {
 			// Make room first so the load itself never breaches the budget.
 			if err := ss.spillOver(sh.mons); err != nil {
 				return err
 			}
-			var err error
-			set, err = readShardFile(sh.path, ss.names)
-			if err != nil {
-				return fmt.Errorf("polynomial: loading shard %d: %w", i, err)
+			if ps = into; ps == nil {
+				ps = new(PackedSet)
 			}
-			loaded = true
+			if err := ss.loadShardLocked(i, ps); err != nil {
+				return err
+			}
 			ss.trackResident(sh.mons)
 		}
-		err := fn(i, ss.polyOff[i], set)
-		if loaded {
+		err := fn(i, sh.set, ps)
+		if ps != nil {
 			ss.trackResident(-sh.mons)
 		}
 		if err != nil {
 			return err
 		}
+	}
+	return nil
+}
+
+// loadShard reads spilled shard i into ps through the set's read buffer;
+// iterMu must be held.
+func (ss *ShardedSet) loadShardLocked(i int, ps *PackedSet) error {
+	sh := ss.shards[i]
+	var err error
+	if ss.readBuf, err = readShardFile(sh.path, ss.readBuf); err == nil {
+		err = decodeShardPayload(ss.readBuf, ss.names, ps)
+	}
+	if err == nil && (ps.Len() != sh.polys || ps.Size() != sh.mons) {
+		err = fmt.Errorf("spill file holds %d monomials in %d polynomials, shard has %d in %d", ps.Size(), ps.Len(), sh.mons, sh.polys)
+	}
+	if err != nil {
+		return fmt.Errorf("polynomial: loading shard %d: %w", i, err)
 	}
 	return nil
 }
@@ -344,6 +313,7 @@ func (ss *ShardedSet) Close() error {
 	}
 	ss.closed = true
 	ss.shards = nil
+	ss.readBuf, ss.scratch = nil, PackedSet{}
 	ss.statMu.Lock()
 	dir := ss.spillDir
 	ss.statMu.Unlock()
@@ -556,19 +526,38 @@ func BuildSharded(s *Set, opts ShardOptions) (*ShardedSet, error) {
 //
 // Spill files are ephemeral and private to the process that wrote them:
 // they share the in-memory Names namespace, so variables are stored as raw
-// Var ids with no name table. The on-disk interchange formats (with name
-// tables and cross-process guarantees) live in internal/polyio.
+// Var ids with no name table, and they never outlive the process, so there
+// is one version and no compatibility path. The on-disk interchange
+// formats (with name tables and cross-process guarantees) live in
+// internal/polyio.
+//
+// A spill file is the shard's PackedSet written slab for slab, every
+// number fixed-width little-endian:
+//
+//	magic     "CSPILL3\n"
+//	counts    polys, mons, terms, exps, keyBytes    5 × uint32
+//	polyOff   (polys+1) × uint32
+//	monOff    (mons+1) × uint32
+//	coefs     mons × uint64                         IEEE-754 bits
+//	vars      terms × uint32
+//	exps      exps × uint32                         exps is terms, or 0: every exponent is 1
+//	keyLen    polys × uint32
+//	keys      keyBytes bytes
+//
+// The counts fix the file's length exactly, so one comparison against the
+// bytes actually read bounds every allocation the decoder makes; what is
+// left to check is that the offsets are monotone and end where the counts
+// say. Decoding is then a bulk conversion per slab into slabs the caller
+// may reuse from shard to shard.
+const (
+	spillMagic   = "CSPILL3\n"
+	spillHeadLen = len(spillMagic) + 5*4
+)
 
-// The v2 codec is columnar: one key block, then the per-polynomial and
-// per-monomial counts, then all coefficients, then all term vectors — so
-// a shard decodes into a PackedSet's flat slabs with O(1) allocations
-// instead of one per monomial (the v1 row-wise codec was 24% of E15's
-// allocation profile).
-var spillMagic = []byte("CSPILL2\n")
-
-// testSpillWriteErr, when non-nil, is consulted before every shard-file
-// write — a failpoint for exercising mid-build spill failures in tests.
-var testSpillWriteErr func(path string) error
+// testSpillWriteErr and testSpillReadErr, when non-nil, are consulted
+// before every shard-file write and read — failpoints for exercising spill
+// failures in tests.
+var testSpillWriteErr, testSpillReadErr func(path string) error
 
 // writeShardFile encodes s into buf (reusing its capacity) and writes it
 // to path, returning the grown buffer so callers can reuse it for the
@@ -579,7 +568,10 @@ func writeShardFile(path string, s *Set, buf []byte) ([]byte, error) {
 			return buf, err
 		}
 	}
-	buf = encodeShardPayload(buf[:0], s)
+	buf, err := encodeShardPayload(buf[:0], s)
+	if err != nil {
+		return buf, err
+	}
 	f, err := os.Create(path)
 	if err != nil {
 		return buf, err
@@ -591,174 +583,201 @@ func writeShardFile(path string, s *Set, buf []byte) ([]byte, error) {
 	return buf, err
 }
 
-// encodeShardPayload appends the columnar spill encoding of s to buf:
-// magic, counts, the concatenated key block, per-polynomial key lengths
-// and monomial counts, coefficient bits, per-monomial term counts, and
-// finally every term as a (var, exp) uvarint pair.
-func encodeShardPayload(buf []byte, s *Set) []byte {
-	nMons, nTerms, keyBytes := 0, 0, 0
-	for _, p := range s.Polys {
-		nMons += len(p.Mons)
-		for _, m := range p.Mons {
-			nTerms += len(m.Terms)
+// readShardFile reads the whole of path into buf (reusing its capacity)
+// and returns the grown buffer.
+func readShardFile(path string, buf []byte) ([]byte, error) {
+	if testSpillReadErr != nil {
+		if err := testSpillReadErr(path); err != nil {
+			return buf, err
 		}
 	}
-	for _, k := range s.Keys {
-		keyBytes += len(k)
+	f, err := os.Open(path)
+	if err != nil {
+		return buf, err
 	}
+	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return buf, err
+	}
+	buf = resize(buf, int(st.Size()))
+	_, err = io.ReadFull(f, buf)
+	return buf, err
+}
+
+// resize returns s with length n, reallocating only when its capacity is
+// too small. The contents are unspecified: callers overwrite all of it.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// spillLen is the exact byte length of a spill file with these counts.
+func spillLen(polys, mons, terms, exps, keyBytes uint64) uint64 {
+	return uint64(spillHeadLen) + 4*(polys+1) + 4*(mons+1) + 8*mons + 4*terms + 4*exps + 4*polys + keyBytes
+}
+
+// encodeShardPayload appends the spill encoding of s to buf. It fails
+// only on a shard whose counts overflow the packed layout's int32 offsets.
+func encodeShardPayload(buf []byte, s *Set) ([]byte, error) {
+	var mons, terms, exps, keyBytes uint64
+	allOnes := true
+	for i, p := range s.Polys {
+		mons += uint64(len(p.Mons))
+		keyBytes += uint64(len(s.Keys[i]))
+		for _, m := range p.Mons {
+			terms += uint64(len(m.Terms))
+			for _, t := range m.Terms {
+				allOnes = allOnes && t.Exp == 1
+			}
+		}
+	}
+	if !allOnes {
+		exps = terms
+	}
+	polys := uint64(len(s.Polys))
+	if polys|mons|terms|keyBytes > math.MaxInt32 {
+		return buf, fmt.Errorf("shard overflows int32 offsets")
+	}
+	le := binary.LittleEndian
+	buf = slices.Grow(buf, int(spillLen(polys, mons, terms, exps, keyBytes)))
 	buf = append(buf, spillMagic...)
-	buf = binary.AppendUvarint(buf, uint64(s.Len()))
-	buf = binary.AppendUvarint(buf, uint64(nMons))
-	buf = binary.AppendUvarint(buf, uint64(nTerms))
-	buf = binary.AppendUvarint(buf, uint64(keyBytes))
-	for _, k := range s.Keys {
-		buf = append(buf, k...)
+	for _, n := range [...]uint64{polys, mons, terms, exps, keyBytes} {
+		buf = le.AppendUint32(buf, uint32(n))
 	}
-	for _, k := range s.Keys {
-		buf = binary.AppendUvarint(buf, uint64(len(k)))
-	}
+	off := uint32(0)
+	buf = le.AppendUint32(buf, off)
 	for _, p := range s.Polys {
-		buf = binary.AppendUvarint(buf, uint64(len(p.Mons)))
+		off += uint32(len(p.Mons))
+		buf = le.AppendUint32(buf, off)
 	}
+	off = 0
+	buf = le.AppendUint32(buf, off)
 	for _, p := range s.Polys {
 		for _, m := range p.Mons {
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(m.Coef))
+			off += uint32(len(m.Terms))
+			buf = le.AppendUint32(buf, off)
 		}
 	}
 	for _, p := range s.Polys {
 		for _, m := range p.Mons {
-			buf = binary.AppendUvarint(buf, uint64(len(m.Terms)))
+			buf = le.AppendUint64(buf, math.Float64bits(m.Coef))
 		}
 	}
 	for _, p := range s.Polys {
 		for _, m := range p.Mons {
 			for _, t := range m.Terms {
-				buf = binary.AppendUvarint(buf, uint64(uint32(t.Var)))
-				buf = binary.AppendUvarint(buf, uint64(uint32(t.Exp)))
+				buf = le.AppendUint32(buf, uint32(t.Var))
 			}
 		}
 	}
-	return buf
+	if exps > 0 {
+		for _, p := range s.Polys {
+			for _, m := range p.Mons {
+				for _, t := range m.Terms {
+					buf = le.AppendUint32(buf, uint32(t.Exp))
+				}
+			}
+		}
+	}
+	for _, k := range s.Keys {
+		buf = le.AppendUint32(buf, uint32(len(k)))
+	}
+	for _, k := range s.Keys {
+		buf = append(buf, k...)
+	}
+	return buf, nil
 }
 
-func readShardFile(path string, names *Names) (*Set, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
+// decodeShardPayload parses one spill file into ps, reusing the capacity
+// of its slabs: the key block becomes one string the keys are substrings
+// of, and that is the only allocation once the slabs have grown to the
+// largest shard. Every variable is checked against names, so a PackedSet
+// this returns is safe to evaluate; an exponent column of all ones, which
+// the encoder never writes, is rejected, so it also re-encodes to the
+// same bytes.
+func decodeShardPayload(data []byte, names *Names, ps *PackedSet) error {
+	if len(data) < spillHeadLen || string(data[:len(spillMagic)]) != spillMagic {
+		return fmt.Errorf("bad spill magic")
 	}
-	ps, err := decodeShardPayload(data, names)
-	if err != nil {
-		return nil, err
+	le := binary.LittleEndian
+	var counts [5]uint64
+	for i := range counts {
+		counts[i] = uint64(le.Uint32(data[len(spillMagic)+4*i:]))
 	}
-	// Spilled monomials were canonical when written; no re-merge needed.
-	return ps.View(), nil
-}
-
-// decodeShardPayload parses one spill file into a PackedSet, slicing the
-// key block into substrings and bulk-filling the coefficient, offset and
-// term slabs — a handful of allocations however many monomials the shard
-// holds.
-func decodeShardPayload(data []byte, names *Names) (*PackedSet, error) {
-	if len(data) < len(spillMagic) || string(data[:len(spillMagic)]) != string(spillMagic) {
-		return nil, fmt.Errorf("bad spill magic")
+	polys, mons, terms, exps, keyBytes := counts[0], counts[1], counts[2], counts[3], counts[4]
+	if polys|mons|terms|keyBytes > math.MaxInt32 || (exps != 0 && exps != terms) {
+		return fmt.Errorf("corrupt spill counts: %d polynomials, %d monomials, %d terms, %d exponents, %d key bytes", polys, mons, terms, exps, keyBytes)
 	}
-	pos := len(spillMagic)
-	uvarint := func() (int, error) {
-		v, n := binary.Uvarint(data[pos:])
-		if n <= 0 || v > math.MaxInt32 {
-			return 0, fmt.Errorf("corrupt spill varint at %d", pos)
-		}
-		pos += n
-		return int(v), nil
+	if want := spillLen(polys, mons, terms, exps, keyBytes); want != uint64(len(data)) {
+		return fmt.Errorf("corrupt spill length: counts imply %d bytes, file holds %d", want, len(data))
 	}
-	nPolys, err := uvarint()
-	if err != nil {
-		return nil, err
+	data = data[spillHeadLen:]
+	next := func(n uint64) []byte {
+		slab := data[:n]
+		data = data[n:]
+		return slab
 	}
-	nMons, err := uvarint()
-	if err != nil {
-		return nil, err
+	ps.names, ps.view = names, nil
+	ps.polyOff = resize(ps.polyOff, int(polys)+1)
+	if !decodeOffsets(ps.polyOff, next(4*(polys+1)), mons) {
+		return fmt.Errorf("corrupt spill polynomial offsets")
 	}
-	nTerms, err := uvarint()
-	if err != nil {
-		return nil, err
+	ps.monOff = resize(ps.monOff, int(mons)+1)
+	if !decodeOffsets(ps.monOff, next(4*(mons+1)), terms) {
+		return fmt.Errorf("corrupt spill monomial offsets")
 	}
-	keyBytes, err := uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if pos+keyBytes > len(data) {
-		return nil, fmt.Errorf("corrupt spill key block")
-	}
-	keyBlock := string(data[pos : pos+keyBytes])
-	pos += keyBytes
-	ps := &PackedSet{
-		names:   names,
-		keys:    make([]string, nPolys),
-		polyOff: make([]int32, nPolys+1),
-		coefs:   make([]float64, nMons),
-		monOff:  make([]int32, nMons+1),
-		terms:   make([]Term, nTerms),
-	}
-	off := 0
-	for i := range ps.keys {
-		kn, err := uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if off+kn > len(keyBlock) {
-			return nil, fmt.Errorf("corrupt spill key lengths")
-		}
-		ps.keys[i] = keyBlock[off : off+kn]
-		off += kn
-	}
-	total := 0
-	for i := 0; i < nPolys; i++ {
-		mc, err := uvarint()
-		if err != nil {
-			return nil, err
-		}
-		total += mc
-		if total > nMons {
-			return nil, fmt.Errorf("corrupt spill monomial counts")
-		}
-		ps.polyOff[i+1] = int32(total)
-	}
-	if total != nMons {
-		return nil, fmt.Errorf("corrupt spill monomial counts")
-	}
-	if pos+8*nMons > len(data) {
-		return nil, fmt.Errorf("corrupt spill coefficients")
-	}
+	ps.coefs = resize(ps.coefs, int(mons))
+	slab := next(8 * mons)
 	for i := range ps.coefs {
-		ps.coefs[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[pos:]))
-		pos += 8
+		ps.coefs[i] = math.Float64frombits(le.Uint64(slab[8*i:]))
 	}
-	total = 0
-	for i := 0; i < nMons; i++ {
-		tc, err := uvarint()
-		if err != nil {
-			return nil, err
-		}
-		total += tc
-		if total > nTerms {
-			return nil, fmt.Errorf("corrupt spill term counts")
-		}
-		ps.monOff[i+1] = int32(total)
+	ps.vars = resize(ps.vars, int(terms))
+	if maxVar := decodeColumn(ps.vars, next(4*terms)); terms > 0 && uint64(maxVar) >= uint64(names.Len()) {
+		return fmt.Errorf("corrupt spill variable %d, the namespace has %d", maxVar, names.Len())
 	}
-	if total != nTerms {
-		return nil, fmt.Errorf("corrupt spill term counts")
+	ps.exps = resize(ps.exps, int(exps))
+	if maxExp := decodeColumn(ps.exps, next(4*exps)); maxExp > math.MaxInt32 || (exps > 0 && maxExp == 1 && slices.Min(ps.exps) == 1) {
+		return fmt.Errorf("corrupt spill exponents: one is negative, or all of them are 1")
 	}
-	for i := range ps.terms {
-		v, err := uvarint()
-		if err != nil {
-			return nil, err
+	ps.keys = resize(ps.keys, int(polys))
+	slab = next(4 * polys)
+	block := string(data)
+	for i := range ps.keys {
+		n := uint64(le.Uint32(slab[4*i:]))
+		if n > uint64(len(block)) {
+			return fmt.Errorf("corrupt spill key lengths")
 		}
-		e, err := uvarint()
-		if err != nil {
-			return nil, err
-		}
-		ps.terms[i] = Term{Var: Var(int32(v)), Exp: int32(e)}
+		ps.keys[i], block = block[:n], block[n:]
 	}
-	return ps, nil
+	if block != "" {
+		return fmt.Errorf("corrupt spill key lengths")
+	}
+	return nil
+}
+
+// decodeColumn fills dst from the little-endian uint32s of src and returns
+// the largest of them as unsigned, so a negative entry reads as one past
+// every valid value.
+func decodeColumn(dst []int32, src []byte) (largest uint32) {
+	for i := range dst {
+		v := binary.LittleEndian.Uint32(src[4*i:])
+		dst[i] = int32(v)
+		largest = max(largest, v)
+	}
+	return largest
+}
+
+// decodeOffsets fills dst from the little-endian uint32s of src and
+// reports whether they start at 0, never decrease and end at end.
+func decodeOffsets(dst []int32, src []byte, end uint64) bool {
+	prev, ok := uint32(0), binary.LittleEndian.Uint32(src) == 0
+	for i := range dst {
+		v := binary.LittleEndian.Uint32(src[4*i:])
+		ok = ok && v >= prev
+		dst[i], prev = int32(v), v
+	}
+	return ok && uint64(prev) == end
 }

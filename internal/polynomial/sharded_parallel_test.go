@@ -34,10 +34,16 @@ func recordPass(t *testing.T, run func(fn func(i, firstPoly int, s *Set) error) 
 	return got
 }
 
+// The tests below ask for a multi-worker pass over a ShardedSet through
+// ForEachShardN, the entry point every stage with a Workers knob uses. A
+// ShardedSet loads its shards one at a time whatever is asked for (its
+// parallel loader measured 0.98x of the sequential pass and was deleted),
+// so what they pin is that the request is harmless: same shards, same
+// order, budget honored, residency restored after an error.
+
 // spilledSet builds a sharded set whose shards are mostly on disk: a
 // tight budget during the build forces spilling, then the budget is
-// widened (white-box) so a parallel pass has headroom for its reorder
-// window instead of degrading to the sequential path.
+// widened (white-box) to what the pass runs under.
 func spilledSet(t *testing.T, polys, buildBudget, runBudget int) *ShardedSet {
 	t.Helper()
 	set := buildTestSet(polys, 10)
@@ -65,7 +71,7 @@ func TestShardedForEachShardParallelMatchesSequential(t *testing.T) {
 	}
 	for _, workers := range []int{1, 2, 8} {
 		got := recordPass(t, func(fn func(i, firstPoly int, s *Set) error) error {
-			return ss.ForEachShardParallel(workers, fn)
+			return ForEachShardN(ss, workers, fn)
 		})
 		if len(got) != len(want) {
 			t.Fatalf("workers=%d: %d shards, want %d", workers, len(got), len(want))
@@ -86,7 +92,7 @@ func TestShardedForEachShardParallelHonorsBudget(t *testing.T) {
 	budget := 100
 	ss := spilledSet(t, 60, 30, budget)
 	peak := 0
-	err := ss.ForEachShardParallel(8, func(_, _ int, _ *Set) error {
+	err := ForEachShardN(ss, 8, func(_, _ int, _ *Set) error {
 		if r := ss.ResidentMonomials(); r > peak {
 			peak = r
 		}
@@ -111,7 +117,7 @@ func TestShardedForEachShardParallelStopsOnError(t *testing.T) {
 	resident0 := ss.ResidentMonomials()
 	boom := errors.New("stop here")
 	seen := 0
-	err := ss.ForEachShardParallel(4, func(i, _ int, _ *Set) error {
+	err := ForEachShardN(ss, 4, func(i, _ int, _ *Set) error {
 		seen++
 		if i == 1 {
 			return boom
@@ -129,7 +135,7 @@ func TestShardedForEachShardParallelStopsOnError(t *testing.T) {
 	}
 	// The set must remain fully usable after a failed pass.
 	got := recordPass(t, func(fn func(i, firstPoly int, s *Set) error) error {
-		return ss.ForEachShardParallel(4, fn)
+		return ForEachShardN(ss, 4, fn)
 	})
 	if len(got) != ss.NumShards() {
 		t.Fatalf("retry saw %d shards, want %d", len(got), ss.NumShards())
@@ -141,8 +147,8 @@ func TestShardedForEachShardParallelClosed(t *testing.T) {
 	if err := ss.Close(); err != nil {
 		t.Fatal(err)
 	}
-	err := ss.ForEachShardParallel(4, func(_, _ int, _ *Set) error { return nil })
+	err := ForEachShardN(ss, 4, func(_, _ int, _ *Set) error { return nil })
 	if err == nil {
-		t.Fatal("parallel pass over a closed set succeeded")
+		t.Fatal("pass over a closed set succeeded")
 	}
 }

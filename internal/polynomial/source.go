@@ -8,6 +8,20 @@ package polynomial
 // shard: itself) and *ShardedSet (fixed-size shards that may stream from
 // spill files), so each stage is written once and works in-memory and
 // out-of-core alike.
+//
+// A source may offer more than this, and a stage asks by type assertion
+// or through the helper named here, never by naming a concrete type:
+//
+//   - ShardParallelSource: shards load or decode on several goroutines
+//     while fn still sees them in order (polyio.IndexedSet; ask through
+//     ForEachShardN).
+//   - PackedShardSource: shards are handed over as PackedSet slabs, with
+//     no *Set built (*ShardedSet, *PackedSet, polyio.IndexedSet; ask
+//     through PackedShards).
+//   - IndexedSource: independent passes may run concurrently
+//     (polyio.IndexedSet).
+//
+// ContextSource forwards all three for whatever it wraps.
 type SetSource interface {
 	// Namespace returns the shared variable namespace.
 	Namespace() *Names
@@ -33,15 +47,39 @@ type SetSource interface {
 }
 
 // ShardParallelSource is implemented by sources whose shards can be
-// loaded (or decoded) concurrently: ForEachShardParallel overlaps shard
-// production across up to workers goroutines while still delivering the
-// shards to fn sequentially, in shard order, on the calling goroutine —
-// the same determinism contract as ForEachShard, with the disk/decode
-// latency hidden. Implementations bound the number of shards resident at
-// once (their MaxResidentMonomials budget, or the worker count when
-// unbudgeted). With workers <= 1 it is exactly ForEachShard.
+// decoded concurrently: ForEachShardParallel overlaps shard production
+// across up to workers goroutines while still delivering the shards to fn
+// sequentially, in shard order, on the calling goroutine — the same
+// determinism contract as ForEachShard, with the decode latency hidden.
+// Implementations bound the number of shards resident at once (their
+// residency budget, or the worker count when unbudgeted). With workers
+// <= 1 it is exactly ForEachShard. polyio.IndexedSet, whose shards
+// inflate and varint-decode, gains 1.33x from it at two workers; a
+// ShardedSet, whose loads are a bulk copy, measured 0.98x and does not
+// implement it.
 type ShardParallelSource interface {
 	ForEachShardParallel(workers int, fn func(i, firstPoly int, s *Set) error) error
+}
+
+// PackedShardSource is implemented by sources that can hand a shard over
+// as the PackedSet it is stored (or was decoded) in, for consumers that
+// read slabs and would only flatten a *Set again: ForEachPackedShard is
+// ForEachShard with that one difference, and fn must not retain the
+// PackedSet beyond the call — a source may decode every shard into the
+// same one. Ask through PackedShards, which sees through wrappers.
+type PackedShardSource interface {
+	ForEachPackedShard(fn func(i, firstPoly int, ps *PackedSet) error) error
+}
+
+// PackedShards returns src as a PackedShardSource when the source
+// underneath any ContextSource wrappers is one (a wrapper has the method
+// whatever it wraps, and forwards it with its own per-shard check).
+func PackedShards(src SetSource) (PackedShardSource, bool) {
+	if _, ok := Unwrap(src).(PackedShardSource); !ok {
+		return nil, false
+	}
+	ps, ok := src.(PackedShardSource)
+	return ps, ok
 }
 
 // IndexedSource is a SetSource backed by a random-access index of
@@ -95,6 +133,10 @@ var (
 	_ SetSink   = (*Set)(nil)
 	_ SetSink   = (*ShardBuilder)(nil)
 	_ SetSink   = (*PackedSet)(nil)
+
+	_ PackedShardSource = (*ShardedSet)(nil)
+	_ PackedShardSource = (*PackedSet)(nil)
+	_ PackedShardSource = (*ContextSource)(nil)
 )
 
 // Copy streams every polynomial of src into sink in shard order — the

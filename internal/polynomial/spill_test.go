@@ -1,0 +1,374 @@
+package polynomial
+
+import (
+	"bytes"
+	"context"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"math"
+	"math/rand"
+	"strings"
+	"testing"
+)
+
+// shardDigest renders a shard bit for bit: keys, coefficient bits, terms.
+func shardDigest(s *Set) string {
+	var b strings.Builder
+	for i, key := range s.Keys {
+		fmt.Fprintf(&b, "%q:", key)
+		for _, m := range s.Polys[i].Mons {
+			fmt.Fprintf(&b, "%x%v", math.Float64bits(m.Coef), m.Terms)
+		}
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
+// passDigests runs both kinds of pass over ss and returns what each saw,
+// shard by shard.
+func passDigests(ss *ShardedSet) (viaSet, viaPacked []string, err error) {
+	err = ss.ForEachShard(func(_, firstPoly int, s *Set) error {
+		viaSet = append(viaSet, fmt.Sprint(firstPoly, "\n", shardDigest(s)))
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	err = ss.ForEachPackedShard(func(_, firstPoly int, ps *PackedSet) error {
+		viaPacked = append(viaPacked, fmt.Sprint(firstPoly, "\n", shardDigest(ps.View())))
+		return nil
+	})
+	return viaSet, viaPacked, err
+}
+
+// residentByShards is what ResidentMonomials must report between passes:
+// the monomials of the shards that hold a Set.
+func residentByShards(ss *ShardedSet) int {
+	n := 0
+	for _, sh := range ss.shards {
+		if sh.set != nil {
+			n += sh.mons
+		}
+	}
+	return n
+}
+
+// TestPackedPassMatchesSetPass: ForEachPackedShard hands out, shard for
+// shard, what ForEachShard does — spilled shards decoded into the scratch,
+// resident ones copied into it — with and without an exponent column.
+func TestPackedPassMatchesSetPass(t *testing.T) {
+	for _, set := range []*Set{buildTestSet(60, 10), telephonyShaped(12)} {
+		for _, budget := range []int{0, set.Size() / 5} {
+			ss, err := BuildSharded(set, ShardOptions{TargetMonomials: 40, MaxResidentMonomials: budget, SpillDir: t.TempDir()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if (budget > 0) != (ss.SpilledShards() > 0) {
+				t.Fatalf("budget %d: %d shards spilled", budget, ss.SpilledShards())
+			}
+			viaSet, viaPacked, err := passDigests(ss)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(viaSet) != ss.NumShards() || fmt.Sprint(viaSet) != fmt.Sprint(viaPacked) {
+				t.Fatalf("budget %d: the packed pass saw different shards than the *Set pass", budget)
+			}
+			if budget > 0 && ss.PeakResidentMonomials() > budget {
+				t.Fatalf("peak residency %d exceeds budget %d", ss.PeakResidentMonomials(), budget)
+			}
+			if got, want := ss.ResidentMonomials(), residentByShards(ss); got != want {
+				t.Fatalf("residency %d after the passes, the resident shards hold %d", got, want)
+			}
+			if err := ss.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := ss.ForEachPackedShard(func(_, _ int, _ *PackedSet) error { return nil }); err == nil {
+				t.Fatal("packed pass over a closed set succeeded")
+			}
+		}
+	}
+}
+
+// TestSpillFailpointSweep fails every I/O call of build → spill →
+// ForEachShard → ForEachPackedShard → both passes again, once each, by its
+// index among all spill writes and reads of a clean run. Each failure must
+// surface as the injected error, leave the residency counter equal to what
+// the resident shards hold (a failed load is never counted; a shard spilled
+// to make room before the failure stays spilled), let the next pass over
+// the same set answer bit-identically, and leak no file once the set is
+// closed or the builder discarded. The first two passes still spill to
+// make room; the second two only read, so a failure there must leave
+// residency at its pre-pass value.
+func TestSpillFailpointSweep(t *testing.T) {
+	set := buildTestSet(36, 8)
+	inject := errors.New("injected spill I/O failure")
+	t.Cleanup(func() { testSpillWriteErr, testSpillReadErr = nil, nil })
+
+	// scenario runs the whole life of a set with call number failAt failing
+	// (0: none) and returns how many calls it made.
+	scenario := func(failAt int) (calls int) {
+		dir := t.TempDir()
+		failpoint := func(string) error {
+			if calls++; calls == failAt {
+				return inject
+			}
+			return nil
+		}
+		testSpillWriteErr, testSpillReadErr = failpoint, failpoint
+		defer func() {
+			if left := countFilesUnder(t, dir); len(left) != 0 {
+				t.Fatalf("failAt=%d: %d files leaked: %v", failAt, len(left), left)
+			}
+		}()
+
+		b := NewShardBuilder(set.Names, ShardOptions{TargetMonomials: 24, MaxResidentMonomials: 64, SpillDir: dir})
+		defer b.Discard()
+		err := b.AddSet(set)
+		var ss *ShardedSet
+		if err == nil {
+			ss, err = b.Finish()
+		}
+		if err != nil {
+			if !errors.Is(err, inject) {
+				t.Fatalf("failAt=%d: build failed with %v", failAt, err)
+			}
+			return calls
+		}
+		defer ss.Close()
+		if ss.SpilledShards() < 3 {
+			t.Fatalf("fixture spilled %d shards", ss.SpilledShards())
+		}
+
+		want, _, err := passDigests(mustBuildSharded(t, set, ShardOptions{TargetMonomials: 24}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		failed := false
+		for pass := 0; pass < 4; pass++ {
+			before := ss.ResidentMonomials()
+			if pass%2 == 0 {
+				err = ss.ForEachShard(func(_, _ int, _ *Set) error { return nil })
+			} else {
+				err = ss.ForEachPackedShard(func(_, _ int, _ *PackedSet) error { return nil })
+			}
+			if err != nil {
+				if !errors.Is(err, inject) {
+					t.Fatalf("failAt=%d: pass failed with %v", failAt, err)
+				}
+				failed = true
+				if pass >= 2 && ss.ResidentMonomials() != before {
+					t.Fatalf("failAt=%d: a failed load moved residency %d -> %d", failAt, before, ss.ResidentMonomials())
+				}
+			}
+			if got, want := ss.ResidentMonomials(), residentByShards(ss); got != want {
+				t.Fatalf("failAt=%d: residency %d, the resident shards hold %d", failAt, got, want)
+			}
+		}
+		if failAt > 0 && !failed {
+			t.Fatalf("failAt=%d: no error surfaced in %d calls", failAt, calls)
+		}
+		// The same set, after the failure: both passes bit-identical to a
+		// set that never spilled.
+		testSpillWriteErr, testSpillReadErr = nil, nil
+		viaSet, viaPacked, err := passDigests(ss)
+		if err != nil {
+			t.Fatalf("failAt=%d: pass after the failure: %v", failAt, err)
+		}
+		if fmt.Sprint(viaSet) != fmt.Sprint(want) || fmt.Sprint(viaPacked) != fmt.Sprint(want) {
+			t.Fatalf("failAt=%d: the pass after the failure answers differently", failAt)
+		}
+		return calls
+	}
+
+	total := scenario(0)
+	if total < 12 {
+		t.Fatalf("a clean run made only %d spill I/O calls", total)
+	}
+	for failAt := 1; failAt <= total; failAt++ {
+		scenario(failAt)
+	}
+	t.Logf("swept %d spill I/O calls", total)
+}
+
+func mustBuildSharded(t *testing.T, set *Set, opts ShardOptions) *ShardedSet {
+	t.Helper()
+	ss, err := BuildSharded(set, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ss.Close() })
+	return ss
+}
+
+// TestPackedPassCancelRestoresResidency: a packed pass canceled mid-way
+// (through WithContext, as Dataset.EvalBatch runs it) stops at the next
+// shard with the context's error, releases the shard it had loaded, and
+// leaves the set answering as before.
+func TestPackedPassCancelRestoresResidency(t *testing.T) {
+	set := buildTestSet(60, 10)
+	ss := mustBuildSharded(t, set, ShardOptions{TargetMonomials: 40, MaxResidentMonomials: 120, SpillDir: t.TempDir()})
+	want, _, err := passDigests(ss) // also settles what stays resident
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	packed, ok := PackedShards(WithContext(ctx, ss))
+	if !ok {
+		t.Fatal("a ShardedSet behind WithContext offers no packed shards")
+	}
+	before, calls := ss.ResidentMonomials(), 0
+	err = packed.ForEachPackedShard(func(i, _ int, _ *PackedSet) error {
+		calls++
+		if i == 2 {
+			cancel()
+		}
+		return nil
+	})
+	if !errors.Is(err, context.Canceled) || calls != 3 {
+		t.Fatalf("canceled at shard 2: err %v after %d shards", err, calls)
+	}
+	if got := ss.ResidentMonomials(); got != before || got != residentByShards(ss) {
+		t.Fatalf("residency %d after the canceled pass, %d before, the resident shards hold %d", got, before, residentByShards(ss))
+	}
+	viaSet, viaPacked, err := passDigests(ss)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(viaSet) != fmt.Sprint(want) || fmt.Sprint(viaPacked) != fmt.Sprint(want) {
+		t.Fatal("the pass after the canceled one answers differently")
+	}
+
+	// A source without packed shards does not grow them behind a wrapper.
+	if _, ok := PackedShards(WithContext(ctx, set)); ok {
+		t.Fatal("a *Set behind WithContext claims packed shards")
+	}
+	if err := (&ContextSource{ctx: ctx, src: set}).ForEachPackedShard(nil); err == nil {
+		t.Fatal("forwarding a packed pass to a *Set succeeded")
+	}
+}
+
+// spillSeeds are real encodings: with and without an exponent column,
+// empty polynomials, constant monomials, an empty shard.
+func spillSeeds(tb testing.TB) (*Names, [][]byte) {
+	names := NewNames()
+	x, y := names.Var("x"), names.Var("y")
+	sets := []*Set{NewSet(names), NewSet(names), NewSet(names)}
+	sets[1].Add("sum", Polynomial{Mons: []Monomial{{Coef: 2, Terms: []Term{T(x), T(y)}}, {Coef: -0.5, Terms: []Term{T(y)}}}})
+	sets[1].Add("", Polynomial{})
+	sets[1].Add("const", Polynomial{Mons: []Monomial{{Coef: math.Inf(1)}}})
+	sets[2].Add("pow", Polynomial{Mons: []Monomial{{Coef: 3, Terms: []Term{T(x), TExp(y, 4)}}}})
+	sets[2].Add("k", Polynomial{Mons: []Monomial{{Coef: math.NaN(), Terms: []Term{TExp(x, 2)}}}})
+	var out [][]byte
+	for _, s := range sets {
+		data, err := encodeShardPayload(nil, s)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		out = append(out, data)
+	}
+	return names, out
+}
+
+// TestSpillDecodeCorruptions names every way a spill file can be wrong and
+// the error it gets; each is one edit of a real encoding.
+func TestSpillDecodeCorruptions(t *testing.T) {
+	names, seeds := spillSeeds(t)
+	sum, pow := seeds[1], seeds[2] // 3 polys, 3 mons, 3 terms, no exps / 2 polys, 2 mons, 3 terms, exps
+	le := binary.LittleEndian
+	const counts = len(spillMagic)
+	polyOff := spillHeadLen
+	put := func(off int, v uint32) func([]byte) []byte {
+		return func(b []byte) []byte { le.PutUint32(b[off:], v); return b }
+	}
+	for _, tc := range []struct {
+		name    string
+		data    []byte
+		corrupt func([]byte) []byte
+		want    string
+	}{
+		{"empty file", sum, func(b []byte) []byte { return nil }, "bad spill magic"},
+		{"old magic", sum, func(b []byte) []byte { b[6] = '2'; return b }, "bad spill magic"},
+		{"truncated header", sum, func(b []byte) []byte { return b[:spillHeadLen-1] }, "bad spill magic"},
+		{"truncated by one byte", sum, func(b []byte) []byte { return b[:len(b)-1] }, "corrupt spill length: counts imply 116 bytes, file holds 115"},
+		{"one trailing byte", sum, func(b []byte) []byte { return append(b, 0) }, "corrupt spill length"},
+		{"2^31 monomials", sum, put(counts+4, 1<<31), "corrupt spill counts"},
+		{"2^31 terms", sum, put(counts+8, 1<<31), "corrupt spill counts"},
+		{"2^32-1 polynomials", sum, put(counts, math.MaxUint32), "corrupt spill counts"},
+		{"a billion monomials", sum, put(counts+4, 1_000_000_000), "corrupt spill length: counts imply 12000000080 bytes"},
+		{"half an exponent column", pow, put(counts+12, 1), "corrupt spill counts"},
+		{"first polynomial offset not 0", sum, put(polyOff, 1), "corrupt spill polynomial offsets"},
+		{"polynomial offsets decrease", sum, put(polyOff+4, 3), "corrupt spill polynomial offsets"},
+		{"polynomial offsets end early", sum, put(polyOff+12, 2), "corrupt spill polynomial offsets"},
+		{"monomial offsets decrease", sum, put(polyOff+16+8, 1), "corrupt spill monomial offsets"},
+		{"monomial offsets end late", sum, put(polyOff+16+12, 4), "corrupt spill monomial offsets"},
+		{"variable outside the namespace", sum, put(polyOff+16+16+24, 2), "corrupt spill variable 2, the namespace has 2"},
+		{"negative variable", sum, put(polyOff+16+16+24, math.MaxUint32), "corrupt spill variable"},
+		{"negative exponent", pow, put(polyOff+12+12+16+12+4, 1<<31), "corrupt spill exponents"},
+		{"exponent column of all ones", pow, func(b []byte) []byte {
+			b = put(polyOff+12+12+16+12+4, 1)(b)
+			return put(polyOff+12+12+16+12+8, 1)(b)
+		}, "corrupt spill exponents"},
+		{"key length past the block", sum, put(len(sum)-8-12, 9), "corrupt spill key lengths"},
+		{"key lengths short of the block", sum, put(len(sum)-8-12, 2), "corrupt spill key lengths"},
+	} {
+		data := tc.corrupt(bytes.Clone(tc.data))
+		err := decodeShardPayload(data, names, new(PackedSet))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: got %v, want an error containing %q", tc.name, err, tc.want)
+		}
+	}
+	for i, seed := range seeds {
+		if err := decodeShardPayload(seed, names, new(PackedSet)); err != nil {
+			t.Errorf("seed %d does not decode: %v", i, err)
+		}
+	}
+}
+
+// FuzzSpillDecode: whatever the bytes, decoding yields an error or a
+// PackedSet that encodes back to exactly them — never a panic, and never an
+// allocation the input's own length does not cover (the length check comes
+// before the first one, so slabs total at most the input's size). The
+// scratch is reused across inputs, as ForEachPackedShard reuses it across
+// shards, so a rejected input must not poison the next decode either.
+func FuzzSpillDecode(f *testing.F) {
+	names, seeds := spillSeeds(f)
+	r := rand.New(rand.NewSource(5))
+	for _, seed := range seeds {
+		f.Add(seed)
+		f.Add(seed[:len(seed)/2])
+		flipped := bytes.Clone(seed)
+		flipped[r.Intn(len(flipped))] ^= 1 << r.Intn(8)
+		f.Add(flipped)
+		for off := len(spillMagic); off < spillHeadLen; off += 4 {
+			huge := bytes.Clone(seed)
+			binary.LittleEndian.PutUint32(huge[off:], 1<<31)
+			f.Add(huge)
+		}
+		if len(seed) > spillHeadLen+8 {
+			decreasing := bytes.Clone(seed)
+			binary.LittleEndian.PutUint32(decreasing[spillHeadLen+4:], math.MaxInt32)
+			f.Add(decreasing)
+			longKey := bytes.Clone(seed)
+			longKey[len(longKey)-1]++
+			f.Add(longKey)
+		}
+	}
+	scratch := new(PackedSet)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := decodeShardPayload(data, names, scratch); err != nil {
+			return
+		}
+		slabs := 4*(len(scratch.polyOff)+len(scratch.monOff)+len(scratch.vars)+len(scratch.exps)) + 8*len(scratch.coefs)
+		if slabs > len(data) {
+			t.Fatalf("decoded %d bytes of slabs from %d bytes of input", slabs, len(data))
+		}
+		again, err := encodeShardPayload(nil, scratch.View())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again, data) {
+			t.Fatalf("decoded set re-encodes to different bytes:\n in  %x\n out %x", data, again)
+		}
+	})
+}

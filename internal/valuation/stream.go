@@ -5,15 +5,19 @@ import (
 )
 
 // EvalBatchSource evaluates every polynomial of any SetSource under many
-// scenario assignments, streaming shard-at-a-time: each shard is compiled
-// to a Program, evaluated (chunking scenarios over up to workers
-// goroutines), and released before the next shard loads, so peak memory is
-// one shard's program instead of the whole set's. Rows are one result per
-// polynomial in set order; because each polynomial evaluates independently
-// and shards concatenate in set order, the rows are bit-identical to
-// compiling the materialized set and calling EvalBatchN, for every source
-// representation and worker count. An in-memory Set presents itself as a
-// single shard, so the in-memory streaming path compiles once. A shard's
+// scenario assignments, streaming shard-at-a-time: each shard is evaluated
+// (chunking scenarios over up to workers goroutines) and released before
+// the next one loads, so peak memory is one shard instead of the whole
+// set. A source that hands its shards over packed
+// (polynomial.PackedShards: a ShardedSet, an IndexedSet, a PackedSet, each
+// also behind WithContext) is evaluated straight from those slabs — they
+// are in a Program's layout, so one Program is re-pointed at shard after
+// shard and a pass builds no *Set, compiles nothing and copies nothing;
+// any other source has each shard compiled to a Program of its own. Rows
+// are one result per polynomial in set order; because each polynomial
+// evaluates independently and shards concatenate in set order, the rows
+// are bit-identical to compiling the materialized set and calling
+// EvalBatchN, for every source representation and worker count. A shard's
 // program is used for this one batch, so it evaluates every polynomial and
 // never builds the index sparse scenarios are answered from.
 func EvalBatchSource(src polynomial.SetSource, assignments []*Assignment, workers int) ([][]float64, error) {
@@ -23,14 +27,29 @@ func EvalBatchSource(src polynomial.SetSource, assignments []*Assignment, worker
 		out[i] = make([]float64, 0, src.Len())
 	}
 	var rows [][]float64
-	err := polynomial.ForEachShardN(src, workers, func(_, _ int, s *polynomial.Set) error {
-		prog := Compile(s)
+	eval := func(prog *Program) {
 		rows = prog.evalBatch(assignments, rows, workers, false)
 		for a := range rows {
 			out[a] = append(out[a], rows[a]...)
 		}
-		return nil
-	})
+	}
+	var err error
+	if packed, ok := polynomial.PackedShards(src); ok {
+		names := src.Namespace()
+		prog := &Program{names: names, numVars: names.Len()}
+		err = packed.ForEachPackedShard(func(_, _ int, ps *polynomial.PackedSet) error {
+			// What Compile builds, with nothing copied; valid until ps changes.
+			prog.polyOff, prog.coefs, prog.monOff = ps.PolyOff(), ps.Coefs(), ps.MonOff()
+			prog.tVars, prog.tExps = ps.Vars(), ps.Exps()
+			eval(prog)
+			return nil
+		})
+	} else {
+		err = polynomial.ForEachShardN(src, workers, func(_, _ int, s *polynomial.Set) error {
+			eval(Compile(s))
+			return nil
+		})
+	}
 	if err != nil {
 		return nil, err
 	}
