@@ -80,7 +80,9 @@ type (
 	Schema = relation.Schema
 	// Column is one attribute of a schema.
 	Column = relation.Column
-	// Value is a dynamically typed cell value (possibly symbolic).
+	// Value is a dynamically typed cell value (possibly symbolic): two
+	// words, NULL when zero, read through Kind() and I(), F(), S(), B(),
+	// P() and compared with Equal or Compare, not ==.
 	Value = relation.Value
 	// VarSpec derives provenance variable names from row values.
 	VarSpec = provenance.VarSpec

@@ -339,13 +339,34 @@
 // rules make the join → aggregate pipeline allocate per distinct key and
 // per group, never per row, and they are contracts a caller can rely on.
 //
+// The cell. A Value is two words, and the zero Value is NULL: a payload word
+// (an int64, the bits of a float64, a bool, or — for the two reference
+// kinds — a length with the kind in its top four bits) and a pointer word
+// (nil for NULL, a per-kind tag address for INT, FLOAT and BOOL, else the
+// string's first byte or the polynomial's first monomial; the empty string
+// and the zero polynomial point at their tag, so neither reads as NULL). A
+// cell is read through methods — Kind(), and I(), F(), S(), B(), P(), each
+// returning the zero value of its type on a cell of another kind — and
+// built by Int, Float, Str, Bool, Poly (PolyValue on the facade) and Null.
+// Strings and polynomials are immutable, which is what lets a cell point
+// into them; P() returns a slice with cap == len. Values cannot be compared
+// with == (two cells holding "a" may point at different bytes): use Equal,
+// or Compare. Every slab sized in cells — Collect's chunks, a join's build
+// rows, the key table, Sort and Distinct's copies, Relation.Clone — is
+// sized by these 16 bytes; the struct of one field per kind this replaced
+// was 72.
+//
 // Key equivalence. Hash joins, GROUP BY and DISTINCT share one key table:
 // a 64-bit hash of the key cells by kind, every hash tie settled by
 // comparing the cells. Two keys are equal exactly when Value.Compare says 0
 // on every cell — INT 2 joins FLOAT 2.0 and -0.0 groups with +0.0, just as
 // the = of a WHERE clause decides when the same predicate runs as a filter
 // — NULL is a group of its own but never joins, and a symbolic cell in a
-// key is an error. Join output is probe-row order × build insertion order;
+// key is an error. Compare looks at two cells of one kind directly: INT
+// with INT is exact (2^53 and 2^53+1 are two keys, though they share a
+// float64 and so a hash), string with string is one strings.Compare; only
+// INT with FLOAT goes through float64, and float64s are totally ordered
+// (NaN equals NaN, below every number), so a NaN key is one group. Join output is probe-row order × build insertion order;
 // groups and distinct rows come in first-seen order, showing the key values
 // of their first row.
 //
@@ -360,8 +381,10 @@
 // Summation order. A symbolic SUM, COUNT or AVG — and a group's annotation
 // — merges each row's monomials into an accumulator keyed on the term
 // vector as the rows arrive; only the distinct term vectors are sorted at
-// the end, and SUM(concrete * symbolic) feeds coefficient·factor straight
-// in without building the scaled polynomial. A merged coefficient is
+// the end, and SUM over a product of one symbolic factor and any number of
+// concrete ones feeds coefficient·factor·factor… straight in, multiplied in
+// the order the product is written, without building a scaled polynomial
+// (a row where a factor zeroes a coefficient takes the plain route). A merged coefficient is
 // therefore the left-to-right float64 sum of its contributions in input-row
 // order, with the sum of the group's concrete contributions added last.
 // This replaced "collect every monomial, sort, merge neighbours", which

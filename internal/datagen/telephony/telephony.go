@@ -161,12 +161,12 @@ func InstrumentPrices(cat engine.Catalog, names *polynomial.Names) (engine.Catal
 	}
 	for ri := range clone.Rows {
 		row := &clone.Rows[ri]
-		plan := row.Values[planIdx].S
+		plan := row.Values[planIdx].S()
 		pv, ok := PlanVar[plan]
 		if !ok {
 			return nil, fmt.Errorf("telephony: unknown plan %q", plan)
 		}
-		mo := int(row.Values[moIdx].I)
+		mo := int(row.Values[moIdx].I())
 		base, ok := row.Values[priceIdx].AsFloat()
 		if !ok {
 			return nil, fmt.Errorf("telephony: price is not numeric")

@@ -28,14 +28,14 @@ func TestGenerateShapeAndDeterminism(t *testing.T) {
 	}
 	for i := range cat1["Calls"].Rows {
 		a, b := cat1["Calls"].Rows[i], cat2["Calls"].Rows[i]
-		if a.Values[2].F != b.Values[2].F {
+		if a.Values[2].F() != b.Values[2].F() {
 			t.Fatal("generator not deterministic")
 		}
 	}
 	// Every zip covers every plan (needed for the Section-4 size formula).
 	seen := map[string]map[string]bool{}
 	for _, row := range cat1["Cust"].Rows {
-		z, p := row.Values[2].S, row.Values[1].S
+		z, p := row.Values[2].S(), row.Values[1].S()
 		if seen[z] == nil {
 			seen[z] = map[string]bool{}
 		}
@@ -84,14 +84,14 @@ func TestDirectProvenanceMatchesEnginePath(t *testing.T) {
 		t.Fatalf("groups: engine %d vs direct %d", out.Len(), direct.Len())
 	}
 	for _, row := range out.Rows {
-		zip := row.Values[0].S
+		zip := row.Values[0].S()
 		want, ok := direct.Poly(zip)
 		if !ok {
 			t.Fatalf("zip %s missing from direct set", zip)
 		}
-		if !polynomial.AlmostEqual(row.Values[1].P, want, 1e-9) {
+		if !polynomial.AlmostEqual(row.Values[1].P(), want, 1e-9) {
 			t.Fatalf("zip %s:\nengine: %s\ndirect: %s", zip,
-				row.Values[1].P.String(names), want.String(names))
+				row.Values[1].P().String(names), want.String(names))
 		}
 	}
 }
@@ -179,7 +179,7 @@ func TestFigure1DBShape(t *testing.T) {
 	}
 	// Instrumentation must not mutate the source catalog.
 	for _, row := range cat["Plans"].Rows {
-		if row.Values[2].Kind != 2 { // KindFloat
+		if row.Values[2].Kind() != 2 { // KindFloat
 			t.Fatal("InstrumentPrices mutated input")
 		}
 	}

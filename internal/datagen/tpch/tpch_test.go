@@ -66,20 +66,20 @@ func TestLineitemInvariants(t *testing.T) {
 	}
 	disc, qty, ship, month, status := idx("l_discount"), idx("l_quantity"), idx("l_shipdate"), idx("l_shipmonth"), idx("l_linestatus")
 	for _, row := range li.Rows {
-		if d := row.Values[disc].F; d < 0 || d > 0.10 {
+		if d := row.Values[disc].F(); d < 0 || d > 0.10 {
 			t.Fatalf("discount %v out of range", d)
 		}
-		if q := row.Values[qty].F; q < 1 || q > 50 {
+		if q := row.Values[qty].F(); q < 1 || q > 50 {
 			t.Fatalf("quantity %v out of range", q)
 		}
-		sd := row.Values[ship].S
+		sd := row.Values[ship].S()
 		if sd < "1992-01-02" || sd > "1999-01-01" {
 			t.Fatalf("shipdate %s out of range", sd)
 		}
-		if got, want := row.Values[month].S, sd[:7]; got != want {
+		if got, want := row.Values[month].S(), sd[:7]; got != want {
 			t.Fatalf("shipmonth %s != %s", got, want)
 		}
-		st := row.Values[status].S
+		st := row.Values[status].S()
 		if (sd > "1995-06-17") != (st == "O") {
 			t.Fatalf("linestatus %s inconsistent with shipdate %s", st, sd)
 		}
@@ -109,7 +109,7 @@ func TestQ1AggregatesConsistent(t *testing.T) {
 	for _, row := range out.Rows {
 		sumQty, _ := row.Values[2].AsFloat()
 		avgQty, _ := row.Values[6].AsFloat()
-		n := float64(row.Values[9].I)
+		n := float64(row.Values[9].I())
 		if n == 0 {
 			t.Fatal("empty group")
 		}
@@ -256,9 +256,9 @@ func TestQ12CountsPartitionLineitems(t *testing.T) {
 	for i := range out.Rows {
 		hi, _ := out.Rows[i].Values[1].AsFloat()
 		lo, _ := out.Rows[i].Values[2].AsFloat()
-		total := float64(check.Rows[i].Values[1].I)
+		total := float64(check.Rows[i].Values[1].I())
 		if hi+lo != total {
-			t.Fatalf("%s: %v + %v != %v", out.Rows[i].Values[0].S, hi, lo, total)
+			t.Fatalf("%s: %v + %v != %v", out.Rows[i].Values[0].S(), hi, lo, total)
 		}
 	}
 }

@@ -49,6 +49,7 @@ type GroupBy struct {
 	schema *relation.Schema
 	rows   []relation.Tuple
 	pos    int
+	scales []float64 // sumProduct's concrete factors of the current row
 }
 
 // NewGroupBy builds an aggregation node; keyNames label the key columns in
@@ -156,7 +157,7 @@ func (g *GroupBy) build() error {
 			if err != nil {
 				return err
 			}
-			if v.Kind == relation.KindPoly {
+			if v.Kind() == relation.KindPoly {
 				return fmt.Errorf("engine: GROUP BY over a symbolic value")
 			}
 			key[i] = v
@@ -198,7 +199,7 @@ func (g *GroupBy) accumulate(st *aggState, spec *AggSpec, t *relation.Tuple) err
 		var err error
 		if mul, ok := spec.Arg.(*Arith); ok && mul.Op == OpMul && annIsOne && (spec.Kind == AggSum || spec.Kind == AggAvg) {
 			var fused bool
-			if arg, fused, err = st.sumProduct(mul, t); fused {
+			if arg, fused, err = g.sumProduct(st, mul, t); fused {
 				return nil
 			}
 		} else {
@@ -226,10 +227,10 @@ func (g *GroupBy) accumulate(st *aggState, spec *AggSpec, t *relation.Tuple) err
 			return fmt.Errorf("engine: %s requires an argument", spec.Kind)
 		}
 		if !arg.IsNumeric() {
-			return fmt.Errorf("engine: %s over non-numeric %s", spec.Kind, arg.Kind)
+			return fmt.Errorf("engine: %s over non-numeric %s", spec.Kind, arg.Kind())
 		}
 		st.count++
-		if annIsOne && arg.Kind != relation.KindPoly {
+		if annIsOne && arg.Kind() != relation.KindPoly {
 			f, _ := arg.AsFloat()
 			st.f += f
 			return nil
@@ -242,7 +243,7 @@ func (g *GroupBy) accumulate(st *aggState, spec *AggSpec, t *relation.Tuple) err
 		if spec.Arg == nil {
 			return fmt.Errorf("engine: %s requires an argument", spec.Kind)
 		}
-		if arg.Kind == relation.KindPoly {
+		if arg.Kind() == relation.KindPoly {
 			if _, ok := arg.AsFloat(); !ok {
 				return fmt.Errorf("engine: %s over a symbolic value", spec.Kind)
 			}
@@ -263,51 +264,82 @@ func (g *GroupBy) accumulate(st *aggState, spec *AggSpec, t *relation.Tuple) err
 	return nil
 }
 
-// sumProduct evaluates the argument of SUM(l * r) on a row annotated 1.
-// When exactly one factor is symbolic — the shape of every instrumented
-// revenue query — the row is added here (fused) and the scaled polynomial
-// is never materialized; otherwise the product comes back as Eval's value.
-func (st *aggState) sumProduct(mul *Arith, t *relation.Tuple) (v relation.Value, fused bool, err error) {
-	l, r, err := mul.operands(t)
-	if err != nil || l.IsNull() {
-		return relation.Null(), false, err
+// sumProduct evaluates the argument of SUM(x0 * x1 * … * xn) on a row
+// annotated 1. When one factor is symbolic and the others concrete — the
+// shape of every instrumented revenue query — the row is added here (fused)
+// with each coefficient multiplied by the concrete factors in Eval's order,
+// and no scaled polynomial is materialized; otherwise the product comes
+// back as Eval's value.
+func (g *GroupBy) sumProduct(st *aggState, mul *Arith, t *relation.Tuple) (v relation.Value, fused bool, err error) {
+	g.scales = g.scales[:0]
+	v, err = g.product(mul, t)
+	if err != nil || len(g.scales) == 0 {
+		return v, false, err
 	}
-	if lp, rp := l.Kind == relation.KindPoly, r.Kind == relation.KindPoly; lp != rp {
-		if lp {
-			l, r = r, l
-		}
-		c, _ := l.AsFloat()
-		st.count++
-		st.addScaled(r.P, c)
-		return relation.Null(), true, nil
+	st.count++
+	st.symbolic = true
+	for _, m := range v.P().Mons {
+		st.acc.Add(g.scaled(m.Coef), m.Terms)
 	}
-	v, err = mul.apply(l, r)
-	return v, false, err
+	return relation.Null(), true, nil
 }
 
-// addScaled adds c·p to the sum with the outcome of adding the value
-// simplify(Scale(p, c)): a product with no monomial left (c = 0, or every
-// coefficient underflows) or with a single constant one is a concrete
-// contribution; anything else is symbolic, one merged monomial per
-// surviving term vector.
-func (st *aggState) addScaled(p polynomial.Polynomial, c float64) {
-	n, last := 0, 0
-	for i := range p.Mons {
-		if p.Mons[i].Coef*c != 0 {
-			n++
-			last = i
-		}
+// product is mul.Eval, except that a symbolic value times concrete ones
+// comes back unscaled, the concrete factors waiting in g.scales in the
+// order Eval would apply them. They wait only while Eval's intermediate
+// values would all be polynomials with every monomial of the symbolic
+// operand: once a coefficient reaches 0 (simplify would drop the monomial,
+// or demote what is left to a float) they are applied as Eval does.
+func (g *GroupBy) product(mul *Arith, t *relation.Tuple) (relation.Value, error) {
+	var l relation.Value
+	var err error
+	if in, ok := mul.L.(*Arith); ok && in.Op == OpMul {
+		l, err = g.product(in, t)
+	} else {
+		l, err = mul.L.Eval(t)
 	}
-	switch {
-	case n == 0:
-	case n == 1 && p.Mons[last].IsConstant():
-		st.f += p.Mons[last].Coef * c
-	default:
-		st.symbolic = true
-		for i := range p.Mons {
-			st.acc.Add(p.Mons[i].Coef*c, p.Mons[i].Terms)
-		}
+	if err != nil {
+		return relation.Null(), err
 	}
+	l, r, err := mul.right(l, t)
+	if err != nil || l.IsNull() {
+		g.scales = g.scales[:0]
+		return relation.Null(), err
+	}
+	if lp, rp := l.Kind() == relation.KindPoly, r.Kind() == relation.KindPoly; lp != rp {
+		if rp {
+			l, r = r, l
+		}
+		c, _ := r.AsFloat()
+		g.scales = append(g.scales, c)
+		if c != 0 && g.survives(l.P()) {
+			return l, nil
+		}
+		g.scales = g.scales[:len(g.scales)-1]
+	}
+	for _, c := range g.scales {
+		l, _ = mul.apply(l, relation.Float(c))
+	}
+	g.scales = g.scales[:0]
+	return mul.apply(l, r)
+}
+
+// scaled is x times the waiting factors, in order.
+func (g *GroupBy) scaled(x float64) float64 {
+	for _, c := range g.scales {
+		x *= c
+	}
+	return x
+}
+
+// survives reports whether p, not a constant, keeps every monomial under
+// the waiting factors.
+func (g *GroupBy) survives(p polynomial.Polynomial) bool {
+	_, constant := p.IsConstant()
+	for _, m := range p.Mons {
+		constant = constant || g.scaled(m.Coef) == 0
+	}
+	return !constant
 }
 
 // finalize turns a group's state into the aggregate's value. A symbolic

@@ -16,8 +16,10 @@ import (
 // BENCHMARK.json's capture workloads run: the telephony 3-way hash join
 // under a SUM over 10 000 customers, on the concrete catalog (float sums,
 // annotations all 1) and on the instrumented one (a symbolic SUM merging
-// 130 k monomials into 11 polynomials), and the TPC-H Q3 and Q5 plans at
-// SF 0.01 (selective filters under 2 and 5 joins, many small groups).
+// 130 k monomials into 11 polynomials), and four TPC-H plans at SF 0.01: Q1
+// and Q6 (scan, date filter and symbolic SUM over all of lineitem, no join
+// — the cost of reading and comparing cells) and Q3 and Q5 (selective
+// filters under 2 and 5 joins, many small groups).
 func BenchmarkExecute(b *testing.B) {
 	telNames := polynomial.NewNames()
 	tel := telephony.Generate(telephony.Config{Customers: 10_000})
@@ -41,6 +43,8 @@ func BenchmarkExecute(b *testing.B) {
 	}{
 		{"telephony/concrete", telephony.RevenueQuery, tel},
 		{"telephony/instrumented", telephony.RevenueQuery, telInst},
+		{"tpch/Q1", tpch.Q1Prov, byMonth},
+		{"tpch/Q6", tpch.Q6Prov, byMonth},
 		{"tpch/Q3", tpch.Q3Prov, byMonth},
 		{"tpch/Q5", tpch.Q5Prov, byNation},
 	} {

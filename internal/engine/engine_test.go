@@ -74,7 +74,7 @@ func TestProjectArithmetic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Rows[0].Values[0].F != 20 || out.Rows[0].Values[1].I != 101 {
+	if out.Rows[0].Values[0].F() != 20 || out.Rows[0].Values[1].I() != 101 {
 		t.Fatalf("row0 = %v", out.Rows[0].Values)
 	}
 }
@@ -88,12 +88,12 @@ func TestArithSymbolicPromotion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.Kind != relation.KindPoly {
-		t.Fatalf("kind = %s, want poly", v.Kind)
+	if v.Kind() != relation.KindPoly {
+		t.Fatalf("kind = %s, want poly", v.Kind())
 	}
 	want := polynomial.MustParse("208.8*p1", names)
-	if !polynomial.AlmostEqual(v.P, want, 1e-9) {
-		t.Fatalf("got %s", v.P.String(names))
+	if !polynomial.AlmostEqual(v.P(), want, 1e-9) {
+		t.Fatalf("got %s", v.P().String(names))
 	}
 	// Division by a symbolic value must fail.
 	bad := &Arith{Op: OpDiv, L: &ColRef{Idx: 1}, R: &ColRef{Idx: 0}}
@@ -103,7 +103,7 @@ func TestArithSymbolicPromotion(t *testing.T) {
 	// Constant polynomials demote back to floats.
 	tup2 := relation.NewTuple(relation.Poly(polynomial.Const(2)), relation.Float(3))
 	got, err := (&Arith{Op: OpMul, L: &ColRef{Idx: 0}, R: &ColRef{Idx: 1}}).Eval(&tup2)
-	if err != nil || got.Kind != relation.KindFloat || got.F != 6 {
+	if err != nil || got.Kind() != relation.KindFloat || got.F() != 6 {
 		t.Fatalf("constant demotion: %v %v", got, err)
 	}
 }
@@ -121,7 +121,7 @@ func TestArithErrorsAndNulls(t *testing.T) {
 		t.Fatal("division by zero should error")
 	}
 	neg, err := (&Neg{E: &ColRef{Idx: 2}}).Eval(&tup)
-	if err != nil || neg.I != 0 {
+	if err != nil || neg.I() != 0 {
 		t.Fatal("neg int")
 	}
 	if _, err := (&Neg{E: &ColRef{Idx: 0}}).Eval(&tup); err == nil {
@@ -301,10 +301,10 @@ func TestGroupByConcrete(t *testing.T) {
 	}
 	byKey := map[string][]relation.Value{}
 	for _, row := range out.Rows {
-		byKey[row.Values[0].S] = row.Values
+		byKey[row.Values[0].S()] = row.Values
 	}
 	a := byKey["a"]
-	if a[1].F != 30 || a[2].I != 2 || a[3].F != 15 || a[4].F != 10 || a[5].F != 20 {
+	if a[1].F() != 30 || a[2].I() != 2 || a[3].F() != 15 || a[4].F() != 10 || a[5].F() != 20 {
 		t.Fatalf("group a aggregates = %v", a)
 	}
 }
@@ -336,10 +336,10 @@ func TestGroupBySymbolicSum(t *testing.T) {
 		t.Fatalf("groups = %d", out.Len())
 	}
 	for _, row := range out.Rows {
-		if row.Values[0].S == "z1" {
+		if row.Values[0].S() == "z1" {
 			want := polynomial.MustParse("208.8*p1*m1 + 240*p1*m3", names)
-			if !polynomial.AlmostEqual(row.Values[1].P, want, 1e-9) {
-				t.Fatalf("z1 = %s", row.Values[1].P.String(names))
+			if !polynomial.AlmostEqual(row.Values[1].P(), want, 1e-9) {
+				t.Fatalf("z1 = %s", row.Values[1].P().String(names))
 			}
 		}
 	}
@@ -367,7 +367,7 @@ func TestGroupBySymbolicAnnotationCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := polynomial.MustParse("1 + x", names)
-	if out.Rows[0].Values[1].Kind != relation.KindPoly || !polynomial.Equal(out.Rows[0].Values[1].P, want) {
+	if out.Rows[0].Values[1].Kind() != relation.KindPoly || !polynomial.Equal(out.Rows[0].Values[1].P(), want) {
 		t.Fatalf("count = %v", out.Rows[0].Values[1].Format(names))
 	}
 }
@@ -402,7 +402,7 @@ func TestGroupByGlobalAggregate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Len() != 1 || out.Rows[0].Values[0].F != 150 {
+	if out.Len() != 1 || out.Rows[0].Values[0].F() != 150 {
 		t.Fatalf("global sum = %v", out.Rows)
 	}
 }
@@ -418,7 +418,7 @@ func TestSortOrderAndStability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Rows[0].Values[1].S != "c" || out.Rows[1].Values[2].F != 30 {
+	if out.Rows[0].Values[1].S() != "c" || out.Rows[1].Values[2].F() != 30 {
 		t.Fatalf("sorted: %v", out)
 	}
 }
@@ -489,10 +489,10 @@ func TestAvgSymbolic(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := polynomial.MustParse("3*x", names)
-	if !polynomial.AlmostEqual(out.Rows[0].Values[0].P, want, 1e-9) {
+	if !polynomial.AlmostEqual(out.Rows[0].Values[0].P(), want, 1e-9) {
 		t.Fatalf("avg = %s", out.Rows[0].Values[0].Format(names))
 	}
-	if math.IsNaN(out.Rows[0].Values[0].P.Mons[0].Coef) {
+	if math.IsNaN(out.Rows[0].Values[0].P().Mons[0].Coef) {
 		t.Fatal("NaN coefficient")
 	}
 }
@@ -511,7 +511,7 @@ func TestIteratorsReOpenResets(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if out.Len() != 3 || out.Rows[0].Values[0].I != 5 {
+		if out.Len() != 3 || out.Rows[0].Values[0].I() != 5 {
 			t.Fatalf("round %d: %v", round, out.Rows)
 		}
 	}
@@ -527,7 +527,7 @@ func TestCaseEngineEval(t *testing.T) {
 		Else: &Lit{relation.Str("high")},
 	}
 	v, err := c.Eval(&tup)
-	if err != nil || v.S != "mid" {
+	if err != nil || v.S() != "mid" {
 		t.Fatalf("case = %v, %v", v, err)
 	}
 	if got := c.String(); got == "" {
@@ -573,19 +573,19 @@ func TestAggregateNullSemantics(t *testing.T) {
 		t.Fatal(err)
 	}
 	row := out.Rows[0]
-	if row.Values[1].I != 3 {
+	if row.Values[1].I() != 3 {
 		t.Fatalf("COUNT(*) = %v, want 3", row.Values[1])
 	}
-	if row.Values[2].I != 2 {
+	if row.Values[2].I() != 2 {
 		t.Fatalf("COUNT(v) = %v, want 2", row.Values[2])
 	}
-	if row.Values[3].F != 30 {
+	if row.Values[3].F() != 30 {
 		t.Fatalf("SUM = %v", row.Values[3])
 	}
-	if row.Values[4].F != 15 {
+	if row.Values[4].F() != 15 {
 		t.Fatalf("AVG = %v (NULLs must not count)", row.Values[4])
 	}
-	if row.Values[5].F != 10 {
+	if row.Values[5].F() != 10 {
 		t.Fatalf("MIN = %v", row.Values[5])
 	}
 }

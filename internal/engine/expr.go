@@ -10,8 +10,9 @@
 //
 //   - Keys (keyTable): hash joins, GROUP BY and DISTINCT hash the key cells
 //     by kind and settle every tie by comparing cells; equality is
-//     Value.Compare == 0, so INT and FLOAT keys meet. NULL never joins and
-//     is a group of its own; a symbolic key cell is an error.
+//     Value.Compare == 0, so INT and FLOAT keys meet (as float64) and two
+//     INT keys are compared exactly. NULL never joins and is a group of its
+//     own; a symbolic key cell is an error.
 //   - Order: a hash join emits probe rows in input order, each with its
 //     matches in build-input order; groups and distinct rows come in
 //     first-seen order.
@@ -82,24 +83,26 @@ type Arith struct {
 }
 
 func (a *Arith) Eval(t *relation.Tuple) (relation.Value, error) {
-	l, r, err := a.operands(t)
+	l, err := a.L.Eval(t)
+	if err != nil {
+		return relation.Null(), err
+	}
+	l, r, err := a.right(l, t)
 	if err != nil || l.IsNull() {
 		return relation.Null(), err
 	}
 	return a.apply(l, r)
 }
 
-// operands evaluates both sides. A NULL on either side makes both come
-// back NULL; operands that are not numeric are an error.
-func (a *Arith) operands(t *relation.Tuple) (l, r relation.Value, err error) {
-	if l, err = a.L.Eval(t); err != nil {
-		return relation.Null(), relation.Null(), err
-	}
+// right evaluates the right operand beside the left one's value l. A NULL
+// on either side makes both come back NULL; operands that are not numeric
+// are an error.
+func (a *Arith) right(l relation.Value, t *relation.Tuple) (_, r relation.Value, err error) {
 	if r, err = a.R.Eval(t); err != nil || l.IsNull() || r.IsNull() {
 		return relation.Null(), relation.Null(), err
 	}
 	if !l.IsNumeric() || !r.IsNumeric() {
-		return relation.Null(), relation.Null(), fmt.Errorf("engine: %s requires numeric operands, got %s and %s", a.Op, l.Kind, r.Kind)
+		return relation.Null(), relation.Null(), fmt.Errorf("engine: %s requires numeric operands, got %s and %s", a.Op, l.Kind(), r.Kind())
 	}
 	return l, r, nil
 }
@@ -110,38 +113,38 @@ func (a *Arith) apply(l, r relation.Value) (relation.Value, error) {
 	// * and /, a constant polynomial only where unavoidable) so the per-row
 	// hot path does not allocate a one-monomial polynomial just to wrap a
 	// number; the results are bit-identical to lifting both sides.
-	if l.Kind == relation.KindPoly || r.Kind == relation.KindPoly {
+	if l.Kind() == relation.KindPoly || r.Kind() == relation.KindPoly {
 		switch a.Op {
 		case OpMul:
-			if l.Kind != relation.KindPoly {
+			if l.Kind() != relation.KindPoly {
 				lf, _ := l.AsFloat()
-				return simplify(polynomial.Scale(r.P, lf)), nil
+				return simplify(polynomial.Scale(r.P(), lf)), nil
 			}
-			if r.Kind != relation.KindPoly {
+			if r.Kind() != relation.KindPoly {
 				rf, _ := r.AsFloat()
-				return simplify(polynomial.Scale(l.P, rf)), nil
+				return simplify(polynomial.Scale(l.P(), rf)), nil
 			}
-			return simplify(polynomial.Mul(l.P, r.P)), nil
+			return simplify(polynomial.Mul(l.P(), r.P())), nil
 		case OpDiv:
-			if r.Kind != relation.KindPoly {
+			if r.Kind() != relation.KindPoly {
 				rf, _ := r.AsFloat()
 				if rf == 0 {
 					return relation.Null(), fmt.Errorf("engine: division by zero")
 				}
-				return simplify(polynomial.Scale(l.P, 1/rf)), nil
+				return simplify(polynomial.Scale(l.P(), 1/rf)), nil
 			}
-			c, ok := r.P.IsConstant()
+			c, ok := r.P().IsConstant()
 			if !ok {
 				return relation.Null(), fmt.Errorf("engine: division by a symbolic value")
 			}
 			if c == 0 {
 				return relation.Null(), fmt.Errorf("engine: division by zero")
 			}
-			if l.Kind != relation.KindPoly {
+			if l.Kind() != relation.KindPoly {
 				lf, _ := l.AsFloat()
 				return relation.Float(lf * (1 / c)), nil
 			}
-			return simplify(polynomial.Scale(l.P, 1/c)), nil
+			return simplify(polynomial.Scale(l.P(), 1/c)), nil
 		}
 		lp, _ := l.AsPoly()
 		rp, _ := r.AsPoly()
@@ -153,14 +156,14 @@ func (a *Arith) apply(l, r relation.Value) (relation.Value, error) {
 		}
 	}
 	// Integer path.
-	if l.Kind == relation.KindInt && r.Kind == relation.KindInt && a.Op != OpDiv {
+	if l.Kind() == relation.KindInt && r.Kind() == relation.KindInt && a.Op != OpDiv {
 		switch a.Op {
 		case OpAdd:
-			return relation.Int(l.I + r.I), nil
+			return relation.Int(l.I() + r.I()), nil
 		case OpSub:
-			return relation.Int(l.I - r.I), nil
+			return relation.Int(l.I() - r.I()), nil
 		case OpMul:
-			return relation.Int(l.I * r.I), nil
+			return relation.Int(l.I() * r.I()), nil
 		}
 	}
 	lf, _ := l.AsFloat()
@@ -203,15 +206,15 @@ func (n *Neg) Eval(t *relation.Tuple) (relation.Value, error) {
 	if err != nil || v.IsNull() {
 		return relation.Null(), err
 	}
-	switch v.Kind {
+	switch v.Kind() {
 	case relation.KindInt:
-		return relation.Int(-v.I), nil
+		return relation.Int(-v.I()), nil
 	case relation.KindFloat:
-		return relation.Float(-v.F), nil
+		return relation.Float(-v.F()), nil
 	case relation.KindPoly:
-		return relation.Poly(polynomial.Neg(v.P)), nil
+		return relation.Poly(polynomial.Neg(v.P())), nil
 	default:
-		return relation.Null(), fmt.Errorf("engine: cannot negate %s", v.Kind)
+		return relation.Null(), fmt.Errorf("engine: cannot negate %s", v.Kind())
 	}
 }
 
@@ -295,7 +298,7 @@ func (l *Logic) Eval(t *relation.Tuple) (relation.Value, error) {
 	if err != nil {
 		return relation.Null(), err
 	}
-	lb := lv.Kind == relation.KindBool && lv.B
+	lb := Truthy(lv)
 	switch l.Op {
 	case OpNot:
 		return relation.Bool(!lb), nil
@@ -312,7 +315,7 @@ func (l *Logic) Eval(t *relation.Tuple) (relation.Value, error) {
 	if err != nil {
 		return relation.Null(), err
 	}
-	return relation.Bool(rv.Kind == relation.KindBool && rv.B), nil
+	return relation.Bool(Truthy(rv)), nil
 }
 
 func (l *Logic) String() string {
@@ -342,10 +345,10 @@ func (l *Like) Eval(t *relation.Tuple) (relation.Value, error) {
 	if v.IsNull() {
 		return relation.Null(), nil
 	}
-	if v.Kind != relation.KindString {
-		return relation.Null(), fmt.Errorf("engine: LIKE requires a string, got %s", v.Kind)
+	if v.Kind() != relation.KindString {
+		return relation.Null(), fmt.Errorf("engine: LIKE requires a string, got %s", v.Kind())
 	}
-	m := likeMatch(v.S, l.Pattern)
+	m := likeMatch(v.S(), l.Pattern)
 	if l.Not {
 		m = !m
 	}
@@ -472,6 +475,4 @@ func (b *Between) String() string {
 }
 
 // Truthy reports whether an evaluated condition admits the tuple.
-func Truthy(v relation.Value) bool {
-	return v.Kind == relation.KindBool && v.B
-}
+func Truthy(v relation.Value) bool { return v.B() }

@@ -379,7 +379,7 @@ func (d *Distinct) build() error {
 			break
 		}
 		for i := range t.Values {
-			if t.Values[i].Kind == relation.KindPoly {
+			if t.Values[i].Kind() == relation.KindPoly {
 				return fmt.Errorf("engine: DISTINCT over symbolic values is not supported")
 			}
 		}

@@ -132,7 +132,7 @@ func (j *HashJoin) buildTable() error {
 // never joins); a symbolic key column is an error.
 func unjoinable(row []relation.Value, cols []int) (skip bool, err error) {
 	for _, c := range cols {
-		switch row[c].Kind {
+		switch row[c].Kind() {
 		case relation.KindNull:
 			return true, nil
 		case relation.KindPoly:

@@ -13,8 +13,10 @@ import (
 // 0, 1, 2, … in first-seen order. A key is the cells of a row in a fixed
 // list of columns, all concrete; two keys are the same when
 // relation.Value.Compare says 0 cell by cell — so INT 2 and FLOAT 2.0, or
-// -0.0 and +0.0, are one key, exactly as the = of a Filter would decide —
-// and NULL equals NULL (a join never looks a NULL key up). Lookup is open
+// -0.0 and +0.0, are one key, exactly as the = of a Filter would decide,
+// while two INTs are one key only when they are the same int64 — and NULL
+// equals NULL (a join never looks a NULL key up). FuzzKeyContract checks
+// that sameKey is Compare == 0 and that one key has one hash. Lookup is open
 // addressing on a 64-bit hash of the cells with every hash tie settled by
 // comparing the cells, so nothing is rendered to bytes and nothing is
 // allocated per row.
@@ -27,24 +29,31 @@ type keyTable struct {
 var keySeed = maphash.MakeSeed()
 
 // hashKey hashes the cells of row in cols by kind. Both numeric kinds hash
-// through their float64 value (with -0 folded onto +0), so cells that
-// compare equal hash equal.
+// through their float64 value (with -0 folded onto +0 and every NaN onto
+// one), so cells that compare equal hash equal — and so do two big INTs
+// that round to one float64, which sameKey then tells apart.
 func hashKey(row []relation.Value, cols []int) uint64 {
 	h := uint64(len(cols))
 	for _, c := range cols {
-		v := &row[c]
+		v := row[c]
 		var x uint64
-		switch f, num := numeric(v); {
-		case num:
+		switch v.Kind() {
+		case relation.KindInt, relation.KindFloat:
 			// A small integer's float64 has zeros in its low 40-odd bits,
 			// which Mix alone would turn into zeros in the bits a table
 			// masks: fold the exponent and high mantissa down first.
+			f, _ := v.AsFloat()
+			if f != f {
+				f = math.NaN()
+			}
 			x = math.Float64bits(f + 0)
 			x ^= x >> 32
-		case v.Kind == relation.KindString:
-			x = maphash.String(keySeed, v.S)
-		case v.B:
-			x = 1
+		case relation.KindString:
+			x = maphash.String(keySeed, v.S())
+		case relation.KindBool:
+			if v.B() {
+				x = 1
+			}
 		}
 		h = polynomial.Mix(h, x)
 	}
@@ -55,29 +64,11 @@ func hashKey(row []relation.Value, cols []int) uint64 {
 // the matching column, for concrete cells.
 func sameKey(key, row []relation.Value, cols []int) bool {
 	for i, c := range cols {
-		x, y := &key[i], &row[c]
-		xf, xnum := numeric(x)
-		yf, ynum := numeric(y)
-		switch {
-		case xnum || ynum:
-			if !xnum || !ynum || xf < yf || xf > yf {
-				return false
-			}
-		case x.Kind != y.Kind || x.S != y.S || x.B != y.B:
+		if cmp, err := key[i].Compare(row[c]); err != nil || cmp != 0 {
 			return false
 		}
 	}
 	return true
-}
-
-func numeric(v *relation.Value) (float64, bool) {
-	switch v.Kind {
-	case relation.KindInt:
-		return float64(v.I), true
-	case relation.KindFloat:
-		return v.F, true
-	}
-	return 0, false
 }
 
 // lookup returns the id of the key row holds in cols, whose hashKey is h.
@@ -142,7 +133,7 @@ func columns(n int) []int {
 // (64 rows, 128, 256, …), so storing a row never moves an earlier one and a
 // build of unknown size allocates less than twice what it keeps — append
 // alone grows a large slice by a quarter at a time, which copies, and
-// allocates, five times the final size, in 72-byte cells.
+// allocates, five times the final size.
 type chunked[T any] struct {
 	width  int
 	chunks [][]T // chunk k holds rows [64·(2^k − 1), 64·(2^(k+1) − 1))

@@ -105,8 +105,8 @@ func ParameterizeColumn(rel *relation.Relation, target string, specs []VarSpec, 
 			continue
 		}
 		c, concrete := v.AsFloat()
-		if !concrete && v.Kind != relation.KindPoly {
-			return nil, fmt.Errorf("provenance: column %q of %s is not numeric (%s)", target, rel.Name, v.Kind)
+		if !concrete && v.Kind() != relation.KindPoly {
+			return nil, fmt.Errorf("provenance: column %q of %s is not numeric (%s)", target, rel.Name, v.Kind())
 		}
 		toff := len(termSlab)
 		for si := range specs {
@@ -120,7 +120,7 @@ func ParameterizeColumn(rel *relation.Relation, target string, specs []VarSpec, 
 		terms := termSlab[toff:len(termSlab):len(termSlab)]
 		if !concrete {
 			// Symbolic cell: general polynomial product.
-			row.Values[idx] = relation.Poly(polynomial.Mul(v.P, polynomial.New(polynomial.MonoIn(1, terms))))
+			row.Values[idx] = relation.Poly(polynomial.Mul(v.P(), polynomial.New(polynomial.MonoIn(1, terms))))
 			continue
 		}
 		if c == 0 {
@@ -171,14 +171,14 @@ func ParameterizeColumnN(rel *relation.Relation, target string, specs []VarSpec,
 				continue
 			}
 			c, concrete := v.AsFloat()
-			if !concrete && v.Kind != relation.KindPoly {
-				errs[shard] = parallel.RowErr{Err: fmt.Errorf("provenance: column %q of %s is not numeric (%s)", target, rel.Name, v.Kind), Row: ri}
+			if !concrete && v.Kind() != relation.KindPoly {
+				errs[shard] = parallel.RowErr{Err: fmt.Errorf("provenance: column %q of %s is not numeric (%s)", target, rel.Name, v.Kind()), Row: ri}
 				return
 			}
 			cvals[ri] = c
 			if !concrete {
 				symbolic[ri] = true
-				bases[ri] = v.P
+				bases[ri] = v.P()
 			}
 			for si := 0; si < ns; si++ {
 				off := len(slab)
@@ -408,7 +408,7 @@ func resolveValueColIn(schema *relation.Schema, rows []relation.Tuple, valueCol 
 	for i := range schema.Cols {
 		isPoly := false
 		for _, row := range rows {
-			if row.Values[i].Kind == relation.KindPoly {
+			if row.Values[i].Kind() == relation.KindPoly {
 				isPoly = true
 				break
 			}
@@ -444,7 +444,7 @@ func captureRow(row relation.Tuple, valIdx int, buf []byte) ([]byte, polynomial.
 	}
 	p, ok := row.Values[valIdx].AsPoly()
 	if !ok {
-		return buf, polynomial.Polynomial{}, fmt.Errorf("provenance: value column holds non-numeric %s", row.Values[valIdx].Kind)
+		return buf, polynomial.Polynomial{}, fmt.Errorf("provenance: value column holds non-numeric %s", row.Values[valIdx].Kind())
 	}
 	return buf, p, nil
 }
@@ -477,8 +477,8 @@ func Concretize(cat engine.Catalog, a *valuation.Assignment) engine.Catalog {
 		c := rel.Clone()
 		for ri := range c.Rows {
 			for vi, v := range c.Rows[ri].Values {
-				if v.Kind == relation.KindPoly {
-					c.Rows[ri].Values[vi] = relation.Float(v.P.Eval(a.Get))
+				if v.Kind() == relation.KindPoly {
+					c.Rows[ri].Values[vi] = relation.Float(v.P().Eval(a.Get))
 				}
 			}
 		}

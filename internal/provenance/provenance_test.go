@@ -77,11 +77,11 @@ func TestParameterizeColumn(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Original untouched, clone symbolic.
-	if rel.Rows[0].Values[1].Kind != relation.KindFloat {
+	if rel.Rows[0].Values[1].Kind() != relation.KindFloat {
 		t.Fatal("ParameterizeColumn mutated its input")
 	}
 	want := polynomial.MustParse("0.4*p_A", names)
-	if !polynomial.AlmostEqual(out.Rows[0].Values[1].P, want, 1e-12) {
+	if !polynomial.AlmostEqual(out.Rows[0].Values[1].P(), want, 1e-12) {
 		t.Fatalf("cell = %s", out.Rows[0].Values[1].Format(names))
 	}
 	// Parameterizing a string column must fail.
@@ -175,13 +175,13 @@ func TestConcretize(t *testing.T) {
 	a := telephony.ScenarioMarchMinus20(names)
 	conc := Concretize(cat, a)
 	for _, row := range conc["Plans"].Rows {
-		if row.Values[2].Kind != relation.KindFloat {
+		if row.Values[2].Kind() != relation.KindFloat {
 			t.Fatalf("cell still symbolic: %s", row.Values[2])
 		}
 	}
 	// March prices scaled by 0.8, month-1 prices unchanged.
 	for _, row := range conc["Plans"].Rows {
-		plan, mo, price := row.Values[0].S, row.Values[1].I, row.Values[2].F
+		plan, mo, price := row.Values[0].S(), row.Values[1].I(), row.Values[2].F()
 		orig := map[string][2]float64{
 			"A": {0.4, 0.5}, "F1": {0.35, 0.35}, "Y1": {0.3, 0.25}, "V": {0.25, 0.2},
 			"SB1": {0.1, 0.1}, "SB2": {0.1, 0.15}, "E": {0.05, 0.05},
@@ -365,10 +365,10 @@ func TestParameterizeColumnNWorkerSweep(t *testing.T) {
 		}
 		for ri := range want.Rows {
 			wv, gv := want.Rows[ri].Values[2], got.Rows[ri].Values[2]
-			if wv.Kind != gv.Kind {
-				t.Fatalf("workers=%d row %d: kind %s vs %s", workers, ri, gv.Kind, wv.Kind)
+			if wv.Kind() != gv.Kind() {
+				t.Fatalf("workers=%d row %d: kind %s vs %s", workers, ri, gv.Kind(), wv.Kind())
 			}
-			if wv.Kind == relation.KindPoly && !polynomial.Equal(wv.P, gv.P) {
+			if wv.Kind() == relation.KindPoly && !polynomial.Equal(wv.P(), gv.P()) {
 				t.Fatalf("workers=%d row %d: polynomial diverged", workers, ri)
 			}
 		}

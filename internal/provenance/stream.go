@@ -80,7 +80,7 @@ func CaptureStream(query string, cat engine.Catalog, valueCol string, sink polyn
 			// materialized resolver refuse — refuse here too.
 			for _, row := range batch {
 				for i, v := range row.Values {
-					if i != valIdx && v.Kind == relation.KindPoly {
+					if i != valIdx && v.Kind() == relation.KindPoly {
 						return fmt.Errorf("provenance: multiple symbolic columns; specify one")
 					}
 				}

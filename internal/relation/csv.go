@@ -22,7 +22,7 @@ func WriteCSV(w io.Writer, rel *Relation) error {
 	record := make([]string, rel.Schema.Len())
 	for ri, row := range rel.Rows {
 		for i, v := range row.Values {
-			switch v.Kind {
+			switch v.Kind() {
 			case KindNull:
 				record[i] = ""
 			case KindPoly:

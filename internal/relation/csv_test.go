@@ -77,7 +77,7 @@ func TestReadCSVNullHandling(t *testing.T) {
 		t.Fatal(err)
 	}
 	row := rel.Rows[0]
-	if !row.Values[0].IsNull() || row.Values[1].S != "x" || !row.Values[2].IsNull() || !row.Values[3].IsNull() {
+	if !row.Values[0].IsNull() || row.Values[1].S() != "x" || !row.Values[2].IsNull() || !row.Values[3].IsNull() {
 		t.Fatalf("row = %v", row.Values)
 	}
 }

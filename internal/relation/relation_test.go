@@ -136,7 +136,7 @@ func TestRelationAppendCloneString(t *testing.T) {
 	}
 	c := r.Clone()
 	c.Rows[0].Values[0] = Int(99)
-	if r.Rows[0].Values[0].I == 99 {
+	if r.Rows[0].Values[0].I() == 99 {
 		t.Fatal("Clone shares row storage")
 	}
 	if r.Rows[0].Ann.NumMonomials() != 1 {

@@ -262,7 +262,7 @@ func refGroup(stmt *SelectStmt, schema *relation.Schema, rows []relation.Tuple) 
 			if err != nil {
 				return nil, nil, err
 			}
-			if v.Kind == relation.KindPoly {
+			if v.Kind() == relation.KindPoly {
 				return nil, nil, fmt.Errorf("engine: GROUP BY over a symbolic value")
 			}
 			key[i] = v
@@ -311,10 +311,10 @@ func refGroup(stmt *SelectStmt, schema *relation.Schema, rows []relation.Tuple) 
 				}
 			case "SUM", "AVG":
 				if !arg.IsNumeric() {
-					return nil, nil, fmt.Errorf("engine: %s over non-numeric %s", call.Func, arg.Kind)
+					return nil, nil, fmt.Errorf("engine: %s over non-numeric %s", call.Func, arg.Kind())
 				}
 				st.count++
-				if f, ok := arg.AsFloat(); annIsOne && ok && arg.Kind != relation.KindPoly {
+				if f, ok := arg.AsFloat(); annIsOne && ok && arg.Kind() != relation.KindPoly {
 					st.f += f
 					continue
 				}
@@ -322,7 +322,7 @@ func refGroup(stmt *SelectStmt, schema *relation.Schema, rows []relation.Tuple) 
 				st.symbolic = true
 				st.p = polynomial.Add(st.p, polynomial.Mul(row.Ann, vp))
 			default: // MIN, MAX
-				if _, ok := arg.AsFloat(); arg.Kind == relation.KindPoly && !ok {
+				if _, ok := arg.AsFloat(); arg.Kind() == relation.KindPoly && !ok {
 					return nil, nil, fmt.Errorf("engine: %s over a symbolic value", call.Func)
 				}
 				if st.have {
@@ -409,10 +409,10 @@ func diffRelations(got, want *relation.Relation) string {
 		}
 		for ci := range w.Values {
 			gv, wv := g.Values[ci], w.Values[ci]
-			same := gv.Kind == wv.Kind && gv.I == wv.I && gv.S == wv.S && gv.B == wv.B &&
-				math.Float64bits(gv.F) == math.Float64bits(wv.F) && samePolyBits(gv.P, wv.P)
+			same := gv.Kind() == wv.Kind() && gv.I() == wv.I() && gv.S() == wv.S() && gv.B() == wv.B() &&
+				math.Float64bits(gv.F()) == math.Float64bits(wv.F()) && samePolyBits(gv.P(), wv.P())
 			if !same {
-				return fmt.Sprintf("row %d column %d: %s %v, want %s %v", ri, ci, gv.Kind, gv, wv.Kind, wv)
+				return fmt.Sprintf("row %d column %d: %s %v, want %s %v", ri, ci, gv.Kind(), gv, wv.Kind(), wv)
 			}
 		}
 		if !samePolyBits(g.Ann, w.Ann) {
@@ -679,7 +679,7 @@ func TestRunRandomValidQueries(t *testing.T) {
 		}
 		for _, row := range got.Rows {
 			for _, v := range row.Values {
-				if v.Kind == relation.KindPoly && len(v.P.Mons) > 1 {
+				if v.Kind() == relation.KindPoly && len(v.P().Mons) > 1 {
 					symbolicSums++
 				}
 			}
@@ -689,5 +689,82 @@ func TestRunRandomValidQueries(t *testing.T) {
 	// The workload must actually reach what it is there to check.
 	if ran < 300 || joined < 100 || symbolicSums < 100 || failed == 0 || failed > 100 {
 		t.Fatalf("ran %d queries (%d with joined rows, %d multi-monomial cells), %d failed alike", ran, joined, symbolicSums, failed)
+	}
+}
+
+// TestFusedProductChains: SUM and AVG over a product of three and four
+// factors — the symbolic one first, in the middle, last, twice, beside a
+// string — give the reference executor's bits or its error. The engine
+// folds the concrete factors of such a chain into the coefficients without
+// materializing the intermediate products; the catalog's factors 0, 1 and
+// 1e-200 (against 1e-200 coefficients), its zero and constant polynomials
+// and its NULLs are where an intermediate product drops a monomial or stops
+// being a polynomial, and the fold has to stand back.
+func TestFusedProductChains(t *testing.T) {
+	products := []string{
+		"A.v * B.w * B.h", "B.w * A.v * B.h", "B.w * B.h * A.v", "A.v * B.w * B.h * B.w",
+		"A.v * (1 - B.w) * (1 + B.h)", "B.k * A.v * 1e-200 * B.w", "A.v * B.w * A.v", "A.v * B.w * C.u",
+		"A.v * B.w * A.s", "A.s * A.v * B.w", "A.v * A.s * B.w", "A.v * B.w * (B.h / 0)",
+	}
+	r := rand.New(rand.NewSource(20))
+	ran, failed, symbolic := 0, 0, 0
+	for i := 0; i < 400; i++ {
+		cat := oracleCatalog(r, true)
+		q := fmt.Sprintf("SELECT A.g, %s(%s) AS s FROM A, B, C WHERE A.k = B.k AND B.h = C.h GROUP BY A.g",
+			[]string{"SUM", "SUM", "AVG"}[r.Intn(3)], products[i%len(products)])
+		want, wantErr := refRun(q, cat)
+		got, gotErr := Run(q, cat)
+		switch {
+		case (gotErr == nil) != (wantErr == nil), gotErr != nil && gotErr.Error() != wantErr.Error():
+			t.Fatalf("query %d %q:\nengine error    %v\nreference error %v", i, q, gotErr, wantErr)
+		case gotErr != nil:
+			failed++
+			continue
+		}
+		if d := diffRelations(got, want); d != "" {
+			t.Fatalf("query %d %q: %s\nengine:\n%s\nreference:\n%s", i, q, d, got, want)
+		}
+		ran++
+		for _, row := range got.Rows {
+			if row.Values[1].Kind() == relation.KindPoly {
+				symbolic++
+			}
+		}
+	}
+	t.Logf("ran %d queries (%d symbolic sums), %d failed alike", ran, symbolic, failed)
+	if ran < 200 || symbolic < 200 || failed < 20 {
+		t.Fatalf("ran %d queries (%d symbolic sums), %d failed alike: the workload misses what it is there to check", ran, symbolic, failed)
+	}
+}
+
+// TestBigIntKeysMatchReference: INT keys that differ only below the
+// precision of a float64 join and group as the reference executor's
+// Compare says — apart.
+func TestBigIntKeysMatchReference(t *testing.T) {
+	const big = int64(1) << 53
+	a := relation.NewRelation("A", relation.NewSchema(relation.Column{Name: "k"}, relation.Column{Name: "v"}))
+	b := relation.NewRelation("B", relation.NewSchema(relation.Column{Name: "k"}, relation.Column{Name: "w"}))
+	for i := int64(0); i < 6; i++ {
+		a.Append(relation.Int(big+i%3), relation.Float(float64(i)))
+		b.Append(relation.Int(big+i%2), relation.Float(float64(10*i)))
+	}
+	cat := engine.Catalog{"A": a, "B": b}
+	for q, rows := range map[string]int{
+		"SELECT A.k, B.w FROM A, B WHERE A.k = B.k":                                  12, // 2 keys × 2 rows of A × 3 of B
+		"SELECT A.k, COUNT(*) AS n, SUM(A.v) AS s FROM A GROUP BY A.k":               3,
+		"SELECT A.k, SUM(A.v * B.w) AS s FROM A, B WHERE A.k = B.k GROUP BY A.k":     2,
+		"SELECT A.k FROM A WHERE A.k > 9007199254740992 AND A.k <= 9007199254740993": 2,
+	} {
+		want, err := refRun(q, cat)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		got, err := Run(q, cat)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		if d := diffRelations(got, want); d != "" || got.Len() != rows {
+			t.Fatalf("%s: %d rows, want %d; %s\nengine:\n%s\nreference:\n%s", q, got.Len(), rows, d, got, want)
+		}
 	}
 }

@@ -82,7 +82,7 @@ func TestRunningExampleQueryConcrete(t *testing.T) {
 		"10002": 77.9 + 80.5 + 52.2 + 56.5 + 69.7 + 100.65,
 	}
 	for _, row := range out.Rows {
-		zip := row.Values[0].S
+		zip := row.Values[0].S()
 		got, _ := row.Values[1].AsFloat()
 		if math.Abs(got-want[zip]) > 1e-9 {
 			t.Errorf("zip %s: revenue = %v, want %v", zip, got, want[zip])
@@ -215,7 +215,7 @@ func TestAggregatesAndHaving(t *testing.T) {
 		t.Fatalf("rows = %d, want 1 (only 10001 has 4 customers)", out.Len())
 	}
 	r := out.Rows[0]
-	if r.Values[0].S != "10001" || r.Values[1].I != 4 || r.Values[2].I != 1 || r.Values[3].I != 5 {
+	if r.Values[0].S() != "10001" || r.Values[1].I() != 4 || r.Values[2].I() != 1 || r.Values[3].I() != 5 {
 		t.Fatalf("row = %v", r.Values)
 	}
 }
@@ -225,7 +225,7 @@ func TestGlobalAggregateNoGroupBy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Len() != 1 || out.Rows[0].Values[0].I != 7 || out.Rows[0].Values[1].F != 4 {
+	if out.Len() != 1 || out.Rows[0].Values[0].I() != 7 || out.Rows[0].Values[1].F() != 4 {
 		t.Fatalf("row = %v", out.Rows[0].Values)
 	}
 }
@@ -235,7 +235,7 @@ func TestOrderByDescAndLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Len() != 3 || out.Rows[0].Values[0].I != 7 || out.Rows[2].Values[0].I != 5 {
+	if out.Len() != 3 || out.Rows[0].Values[0].I() != 7 || out.Rows[2].Values[0].I() != 5 {
 		t.Fatalf("rows = %v", out.Rows)
 	}
 }
@@ -246,7 +246,7 @@ func TestOrderByAliasAndAggregate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Rows[0].Values[1].I != 4 {
+	if out.Rows[0].Values[1].I() != 4 {
 		t.Fatalf("first row should be the larger group: %v", out.Rows)
 	}
 	// Ordering by an aggregate not in the select list.
@@ -255,7 +255,7 @@ func TestOrderByAliasAndAggregate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Rows[0].Values[0].S != "10002" {
+	if out.Rows[0].Values[0].S() != "10002" {
 		t.Fatalf("rows = %v", out.Rows)
 	}
 }
@@ -265,11 +265,11 @@ func TestArithmeticInSelect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Rows[0].Values[0].I != 7 {
+	if out.Rows[0].Values[0].I() != 7 {
 		t.Fatalf("x = %v", out.Rows[0].Values[0])
 	}
 	out, err = Run("SELECT -ID AS neg FROM Cust WHERE ID = 3", testCatalog())
-	if err != nil || out.Rows[0].Values[0].I != -3 {
+	if err != nil || out.Rows[0].Values[0].I() != -3 {
 		t.Fatalf("neg = %v, %v", out.Rows, err)
 	}
 }
@@ -284,9 +284,9 @@ func TestSymbolicQueryThroughSQL(t *testing.T) {
 		"A": "p1", "F1": "f1", "Y1": "y1", "V": "v", "SB1": "b1", "SB2": "b2", "E": "e",
 	}
 	for i := range plans.Rows {
-		plan := plans.Rows[i].Values[0].S
-		mo := plans.Rows[i].Values[1].I
-		price := plans.Rows[i].Values[2].F
+		plan := plans.Rows[i].Values[0].S()
+		mo := plans.Rows[i].Values[1].I()
+		price := plans.Rows[i].Values[2].F()
 		moVar := "m1"
 		if mo == 3 {
 			moVar = "m3"
@@ -310,15 +310,15 @@ func TestSymbolicQueryThroughSQL(t *testing.T) {
 		"77.9*b1*m1 + 80.5*b1*m3 + 52.2*e*m1 + 56.5*e*m3 + 69.7*b2*m1 + 100.65*b2*m3", names)
 	for _, row := range out.Rows {
 		got := row.Values[1]
-		if got.Kind != relation.KindPoly {
-			t.Fatalf("revenue kind = %s", got.Kind)
+		if got.Kind() != relation.KindPoly {
+			t.Fatalf("revenue kind = %s", got.Kind())
 		}
 		want := p1
-		if row.Values[0].S == "10002" {
+		if row.Values[0].S() == "10002" {
 			want = p2
 		}
-		if !polynomial.AlmostEqual(got.P, want, 1e-9) {
-			t.Fatalf("zip %s: %s", row.Values[0].S, got.P.String(names))
+		if !polynomial.AlmostEqual(got.P(), want, 1e-9) {
+			t.Fatalf("zip %s: %s", row.Values[0].S(), got.P().String(names))
 		}
 	}
 }
@@ -330,7 +330,7 @@ func TestCommentsAndCaseInsensitivity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Len() != 2 || out.Rows[0].Values[0].I != 1 {
+	if out.Len() != 2 || out.Rows[0].Values[0].I() != 1 {
 		t.Fatalf("rows = %v", out.Rows)
 	}
 }
@@ -367,7 +367,7 @@ func TestCaseExpression(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Rows[0].Values[1].S != "city" || out.Rows[2].Values[1].S != "suburb" {
+	if out.Rows[0].Values[1].S() != "city" || out.Rows[2].Values[1].S() != "suburb" {
 		t.Fatalf("case rows: %v", out.Rows)
 	}
 	// CASE without ELSE yields NULL.
@@ -384,7 +384,7 @@ func TestCaseExpression(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Rows[0].Values[0].S != "low" || out.Rows[3].Values[0].S != "mid" || out.Rows[6].Values[0].S != "high" {
+	if out.Rows[0].Values[0].S() != "low" || out.Rows[3].Values[0].S() != "mid" || out.Rows[6].Values[0].S() != "high" {
 		t.Fatalf("bands: %v", out.Rows)
 	}
 }
@@ -466,7 +466,7 @@ func TestEquiJoinMixedNumericKeys(t *testing.T) {
 	}
 	var counts []int64
 	for _, row := range groups.Rows {
-		counts = append(counts, row.Values[1].I)
+		counts = append(counts, row.Values[1].I())
 	}
 	if len(counts) != 4 || counts[0] != 1 || counts[1] != 2 || counts[2] != 2 || counts[3] != 1 {
 		t.Fatalf("group counts = %v, want [1 2 2 1]", counts)
@@ -479,7 +479,7 @@ func TestEquiJoinMixedNumericKeys(t *testing.T) {
 		t.Fatal(err)
 	}
 	// FLOAT 2, INT 2 and FLOAT 2 again are one group, shown as first seen.
-	if merged.Len() != 4 || merged.Rows[0].Values[0].Kind != relation.KindFloat || merged.Rows[0].Values[1].I != 3 {
+	if merged.Len() != 4 || merged.Rows[0].Values[0].Kind() != relation.KindFloat || merged.Rows[0].Values[1].I() != 3 {
 		t.Fatalf("mixed-kind groups:\n%s", merged)
 	}
 }
