@@ -352,14 +352,11 @@ func FrontierSweep(src SetSource, trees Forest, bounds []int, opts Options) ([]S
 func NewAssignment(names *Names) *Assignment { return valuation.New(names) }
 
 // Induced computes meta-variable defaults: the average of each group's
-// leaf values under base (the demo's Figure-5 defaults).
+// leaf values under base (the demo's Figure-5 defaults). Only a group base
+// assigns a leaf of gets an entry; every other meta-variable is absent and
+// so reads as 1, its average.
 func Induced(base *Assignment, cuts ...Cut) *Assignment {
 	return valuation.Induced(base, cuts...)
-}
-
-// InducedWeighted is Induced with coefficient-mass weighting.
-func InducedWeighted(base *Assignment, set *Set, cuts ...Cut) *Assignment {
-	return valuation.InducedWeighted(base, set, cuts...)
 }
 
 // EvalSet evaluates every polynomial of the set under the assignment.

@@ -102,17 +102,41 @@
 // takes when all variables are 1. A scenario's row is then that baseline
 // row with only the polynomials of its moved variables evaluated again;
 // once a scenario touches every polynomial the full pass runs instead.
-// "Moved" means a value != 1, not presence in the assignment: Induced
-// sets every meta-variable of a cut, nearly all of them to exactly 1, and
-// an explicit 1 moves nothing. 0, NaN and the infinities are != 1 and are
-// evaluated like any other value; variables outside the program's
-// namespace are ignored. The rows are bit-identical to evaluating every
-// polynomial: a re-evaluated polynomial runs the same kernel over the same
-// values, and a skipped one would have read only ones, exactly as it did
-// for the baseline row. Out-of-core datasets evaluate each shard for one
+// "Moved" means a value != 1, not presence in the assignment: an explicit
+// 1 moves nothing. 0, NaN and the infinities are != 1 and are evaluated
+// like any other value; variables outside the program's namespace are
+// ignored. The rows are bit-identical to evaluating every polynomial: a
+// re-evaluated polynomial runs the same kernel over the same values, and a
+// skipped one would have read only ones, exactly as it did for the
+// baseline row. Out-of-core datasets evaluate each shard for one
 // batch and drop it — one Program pointed at the shard's slabs, which are
 // already a Program's arrays (see "The streaming pipeline") — so they
 // evaluate every polynomial and build no index.
+//
+// Everything in front of the kernel costs what the scenario names, not what
+// the trees, the namespace or the program hold. An Assignment is a list of
+// (variable, value) entries sorted by variable: reading one is a binary
+// search, copying it one copy. Induced enters a meta-variable only for a
+// cut node with an assigned leaf under it — a group no assigned leaf falls
+// in averages to n/n, exactly 1, which is what an absent variable reads as
+// — so its result is the scenario plus a handful of entries, found by
+// walking up from the assigned leaves, never by visiting the cuts' nodes.
+// A Program keeps its evaluation scratch (the dense vector, the marks of
+// touched polynomials) between calls. One what-if is therefore O(assigned
+// variables + leaves under the groups they fall in + touched polynomials),
+// up to the logarithm of the binary searches.
+//
+// Measured (BENCHMARK.json workloads, one scenario per call, compressed /
+// full provenance in µs, medians of ten runs): capture_telephony 1.5 / 2.1,
+// compress_sweep 15.6 / 36.4, whatif_retail 15.3 / 22.2, whatif_telephony
+// 62 / 221 — and capture_tpch 7.0 / 4.6. There the compressed what-if still
+// trails the full one, and that is a stated limit, not a defect: at ~10³
+// monomials compression buys memory, not time — the compressed what-if pays
+// Induced and has ~400 monomials fewer to evaluate (884 against 1 269). In
+// batches, where Induced is paid ahead, the compressed side leads there too
+// (113 k against 109 k scenarios/s). The gain is also small where a
+// scenario touches few polynomials (retail: 0.06 of them): the sparse path
+// speeds the full provenance up as much as the compressed one.
 //
 // # Parallelism
 //

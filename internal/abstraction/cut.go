@@ -2,6 +2,7 @@ package abstraction
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -63,35 +64,24 @@ func (c Cut) Validate() error {
 	if len(c.Nodes) == 0 {
 		return fmt.Errorf("abstraction: empty cut")
 	}
-	inCut := make(map[NodeID]bool, len(c.Nodes))
 	for i, id := range c.Nodes {
 		if id < 0 || int(id) >= c.Tree.Len() {
 			return fmt.Errorf("abstraction: cut node %d does not exist", id)
 		}
-		if i > 0 && c.Nodes[i-1] == id {
-			return fmt.Errorf("abstraction: duplicate cut node %q", c.Tree.Node(id).Name)
+		if i > 0 && c.Nodes[i-1] >= id {
+			return fmt.Errorf("abstraction: cut nodes out of order or repeated at %q", c.Tree.Node(id).Name)
 		}
-		inCut[id] = true
 	}
 	// Antichain: no cut node may be a strict ancestor of another.
 	for _, id := range c.Nodes {
-		for p := c.Tree.Node(id).Parent; p != NoNode; p = c.Tree.Node(p).Parent {
-			if inCut[p] {
-				return fmt.Errorf("abstraction: cut nodes %q and %q are related (not an antichain)",
-					c.Tree.Node(p).Name, c.Tree.Node(id).Name)
-			}
+		if p := c.CoverOf(c.Tree.Node(id).Parent); p != NoNode {
+			return fmt.Errorf("abstraction: cut nodes %q and %q are related (not an antichain)",
+				c.Tree.Node(p).Name, c.Tree.Node(id).Name)
 		}
 	}
 	// Coverage: every leaf must have an ancestor-or-self in the cut.
 	for _, leaf := range c.Tree.Leaves() {
-		covered := false
-		for v := leaf; v != NoNode; v = c.Tree.Node(v).Parent {
-			if inCut[v] {
-				covered = true
-				break
-			}
-		}
-		if !covered {
+		if c.CoverOf(leaf) == NoNode {
 			return fmt.Errorf("abstraction: leaf %q not covered by the cut", c.Tree.Node(leaf).Name)
 		}
 	}
@@ -112,38 +102,16 @@ func (c Cut) IsIdentity() bool {
 	return true
 }
 
-// CoverOf returns the cut node covering the given leaf, or NoNode.
-func (c Cut) CoverOf(leaf NodeID) NodeID {
-	inCut := make(map[NodeID]bool, len(c.Nodes))
-	for _, id := range c.Nodes {
-		inCut[id] = true
-	}
-	for v := leaf; v != NoNode; v = c.Tree.Node(v).Parent {
-		if inCut[v] {
+// CoverOf returns the cut node at or above the given node — for a leaf, the
+// node that covers it — or NoNode. Nodes is sorted, so each step of the walk
+// is a binary search and nothing is built per call.
+func (c Cut) CoverOf(node NodeID) NodeID {
+	for v := node; v != NoNode; v = c.Tree.Node(v).Parent {
+		if _, ok := slices.BinarySearch(c.Nodes, v); ok {
 			return v
 		}
 	}
 	return NoNode
-}
-
-// VarMapping returns the substitution induced by the cut: every leaf
-// variable maps to the meta-variable of its covering cut node. Variables not
-// in the tree are absent (identity).
-func (c Cut) VarMapping() map[polynomial.Var]polynomial.Var {
-	m := make(map[polynomial.Var]polynomial.Var)
-	inCut := make(map[NodeID]bool, len(c.Nodes))
-	for _, id := range c.Nodes {
-		inCut[id] = true
-	}
-	for _, leaf := range c.Tree.Leaves() {
-		for v := leaf; v != NoNode; v = c.Tree.Node(v).Parent {
-			if inCut[v] {
-				m[c.Tree.Node(leaf).Var] = c.Tree.Node(v).Var
-				break
-			}
-		}
-	}
-	return m
 }
 
 // GroupedLeaves returns, per cut node (in Nodes order), the leaf variables

@@ -1,6 +1,9 @@
 package abstraction
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Refine replaces a cut node by its children — one step toward the leaves
 // in the cut lattice, regaining degrees of freedom at the cost of
@@ -13,20 +16,11 @@ func (c Cut) Refine(node NodeID) (Cut, error) {
 	if len(n.Children) == 0 {
 		return Cut{}, fmt.Errorf("abstraction: cannot refine leaf %q", n.Name)
 	}
-	found := false
-	nodes := make([]NodeID, 0, len(c.Nodes)+len(n.Children)-1)
-	for _, id := range c.Nodes {
-		if id == node {
-			found = true
-			continue
-		}
-		nodes = append(nodes, id)
-	}
+	i, found := slices.BinarySearch(c.Nodes, node)
 	if !found {
 		return Cut{}, fmt.Errorf("abstraction: node %q is not in the cut", n.Name)
 	}
-	nodes = append(nodes, n.Children...)
-	return NewCut(c.Tree, nodes...)
+	return NewCut(c.Tree, append(slices.Delete(slices.Clone(c.Nodes), i, i+1), n.Children...)...)
 }
 
 // Coarsen replaces every cut node below the given inner node by that node —
@@ -38,30 +32,14 @@ func (c Cut) Coarsen(node NodeID) (Cut, error) {
 		return Cut{}, fmt.Errorf("abstraction: cut has no tree")
 	}
 	n := c.Tree.Node(node)
-	inCut := make(map[NodeID]bool, len(c.Nodes))
-	for _, id := range c.Nodes {
-		inCut[id] = true
-	}
-	if inCut[node] {
+	if up := c.CoverOf(node); up == node {
 		return Cut{}, fmt.Errorf("abstraction: node %q is already in the cut", n.Name)
+	} else if up != NoNode {
+		return Cut{}, fmt.Errorf("abstraction: node %q lies below the cut node %q", n.Name, c.Tree.Node(up).Name)
 	}
-	for p := n.Parent; p != NoNode; p = c.Tree.Node(p).Parent {
-		if inCut[p] {
-			return Cut{}, fmt.Errorf("abstraction: node %q lies below the cut node %q", n.Name, c.Tree.Node(p).Name)
-		}
-	}
-	nodes := make([]NodeID, 0, len(c.Nodes))
-	removed := 0
-	for _, id := range c.Nodes {
-		if c.Tree.IsAncestorOrSelf(node, id) {
-			removed++
-			continue
-		}
-		nodes = append(nodes, id)
-	}
-	if removed == 0 {
+	nodes := slices.DeleteFunc(slices.Clone(c.Nodes), func(id NodeID) bool { return c.Tree.IsAncestorOrSelf(node, id) })
+	if len(nodes) == len(c.Nodes) {
 		return Cut{}, fmt.Errorf("abstraction: no cut nodes below %q", n.Name)
 	}
-	nodes = append(nodes, node)
-	return NewCut(c.Tree, nodes...)
+	return NewCut(c.Tree, append(nodes, node)...)
 }

@@ -8,7 +8,7 @@ package abstraction
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"github.com/cobra-prov/cobra/internal/polynomial"
@@ -42,15 +42,30 @@ type Tree struct {
 
 	nodes  []Node
 	byName map[string]NodeID
+	// byVar[v] is the node bound to Var v, leaf or inner, and NoNode for
+	// every other Var below its length. AddChild extends it as nodes are
+	// added, so trees shared between goroutines only ever read it.
+	byVar []NodeID
 }
 
 // NewTree creates a tree with a single root node named rootName, interning
 // node names as variables in names.
 func NewTree(rootName string, names *polynomial.Names) *Tree {
 	t := &Tree{Names: names, byName: make(map[string]NodeID)}
-	t.nodes = append(t.nodes, Node{ID: 0, Name: rootName, Var: names.Var(rootName), Parent: NoNode})
-	t.byName[rootName] = 0
+	t.addNode(rootName, NoNode)
 	return t
+}
+
+// addNode appends a node and enters it in both lookups.
+func (t *Tree) addNode(name string, parent NodeID) NodeID {
+	id, v := NodeID(len(t.nodes)), t.Names.Var(name)
+	t.nodes = append(t.nodes, Node{ID: id, Name: name, Var: v, Parent: parent})
+	t.byName[name] = id
+	for int(v) >= len(t.byVar) {
+		t.byVar = append(t.byVar, NoNode)
+	}
+	t.byVar[v] = id
+	return id
 }
 
 // Root returns the root node id (always 0).
@@ -79,10 +94,8 @@ func (t *Tree) AddChild(parent NodeID, name string) (NodeID, error) {
 	if _, dup := t.byName[name]; dup {
 		return NoNode, fmt.Errorf("abstraction: duplicate node name %q", name)
 	}
-	id := NodeID(len(t.nodes))
-	t.nodes = append(t.nodes, Node{ID: id, Name: name, Var: t.Names.Var(name), Parent: parent})
+	id := t.addNode(name, parent)
 	t.nodes[parent].Children = append(t.nodes[parent].Children, id)
-	t.byName[name] = id
 	return id, nil
 }
 
@@ -231,24 +244,69 @@ func (t *Tree) IsAncestorOrSelf(a, b NodeID) bool {
 	return false
 }
 
-// LeafByVar returns the leaf bound to v, or NoNode. Inner nodes are not
-// considered even though they also own a Var.
-func (t *Tree) LeafByVar(v polynomial.Var) NodeID {
-	for i := range t.nodes {
-		if t.nodes[i].Var == v && len(t.nodes[i].Children) == 0 {
-			return t.nodes[i].ID
-		}
+// NodeByVar returns the node bound to v, leaf or inner, or NoNode.
+func (t *Tree) NodeByVar(v polynomial.Var) NodeID {
+	if uint(v) < uint(len(t.byVar)) {
+		return t.byVar[v]
 	}
 	return NoNode
 }
 
-// LeafVarSet returns a lookup from leaf Var to leaf NodeID.
-func (t *Tree) LeafVarSet() map[polynomial.Var]NodeID {
-	m := make(map[polynomial.Var]NodeID)
-	for _, id := range t.Leaves() {
-		m[t.nodes[id].Var] = id
+// LeafByVar returns the leaf bound to v, or NoNode. Inner nodes are not
+// considered even though they also own a Var.
+func (t *Tree) LeafByVar(v polynomial.Var) NodeID {
+	if id := t.NodeByVar(v); id != NoNode && len(t.nodes[id].Children) == 0 {
+		return id
 	}
-	return m
+	return NoNode
+}
+
+// Reached appends to dst, ascending and each once, the nodes that the cuts
+// of t among cuts hold at or above a leaf bound to one of vars, and those
+// bound to one of vars themselves: the groups a valuation of vars assigns
+// into. The cost follows what vars reaches — the paths from its leaves to
+// the root, each searched for in each cut — not the size of t or the cuts.
+func (t *Tree) Reached(dst []NodeID, cuts []Cut, vars []polynomial.Var) []NodeID {
+	// recent[id%32] == id+1: the walk up from an earlier leaf appended id,
+	// and so every node above it. A miss only appends a node twice.
+	var recent [32]NodeID
+	for _, v := range vars {
+		id := t.NodeByVar(v)
+		if id != NoNode && len(t.nodes[id].Children) > 0 {
+			dst = append(dst, id)
+			continue
+		}
+		for ; id != NoNode && recent[id%32] != id+1; id = t.nodes[id].Parent {
+			recent[id%32] = id + 1
+			dst = append(dst, id)
+		}
+	}
+	slices.Sort(dst)
+	above := slices.Compact(dst)
+	// Nodes ascend in above as in a cut, so each cut is searched from where
+	// the last node was found; a held node is kept complemented (negative).
+	for _, c := range cuts {
+		if c.Tree != t {
+			continue
+		}
+		nodes := c.Nodes
+		for i, id := range above {
+			if id < 0 {
+				continue
+			}
+			j, held := slices.BinarySearch(nodes, id)
+			if nodes = nodes[j:]; held {
+				above[i] = ^id
+			}
+		}
+	}
+	dst = above[:0]
+	for _, id := range above {
+		if id < 0 {
+			dst = append(dst, ^id)
+		}
+	}
+	return dst
 }
 
 // String renders the tree with indentation, e.g. for "look under the hood"
@@ -356,15 +414,4 @@ func (f Forest) LeafOwners() map[polynomial.Var]ForestLeaf {
 		}
 	}
 	return m
-}
-
-// SortedNodeNames returns all node names in lexicographic order (testing
-// helper and deterministic display).
-func (t *Tree) SortedNodeNames() []string {
-	out := make([]string, len(t.nodes))
-	for i := range t.nodes {
-		out[i] = t.nodes[i].Name
-	}
-	sort.Strings(out)
-	return out
 }

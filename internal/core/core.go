@@ -74,18 +74,6 @@ type Result struct {
 	OriginalVars int
 }
 
-// VarMapping returns the combined substitution of all cuts.
-func (r *Result) VarMapping() map[polynomial.Var]polynomial.Var {
-	m := make(map[polynomial.Var]polynomial.Var)
-	for _, c := range r.Cuts {
-		//cobra:deterministic map-to-map merge over disjoint keys; visit order cannot reach the result
-		for from, to := range c.VarMapping() {
-			m[from] = to
-		}
-	}
-	return m
-}
-
 // Apply materializes the compressed provenance set.
 func (r *Result) Apply(s *polynomial.Set) *polynomial.Set {
 	return abstraction.Apply(s, 1, r.Cuts...)

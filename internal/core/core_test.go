@@ -330,22 +330,6 @@ func TestCompressDispatch(t *testing.T) {
 	}
 }
 
-func TestResultVarMapping(t *testing.T) {
-	set, tree := figure2(t)
-	res, err := DPSingleTreeSource(set, tree, 6, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := res.VarMapping()
-	if len(m) != 11 {
-		t.Fatalf("mapping size = %d, want 11 leaves", len(m))
-	}
-	b1, _ := set.Names.Lookup("b1")
-	if _, ok := m[b1]; !ok {
-		t.Fatal("b1 not in mapping")
-	}
-}
-
 // twoTreeInstance builds a two-tree instance mirroring the running example:
 // a plans-like tree and a months-like tree, with monomials plan×month.
 func twoTreeInstance(t testing.TB) (*polynomial.Set, abstraction.Forest) {

@@ -48,7 +48,7 @@ func buildIndex(set *polynomial.Set, tree *abstraction.Tree) (*index, error) {
 // shard each run stops at its first offender and the lowest run reports.
 func buildIndexSource(src polynomial.SetSource, tree *abstraction.Tree, workers int) (*index, error) {
 	workers = parallel.Normalize(workers)
-	leafOf, parent := leafTable(tree)
+	parent := parentTable(tree)
 	scans := make([]indexScan, workers)
 	// ForEachShardN overlaps shard decode with the scan on sources that
 	// support it; the callback still runs shard-at-a-time in shard order.
@@ -57,7 +57,7 @@ func buildIndexSource(src polynomial.SetSource, tree *abstraction.Tree, workers 
 		parallel.ForEach(workers, len(bounds)-1, func(i int) {
 			sc := &scans[i]
 			if sc.distinct == nil {
-				sc.leafOf, sc.parent = leafOf, parent
+				sc.tree, sc.parent = tree, parent
 				sc.distinct = make([]int64, tree.Len())
 				sc.stamp = make([]uint64, tree.Len())
 			}
@@ -83,29 +83,13 @@ func buildIndexSource(src polynomial.SetSource, tree *abstraction.Tree, workers 
 	return idx, nil
 }
 
-// leafTable flattens what the scan reads of the tree: leafOf maps a Var to
-// the leaf bound to it (NoNode for every other Var below the largest leaf
-// Var), parent maps a node to its parent.
-func leafTable(tree *abstraction.Tree) (leafOf, parent []abstraction.NodeID) {
-	parent = make([]abstraction.NodeID, tree.Len())
-	maxVar := polynomial.Var(-1)
+// parentTable flattens the parent links the scan walks, indexed by node.
+func parentTable(tree *abstraction.Tree) []abstraction.NodeID {
+	parent := make([]abstraction.NodeID, tree.Len())
 	for v := range parent {
-		n := tree.Node(abstraction.NodeID(v))
-		parent[v] = n.Parent
-		if len(n.Children) == 0 && n.Var > maxVar {
-			maxVar = n.Var
-		}
+		parent[v] = tree.Node(abstraction.NodeID(v)).Parent
 	}
-	leafOf = make([]abstraction.NodeID, int(maxVar)+1)
-	for i := range leafOf {
-		leafOf[i] = abstraction.NoNode
-	}
-	for v := range parent {
-		if n := tree.Node(abstraction.NodeID(v)); len(n.Children) == 0 {
-			leafOf[n.Var] = n.ID
-		}
-	}
-	return leafOf, parent
+	return parent
 }
 
 // polyRuns splits the shard's polynomials into at most workers contiguous
@@ -141,7 +125,8 @@ type sigRec struct {
 // counters, plus scratch sized by the largest polynomial it has met and
 // reused for every polynomial of every shard it scans.
 type indexScan struct {
-	leafOf, parent []abstraction.NodeID // leafTable; shared, read-only
+	tree   *abstraction.Tree    // its Var → leaf table; shared, read-only
+	parent []abstraction.NodeID // parentTable; shared, read-only
 
 	fixed    int
 	distinct []int64
@@ -182,13 +167,13 @@ func (sc *indexScan) scan(s *polynomial.Set, lo, hi int) error {
 func (sc *indexScan) scanPoly(key string, mons []polynomial.Monomial, names *polynomial.Names) error {
 	recs := sc.recs[:0]
 	for mi, m := range mons {
-		at, h := -1, uint64(0)
+		at, leaf, h := -1, abstraction.NoNode, uint64(0)
 		for ti, t := range m.Terms {
-			if uint(t.Var) < uint(len(sc.leafOf)) && sc.leafOf[t.Var] != abstraction.NoNode {
+			if id := sc.tree.LeafByVar(t.Var); id != abstraction.NoNode {
 				if at >= 0 {
 					return &MultiVarError{Key: key, Mono: monoString(m, names)}
 				}
-				at = ti
+				at, leaf = ti, id
 				continue
 			}
 			h = polynomial.Mix(h, uint64(uint32(t.Var))<<32|uint64(uint32(t.Exp)))
@@ -202,7 +187,7 @@ func (sc *indexScan) scanPoly(key string, mons []polynomial.Monomial, names *pol
 			hash: polynomial.Mix(h, uint64(uint32(lt.Exp))),
 			mon:  int32(mi),
 			at:   int32(at),
-			leaf: sc.leafOf[lt.Var],
+			leaf: leaf,
 			next: -1,
 		})
 	}

@@ -19,7 +19,6 @@ import (
 // generated-input oracle compares against. On a multi-leaf monomial it
 // returns the first offender in scan order as (key, monomial).
 func refIndex(src polynomial.SetSource, tree *abstraction.Tree) (fixed int, distinct []int64, err error) {
-	leafOf := tree.LeafVarSet()
 	sigIDs := make(map[string]int32)
 	perLeaf := make(map[abstraction.NodeID]map[int32]struct{})
 	var keyBuf []byte
@@ -28,7 +27,7 @@ func refIndex(src polynomial.SetSource, tree *abstraction.Tree) (fixed int, dist
 			for _, m := range p.Mons {
 				leaf, leafExp := abstraction.NoNode, int32(0)
 				for _, t := range m.Terms {
-					if id, ok := leafOf[t.Var]; ok {
+					if id := tree.LeafByVar(t.Var); id != abstraction.NoNode {
 						if leaf != abstraction.NoNode {
 							return &MultiVarError{Key: s.Keys[pi], Mono: monoString(m, s.Names)}
 						}
@@ -306,12 +305,11 @@ func TestSameSignatureExact(t *testing.T) {
 	equal, pairs := 0, 0
 	for seed := int64(0); seed < 60; seed++ {
 		set, tree := oracleInstance(rand.New(rand.NewSource(seed)), 0, false)
-		leafOf, _ := leafTable(tree)
 		for _, p := range set.Polys {
 			var recs []sigRec
 			for mi, m := range p.Mons {
 				for ti, term := range m.Terms {
-					if int(term.Var) < len(leafOf) && leafOf[term.Var] != abstraction.NoNode {
+					if tree.LeafByVar(term.Var) != abstraction.NoNode {
 						recs = append(recs, sigRec{mon: int32(mi), at: int32(ti)})
 					}
 				}

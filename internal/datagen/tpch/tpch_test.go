@@ -135,12 +135,11 @@ func TestInstrumentByShipMonthProvenance(t *testing.T) {
 	}
 	// Each monomial must reference exactly one month variable.
 	tree := DateTree(names)
-	leafSet := tree.LeafVarSet()
 	for _, p := range set.Polys {
 		for _, m := range p.Mons {
 			count := 0
 			for _, term := range m.Terms {
-				if _, ok := leafSet[term.Var]; ok {
+				if tree.LeafByVar(term.Var) != abstraction.NoNode {
 					count++
 				}
 			}

@@ -1,9 +1,14 @@
 package experiments
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/cobra-prov/cobra/internal/abstraction"
+	"github.com/cobra-prov/cobra/internal/polynomial"
+	"github.com/cobra-prov/cobra/internal/valuation"
 )
 
 func quick() Config { return Config{Quick: true}.WithDefaults() }
@@ -312,5 +317,46 @@ func TestAllRegistry(t *testing.T) {
 		if r.Run == nil || r.Name == "" {
 			t.Fatalf("incomplete runner %+v", r)
 		}
+	}
+}
+
+// TestInducedWeighted: E6's comparison column weights a group's leaves by
+// their coefficient mass, and falls back to Induced's plain average for a
+// group of zero mass.
+func TestInducedWeighted(t *testing.T) {
+	names := polynomial.NewNames()
+	tree, err := abstraction.FromPaths("Plans", names,
+		[]string{"Standard", "p1"}, []string{"Standard", "p2"},
+		[]string{"Special", "v"},
+		[]string{"Business", "SB", "b1"}, []string{"Business", "SB", "b2"}, []string{"Business", "e"},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := polynomial.NewSet(names)
+	set.Add("10002", polynomial.MustParse(
+		"77.9*b1*m1 + 80.5*b1*m3 + 52.2*e*m1 + 56.5*e*m3 + 69.7*b2*m1 + 100.65*b2*m3 - 42*v*m1", names))
+	cut, err := tree.CutOf("Business", "Special", "Standard")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := valuation.New(names).MustSet("b1", 2).MustSet("b2", 1).MustSet("e", 1).MustSet("p1", 3)
+	w := inducedWeighted(base, coefficientMass(set), cut)
+	get := func(name string) float64 {
+		v, _ := names.Lookup(name)
+		return w.Get(v)
+	}
+	// b1 mass = 77.9+80.5 = 158.4; b2 = 170.35; e = 108.7.
+	wantBiz := (158.4*2 + 170.35*1 + 108.7*1) / (158.4 + 170.35 + 108.7)
+	if got := get("Business"); math.Abs(got-wantBiz) > 1e-9 {
+		t.Fatalf("weighted Business = %v, want %v", got, wantBiz)
+	}
+	// A negative coefficient weighs by its absolute value.
+	if got := get("Special"); got != 1 {
+		t.Fatalf("weighted Special = %v, want 1", got)
+	}
+	// Standard's leaves have zero mass: the plain average of 3 and 1.
+	if got := get("Standard"); got != 2 {
+		t.Fatalf("weighted Standard = %v, want 2", got)
 	}
 }

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -498,8 +499,14 @@ func ReadAssignmentJSON(r io.Reader, names *polynomial.Names) (*valuation.Assign
 		keys = append(keys, name)
 	}
 	sort.Strings(keys)
-	for _, name := range keys {
-		a.SetVar(names.Var(name), m[name])
+	vars := make([]polynomial.Var, len(keys))
+	for i, name := range keys {
+		vars[i] = names.Var(name)
+	}
+	// An Assignment inserts out of order in O(entries): set in Var order.
+	slices.Sort(vars)
+	for _, v := range vars {
+		a.SetVar(v, m[names.Name(v)])
 	}
 	return a, nil
 }

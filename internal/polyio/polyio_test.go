@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/cobra-prov/cobra/internal/polynomial"
 	"github.com/cobra-prov/cobra/internal/valuation"
@@ -400,5 +401,45 @@ func TestAssignmentJSONRoundTrip(t *testing.T) {
 	}
 	if _, err := ReadAssignmentJSON(strings.NewReader("nope"), names); err == nil {
 		t.Fatal("bad JSON should error")
+	}
+}
+
+// TestAssignmentJSONAnyOrder: the decoder interns in name order, which can
+// be the opposite of Var order; it must still build the assignment in
+// O(n log n) — 200 000 out-of-order inserts would take tens of seconds —
+// and hold what a map holds.
+func TestAssignmentJSONAnyOrder(t *testing.T) {
+	const n = 200_000
+	names := polynomial.NewNames()
+	want := make(map[polynomial.Var]float64, n)
+	var buf bytes.Buffer
+	buf.WriteByte('{')
+	for i := n - 1; i >= 0; i-- { // the last name in sorted order is Var 0
+		v := names.Var(fmt.Sprintf("v%06d", i))
+		want[v] = float64(i%9) / 4
+		fmt.Fprintf(&buf, "%q:%v,", names.Name(v), want[v])
+	}
+	// One name the namespace has not seen: interned after all the others.
+	buf.WriteString(`"a_new_name":3}`)
+	start := time.Now()
+	got, err := ReadAssignmentJSON(&buf, names)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Errorf("decoding %d entries took %v", n, d)
+	}
+	fresh, ok := names.Lookup("a_new_name")
+	if !ok || int(fresh) != n {
+		t.Fatalf("a_new_name is Var %d (known %v), want %d", fresh, ok, n)
+	}
+	want[fresh] = 3
+	if got.Len() != len(want) {
+		t.Fatalf("%d entries, want %d", got.Len(), len(want))
+	}
+	for v, x := range want {
+		if !got.Has(v) || got.Get(v) != x {
+			t.Fatalf("%s = %v (explicit %v), want %v", names.Name(v), got.Get(v), got.Has(v), x)
+		}
 	}
 }

@@ -1,6 +1,8 @@
 package valuation
 
 import (
+	"slices"
+
 	"github.com/cobra-prov/cobra/internal/parallel"
 	"github.com/cobra-prov/cobra/internal/polynomial"
 )
@@ -23,12 +25,14 @@ func (p *Program) EvalBatch(assignments []*Assignment, out [][]float64) [][]floa
 // row is the memoized all-ones row with only the polynomials that mention a
 // moved variable evaluated again (found through a variable → polynomials
 // index the first call builds). An entry that is exactly 1, explicit or
-// not, moves nothing: Induced sets every meta-variable of a cut, nearly all
-// of them to 1. A re-evaluated polynomial runs the same kernel over the
-// same dense vector as a full pass, and a skipped one would have seen only
-// ones, as the memoized row did, so the rows are bit-identical to
+// not, moves nothing. A re-evaluated polynomial runs the same kernel over
+// the same dense vector as a full pass, and a skipped one would have seen
+// only ones, as the memoized row did, so the rows are bit-identical to
 // evaluating every polynomial. Once a scenario touches every polynomial
-// the full pass runs instead.
+// the full pass runs instead. The workers' scratch — that dense vector, the
+// marks of touched polynomials — is kept by the Program between calls, so
+// a call costs O(entries of its assignments + touched polynomials), not
+// O(variables + polynomials), plus the rows it returns.
 func (p *Program) EvalBatchN(assignments []*Assignment, out [][]float64, workers int) [][]float64 {
 	p.sparseOnce.Do(p.buildSparse)
 	return p.evalBatch(assignments, out, workers, true)
@@ -44,39 +48,42 @@ func (p *Program) evalBatch(assignments []*Assignment, out [][]float64, workers 
 		out = make([][]float64, len(assignments))
 	}
 	parallel.Chunks(workers, len(assignments), func(_, lo, hi int) {
-		s := sweep{p: p, dense: ones(p.numVars)}
-		if sparse {
-			s.mark = make([]uint32, p.NumPolys())
-			s.touched = make([]int32, 0, p.NumPolys())
+		s, _ := p.sweeps.Get().(*sweep)
+		if s == nil {
+			s = &sweep{p: p, dense: slices.Repeat([]float64{1}, p.numVars)}
 		}
 		for i := lo; i < hi; i++ {
-			out[i] = s.eval(assignments[i], out[i])
+			out[i] = s.eval(assignments[i], out[i], sparse)
 		}
+		p.sweeps.Put(s)
 	})
 	return out
 }
 
-// sweep is one worker's scratch for evaluating scenario after scenario.
+// sweep is one worker's scratch for evaluating scenario after scenario. It
+// goes back to its Program's pool between calls, so a call for one scenario
+// does not allocate and fill O(variables + polynomials) before it evaluates
+// a handful of polynomials.
 type sweep struct {
 	p       *Program
 	dense   []float64 // all ones between scenarios
 	moved   []int32   // the variables the current scenario moves off 1
-	mark    []uint32  // mark[pi] == epoch: pi is in touched; nil for a dense sweep
+	mark    []uint32  // mark[pi] == epoch: pi is in touched; sized by the first sparse scenario
 	epoch   uint32
 	touched []int32
 }
 
-// eval returns the row of scenario a, reusing row's capacity.
-func (s *sweep) eval(a *Assignment, row []float64) []float64 {
+// eval returns the row of scenario a, reusing row's capacity; with sparse
+// it re-evaluates only the polynomials a touches.
+func (s *sweep) eval(a *Assignment, row []float64, sparse bool) []float64 {
 	s.moved = s.moved[:0]
-	//cobra:deterministic writes to distinct slice indices, and no polynomial's value depends on the order polynomials are evaluated in
-	for v, x := range a.vals {
-		if x != 1 && inRange(v, len(s.dense)) {
-			s.dense[v] = x
-			s.moved = append(s.moved, int32(v))
+	for _, e := range a.vals {
+		if e.x != 1 && inRange(e.v, len(s.dense)) {
+			s.dense[e.v] = e.x
+			s.moved = append(s.moved, int32(e.v))
 		}
 	}
-	if s.mark != nil && s.touch() {
+	if sparse && s.touch() {
 		row = append(row[:0], s.p.base...)
 		for _, pi := range s.touched {
 			row[pi] = s.p.evalPoly(int(pi), s.dense)
@@ -93,6 +100,9 @@ func (s *sweep) eval(a *Assignment, row []float64) []float64 {
 // touch collects the polynomials that mention a moved variable into
 // s.touched, and reports false as soon as that is all of them.
 func (s *sweep) touch() bool {
+	if s.mark == nil {
+		s.mark = make([]uint32, s.p.NumPolys())
+	}
 	s.epoch++
 	if s.epoch == 0 {
 		// Wrapped: marks left by the scenario 2^32 ago would read as
@@ -120,13 +130,3 @@ func (s *sweep) touch() bool {
 // assignment may name variables interned after the program was compiled,
 // or NoVar; neither occurs in the program.
 func inRange(v polynomial.Var, n int) bool { return v >= 0 && int(v) < n }
-
-// ones returns a vector of n ones: the valuation every assignment starts
-// from.
-func ones(n int) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = 1
-	}
-	return out
-}

@@ -1,6 +1,7 @@
 package valuation
 
 import (
+	"slices"
 	"sync"
 
 	"github.com/cobra-prov/cobra/internal/polynomial"
@@ -27,6 +28,8 @@ type Program struct {
 	postOff    []int32   // variable v occurs in polynomials posts[postOff[v]:postOff[v+1]]
 	posts      []int32   // ascending per variable, each polynomial once
 	base       []float64 // the row under the all-ones valuation
+
+	sweeps sync.Pool // of *sweep: the workers' scratch outlives an EvalBatchN call
 }
 
 // Compile flattens set into a Program.
@@ -140,7 +143,7 @@ func (p *Program) buildSparse() {
 		next[v]++
 	})
 
-	p.base = p.Eval(ones(p.numVars), nil)
+	p.base = p.Eval(slices.Repeat([]float64{1}, p.numVars), nil)
 }
 
 // EvalAssignment evaluates under a sparse Assignment.

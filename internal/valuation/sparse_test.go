@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
-	"github.com/cobra-prov/cobra/internal/abstraction"
 	"github.com/cobra-prov/cobra/internal/polynomial"
 )
 
@@ -21,9 +21,9 @@ func referenceEvalBatch(set *polynomial.Set, numVars int, assignments []*Assignm
 		for j := range dense {
 			dense[j] = 1
 		}
-		for v, x := range a.vals {
-			if v >= 0 && int(v) < numVars {
-				dense[v] = x
+		for _, e := range a.vals {
+			if e.v >= 0 && int(e.v) < numVars {
+				dense[e.v] = e.x
 			}
 		}
 		row := make([]float64, 0, len(set.Polys))
@@ -142,8 +142,9 @@ func randomAssignments(r *rand.Rand, names *polynomial.Names, numVars int, beyon
 
 // TestEvalBatchNMatchesReference: on generated programs and scenarios,
 // EvalBatchN's rows are bit-identical to the pre-change loop for every
-// worker count and with reused row buffers, and so are EvalBatchSource's
-// over a sharded copy of the set.
+// worker count and with reused row buffers, whatever the same Program
+// evaluated before, and so are EvalBatchSource's over a sharded copy of the
+// set.
 func TestEvalBatchNMatchesReference(t *testing.T) {
 	kernels := map[bool]int{}
 	for trial := 0; trial < 300; trial++ {
@@ -171,6 +172,18 @@ func TestEvalBatchNMatchesReference(t *testing.T) {
 			reuse = prog.EvalBatchN(assignments[len(assignments)/2:], reuse, workers)
 			reuse = prog.EvalBatchN(assignments, reuse, workers)
 			sameBits(t, label+" reused", reuse, want)
+		}
+
+		// One Program, so one pool of sweeps behind every call: sparse and
+		// full passes interleaved over slices of the scenarios and every
+		// worker count. A sweep that went back dirty — a variable left
+		// moved, a stale mark — changes a bit of a later call's rows.
+		for step := 0; step < 8; step++ {
+			lo := r.Intn(len(assignments))
+			hi := lo + 1 + r.Intn(len(assignments)-lo)
+			workers, sparse := []int{1, 2, 8}[r.Intn(3)], r.Intn(2) == 0
+			reuse = prog.evalBatch(assignments[lo:hi], reuse, workers, sparse)
+			sameBits(t, fmt.Sprintf("trial %d step %d workers %d sparse %v", trial, step, workers, sparse), reuse, want[lo:hi])
 		}
 
 		opts := polynomial.ShardOptions{TargetMonomials: 1 + r.Intn(20)}
@@ -240,7 +253,7 @@ func TestSweepEpochWrap(t *testing.T) {
 	}
 	want := referenceEvalBatch(set, prog.NumVars(), scenarios)
 
-	s := sweep{p: prog, dense: ones(prog.numVars), mark: make([]uint32, prog.NumPolys())}
+	s := sweep{p: prog, dense: slices.Repeat([]float64{1}, prog.numVars), mark: make([]uint32, prog.NumPolys())}
 	// The stamps a scenario 2^32 ago left: the first epoch after the wrap.
 	for pi := range s.mark {
 		s.mark[pi] = 1
@@ -248,7 +261,7 @@ func TestSweepEpochWrap(t *testing.T) {
 	s.epoch = math.MaxUint32 - 2
 	var got [][]float64
 	for _, a := range scenarios {
-		got = append(got, s.eval(a, nil))
+		got = append(got, s.eval(a, nil, true))
 		if len(s.touched) != 2 {
 			t.Fatalf("epoch %d: touched %v, want two polynomials", s.epoch, s.touched)
 		}
@@ -257,71 +270,6 @@ func TestSweepEpochWrap(t *testing.T) {
 		t.Fatalf("epoch %d: the counter did not wrap", s.epoch)
 	}
 	sameBits(t, "across the wrap", got, want)
-}
-
-// TestInducedMatchesGroupedLeaves: Induced walks the tree itself; its values
-// and its length are those of averaging Cut.GroupedLeaves, bit for bit.
-func TestInducedMatchesGroupedLeaves(t *testing.T) {
-	for trial := 0; trial < 50; trial++ {
-		r := rand.New(rand.NewSource(int64(trial)))
-		names := polynomial.NewNames()
-		tree := abstraction.NewTree("root", names)
-		for leaf, n := 0, 1+r.Intn(40); leaf < n; leaf++ {
-			path := []string{fmt.Sprintf("a%d", r.Intn(4))}
-			if r.Intn(2) == 0 {
-				path = append(path, fmt.Sprintf("%s_b%d", path[0], r.Intn(3)))
-			}
-			if _, err := tree.AddPath(append(path, fmt.Sprintf("leaf%d", leaf))...); err != nil {
-				t.Fatal(err)
-			}
-		}
-		ctx := names.Var("context")
-		// A random cut: from the root down, keep a node or descend.
-		var picked []string
-		var pick func(id abstraction.NodeID)
-		pick = func(id abstraction.NodeID) {
-			node := tree.Node(id)
-			if len(node.Children) == 0 || r.Intn(3) == 0 {
-				picked = append(picked, node.Name)
-				return
-			}
-			for _, c := range node.Children {
-				pick(c)
-			}
-		}
-		pick(tree.Root())
-		cut, err := tree.CutOf(picked...)
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		base := New(names)
-		base.SetVar(ctx, 3)
-		for _, v := range tree.LeafVars() {
-			if r.Intn(3) == 0 {
-				base.SetVar(v, r.Float64()*2)
-			}
-		}
-		want := base.Clone()
-		for i, leaves := range cut.GroupedLeaves() {
-			sum := 0.0
-			for _, l := range leaves {
-				sum += base.Get(l)
-			}
-			want.SetVar(tree.Node(cut.Nodes[i]).Var, sum/float64(len(leaves)))
-		}
-
-		got := Induced(base, cut)
-		if got.Len() != want.Len() {
-			t.Fatalf("trial %d: Len = %d, want %d", trial, got.Len(), want.Len())
-		}
-		for v := polynomial.Var(0); int(v) < names.Len(); v++ {
-			if got.Has(v) != want.Has(v) || math.Float64bits(got.Get(v)) != math.Float64bits(want.Get(v)) {
-				t.Fatalf("trial %d: %s = %v (explicit %v), want %v (explicit %v)",
-					trial, names.Name(v), got.Get(v), got.Has(v), want.Get(v), want.Has(v))
-			}
-		}
-	}
 }
 
 // TestProgramEvalAllocations pins the invariant the compiled form exists

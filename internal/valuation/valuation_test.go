@@ -112,28 +112,6 @@ func TestInducedAverage(t *testing.T) {
 	}
 }
 
-func TestInducedWeighted(t *testing.T) {
-	set, tree := example(t)
-	cut, err := tree.CutOf("Business", "Special", "Standard")
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := New(set.Names).MustSet("b1", 2).MustSet("b2", 1).MustSet("e", 1)
-	w := InducedWeighted(base, set, cut)
-	biz, _ := set.Names.Lookup("Business")
-	// b1 mass = 77.9+80.5 = 158.4; b2 = 170.35; e = 108.7.
-	wantBiz := (158.4*2 + 170.35*1 + 108.7*1) / (158.4 + 170.35 + 108.7)
-	if got := w.Get(biz); math.Abs(got-wantBiz) > 1e-9 {
-		t.Fatalf("weighted Business = %v, want %v", got, wantBiz)
-	}
-	// Standard's leaves have zero mass for p2; p1 has mass; average should
-	// still be defined.
-	st, _ := set.Names.Lookup("Standard")
-	if got := w.Get(st); got != 1 {
-		t.Fatalf("weighted Standard = %v, want 1", got)
-	}
-}
-
 func TestAbstractionSoundness(t *testing.T) {
 	// If a valuation is constant within each abstraction group, evaluating
 	// the compressed provenance under the induced valuation gives exactly

@@ -394,3 +394,52 @@ func TestServeEvictionRoundTrip(t *testing.T) {
 		t.Fatalf("%d datasets resident, budget is 1", resident)
 	}
 }
+
+// TestEvalLargeAssignmentAnyOrder: a request may name 200 000 variables in
+// an order opposite to their Vars (JSON object order is the client's, and
+// the decoded map's is random). Each insert below the last entry moves the
+// ones above it, so the handler resolves and sorts first: the request is
+// answered in well under the time one quadratic build would take (tens of
+// seconds), with the rows of an assignment built in Var order.
+func TestEvalLargeAssignmentAnyOrder(t *testing.T) {
+	const n = 200_000
+	_, ts := startServer(t, serve.Config{})
+	var prov strings.Builder
+	prov.WriteString("total\t")
+	scenario := make(map[string]float64, n)
+	for i := n - 1; i >= 0; i-- { // v199999 is Var 0: names sort opposite to Vars
+		name := fmt.Sprintf("v%06d", i)
+		fmt.Fprintf(&prov, "1*%s", name)
+		if i > 0 {
+			prov.WriteString(" + ")
+		}
+		scenario[name] = 1 + float64(i%7)/8
+	}
+	names := cobra.NewNames()
+	set, _, err := cobra.ReadSet(strings.NewReader(prov.String()), names)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := names.Lookup("v000000"); int(v) != n-1 {
+		t.Fatalf("v000000 is Var %d, want %d", v, n-1)
+	}
+	a := cobra.NewAssignment(names)
+	for v := 0; v < n; v++ {
+		a.SetVar(cobra.Var(v), scenario[names.Name(cobra.Var(v))])
+	}
+	want := cobra.EvalSet(set, a)
+
+	if code := doJSON(t, "PUT", ts.URL+"/v1/datasets/wide", serve.RegisterRequest{Provenance: prov.String()}, nil); code != http.StatusCreated {
+		t.Fatalf("register: status %d", code)
+	}
+	start := time.Now()
+	var ev serve.EvalResponse
+	if code := doJSON(t, "POST", ts.URL+"/v1/datasets/wide/eval",
+		serve.EvalRequest{Assignments: []map[string]float64{scenario}}, &ev); code != http.StatusOK {
+		t.Fatalf("eval: status %d", code)
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Errorf("a %d-entry assignment took %v to answer", n, d)
+	}
+	checkRows(t, ev.Rows, [][]float64{want}, "large assignment")
+}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 
@@ -429,14 +430,24 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 	if !decodeJSON(w, r, maxRequestBody, &req) {
 		return
 	}
+	names := ds.Names()
 	assignments := make([]*cobra.Assignment, len(req.Assignments))
 	for i, vals := range req.Assignments {
-		a := cobra.NewAssignment(ds.Names())
-		for name, x := range vals {
-			if err := a.Set(name, x); err != nil {
-				writeErr(w, http.StatusBadRequest, "assignment %d: %v", i, err)
+		// The map yields names in no order and an Assignment inserts out of
+		// order in O(entries): resolve first, then set in Var order.
+		vars := make([]cobra.Var, 0, len(vals))
+		for name := range vals {
+			v, ok := names.Lookup(name)
+			if !ok {
+				writeErr(w, http.StatusBadRequest, "assignment %d: valuation: unknown variable %q", i, name)
 				return
 			}
+			vars = append(vars, v)
+		}
+		slices.Sort(vars)
+		a := cobra.NewAssignment(names)
+		for _, v := range vars {
+			a.SetVar(v, vals[names.Name(v)])
 		}
 		assignments[i] = a
 	}
