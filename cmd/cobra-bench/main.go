@@ -1,6 +1,8 @@
 // Command cobra-bench runs the reproduction experiment suite (E1–E11 and
-// E14–E17, see internal/experiments) and prints each experiment's paper-vs-measured table. With
-// -markdown it emits the tables in the format used by EXPERIMENTS.md.
+// E14–E16, see internal/experiments) and prints each experiment's
+// paper-vs-measured table. With -markdown it emits the tables in the
+// format used by EXPERIMENTS.md. (The on-disk formats are measured by the
+// store_outofcore workload of benchmark/, not by an experiment.)
 //
 // Usage:
 //

@@ -28,7 +28,7 @@ func main() {
 		bound     = flag.Int("bound", 0, "bound on the number of monomials (required)")
 		algo      = flag.String("algo", "dp", "dp (optimal) | greedy")
 		out       = flag.String("out", "-", "output file for the compressed set (- = stdout)")
-		outFormat = flag.String("out-format", "", "text | json | binary | stream (default: same as input)")
+		outFormat = flag.String("out-format", "", "text | json | binary (default: same as input; binary input of any version is written as v3)")
 	)
 	flag.Parse()
 	if err := run(*in, *treeFile, *bound, *algo, *out, cobra.Format(*outFormat)); err != nil {
@@ -43,6 +43,11 @@ func run(in, treeFile string, bound int, algo, out string, outFormat cobra.Forma
 	}
 	if bound <= 0 {
 		return fmt.Errorf("-bound must be positive")
+	}
+	if outFormat != "" { // before any work, and before -out is truncated
+		if err := outFormat.Validate(); err != nil {
+			return fmt.Errorf("-out-format: %w", err)
+		}
 	}
 
 	var r io.Reader = os.Stdin
@@ -89,14 +94,23 @@ func run(in, treeFile string, bound int, algo, out string, outFormat cobra.Forma
 	fmt.Fprintf(os.Stderr, "cobra-compress: %d -> %d monomials (%.1f%%), cut %s (%d meta-variables)\n",
 		res.OriginalSize, res.Size, 100*res.CompressionRatio(), res.Cuts[0], res.NumMeta)
 
-	var w io.Writer = os.Stdout
-	if out != "-" {
-		f, err := os.Create(out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
+	return writeOut(out, comp, outFormat)
+}
+
+// writeOut writes set to the file out ("-" = stdout) in the given format. It
+// returns the file's Close error too: a short write may surface only there.
+func writeOut(out string, set cobra.SetSource, format cobra.Format) (err error) {
+	if out == "-" {
+		return cobra.WriteSet(os.Stdout, set, format)
 	}
-	return cobra.WriteSet(w, comp, outFormat)
+	f, err := os.Create(out)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}()
+	return cobra.WriteSet(f, set, format)
 }

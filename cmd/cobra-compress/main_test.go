@@ -1,8 +1,10 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	cobra "github.com/cobra-prov/cobra"
@@ -70,6 +72,71 @@ func TestCompressGreedyAndFormats(t *testing.T) {
 	}
 	if set.Size() > 4 {
 		t.Fatalf("greedy exceeded bound: %d", set.Size())
+	}
+}
+
+// TestCompressLegacyBinaryInWritesV3: testdata/prov-v{1,2}.bin hold the
+// writeFixtures set as written by the last commit with v1 and v2 writers.
+// With no -out-format the output is "the input's format", and for a binary
+// input of any version that is the one binary format written: v3.
+func TestCompressLegacyBinaryInWritesV3(t *testing.T) {
+	_, tree := writeFixtures(t)
+	for _, in := range []string{"testdata/prov-v1.bin", "testdata/prov-v2.bin"} {
+		out := filepath.Join(t.TempDir(), "comp.bin")
+		if err := run(in, tree, 4, "dp", out, ""); err != nil {
+			t.Fatalf("%s: %v", in, err)
+		}
+		data, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(data, []byte("CPRVB3\n")) {
+			t.Fatalf("%s: output starts %q, want the v3 magic", in, data[:min(7, len(data))])
+		}
+		set, format, err := cobra.ReadSet(bytes.NewReader(data), nil)
+		if err != nil {
+			t.Fatalf("%s: %v", in, err)
+		}
+		if format != cobra.FormatBinary || set.Size() != 4 {
+			t.Fatalf("%s: read back %q with %d monomials, want binary with 4", in, format, set.Size())
+		}
+	}
+}
+
+// TestCompressBadFormatLeavesOutAlone: an unknown -out-format is refused
+// before the input is read and before -out is created or truncated, and the
+// message names the formats there are ("stream" was one until v3 became
+// the binary format).
+func TestCompressBadFormatLeavesOutAlone(t *testing.T) {
+	prov, tree := writeFixtures(t)
+	out := filepath.Join(t.TempDir(), "existing.txt")
+	const precious = "do not truncate me\n"
+	for _, format := range []cobra.Format{"bogus", "stream"} {
+		if err := os.WriteFile(out, []byte(precious), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		err := run(prov, tree, 4, "dp", out, format)
+		if err == nil || !strings.Contains(err.Error(), "binary") {
+			t.Fatalf("-out-format %s: %v, want an error naming binary", format, err)
+		}
+		if err := run("/no/such/input", tree, 4, "dp", out, format); err == nil || !strings.Contains(err.Error(), "binary") {
+			t.Fatalf("-out-format %s was not checked before the input was opened: %v", format, err)
+		}
+		if got, _ := os.ReadFile(out); string(got) != precious {
+			t.Fatalf("-out-format %s: existing -out file now holds %q", format, got)
+		}
+	}
+}
+
+// TestCompressReportsCloseError: /dev/full accepts the open and fails the
+// write; whichever of Write and Close reports it, run must.
+func TestCompressReportsCloseError(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full")
+	}
+	prov, tree := writeFixtures(t)
+	if err := run(prov, tree, 4, "dp", "/dev/full", ""); err == nil {
+		t.Fatal("writing to a full device reported success")
 	}
 }
 

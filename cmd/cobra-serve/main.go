@@ -60,7 +60,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, ready fun
 	var (
 		addr        = fs.String("addr", ":8080", "listen address")
 		maxWorkers  = fs.Int("max-workers", 0, "solver worker pool shared by all requests (0 = all cores)")
-		maxResident = fs.Int("max-resident-datasets", 0, "out-of-core datasets resident at once (0 = unlimited)")
+		maxResident = fs.Int("max-resident-datasets", 0, "out-of-core datasets that keep un-spilled shards in memory; the least recently used beyond it are spilled entirely, for good (0 = unlimited)")
 		spillDir    = fs.String("spill-dir", "", "directory for out-of-core state (default: system temp)")
 		drain       = fs.Duration("drain", 10*time.Second, "graceful-shutdown drain timeout")
 	)

@@ -13,7 +13,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 
 	cobra "github.com/cobra-prov/cobra"
@@ -28,7 +27,7 @@ func main() {
 		customers = flag.Int("customers", 100_000, "telephony scale")
 		sf        = flag.Float64("sf", 0.01, "TPC-H scale factor")
 		queryName = flag.String("query", "Q1", "TPC-H query: Q1 | Q3 | Q5 | Q6 | Q10")
-		format    = flag.String("format", "text", "text | json | binary | stream")
+		format    = flag.String("format", "text", "text | json | binary")
 		out       = flag.String("out", "-", "output file (- = stdout)")
 		treeOut   = flag.String("tree-out", "", "also write the matching abstraction tree JSON here")
 	)
@@ -40,6 +39,9 @@ func main() {
 }
 
 func run(dataset string, customers int, sf float64, queryName, format, out, treeOut string) error {
+	if err := cobra.Format(format).Validate(); err != nil { // before any work, and before -out is truncated
+		return fmt.Errorf("-format: %w", err)
+	}
 	names := cobra.NewNames()
 	var (
 		set  *cobra.Set
@@ -89,16 +91,7 @@ func run(dataset string, customers int, sf float64, queryName, format, out, tree
 		return err
 	}
 
-	var w io.Writer = os.Stdout
-	if out != "-" {
-		f, err := os.Create(out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
-	if err := cobra.WriteSet(w, set, cobra.Format(format)); err != nil {
+	if err := writeOut(out, set, cobra.Format(format)); err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "provgen: wrote %d polynomials, %d monomials, %d variables\n",
@@ -115,4 +108,22 @@ func run(dataset string, customers int, sf float64, queryName, format, out, tree
 		fmt.Fprintf(os.Stderr, "provgen: wrote abstraction tree (%d nodes) to %s\n", tree.Len(), treeOut)
 	}
 	return nil
+}
+
+// writeOut writes set to the file out ("-" = stdout) in the given format. It
+// returns the file's Close error too: a short write may surface only there.
+func writeOut(out string, set cobra.SetSource, format cobra.Format) (err error) {
+	if out == "-" {
+		return cobra.WriteSet(os.Stdout, set, format)
+	}
+	f, err := os.Create(out)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}()
+	return cobra.WriteSet(f, set, format)
 }

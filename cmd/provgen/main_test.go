@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	cobra "github.com/cobra-prov/cobra"
@@ -59,6 +60,25 @@ func TestProvgenTPCH(t *testing.T) {
 		out := filepath.Join(dir, q+".txt")
 		if err := run("tpch", 0, 0.002, q, "text", out, ""); err != nil {
 			t.Fatalf("%s: %v", q, err)
+		}
+	}
+}
+
+// TestProvgenBadFormatLeavesOutAlone: an unknown -format is refused before
+// anything is generated and before -out is created or truncated.
+func TestProvgenBadFormatLeavesOutAlone(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "existing.txt")
+	const precious = "do not truncate me\n"
+	for _, format := range []string{"bogus", "stream"} {
+		if err := os.WriteFile(out, []byte(precious), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		err := run("figure1", 0, 0, "", format, out, "")
+		if err == nil || !strings.Contains(err.Error(), "binary") {
+			t.Fatalf("-format %s: %v, want an error naming binary", format, err)
+		}
+		if got, _ := os.ReadFile(out); string(got) != precious {
+			t.Fatalf("-format %s: existing -out file now holds %q", format, got)
 		}
 	}
 }

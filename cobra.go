@@ -116,9 +116,9 @@ type Options struct {
 	// polynomials are never split).
 	MaxResidentMonomials int
 
-	// SpillDir is where out-of-core state lives ("" = os.TempDir()):
-	// ShardedSet spill files and Dataset eviction streams are created in
-	// private subdirectories there and removed on Close.
+	// SpillDir is where out-of-core state lives ("" = os.TempDir()): each
+	// ShardedSet creates one private subdirectory there for its spill
+	// files — an evicted Dataset's included — and removes it on Close.
 	SpillDir string
 }
 
@@ -255,7 +255,7 @@ func ShardSet(set *Set, opts Options) (*ShardedSet, error) {
 }
 
 // NewShardedSetBuilder streams polynomials into a ShardedSet as they are
-// produced — e.g. while reading a v2 stream or capturing provenance — so
+// produced — e.g. while reading a binary stream or capturing provenance — so
 // the full set never materializes.
 func NewShardedSetBuilder(names *Names, opts Options) *ShardBuilder {
 	return polynomial.NewShardBuilder(names, opts.shardOptions())
@@ -498,8 +498,9 @@ func CheckCommutation(query string, cat Catalog, names *Names, valueCol string, 
 // Serialization — the interface to external provenance engines.
 
 // Format names a set encoding: FormatText (human-readable lines),
-// FormatJSON, FormatBinary (compact v1, the whole set as one record) or
-// FormatStream (framed, one frame per shard, for sets larger than memory).
+// FormatJSON or FormatBinary — one binary format, written as v3: framed,
+// one compressed and checksummed frame per shard, for sets larger than
+// memory. Format.Validate rejects any other name.
 type Format = polyio.Format
 
 // The set encodings WriteSet writes and ReadSet detects.
@@ -507,25 +508,25 @@ const (
 	FormatText   = polyio.FormatText
 	FormatJSON   = polyio.FormatJSON
 	FormatBinary = polyio.FormatBinary
-	FormatStream = polyio.FormatStream
 )
 
 // WriteSet writes any SetSource (an in-memory Set or a ShardedSet) in the
-// given format. FormatStream writes one frame per shard and never holds
-// more than one shard in memory; the other formats encode the set as a
-// single record and materialize a sharded source first.
+// given format. FormatBinary writes one frame per shard and never holds
+// more than one shard in memory; text and JSON encode the set as a single
+// record and materialize a sharded source first.
 func WriteSet(w io.Writer, src SetSource, format Format) error {
 	return polyio.WriteSet(w, src, format)
 }
 
 // ReadSet reads a set in any format into memory and reports the format it
-// detected from the first bytes: a binary magic (v1, v2 and v3 streams all
-// read), '{' for JSON, text otherwise.
+// detected from the first bytes: a binary magic (FormatBinary: the
+// superseded v1 and v2 still read, nothing writes them), '{' for JSON,
+// text otherwise.
 func ReadSet(r io.Reader, names *Names) (*Set, Format, error) {
 	return polyio.ReadSet(r, names)
 }
 
-// ReadSetStream reads a binary set stream (v1 or v2) into a ShardedSet,
+// ReadSetStream reads a binary set stream (any version) into a ShardedSet,
 // decoding polynomial-at-a-time straight into the budgeted store — the
 // opts.MaxResidentMonomials bound holds on the read side regardless of
 // how the stream was sharded when written.

@@ -84,7 +84,7 @@ func TestFacadeSerializationRoundTrip(t *testing.T) {
 	set := cobra.NewSet(names)
 	set.Add("k", cobra.MustParsePolynomial("2*x*y + 7", names))
 
-	for _, format := range []cobra.Format{cobra.FormatText, cobra.FormatJSON, cobra.FormatBinary, cobra.FormatStream} {
+	for _, format := range []cobra.Format{cobra.FormatText, cobra.FormatJSON, cobra.FormatBinary} {
 		var buf bytes.Buffer
 		if err := cobra.WriteSet(&buf, set, format); err != nil {
 			t.Fatalf("%s: %v", format, err)
@@ -100,14 +100,16 @@ func TestFacadeSerializationRoundTrip(t *testing.T) {
 			t.Fatalf("%s: round trip changed the set:\n%s\nvs\n%s", format, back, set)
 		}
 	}
-	if err := cobra.WriteSet(io.Discard, set, "yaml"); err == nil {
-		t.Fatal("unknown format should fail")
+	for _, format := range []cobra.Format{"yaml", "stream"} {
+		if err := cobra.WriteSet(io.Discard, set, format); err == nil || format.Validate() == nil {
+			t.Fatalf("unknown format %q should fail", format)
+		}
 	}
 }
 
 // TestFacadeStreamedPipeline drives the out-of-core surface end to end:
 // shard under a budget that forces spills, compress/apply/evaluate
-// streamed, round-trip through the v2 stream format, and check everything
+// streamed, round-trip through the binary format, and check everything
 // against the in-memory path.
 func TestFacadeStreamedPipeline(t *testing.T) {
 	names := cobra.NewNames()
@@ -210,9 +212,9 @@ func TestFacadeStreamedPipeline(t *testing.T) {
 		}
 	}
 
-	// v2 stream round trip under the same budget.
+	// Binary round trip, shard by shard, under the same budget.
 	var buf bytes.Buffer
-	if err := cobra.WriteSet(&buf, ss, cobra.FormatStream); err != nil {
+	if err := cobra.WriteSet(&buf, ss, cobra.FormatBinary); err != nil {
 		t.Fatal(err)
 	}
 	back, err := cobra.ReadSetStream(&buf, nil, opts)

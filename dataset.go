@@ -5,13 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"sync"
 
 	"github.com/cobra-prov/cobra/internal/abstraction"
 	"github.com/cobra-prov/cobra/internal/core"
-	"github.com/cobra-prov/cobra/internal/polyio"
 	"github.com/cobra-prov/cobra/internal/polynomial"
 	"github.com/cobra-prov/cobra/internal/provenance"
 	"github.com/cobra-prov/cobra/internal/valuation"
@@ -29,10 +26,10 @@ import (
 //
 // The backing store is chosen by Options.MaxResidentMonomials at
 // capture/open time: an in-memory Set, or a spill-to-disk ShardedSet whose
-// resident footprint stays within the budget. Out-of-core datasets can
-// additionally be Evicted — persisted to their spill directory and dropped
-// from memory entirely — and transparently re-open on the next call,
-// answering identically.
+// resident footprint stays within the budget. A ShardedSet-backed dataset
+// can additionally be Evicted: every shard still in memory is spilled, so
+// the idle dataset holds no monomial, and it keeps answering identically,
+// one loaded shard at a time.
 //
 // Methods take a context: a canceled context stops an in-flight solve at
 // the next shard boundary (and between evaluation chunks), so a
@@ -59,16 +56,15 @@ type datasetState struct {
 	npolys   int
 	usedVars []Var
 
-	// mu guards the source pointer and lifecycle: solves hold the read
-	// lock for their whole pass (concurrent solves are safe — in-memory
-	// reads are pure, sharded passes serialize inside ShardedSet), while
-	// Evict, reload and Close take the write lock.
+	// mu guards the source's lifecycle: solves hold the read lock for
+	// their whole pass (concurrent solves are safe — in-memory reads are
+	// pure, sharded passes serialize inside ShardedSet), while Evict and
+	// Close take the write lock.
 	mu        sync.RWMutex
-	src       SetSource // guarded by mu; nil while evicted
+	src       SetSource // guarded by mu; nil once closed
 	closed    bool      // guarded by mu
+	evicted   bool      // guarded by mu; set once by Evict, never cleared
 	outOfCore bool      // set at open, immutable afterwards
-	evictDir  string    // guarded by mu; private dir holding the persisted stream
-	evictFile string    // guarded by mu; set.v3 path once first evicted
 
 	// memoMu guards the memoized derived state. Computations run outside
 	// the lock (a busy/wait flight per memo), so a slow frontier never
@@ -226,8 +222,7 @@ func (d *Dataset) Names() *Names { return d.st.names }
 func (d *Dataset) Trees() Forest { return d.st.trees }
 
 // Size returns the total number of monomials — the provenance size measure
-// optimized by COBRA. Cached at open time, so it answers even while the
-// dataset is evicted.
+// optimized by COBRA. Cached at open time, so it never starts a pass.
 func (d *Dataset) Size() int { return d.st.size }
 
 // Len returns the number of polynomials (query-output groups).
@@ -240,16 +235,18 @@ func (d *Dataset) UsedVars() []Var { return append([]Var(nil), d.st.usedVars...)
 // Workers returns the worker budget this handle solves with.
 func (d *Dataset) Workers() int { return d.workers }
 
-// OutOfCore reports whether the dataset is backed by a spill-to-disk
-// ShardedSet (true) or an in-memory Set (false).
+// OutOfCore reports whether the dataset is backed by an on-disk store — a
+// spill-to-disk ShardedSet or an indexed file — (true) or an in-memory Set
+// (false).
 func (d *Dataset) OutOfCore() bool { return d.st.outOfCore }
 
-// Resident reports whether the backing source is currently in memory (an
-// evicted dataset answers false until its next use reloads it).
+// Resident reports whether the dataset may still hold monomials between
+// calls: true until Evict succeeds (or Close), false from then on —
+// eviction is one-way, using an evicted dataset does not bring it back.
 func (d *Dataset) Resident() bool {
 	d.st.mu.RLock()
 	defer d.st.mu.RUnlock()
-	return d.st.src != nil
+	return !d.st.evicted && !d.st.closed
 }
 
 // WithWorkers returns a view of the same dataset whose solves use up to n
@@ -261,102 +258,47 @@ func (d *Dataset) WithWorkers(n int) *Dataset {
 	return &Dataset{st: d.st, workers: n}
 }
 
-// acquire pins the backing source for a read pass, transparently reloading
-// an evicted dataset from its persisted stream. The returned release
+// acquire pins the backing source for a read pass. The returned release
 // function must be called when the pass is done.
 func (st *datasetState) acquire() (SetSource, func(), error) {
-	for {
-		st.mu.RLock()
-		if st.closed {
-			st.mu.RUnlock()
-			return nil, nil, fmt.Errorf("cobra: dataset %q is closed", st.name)
-		}
-		if st.src != nil {
-			return st.src, st.mu.RUnlock, nil
-		}
-		st.mu.RUnlock()
-		if err := st.reload(); err != nil {
-			return nil, nil, err
-		}
-	}
-}
-
-// reload re-opens an evicted dataset from its persisted v3 stream as an
-// IndexedSet — shards decode straight from the indexed file on demand,
-// under the original residency budget, without re-spilling a ShardedSet.
-// Interning against the original shared namespace maps every variable to
-// its original id, so the reloaded set is bit-identical to the evicted
-// one; the footer index additionally lets multi-worker passes decode
-// shards in parallel.
-func (st *datasetState) reload() error {
-	st.mu.Lock()
-	defer st.mu.Unlock()
+	st.mu.RLock()
 	if st.closed {
-		return fmt.Errorf("cobra: dataset %q is closed", st.name)
+		st.mu.RUnlock()
+		return nil, nil, fmt.Errorf("cobra: dataset %q is closed", st.name)
 	}
-	if st.src != nil { // lost the race to another reload: done
-		return nil
-	}
-	if st.evictFile == "" {
-		return fmt.Errorf("cobra: dataset %q has no source and no persisted stream", st.name)
-	}
-	ix, err := polyio.OpenIndexedFile(st.evictFile, st.names)
-	if err != nil {
-		return fmt.Errorf("cobra: re-opening evicted dataset %q: %w", st.name, err)
-	}
-	ix.SetResidencyBudget(st.opts.MaxResidentMonomials)
-	st.src = ix
-	return nil
+	return st.src, st.mu.RUnlock, nil
 }
 
-// Evict persists an out-of-core dataset to its spill directory (a
-// compressed, indexed v3 stream, written once — the dataset is immutable)
-// and releases the
-// resident source, so an idle dataset costs no memory. The next call on
-// the dataset transparently re-opens it and answers identically; already
-// memoized curves and compressions survive eviction untouched. It reports
-// whether anything was evicted: in-memory and already-evicted datasets
-// return false. Evict waits for in-flight solves to finish.
+// Evict spills every shard of a ShardedSet-backed dataset that is still in
+// memory and drops the buffers its passes keep, so an idle dataset costs no
+// monomial of memory. Nothing is converted and nothing is written outside
+// the set's own spill directory: the dataset goes on answering from the
+// spill files it already had, bit for bit as before, its passes still one
+// at a time, and memoized curves and compressions are untouched. Eviction
+// is one-way. Evict reports whether this call evicted the dataset: true
+// once per ShardedSet-backed dataset (also when the budget had already
+// spilled every shard), false for an in-memory, an already evicted, a
+// closed or an IndexedSet-backed dataset (which is a file already). On an
+// error the dataset stays resident and usable. Evict waits for in-flight
+// solves to finish.
 func (d *Dataset) Evict() (bool, error) {
 	st := d.st
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.closed || !st.outOfCore || st.src == nil {
+	ss, ok := polynomial.Unwrap(st.src).(*ShardedSet)
+	if st.closed || st.evicted || !ok {
 		return false, nil
 	}
-	if st.evictFile == "" {
-		if st.evictDir == "" {
-			dir, err := os.MkdirTemp(st.opts.SpillDir, "cobra-dataset-")
-			if err != nil {
-				return false, fmt.Errorf("cobra: creating eviction dir for %q: %w", st.name, err)
-			}
-			st.evictDir = dir
-		}
-		path := filepath.Join(st.evictDir, "set.v3")
-		f, err := os.Create(path)
-		if err != nil {
-			return false, fmt.Errorf("cobra: evicting dataset %q: %w", st.name, err)
-		}
-		err = polyio.WriteSetStreamV3(f, st.src, polyio.V3Options{Compress: true})
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			os.Remove(path)
-			return false, fmt.Errorf("cobra: evicting dataset %q: %w", st.name, err)
-		}
-		st.evictFile = path
+	if err := ss.SpillAll(); err != nil {
+		return false, fmt.Errorf("cobra: evicting dataset %q: %w", st.name, err)
 	}
-	if c, ok := st.src.(io.Closer); ok {
-		c.Close()
-	}
-	st.src = nil
+	st.evicted = true
 	return true, nil
 }
 
-// Close releases the dataset: the backing source (spill files included)
-// and any persisted eviction stream. Close waits for in-flight solves to
-// finish; the dataset must not be used afterwards.
+// Close releases the dataset: the backing source, spill files included.
+// Close waits for in-flight solves to finish; the dataset must not be used
+// afterwards.
 func (d *Dataset) Close() error {
 	st := d.st
 	st.mu.Lock()
@@ -370,11 +312,6 @@ func (d *Dataset) Close() error {
 		err = c.Close()
 	}
 	st.src = nil
-	if st.evictDir != "" {
-		if rerr := os.RemoveAll(st.evictDir); err == nil {
-			err = rerr
-		}
-	}
 	return err
 }
 
@@ -425,8 +362,8 @@ func (d *Dataset) Apply(ctx context.Context, cuts ...Cut) (*Dataset, error) {
 		return OpenDataset(name, abstraction.Apply(s, d.workers, cuts...), st.trees, st.opts)
 	}
 	if st.outOfCore {
-		// ShardedSet or a reloaded IndexedSet: stream into a fresh budgeted
-		// ShardedSet so the derived dataset stays out-of-core.
+		// ShardedSet or IndexedSet: stream into a fresh budgeted ShardedSet
+		// so the derived dataset stays out-of-core.
 		shardOpts := st.opts.shardOptions()
 		if ss, ok := polynomial.Unwrap(src).(*ShardedSet); ok {
 			shardOpts = ss.Options()
@@ -459,8 +396,8 @@ const evalChunkRows = 1024
 // every subsequent call (this is the hot path a serving deployment pays
 // per request); out-of-core datasets evaluate one shard at a time within
 // the residency budget, reading each shard's slabs as they were spilled
-// (or decoded from the evicted stream) — no polynomial is rebuilt and
-// nothing is compiled. Rows are bit-identical to Compile + EvalBatch on
+// (or decoded from an indexed file) — no polynomial is rebuilt and nothing
+// is compiled. Rows are bit-identical to Compile + EvalBatch on
 // the materialized set for every worker count.
 func (d *Dataset) EvalBatch(ctx context.Context, assignments []*Assignment) ([][]float64, error) {
 	st := d.st

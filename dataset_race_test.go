@@ -132,7 +132,7 @@ func TestDatasetConcurrentAccess(t *testing.T) {
 
 // TestDatasetConcurrentEvictionTraffic interleaves Evict with live eval
 // and sweep traffic on an out-of-core dataset: every answer must be
-// identical whether it hit the resident source or triggered a reload.
+// identical whether it ran before, during or after the eviction.
 func TestDatasetConcurrentEvictionTraffic(t *testing.T) {
 	ds, set, trees := telephonyDataset(t, 512)
 	ctx := context.Background()
@@ -234,8 +234,8 @@ func TestDatasetConcurrentEvictionTraffic(t *testing.T) {
 // ShardedSet — whose packed passes all decode into the one scratch the set
 // keeps, so they must serialize on its pass mutex — and then, once every
 // goroutine has answered twice, while another goroutine evicts the dataset
-// in a loop, so passes also start on a source that is being swapped for the
-// reloaded IndexedSet. Every row must equal the in-memory answer to its own
+// in a loop, so passes also queue behind the one that spills every shard
+// and drops that scratch. Every row must equal the in-memory answer to its own
 // scenario: a pass reading another's shard would differ in value, not only
 // under -race.
 func TestDatasetEvalBatchSharedScratch(t *testing.T) {

@@ -1,12 +1,17 @@
 package cobra_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 
 	cobra "github.com/cobra-prov/cobra"
 	"github.com/cobra-prov/cobra/internal/datagen/telephony"
+	"github.com/cobra-prov/cobra/internal/polyio"
+	"github.com/cobra-prov/cobra/internal/polynomial"
 )
 
 // telephonySet builds the small deterministic telephony workload the
@@ -205,8 +210,56 @@ func TestDatasetMemoizesAcrossWorkerViews(t *testing.T) {
 	}
 }
 
+// shardedDataset opens the telephony workload over a ShardedSet of many
+// small shards, handing out the backing set and its SpillDir so a test can
+// look at what eviction did to them. The budget is a third of the set, or
+// none: sharded, nothing spilled.
+func shardedDataset(t *testing.T, budgeted bool) (ds *cobra.Dataset, ss *cobra.ShardedSet, dir string, set *cobra.Set, trees cobra.Forest) {
+	t.Helper()
+	names := cobra.NewNames()
+	set = telephony.DirectProvenance(telephony.Config{Customers: 600, Zips: 12}, names) // one polynomial per zip
+	trees = cobra.Forest{telephony.PlansTree(names)}
+	dir = t.TempDir()
+	maxResident := 0
+	if budgeted {
+		maxResident = set.Size() / 3
+	}
+	ss, err := polynomial.BuildSharded(set, polynomial.ShardOptions{TargetMonomials: set.Size() / 12, MaxResidentMonomials: maxResident, SpillDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, err = cobra.OpenDataset("tel", ss, trees, cobra.Options{MaxResidentMonomials: maxResident, SpillDir: dir})
+	if err != nil {
+		ss.Close()
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ds.Close() })
+	return ds, ss, dir, set, trees
+}
+
+// spillDirHoldsOnly checks dir contains exactly the entries matching the
+// given patterns, one each.
+func spillDirHoldsOnly(t *testing.T, dir string, patterns ...string) {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	ok := len(names) == len(patterns)
+	for i := 0; ok && i < len(names); i++ {
+		ok, _ = filepath.Match(patterns[i], names[i])
+	}
+	if !ok {
+		t.Fatalf("spill dir holds %q, want %q", names, patterns)
+	}
+}
+
 func TestDatasetEvictionAnswersIdentically(t *testing.T) {
-	ds, set, _ := telephonyDataset(t, 512)
+	ds, ss, dir, set, _ := shardedDataset(t, true)
 	ctx := context.Background()
 	asgs := telScenarios(t, ds.Names())
 
@@ -217,6 +270,10 @@ func TestDatasetEvictionAnswersIdentically(t *testing.T) {
 	frBefore, err := ds.Frontier(ctx)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if ss.ResidentMonomials() == 0 || ss.SpilledShards() == 0 || ss.SpilledShards() == ss.NumShards() {
+		t.Fatalf("fixture: want a partly spilled set, have %d resident monomials, %d of %d shards spilled",
+			ss.ResidentMonomials(), ss.SpilledShards(), ss.NumShards())
 	}
 
 	evicted, err := ds.Evict()
@@ -229,25 +286,32 @@ func TestDatasetEvictionAnswersIdentically(t *testing.T) {
 	if ds.Resident() {
 		t.Fatal("dataset still resident after Evict")
 	}
+	if got := ss.ResidentMonomials(); got != 0 {
+		t.Fatalf("%d monomials resident after Evict", got)
+	}
+	if ss.SpilledShards() != ss.NumShards() {
+		t.Fatalf("%d of %d shards spilled after Evict", ss.SpilledShards(), ss.NumShards())
+	}
+	// Nothing was converted: the only thing on disk is the set's own spill
+	// directory.
+	spillDirHoldsOnly(t, dir, "cobra-shards-*")
 	if ds.Size() != set.Size() || ds.Len() != set.Len() {
 		t.Fatal("cached stats lost on eviction")
 	}
+	if again, err := ds.Evict(); err != nil || again {
+		t.Fatalf("second Evict() = %v, %v; want false, nil", again, err)
+	}
 
-	// Answers after transparent re-open are bit-identical.
+	// Answers from the spilled shards are bit-identical, and using the
+	// dataset does not bring it back: eviction is one-way.
 	after, err := ds.EvalBatch(ctx, asgs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rowsEqual(t, after, before, "EvalBatch after eviction")
-	if !ds.Resident() {
-		t.Fatal("dataset did not reload on use")
-	}
 
-	// A fresh solve (not memoized) over the reloaded source matches the
+	// A fresh solve (not memoized) over the evicted source matches the
 	// in-memory answer too.
-	if _, err := ds.Evict(); err != nil {
-		t.Fatal(err)
-	}
 	bound := set.Size() / 3
 	res, err := ds.Compress(ctx, bound)
 	if err != nil {
@@ -261,14 +325,181 @@ func TestDatasetEvictionAnswersIdentically(t *testing.T) {
 		t.Fatalf("Compress after eviction: size=%d cut=%v, want size=%d cut=%v",
 			res.Size, res.Cuts[0], want.Size, want.Cuts[0])
 	}
+	if ds.Resident() {
+		t.Fatal("using an evicted dataset made it resident again")
+	}
+	if got := ss.ResidentMonomials(); got != 0 {
+		t.Fatalf("%d monomials resident between passes of an evicted dataset", got)
+	}
+	if peak, budget := ss.PeakResidentMonomials(), ss.Options().MaxResidentMonomials; peak > budget {
+		t.Fatalf("peak residency %d exceeds the budget %d", peak, budget)
+	}
 
-	// The memoized curve survived both evictions.
+	// The memoized curve survived eviction.
 	frAfter, err := ds.Frontier(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if &frBefore[0] != &frAfter[0] {
 		t.Fatal("memoized frontier lost across eviction")
+	}
+
+	if err := ds.Close(); err != nil {
+		t.Fatal(err)
+	}
+	spillDirHoldsOnly(t, dir)
+}
+
+// TestDatasetEvictBitIdenticalAcrossWorkers: for a budgeted and for an
+// unbudgeted ShardedSet (which evicts too: every shard goes to disk), rows
+// and cuts are the same bits from a dataset that was never evicted, from
+// one evicted before its first use, and from the in-memory set, at Workers
+// 1, 2 and 8.
+func TestDatasetEvictBitIdenticalAcrossWorkers(t *testing.T) {
+	ctx := context.Background()
+	for _, budgeted := range []bool{true, false} {
+		for _, workers := range []int{1, 2, 8} {
+			kept, _, _, _, _ := shardedDataset(t, budgeted)
+			gone, ss, dir, set, _ := shardedDataset(t, budgeted)
+			if evicted, err := gone.Evict(); err != nil || !evicted {
+				t.Fatalf("budgeted %v: Evict() = %v, %v", budgeted, evicted, err)
+			}
+			if ss.ResidentMonomials() != 0 || ss.SpilledShards() != ss.NumShards() || ss.NumShards() < 4 {
+				t.Fatalf("budgeted %v: %d monomials resident, %d of %d shards spilled after Evict",
+					budgeted, ss.ResidentMonomials(), ss.SpilledShards(), ss.NumShards())
+			}
+			spillDirHoldsOnly(t, dir, "cobra-shards-*")
+
+			// The two datasets have namespaces and trees of their own, so each
+			// is held against the in-memory answer over its own, and the rows
+			// — plain numbers — against each other.
+			bound := set.Size() / 3
+			var rows [2][][]float64
+			var res [2]*cobra.Result
+			for i, ds := range []*cobra.Dataset{kept, gone} {
+				view := ds.WithWorkers(workers)
+				var err error
+				if res[i], err = view.Compress(ctx, bound); err != nil {
+					t.Fatal(err)
+				}
+				if rows[i], err = view.EvalBatch(ctx, telScenarios(t, ds.Names())); err != nil {
+					t.Fatal(err)
+				}
+				applied, err := view.Apply(ctx, res[i].Cuts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if applied.Size() != res[i].Size || res[i].Size > bound {
+					t.Fatalf("budgeted %v workers %d: cut of size %d applies to %d monomials (bound %d)", budgeted, workers, res[i].Size, applied.Size(), bound)
+				}
+				applied.Close()
+			}
+			rowsEqual(t, rows[1], rows[0], "evicted vs kept")
+			rowsEqual(t, rows[1], cobra.EvalBatch(cobra.Compile(set), telScenarios(t, set.Names), cobra.Options{}), "evicted vs in-memory")
+			want, err := cobra.Compress(set, gone.Trees(), bound, cobra.Options{Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res[1].Size != want.Size || res[1].NumMeta != want.NumMeta || !res[1].Cuts[0].Equal(want.Cuts[0]) ||
+				res[0].Size != want.Size || res[0].Cuts[0].String() != want.Cuts[0].String() {
+				t.Fatalf("budgeted %v workers %d: Compress evicted size=%d cut=%v, kept size=%d cut=%v, in-memory size=%d cut=%v",
+					budgeted, workers, res[1].Size, res[1].Cuts[0], res[0].Size, res[0].Cuts[0], want.Size, want.Cuts[0])
+			}
+			if gone.Resident() || !kept.Resident() {
+				t.Fatalf("Resident(): evicted %v, kept %v", gone.Resident(), kept.Resident())
+			}
+			if err := gone.Close(); err != nil {
+				t.Fatal(err)
+			}
+			spillDirHoldsOnly(t, dir)
+		}
+	}
+}
+
+// TestDatasetEvictIndexedIsNoop: a dataset over an indexed v3 file is a
+// file already; Evict has nothing to do and must not touch it.
+func TestDatasetEvictIndexedIsNoop(t *testing.T) {
+	names, set, trees := telephonySet(t)
+	dir := t.TempDir()
+	path := filepath.Join(dir, "set.v3")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cobra.WriteSet(f, set, cobra.FormatBinary); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	written, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := polyio.OpenIndexedFile(path, names)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, err := cobra.OpenDataset("indexed", ix, trees, cobra.Options{SpillDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds.Close()
+	if evicted, err := ds.Evict(); err != nil || evicted {
+		t.Fatalf("Evict() = %v, %v on an indexed dataset; want false, nil", evicted, err)
+	}
+	if !ds.OutOfCore() || !ds.Resident() {
+		t.Fatalf("OutOfCore() = %v, Resident() = %v", ds.OutOfCore(), ds.Resident())
+	}
+	spillDirHoldsOnly(t, dir, "set.v3")
+	if now, _ := os.ReadFile(path); !bytes.Equal(now, written) {
+		t.Fatal("Evict rewrote the indexed file")
+	}
+	rows, err := ds.EvalBatch(context.Background(), telScenarios(t, names))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rowsEqual(t, rows, cobra.EvalBatch(cobra.Compile(set), telScenarios(t, names), cobra.Options{}), "indexed EvalBatch")
+}
+
+// TestDatasetEvictFailureLeavesUsable: an Evict that cannot spill (its
+// SpillDir was removed from under it — a permission bit would not stop a
+// root test runner) returns the error and changes nothing: the dataset is
+// still resident, still answers, and evicts once the directory is back.
+func TestDatasetEvictFailureLeavesUsable(t *testing.T) {
+	ds, ss, dir, set, _ := shardedDataset(t, false)
+	ctx := context.Background()
+	asgs := telScenarios(t, ds.Names())
+	want := cobra.EvalBatch(cobra.Compile(set), asgs, cobra.Options{})
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	evicted, err := ds.Evict()
+	if err == nil || evicted {
+		t.Fatalf("Evict() = %v, %v with no spill dir; want an error", evicted, err)
+	}
+	if !ds.Resident() || ss.ResidentMonomials() != set.Size() {
+		t.Fatalf("failed Evict left Resident() = %v with %d of %d monomials in memory", ds.Resident(), ss.ResidentMonomials(), set.Size())
+	}
+	rows, err := ds.EvalBatch(ctx, asgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rowsEqual(t, rows, want, "EvalBatch after a failed Evict")
+
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if evicted, err := ds.Evict(); err != nil || !evicted {
+		t.Fatalf("Evict() = %v, %v once the spill dir is back", evicted, err)
+	}
+	rows, err = ds.EvalBatch(ctx, asgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rowsEqual(t, rows, want, "EvalBatch after the retried Evict")
+	if ds.Resident() || ss.ResidentMonomials() != 0 {
+		t.Fatalf("Resident() = %v, %d monomials in memory after Evict", ds.Resident(), ss.ResidentMonomials())
 	}
 }
 

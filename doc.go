@@ -77,10 +77,12 @@
 //   - Every method takes a context: a canceled context aborts the
 //     in-flight solve between shards, and cancellations are never
 //     memoized.
-//   - Out-of-core datasets support Evict(): state is persisted once to
-//     the spill directory and released from memory, and the next call
-//     transparently re-opens it — answers are bit-identical across
-//     evict/reload cycles. In-memory datasets ignore Evict.
+//   - A dataset over a ShardedSet supports Evict(): every shard still in
+//     memory is spilled and the pass buffers dropped, so the idle dataset
+//     holds no monomial; it goes on answering from its spill files, bit
+//     for bit as before. Nothing is converted or re-encoded, and eviction
+//     is one-way: Resident() answers false from then on. In-memory
+//     datasets, and datasets over an indexed file, ignore Evict.
 //
 // The serve package and cmd/cobra-serve wrap a registry of Datasets in a
 // long-lived HTTP/JSON daemon: background capture/compress jobs, request
@@ -220,7 +222,7 @@
 //	SetSource ──Dataset.Compress─▶ cut            (index built shard-at-a-time)
 //	SetSource ──Dataset.Apply────▶ SetSink        (compressed shards re-spill)
 //	SetSource ──Dataset.EvalBatch▶ result rows    (one shard's slabs evaluated at a time)
-//	SetSource ──WriteSet(FormatStream)─▶ v2 frames ──ReadSetStream──▶ SetSink
+//	SetSource ──WriteSet(FormatBinary)─▶ v3 frames ──ReadSetStream──▶ SetSink
 //
 // A Dataset opened over a ShardedSet routes every method down this
 // streaming path automatically, and the one-shot Compress and Frontier
@@ -249,8 +251,9 @@
 // fix the file's length, so one comparison bounds everything the decoder
 // allocates, and decoding is a bulk conversion per slab. The file is
 // private to the process and never outlives it: variables are raw ids
-// with no name table, and there is one version. (The interchange formats
-// are the ones under "On-disk formats".)
+// with no name table, and there is one version. It is the out-of-core
+// store's memory image, never an interchange format (those are the ones
+// under "On-disk formats"), and it is all an evicted dataset consists of.
 //
 // Stages that need polynomials (the signature index, cut application,
 // serialization) get each loaded shard as a *Set viewed over freshly
@@ -259,29 +262,36 @@
 // shard of every pass, and never builds a *Set. That scratch — one shard's
 // worth of memory, within the half of the budget the shard-size clamp
 // reserves for a shard in flight — stays with a ShardedSet that has been
-// evaluated until Close. A dataset reloaded after Evict is evaluated the
-// same way from the slabs its v3 decoder fills.
+// evaluated until Close, or until Dataset.Evict drops it along with the
+// resident shards; the next pass grows it again. An evicted dataset is
+// evaluated the same way as before, now with every shard loaded from its
+// spill file; a dataset over an indexed v3 file from the slabs the v3
+// decoder fills.
 //
 // # On-disk formats
 //
-// WriteSet(w, src, format) writes the text, JSON and two binary encodings;
-// ReadSet(r, names) reads any of them — and v3 — and reports the Format it
-// detected from the first bytes, so no caller passes an input format.
+// There are three interchange formats — text, JSON and one binary — and
+// WriteSet(w, src, format) writes each; ReadSet(r, names) reads any of
+// them and reports the Format it detected from the first bytes, so no
+// caller passes an input format. ReadSetStream reads the binary one
+// straight into a budgeted ShardedSet.
 //
-// Three binary encodings exist, all readable by ReadSet and ReadSetStream.
-// The v1 format (FormatBinary) is a single record: magic "CPRVB1\n", a
-// used-variables-only name table, then every polynomial with varint
-// terms referencing table indices. The v2 streaming format (FormatStream,
-// read out-of-core by ReadSetStream) is framed: magic
-// "CPRVB2\n", then one self-describing shard frame per shard — marker
-// 'S', the shard's own used-variable table, its polynomials — and an end
-// frame ('E' plus the shard count) so truncation is always detected.
-// Neither side of a v2 transfer ever holds more than one shard.
+// Binary (FormatBinary) is written as v3 and only as v3. Two superseded
+// versions are read-only legacy: ReadSet and ReadSetStream still read
+// them, report them as FormatBinary too, and nothing writes them. v1 is a
+// single record: magic "CPRVB1\n", a variable-name table, then every
+// polynomial with varint terms referencing table indices. v2 frames that
+// record per shard: magic "CPRVB2\n", then 'S' plus a v1 body for each
+// shard, each with its own table, and an end frame ('E' plus the shard
+// count) so truncation is always detected. What those readers must keep
+// reading is pinned by files the last commit with v1/v2 writers wrote
+// (internal/polyio/testdata/legacy).
 //
-// The v3 indexed format (polyio.WriteSetStreamV3, read randomly via
-// polyio.OpenIndexedSet or sequentially via ReadSet, which reports it as
-// FormatStream) keeps
-// v2's shard framing but makes every shard independently decodable:
+// The v3 format (WriteSet with FormatBinary, or polyio.WriteSetStreamV3
+// to choose compression; read in sequence by ReadSet and ReadSetStream, at
+// random by polyio.OpenIndexedSet) frames shards too, so neither side of a
+// transfer ever holds more than one, and makes every shard independently
+// decodable:
 //
 //	magic "CPRVB3\n"
 //	shard frames: 'S', flags byte, uvarint rawLen, uvarint storedLen,
@@ -304,8 +314,9 @@
 // to the sequential stream — same set, same namespace, independent of
 // decode order and worker count. Damage is always a typed error
 // (polyio.CorruptError or polyio.ChecksumError), never a panic or a
-// silent short read. v3 is what Dataset.Evict writes: the Dataset path is
-// the one that spills to, and reloads from, the indexed format.
+// silent short read. The per-shard checksums guard what leaves the
+// process; the spill files of an out-of-core dataset, which never do, are
+// guarded by the spill decoder's structural validation instead.
 //
 // # Representation: packed monomials and per-worker arenas
 //

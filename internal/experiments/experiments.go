@@ -1,5 +1,5 @@
 // Package experiments implements the reproduction harness: one runner per
-// experiment of the index All returns (E1–E17), each producing a Table that
+// experiment of the index All returns (E1–E16), each producing a Table that
 // pairs the paper's reported values with our measurements. The harness
 // backs cmd/cobra-bench (which regenerates EXPERIMENTS.md) and the
 // bench_test.go benchmarks.
@@ -175,6 +175,5 @@ func All() []Runner {
 		{"E14", "Out-of-core compression (sharded storage, spill-to-disk)", E14OutOfCore},
 		{"E15", "Streaming provenance capture (non-materializing)", E15StreamingCapture},
 		{"E16", "Batched multi-bound frontier sweep (one DP, many bounds)", E16FrontierSweep},
-		{"E17", "Indexed on-disk format (v3 vs v2, parallel decode)", E17DiskFormat},
 	}
 }

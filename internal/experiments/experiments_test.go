@@ -262,22 +262,6 @@ func TestE15StreamingCaptureIdentical(t *testing.T) {
 	}
 }
 
-func TestE17DiskFormatIdentical(t *testing.T) {
-	tab, err := E17DiskFormat(quick())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 3 write rows, 3 decode rows, 3 compress+eval rows.
-	if len(tab.Rows) != 9 {
-		t.Fatalf("rows = %d, want 9:\n%s", len(tab.Rows), tab.Render())
-	}
-	for _, row := range tab.Rows[3:] {
-		if row[len(row)-1] != "yes" {
-			t.Fatalf("indexed decode or solve diverged from in-memory:\n%s", tab.Render())
-		}
-	}
-}
-
 func TestE16SweepIdenticalToPerBound(t *testing.T) {
 	tab, err := E16FrontierSweep(quick())
 	if err != nil {
@@ -305,7 +289,7 @@ func TestSweepBounds(t *testing.T) {
 
 func TestAllRegistry(t *testing.T) {
 	rs := All()
-	if len(rs) != 16 {
+	if len(rs) != 15 {
 		t.Fatalf("runners = %d", len(rs))
 	}
 	seen := map[string]bool{}

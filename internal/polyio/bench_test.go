@@ -1,11 +1,12 @@
 package polyio
 
-// BenchmarkDiskFormatWrite pairs v2 against compressed v3 on the same
-// spill-heavy sharded set, reporting each format's stream size as a
-// disk_bytes metric. BenchmarkIndexedDecode pairs a sequential pass over the
-// v3 footer index against the parallel random-access reader.
+// BenchmarkSetCodec is the interchange layer: encode and decode throughput
+// of every format WriteSet writes and ReadSet reads. BenchmarkIndexedDecode
+// pairs a sequential pass over the v3 footer index against the parallel
+// random-access reader.
 
 import (
+	"bytes"
 	"io"
 	"os"
 	"path/filepath"
@@ -16,8 +17,8 @@ import (
 	"github.com/cobra-prov/cobra/internal/polynomial"
 )
 
-// benchShardedSource builds the spill-heavy sharded telephony set both
-// benchmarks serialize.
+// benchShardedSource builds the spill-heavy sharded telephony set
+// BenchmarkIndexedDecode serializes.
 func benchShardedSource(b *testing.B) *polynomial.ShardedSet {
 	b.Helper()
 	names := polynomial.NewNames()
@@ -30,38 +31,43 @@ func benchShardedSource(b *testing.B) *polynomial.ShardedSet {
 	return ss
 }
 
-// benchCountWriter counts bytes written through it.
-type benchCountWriter struct{ n int64 }
-
-func (c *benchCountWriter) Write(p []byte) (int, error) {
-	c.n += int64(len(p))
-	return len(p), nil
-}
-
-func BenchmarkDiskFormatWrite(b *testing.B) {
-	ss := benchShardedSource(b)
-	cases := []struct {
-		name  string
-		write func(w io.Writer) error
-	}{
-		{"format=v2", func(w io.Writer) error { return WriteSetStream(w, ss) }},
-		{"format=v3", func(w io.Writer) error {
-			return WriteSetStreamV3(w, ss, V3Options{Compress: true})
-		}},
-	}
-	for _, tc := range cases {
-		b.Run(tc.name, func(b *testing.B) {
+// BenchmarkSetCodec is the encode/decode layer row per interchange format:
+// the same telephony set through WriteSet and ReadSet as text, JSON and
+// binary (v3), in MB/s of the format's own bytes, plus decode-only rows for
+// the checked-in v1 and v2 files, which nothing writes any more.
+func BenchmarkSetCodec(b *testing.B) {
+	set := telephony.DirectProvenance(telephony.Config{Customers: 50_000}, polynomial.NewNames())
+	decode := func(data []byte) func(b *testing.B) {
+		return func(b *testing.B) {
 			b.ReportAllocs()
-			var bytes int64
+			b.SetBytes(int64(len(data)))
 			for i := 0; i < b.N; i++ {
-				cw := &benchCountWriter{}
-				if err := tc.write(cw); err != nil {
+				if _, _, err := ReadSet(bytes.NewReader(data), nil); err != nil {
 					b.Fatal(err)
 				}
-				bytes = cw.n
 			}
-			b.ReportMetric(float64(bytes), "disk_bytes")
+		}
+	}
+	for _, f := range []Format{FormatText, FormatJSON, FormatBinary} {
+		var enc bytes.Buffer
+		if err := WriteSet(&enc, set, f); err != nil {
+			b.Fatal(err)
+		}
+		b.Run("encode/format="+string(f), func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(enc.Len()))
+			for i := 0; i < b.N; i++ {
+				if err := WriteSet(io.Discard, set, f); err != nil {
+					b.Fatal(err)
+				}
+			}
 		})
+		b.Run("decode/format="+string(f), decode(enc.Bytes()))
+	}
+	for _, fx := range loadFixtures(b, "legacy") {
+		if fx.name == "v1-exponents" || fx.name == "v2-exponents" {
+			b.Run("decode/legacy="+fx.name, decode(fx.data))
+		}
 	}
 }
 

@@ -35,7 +35,7 @@ func TestCloneNamespaceSerializesIdentically(t *testing.T) {
 	formats := []format{
 		{"text", func(b *bytes.Buffer, s *polynomial.Set) error { return WriteSetText(b, s) }},
 		{"json", func(b *bytes.Buffer, s *polynomial.Set) error { return WriteSetJSON(b, s) }},
-		{"binary", func(b *bytes.Buffer, s *polynomial.Set) error { return WriteSetBinary(b, s) }},
+		{"binary", func(b *bytes.Buffer, s *polynomial.Set) error { return WriteSet(b, s, FormatBinary) }},
 	}
 	for _, f := range formats {
 		var orig, clone bytes.Buffer

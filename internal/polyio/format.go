@@ -18,32 +18,34 @@ const (
 	FormatText Format = "text"
 	// FormatJSON is the JSON encoding.
 	FormatJSON Format = "json"
-	// FormatBinary is the compact v1 binary encoding: the whole set as one
-	// record.
+	// FormatBinary is the binary encoding: WriteSet writes v3 (framed,
+	// compressed and checksummed per shard, indexed by a footer — see
+	// v3.go); ReadSet reports it for v3 and for the two superseded
+	// versions it still reads, v1 and v2.
 	FormatBinary Format = "binary"
-	// FormatStream is the framed binary encoding, one frame per shard, for
-	// sets larger than memory. WriteSet writes v2; ReadSet reports it for
-	// v2 and v3 streams alike.
-	FormatStream Format = "stream"
 )
 
-// WriteSet writes src in the given format. FormatStream writes one frame
-// per shard and never holds more than one shard in memory; the other three
+// Validate returns an error naming the formats unless f is one of them —
+// for callers that must reject a format before doing the work of producing
+// what it would encode.
+func (f Format) Validate() error {
+	switch f {
+	case FormatText, FormatJSON, FormatBinary:
+		return nil
+	}
+	return fmt.Errorf("polyio: unknown set format %q (want %s, %s or %s)", f, FormatText, FormatJSON, FormatBinary)
+}
+
+// WriteSet writes src in the given format. FormatBinary writes one frame
+// per shard and never holds more than one shard in memory; text and JSON
 // encode the set as a single record, so a source that is not an in-memory
 // Set is materialized first.
 func WriteSet(w io.Writer, src polynomial.SetSource, f Format) error {
-	var write func(io.Writer, *polynomial.Set) error
-	switch f {
-	case FormatStream:
-		return WriteSetStream(w, src)
-	case FormatText:
-		write = WriteSetText
-	case FormatJSON:
-		write = WriteSetJSON
-	case FormatBinary:
-		write = WriteSetBinary
-	default:
-		return fmt.Errorf("polyio: unknown set format %q", f)
+	if err := f.Validate(); err != nil {
+		return err
+	}
+	if f == FormatBinary {
+		return WriteSetStreamV3(w, src, V3Options{Compress: true})
 	}
 	set, ok := src.(*polynomial.Set)
 	if !ok {
@@ -52,7 +54,10 @@ func WriteSet(w io.Writer, src polynomial.SetSource, f Format) error {
 			return err
 		}
 	}
-	return write(w, set)
+	if f == FormatJSON {
+		return WriteSetJSON(w, set)
+	}
+	return WriteSetText(w, set)
 }
 
 // sniffLen is how far ReadSet looks for the first non-blank byte when the
@@ -65,18 +70,22 @@ const sniffLen = 512
 // input whose first non-blank byte is '{' is JSON and everything else is
 // text. To read a stream larger than memory use ReadSetStream.
 func ReadSet(r io.Reader, names *polynomial.Names) (*polynomial.Set, Format, error) {
-	br := bufio.NewReader(r)
-	head, _ := br.Peek(sniffLen) // a short or failing input is whatever its prefix says; the reader reports the error
-	f, read := FormatText, ReadSetText
-	switch {
-	case bytes.HasPrefix(head, binaryMagic):
-		f, read = FormatBinary, ReadSetBinary
-	case bytes.HasPrefix(head, streamMagic), bytes.HasPrefix(head, v3Magic):
-		f, read = FormatStream, ReadSetBinary
-	case bytes.HasPrefix(bytes.TrimLeft(head, " \t\r\n"), []byte("{")):
-		f, read = FormatJSON, ReadSetJSON
+	if names == nil {
+		names = polynomial.NewNames()
 	}
-	set, err := read(br, names)
+	br := bufio.NewReader(r)
+	set := polynomial.NewSet(names)
+	f, err := FormatBinary, readBinary(br, names, set.Add)
+	if err == errNotBinary {
+		head, _ := br.Peek(sniffLen) // a short or failing input is whatever its prefix says; the reader reports the error
+		if bytes.HasPrefix(bytes.TrimLeft(head, " \t\r\n"), []byte("{")) {
+			f = FormatJSON
+			set, err = ReadSetJSON(br, names)
+		} else {
+			f = FormatText
+			set, err = ReadSetText(br, names)
+		}
+	}
 	if err != nil {
 		return nil, "", err
 	}

@@ -14,9 +14,9 @@ type encoding struct {
 	want Format
 }
 
-// encodings writes set once in every encoding a reader may meet — the four
-// WriteSet formats from an in-memory and from a sharded source, plus both
-// v3 flavours, which only the stream writer produces — each with the Format
+// encodings writes set once in every encoding a writer here produces — the
+// three WriteSet formats from an in-memory and from a sharded source, plus
+// both v3 flavours straight from the stream writer — each with the Format
 // ReadSet must report for it.
 func encodings(t testing.TB, set *polynomial.Set) map[string]encoding {
 	t.Helper()
@@ -33,12 +33,12 @@ func encodings(t testing.TB, set *polynomial.Set) map[string]encoding {
 		}
 		out[name] = encoding{buf.Bytes(), want}
 	}
-	for _, f := range []Format{FormatText, FormatJSON, FormatBinary, FormatStream} {
+	for _, f := range []Format{FormatText, FormatJSON, FormatBinary} {
 		add(string(f)+"/set", f, func(w io.Writer) error { return WriteSet(w, set, f) })
 		add(string(f)+"/sharded", f, func(w io.Writer) error { return WriteSet(w, ss, f) })
 	}
-	add("v3/raw", FormatStream, func(w io.Writer) error { return WriteSetStreamV3(w, ss, V3Options{}) })
-	add("v3/deflate", FormatStream, func(w io.Writer) error { return WriteSetStreamV3(w, ss, V3Options{Compress: true}) })
+	add("v3/raw", FormatBinary, func(w io.Writer) error { return WriteSetStreamV3(w, ss, V3Options{}) })
+	add("v3/deflate", FormatBinary, func(w io.Writer) error { return WriteSetStreamV3(w, ss, V3Options{Compress: true}) })
 	return out
 }
 
@@ -77,8 +77,11 @@ func TestReadSetDetectsFormat(t *testing.T) {
 		}
 	}
 
-	if err := WriteSet(io.Discard, set, "yaml"); err == nil {
-		t.Error("WriteSet accepted an unknown format")
+	for _, f := range []Format{"yaml", "stream", ""} {
+		err := WriteSet(io.Discard, set, f)
+		if err == nil || !strings.Contains(err.Error(), string(FormatBinary)) {
+			t.Errorf("WriteSet(%q): %v, want an error naming the formats", f, err)
+		}
 	}
 	if _, _, err := ReadSet(bytes.NewReader(append([]byte(nil), v3Magic...)), nil); err == nil {
 		t.Error("ReadSet accepted a bare magic")
@@ -93,7 +96,13 @@ func FuzzReadSet(f *testing.F) {
 		f.Add(enc.data)
 		f.Add(enc.data[:len(enc.data)/2])
 	}
-	// The seeds of FuzzReadSetText and FuzzReadSetBinary.
+	for _, fx := range loadFixtures(f, "legacy") {
+		f.Add(fx.data)
+	}
+	for _, in := range hostileInputs {
+		f.Add(in)
+	}
+	// The seeds of FuzzReadSetText.
 	for _, s := range []string{
 		"# cobra provenance set v1\nk\t2*x\n",
 		"\"# quoted\"\t1 + p1*m1\n",

@@ -1,11 +1,13 @@
 // Package polyio serializes provenance polynomial sets, abstraction trees
 // and assignments. COBRA "gets as input provenance polynomials, generated by
-// any provenance engine" (§2): these formats are that interface. Four set
-// encodings are provided — a human-readable text format, JSON, a compact v1
-// binary format, and a streaming v2 binary format (stream.go) whose framed
-// per-shard records let sets larger than memory round-trip shard-at-a-time.
-// WriteSet selects one by Format; ReadSet detects which one it is reading
-// (format.go).
+// any provenance engine" (§2): these formats are that interface. Three set
+// encodings are provided — a human-readable text format, JSON, and one
+// binary format (v3: v3.go writes it, indexed.go reads it at random,
+// stream.go in sequence) whose framed per-shard records let sets larger
+// than memory round-trip shard-at-a-time. WriteSet selects one by Format;
+// ReadSet detects which one it is reading (format.go). The two superseded
+// binary formats, v1 and v2, are still read (stream.go) and no longer
+// written.
 //
 // Every writer emits only the variables the set actually uses: abstracted or
 // unrelated interned names never leak into a file, and files shrink with the
@@ -14,11 +16,9 @@ package polyio
 
 import (
 	"bufio"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"slices"
 	"sort"
 	"strconv"
@@ -227,244 +227,6 @@ func ReadSetJSON(r io.Reader, names *polynomial.Names) (*polynomial.Set, error) 
 	return set, nil
 }
 
-// binaryMagic identifies the v1 binary set format.
-var binaryMagic = []byte("CPRVB1\n")
-
-// uvarintWriter batches uvarint/string/float64 encoding over one scratch
-// buffer; shared by the v1 writer and the v2 shard frames.
-type uvarintWriter struct {
-	bw      *bufio.Writer
-	scratch [binary.MaxVarintLen64]byte
-}
-
-func (u *uvarintWriter) uvarint(x uint64) error {
-	n := binary.PutUvarint(u.scratch[:], x)
-	_, err := u.bw.Write(u.scratch[:n])
-	return err
-}
-
-func (u *uvarintWriter) str(s string) error {
-	if err := u.uvarint(uint64(len(s))); err != nil {
-		return err
-	}
-	_, err := u.bw.WriteString(s)
-	return err
-}
-
-func (u *uvarintWriter) float(f float64) error {
-	var bits [8]byte
-	binary.LittleEndian.PutUint64(bits[:], math.Float64bits(f))
-	_, err := u.bw.Write(bits[:])
-	return err
-}
-
-// writeSetPayload writes the shared body of the binary encodings: the
-// used-variable table, then per polynomial its key and monomials with
-// varint-encoded terms referencing table indices. Out-of-namespace
-// variables and non-positive exponents are rejected with an explicit error
-// instead of being silently truncated into a corrupt stream.
-func writeSetPayload(bw *bufio.Writer, set *polynomial.Set) error {
-	varNames, local, err := usedVarTable(set)
-	if err != nil {
-		return err
-	}
-	u := &uvarintWriter{bw: bw}
-	if err := u.uvarint(uint64(len(varNames))); err != nil {
-		return err
-	}
-	for _, n := range varNames {
-		if err := u.str(n); err != nil {
-			return err
-		}
-	}
-	if err := u.uvarint(uint64(set.Len())); err != nil {
-		return err
-	}
-	for i, key := range set.Keys {
-		if err := u.str(key); err != nil {
-			return err
-		}
-		p := set.Polys[i]
-		if err := u.uvarint(uint64(len(p.Mons))); err != nil {
-			return err
-		}
-		for _, m := range p.Mons {
-			if err := u.float(m.Coef); err != nil {
-				return err
-			}
-			if err := u.uvarint(uint64(len(m.Terms))); err != nil {
-				return err
-			}
-			for _, t := range m.Terms {
-				if t.Exp <= 0 {
-					return fmt.Errorf("polyio: non-positive exponent %d on variable %q", t.Exp, set.Names.Name(t.Var))
-				}
-				if err := u.uvarint(uint64(local[t.Var])); err != nil {
-					return err
-				}
-				if err := u.uvarint(uint64(uint32(t.Exp))); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// readSetPayload reads one binary set body and appends its polynomials
-// into set.
-func readSetPayload(br *bufio.Reader, names *polynomial.Names, set *polynomial.Set) error {
-	declare := func(n int) {
-		if n > 0 && cap(set.Keys) == 0 {
-			set.Keys = make([]string, 0, n)
-			set.Polys = make([]polynomial.Polynomial, 0, n)
-		}
-	}
-	return readSetPayloadFunc(br, names, declare, func(key string, p polynomial.Polynomial) error {
-		return set.Add(key, p)
-	})
-}
-
-// readSetPayloadFunc reads one binary set body (as written by
-// writeSetPayload, and byte-compatible with the historical v1 writer that
-// emitted the whole namespace), invoking add once per polynomial in order
-// — so callers can stream polynomials into a budgeted store without ever
-// materializing the payload. declare, if non-nil, receives the clamped
-// polynomial count up front for preallocation.
-func readSetPayloadFunc(br *bufio.Reader, names *polynomial.Names, declare func(int), add func(string, polynomial.Polynomial) error) error {
-	readString := func() (string, error) {
-		n, err := binary.ReadUvarint(br)
-		if err != nil {
-			return "", err
-		}
-		if n > 1<<24 {
-			return "", fmt.Errorf("polyio: string length %d too large", n)
-		}
-		buf := make([]byte, n)
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return "", err
-		}
-		return string(buf), nil
-	}
-	nVars, err := binary.ReadUvarint(br)
-	if err != nil {
-		return err
-	}
-	if nVars > 1<<28 {
-		return fmt.Errorf("polyio: variable count %d too large", nVars)
-	}
-	remap := make([]polynomial.Var, nVars)
-	for i := range remap {
-		name, err := readString()
-		if err != nil {
-			return err
-		}
-		remap[i] = names.Var(name)
-	}
-	nPolys, err := binary.ReadUvarint(br)
-	if err != nil {
-		return err
-	}
-	// Corrupted streams can claim absurd counts; clamp preallocation the
-	// same way monomial counts are clamped below (the loops fail at EOF
-	// long before reading that much).
-	if declare != nil {
-		declare(int(min64(nPolys, 1<<16)))
-	}
-	for pi := uint64(0); pi < nPolys; pi++ {
-		key, err := readString()
-		if err != nil {
-			return err
-		}
-		nMons, err := binary.ReadUvarint(br)
-		if err != nil {
-			return err
-		}
-		var b polynomial.Builder
-		b.Grow(int(min64(nMons, 1<<16)))
-		for mi := uint64(0); mi < nMons; mi++ {
-			var bits [8]byte
-			if _, err := io.ReadFull(br, bits[:]); err != nil {
-				return err
-			}
-			coef := math.Float64frombits(binary.LittleEndian.Uint64(bits[:]))
-			nTerms, err := binary.ReadUvarint(br)
-			if err != nil {
-				return err
-			}
-			if nTerms > 1<<20 {
-				return fmt.Errorf("polyio: monomial claims %d terms", nTerms)
-			}
-			terms := make([]polynomial.Term, 0, nTerms)
-			for ti := uint64(0); ti < nTerms; ti++ {
-				v, err := binary.ReadUvarint(br)
-				if err != nil {
-					return err
-				}
-				e, err := binary.ReadUvarint(br)
-				if err != nil {
-					return err
-				}
-				if v >= nVars {
-					return fmt.Errorf("polyio: variable index %d out of range", v)
-				}
-				if e == 0 || e > math.MaxInt32 {
-					return fmt.Errorf("polyio: bad exponent %d", e)
-				}
-				terms = append(terms, polynomial.TExp(remap[v], int32(e)))
-			}
-			b.Add(coef, terms...)
-		}
-		if err := add(key, b.Polynomial()); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// WriteSetBinary writes the compact v1 binary encoding: magic, the
-// used-variable table, then per polynomial its key and monomials with
-// varint-encoded terms. For streaming or sharded sets see SetWriter (v2).
-func WriteSetBinary(w io.Writer, set *polynomial.Set) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(binaryMagic); err != nil {
-		return err
-	}
-	if err := writeSetPayload(bw, set); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// ReadSetBinary parses any binary encoding, dispatching on the magic:
-// v1 streams read as before, v2 and v3 streams have their shard frames
-// concatenated into one in-memory set (use SetReader to stream them
-// shard-at-a-time, or OpenIndexedSet for random access into a v3 stream).
-func ReadSetBinary(r io.Reader, names *polynomial.Names) (*polynomial.Set, error) {
-	if names == nil {
-		names = polynomial.NewNames()
-	}
-	br := bufio.NewReader(r)
-	magic := make([]byte, len(binaryMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("polyio: reading magic: %w", err)
-	}
-	switch string(magic) {
-	case string(binaryMagic):
-		set := polynomial.NewSet(names)
-		if err := readSetPayload(br, names, set); err != nil {
-			return nil, err
-		}
-		return set, nil
-	case string(streamMagic):
-		return readStreamAll(br, names, 2)
-	case string(v3Magic):
-		return readStreamAll(br, names, 3)
-	default:
-		return nil, fmt.Errorf("polyio: not a cobra binary set (magic %q)", magic)
-	}
-}
-
 // WriteAssignmentJSON writes an assignment as a {"variable": value} object.
 func WriteAssignmentJSON(w io.Writer, a *valuation.Assignment) error {
 	m := make(map[string]float64, a.Len())
@@ -474,13 +236,6 @@ func WriteAssignmentJSON(w io.Writer, a *valuation.Assignment) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(m)
-}
-
-func min64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // ReadAssignmentJSON parses a {"variable": value} object. Unknown variables

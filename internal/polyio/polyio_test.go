@@ -2,10 +2,10 @@ package polyio
 
 import (
 	"bytes"
-	"encoding/binary"
+	"errors"
 	"fmt"
-	"math"
 	"math/rand"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -182,27 +182,48 @@ func TestJSONReadErrors(t *testing.T) {
 	}
 }
 
+// writeBinary encodes src the way WriteSet(FormatBinary) does.
+func writeBinary(tb testing.TB, src polynomial.SetSource) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	if err := WriteSet(&buf, src, FormatBinary); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 func TestBinaryRoundTrip(t *testing.T) {
 	set := sampleSet(t)
-	var buf bytes.Buffer
-	if err := WriteSetBinary(&buf, set); err != nil {
-		t.Fatal(err)
+	data := writeBinary(t, set)
+	if !bytes.HasPrefix(data, v3Magic) {
+		t.Fatalf("FormatBinary wrote magic %q, want v3", data[:len(v3Magic)])
 	}
-	back, err := ReadSetBinary(&buf, nil)
+	back, format, err := ReadSet(bytes.NewReader(data), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !setsEqual(set, back) {
-		t.Fatal("binary round trip mismatch")
+	if format != FormatBinary || !setsEqual(set, back) {
+		t.Fatalf("binary round trip: format %q\n%s\nvs\n%s", format, back, set)
 	}
 }
 
+// TestBinaryRejectsGarbage: the streaming reader reads binary only, so
+// anything without a magic — text, an empty input, half a magic — is an
+// error, and one that leaves no spill directory behind.
 func TestBinaryRejectsGarbage(t *testing.T) {
-	if _, err := ReadSetBinary(strings.NewReader("not the magic"), nil); err == nil {
-		t.Fatal("bad magic should error")
-	}
-	if _, err := ReadSetBinary(strings.NewReader(""), nil); err == nil {
-		t.Fatal("empty input should error")
+	for _, in := range []string{"not the magic", "", "CPRVB", "CPRVB9\n\x00\x00", "k\t2*x\n"} {
+		dir := t.TempDir()
+		ss, err := ReadSetStream(strings.NewReader(in), nil, polynomial.ShardOptions{MaxResidentMonomials: 8, SpillDir: dir})
+		if err == nil {
+			ss.Close()
+			t.Fatalf("ReadSetStream(%q) succeeded", in)
+		}
+		if !errors.Is(err, errNotBinary) {
+			t.Errorf("ReadSetStream(%q): %v, want errNotBinary", in, err)
+		}
+		if left, _ := os.ReadDir(dir); len(left) != 0 {
+			t.Errorf("ReadSetStream(%q) left %d entries in its spill dir", in, len(left))
+		}
 	}
 }
 
@@ -224,11 +245,7 @@ func TestBinaryLargeRandomRoundTrip(t *testing.T) {
 		}
 		set.Add(strings.Repeat("g", 1+g%4)+string(rune('0'+g%10)), b.Polynomial())
 	}
-	var buf bytes.Buffer
-	if err := WriteSetBinary(&buf, set); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadSetBinary(&buf, nil)
+	back, _, err := ReadSet(bytes.NewReader(writeBinary(t, set)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,39 +269,15 @@ func TestBinaryLargeRandomRoundTrip(t *testing.T) {
 
 // TestBinaryReadsLegacyFullTableStreams: v1 files written before the
 // used-vars-only table (the old writer emitted the entire namespace and
-// raw Var ids as indices) must still decode unchanged.
+// raw Var ids as indices) must still decode unchanged. The fixture is that
+// file: a three-name table (unused0, x, y) and "k" = 7 + 2*x*y referencing
+// x and y by their raw ids 1 and 2.
 func TestBinaryReadsLegacyFullTableStreams(t *testing.T) {
-	var buf bytes.Buffer
-	buf.WriteString("CPRVB1\n")
-	var scratch [binary.MaxVarintLen64]byte
-	uv := func(x uint64) {
-		n := binary.PutUvarint(scratch[:], x)
-		buf.Write(scratch[:n])
+	data, err := os.ReadFile("testdata/legacy/v1-full-namespace.bin")
+	if err != nil {
+		t.Fatal(err)
 	}
-	str := func(s string) { uv(uint64(len(s))); buf.WriteString(s) }
-	f64 := func(f float64) {
-		var bits [8]byte
-		binary.LittleEndian.PutUint64(bits[:], math.Float64bits(f))
-		buf.Write(bits[:])
-	}
-	// Namespace: unused0 (Var 0), x (Var 1), y (Var 2) — the old writer
-	// wrote all three and referenced x, y by their raw Var ids.
-	uv(3)
-	str("unused0")
-	str("x")
-	str("y")
-	uv(1)    // one polynomial
-	str("k") // key
-	uv(2)    // two monomials
-	f64(7)   // constant 7
-	uv(0)    // no terms
-	f64(2)   // 2*x*y
-	uv(2)    // two terms
-	uv(1)    // x (raw Var id, as the old writer encoded it)
-	uv(1)    // ^1
-	uv(2)    // y
-	uv(1)    // ^1
-	set, err := ReadSetBinary(bytes.NewReader(buf.Bytes()), nil)
+	set, _, err := ReadSet(bytes.NewReader(data), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +288,7 @@ func TestBinaryReadsLegacyFullTableStreams(t *testing.T) {
 		t.Fatalf("legacy decode: %q", got)
 	}
 	// The legacy stream interned its full table, unused names included —
-	// that is precisely the leak the new writer fixes.
+	// that is precisely the leak the used-vars table fixed.
 	if set.Names.Len() != 3 {
 		t.Fatalf("legacy namespace: %d vars", set.Names.Len())
 	}
@@ -311,7 +304,7 @@ func TestBinaryRejectsOutOfRangeVars(t *testing.T) {
 	set.Add("k", polynomial.Polynomial{Mons: []polynomial.Monomial{
 		{Coef: 1, Terms: []polynomial.Term{{Var: 99, Exp: 1}}},
 	}})
-	if err := WriteSetBinary(&bytes.Buffer{}, set); err == nil {
+	if err := WriteSet(&bytes.Buffer{}, set, FormatBinary); err == nil {
 		t.Fatal("out-of-namespace variable should be a write error")
 	}
 	if err := WriteSetJSON(&bytes.Buffer{}, set); err == nil {
@@ -321,13 +314,13 @@ func TestBinaryRejectsOutOfRangeVars(t *testing.T) {
 	neg.Add("k", polynomial.Polynomial{Mons: []polynomial.Monomial{
 		{Coef: 1, Terms: []polynomial.Term{{Var: -5, Exp: 1}}},
 	}})
-	if err := WriteSetBinary(&bytes.Buffer{}, neg); err == nil {
+	if err := WriteSet(&bytes.Buffer{}, neg, FormatBinary); err == nil {
 		t.Fatal("negative variable should be a write error")
 	}
 }
 
-// TestBinaryRejectsNonPositiveExponents: exponents that would truncate
-// through the uint32 cast are rejected on write.
+// TestBinaryRejectsNonPositiveExponents: exponents the varint columns
+// cannot hold are rejected on write.
 func TestBinaryRejectsNonPositiveExponents(t *testing.T) {
 	names := polynomial.NewNames()
 	x := names.Var("x")
@@ -335,7 +328,7 @@ func TestBinaryRejectsNonPositiveExponents(t *testing.T) {
 	set.Add("k", polynomial.Polynomial{Mons: []polynomial.Monomial{
 		{Coef: 1, Terms: []polynomial.Term{{Var: x, Exp: -2}}},
 	}})
-	if err := WriteSetBinary(&bytes.Buffer{}, set); err == nil {
+	if err := WriteSet(&bytes.Buffer{}, set, FormatBinary); err == nil {
 		t.Fatal("negative exponent should be a write error")
 	}
 	if err := WriteSetJSON(&bytes.Buffer{}, set); err == nil {
@@ -371,8 +364,11 @@ func TestWritersEmitOnlyUsedVars(t *testing.T) {
 			t.Fatalf("%s: round trip mismatch", what)
 		}
 	}
-	check(func(b *bytes.Buffer) error { return WriteSetBinary(b, set) },
-		func(b *bytes.Buffer, n *polynomial.Names) (*polynomial.Set, error) { return ReadSetBinary(b, n) },
+	check(func(b *bytes.Buffer) error { return WriteSet(b, set, FormatBinary) },
+		func(b *bytes.Buffer, n *polynomial.Names) (*polynomial.Set, error) {
+			s, _, err := ReadSet(b, n)
+			return s, err
+		},
 		"binary")
 	check(func(b *bytes.Buffer) error { return WriteSetJSON(b, set) },
 		func(b *bytes.Buffer, n *polynomial.Names) (*polynomial.Set, error) { return ReadSetJSON(b, n) },

@@ -3,106 +3,231 @@ package polyio
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
+	"slices"
 
 	"github.com/cobra-prov/cobra/internal/polynomial"
 )
 
-// The v2 binary format is a stream of framed shard records, designed so
-// that neither writer nor reader ever holds more than one shard in memory:
+// This file is the one sequential reader of the binary encodings. v3 is
+// the format WriteSet writes (v3.go); v1 and v2 are read-only legacy:
 //
-//	magic "CPRVB2\n"
-//	repeated shard frames:
-//	    'S' marker
-//	    shard payload — the same body as v1: a used-variables-only name
-//	    table (only variables appearing in this shard), then the shard's
-//	    polynomials with varint terms referencing table indices
-//	end frame:
-//	    'E' marker, uvarint shard count (integrity check: a truncated
-//	    stream is detected instead of silently reading fewer shards)
+//	v1  magic "CPRVB1\n", then one body: a variable-name table, then the
+//	    polynomials with varint terms referencing table indices (files
+//	    from before the used-variables-only table carry the whole namespace
+//	    and raw Var ids; they read the same way)
+//	v2  magic "CPRVB2\n", then framed bodies: 'S' + a v1 body per shard,
+//	    each with its own table, and an end frame 'E' + uvarint shard count
+//	    (a truncated stream is detected instead of reading fewer shards)
 //
-// Because every frame carries its own table, shards are self-describing:
-// a reader interns each table into the target namespace as it goes, and
-// variable identity is preserved across shards by name.
+// Every body carries its own table, so a reader interns names into the
+// target namespace as it goes and variable identity is preserved across
+// shards by name.
 
-// streamMagic identifies the v2 streaming binary set format.
-var streamMagic = []byte("CPRVB2\n")
+// binaryMagic and streamMagic identify the v1 and v2 binary set formats.
+var (
+	binaryMagic = []byte("CPRVB1\n")
+	streamMagic = []byte("CPRVB2\n")
+)
 
 const (
 	frameShard = 'S'
 	frameEnd   = 'E'
 )
 
-// SetWriter incrementally writes a v2 stream, one shard per WriteShard
-// call. It never retains shard data: callers can stream sets far larger
-// than memory. Close writes the end frame; a stream without one is
-// detected as truncated by SetReader.
-type SetWriter struct {
-	bw     *bufio.Writer
-	shards int
-	closed bool
+// errNotBinary is readBinary's answer to input that starts with none of
+// the binary magics; nothing has been consumed then.
+var errNotBinary = errors.New("polyio: not a cobra binary set")
+
+// readExactly reads n bytes into buf's storage, growing it as the bytes
+// arrive: a length a stream merely claims allocates nothing the input does
+// not back. A short read is io.ErrUnexpectedEOF.
+func readExactly(br *bufio.Reader, buf []byte, n uint64) ([]byte, error) {
+	buf = buf[:0]
+	for uint64(len(buf)) < n {
+		chunk := int(min(n-uint64(len(buf)), 1<<16))
+		buf = slices.Grow(buf, chunk)
+		m, err := io.ReadFull(br, buf[len(buf):len(buf)+chunk])
+		buf = buf[:len(buf)+m]
+		if err != nil {
+			return buf, unexpectedEOF(err)
+		}
+	}
+	return buf, nil
 }
 
-// NewSetWriter writes the v2 magic and returns the writer.
-func NewSetWriter(w io.Writer) (*SetWriter, error) {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(streamMagic); err != nil {
-		return nil, err
+// unexpectedEOF is err, or io.ErrUnexpectedEOF for the io.EOF of a read
+// that had to succeed.
+func unexpectedEOF(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
 	}
-	return &SetWriter{bw: bw}, nil
+	return err
 }
 
-// WriteShard appends one shard frame holding the given polynomials.
-func (sw *SetWriter) WriteShard(set *polynomial.Set) error {
-	if sw.closed {
-		return fmt.Errorf("polyio: SetWriter already closed")
+// readBinary reads one binary set stream of any version, calling add once
+// per polynomial in stream order — so a caller can route polynomials
+// straight into a budgeted store without materializing a shard, or a v1
+// body, which is one long record. It is the only place that tells the
+// versions apart. A v3 stream has every shard's checksum and its footer
+// index verified against what was read.
+func readBinary(br *bufio.Reader, names *polynomial.Names, add func(string, polynomial.Polynomial) error) error {
+	magic, _ := br.Peek(len(binaryMagic)) // a short input matches no magic
+	switch string(magic) {
+	case string(binaryMagic):
+		br.Discard(len(magic))
+		if err := readLegacyBody(br, names, add); err != nil {
+			return fmt.Errorf("polyio: v1 body: %w", err)
+		}
+		return nil
+	case string(streamMagic):
+		br.Discard(len(magic))
+		return readV2Frames(br, names, add)
+	case string(v3Magic):
+		br.Discard(len(magic))
+		sr := &v3Reader{br: br, names: names, off: uint64(len(v3Magic))}
+		for {
+			if done, err := sr.nextFrame(add); done || err != nil {
+				return err
+			}
+		}
+	default:
+		return errNotBinary
 	}
-	if err := sw.bw.WriteByte(frameShard); err != nil {
+}
+
+// readV2Frames reads the frames of a v2 stream up to and including its end
+// frame.
+func readV2Frames(br *bufio.Reader, names *polynomial.Names, add func(string, polynomial.Polynomial) error) error {
+	for shards := uint64(0); ; shards++ {
+		marker, err := br.ReadByte()
+		if err == io.EOF {
+			return fmt.Errorf("polyio: stream truncated before end frame (%d shards read)", shards)
+		}
+		if err != nil {
+			return err
+		}
+		switch marker {
+		case frameShard:
+			if err := readLegacyBody(br, names, add); err != nil {
+				return fmt.Errorf("polyio: shard frame %d: %w", shards, err)
+			}
+		case frameEnd:
+			want, err := binary.ReadUvarint(br)
+			if err != nil {
+				return fmt.Errorf("polyio: reading end frame: %w", unexpectedEOF(err))
+			}
+			if want != shards {
+				return fmt.Errorf("polyio: end frame claims %d shards, read %d", want, shards)
+			}
+			return nil
+		default:
+			return fmt.Errorf("polyio: unknown frame marker %q", marker)
+		}
+	}
+}
+
+// readLegacyBody reads one v1/v2 body, invoking add once per polynomial in
+// order. Every count a body claims is only a claim: nothing is sized from
+// one before the bytes behind it have arrived, and a body cut off at a
+// field boundary is io.ErrUnexpectedEOF, never a clean io.EOF.
+func readLegacyBody(br *bufio.Reader, names *polynomial.Names, add func(string, polynomial.Polynomial) error) (err error) {
+	defer func() { err = unexpectedEOF(err) }()
+	var strBuf []byte
+	readString := func() (string, error) {
+		n, err := binary.ReadUvarint(br)
+		if err != nil {
+			return "", err
+		}
+		if n > 1<<24 {
+			return "", fmt.Errorf("polyio: string length %d too large", n)
+		}
+		strBuf, err = readExactly(br, strBuf, n)
+		return string(strBuf), err
+	}
+	nVars, err := binary.ReadUvarint(br)
+	if err != nil {
 		return err
 	}
-	if err := writeSetPayload(sw.bw, set); err != nil {
+	if nVars > 1<<28 {
+		return fmt.Errorf("polyio: variable count %d too large", nVars)
+	}
+	remap := make([]polynomial.Var, 0, min(nVars, 1<<10))
+	for i := uint64(0); i < nVars; i++ {
+		name, err := readString()
+		if err != nil {
+			return err
+		}
+		remap = append(remap, names.Var(name))
+	}
+	nPolys, err := binary.ReadUvarint(br)
+	if err != nil {
 		return err
 	}
-	sw.shards++
+	var terms []polynomial.Term // Builder.Add copies, so one scratch serves every monomial
+	for pi := uint64(0); pi < nPolys; pi++ {
+		key, err := readString()
+		if err != nil {
+			return err
+		}
+		nMons, err := binary.ReadUvarint(br)
+		if err != nil {
+			return err
+		}
+		var b polynomial.Builder
+		b.Grow(int(min(nMons, 1<<16)))
+		for mi := uint64(0); mi < nMons; mi++ {
+			var bits [8]byte
+			if _, err := io.ReadFull(br, bits[:]); err != nil {
+				return err
+			}
+			coef := math.Float64frombits(binary.LittleEndian.Uint64(bits[:]))
+			nTerms, err := binary.ReadUvarint(br)
+			if err != nil {
+				return err
+			}
+			if nTerms > 1<<20 {
+				return fmt.Errorf("polyio: monomial claims %d terms", nTerms)
+			}
+			terms = terms[:0]
+			for ti := uint64(0); ti < nTerms; ti++ {
+				v, err := binary.ReadUvarint(br)
+				if err != nil {
+					return err
+				}
+				e, err := binary.ReadUvarint(br)
+				if err != nil {
+					return err
+				}
+				if v >= nVars {
+					return fmt.Errorf("polyio: variable index %d out of range", v)
+				}
+				if e == 0 || e > math.MaxInt32 {
+					return fmt.Errorf("polyio: bad exponent %d", e)
+				}
+				terms = append(terms, polynomial.TExp(remap[v], int32(e)))
+			}
+			b.Add(coef, terms...)
+		}
+		if err := add(key, b.Polynomial()); err != nil {
+			return err
+		}
+	}
 	return nil
 }
 
-// Close writes the end frame and flushes. The writer must not be used
-// afterwards. Close does not close the underlying io.Writer.
-func (sw *SetWriter) Close() error {
-	if sw.closed {
-		return nil
-	}
-	sw.closed = true
-	if err := sw.bw.WriteByte(frameEnd); err != nil {
-		return err
-	}
-	var scratch [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(scratch[:], uint64(sw.shards))
-	if _, err := sw.bw.Write(scratch[:n]); err != nil {
-		return err
-	}
-	return sw.bw.Flush()
-}
+// v3Reader is the sequential read state of a v3 stream: it reconstructs
+// the footer index from the frames it reads and verifies the stored footer
+// against it (for random-access reading of a v3 stream see IndexedSet).
+type v3Reader struct {
+	br     *bufio.Reader
+	names  *polynomial.Names
+	shards int
 
-// SetReader incrementally reads a v2 or v3 stream, returning one shard per
-// Next call; only the shard being returned is in memory. Variables are
-// interned into the target namespace by name, so polynomials from
-// different shards share variables exactly as they did when written. On a
-// v3 stream the reader additionally verifies every shard's checksum and
-// the footer index against what it read (for random-access reading of a
-// v3 stream see IndexedSet).
-type SetReader struct {
-	br      *bufio.Reader
-	names   *polynomial.Names
-	shards  int
-	done    bool
-	version int // 2 or 3
-
-	// v3 sequential-read state: the reader reconstructs the footer index
-	// from the frames it reads and verifies the stored footer against it.
 	off     uint64 // bytes consumed so far
 	v3index []v3Shard
 	v3polys uint64
@@ -110,97 +235,15 @@ type SetReader struct {
 	scratch []polynomial.Term
 }
 
-// NewSetReader checks the stream magic (v2 or v3) and returns the reader
-// (interning variables into names; a fresh namespace if nil).
-func NewSetReader(r io.Reader, names *polynomial.Names) (*SetReader, error) {
-	if names == nil {
-		names = polynomial.NewNames()
-	}
-	br := bufio.NewReader(r)
-	magic := make([]byte, len(streamMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("polyio: reading magic: %w", err)
-	}
-	switch string(magic) {
-	case string(streamMagic):
-		return &SetReader{br: br, names: names, version: 2}, nil
-	case string(v3Magic):
-		return &SetReader{br: br, names: names, version: 3, off: uint64(len(v3Magic))}, nil
-	default:
-		return nil, fmt.Errorf("polyio: not a cobra set stream (magic %q)", magic)
-	}
-}
-
-// Next returns the next shard, or io.EOF after the end frame. Any other
-// error (including a missing end frame) means the stream is corrupt or
-// truncated.
-func (sr *SetReader) Next() (*polynomial.Set, error) {
-	set := polynomial.NewSet(sr.names)
-	done, err := sr.nextFrame(func(key string, p polynomial.Polynomial) error {
-		return set.Add(key, p)
-	})
-	if err != nil {
-		return nil, err
-	}
-	if done {
-		return nil, io.EOF
-	}
-	return set, nil
-}
-
-// nextFrame reads one frame, invoking add per polynomial of a shard frame
-// (so ReadSetStream can route polynomials straight into a budgeted store
-// without materializing the shard). It reports done=true at the validated
-// end frame.
-func (sr *SetReader) nextFrame(add func(string, polynomial.Polynomial) error) (bool, error) {
-	if sr.done {
-		return true, nil
-	}
-	if sr.version == 3 {
-		return sr.nextFrameV3(add)
-	}
-	marker, err := sr.br.ReadByte()
-	if err != nil {
-		if err == io.EOF {
-			return false, fmt.Errorf("polyio: stream truncated before end frame (%d shards read)", sr.shards)
-		}
-		return false, err
-	}
-	switch marker {
-	case frameShard:
-		if err := readSetPayloadFunc(sr.br, sr.names, nil, add); err != nil {
-			if err == io.EOF {
-				// A payload cut off at a field boundary reads as io.EOF;
-				// never let that masquerade as a clean end of stream.
-				err = io.ErrUnexpectedEOF
-			}
-			return false, fmt.Errorf("polyio: shard frame %d: %w", sr.shards, err)
-		}
-		sr.shards++
-		return false, nil
-	case frameEnd:
-		want, err := binary.ReadUvarint(sr.br)
-		if err != nil {
-			return false, fmt.Errorf("polyio: reading end frame: %w", err)
-		}
-		if want != uint64(sr.shards) {
-			return false, fmt.Errorf("polyio: end frame claims %d shards, read %d", want, sr.shards)
-		}
-		sr.done = true
-		return true, nil
-	default:
-		return false, fmt.Errorf("polyio: unknown frame marker %q", marker)
-	}
-}
-
-// nextFrameV3 reads one v3 frame. Shard frames are checksummed as they
-// stream past and their geometry is remembered; the footer frame is then
-// verified field-by-field against what was actually read, and the trailer
-// closes the stream — so a sequential read enforces exactly the
-// invariants a random-access reader depends on. Every v3 failure is a
+// nextFrame reads one v3 frame, reporting done at the verified footer.
+// Shard frames are checksummed as they stream past and their geometry is
+// remembered; the footer frame is then verified field-by-field against
+// what was actually read, and the trailer closes the stream — so a
+// sequential read enforces exactly the invariants a random-access reader
+// depends on. Every v3 failure is a
 // typed error (CorruptError or ChecksumError), never a panic or a silent
 // short read.
-func (sr *SetReader) nextFrameV3(add func(string, polynomial.Polynomial) error) (bool, error) {
+func (sr *v3Reader) nextFrame(add func(string, polynomial.Polynomial) error) (bool, error) {
 	marker, err := sr.br.ReadByte()
 	if err != nil {
 		return false, corruptf("stream", sr.shards, "truncated before the footer (%d shards read): %w", sr.shards, io.ErrUnexpectedEOF)
@@ -217,19 +260,16 @@ func (sr *SetReader) nextFrameV3(add func(string, polynomial.Polynomial) error) 
 }
 
 // v3uvarint reads one uvarint, tracking the byte offset.
-func (sr *SetReader) v3uvarint(section string) (uint64, error) {
+func (sr *v3Reader) v3uvarint(section string) (uint64, error) {
 	v, err := binary.ReadUvarint(sr.br)
 	if err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return 0, corruptf(section, sr.shards, "reading varint: %w", err)
+		return 0, corruptf(section, sr.shards, "reading varint: %w", unexpectedEOF(err))
 	}
 	sr.off += uint64(uvarintLen(v))
 	return v, nil
 }
 
-func (sr *SetReader) readShardFrameV3(add func(string, polynomial.Polynomial) error) error {
+func (sr *v3Reader) readShardFrameV3(add func(string, polynomial.Polynomial) error) error {
 	flags, err := sr.br.ReadByte()
 	if err != nil {
 		return corruptf("shard frame", sr.shards, "reading flags: %w", io.ErrUnexpectedEOF)
@@ -253,14 +293,9 @@ func (sr *SetReader) readShardFrameV3(add func(string, polynomial.Polynomial) er
 		return corruptf("shard frame", sr.shards, "uncompressed shard stores %d bytes but declares %d raw", storedLen, rawLen)
 	}
 	payloadOff := sr.off
-	if uint64(cap(sr.v3buf)) < storedLen {
-		sr.v3buf = make([]byte, storedLen)
-	}
-	stored := sr.v3buf[:storedLen]
-	if _, err := io.ReadFull(sr.br, stored); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
+	stored, err := readExactly(sr.br, sr.v3buf, storedLen)
+	sr.v3buf = stored
+	if err != nil {
 		return corruptf("shard frame", sr.shards, "reading %d payload bytes: %w", storedLen, err)
 	}
 	sr.off += storedLen
@@ -299,8 +334,8 @@ func (sr *SetReader) readShardFrameV3(add func(string, polynomial.Polynomial) er
 }
 
 // readFooterV3 reads and verifies the footer frame and trailer against the
-// shard frames already consumed, then marks the stream done.
-func (sr *SetReader) readFooterV3() error {
+// shard frames already consumed.
+func (sr *v3Reader) readFooterV3() error {
 	footerOff := sr.off - 1 // offset of the 'F' marker itself
 	flen, err := sr.v3uvarint("footer")
 	if err != nil {
@@ -309,11 +344,8 @@ func (sr *SetReader) readFooterV3() error {
 	if flen > v3MaxShardBytes {
 		return corruptf("footer", -1, "footer claims %d bytes", flen)
 	}
-	fbuf := make([]byte, flen)
-	if _, err := io.ReadFull(sr.br, fbuf); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
+	fbuf, err := readExactly(sr.br, nil, flen)
+	if err != nil {
 		return corruptf("footer", -1, "reading %d footer bytes: %w", flen, err)
 	}
 	sr.off += flen
@@ -335,10 +367,7 @@ func (sr *SetReader) readFooterV3() error {
 	}
 	var trailer [v3TrailerLen]byte
 	if _, err := io.ReadFull(sr.br, trailer[:]); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return corruptf("trailer", -1, "reading trailer: %w", err)
+		return corruptf("trailer", -1, "reading trailer: %w", unexpectedEOF(err))
 	}
 	if string(trailer[8:]) != string(v3TailMagic) {
 		return corruptf("trailer", -1, "bad tail magic %q", trailer[8:])
@@ -346,7 +375,6 @@ func (sr *SetReader) readFooterV3() error {
 	if off := binary.LittleEndian.Uint64(trailer[:8]); off != footerOff {
 		return corruptf("trailer", -1, "trailer points at footer offset %d, frame was at %d", off, footerOff)
 	}
-	sr.done = true
 	return nil
 }
 
@@ -358,70 +386,6 @@ func uvarintLen(x uint64) int {
 		n++
 	}
 	return n
-}
-
-// Shards returns the number of shard frames read so far.
-func (sr *SetReader) Shards() int { return sr.shards }
-
-// DrainTo streams every remaining polynomial into sink, decoding
-// polynomial-at-a-time straight out of the shard frames — the reader side
-// of the disk-backed source/sink pair (WriteSetStream is the writer side).
-// Feeding a ShardBuilder keeps the resident footprint within the sink's
-// budget no matter how the stream was sharded when written; feeding a Set
-// materializes it. It validates the end frame, so a truncated stream is an
-// error, never a silently short set.
-func (sr *SetReader) DrainTo(sink polynomial.SetSink) error {
-	for {
-		done, err := sr.nextFrame(sink.Add)
-		if err != nil {
-			return err
-		}
-		if done {
-			return nil
-		}
-	}
-}
-
-// readStreamAll drains v2 or v3 frames (magic already consumed) into one
-// in-memory set — the compatibility path behind ReadSetBinary.
-func readStreamAll(br *bufio.Reader, names *polynomial.Names, version int) (*polynomial.Set, error) {
-	sr := &SetReader{br: br, names: names, version: version}
-	if version == 3 {
-		sr.off = uint64(len(v3Magic))
-	}
-	out := polynomial.NewSet(names)
-	for {
-		shard, err := sr.Next()
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		for i, key := range shard.Keys {
-			if err := out.Add(key, shard.Polys[i]); err != nil {
-				return nil, err
-			}
-		}
-	}
-}
-
-// WriteSetStream writes any SetSource as a v2 stream, one frame per
-// shard, loading spilled shards one at a time so the resident footprint
-// stays within the source's budget. An in-memory Set writes as a single
-// frame; a ShardedSet writes one frame per shard.
-func WriteSetStream(w io.Writer, src polynomial.SetSource) error {
-	sw, err := NewSetWriter(w)
-	if err != nil {
-		return err
-	}
-	err = src.ForEachShard(func(_, _ int, s *polynomial.Set) error {
-		return sw.WriteShard(s)
-	})
-	if err != nil {
-		return err
-	}
-	return sw.Close()
 }
 
 // ReadSetStream reads a binary set stream (v1, v2 or v3) into a
@@ -436,29 +400,14 @@ func ReadSetStream(r io.Reader, names *polynomial.Names, opts polynomial.ShardOp
 		names = polynomial.NewNames()
 	}
 	br := bufio.NewReader(r)
-	magic := make([]byte, len(streamMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("polyio: reading magic: %w", err)
-	}
 	b := polynomial.NewShardBuilder(names, opts)
 	defer b.Discard() // release partial spill files on any error path
-	switch string(magic) {
-	case string(streamMagic), string(v3Magic):
-		sr := &SetReader{br: br, names: names, version: 2}
-		if string(magic) == string(v3Magic) {
-			sr.version = 3
-			sr.off = uint64(len(v3Magic))
+	if err := readBinary(br, names, b.Add); err != nil {
+		if err == errNotBinary {
+			head, _ := br.Peek(len(binaryMagic))
+			err = fmt.Errorf("%w (magic %q)", err, head)
 		}
-		if err := sr.DrainTo(b); err != nil {
-			return nil, err
-		}
-		return b.Finish()
-	case string(binaryMagic):
-		if err := readSetPayloadFunc(br, names, nil, b.Add); err != nil {
-			return nil, err
-		}
-		return b.Finish()
-	default:
-		return nil, fmt.Errorf("polyio: not a cobra binary set (magic %q)", magic)
+		return nil, err
 	}
+	return b.Finish()
 }

@@ -2,9 +2,14 @@ package polyio
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/cobra-prov/cobra/internal/polynomial"
@@ -36,7 +41,7 @@ func randomSet(seed int64, polys int) *polynomial.Set {
 
 // polyToCommon remaps a polynomial into a shared namespace by variable
 // name, re-canonicalizing. Two decodes of the same provenance can assign
-// different Var ids (v2 interns shard-by-shard), which permutes canonical
+// different Var ids (frames intern shard-by-shard), which permutes canonical
 // monomial order; comparison must therefore be namespace-independent.
 func polyToCommon(p polynomial.Polynomial, from, common *polynomial.Names) polynomial.Polynomial {
 	return polynomial.MapVars(p, func(v polynomial.Var) polynomial.Var {
@@ -44,8 +49,9 @@ func polyToCommon(p polynomial.Polynomial, from, common *polynomial.Names) polyn
 	})
 }
 
-// setsEquivalent reports semantic equality: same key sequence, and equal
-// polynomials once both sides are mapped into one namespace by name.
+// setsEquivalent reports semantic equality: same key sequence, and the same
+// polynomials — coefficients compared by their bits, so NaN equals itself
+// and -0 is not 0 — once both sides are mapped into one namespace by name.
 func setsEquivalent(a, b *polynomial.Set) bool {
 	if a.Len() != b.Len() {
 		return false
@@ -55,36 +61,158 @@ func setsEquivalent(a, b *polynomial.Set) bool {
 		if a.Keys[i] != b.Keys[i] {
 			return false
 		}
-		if !polynomial.Equal(
-			polyToCommon(a.Polys[i], a.Names, common),
-			polyToCommon(b.Polys[i], b.Names, common)) {
+		p, q := polyToCommon(a.Polys[i], a.Names, common), polyToCommon(b.Polys[i], b.Names, common)
+		if len(p.Mons) != len(q.Mons) {
 			return false
+		}
+		for m := range p.Mons {
+			if math.Float64bits(p.Mons[m].Coef) != math.Float64bits(q.Mons[m].Coef) ||
+				polynomial.CompareTerms(p.Mons[m].Terms, q.Mons[m].Terms) != 0 {
+				return false
+			}
 		}
 	}
 	return true
 }
 
+// materializeStream reads a binary stream through the sequential reader.
 func materializeStream(t *testing.T, data []byte) *polynomial.Set {
 	t.Helper()
-	sr, err := NewSetReader(bytes.NewReader(data), nil)
+	set, format, err := ReadSet(bytes.NewReader(data), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := polynomial.NewSet(sr.names)
-	for {
-		shard, err := sr.Next()
-		if err == io.EOF {
-			return out
-		}
+	if format != FormatBinary {
+		t.Fatalf("binary stream detected as %q", format)
+	}
+	return set
+}
+
+// fixture is one checked-in binary file with the set it must read as.
+type fixture struct {
+	name string
+	data []byte
+	want *polynomial.Set
+}
+
+// loadFixtures returns every testdata/<dir>/*.bin beside its expected text
+// form. testdata/legacy holds v1 and v2 files written once by the last
+// commit that had their writers (sample set, awkward keys, exponents > 1,
+// a multi-shard stream from a spilled source, empty sets, and the hand-built
+// whole-namespace v1 file); testdata/v3 holds v3 files from that commit.
+func loadFixtures(tb testing.TB, dir string) []fixture {
+	tb.Helper()
+	paths, err := filepath.Glob(filepath.Join("testdata", dir, "*.bin"))
+	if err != nil || len(paths) == 0 {
+		tb.Fatalf("no fixtures in testdata/%s (%v)", dir, err)
+	}
+	out := make([]fixture, len(paths))
+	for i, path := range paths {
+		data, err := os.ReadFile(path)
 		if err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
-		for i, k := range shard.Keys {
-			out.Add(k, shard.Polys[i])
+		text, err := os.Open(strings.TrimSuffix(path, ".bin") + ".txt")
+		if err != nil {
+			tb.Fatal(err)
+		}
+		want, err := ReadSetText(text, nil)
+		text.Close()
+		if err != nil {
+			tb.Fatalf("%s: %v", path, err)
+		}
+		out[i] = fixture{strings.TrimSuffix(filepath.Base(path), ".bin"), data, want}
+	}
+	return out
+}
+
+// readStreamBudgeted reads data through ReadSetStream under budget and
+// checks the budget held, the spill directory is the set's own and is gone
+// after Close.
+func readStreamBudgeted(t *testing.T, what string, data []byte, budget int) *polynomial.Set {
+	t.Helper()
+	dir := t.TempDir()
+	ss, err := ReadSetStream(bytes.NewReader(data), nil, polynomial.ShardOptions{MaxResidentMonomials: budget, SpillDir: dir})
+	if err != nil {
+		t.Fatalf("%s: ReadSetStream: %v", what, err)
+	}
+	if peak := ss.PeakResidentMonomials(); peak > budget {
+		t.Errorf("%s: reader peak %d exceeds budget %d", what, peak, budget)
+	}
+	if ss.Size() > budget && ss.SpilledShards() == 0 {
+		t.Errorf("%s: %d monomials under budget %d and nothing spilled", what, ss.Size(), budget)
+	}
+	mat, err := ss.Materialize()
+	if err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	if err := ss.Close(); err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	if left, _ := os.ReadDir(dir); len(left) != 0 {
+		t.Errorf("%s: %d entries left in the spill dir after Close", what, len(left))
+	}
+	return mat
+}
+
+// TestLegacyFixtures: every v1 and v2 file written by the commit that still
+// had their writers reads to its expected text through both readers — into
+// memory, and into a ShardedSet under a budget far below the file's own
+// shard size — and is reported as FormatBinary.
+func TestLegacyFixtures(t *testing.T) {
+	seen := map[string]bool{}
+	for _, fx := range loadFixtures(t, "legacy") {
+		seen[fx.name[:2]] = true
+		got, format, err := ReadSet(bytes.NewReader(fx.data), nil)
+		if err != nil {
+			t.Fatalf("%s: %v", fx.name, err)
+		}
+		if format != FormatBinary {
+			t.Errorf("%s: detected %q", fx.name, format)
+		}
+		if !setsEquivalent(fx.want, got) {
+			t.Errorf("%s: ReadSet differs from the expected text:\n%s\nvs\n%s", fx.name, got, fx.want)
+		}
+		if !setsEquivalent(fx.want, readStreamBudgeted(t, fx.name, fx.data, 40)) {
+			t.Errorf("%s: ReadSetStream differs from the expected text", fx.name)
+		}
+	}
+	if !seen["v1"] || !seen["v2"] {
+		t.Fatalf("fixtures cover %v, want v1 and v2", seen)
+	}
+}
+
+// TestV3FixturesByteIdentical: v3's bytes are product surface. The same
+// source must encode to exactly the file the parent commit wrote, and that
+// file must read back to its text through every reader.
+func TestV3FixturesByteIdentical(t *testing.T) {
+	set := randomSet(7, 50)
+	for _, fx := range loadFixtures(t, "v3") {
+		if now := encodeV3(t, set, strings.HasSuffix(fx.name, "deflate")); !bytes.Equal(now, fx.data) {
+			t.Errorf("%s: WriteSetStreamV3 no longer writes the checked-in bytes (%d vs %d bytes)", fx.name, len(now), len(fx.data))
+		}
+		if !setsEquivalent(fx.want, materializeStream(t, fx.data)) {
+			t.Errorf("%s: ReadSet differs from the expected text", fx.name)
+		}
+		if !setsEquivalent(fx.want, readStreamBudgeted(t, fx.name, fx.data, 40)) {
+			t.Errorf("%s: ReadSetStream differs from the expected text", fx.name)
+		}
+		ix, err := OpenIndexedSet(bytes.NewReader(fx.data), int64(len(fx.data)), nil)
+		if err != nil {
+			t.Fatalf("%s: %v", fx.name, err)
+		}
+		back, err := materializeIndexed(ix)
+		if err != nil {
+			t.Fatalf("%s: %v", fx.name, err)
+		}
+		if !setsEquivalent(fx.want, back) {
+			t.Errorf("%s: indexed read differs from the expected text", fx.name)
 		}
 	}
 }
 
+// TestStreamRoundTrip: a sharded source written as FormatBinary keeps its
+// shards as frames and reads back through the sequential reader.
 func TestStreamRoundTrip(t *testing.T) {
 	set := randomSet(7, 50)
 	ss, err := polynomial.BuildSharded(set, polynomial.ShardOptions{TargetMonomials: 30})
@@ -92,21 +220,16 @@ func TestStreamRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ss.Close()
-	var buf bytes.Buffer
-	if err := WriteSetStream(&buf, ss); err != nil {
-		t.Fatal(err)
+	data := writeBinary(t, ss)
+	if !setsEquivalent(set, materializeStream(t, data)) {
+		t.Fatal("binary stream round trip mismatch")
 	}
-	back := materializeStream(t, buf.Bytes())
-	if !setsEquivalent(set, back) {
-		t.Fatal("v2 stream round trip mismatch")
-	}
-	// ReadSetBinary must accept v2 streams too (compatibility path).
-	back2, err := ReadSetBinary(bytes.NewReader(buf.Bytes()), nil)
+	ix, err := OpenIndexedSet(bytes.NewReader(data), int64(len(data)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !setsEquivalent(set, back2) {
-		t.Fatal("ReadSetBinary(v2) mismatch")
+	if ix.NumShards() != ss.NumShards() || ss.NumShards() < 2 {
+		t.Fatalf("%d shards written as %d frames", ss.NumShards(), ix.NumShards())
 	}
 }
 
@@ -124,180 +247,78 @@ func TestStreamSpilledRoundTrip(t *testing.T) {
 	if ss.SpilledShards() == 0 {
 		t.Fatal("expected spilled shards")
 	}
-	var buf bytes.Buffer
-	if err := WriteSetStream(&buf, ss); err != nil {
-		t.Fatal(err)
+	data := writeBinary(t, ss)
+	if peak := ss.PeakResidentMonomials(); peak > 60 {
+		t.Fatalf("writer peak resident %d exceeds budget", peak)
 	}
-	back, err := ReadSetStream(bytes.NewReader(buf.Bytes()), nil, polynomial.ShardOptions{
-		TargetMonomials:      20,
-		MaxResidentMonomials: 60,
-		SpillDir:             t.TempDir(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer back.Close()
-	if back.PeakResidentMonomials() > 60 {
-		t.Fatalf("reader peak resident %d exceeds budget", back.PeakResidentMonomials())
-	}
-	mat, err := back.Materialize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !setsEquivalent(set, mat) {
+	if !setsEquivalent(set, readStreamBudgeted(t, "spilled", data, 60)) {
 		t.Fatal("spilled stream round trip mismatch")
 	}
 }
 
 // TestReadSetStreamHonorsSmallBudget: a reader budget far below the
 // stream's own shard size must still hold — the reader re-shards
-// polynomial-at-a-time instead of materializing incoming shards. The v1
-// body (one unframed record) gets the same treatment.
+// polynomial-at-a-time instead of materializing incoming shards. A v1 body
+// (one unframed record) gets the same treatment.
 func TestReadSetStreamHonorsSmallBudget(t *testing.T) {
-	set := randomSet(31, 120) // one DefaultShardMonomials-sized shard
-	ss, err := polynomial.BuildSharded(set, polynomial.ShardOptions{})
+	set := randomSet(31, 120)
+	data := writeBinary(t, set) // an in-memory Set is one frame
+	if !setsEquivalent(set, readStreamBudgeted(t, "v3", data, set.Size()/6)) {
+		t.Fatal("v3: round trip mismatch")
+	}
+	v1, err := os.ReadFile("testdata/legacy/v1-exponents.bin") // randomSet(7, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ss.Close()
-	if ss.NumShards() != 1 {
-		t.Fatalf("fixture: want one big shard, got %d", ss.NumShards())
-	}
-	var v2 bytes.Buffer
-	if err := WriteSetStream(&v2, ss); err != nil {
-		t.Fatal(err)
-	}
-	var v1 bytes.Buffer
-	if err := WriteSetBinary(&v1, set); err != nil {
-		t.Fatal(err)
-	}
-	budget := set.Size() / 6
-	for _, enc := range []struct {
-		name string
-		data []byte
-	}{{"v2", v2.Bytes()}, {"v1", v1.Bytes()}} {
-		back, err := ReadSetStream(bytes.NewReader(enc.data), nil, polynomial.ShardOptions{
-			MaxResidentMonomials: budget,
-			SpillDir:             t.TempDir(),
-		})
-		if err != nil {
-			t.Fatalf("%s: %v", enc.name, err)
-		}
-		if peak := back.PeakResidentMonomials(); peak > budget {
-			t.Fatalf("%s: reader peak %d exceeds budget %d", enc.name, peak, budget)
-		}
-		if back.SpilledShards() == 0 {
-			t.Fatalf("%s: expected reader-side spills", enc.name)
-		}
-		mat, err := back.Materialize()
-		if err != nil {
-			t.Fatalf("%s: %v", enc.name, err)
-		}
-		if !setsEquivalent(set, mat) {
-			t.Fatalf("%s: round trip mismatch", enc.name)
-		}
-		back.Close()
+	if set = randomSet(7, 50); !setsEquivalent(set, readStreamBudgeted(t, "v1", v1, set.Size()/6)) {
+		t.Fatal("v1: round trip mismatch")
 	}
 }
 
-// TestV1V2RoundTripProperty: across random sets, v1 and v2 encodings must
-// describe the same polynomials, and read→write→read must be a fixed
-// point: once a set has been through one decode (so its Var ids are in
-// first-appearance order), re-encoding and re-decoding reproduces the
-// bytes bit-identically — the used-vars table and canonical monomial
-// order leave the encoders no freedom.
-func TestV1V2RoundTripProperty(t *testing.T) {
-	encodeV2 := func(s *polynomial.Set) []byte {
-		ss, err := polynomial.BuildSharded(s, polynomial.ShardOptions{TargetMonomials: 17})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer ss.Close()
-		var buf bytes.Buffer
-		if err := WriteSetStream(&buf, ss); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	for seed := int64(0); seed < 20; seed++ {
-		set := randomSet(seed, 1+int(seed)*3)
-
-		var v1 bytes.Buffer
-		if err := WriteSetBinary(&v1, set); err != nil {
-			t.Fatal(err)
-		}
-		v2 := encodeV2(set)
-
-		fromV1, err := ReadSetBinary(bytes.NewReader(v1.Bytes()), nil)
-		if err != nil {
-			t.Fatalf("seed %d: v1 read: %v", seed, err)
-		}
-		fromV2, err := ReadSetBinary(bytes.NewReader(v2), nil)
-		if err != nil {
-			t.Fatalf("seed %d: v2 read: %v", seed, err)
-		}
-		if !setsEquivalent(fromV1, fromV2) || !setsEquivalent(set, fromV1) {
-			t.Fatalf("seed %d: v1 and v2 decode differently", seed)
-		}
-
-		// v1 fixed point: randomSet interns variables in ascending order,
-		// so the decode's re-interning is monotone and one round suffices.
-		var v1Again bytes.Buffer
-		if err := WriteSetBinary(&v1Again, fromV1); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(v1.Bytes(), v1Again.Bytes()) {
-			t.Fatalf("seed %d: v1 read→write is not bit-identical", seed)
-		}
-
-		// v2 fixed point: ids settle into first-appearance order after one
-		// decode; from then on write→read→write is bit-identical.
-		wA := encodeV2(fromV2)
-		fromV2b, err := ReadSetBinary(bytes.NewReader(wA), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wB := encodeV2(fromV2b)
-		if !bytes.Equal(wA, wB) {
-			t.Fatalf("seed %d: v2 read→write→read is not bit-identical", seed)
-		}
-	}
-}
-
-// TestStreamTruncationDetected: a v2 stream cut anywhere must error —
-// never silently yield fewer shards (that is what the end frame is for).
-func TestStreamTruncationDetected(t *testing.T) {
+// binaryCorpus is every binary stream the robustness tests cut and flip:
+// the legacy fixtures plus a fresh multi-shard v3 encoding of each flavour.
+func binaryCorpus(tb testing.TB) []fixture {
 	set := randomSet(23, 30)
-	ss, err := polynomial.BuildSharded(set, polynomial.ShardOptions{TargetMonomials: 25})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ss.Close()
-	var buf bytes.Buffer
-	if err := WriteSetStream(&buf, ss); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-	for cut := 0; cut < len(data); cut++ {
-		sr, err := NewSetReader(bytes.NewReader(data[:cut]), nil)
-		if err != nil {
-			continue // truncated magic
+	return append(loadFixtures(tb, "legacy"),
+		fixture{"v3-raw", encodeV3(tb, set, false), set},
+		fixture{"v3-deflate", encodeV3(tb, set, true), set})
+}
+
+// TestStreamTruncationDetected: a binary stream of any version cut anywhere
+// must error in both readers — never silently yield fewer polynomials
+// (that is what v2's end frame and v3's footer are for, and why a v1 body
+// cut at a field boundary is io.ErrUnexpectedEOF) — and the streaming
+// reader must take its spill files with it.
+func TestStreamTruncationDetected(t *testing.T) {
+	for _, fx := range binaryCorpus(t) {
+		dir := t.TempDir()
+		for cut := 0; cut < len(fx.data); cut++ {
+			ss, err := ReadSetStream(bytes.NewReader(fx.data[:cut]), nil, polynomial.ShardOptions{MaxResidentMonomials: 100, SpillDir: dir})
+			if err == nil {
+				ss.Close()
+				t.Fatalf("%s: ReadSetStream of %d of %d bytes succeeded", fx.name, cut, len(fx.data))
+			}
+			if errors.Is(err, io.EOF) {
+				t.Fatalf("%s: cut at %d reads as a clean EOF: %v", fx.name, cut, err)
+			}
+			if cut < len(binaryMagic) {
+				continue // ReadSet takes a prefix of a magic for text
+			}
+			if _, _, err := ReadSet(bytes.NewReader(fx.data[:cut]), nil); err == nil {
+				t.Fatalf("%s: ReadSet of %d of %d bytes succeeded", fx.name, cut, len(fx.data))
+			}
 		}
-		for {
-			_, err := sr.Next()
-			if err == io.EOF {
-				t.Fatalf("truncation at %d of %d read to clean EOF", cut, len(data))
-			}
-			if err != nil {
-				break
-			}
+		if left, _ := os.ReadDir(dir); len(left) != 0 {
+			t.Errorf("%s: failed reads left %d entries in the spill dir", fx.name, len(left))
 		}
 	}
 }
 
+// TestSetWriterMisuse: a closed SetWriterV3 refuses shards and tolerates a
+// second Close, and a stream of zero shards is valid.
 func TestSetWriterMisuse(t *testing.T) {
 	var buf bytes.Buffer
-	sw, err := NewSetWriter(&buf)
+	sw, err := NewSetWriterV3(&buf, V3Options{Compress: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,82 +331,31 @@ func TestSetWriterMisuse(t *testing.T) {
 	if err := sw.Close(); err != nil {
 		t.Fatalf("double Close: %v", err)
 	}
-	// An empty stream (zero shards) is valid and reads as an empty set.
-	set, err := ReadSetBinary(bytes.NewReader(buf.Bytes()), nil)
+	set, _, err := ReadSet(bytes.NewReader(buf.Bytes()), nil)
 	if err != nil || set.Len() != 0 {
-		t.Fatalf("empty stream: %v len=%d", err, set.Len())
+		t.Fatalf("empty stream: %v", err)
+	}
+	if back := materializeStream(t, writeBinary(t, polynomial.NewSet(nil))); back.Len() != 0 {
+		t.Fatalf("empty set round-tripped as %d polynomials", back.Len())
 	}
 }
 
 // TestWriteSetStreamFromSet: an in-memory Set is a valid stream source —
-// it writes as a single v2 frame and round-trips through both DrainTo
-// sinks (Set and ShardBuilder).
+// it writes as a single frame and reads back into both kinds of sink.
 func TestWriteSetStreamFromSet(t *testing.T) {
 	set := randomSet(21, 40)
-	var buf bytes.Buffer
-	if err := WriteSetStream(&buf, set); err != nil {
-		t.Fatal(err)
-	}
-
-	sr, err := NewSetReader(bytes.NewReader(buf.Bytes()), nil)
+	data := writeBinary(t, set)
+	ix, err := OpenIndexedSet(bytes.NewReader(data), int64(len(data)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := polynomial.NewSet(sr.names)
-	if err := sr.DrainTo(got); err != nil {
-		t.Fatal(err)
+	if ix.NumShards() != 1 {
+		t.Fatalf("a Set should write one frame, wrote %d", ix.NumShards())
 	}
-	if sr.Shards() != 1 {
-		t.Fatalf("a Set should write one frame, read %d", sr.Shards())
+	if !setsEquivalent(set, materializeStream(t, data)) {
+		t.Fatal("set→stream→ReadSet round trip differs")
 	}
-	if !setsEquivalent(set, got) {
-		t.Fatal("set→stream→DrainTo(Set) round trip differs")
-	}
-
-	names := polynomial.NewNames()
-	sr2, err := NewSetReader(bytes.NewReader(buf.Bytes()), names)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := polynomial.NewShardBuilder(names, polynomial.ShardOptions{
-		MaxResidentMonomials: 1 + set.Size()/4,
-		SpillDir:             t.TempDir(),
-	})
-	defer b.Discard()
-	if err := sr2.DrainTo(b); err != nil {
-		t.Fatal(err)
-	}
-	ss, err := b.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ss.Close()
-	if budget := 1 + set.Size()/4; ss.PeakResidentMonomials() > budget {
-		t.Fatalf("DrainTo(builder) peak %d exceeds budget %d", ss.PeakResidentMonomials(), budget)
-	}
-	back, err := ss.Materialize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !setsEquivalent(set, back) {
-		t.Fatal("set→stream→DrainTo(builder) round trip differs")
-	}
-}
-
-// TestDrainToTruncated: DrainTo must report truncation, never a silently
-// short sink.
-func TestDrainToTruncated(t *testing.T) {
-	set := randomSet(22, 20)
-	var buf bytes.Buffer
-	if err := WriteSetStream(&buf, set); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()[:buf.Len()-3] // cut into the end frame
-	sr, err := NewSetReader(bytes.NewReader(data), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sr.DrainTo(polynomial.NewSet(sr.names)); err == nil {
-		t.Fatal("truncated stream drained without error")
+	if !setsEquivalent(set, readStreamBudgeted(t, "from set", data, 1+set.Size()/4)) {
+		t.Fatal("set→stream→ReadSetStream round trip differs")
 	}
 }

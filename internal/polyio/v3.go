@@ -14,8 +14,8 @@ import (
 	"github.com/cobra-prov/cobra/internal/polynomial"
 )
 
-// The v3 binary format extends the v2 frame stream with a delta-varint
-// shard payload, optional per-shard DEFLATE framing, and a footer index
+// The v3 binary format is a stream of shard frames with a delta-varint
+// columnar payload, optional per-shard DEFLATE framing, and a footer index
 // that makes every shard independently decodable:
 //
 //	magic "CPRVB3\n"
@@ -148,8 +148,8 @@ type V3Options struct {
 
 // SetWriterV3 incrementally writes a v3 stream, one shard per WriteShard
 // call, accumulating the footer index as it goes; Close appends the index
-// and trailer. Like SetWriter it never retains shard data, so sets far
-// larger than memory stream through it — only the index (a few dozen
+// and trailer. It never retains shard data, so sets far larger than memory
+// stream through it — only the index (a few dozen
 // bytes per shard) grows with the stream.
 type SetWriterV3 struct {
 	bw     *bufio.Writer
@@ -292,12 +292,11 @@ func (sw *SetWriterV3) Close() error {
 	return sw.bw.Flush()
 }
 
-// Shards returns the number of shard frames written so far.
-func (sw *SetWriterV3) Shards() int { return len(sw.index) }
-
 // WriteSetStreamV3 writes any SetSource as a v3 stream, one frame per
-// shard, loading spilled shards one at a time. It is the v3 counterpart
-// of WriteSetStream and the format Dataset eviction spills to.
+// shard, loading spilled shards one at a time, so the resident footprint
+// stays within the source's budget: an in-memory Set writes as a single
+// frame, a ShardedSet one frame per shard. WriteSet(FormatBinary) is this
+// with compression on.
 func WriteSetStreamV3(w io.Writer, src polynomial.SetSource, opts V3Options) error {
 	sw, err := NewSetWriterV3(w, opts)
 	if err != nil {
@@ -664,6 +663,11 @@ func decodeV3Payload(data []byte, names *polynomial.Names, shard int, lookupOnly
 // inflateV3 decompresses a DEFLATE-framed shard payload, verifying the
 // decompressed size matches the frame's rawLen exactly.
 func inflateV3(stored []byte, rawLen int, shard int) ([]byte, error) {
+	// DEFLATE expands at most 1032:1, so a larger claim is corrupt — and
+	// not worth allocating for.
+	if rawLen > 1032*len(stored)+64 {
+		return nil, corruptf("deflate payload", shard, "%d stored bytes cannot inflate to the declared %d", len(stored), rawLen)
+	}
 	fr := flate.NewReader(bytes.NewReader(stored))
 	raw := make([]byte, rawLen)
 	if _, err := io.ReadFull(fr, raw); err != nil {

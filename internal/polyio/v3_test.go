@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"os"
@@ -79,18 +80,10 @@ func TestV3RoundTrip(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			data := encodeV3(t, set, compress)
 
-			// Sequential reader path (NewSetReader / materialize).
+			// Sequential reader path.
 			back := materializeStream(t, data)
 			if !setsEquivalent(set, back) {
 				t.Fatal("v3 sequential round trip mismatch")
-			}
-			// ReadSetBinary must accept v3 streams (compatibility path).
-			back2, err := ReadSetBinary(bytes.NewReader(data), nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !setsEquivalent(set, back2) {
-				t.Fatal("ReadSetBinary(v3) mismatch")
 			}
 			// Random-access path.
 			ix, err := OpenIndexedSet(bytes.NewReader(data), int64(len(data)), nil)
@@ -134,11 +127,7 @@ func TestV3CoefExactness(t *testing.T) {
 		b.Add(c, polynomial.TExp(x, int32(i+1)))
 		set.Add(fmt.Sprintf("k%d", i), b.Polynomial())
 	}
-	data := encodeV3(t, set, true)
-	back, err := ReadSetBinary(bytes.NewReader(data), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	back := materializeStream(t, encodeV3(t, set, true))
 	for i := range coefs {
 		if len(set.Polys[i].Mons) == 0 {
 			continue // the Builder itself dropped the monomial
@@ -151,85 +140,68 @@ func TestV3CoefExactness(t *testing.T) {
 	}
 }
 
-// TestV3CrossVersionOracle is the cross-version property test: random
-// sets round-tripped v1↔v2↔v3 (compressed and uncompressed) must be
-// bit-identical under polynomial.Equal once decoded into one namespace,
-// the v3 encoding must be a fixed point of read→write, and the decoded
-// sources must produce identical Compress and EvalBatch answers at
-// Workers ∈ {1,2,8}.
+// TestV3CrossVersionOracle is the cross-version property test: the same
+// set as a v1 file, a v2 stream (both written by the last commit that
+// could, testdata/legacy) and a fresh v3 stream (compressed and not) must
+// be bit-identical under polynomial.Equal once decoded into one namespace;
+// across random sets the v3 encoding must be a fixed point of read→write,
+// and the decoded sources must produce identical Compress and EvalBatch
+// answers at Workers ∈ {1,2,8}.
 func TestV3CrossVersionOracle(t *testing.T) {
-	encodeV2 := func(s *polynomial.Set) []byte {
-		ss, err := polynomial.BuildSharded(s, polynomial.ShardOptions{TargetMonomials: 17})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer ss.Close()
-		var buf bytes.Buffer
-		if err := WriteSetStream(&buf, ss); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
+	legacy := map[string][]byte{}
+	for _, fx := range loadFixtures(t, "legacy") {
+		legacy[fx.name] = fx.data
 	}
-	for seed := int64(0); seed < 12; seed++ {
-		set := randomSet(seed, 2+int(seed)*4)
-
-		var v1 bytes.Buffer
-		if err := WriteSetBinary(&v1, set); err != nil {
-			t.Fatal(err)
-		}
-		v2 := encodeV2(set)
-		v3u := encodeV3(t, set, false)
-		v3c := encodeV3(t, set, true)
-
+	{
+		set := randomSet(7, 50) // what v1-exponents and v2-exponents hold
 		// Decode every version into ONE namespace: interning is
 		// first-appearance order for all of them, so the Var ids — and with
 		// them every polynomial — must be bit-identical.
 		common := polynomial.NewNames()
 		decode := func(data []byte) *polynomial.Set {
-			s, err := ReadSetBinary(bytes.NewReader(data), common)
+			s, _, err := ReadSet(bytes.NewReader(data), common)
 			if err != nil {
-				t.Fatalf("seed %d: %v", seed, err)
+				t.Fatal(err)
 			}
 			return s
 		}
-		fromV1 := decode(v1.Bytes())
+		fromV1 := decode(legacy["v1-exponents"])
+		if !setsEquivalent(set, fromV1) {
+			t.Fatal("fixture v1-exponents is not randomSet(7, 50)")
+		}
+		v3c := encodeV3(t, set, true)
 		sets := map[string]*polynomial.Set{
-			"v2":  decode(v2),
-			"v3u": decode(v3u),
+			"v2":  decode(legacy["v2-exponents"]),
+			"v3u": decode(encodeV3(t, set, false)),
 			"v3c": decode(v3c),
 		}
 		ixc, err := OpenIndexedSet(bytes.NewReader(v3c), int64(len(v3c)), common)
 		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
+			t.Fatal(err)
 		}
 		sets["v3c/indexed"], err = materializeIndexed(ixc)
 		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
+			t.Fatal(err)
 		}
 		for name, got := range sets {
 			if got.Len() != fromV1.Len() {
-				t.Fatalf("seed %d: %s decoded %d polynomials, v1 %d", seed, name, got.Len(), fromV1.Len())
+				t.Fatalf("%s decoded %d polynomials, v1 %d", name, got.Len(), fromV1.Len())
 			}
 			for i := range fromV1.Keys {
 				if fromV1.Keys[i] != got.Keys[i] || !polynomial.Equal(fromV1.Polys[i], got.Polys[i]) {
-					t.Fatalf("seed %d: %s decodes polynomial %d differently from v1", seed, name, i)
+					t.Fatalf("%s decodes polynomial %d differently from v1", name, i)
 				}
 			}
 		}
+	}
+	for seed := int64(0); seed < 12; seed++ {
+		v3c := encodeV3(t, randomSet(seed, 2+int(seed)*4), true)
 
 		// v3 fixed point: after one decode into a FRESH namespace the ids
 		// are in cross-shard first-appearance order — the order the encoder
 		// itself emits — so read→write→read is bit-identical from then on.
-		settled, err := ReadSetBinary(bytes.NewReader(v3c), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wA := encodeV3(t, settled, true)
-		again, err := ReadSetBinary(bytes.NewReader(wA), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wB := encodeV3(t, again, true)
+		wA := encodeV3(t, materializeStream(t, v3c), true)
+		wB := encodeV3(t, materializeStream(t, wA), true)
 		if !bytes.Equal(wA, wB) {
 			t.Fatalf("seed %d: v3 read→write→read is not bit-identical", seed)
 		}
@@ -242,7 +214,7 @@ func TestV3CrossVersionOracle(t *testing.T) {
 	// answers at every worker count.
 	set := oracleSet(97, 80)
 	common := polynomial.NewNames()
-	base, err := ReadSetBinary(bytes.NewReader(encodeV3(t, set, false)), common)
+	base, _, err := ReadSet(bytes.NewReader(encodeV3(t, set, false)), common)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -773,7 +745,13 @@ func FuzzReadSetV3(f *testing.F) {
 				t.Fatalf("%s failed with untyped error %T: %v", path, err, err)
 			}
 		}
-		seq, seqErr := ReadSetBinary(bytes.NewReader(data), nil)
+		var seq *polynomial.Set
+		var seqErr error
+		if isV3 { // anything else is text or JSON to ReadSet
+			seq, _, seqErr = ReadSet(bytes.NewReader(data), nil)
+		} else {
+			seqErr = errNotBinary
+		}
 		if seqErr != nil {
 			requireTyped("sequential read", seqErr)
 		}
@@ -795,8 +773,7 @@ func FuzzReadSetV3(f *testing.F) {
 			if !setsEquivalent(seq, indexed) {
 				t.Fatal("sequential and indexed decodes disagree")
 			}
-			var buf bytes.Buffer
-			if err := WriteSetBinary(&buf, seq); err != nil {
+			if err := WriteSet(io.Discard, seq, FormatBinary); err != nil {
 				t.Fatalf("decoded set failed to re-encode: %v", err)
 			}
 		}

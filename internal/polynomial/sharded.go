@@ -106,7 +106,7 @@ type ShardedSet struct {
 
 	// encBuf is the spill encode scratch, reused across spills. It is
 	// only touched by spillShard, whose callers are serialized (building
-	// is single-goroutine; streaming passes hold iterMu).
+	// is single-goroutine; streaming passes and SpillAll hold iterMu).
 	encBuf []byte
 
 	// readBuf holds the bytes of the spill file a pass is decoding, and
@@ -300,6 +300,31 @@ func (ss *ShardedSet) Materialize() (*Set, error) {
 		return nil, err
 	}
 	return out, nil
+}
+
+// SpillAll writes every shard still in memory to the spill directory,
+// whatever the budget (none included), and drops the buffers passes keep
+// between calls: afterwards the set holds no monomial — ResidentMonomials
+// is 0 — and a pass loads one shard at a time, as it does for any spilled
+// shard. It waits for a pass in flight. On an error the shards spilled so
+// far stay spilled and the rest stay resident: the set answers every pass
+// as before.
+func (ss *ShardedSet) SpillAll() error {
+	ss.iterMu.Lock()
+	defer ss.iterMu.Unlock()
+	if ss.closed {
+		return fmt.Errorf("polynomial: ShardedSet is closed")
+	}
+	for _, sh := range ss.shards {
+		if sh.set == nil {
+			continue
+		}
+		if err := ss.spillShard(sh); err != nil {
+			return err
+		}
+	}
+	ss.encBuf, ss.readBuf, ss.scratch = nil, nil, PackedSet{}
+	return nil
 }
 
 // Close removes the spill directory and releases the shards. The set must

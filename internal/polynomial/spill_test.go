@@ -191,6 +191,107 @@ func TestSpillFailpointSweep(t *testing.T) {
 	t.Logf("swept %d spill I/O calls", total)
 }
 
+// TestSpillAllFailpointSweep: SpillAll, for a budgeted set (some shards on
+// disk already) and an unbudgeted one (none), with its k-th spill failing
+// for every k. A failed SpillAll returns the injected error, may leave some
+// shards spilled — residency says exactly which — and loses none: every
+// pass answers as a set that never spilled does. Run again without the
+// failure it finishes the job: nothing resident, every shard on disk, both
+// kinds of pass still identical, one file per shard in the set's own
+// directory, and nothing at all after Close.
+func TestSpillAllFailpointSweep(t *testing.T) {
+	set := buildTestSet(36, 8)
+	inject := errors.New("injected spill write failure")
+	t.Cleanup(func() { testSpillWriteErr = nil })
+	want, _, err := passDigests(mustBuildSharded(t, set, ShardOptions{TargetMonomials: 24}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	same := func(ss *ShardedSet, when string) {
+		t.Helper()
+		viaSet, viaPacked, err := passDigests(ss)
+		if err != nil {
+			t.Fatalf("%s: %v", when, err)
+		}
+		if fmt.Sprint(viaSet) != fmt.Sprint(want) || fmt.Sprint(viaPacked) != fmt.Sprint(want) {
+			t.Fatalf("%s: a pass answers differently", when)
+		}
+		if got, want := ss.ResidentMonomials(), residentByShards(ss); got != want {
+			t.Fatalf("%s: residency %d, the resident shards hold %d", when, got, want)
+		}
+	}
+	for _, budget := range []int{120, 0} {
+		// scenario fails SpillAll's failAt-th spill (0: none) and returns how
+		// many spills a SpillAll of this set makes.
+		scenario := func(failAt int) (spills int) {
+			dir := t.TempDir()
+			ss, err := BuildSharded(set, ShardOptions{TargetMonomials: 24, MaxResidentMonomials: budget, SpillDir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() {
+				ss.Close()
+				if left := countFilesUnder(t, dir); len(left) != 0 {
+					t.Fatalf("budget %d failAt=%d: %d files leaked: %v", budget, failAt, len(left), left)
+				}
+			}()
+			if (budget > 0) != (ss.SpilledShards() > 0) || ss.ResidentMonomials() == 0 {
+				t.Fatalf("fixture: budget %d, %d shards spilled, %d monomials resident", budget, ss.SpilledShards(), ss.ResidentMonomials())
+			}
+			spilledBefore := ss.SpilledShards()
+			testSpillWriteErr = func(string) error {
+				if spills++; spills == failAt {
+					return inject
+				}
+				return nil
+			}
+			err = ss.SpillAll()
+			testSpillWriteErr = nil
+			when := fmt.Sprintf("budget %d failAt=%d", budget, failAt)
+			if failAt > 0 {
+				if !errors.Is(err, inject) {
+					t.Fatalf("%s: SpillAll returned %v", when, err)
+				}
+				if got := ss.SpilledShards(); got != spilledBefore+failAt-1 {
+					t.Fatalf("%s: %d shards spilled, want the %d from before and %d more", when, got, spilledBefore, failAt-1)
+				}
+				same(ss, when+", after the failure")
+				err = ss.SpillAll()
+			}
+			if err != nil {
+				t.Fatalf("%s: SpillAll: %v", when, err)
+			}
+			if ss.ResidentMonomials() != 0 || ss.SpilledShards() != ss.NumShards() {
+				t.Fatalf("%s: %d monomials resident, %d of %d shards spilled after SpillAll", when, ss.ResidentMonomials(), ss.SpilledShards(), ss.NumShards())
+			}
+			if files := countFilesUnder(t, dir); len(files) != ss.NumShards() {
+				t.Fatalf("%s: %d spill files for %d shards: %v", when, len(files), ss.NumShards(), files)
+			}
+			same(ss, when+", spilled")
+			same(ss, when+", spilled, second pass")
+			if err := ss.SpillAll(); err != nil || ss.ResidentMonomials() != 0 {
+				t.Fatalf("%s: SpillAll of a spilled set: %v, %d monomials resident", when, err, ss.ResidentMonomials())
+			}
+			if budget > 0 && ss.PeakResidentMonomials() > budget {
+				t.Fatalf("%s: peak residency %d exceeds the budget", when, ss.PeakResidentMonomials())
+			}
+			return spills
+		}
+		total := scenario(0)
+		if total < 3 {
+			t.Fatalf("budget %d: SpillAll made only %d spills", budget, total)
+		}
+		for failAt := 1; failAt <= total; failAt++ {
+			scenario(failAt)
+		}
+	}
+	ss := mustBuildSharded(t, set, ShardOptions{TargetMonomials: 24})
+	ss.Close()
+	if err := ss.SpillAll(); err == nil {
+		t.Fatal("SpillAll of a closed set succeeded")
+	}
+}
+
 func mustBuildSharded(t *testing.T, set *Set, opts ShardOptions) *ShardedSet {
 	t.Helper()
 	ss, err := BuildSharded(set, opts)

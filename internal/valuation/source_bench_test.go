@@ -13,7 +13,7 @@ import (
 
 // outOfCoreSources builds the telephony set three ways: in memory, as a
 // ShardedSet spilled under a budget of an eighth of its size, and as the
-// IndexedSet over the v3 file an evicted Dataset reloads from.
+// IndexedSet over the v3 file WriteSet(FormatBinary) writes of it.
 func outOfCoreSources(tb testing.TB, customers int) (*polynomial.Set, *polynomial.ShardedSet, *polyio.IndexedSet) {
 	tb.Helper()
 	names := polynomial.NewNames()

@@ -28,9 +28,9 @@ import "encoding/json"
 
 // RegisterRequest registers a dataset synchronously from serialized
 // provenance: the text polynomial format (any format cobra.ReadSet
-// detects is accepted) and nested-JSON abstraction trees. A positive MaxResidentMonomials selects the out-of-core
-// representation (and makes the dataset evictable under registry
-// pressure).
+// detects is accepted) and nested-JSON abstraction trees. A positive
+// MaxResidentMonomials selects the out-of-core representation (and makes
+// the dataset evictable under registry pressure).
 type RegisterRequest struct {
 	Provenance           string            `json:"provenance"`
 	Trees                []json.RawMessage `json:"trees"`

@@ -1,10 +1,12 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -65,5 +67,32 @@ func TestOversizedBodyRejected(t *testing.T) {
 	}
 	if rec := send("GET", "/v1/jobs/job-1", nil); rec.Code != http.StatusNotFound {
 		t.Fatalf("a rejected request started a job: status %d", rec.Code)
+	}
+}
+
+// TestHostileBinaryProvenanceRejected: a provenance string may be a binary
+// set, and these twelve bytes are valid UTF-8, so they arrive intact under
+// the body cap: a v1 header claiming 2^28-17 variables, then nothing. The
+// reader used to size a table from the claim (1 GiB); it must answer 400
+// having allocated next to nothing.
+func TestHostileBinaryProvenanceRejected(t *testing.T) {
+	srv := New(Config{MaxWorkers: 1})
+	defer srv.Close()
+	for _, prov := range []string{"CPRVB1\n\uffff\x7f", "CPRVB2\nS\uffff\x7f"} {
+		body, err := json.Marshal(RegisterRequest{Provenance: prov})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest("PUT", "/v1/datasets/hostile", bytes.NewReader(body)))
+		runtime.ReadMemStats(&after)
+		if rec.Code != http.StatusBadRequest {
+			t.Fatalf("%q: status %d, want 400: %s", prov, rec.Code, rec.Body)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+			t.Fatalf("%q: the request allocated %d bytes", prov, got)
+		}
 	}
 }

@@ -9,11 +9,12 @@ import (
 )
 
 // registry is the server's named-dataset table with LRU residency control:
-// when more than maxResident out-of-core datasets are resident at once,
-// the least-recently-used ones are Evicted — persisted to their spill dir
-// and dropped from memory — and transparently re-open on their next use.
-// In-memory datasets are never evicted (they have no spill representation
-// to re-open from).
+// when more than maxResident out-of-core datasets still hold un-spilled
+// shards, the least-recently-used ones are Evicted — every shard spilled,
+// nothing kept in memory between requests — and go on answering from
+// their spill files. Eviction is one-way, so each dataset is a victim at
+// most once. In-memory datasets are never evicted (they have no spill
+// representation to answer from).
 type registry struct {
 	mu          sync.Mutex
 	maxResident int                  // out-of-core residency budget; <= 0 means unlimited
@@ -103,9 +104,10 @@ func (r *registry) closeAll() {
 // enforceLocked evicts least-recently-used resident out-of-core datasets
 // until the residency budget holds, never evicting keep (the dataset
 // serving the current request). Eviction is best-effort: a failed Evict
-// leaves the dataset resident rather than failing the request. r.mu must
-// be held; Evict waits for the victim's in-flight solves, which never take
-// registry locks, so holding r.mu here cannot deadlock.
+// leaves the dataset resident rather than failing the request, and so
+// does a dataset that cannot be evicted (one over an indexed file). r.mu
+// must be held; Evict waits for the victim's in-flight solves, which never
+// take registry locks, so holding r.mu here cannot deadlock.
 func (r *registry) enforceLocked(keep string) {
 	if r.maxResident <= 0 {
 		return

@@ -327,8 +327,7 @@ func TestServeRegisterAndErrors(t *testing.T) {
 
 // TestServeEvictionRoundTrip registers two out-of-core datasets under a
 // residency budget of one: traffic alternating between them forces LRU
-// evictions, and answers must stay identical across the evict/reload
-// cycles.
+// evictions, and answers must stay identical across them.
 func TestServeEvictionRoundTrip(t *testing.T) {
 	_, ts := startServer(t, serve.Config{MaxWorkers: 2, MaxResidentDatasets: 1, SpillDir: t.TempDir()})
 

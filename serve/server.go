@@ -21,10 +21,11 @@ type Config struct {
 	// concurrent traffic cannot oversubscribe the machine. <= 0 selects
 	// cobra.AutoWorkers().
 	MaxWorkers int
-	// MaxResidentDatasets bounds how many out-of-core datasets stay
-	// resident at once; least-recently-used ones beyond it are evicted to
-	// their spill dirs and re-open transparently on next use. <= 0 means
-	// unlimited.
+	// MaxResidentDatasets bounds how many out-of-core datasets keep
+	// un-spilled shards in memory between requests; least-recently-used
+	// ones beyond it are evicted — every shard spilled — and go on
+	// answering from their spill files. Eviction is one-way: an evicted
+	// dataset never counts against the bound again. <= 0 means unlimited.
 	MaxResidentDatasets int
 	// SpillDir is where out-of-core state lives ("" = os.TempDir()).
 	SpillDir string
