@@ -31,9 +31,10 @@ vuln:
 staticcheck:
 	$(GO) run honnef.co/go/tools/cmd/staticcheck@latest ./...
 
-# The repo's own go/analysis suite (cmd/cobra-lint, a `tool` in go.mod):
-# determinism, goroutine discipline, iterator lifecycle, sink errors,
-# context flow and wall-clock hygiene. Stdlib-only — runs offline.
+# The repo's own go/analysis suite (cmd/cobra-lint, a `tool` in go.mod),
+# seven analyzers: determinism, goroutine discipline, iterator lifecycle,
+# sink errors, context flow, wall-clock hygiene and lock guards.
+# Stdlib-only — runs offline.
 # `go tool -n` builds the tool and prints its path for -vettool.
 cobra-lint:
 	$(GO) vet -vettool=$$($(GO) tool -n cobra-lint) ./...

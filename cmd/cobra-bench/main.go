@@ -1,25 +1,25 @@
-// Command cobra-bench runs the reproduction experiment suite (E1–E11 and
-// E14–E16, see internal/experiments) and prints each experiment's
-// paper-vs-measured table. With -markdown it emits the tables in the
-// format used by EXPERIMENTS.md. (The on-disk formats are measured by the
-// store_outofcore workload of benchmark/, not by an experiment.)
+// Command cobra-bench runs the paper-fidelity experiment suite (E1–E9 and
+// E11, see internal/experiments) and prints each experiment's
+// paper-vs-measured table. Engineering measurements — pipeline stages,
+// out-of-core, streaming capture, the frontier sweep, the on-disk formats —
+// are workloads of benchmark/, not experiments; asking for one of their
+// retired ids names the workload that replaced it.
 //
 // Usage:
 //
 //	cobra-bench                      # default scale (100k customers, SF 0.01)
 //	cobra-bench -scale paper         # the paper's 1M-customer measurement
-//	cobra-bench -only E3,E8 -markdown
+//	cobra-bench -only E3,E8
 //	cobra-bench -only E4 -workers 0  # the hot paths at GOMAXPROCS workers (tables are identical for every count)
-//	cobra-bench -only E14            # out-of-core compression under a memory budget
-//	cobra-bench -only E15            # streaming capture under a memory budget
-//	cobra-bench -only E16            # batched frontier sweep vs per-bound recompression
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
+	"sort"
 	"strings"
 	"time"
 
@@ -28,19 +28,63 @@ import (
 
 func main() {
 	var (
-		scale    = flag.String("scale", "default", "quick | default | paper")
-		only     = flag.String("only", "", "comma-separated experiment ids (default: all)")
-		markdown = flag.Bool("markdown", false, "emit markdown tables")
-		workers  = flag.Int("workers", 1, "goroutines for the compression/valuation/capture hot paths; 1 = sequential, 0 = GOMAXPROCS")
+		scale   = flag.String("scale", "default", "quick | default | paper")
+		only    = flag.String("only", "", "comma-separated experiment ids (default: all)")
+		workers = flag.Int("workers", 1, "goroutines for the compression/valuation/capture hot paths; 1 = sequential, 0 = GOMAXPROCS")
 	)
 	flag.Parse()
-	if err := run(*scale, *only, *markdown, *workers); err != nil {
+	if err := run(os.Stdout, *scale, *only, *workers); err != nil {
 		fmt.Fprintln(os.Stderr, "cobra-bench:", err)
 		os.Exit(1)
 	}
 }
 
-func run(scale, only string, markdown bool, workers int) error {
+// retired maps the id of a deleted experiment to what measures it now.
+var retired = map[string]string{
+	"E10": "the capture_telephony workload of benchmark/ with --trace 1",
+	"E12": "the core.dp_w2_ratio, abstraction.apply_w2_ratio and valuation.batch_w2_ratio probes of benchmark/ and the *WorkersIdentical tests",
+	"E13": "the capture workloads of benchmark/ and TestCaptureNWorkerSweep",
+	"E14": "the store_outofcore workload of benchmark/",
+	"E15": "the provenance.capture_stream_rows_per_s probe of benchmark/'s capture workloads",
+	"E16": "the compress_sweep workload of benchmark/",
+	"E17": "the store_outofcore workload of benchmark/ and BenchmarkSetCodec in internal/polyio",
+}
+
+// selectRunners resolves -only against the experiment index. Every
+// requested id must exist: one unknown id fails the whole request before
+// anything runs.
+func selectRunners(only string) ([]experiments.Runner, error) {
+	all := experiments.All()
+	if only == "" {
+		return all, nil
+	}
+	want := map[string]bool{}
+	for _, id := range strings.Split(only, ",") {
+		want[strings.TrimSpace(id)] = true
+	}
+	var picked []experiments.Runner
+	for _, r := range all {
+		if want[r.ID] {
+			picked = append(picked, r)
+			delete(want, r.ID)
+		}
+	}
+	if len(want) == 0 {
+		return picked, nil
+	}
+	var unknown []string
+	for id := range want {
+		msg := fmt.Sprintf("%q", id)
+		if by, ok := retired[id]; ok {
+			msg += " (retired: measured by " + by + ")"
+		}
+		unknown = append(unknown, msg)
+	}
+	sort.Strings(unknown)
+	return nil, fmt.Errorf("unknown experiment id: %s", strings.Join(unknown, "; "))
+}
+
+func run(w io.Writer, scale, only string, workers int) error {
 	var cfg experiments.Config
 	switch scale {
 	case "quick":
@@ -61,34 +105,20 @@ func run(scale, only string, markdown bool, workers int) error {
 	cfg.Workers = workers
 	cfg = cfg.WithDefaults()
 
-	want := map[string]bool{}
-	if only != "" {
-		for _, id := range strings.Split(only, ",") {
-			want[strings.TrimSpace(id)] = true
-		}
+	runners, err := selectRunners(only)
+	if err != nil {
+		return err
 	}
 
 	start := time.Now()
-	ran := 0
-	for _, r := range experiments.All() {
-		if len(want) > 0 && !want[r.ID] {
-			continue
-		}
+	for _, r := range runners {
 		tab, err := r.Run(cfg)
 		if err != nil {
 			return fmt.Errorf("%s: %w", r.ID, err)
 		}
-		if markdown {
-			fmt.Print(tab.Markdown())
-		} else {
-			fmt.Println(tab.Render())
-		}
-		ran++
-	}
-	if ran == 0 {
-		return fmt.Errorf("no experiments matched %q", only)
+		fmt.Fprintln(w, tab.Render())
 	}
 	fmt.Fprintf(os.Stderr, "cobra-bench: %d experiments in %s (scale %s, %d customers, SF %g, %d workers)\n",
-		ran, time.Since(start).Round(time.Millisecond), scale, cfg.TelephonyCustomers, cfg.TPCHSF, cfg.Workers)
+		len(runners), time.Since(start).Round(time.Millisecond), scale, cfg.TelephonyCustomers, cfg.TPCHSF, cfg.Workers)
 	return nil
 }

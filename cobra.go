@@ -8,7 +8,6 @@ import (
 	"github.com/cobra-prov/cobra/internal/abstraction"
 	"github.com/cobra-prov/cobra/internal/core"
 	"github.com/cobra-prov/cobra/internal/engine"
-	"github.com/cobra-prov/cobra/internal/experiments"
 	"github.com/cobra-prov/cobra/internal/polyio"
 	"github.com/cobra-prov/cobra/internal/polynomial"
 	"github.com/cobra-prov/cobra/internal/provenance"
@@ -67,8 +66,6 @@ type (
 	Assignment = valuation.Assignment
 	// Program is a compiled polynomial set for fast repeated valuation.
 	Program = valuation.Program
-	// Timing reports full-vs-compressed assignment times.
-	Timing = experiments.Timing
 	// Accuracy summarizes compressed-vs-full result deviation.
 	Accuracy = valuation.Accuracy
 
@@ -100,11 +97,13 @@ type Options struct {
 	// keeps every code path sequential. Parallel runs shard only
 	// deterministic work — signature indexing, cut application,
 	// speculative per-tree re-optimization, chunked scenario evaluation,
-	// instrumentation, and the rendering of captured result rows into keys
-	// and polynomials — so results are bit-identical for every value of
-	// Workers. A SQL query itself always runs on the engine's one
-	// sequential executor. Set Workers to AutoWorkers() to saturate the
-	// machine.
+	// tuple-level instrumentation (AnnotateTuples: 1.4× at 2 workers on
+	// TPC-H lineitem at SF 0.05), and the rendering of captured result rows
+	// into keys and polynomials — so results are bit-identical for every
+	// value of Workers. Two things Workers does not shard, because sharding
+	// them measured slower: a SQL query always runs on the engine's one
+	// sequential executor, and ParameterizeColumn is one sequential pass.
+	// Set Workers to AutoWorkers() to saturate the machine.
 	Workers int
 
 	// MaxResidentMonomials bounds the monomials a ShardedSet keeps in
@@ -373,11 +372,21 @@ func EvalBatch(p *Program, assignments []*Assignment, opts Options) [][]float64 
 	return p.EvalBatchN(assignments, nil, opts.Workers)
 }
 
-// MeasureSpeedup times full vs compressed valuation. The measurement
-// lives in internal/experiments (the deterministic valuation core does
-// not read the wall clock); this wrapper keeps the public surface.
+// MeasureSpeedup times repeated valuation of both programs under their
+// respective dense valuations and reports per-iteration times. iters <= 0
+// picks an iteration count that targets a few milliseconds of work. The
+// minimum of three repetitions is used to suppress scheduling noise.
 func MeasureSpeedup(full, comp *Program, fullVals, compVals []float64, iters int) Timing {
-	return experiments.MeasureSpeedup(full, comp, fullVals, compVals, iters)
+	if iters <= 0 {
+		iters = autoIters(full)
+	}
+	tf := timeEval(full, fullVals, iters)
+	tc := timeEval(comp, compVals, iters)
+	t := Timing{Full: tf, Compressed: tc, Iters: iters}
+	if tf > 0 {
+		t.Speedup = float64(tf-tc) / float64(tf)
+	}
+	return t
 }
 
 // CompareResults computes accuracy metrics between result vectors.
@@ -427,11 +436,14 @@ func MinimalCost(lineage Polynomial, cost func(Var) float64) float64 {
 
 // ParameterizeColumn instruments a numeric column: each cell is multiplied
 // by the product of the variables derived from specs (cell-level
-// instrumentation), using opts.Workers goroutines. Variable interning stays
-// sequential in row order, so the instrumented relation is bit-identical
-// for every worker count.
-func ParameterizeColumn(rel *Relation, target string, specs []VarSpec, names *Names, opts Options) (*Relation, error) {
-	return provenance.ParameterizeColumnN(rel, target, specs, names, opts.Workers)
+// instrumentation). It is one sequential pass whatever opts.Workers says,
+// so the instrumented relation is bit-identical across worker counts by
+// construction: variable interning must run in row order, and sharding
+// the rest around it measured 0.8× at 2 workers on TPC-H lineitem (SF
+// 0.05; inside the run-to-run spread at SF 0.01) for 1.43× the bytes.
+// opts stays in the signature until the facade decision of ROADMAP 7e.
+func ParameterizeColumn(rel *Relation, target string, specs []VarSpec, names *Names, _ Options) (*Relation, error) {
+	return provenance.ParameterizeColumn(rel, target, specs, names)
 }
 
 // AnnotateTuples instruments a relation at the tuple level: each tuple's

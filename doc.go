@@ -143,16 +143,21 @@
 // # Parallelism
 //
 // Every stage of the instrument → capture → compress → evaluate pipeline
-// but one scales across cores through the Options knob:
-// ParameterizeColumn, AnnotateTuples, Capture, CaptureLineage, Compress,
-// Apply, Frontier, FrontierForest, FrontierSweep and EvalBatch take an
-// Options value and shard their work over up to Options.Workers goroutines
-// (AutoWorkers returns the saturating count); each has exactly one name and
-// one signature. The one stage is query execution: the SQL engine has a
-// single sequential executor (see "The SQL engine" below), so of a capture
-// only the rendering of result rows into keys and polynomials is sharded,
-// and RunSQL takes no Options at all. Workers <= 1 — the zero Options —
-// runs fully sequentially.
+// but two scales across cores through the Options knob: AnnotateTuples,
+// Capture, CaptureLineage, Compress, Apply, Frontier, FrontierForest,
+// FrontierSweep and EvalBatch take an Options value and shard their work
+// over up to Options.Workers goroutines (AutoWorkers returns the
+// saturating count); each has exactly one name and one signature. The two
+// stages are the ones a second, parallel implementation measured slower
+// on. Query execution: the SQL engine has a single sequential executor
+// (see "The SQL engine" below), so of a capture only the rendering of
+// result rows into keys and polynomials is sharded, and RunSQL takes no
+// Options at all. Cell-level instrumentation: ParameterizeColumn takes an
+// Options and runs one sequential pass whatever it says (variable
+// interning must stay in row order, and sharding the rest around it ran
+// at 0.8× on TPC-H lineitem at SF 0.05; tuple-level AnnotateTuples gains
+// 1.4× at two workers there and shards). Workers <= 1 — the zero Options — runs fully
+// sequentially.
 //
 //	res, err := cobra.Compress(set, cobra.Forest{tree}, bound,
 //		cobra.Options{Workers: cobra.AutoWorkers()})
@@ -165,8 +170,8 @@
 // application (each polynomial mapped by the exact sequential code,
 // preserving float summation order), chunked
 // scenario evaluation (each row written
-// to its own slot from a per-worker arena), instrumentation and the
-// rendering of captured rows (contiguous row ranges, with variable
+// to its own slot from a per-worker arena), tuple-level instrumentation
+// and the rendering of captured rows (contiguous row ranges, with variable
 // interning kept sequential so Var allocation order never changes).
 // Streaming capture preserves the same guarantee: rows render in parallel
 // batches but reach the sink sequentially in row order.
@@ -192,7 +197,7 @@
 // For a single tree every sweep answer — cut, sizes, statistics, and
 // error — is bit-identical to Compress at that bound, for every worker
 // count and source representation; a 32-bound batch costs one compression
-// instead of 32 (the E16 experiment measures the speedup).
+// instead of 32 (the compress_sweep workload of benchmark/ times it).
 //
 // Forests sweep too: FrontierForest computes each tree's curve (in
 // parallel across trees for in-memory sets; strictly one tree at a time
@@ -439,13 +444,13 @@
 // # Invariants and the lint suite
 //
 // The guarantees above are not conventions but mechanically enforced
-// invariants: cmd/cobra-lint is a go/analysis-style suite of eight
+// invariants: cmd/cobra-lint is a go/analysis-style suite of seven
 // analyzers, run through the standard vet driver (go vet -vettool, or
 // `make cobra-lint`; the binary is a `tool` in go.mod), and the tree
-// must stay at zero findings. The dataflow-sensitive analyzers share a
-// per-function control-flow graph (internal/lint/cfg: basic blocks,
-// natural-loop detection, reverse postorder) rather than re-deriving
-// path questions from raw syntax.
+// must stay at zero findings. The dataflow-sensitive analyzers
+// (iterclose, lockguard) share a per-function control-flow graph
+// (internal/lint/cfg: basic blocks, reverse postorder) rather than
+// re-deriving path questions from raw syntax.
 //
 //   - determinism: in the order-sensitive packages (internal/core,
 //     polynomial, abstraction, valuation, polyio, provenance), ranging
@@ -466,30 +471,33 @@
 //     context.TODO(); contexts are threaded from the caller so
 //     cancellation always propagates.
 //   - nowallclock: the deterministic core may not read the wall clock
-//     (time.Now) or use math/rand; measurement lives in
-//     internal/experiments.
-//   - hotalloc: inside CFG-detected loops of the solve-path packages
-//     (internal/polynomial, core, abstraction, valuation, sql, engine,
-//     provenance), per-iteration allocation patterns are flagged —
-//     fmt.Sprintf and string concatenation, []byte↔string conversions
-//     (map-read keys, which the compiler elides, are exempt), appends
-//     into uncapped loop-local slices, and composite literals or
-//     closures that escape the loop body. Loop-exit paths (return,
-//     panic) run once and are exempt.
+//     (time.Now) or use math/rand; measurement lives in the root
+//     package (MeasureSpeedup) and in benchmark/.
 //   - lockguard: a struct field annotated `// guarded by <mu>` may only
 //     be read with that mutex (or its read lock) held, and only written
 //     with it write-held, on every CFG path from function entry;
 //     *Locked-suffix methods document the caller holds it.
 //
-// Allocation on the hot paths is pinned where it matters by
+// Allocation on the hot paths is not a lint rule but eight
 // testing.AllocsPerRun tests that each name the invariant they protect:
-// a capture allocates per distinct key, not per row (internal/provenance);
-// signature indexing allocates per run, not per monomial (internal/core);
-// cut application stays within four allocations per polynomial
-// (internal/abstraction); Program.Eval into a reused row allocates nothing
-// (internal/valuation). The shape of this facade is pinned the same way:
-// TestFacadeSurface fails if cobra.go exports more than 57 functions, a
-// deprecated one, or an X beside an XWith.
+// signature indexing allocates per polynomial run, never per monomial
+// (TestBuildIndexAllocations, internal/core), and no solver entry point
+// allocates more at two workers than a small overhead above one
+// (TestWorkerAllocParity, internal/core); cut application stays within
+// four allocations per polynomial (TestApplySourceAllocations,
+// internal/abstraction); Program.Eval into a reused row allocates nothing
+// (TestProgramEvalAllocations), a slider over spilled shards allocates at
+// most ten times per shard and nothing per monomial
+// (TestEvalBatchSourceAllocations), and the scenario path — Induced, then
+// a warmed one-scenario batch — does not follow the size of the tree, the
+// namespace or the program (TestScenarioPathAllocations, all three in
+// internal/valuation); a capture allocates per group and key table, not
+// per row, on the telephony join (TestCaptureAllocations) and on TPC-H Q1
+// (TestCaptureAllocationsQ1, both in internal/provenance). The shape of
+// this facade is pinned the same way: TestFacadeSurface fails if cobra.go
+// exports more than 56 functions, a deprecated one, or an X beside an
+// XWith, and TestLibraryDoesNotLinkTheHarness if the root package imports
+// the experiment runners or a data generator.
 //
 // Each analyzer has a justification escape hatch — a //cobra:<name>
 // <reason> comment on (or immediately above) the flagged line — for the
@@ -504,6 +512,7 @@
 // serialization for interoperating with external provenance engines
 // (ReadSet/WriteSet, out-of-core via ReadSetStream). See ROADMAP.md
 // in the repository root, the experiment index in internal/experiments
-// (cmd/cobra-bench prints its tables), the runnable programs under
-// examples/, and the command-line tools under cmd/.
+// (E1–E9 and E11, the paper's tables; cmd/cobra-bench prints them — the
+// engineering measurements are the workloads of benchmark/), the runnable
+// programs under examples/, and the command-line tools under cmd/.
 package cobra

@@ -239,7 +239,6 @@ func (t *Tree) EnumerateCuts(yield func(Cut) bool) {
 	}
 	for _, nodes := range cutsBelow(t.Root()) {
 		sorted := append([]NodeID(nil), nodes...)
-		//cobra:hotalloc one sort closure per emitted cut; enumeration is oracle setup, not the solve path
 		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 		if !yield(Cut{Tree: t, Nodes: sorted}) {
 			return

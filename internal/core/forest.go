@@ -190,7 +190,6 @@ func ExhaustiveForest(set *polynomial.Set, trees abstraction.Forest, bound int) 
 	}
 	perTree := make([][]abstraction.Cut, len(trees))
 	for i, t := range trees {
-		//cobra:hotalloc one closure per tree while the exhaustive oracle enumerates; setup, not the solve path
 		t.EnumerateCuts(func(c abstraction.Cut) bool {
 			perTree[i] = append(perTree[i], c)
 			return true

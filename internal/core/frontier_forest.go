@@ -83,7 +83,6 @@ func FrontierForestSource(src polynomial.SetSource, trees abstraction.Forest, wo
 		}
 		out := make([]ForestFrontierPoint, len(fr))
 		for i, p := range fr {
-			//cobra:hotalloc each frontier point owns its single-cut slice; one per point of the returned curve
 			out[i] = ForestFrontierPoint{NumMeta: p.NumMeta, MinSize: p.MinSize, Cuts: []abstraction.Cut{p.Cut}}
 		}
 		return out, nil

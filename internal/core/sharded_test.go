@@ -131,6 +131,10 @@ func TestCompressShardedAppliedOutput(t *testing.T) {
 		}
 		compressed.Close()
 	}
+	// The input side stays within the budget through compress AND apply.
+	if peak := ss.PeakResidentMonomials(); peak > budget {
+		t.Fatalf("input peak resident %d exceeds budget %d", peak, budget)
+	}
 }
 
 // TestBuildIndexShardedMultiVarError: the sharded scan must surface the

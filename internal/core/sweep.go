@@ -94,7 +94,6 @@ func AnswersFromCurves(numTrees int, single []FrontierPoint, forest []ForestFron
 				fillResultFrom(r, size, used)
 				a.Result = r
 			} else {
-				//cobra:hotalloc the error is the per-bound answer of the batched sweep, one per infeasible bound
 				a.Err = &InfeasibleError{Bound: bound, MinAchievable: minAch}
 			}
 		default:
@@ -103,7 +102,6 @@ func AnswersFromCurves(numTrees int, single []FrontierPoint, forest []ForestFron
 				fillResultFrom(r, size, used)
 				a.Result = r
 			} else {
-				//cobra:hotalloc the error is the per-bound answer of the batched sweep, one per infeasible bound
 				a.Err = &InfeasibleError{Bound: bound, MinAchievable: minAch}
 			}
 		}

@@ -39,7 +39,6 @@ func Collect(name string, it Iterator) (*relation.Relation, error) {
 	err := Stream(it, func(t relation.Tuple) error {
 		n := len(t.Values)
 		if len(slab) < n {
-			//cobra:hotalloc slab refill amortized over thousands of materialized rows
 			slab = make([]relation.Value, max(8192, n))
 		}
 		vals := slab[:n:n]

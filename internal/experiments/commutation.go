@@ -1,10 +1,8 @@
 package experiments
 
 import (
-	"fmt"
 	"time"
 
-	"github.com/cobra-prov/cobra/internal/core"
 	"github.com/cobra-prov/cobra/internal/datagen/telephony"
 	"github.com/cobra-prov/cobra/internal/datagen/tpch"
 	"github.com/cobra-prov/cobra/internal/polynomial"
@@ -73,58 +71,4 @@ func yesNo(b bool) string {
 		return "yes"
 	}
 	return "NO"
-}
-
-// E10Pipeline times the full Figure-4 pipeline stage by stage: generate →
-// instrument → capture (provenance engine) → compress → assign.
-func E10Pipeline(cfg Config) (*Table, error) {
-	cfg = cfg.WithDefaults()
-	start := time.Now()
-	custs := 20_000
-	if cfg.Quick {
-		custs = 2_000
-	}
-
-	t := &Table{
-		ID:      "E10",
-		Title:   fmt.Sprintf("End-to-end pipeline at %d customers (engine path)", custs),
-		Columns: []string{"stage", "time", "output"},
-	}
-
-	t0 := time.Now()
-	cat := telephony.Generate(telephony.Config{Customers: custs})
-	t.AddRow("generate", time.Since(t0), fmt.Sprintf("%d calls", cat["Calls"].Len()))
-
-	names := polynomial.NewNames()
-	t0 = time.Now()
-	inst, err := telephony.InstrumentPrices(cat, names)
-	if err != nil {
-		return nil, err
-	}
-	t.AddRow("instrument", time.Since(t0), fmt.Sprintf("%d symbolic cells", inst["Plans"].Len()))
-
-	t0 = time.Now()
-	set, err := provenance.Capture(telephony.RevenueQuery, inst, names, "revenue")
-	if err != nil {
-		return nil, err
-	}
-	t.AddRow("capture", time.Since(t0), fmt.Sprintf("%d monomials / %d groups", set.Size(), set.Len()))
-
-	tree := telephony.PlansTree(names)
-	t0 = time.Now()
-	res, err := core.DPSingleTreeSource(set, tree, set.Size()/3, cfg.Workers)
-	if err != nil {
-		return nil, err
-	}
-	comp := res.Apply(set)
-	t.AddRow("compress", time.Since(t0), fmt.Sprintf("%d monomials / %d meta vars", res.Size, res.NumMeta))
-
-	t0 = time.Now()
-	prog := valuation.Compile(comp)
-	a := valuation.Induced(telephony.ScenarioMarchMinus20(names), res.Cuts[0])
-	out := prog.EvalAssignment(a, nil)
-	t.AddRow("assign", time.Since(t0), fmt.Sprintf("%d results", len(out)))
-
-	t.Elapsed = time.Since(start)
-	return t, nil
 }

@@ -1,8 +1,9 @@
 // Package experiments implements the reproduction harness: one runner per
-// experiment of the index All returns (E1–E16), each producing a Table that
-// pairs the paper's reported values with our measurements. The harness
-// backs cmd/cobra-bench (which regenerates EXPERIMENTS.md) and the
-// bench_test.go benchmarks.
+// experiment of the index All returns (E1–E9 and E11, the paper-fidelity
+// tables), each producing a Table that pairs the paper's reported values
+// with our measurements. cmd/cobra-bench prints them and is the package's
+// only importer; engineering measurements (pipeline stages, out-of-core,
+// streaming capture, the frontier sweep) are workloads of benchmark/.
 package experiments
 
 import (
@@ -131,25 +132,6 @@ func (t *Table) Render() string {
 	return sb.String()
 }
 
-// Markdown renders the table as a GitHub-flavored markdown table.
-func (t *Table) Markdown() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "### %s — %s\n\n", t.ID, t.Title)
-	sb.WriteString("| " + strings.Join(t.Columns, " | ") + " |\n")
-	sb.WriteString("|" + strings.Repeat("---|", len(t.Columns)) + "\n")
-	for _, row := range t.Rows {
-		sb.WriteString("| " + strings.Join(row, " | ") + " |\n")
-	}
-	for _, n := range t.Notes {
-		fmt.Fprintf(&sb, "\n*%s*\n", n)
-	}
-	if t.Elapsed > 0 {
-		fmt.Fprintf(&sb, "\n*(ran in %s)*\n", t.Elapsed.Round(time.Millisecond))
-	}
-	sb.WriteString("\n")
-	return sb.String()
-}
-
 // Runner is a named experiment.
 type Runner struct {
 	ID   string
@@ -170,10 +152,6 @@ func All() []Runner {
 		{"E7b", "DP vs greedy vs exhaustive (ablation)", E7Ablation},
 		{"E8", "TPC-H provenance compression", E8TPCH},
 		{"E9", "Commutation (correctness guarantee)", E9Commutation},
-		{"E10", "End-to-end pipeline", E10Pipeline},
 		{"E11", "Two-dimensional abstraction (plans × quarters)", E11Forest},
-		{"E14", "Out-of-core compression (sharded storage, spill-to-disk)", E14OutOfCore},
-		{"E15", "Streaming provenance capture (non-materializing)", E15StreamingCapture},
-		{"E16", "Batched multi-bound frontier sweep (one DP, many bounds)", E16FrontierSweep},
 	}
 }

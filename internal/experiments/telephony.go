@@ -6,6 +6,7 @@ import (
 	"math"
 	"time"
 
+	cobra "github.com/cobra-prov/cobra"
 	"github.com/cobra-prov/cobra/internal/abstraction"
 	"github.com/cobra-prov/cobra/internal/core"
 	"github.com/cobra-prov/cobra/internal/datagen/telephony"
@@ -142,7 +143,7 @@ func E3Section4(cfg Config) (*Table, error) {
 		if cfg.Quick {
 			iters = 3
 		}
-		tm := MeasureSpeedup(fullProg, compProg, fullVals, fullVals, iters)
+		tm := cobra.MeasureSpeedup(fullProg, compProg, fullVals, fullVals, iters)
 		t.AddRow(bound, res.Size, res.NumMeta,
 			fmt.Sprintf("%.0f%%", tm.Speedup*100),
 			paperOrDash(size == 139_260, paperSizes[bound]),
@@ -228,7 +229,7 @@ func E5SpeedupSweep(cfg Config) (*Table, error) {
 			continue
 		}
 		comp := valuation.Compile(res.Apply(set))
-		tm := MeasureSpeedup(fullProg, comp, vals, vals, iters)
+		tm := cobra.MeasureSpeedup(fullProg, comp, vals, vals, iters)
 		t.AddRow(fmt.Sprintf("%.1f", f), res.Size, tm.Full, tm.Compressed,
 			fmt.Sprintf("%.0f%%", tm.Speedup*100))
 	}

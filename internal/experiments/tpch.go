@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	cobra "github.com/cobra-prov/cobra"
 	"github.com/cobra-prov/cobra/internal/abstraction"
 	"github.com/cobra-prov/cobra/internal/core"
 	"github.com/cobra-prov/cobra/internal/datagen/tpch"
@@ -84,7 +85,7 @@ func E8TPCH(cfg Config) (*Table, error) {
 			speedup := "0%" // no compression achieved ⇒ no speedup by definition
 			if res.Size < set.Size() {
 				comp := valuation.Compile(res.Apply(set))
-				tm := MeasureSpeedup(fullProg, comp, vals, vals, iters)
+				tm := cobra.MeasureSpeedup(fullProg, comp, vals, vals, iters)
 				speedup = fmt.Sprintf("%.0f%%", tm.Speedup*100)
 			}
 			t.AddRow(q.Name, treeName, set.Len(), set.Size(), set.NumVars(), bound,

@@ -8,7 +8,6 @@ import (
 	"github.com/cobra-prov/cobra/internal/lint/analysis"
 	"github.com/cobra-prov/cobra/internal/lint/analyzers/ctxflow"
 	"github.com/cobra-prov/cobra/internal/lint/analyzers/determinism"
-	"github.com/cobra-prov/cobra/internal/lint/analyzers/hotalloc"
 	"github.com/cobra-prov/cobra/internal/lint/analyzers/iterclose"
 	"github.com/cobra-prov/cobra/internal/lint/analyzers/lockguard"
 	"github.com/cobra-prov/cobra/internal/lint/analyzers/nogoroutine"
@@ -25,7 +24,6 @@ func All() []*analysis.Analyzer {
 		sinkerr.Analyzer,
 		ctxflow.Analyzer,
 		nowallclock.Analyzer,
-		hotalloc.Analyzer,
 		lockguard.Analyzer,
 	}
 }

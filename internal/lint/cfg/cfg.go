@@ -1,9 +1,8 @@
 // Package cfg builds per-function control-flow graphs over go/ast for
-// the COBRA lint suite: basic blocks of statements, natural-loop
-// detection, and a reverse-postorder walk. It is the shared dataflow
-// substrate under the path-sensitive analyzers (iterclose's
-// close-on-every-path check, lockguard's must-hold analysis, hotalloc's
-// per-iteration allocation detection) — a self-contained miniature of
+// the COBRA lint suite: basic blocks of statements and a
+// reverse-postorder walk. It is the shared dataflow substrate under the
+// path-sensitive analyzers (iterclose's close-on-every-path check,
+// lockguard's must-hold analysis) — a self-contained miniature of
 // golang.org/x/tools/go/cfg, kept stdlib-only like the rest of
 // internal/lint.
 //
@@ -51,8 +50,7 @@ type Graph struct {
 	// order. Deferred calls run at each exit from the function.
 	Defers []*ast.DeferStmt
 
-	thenBlocks  map[*ast.IfStmt]*Block
-	structHeads map[*Block]ast.Stmt // loop-head block -> for/range stmt
+	thenBlocks map[*ast.IfStmt]*Block
 }
 
 // ThenBlock returns the entry block of an if statement's then-branch —
@@ -65,8 +63,7 @@ func (g *Graph) ThenBlock(s *ast.IfStmt) *Block { return g.thenBlocks[s] }
 func New(body *ast.BlockStmt) *Graph {
 	b := &builder{
 		g: &Graph{
-			thenBlocks:  make(map[*ast.IfStmt]*Block),
-			structHeads: make(map[*Block]ast.Stmt),
+			thenBlocks: make(map[*ast.IfStmt]*Block),
 		},
 		labels:    make(map[string]*Block),
 		gotoWaits: make(map[string][]*Block),
@@ -196,7 +193,6 @@ func (b *builder) stmt(s ast.Stmt) {
 			b.add(s.Init)
 		}
 		head := b.newBlock()
-		b.g.structHeads[head] = s
 		b.jump(b.cur, head)
 		if s.Cond != nil {
 			head.Nodes = append(head.Nodes, s.Cond)
@@ -227,7 +223,6 @@ func (b *builder) stmt(s ast.Stmt) {
 		// X is evaluated once, before the loop.
 		b.add(s.X)
 		head := b.newBlock()
-		b.g.structHeads[head] = s
 		// The per-iteration key/value assignment is the RangeStmt node
 		// itself, living in the head.
 		head.Nodes = append(head.Nodes, s)
@@ -398,4 +393,28 @@ func isPanicCall(e ast.Expr) bool {
 	}
 	id, ok := call.Fun.(*ast.Ident)
 	return ok && id.Name == "panic"
+}
+
+// ReversePostorder returns the blocks reachable from Entry in reverse
+// postorder of a depth-first walk — the order forward dataflow
+// analyses iterate in (every block after as many of its predecessors
+// as the loop structure allows).
+func (g *Graph) ReversePostorder() []*Block {
+	seen := make([]bool, len(g.Blocks))
+	var post []*Block
+	var dfs func(b *Block)
+	dfs = func(b *Block) {
+		seen[b.Index] = true
+		for _, s := range b.Succs {
+			if !seen[s.Index] {
+				dfs(s)
+			}
+		}
+		post = append(post, b)
+	}
+	dfs(g.Entry)
+	for i, j := 0, len(post)-1; i < j; i, j = i+1, j-1 {
+		post[i], post[j] = post[j], post[i]
+	}
+	return post
 }

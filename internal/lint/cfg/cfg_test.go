@@ -58,6 +58,73 @@ func nodeType(n ast.Node) string {
 	}
 }
 
+// blockWith returns the block holding a node match accepts.
+func blockWith(t *testing.T, g *Graph, match func(ast.Node) bool) *Block {
+	t.Helper()
+	for _, b := range g.Blocks {
+		for _, n := range b.Nodes {
+			if match(n) {
+				return b
+			}
+		}
+	}
+	t.Fatalf("no block holds the wanted node")
+	return nil
+}
+
+func isIncDec(n ast.Node) bool { _, ok := n.(*ast.IncDecStmt); return ok }
+func isReturn(n ast.Node) bool { _, ok := n.(*ast.ReturnStmt); return ok }
+func isRange(n ast.Node) bool  { _, ok := n.(*ast.RangeStmt); return ok }
+
+// isAssign matches an assignment with the given operator (s += i).
+func isAssign(tok token.Token) func(ast.Node) bool {
+	return func(n ast.Node) bool {
+		as, ok := n.(*ast.AssignStmt)
+		return ok && as.Tok == tok
+	}
+}
+
+// isCond matches a branch condition comparing against the named operand
+// on its left (i < n has "i").
+func isCond(left string) func(ast.Node) bool {
+	return func(n ast.Node) bool {
+		be, ok := n.(*ast.BinaryExpr)
+		if !ok {
+			return false
+		}
+		id, ok := be.X.(*ast.Ident)
+		return ok && id.Name == left
+	}
+}
+
+func hasEdge(from, to *Block) bool {
+	for _, s := range from.Succs {
+		if s == to {
+			return true
+		}
+	}
+	return false
+}
+
+// reaches reports whether to is reachable from from along one or more
+// edges; reaches(b, b) is "b is on a cycle".
+func reaches(from, to *Block) bool {
+	seen := map[*Block]bool{}
+	stack := append([]*Block(nil), from.Succs...)
+	for len(stack) > 0 {
+		b := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if b == to {
+			return true
+		}
+		if !seen[b] {
+			seen[b] = true
+			stack = append(stack, b.Succs...)
+		}
+	}
+	return false
+}
+
 func TestStraightLine(t *testing.T) {
 	_, g := build(t, `func f() { x := 1; x++; _ = x }`, "f")
 	rpo := g.ReversePostorder()
@@ -66,9 +133,6 @@ func TestStraightLine(t *testing.T) {
 	}
 	if len(g.Entry.Nodes) != 3 {
 		t.Fatalf("entry block has %d nodes, want 3", len(g.Entry.Nodes))
-	}
-	if len(g.Loops()) != 0 {
-		t.Fatalf("straight-line code has loops")
 	}
 	// Entry falls through to Exit.
 	if len(g.Entry.Succs) != 1 || g.Entry.Succs[0] != g.Exit {
@@ -99,9 +163,6 @@ func f(c bool) int {
 	join := thenB.Succs[0]
 	if len(join.Succs) != 1 || join.Succs[0] != g.Exit {
 		t.Fatalf("join does not return to exit")
-	}
-	if len(g.Loops()) != 0 {
-		t.Fatalf("if/else has loops")
 	}
 }
 
@@ -166,26 +227,20 @@ func f(n int) int {
 	}
 	return s
 }`, "f")
-	loops := g.Loops()
-	if len(loops) != 1 {
-		t.Fatalf("got %d loops, want 1", len(loops))
+	head := blockWith(t, g, isCond("i"))
+	body := blockWith(t, g, isAssign(token.ADD_ASSIGN))
+	post := blockWith(t, g, isIncDec)
+	after := blockWith(t, g, isReturn)
+	// head -> body -> post -> head is the cycle; head also leaves it.
+	if !hasEdge(head, body) || !hasEdge(body, post) || !hasEdge(post, head) {
+		t.Fatalf("for loop misses an edge of head -> body -> post -> head")
 	}
-	l := loops[0]
-	if _, ok := l.Stmt.(*ast.ForStmt); !ok {
-		t.Fatalf("loop stmt is %T, want *ast.ForStmt", l.Stmt)
+	if !hasEdge(head, after) {
+		t.Fatalf("loop condition has no edge past the loop")
 	}
-	// Head (cond), body (s += i) and post (i++) are all in the loop.
-	if len(l.Blocks) < 3 {
-		t.Fatalf("for loop has %d blocks, want >= 3 (head, body, post)", len(l.Blocks))
-	}
-	// The body statement is inside the loop span.
-	body := l.Stmt.(*ast.ForStmt).Body.List[0]
-	if !l.Contains(body.Pos()) {
-		t.Fatalf("loop does not contain its own body")
-	}
-	// The return is not.
-	if l.Contains(l.Stmt.End() + 10) {
-		t.Fatalf("loop contains statements after it")
+	// The return is outside the cycle.
+	if reaches(after, head) {
+		t.Fatalf("the statement after the loop flows back into it")
 	}
 }
 
@@ -201,23 +256,22 @@ func f(xs []int) int {
 	}
 	return s
 }`, "f")
-	loops := g.Loops()
-	if len(loops) != 1 {
-		t.Fatalf("got %d loops, want 1", len(loops))
+	// The per-iteration assignment is the RangeStmt itself, in the head.
+	head := blockWith(t, g, isRange)
+	body := blockWith(t, g, isAssign(token.ADD_ASSIGN))
+	after := blockWith(t, g, isReturn)
+	if !hasEdge(body, head) || !hasEdge(head, after) {
+		t.Fatalf("range loop misses its back edge or its exit edge")
 	}
-	if _, ok := loops[0].Stmt.(*ast.RangeStmt); !ok {
-		t.Fatalf("loop stmt is %T, want *ast.RangeStmt", loops[0].Stmt)
-	}
-	// break leaves the loop: some loop block has a successor outside it.
-	leaves := false
-	for b := range loops[0].Blocks {
-		for _, s := range b.Succs {
-			if !loops[0].Blocks[s] {
-				leaves = true
-			}
+	// break leaves the loop: the guard's then-block jumps past it.
+	cond := blockWith(t, g, isCond("x"))
+	breaks := false
+	for _, s := range cond.Succs {
+		if hasEdge(s, after) {
+			breaks = true
 		}
 	}
-	if !leaves {
+	if !breaks {
 		t.Fatalf("break edge out of the loop not found")
 	}
 }
@@ -233,16 +287,13 @@ func f(n int) int {
 	}
 	return s
 }`, "f")
-	loops := g.Loops()
-	if len(loops) != 2 {
-		t.Fatalf("got %d loops, want 2", len(loops))
+	outer := blockWith(t, g, isCond("i"))
+	inner := blockWith(t, g, isCond("j"))
+	if !reaches(outer, outer) || !reaches(inner, inner) {
+		t.Fatalf("a loop head is not on a cycle")
 	}
-	// The outer loop's block set contains the inner loop's head.
-	outer, inner := loops[0], loops[1]
-	if len(outer.Blocks) < len(inner.Blocks) {
-		outer, inner = inner, outer
-	}
-	if !outer.Blocks[inner.Head] {
+	// The outer cycle passes through the inner head.
+	if !reaches(outer, inner) || !reaches(inner, outer) {
 		t.Fatalf("outer loop does not contain inner loop head")
 	}
 }
@@ -258,24 +309,13 @@ top:
 	}
 	return i
 }`, "f")
-	loops := g.Loops()
-	if len(loops) != 1 {
-		t.Fatalf("got %d loops, want 1", len(loops))
+	// The labeled block is on a cycle closed by the goto.
+	top := blockWith(t, g, isIncDec)
+	if !reaches(top, top) {
+		t.Fatalf("goto does not close a cycle through its label")
 	}
-	if loops[0].Stmt != nil {
-		t.Fatalf("goto loop should have no structural stmt, got %T", loops[0].Stmt)
-	}
-	// The i++ statement is inside the loop span.
-	found := false
-	for b := range loops[0].Blocks {
-		for _, n := range b.Nodes {
-			if _, ok := n.(*ast.IncDecStmt); ok {
-				found = true
-			}
-		}
-	}
-	if !found {
-		t.Fatalf("goto loop misses its body")
+	if reaches(blockWith(t, g, isReturn), top) {
+		t.Fatalf("the return flows back to the label")
 	}
 }
 
@@ -341,9 +381,6 @@ func f(x int) int {
 	}
 	return s
 }`, "f")
-	if len(g.Loops()) != 0 {
-		t.Fatalf("switch has loops")
-	}
 	// Find the clause block holding s = 1: its successor must hold s = 2
 	// (the fallthrough edge), not the join.
 	var c0, c1 *Block
@@ -385,9 +422,6 @@ func f(a, b chan int) int {
 		return 0
 	}
 }`, "f")
-	if len(g.Loops()) != 0 {
-		t.Fatalf("select has loops")
-	}
 	if len(g.Entry.Succs) != 2 {
 		t.Fatalf("select head has %d succs, want 2", len(g.Entry.Succs))
 	}
@@ -427,23 +461,9 @@ func f(n int) int {
 	}
 	return s
 }`, "f")
-	loops := g.Loops()
-	if len(loops) != 1 {
-		t.Fatalf("got %d loops, want 1", len(loops))
-	}
 	// The post block (i++) must have at least two preds: the body end
 	// and the continue.
-	var post *Block
-	for b := range loops[0].Blocks {
-		for _, n := range b.Nodes {
-			if _, ok := n.(*ast.IncDecStmt); ok {
-				post = b
-			}
-		}
-	}
-	if post == nil {
-		t.Fatalf("post block not found")
-	}
+	post := blockWith(t, g, isIncDec)
 	if len(post.Preds) < 2 {
 		t.Fatalf("post block has %d preds, want >= 2 (fallthrough + continue)", len(post.Preds))
 	}
@@ -464,25 +484,24 @@ outer:
 	}
 	return s
 }`, "f")
-	loops := g.Loops()
-	if len(loops) != 2 {
-		t.Fatalf("got %d loops, want 2", len(loops))
-	}
-	// break outer: an inner-loop block has a successor outside BOTH loops.
-	outer, inner := loops[0], loops[1]
-	if len(outer.Blocks) < len(inner.Blocks) {
-		outer, inner = inner, outer
-	}
+	// break outer: the guard's then-block jumps straight to the block
+	// after BOTH loops, which flows back into neither.
+	guard := blockWith(t, g, func(n ast.Node) bool {
+		be, ok := n.(*ast.BinaryExpr)
+		return ok && be.Op == token.EQL
+	})
+	after := blockWith(t, g, isReturn)
 	escapes := false
-	for b := range inner.Blocks {
-		for _, s := range b.Succs {
-			if !inner.Blocks[s] && !outer.Blocks[s] {
-				escapes = true
-			}
+	for _, s := range guard.Succs {
+		if hasEdge(s, after) {
+			escapes = true
 		}
 	}
 	if !escapes {
 		t.Fatalf("break outer does not leave both loops")
+	}
+	if reaches(after, blockWith(t, g, isCond("i"))) {
+		t.Fatalf("the statement after the loops flows back into them")
 	}
 }
 

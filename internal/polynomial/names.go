@@ -59,7 +59,6 @@ func (n *Names) VarBytes(b []byte) Var {
 	if v, ok := n.byName[string(b)]; ok {
 		return v
 	}
-	//cobra:hotalloc the namespace retains the name: one string per distinct variable is the data itself
 	return n.Var(string(b))
 }
 

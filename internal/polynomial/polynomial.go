@@ -121,7 +121,7 @@ func (p Polynomial) Vars(dst []Var, seen []bool) ([]Var, []bool) {
 				}
 				continue
 			case int(t.Var) >= len(seen):
-				//cobra:hotalloc append doubles the capacity, so seen is reallocated O(log maxVar) times per set, not per term
+				// append doubles the capacity: O(log maxVar) reallocations per set, not per term.
 				seen = append(seen, make([]bool, int(t.Var)+1-len(seen))...)
 			}
 			if !seen[t.Var] {

@@ -1,10 +1,7 @@
 package provenance
 
 import (
-	"strings"
-
 	"github.com/cobra-prov/cobra/internal/engine"
-	"github.com/cobra-prov/cobra/internal/parallel"
 	"github.com/cobra-prov/cobra/internal/polynomial"
 	"github.com/cobra-prov/cobra/internal/semiring"
 	"github.com/cobra-prov/cobra/internal/sql"
@@ -32,24 +29,7 @@ func CaptureLineageN(query string, cat engine.Catalog, names *polynomial.Names, 
 	if err != nil {
 		return nil, err
 	}
-	keys := make([]string, len(out.Rows))
-	parallel.Chunks(workers, len(out.Rows), func(_, lo, hi int) {
-		for ri := lo; ri < hi; ri++ {
-			row := out.Rows[ri]
-			parts := make([]string, len(row.Values))
-			for i, v := range row.Values {
-				parts[i] = v.String()
-			}
-			keys[ri] = strings.Join(parts, "|")
-		}
-	})
-	set := polynomial.NewSet(names)
-	for ri, row := range out.Rows {
-		if err := set.Add(keys[ri], row.Ann); err != nil {
-			return nil, err
-		}
-	}
-	return set, nil
+	return renderSet(out.Rows, names, workers, -1, lineageRow)
 }
 
 // Derivable evaluates a lineage polynomial in the Boolean semiring: given

@@ -134,123 +134,6 @@ func ParameterizeColumn(rel *relation.Relation, target string, specs []VarSpec, 
 	return out, nil
 }
 
-// ParameterizeColumnN is ParameterizeColumn using up to workers goroutines.
-// Variable-name derivation and the cell multiplications shard across the
-// pool; interning stays sequential in row order, so the allocated Vars —
-// and therefore every resulting polynomial — are bit-identical to the
-// sequential path for any worker count.
-func ParameterizeColumnN(rel *relation.Relation, target string, specs []VarSpec, names *polynomial.Names, workers int) (*relation.Relation, error) {
-	if parallel.Normalize(workers) <= 1 {
-		return ParameterizeColumn(rel, target, specs, names)
-	}
-	idx, err := rel.Schema.Index(target)
-	if err != nil {
-		return nil, err
-	}
-	out := cloneRelationN(rel, workers)
-	n := len(out.Rows)
-	ns := len(specs)
-
-	// Phase 1: render variable names into per-shard byte slabs (windows in
-	// nameBytes) and classify each cell. A shard's appends may move its slab
-	// to a fresh backing; earlier windows keep pointing into the old one,
-	// whose bytes are never rewritten.
-	nameBytes := make([][]byte, n*ns)
-	cvals := make([]float64, n)
-	bases := make([]polynomial.Polynomial, n) // symbolic cells only
-	symbolic := make([]bool, n)
-	skip := make([]bool, n)
-	errs := make([]parallel.RowErr, parallel.Normalize(workers))
-	parallel.Chunks(workers, n, func(shard, lo, hi int) {
-		var slab []byte
-		for ri := lo; ri < hi; ri++ {
-			row := &out.Rows[ri]
-			v := row.Values[idx]
-			if v.IsNull() {
-				skip[ri] = true
-				continue
-			}
-			c, concrete := v.AsFloat()
-			if !concrete && v.Kind() != relation.KindPoly {
-				errs[shard] = parallel.RowErr{Err: fmt.Errorf("provenance: column %q of %s is not numeric (%s)", target, rel.Name, v.Kind()), Row: ri}
-				return
-			}
-			cvals[ri] = c
-			if !concrete {
-				symbolic[ri] = true
-				bases[ri] = v.P()
-			}
-			for si := 0; si < ns; si++ {
-				off := len(slab)
-				b, err := specs[si].AppendVarName(slab, out, *row)
-				if err != nil {
-					// The row's already-derived prefix stays in nameBytes:
-					// the sequential path interns it before this error.
-					errs[shard] = parallel.RowErr{Err: err, Row: ri}
-					return
-				}
-				slab = b
-				nameBytes[ri*ns+si] = slab[off:len(slab):len(slab)]
-			}
-		}
-	})
-
-	// Phase 2: intern sequentially in row order — Var allocation order is
-	// identical to the sequential path — and finish concrete cells directly
-	// into column-wide slabs, exactly as ParameterizeColumn does. An error
-	// aborts at the first failing row, leaving earlier rows interned.
-	firstBad := parallel.FirstRowErr(errs)
-	limit := n
-	if firstBad.Err != nil {
-		limit = firstBad.Row
-	}
-	termSlab := make([]polynomial.Term, 0, limit*ns)
-	monSlab := make([]polynomial.Monomial, n)
-	rowTerms := make([][]polynomial.Term, n) // retained for symbolic cells
-	for ri := 0; ri < limit; ri++ {
-		if skip[ri] {
-			continue
-		}
-		toff := len(termSlab)
-		for si := 0; si < ns; si++ {
-			termSlab = append(termSlab, polynomial.T(names.VarBytes(nameBytes[ri*ns+si])))
-		}
-		terms := termSlab[toff:len(termSlab):len(termSlab)]
-		switch {
-		case symbolic[ri]:
-			rowTerms[ri] = terms
-		case cvals[ri] == 0:
-			out.Rows[ri].Values[idx] = relation.Poly(polynomial.Polynomial{})
-		default:
-			monSlab[ri] = polynomial.MonoIn(cvals[ri], terms)
-			out.Rows[ri].Values[idx] = relation.Poly(polynomial.Polynomial{Mons: monSlab[ri : ri+1 : ri+1]})
-		}
-	}
-	if firstBad.Err != nil {
-		// The failing row's already-derived prefix (specs before the bad
-		// one) is interned too, leaving names in the exact state the
-		// sequential path leaves it in.
-		for si := 0; si < ns; si++ {
-			if b := nameBytes[firstBad.Row*ns+si]; b != nil {
-				names.VarBytes(b)
-			}
-		}
-		return nil, firstBad.Err
-	}
-
-	// Phase 3: symbolic cells need a general polynomial product; shard it.
-	parallel.Chunks(workers, n, func(_, lo, hi int) {
-		for ri := lo; ri < hi; ri++ {
-			if !symbolic[ri] {
-				continue
-			}
-			factor := polynomial.New(polynomial.MonoIn(1, rowTerms[ri]))
-			out.Rows[ri].Values[idx] = relation.Poly(polynomial.Mul(bases[ri], factor))
-		}
-	})
-	return out, nil
-}
-
 // cloneRelationN deep-copies a relation, sharding the row copies; each
 // shard copies its rows' values into one flat slab (see Relation.Clone).
 func cloneRelationN(rel *relation.Relation, workers int) *relation.Relation {
@@ -366,11 +249,7 @@ func CaptureN(query string, cat engine.Catalog, names *polynomial.Names, valueCo
 
 // FromRelation extracts a polynomial Set from a materialized query result.
 func FromRelation(out *relation.Relation, names *polynomial.Names, valueCol string) (*polynomial.Set, error) {
-	valIdx, err := resolveValueCol(out, valueCol)
-	if err != nil {
-		return nil, err
-	}
-	return fromRelationAt(out, names, valIdx)
+	return FromRelationN(out, names, valueCol, 1)
 }
 
 // FromRelationN is FromRelation sharding the per-row group-key rendering
@@ -381,11 +260,16 @@ func FromRelationN(out *relation.Relation, names *polynomial.Names, valueCol str
 	if err != nil {
 		return nil, err
 	}
-	// sinkRows renders across the pool and commits in row order; the
-	// partially filled set is discarded on error, so the observable
-	// behavior matches the sequential path exactly.
+	return renderSet(out.Rows, names, workers, valIdx, captureRow)
+}
+
+// renderSet collects sinkRows' output in a fresh Set. sinkRows renders
+// across the pool and commits in row order, and the partially filled set
+// is discarded on error, so the observable behavior is the same for every
+// worker count.
+func renderSet(rows []relation.Tuple, names *polynomial.Names, workers, valIdx int, render rowRenderer) (*polynomial.Set, error) {
 	set := polynomial.NewSet(names)
-	if err := sinkRows(out.Rows, workers, valIdx, captureRow, set); err != nil {
+	if err := sinkRows(rows, workers, valIdx, render, set); err != nil {
 		return nil, err
 	}
 	return set, nil
@@ -449,23 +333,6 @@ func captureRow(row relation.Tuple, valIdx int, buf []byte) ([]byte, polynomial.
 	return buf, p, nil
 }
 
-func fromRelationAt(out *relation.Relation, names *polynomial.Names, valIdx int) (*polynomial.Set, error) {
-	set := polynomial.NewSet(names)
-	var buf []byte
-	for _, row := range out.Rows {
-		b, p, err := captureRow(row, valIdx, buf[:0])
-		if err != nil {
-			return nil, err
-		}
-		buf = b
-		//cobra:hotalloc the set retains the key: one string per captured row is the data itself
-		if err := set.Add(string(b), p); err != nil {
-			return nil, err
-		}
-	}
-	return set, nil
-}
-
 // Concretize evaluates every symbolic cell of every relation under the
 // assignment, yielding a concrete catalog — "replacing the variables with
 // the corresponding values in the input" so the query can be re-executed.
@@ -513,7 +380,7 @@ func CheckCommutation(query string, cat engine.Catalog, names *polynomial.Names,
 	if err != nil {
 		return CommutationReport{}, err
 	}
-	set, err := fromRelationAt(symOut, names, valIdx)
+	set, err := renderSet(symOut.Rows, names, 1, valIdx, captureRow)
 	if err != nil {
 		return CommutationReport{}, err
 	}
@@ -527,7 +394,7 @@ func CheckCommutation(query string, cat engine.Catalog, names *polynomial.Names,
 		return CommutationReport{}, err
 	}
 	// After concretization the value column is numeric; extract positionally.
-	rerunSet, err := fromRelationAt(rerun, names, valIdx)
+	rerunSet, err := renderSet(rerun.Rows, names, 1, valIdx, captureRow)
 	if err != nil {
 		return CommutationReport{}, err
 	}

@@ -326,95 +326,6 @@ func TestCaptureNWorkerSweep(t *testing.T) {
 	}
 }
 
-// TestParameterizeColumnNWorkerSweep: parallel cell instrumentation interns
-// the identical variables and produces the identical polynomials.
-func TestParameterizeColumnNWorkerSweep(t *testing.T) {
-	base := relation.NewRelation("m", relation.NewSchema(
-		relation.Column{Name: "Cat", Kind: relation.KindString},
-		relation.Column{Name: "Row", Kind: relation.KindInt},
-		relation.Column{Name: "Val", Kind: relation.KindFloat},
-	))
-	for i := 0; i < 500; i++ {
-		val := relation.Float(float64(i) * 1.25)
-		if i%97 == 0 {
-			val = relation.Null() // null cells are skipped, not interned
-		}
-		base.Append(relation.Str([]string{"a", "b", "c"}[i%3]), relation.Int(int64(i)), val)
-	}
-	specs := []VarSpec{{Prefix: "c_", Columns: []string{"Cat"}}, {Prefix: "r", Columns: []string{"Row"}}}
-
-	wantNames := polynomial.NewNames()
-	want, err := ParameterizeColumnN(base, "Val", specs, wantNames, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 8} {
-		gotNames := polynomial.NewNames()
-		got, err := ParameterizeColumnN(base, "Val", specs, gotNames, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if wantNames.Len() != gotNames.Len() {
-			t.Fatalf("workers=%d: %d vars vs %d", workers, gotNames.Len(), wantNames.Len())
-		}
-		wa, ga := wantNames.All(), gotNames.All()
-		for i := range wa {
-			if wa[i] != ga[i] {
-				t.Fatalf("workers=%d: Var %d is %q, want %q", workers, i, ga[i], wa[i])
-			}
-		}
-		for ri := range want.Rows {
-			wv, gv := want.Rows[ri].Values[2], got.Rows[ri].Values[2]
-			if wv.Kind() != gv.Kind() {
-				t.Fatalf("workers=%d row %d: kind %s vs %s", workers, ri, gv.Kind(), wv.Kind())
-			}
-			if wv.Kind() == relation.KindPoly && !polynomial.Equal(wv.P(), gv.P()) {
-				t.Fatalf("workers=%d row %d: polynomial diverged", workers, ri)
-			}
-		}
-	}
-
-	// Error paths agree with the sequential implementation — including the
-	// state the shared namespace is left in.
-	bad := base.Clone()
-	bad.Rows[123].Values[2] = relation.Str("oops")
-	seqBadNames := polynomial.NewNames()
-	_, seqErr := ParameterizeColumnN(bad, "Val", specs, seqBadNames, 1)
-	if seqErr == nil {
-		t.Fatal("expected error")
-	}
-	for _, workers := range []int{2, 8} {
-		parBadNames := polynomial.NewNames()
-		_, err := ParameterizeColumnN(bad, "Val", specs, parBadNames, workers)
-		if err == nil || err.Error() != seqErr.Error() {
-			t.Fatalf("workers=%d: err = %v, want %v", workers, err, seqErr)
-		}
-		if seqBadNames.Len() != parBadNames.Len() {
-			t.Fatalf("workers=%d: names after error %d vs %d", workers, parBadNames.Len(), seqBadNames.Len())
-		}
-	}
-
-	// A VarSpec failing mid-row (unknown column in the second spec) must
-	// leave the namespace with the failing row's already-derived prefix
-	// interned, exactly as the sequential per-spec loop does.
-	badSpecs := []VarSpec{{Prefix: "c_", Columns: []string{"Cat"}}, {Prefix: "x", Columns: []string{"Nope"}}}
-	seqSpecNames := polynomial.NewNames()
-	_, seqSpecErr := ParameterizeColumnN(base, "Val", badSpecs, seqSpecNames, 1)
-	if seqSpecErr == nil {
-		t.Fatal("expected unknown-column error")
-	}
-	for _, workers := range []int{2, 8} {
-		parSpecNames := polynomial.NewNames()
-		_, err := ParameterizeColumnN(base, "Val", badSpecs, parSpecNames, workers)
-		if err == nil || err.Error() != seqSpecErr.Error() {
-			t.Fatalf("workers=%d: err = %v, want %v", workers, err, seqSpecErr)
-		}
-		if seqSpecNames.Len() != parSpecNames.Len() {
-			t.Fatalf("workers=%d: names after mid-row spec error %d vs %d", workers, parSpecNames.Len(), seqSpecNames.Len())
-		}
-	}
-}
-
 // TestAnnotateTuplesNWorkerSweep: tuple-level instrumentation is identical
 // for any worker count.
 func TestAnnotateTuplesNWorkerSweep(t *testing.T) {

@@ -170,6 +170,10 @@ func lineageRow(row relation.Tuple, _ int, buf []byte) ([]byte, polynomial.Polyn
 	return buf, row.Ann, nil
 }
 
+// A rowRenderer appends one row's key to buf and returns it with the row's
+// polynomial: captureRow (value provenance) or lineageRow.
+type rowRenderer func(row relation.Tuple, valIdx int, buf []byte) ([]byte, polynomial.Polynomial, error)
+
 // sinkRows renders a batch of rows into (key, polynomial) pairs across up
 // to workers goroutines and feeds them to sink sequentially in row order,
 // stopping at the first failing row in row order — so the sequence of Add
@@ -177,7 +181,7 @@ func lineageRow(row relation.Tuple, _ int, buf []byte) ([]byte, polynomial.Polyn
 // boundaries and spill schedule) is bit-identical for every worker count.
 // Renderers append key bytes to a per-worker scratch buffer reused across
 // the batch's rows; only the retained key string is allocated per row.
-func sinkRows(rows []relation.Tuple, workers int, valIdx int, render func(relation.Tuple, int, []byte) ([]byte, polynomial.Polynomial, error), sink polynomial.SetSink) error {
+func sinkRows(rows []relation.Tuple, workers int, valIdx int, render rowRenderer, sink polynomial.SetSink) error {
 	if parallel.Normalize(workers) <= 1 {
 		var buf []byte
 		for _, row := range rows {
@@ -186,7 +190,6 @@ func sinkRows(rows []relation.Tuple, workers int, valIdx int, render func(relati
 				return err
 			}
 			buf = b
-			//cobra:hotalloc the sink retains the key: one string per captured row is the data itself
 			if err := sink.Add(string(b), p); err != nil {
 				return err
 			}
@@ -206,7 +209,6 @@ func sinkRows(rows []relation.Tuple, workers int, valIdx int, render func(relati
 				return
 			}
 			buf = b
-			//cobra:hotalloc the keys array retains its strings: one per captured row is the data itself
 			keys[ri], polys[ri] = string(b), p
 		}
 	})

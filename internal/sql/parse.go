@@ -168,7 +168,6 @@ func (p *parser) parseSelect() (*SelectStmt, error) {
 		if stmt.Where == nil {
 			stmt.Where = c
 		} else {
-			//cobra:hotalloc the parser's output AST allocates one node per operator, once per query text
 			stmt.Where = &Binary{Op: "AND", L: stmt.Where, R: c}
 		}
 	}
@@ -275,7 +274,6 @@ func (p *parser) parseOr() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		//cobra:hotalloc the parser's output AST allocates one node per operator, once per query text
 		l = &Binary{Op: "OR", L: l, R: r}
 	}
 	return l, nil
@@ -291,7 +289,6 @@ func (p *parser) parseAnd() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		//cobra:hotalloc the parser's output AST allocates one node per operator, once per query text
 		l = &Binary{Op: "AND", L: l, R: r}
 	}
 	return l, nil
@@ -402,7 +399,6 @@ func (p *parser) parseAdditive() (Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			//cobra:hotalloc the parser's output AST allocates one node per operator, once per query text
 			l = &Binary{Op: t.text, L: l, R: r}
 			continue
 		}
@@ -423,7 +419,6 @@ func (p *parser) parseMultiplicative() (Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			//cobra:hotalloc the parser's output AST allocates one node per operator, once per query text
 			l = &Binary{Op: t.text, L: l, R: r}
 			continue
 		}

@@ -161,7 +161,6 @@ func (p *planner) resolveIdent(id *Ident) (string, error) {
 	}
 	found := ""
 	for _, pt := range p.tables {
-		//cobra:hotalloc name resolution probes a handful of tables once per query
 		if _, err := pt.schema.Index(pt.alias + "." + id.Name); err == nil {
 			if found != "" {
 				return "", fmt.Errorf("sql: ambiguous column %q (in %s and %s)", id.Name, found, pt.alias)
@@ -395,7 +394,6 @@ func (p *planner) applyCovered(cur engine.Iterator, joined map[string]bool) (eng
 		if ep.used || !joined[ep.lTable] || !joined[ep.rTable] {
 			continue
 		}
-		//cobra:hotalloc one synthetic predicate node per equi predicate, at plan time
 		bound, err := bind(&Binary{Op: "=", L: ep.l, R: ep.r}, cur.Schema())
 		if err != nil {
 			return nil, err
@@ -460,7 +458,6 @@ func (p *planner) buildUpper(cur engine.Iterator) (engine.Iterator, error) {
 		if stmt.Star {
 			for i, c := range cur.Schema().Cols {
 				projections = append(projections, engine.Projection{
-					//cobra:hotalloc one projection per output column, at plan time
 					Expr: &engine.ColRef{Idx: i, Name: c.Qualified()},
 					Name: c.Name,
 				})

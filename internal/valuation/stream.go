@@ -23,7 +23,6 @@ import (
 func EvalBatchSource(src polynomial.SetSource, assignments []*Assignment, workers int) ([][]float64, error) {
 	out := make([][]float64, len(assignments))
 	for i := range out {
-		//cobra:hotalloc one result row per assignment; the rows are the return value
 		out[i] = make([]float64, 0, src.Len())
 	}
 	var rows [][]float64

@@ -164,7 +164,8 @@ func Induced(base *Assignment, cuts ...abstraction.Cut) *Assignment {
 		vars = append(vars, e.v)
 	}
 	for k, c := range cuts {
-		//cobra:hotalloc the closure does not outlive ContainsFunc, so it stays on the stack (TestScenarioPathAllocations)
+		// The closure does not outlive ContainsFunc, so it stays on the
+		// stack (TestScenarioPathAllocations).
 		if slices.ContainsFunc(cuts[:k], func(p abstraction.Cut) bool { return p.Tree == c.Tree }) {
 			continue // averaged with the first cut of its tree
 		}

@@ -173,21 +173,110 @@ const (
 	maxRequestBody = 8 << 20
 )
 
-// decodeJSON decodes a request body of at most limit bytes into v,
-// answering 413 for an overrun and 400 for anything else it cannot decode.
-func decodeJSON(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeErr(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
-			return false
-		}
+// Work caps: the byte caps bound what a request may send, these bound what
+// it may ask for. An eval answers assignments × polynomials float64s, so a
+// 3 MB body of a million empty assignments asks for a gigabyte of rows; both
+// sit far above real traffic (a 64-scenario batch over paper-scale
+// telephony is 67 520 cells, a bound slider sends a handful of bounds).
+const (
+	// maxEvalCells caps assignments × polynomials of one eval request.
+	maxEvalCells = 1 << 22
+	// maxBoundsPerSweep caps the bounds of one sweep request.
+	maxBoundsPerSweep = 4096
+)
+
+// evalCapError reports an eval request over maxEvalCells.
+type evalCapError struct{ polys int }
+
+func (e evalCapError) Error() string {
+	return fmt.Sprintf("assignments x %d polynomials exceeds %d result cells per request", e.polys, maxEvalCells)
+}
+
+// decodeBody runs decode over a request body of at most limit bytes,
+// answering 413 for an overrun of the byte cap or the eval cell cap and 400
+// for anything else it cannot decode.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, decode func(*json.Decoder) error) bool {
+	err := decode(json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)))
+	var tooBig *http.MaxBytesError
+	var tooMuch evalCapError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooBig):
+		writeErr(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
+	case errors.As(err, &tooMuch):
+		writeErr(w, http.StatusRequestEntityTooLarge, "%v", tooMuch)
+	default:
 		writeErr(w, http.StatusBadRequest, "decoding request: %v", err)
-		return false
 	}
-	return true
+	return false
+}
+
+// decodeJSON decodes a request body of at most limit bytes into v.
+func decodeJSON(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
+	return decodeBody(w, r, limit, func(dec *json.Decoder) error {
+		dec.DisallowUnknownFields()
+		return dec.Decode(v)
+	})
+}
+
+// decodeEval reads an EvalRequest member by member and assignment by
+// assignment, and fails with an evalCapError at the first assignment whose
+// row would take the response past maxEvalCells. The count cannot wait for
+// the decoded slice: decoding a 3 MB body of a million `{}` whole builds a
+// million maps (101 MB) before anything can look at its length. Members
+// match as encoding/json matches them (case folded, unknown ones refused,
+// null leaves the field alone).
+func decodeEval(dec *json.Decoder, polys int, req *EvalRequest) error {
+	tok, err := dec.Token()
+	if err != nil || tok == nil {
+		return err
+	}
+	if tok != json.Delim('{') {
+		return errors.New("json: want an object")
+	}
+	for dec.More() {
+		key, err := dec.Token()
+		if err != nil {
+			return err
+		}
+		switch name := key.(string); { // a member name: Token refuses anything else here
+		case strings.EqualFold(name, "workers"):
+			err = dec.Decode(&req.Workers)
+		case strings.EqualFold(name, "assignments"):
+			err = decodeAssignments(dec, polys, &req.Assignments)
+		default:
+			err = fmt.Errorf("json: unknown field %q", name)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	_, err = dec.Token() // the closing }
+	return err
+}
+
+func decodeAssignments(dec *json.Decoder, polys int, list *[]map[string]float64) error {
+	tok, err := dec.Token()
+	if err != nil || tok == nil {
+		return err
+	}
+	if tok != json.Delim('[') {
+		return errors.New("json: assignments: want an array")
+	}
+	*list = []map[string]float64{}
+	for dec.More() {
+		if (len(*list)+1)*polys > maxEvalCells {
+			return evalCapError{polys}
+		}
+		var vals map[string]float64
+		if err := dec.Decode(&vals); err != nil {
+			return err
+		}
+		*list = append(*list, vals)
+	}
+	_, err = dec.Token() // the closing ]
+	return err
 }
 
 // writeSolveErr maps a solver error to a status: client cancellations get
@@ -428,7 +517,7 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req EvalRequest
-	if !decodeJSON(w, r, maxRequestBody, &req) {
+	if !decodeBody(w, r, maxRequestBody, func(dec *json.Decoder) error { return decodeEval(dec, ds.Len(), &req) }) {
 		return
 	}
 	names := ds.Names()
@@ -477,6 +566,10 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	var req SweepRequest
 	if !decodeJSON(w, r, maxRequestBody, &req) {
+		return
+	}
+	if len(req.Bounds) > maxBoundsPerSweep {
+		writeErr(w, http.StatusRequestEntityTooLarge, "%d bounds exceeds %d per request", len(req.Bounds), maxBoundsPerSweep)
 		return
 	}
 	workers := s.clampWorkers(req.Workers)

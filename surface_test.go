@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -36,6 +37,33 @@ func TestFacadeSurface(t *testing.T) {
 	for _, group := range file.Comments {
 		if strings.Contains(group.Text(), marker) {
 			t.Errorf("%s: a comment carries the %s marker", fset.Position(group.Pos()), marker)
+		}
+	}
+}
+
+// TestLibraryDoesNotLinkTheHarness: no non-test file of the root package
+// imports the experiment runners or the data generators, so importing cobra
+// links neither. The harness depends on the library (E3/E5/E8 call
+// MeasureSpeedup), never the other way round.
+func TestLibraryDoesNotLinkTheHarness(t *testing.T) {
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		file, err := parser.ParseFile(fset, name, nil, parser.ImportsOnly)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, imp := range file.Imports {
+			path := strings.Trim(imp.Path.Value, `"`)
+			if strings.HasSuffix(path, "/internal/experiments") || strings.Contains(path, "/internal/datagen/") {
+				t.Errorf("%s imports %s", name, path)
+			}
 		}
 	}
 }
