@@ -206,8 +206,9 @@ func TreeFromJSON(data []byte, names *Names) (*Tree, error) {
 
 // Apply applies cuts to an in-memory set, returning the compressed set,
 // using opts.Workers goroutines; the compressed set is bit-identical for
-// every worker count. To apply cuts to an out-of-core set, open it as a
-// Dataset and use Dataset.Apply.
+// every worker count (merged coefficients follow the package
+// documentation's "Summation order"). To apply cuts to an out-of-core set,
+// open it as a Dataset and use Dataset.Apply.
 func Apply(set *Set, opts Options, cuts ...Cut) *Set {
 	return abstraction.Apply(set, opts.Workers, cuts...)
 }

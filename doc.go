@@ -167,10 +167,11 @@
 // sharded — signature indexing (each worker scans a contiguous run of
 // whole polynomials into per-node counters of its own, and the counters
 // are added up: integer sums, so their order cannot matter), cut
-// application (each polynomial mapped by the exact sequential code,
-// preserving float summation order), chunked
-// scenario evaluation (each row written
-// to its own slot from a per-worker arena), tuple-level instrumentation
+// application (polynomials are the unit: each one is mapped and merged
+// sequentially, in its own canonical order, by one worker, so the float
+// summation order below holds whatever the worker count, shard layout or
+// source representation), chunked scenario evaluation (each row written to
+// its own slot from a per-worker arena), tuple-level instrumentation
 // and the rendering of captured rows (contiguous row ranges, with variable
 // interning kept sequential so Var allocation order never changes).
 // Streaming capture preserves the same guarantee: rows render in parallel
@@ -418,19 +419,29 @@
 // per probe row. On the running example the two joins keep 4 of 6 and 3 of
 // 9 columns.
 //
-// Summation order. A symbolic SUM, COUNT or AVG — and a group's annotation
-// — merges each row's monomials into an accumulator keyed on the term
-// vector as the rows arrive; only the distinct term vectors are sorted at
-// the end, and SUM over a product of one symbolic factor and any number of
+// Summation order. There is one rule wherever monomials merge, for capture
+// and for cut application: a merged coefficient is the left-to-right
+// float64 sum of its contributions in the order they arrive, term vectors
+// whose sum is exactly zero are dropped, and only the distinct term vectors
+// are sorted at the end (polynomial.Accumulator).
+//
+// Capture: a symbolic SUM, COUNT or AVG — and a group's annotation —
+// merges each row's monomials as the rows arrive, so the arrival order is
+// input-row order, with the sum of the group's concrete contributions added
+// last; SUM over a product of one symbolic factor and any number of
 // concrete ones feeds coefficient·factor·factor… straight in, multiplied in
 // the order the product is written, without building a scaled polynomial
-// (a row where a factor zeroes a coefficient takes the plain route). A merged coefficient is
-// therefore the left-to-right float64 sum of its contributions in input-row
-// order, with the sum of the group's concrete contributions added last.
-// This replaced "collect every monomial, sort, merge neighbours", which
-// sorted 12 000 monomials per group to keep 132 and left the order of a
-// float sum to whatever the sort did with equal keys; the arrival order is
-// both cheaper and something that can be stated.
+// (a row where a factor zeroes a coefficient takes the plain route).
+//
+// Cut application (Apply, Compress, Dataset.Apply): a polynomial's
+// monomials are substituted and merged in the polynomial's canonical
+// order, which is the same for every worker count and every source.
+//
+// Both replaced "collect every monomial, sort, merge neighbours", which
+// sorted 12 000 monomials per group to keep 132 — and 210 per store to keep
+// 56 — and left the order of a float sum to whatever the sort did with
+// equal keys; the arrival order is both cheaper and something that can be
+// stated.
 //
 // # Iterator lifecycle
 //

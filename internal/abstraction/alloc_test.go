@@ -17,12 +17,15 @@ func (d *discardSink) Add(_ string, p polynomial.Polynomial) error {
 	return nil
 }
 
-// TestApplySourceAllocations pins the invariant PR 14's slab-based cut
-// application established: remapping carves monomials and terms from
-// per-run slabs, so it allocates a bounded number of objects per polynomial
-// — not one per monomial. On the retail shape (1000 polynomials, ≈210 000
-// monomials, five SKUs merging into one) it measures ≈ 3.3 per polynomial
-// and the bound is 4; a term slice per mapped monomial was ≈ 200.
+// TestApplySourceAllocations pins the two halves of cut application's
+// memory discipline on the retail shape (1000 polynomials, ≈210 000
+// monomials, five SKUs merging into one). Allocation: a worker reuses its
+// accumulator and term arena from polynomial to polynomial, so a polynomial
+// costs its own monomial and term storage and nothing per monomial — ≈ 2.4
+// objects per polynomial measured, the bound is 4; merging on arrival with
+// a fresh accumulator per polynomial took 19, a term slice per mapped
+// monomial ≈ 200. Retention: that storage is exactly the compressed size,
+// so a compressed set keeps nothing input-sized alive.
 func TestApplySourceAllocations(t *testing.T) {
 	set, cut := retailShaped()
 	sink := &discardSink{}
@@ -37,5 +40,15 @@ func TestApplySourceAllocations(t *testing.T) {
 	}
 	if runs := sink.polys / set.Len(); runs == 0 || sink.mons/runs >= set.Size() {
 		t.Fatalf("the cut merged nothing: %d monomials in, %d out over %d runs", set.Size(), sink.mons, runs)
+	}
+	for i, p := range abstraction.Apply(set, 1, cut).Polys {
+		terms := 0
+		for _, m := range p.Mons {
+			terms += cap(m.Terms)
+		}
+		if cap(p.Mons) != len(p.Mons) || terms != p.NumTerms() {
+			t.Fatalf("polynomial %d holds room for %d monomials and %d terms, has %d and %d",
+				i, cap(p.Mons), terms, len(p.Mons), p.NumTerms())
+		}
 	}
 }

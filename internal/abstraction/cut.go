@@ -156,10 +156,11 @@ func (c Cut) Equal(o Cut) bool {
 
 // Apply applies one or more cuts (over disjoint trees) to an in-memory
 // polynomial set, returning the compressed set. Up to workers goroutines
-// shard the variable remapping across polynomials (and, for sets dominated
-// by a few large polynomials, across monomial ranges within them); the
-// compressed set is bit-identical for every worker count, and workers <= 1
-// runs the sequential path.
+// share the polynomials between them; each polynomial is substituted and
+// merged sequentially, a merged coefficient being the left-to-right float64
+// sum of its contributions in the polynomial's canonical order, so the
+// compressed set is bit-identical for every worker count. It shares no
+// storage with s and holds exactly its own size.
 func Apply(s *polynomial.Set, workers int, cuts ...Cut) *polynomial.Set {
 	return s.MapVarsN(cutMapping(cuts), workers)
 }
@@ -190,11 +191,13 @@ func cutMapping(cuts []Cut) func(polynomial.Var) polynomial.Var {
 }
 
 // ApplySource is the one streaming implementation behind every cut
-// application: it remaps src shard-at-a-time (each shard through the exact
-// MapVarsN code, parallel within the shard) and feeds the compressed
-// polynomials to sink in shard order. Whatever the source and sink —
-// in-memory Set to Set, spilling ShardedSet to ShardBuilder, or any mix —
-// the emitted polynomials are bit-identical for every worker count.
+// application: it remaps src shard-at-a-time (each shard through
+// Set.MapVarsN, its polynomials spread over the workers) and feeds the
+// compressed polynomials to sink in shard order. A polynomial never spans
+// shards and is merged by one worker in its own canonical order, so
+// whatever the source and sink — in-memory Set to Set, spilling ShardedSet
+// to ShardBuilder, or any mix — the emitted polynomials are bit-identical
+// for every worker count.
 func ApplySource(src polynomial.SetSource, sink polynomial.SetSink, workers int, cuts ...Cut) error {
 	f := cutMapping(cuts)
 	return polynomial.ForEachShardN(src, workers, func(_, _ int, shard *polynomial.Set) error {

@@ -6,16 +6,16 @@ import (
 	"testing"
 )
 
-// bigMapInstance builds a polynomial large enough to cross minParallelMons,
-// with colliding term vectors so the merge path (including the float
-// summation order of merged coefficients) is exercised.
+// bigMapInstance builds a polynomial of 12 288 monomials with colliding
+// term vectors, so the merge path (including the float summation order of
+// merged coefficients) is exercised.
 func bigMapInstance(r *rand.Rand, names *Names) Polynomial {
 	vars := make([]Var, 40)
 	for i := range vars {
 		vars[i] = names.Var(fmt.Sprintf("v%d", i))
 	}
 	var b Builder
-	for m := 0; m < 3*minParallelMons; m++ {
+	for m := 0; m < 12288; m++ {
 		b.Add(r.Float64()*2-1,
 			TExp(vars[r.Intn(len(vars))], int32(1+r.Intn(2))),
 			T(vars[r.Intn(len(vars))]))
@@ -28,7 +28,7 @@ func TestSetMapVarsNBitIdentical(t *testing.T) {
 	names := NewNames()
 	f := func(v Var) Var { return v &^ 1 }
 
-	// Many small polynomials: exercises the across-polynomials branch.
+	// Many small polynomials, spread over the workers.
 	many := NewSet(names)
 	for g := 0; g < 64; g++ {
 		var b Builder
@@ -37,7 +37,7 @@ func TestSetMapVarsNBitIdentical(t *testing.T) {
 		}
 		many.Add(fmt.Sprintf("g%d", g), b.Polynomial())
 	}
-	// One large polynomial: exercises the within-polynomial sharding branch.
+	// One large polynomial: fewer polynomials than workers.
 	one := NewSet(names)
 	one.Add("big", bigMapInstance(r, names))
 

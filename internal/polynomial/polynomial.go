@@ -96,11 +96,15 @@ func (p Polynomial) MaxDegree() int {
 	return d
 }
 
-// Clone returns a deep copy of p.
+// Clone returns a deep copy of p in storage of exactly its size: one array
+// of monomials, one of terms.
 func (p Polynomial) Clone() Polynomial {
 	out := Polynomial{Mons: make([]Monomial, len(p.Mons))}
+	slab := make([]Term, p.NumTerms())
 	for i, m := range p.Mons {
-		out.Mons[i] = m.Clone()
+		n := copy(slab, m.Terms)
+		out.Mons[i] = Monomial{Coef: m.Coef, Terms: slab[:n:n]}
+		slab = slab[n:]
 	}
 	return out
 }
@@ -233,20 +237,40 @@ func Mul(p, q Polynomial) Polynomial {
 // MapVars returns p with every variable v replaced by f(v), re-canonicalized
 // (monomials that become equal are merged). This is the algebraic operation
 // behind abstraction: replacing leaf variables by their meta-variable.
+//
+// Summation order: the Accumulator's — a merged coefficient is the
+// left-to-right float64 sum of its contributions in p's canonical order.
+// The result owns exactly-sized storage and shares none with p.
 func MapVars(p Polynomial, f func(Var) Var) Polynomial {
-	return MapVarsN(p, f, 1)
+	return new(mapper).mapVars(p, f)
 }
 
-// mapMons writes to dst[i] the monomial src[i] with f applied to every
-// variable, canonical again. All mapped terms are carved from one slab; a
-// monomial is re-sorted and merged only when the substitution broke its
-// order, repeated a variable, or the input carried a zero exponent.
-func mapMons(dst, src []Monomial, f func(Var) Var) {
-	slab := make([]Term, Polynomial{Mons: src}.NumTerms())
-	for i, m := range src {
+// mapper is the state one worker reuses from polynomial to polynomial in
+// MapVars, so that a polynomial costs two allocations — its monomials and
+// its terms — whatever its size.
+type mapper struct {
+	acc   Accumulator // the distinct mapped term vectors of the current polynomial
+	arena []Term      // what those vectors are carved from
+}
+
+// mapVars is MapVars merging on arrival: each monomial is mapped into the
+// tail of the arena (re-sorted and merged only when the substitution broke
+// its order, repeated a variable, or the input carried a zero exponent) and
+// added to the accumulator, which keeps the tail if the vector is new and
+// otherwise leaves it to be overwritten by the next monomial. Only the
+// distinct vectors are sorted.
+func (w *mapper) mapVars(p Polynomial, f func(Var) Var) Polynomial {
+	a := &w.acc
+	a.mons, a.hashes = a.mons[:0], a.hashes[:0] // emptied, storage kept; see rehash
+	arena := w.arena[:0]
+	for _, m := range p.Mons {
 		n := len(m.Terms)
-		nm := Monomial{Coef: m.Coef, Terms: slab[:n:n]}
-		slab = slab[n:]
+		if cap(arena)-len(arena) < n {
+			// Vectors already kept stay in the chunk they were carved
+			// from; only the newest chunk is reused.
+			arena = make([]Term, 0, max(2*cap(arena), n, 512))
+		}
+		nm := Monomial{Terms: arena[len(arena) : len(arena)+n]}
 		canonical := true
 		for j, t := range m.Terms {
 			v := f(t.Var)
@@ -258,8 +282,16 @@ func mapMons(dst, src []Monomial, f func(Var) Var) {
 		if !canonical {
 			nm.normalize()
 		}
-		dst[i] = nm
+		if n = len(nm.Terms); a.Add(m.Coef, nm.Terms[:n:n]) {
+			arena = arena[:len(arena)+n]
+		}
 	}
+	w.arena = arena
+	mons := a.sorted()
+	if len(mons) == 0 {
+		return Polynomial{}
+	}
+	return Polynomial{Mons: mons}.Clone()
 }
 
 // Eval evaluates p under the valuation val.

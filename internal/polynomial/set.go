@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+
+	"github.com/cobra-prov/cobra/internal/parallel"
 )
 
 // Set is an ordered collection of named provenance polynomials sharing one
@@ -100,11 +102,23 @@ func (s *Set) Poly(key string) (Polynomial, bool) {
 // MapVars returns a new Set with every variable remapped through f,
 // re-canonicalizing each polynomial (this is where compression happens:
 // monomials that become identical merge). The namespace is shared.
-func (s *Set) MapVars(f func(Var) Var) *Set {
+func (s *Set) MapVars(f func(Var) Var) *Set { return s.MapVarsN(f, 1) }
+
+// MapVarsN is MapVars over up to workers goroutines. Polynomials are the
+// unit of parallelism — contiguous ranges of them, each range through one
+// worker's reused scratch — and each polynomial is mapped and merged by the
+// sequential MapVars code, so the output, float summation order included,
+// is bit-identical for every worker count. A single polynomial is never
+// split: mapping its monomials in parallel ahead of the sequential merge
+// measured 0.78x at 2 workers on 104 000 monomials.
+func (s *Set) MapVarsN(f func(Var) Var, workers int) *Set {
 	out := &Set{Names: s.Names, Keys: append([]string(nil), s.Keys...), Polys: make([]Polynomial, len(s.Polys))}
-	for i, p := range s.Polys {
-		out.Polys[i] = MapVars(p, f)
-	}
+	parallel.Chunks(workers, len(s.Polys), func(_, lo, hi int) {
+		var w mapper
+		for i := lo; i < hi; i++ {
+			out.Polys[i] = w.mapVars(s.Polys[i], f)
+		}
+	})
 	return out
 }
 

@@ -14,23 +14,18 @@ import (
 	"github.com/cobra-prov/cobra/serve"
 )
 
-// BenchmarkServeEvalBatch measures sustained EvalBatch throughput against
-// the daemon in its steady state: a telephony dataset captured and
-// compressed once, scenario requests answered from the compressed
-// provenance over HTTP. Reported in req/s (the driver checks the floor).
-func BenchmarkServeEvalBatch(b *testing.B) {
-	srv := serve.New(serve.Config{MaxWorkers: 4})
-	defer srv.Close()
-
+// compressedTelephony returns the telephony provenance of the given number
+// of customers compressed to size/divisor, and its namespace.
+func compressedTelephony(b *testing.B, customers, divisor int) (*cobra.Names, *cobra.Dataset) {
 	names := cobra.NewNames()
-	set := telephony.DirectProvenance(telephony.Config{Customers: 5000}, names)
+	set := telephony.DirectProvenance(telephony.Config{Customers: customers}, names)
 	full, err := cobra.OpenDataset("tel", set, cobra.Forest{telephony.PlansTree(names)}, cobra.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer full.Close()
+	b.Cleanup(func() { full.Close() })
 	ctx := context.Background()
-	res, err := full.Compress(ctx, set.Size()/4)
+	res, err := full.Compress(ctx, set.Size()/divisor)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -38,6 +33,17 @@ func BenchmarkServeEvalBatch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	return names, small
+}
+
+// BenchmarkServeEvalBatch measures sustained EvalBatch throughput against
+// the daemon in its steady state: a telephony dataset captured and
+// compressed once, scenario requests answered from the compressed
+// provenance over HTTP. Reported in req/s (the driver checks the floor).
+func BenchmarkServeEvalBatch(b *testing.B) {
+	srv := serve.New(serve.Config{MaxWorkers: 4})
+	defer srv.Close()
+	_, small := compressedTelephony(b, 5000, 4)
 	if err := srv.Register("tel-small", small); err != nil {
 		b.Fatal(err)
 	}
@@ -139,4 +145,52 @@ func BenchmarkServeSweep(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/s")
+}
+
+// BenchmarkServeHandler is the serve layer's own row: one sparse what-if
+// ({"m3": 0.8}, one worker) on the paper-scale telephony set compressed to
+// a third (1 055 polynomials), answered by the eval route — mux, request
+// decode, name resolution, worker gate, evaluation, response encode — into
+// an httptest.ResponseRecorder, beside the same evaluation called directly.
+// No socket and no client: the difference of the two rows is what the
+// handler adds to a Dataset.EvalBatch.
+func BenchmarkServeHandler(b *testing.B) {
+	names, comp := compressedTelephony(b, 1_000_000, 3)
+	srv := serve.New(serve.Config{MaxWorkers: 1})
+	defer srv.Close()
+	if err := srv.Register("comp", comp); err != nil {
+		b.Fatal(err)
+	}
+	body, err := json.Marshal(serve.EvalRequest{Assignments: []map[string]float64{{"m3": 0.8}}, Workers: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	microsPerOp := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "µs/op")
+	}
+
+	b.Run("handler", func(b *testing.B) {
+		h := srv.Handler()
+		for b.Loop() {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/datasets/comp/eval", bytes.NewReader(body)))
+			if rec.Code != http.StatusOK {
+				b.Fatalf("status %d: %s", rec.Code, rec.Body)
+			}
+		}
+		microsPerOp(b)
+	})
+	b.Run("direct", func(b *testing.B) {
+		scenario := []*cobra.Assignment{cobra.NewAssignment(names).MustSet("m3", 0.8)}
+		for b.Loop() {
+			rows, err := comp.EvalBatch(context.Background(), scenario)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if len(rows[0]) != comp.Len() {
+				b.Fatalf("%d cells for %d polynomials", len(rows[0]), comp.Len())
+			}
+		}
+		microsPerOp(b)
+	})
 }
