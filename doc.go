@@ -92,11 +92,17 @@
 //
 // # Evaluation
 //
-// A compiled Program holds the polynomials as flat arrays. Compile notes
-// whether every exponent is 1 — all SUM provenance is — and such a program
-// runs a kernel that loads no exponents and takes no branch per term;
-// programs with higher powers keep the general kernel. Both multiply a
-// monomial left to right and add a polynomial's monomials in order.
+// A compiled Program holds the polynomials as flat arrays, and Compile
+// picks one of three kernels for it. A program with a higher power runs
+// the general kernel. One whose exponents are all 1 — all SUM provenance's
+// are — runs a kernel that loads no exponents and takes no branch per
+// term. One that also has the same number of terms, one or two, in every
+// monomial — plan·month and sku·week, a group's month — runs a stride
+// kernel, which steps through the terms by that number instead of reading
+// where each monomial ends. Every kernel follows one rule: a monomial is
+// multiplied left to right and a polynomial's monomials are added in
+// order, so the rows are bit-identical whichever kernel runs. An
+// out-of-core pass picks the kernel again for every shard.
 //
 // A what-if scenario moves a few variables off 1 and leaves the rest, so
 // the first EvalBatch on a Program builds, once, an index from each

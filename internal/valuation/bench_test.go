@@ -3,6 +3,7 @@ package valuation
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"github.com/cobra-prov/cobra/internal/abstraction"
@@ -12,9 +13,10 @@ import (
 // retailShaped builds a seeded program of the shape the sparse path is for:
 // 1000 polynomials (stores) of ≈200 two-term monomials coef·sku·week over
 // ≈600 variables, each store stocking 15 of 500 SKUs over a 14-week season.
-// With squareWeeks every fourth monomial carries week², which puts the
-// program on the generic kernel with nothing else changed.
-func retailShaped(squareWeeks bool) (*polynomial.Set, []polynomial.Var) {
+// For kernel "generic" every fourth monomial carries week², and for "exp1"
+// a third term, which puts the program on that kernel with nothing else
+// changed; any other kernel gets the two-term shape.
+func retailShaped(kernel string) (*polynomial.Set, []polynomial.Var) {
 	r := rand.New(rand.NewSource(1))
 	names := polynomial.NewNames()
 	skus := make([]polynomial.Var, 500)
@@ -25,8 +27,9 @@ func retailShaped(squareWeeks bool) (*polynomial.Set, []polynomial.Var) {
 	for i := range weeks {
 		weeks[i] = names.Var(fmt.Sprintf("wk%d", i))
 	}
-	for i := 0; i < 48; i++ {
-		names.Var(fmt.Sprintf("spare%d", i))
+	spares := make([]polynomial.Var, 48)
+	for i := range spares {
+		spares[i] = names.Var(fmt.Sprintf("spare%d", i))
 	}
 	set := polynomial.NewSet(names)
 	for st := 0; st < 1000; st++ {
@@ -34,11 +37,15 @@ func retailShaped(squareWeeks bool) (*polynomial.Set, []polynomial.Var) {
 		var b polynomial.Builder
 		for _, s := range r.Perm(len(skus))[:15] {
 			for w := first; w < first+14; w++ {
-				e := int32(1)
-				if squareWeeks && (s+w)%4 == 0 {
-					e = 2
+				terms := []polynomial.Term{polynomial.T(skus[s]), polynomial.T(weeks[w])}
+				switch {
+				case (s+w)%4 != 0:
+				case kernel == "generic":
+					terms[1].Exp = 2
+				case kernel == "exp1":
+					terms = append(terms, polynomial.T(spares[s%len(spares)]))
 				}
-				b.Add(1+float64(r.Intn(9000))/100, polynomial.T(skus[s]), polynomial.TExp(weeks[w], e))
+				b.Add(1+float64(r.Intn(9000))/100, terms...)
 			}
 		}
 		if err := set.Add(fmt.Sprintf("store%d", st), b.Polynomial()); err != nil {
@@ -48,14 +55,101 @@ func retailShaped(squareWeeks bool) (*polynomial.Set, []polynomial.Var) {
 	return set, skus
 }
 
+// telephonyShaped builds a program of whatif_telephony's shape (this
+// package cannot import datagen/telephony): zips polynomials of 132
+// two-term monomials coef·plan·month over 11 plans and 12 months, so each
+// of the 23 variables is in every polynomial.
+func telephonyShaped(zips int) *polynomial.Set {
+	r := rand.New(rand.NewSource(5))
+	names := polynomial.NewNames()
+	set := polynomial.NewSet(names)
+	for z := 0; z < zips; z++ {
+		var b polynomial.Builder
+		for plan := 0; plan < 11; plan++ {
+			for m := 0; m < 12; m++ {
+				b.Add(1+float64(r.Intn(900000))/100,
+					polynomial.T(names.Var(fmt.Sprintf("plan%d", plan))), polynomial.T(names.Var(fmt.Sprintf("mo%d", m))))
+			}
+		}
+		if err := set.Add(fmt.Sprintf("zip%d", z), b.Polynomial()); err != nil {
+			panic(err)
+		}
+	}
+	return set
+}
+
+// tpchShaped builds a one-term program of capture_tpch's shape, larger: 1500
+// groups, each a sum of coef·month over the 84 ship months of dateShaped's
+// tree, which it returns too.
+func tpchShaped() (*polynomial.Set, *abstraction.Tree) {
+	r := rand.New(rand.NewSource(6))
+	names := polynomial.NewNames()
+	tree := dateShaped(names)
+	set := polynomial.NewSet(names)
+	for g := 0; g < 1500; g++ {
+		var b polynomial.Builder
+		for _, leaf := range tree.Leaves() {
+			b.Add(1+float64(r.Intn(9000))/100, polynomial.T(tree.Node(leaf).Var))
+		}
+		if err := set.Add(fmt.Sprintf("group%d", g), b.Polynomial()); err != nil {
+			panic(err)
+		}
+	}
+	return set, tree
+}
+
+// denseRows are BenchmarkProgramEval's full-pass rows, each named after the
+// kernel its program compiles to (and a shape, after a dash).
+var denseRows = []string{"generic", "exp1", "arity2", "arity2-telephony", "arity1"}
+
+// denseShaped returns the set of a denseRows row.
+func denseShaped(row string) *polynomial.Set {
+	switch row {
+	case "arity2-telephony":
+		return telephonyShaped(1055)
+	case "arity1":
+		set, _ := tpchShaped()
+		return set
+	}
+	set, _ := retailShaped(row)
+	return set
+}
+
+// kernelOf names the kernel evalPoly runs for prog.
+func kernelOf(prog *Program) string {
+	switch {
+	case prog.arity != 0:
+		return fmt.Sprintf("arity%d", prog.arity)
+	case prog.tExps == nil:
+		return "exp1"
+	}
+	return "generic"
+}
+
+// compileAs compiles set and fails unless it runs kernel.
+func compileAs(tb testing.TB, set *polynomial.Set, kernel string) *Program {
+	tb.Helper()
+	prog := Compile(set)
+	if got := kernelOf(prog); got != kernel {
+		tb.Fatalf("a program meant for the %s kernel compiled to %s", kernel, got)
+	}
+	return prog
+}
+
 var benchRows [][]float64
 
 // BenchmarkProgramEval is the layer benchmark of scenario evaluation, in
 // monomials of the program answered for per scenario — so the sparse rows
 // report the work a scenario's answer stands for, not the smaller work done.
 //
-//	dense/generic, dense/exp1  every variable moved: the full pass of each kernel
-//	sparse/touched=6%          two SKUs moved, as an interactive slider does
+//	dense/generic             retail with week² in every fourth monomial
+//	dense/exp1                retail with a third term in every fourth monomial
+//	dense/arity2              retail: two terms in every monomial
+//	dense/arity2-telephony    1 055 × 132 × 2, whatif_telephony's shape
+//	dense/arity1              1 500 × 84 × 1, a TPC-H group-by-month shape
+//	sparse/touched=6%         retail, two SKUs moved, as an interactive slider does
+//
+// A dense row moves every variable: the full pass of its kernel.
 func BenchmarkProgramEval(b *testing.B) {
 	run := func(b *testing.B, prog *Program, scenarios []*Assignment) {
 		rows := prog.EvalBatchN(scenarios, nil, 1) // builds the index
@@ -69,12 +163,10 @@ func BenchmarkProgramEval(b *testing.B) {
 		b.ReportMetric(monomials/b.Elapsed().Seconds(), "scenario·monomials/s")
 	}
 	r := rand.New(rand.NewSource(2))
-	for _, kernel := range []string{"generic", "exp1"} {
-		set, _ := retailShaped(kernel == "generic")
-		prog := Compile(set)
-		if (prog.tExps == nil) != (kernel == "exp1") {
-			b.Fatalf("%s program compiled to the other kernel", kernel)
-		}
+	for _, row := range denseRows {
+		kernel, _, _ := strings.Cut(row, "-")
+		set := denseShaped(row)
+		prog := compileAs(b, set, kernel)
 		scenarios := make([]*Assignment, 16)
 		for i := range scenarios {
 			scenarios[i] = New(set.Names)
@@ -82,11 +174,11 @@ func BenchmarkProgramEval(b *testing.B) {
 				scenarios[i].SetVar(polynomial.Var(v), 0.5+r.Float64())
 			}
 		}
-		b.Run("dense/"+kernel, func(b *testing.B) { run(b, prog, scenarios) })
+		b.Run("dense/"+row, func(b *testing.B) { run(b, prog, scenarios) })
 	}
 
-	set, skus := retailShaped(false)
-	prog := Compile(set)
+	set, skus := retailShaped("arity2")
+	prog := compileAs(b, set, "arity2")
 	scenarios := make([]*Assignment, 16)
 	touched := 0
 	for i := range scenarios {
@@ -107,6 +199,34 @@ func BenchmarkProgramEval(b *testing.B) {
 		b.Fatalf("the sparse scenarios touch %.3f of the polynomials, not 6%%", share)
 	}
 	b.Run("sparse/touched=6%", func(b *testing.B) { run(b, prog, scenarios) })
+}
+
+var benchProg *Program
+
+// BenchmarkCompile is the layer row of Compile, in monomials per second on
+// the retail and telephony shapes. setArity/… times alone the scan of a
+// shard's monomial offsets that EvalBatchSource makes to pick the shard's
+// kernel, on a shard of store_outofcore's size: its budget of an eighth of
+// the telephony set seals a shard at the first polynomial that takes it
+// past a sixteenth, 66 polynomials of 132 monomials.
+func BenchmarkCompile(b *testing.B) {
+	for _, row := range []struct{ name, shape string }{{"retail", "arity2"}, {"telephony", "arity2-telephony"}} {
+		set := denseShaped(row.shape)
+		b.Run(row.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				benchProg = Compile(set)
+			}
+			b.ReportMetric(float64(b.N)*float64(set.Size())/b.Elapsed().Seconds(), "monomials/s")
+		})
+	}
+	shard := Compile(telephonyShaped(66))
+	b.Run(fmt.Sprintf("setArity/monomials=%d", shard.Size()), func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			shard.setArity()
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*float64(shard.Size())), "ns/monomial")
+	})
 }
 
 // dateShaped builds a tree of the shape of tpch.DateTree (this package
@@ -177,7 +297,7 @@ func groupScenarios(r *rand.Rand, n int, tree *abstraction.Tree, groups []abstra
 // sliderFixture is retailShaped with its category tree, one cut, and
 // scenarios that each scale the leaves of one to three of the cut's groups.
 func sliderFixture(r *rand.Rand, scenarios int) (*polynomial.Set, abstraction.Cut, []*Assignment) {
-	set, skus := retailShaped(false)
+	set, skus := retailShaped("arity2")
 	tree := retailTree(set.Names, skus)
 	cut := randomCut(r, tree, 3)
 	return set, cut, groupScenarios(r, scenarios, tree, cut.Nodes)

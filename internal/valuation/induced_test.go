@@ -267,30 +267,43 @@ func TestScenarioPathShared(t *testing.T) {
 
 // TestScenarioPathAllocations pins what the slider's path allocates, which
 // must not follow the size of the tree, the namespace or the program:
-// Induced on a three-leaf scenario over the 500-leaf tree returns an
-// Assignment and its entries (its scratch stays on the stack), and a warmed
-// one-scenario EvalBatchN into a reused out takes its sweep from the pool
-// and allocates only the closure it hands to parallel.Chunks.
+// Induced on a three-leaf scenario over the 500-leaf SKU tree or the
+// 84-month date tree returns an Assignment and its entries (its scratch
+// stays on the stack), and a warmed one-scenario EvalBatchN into a reused
+// out on the compressed program (two terms per monomial, or one) takes its
+// sweep from the pool and allocates only the closure it hands to
+// parallel.Chunks.
 func TestScenarioPathAllocations(t *testing.T) {
-	set, cut, _ := sliderFixture(rand.New(rand.NewSource(6)), 1)
-	tree := cut.Tree
-	base := New(set.Names)
-	for _, leaf := range tree.Leaves()[:3] {
-		base.SetVar(tree.Node(leaf).Var, 0.5)
-	}
-	var induced *Assignment
-	if allocs := testing.AllocsPerRun(100, func() { induced = Induced(base, cut) }); allocs > 3 {
-		t.Errorf("Induced of a 3-leaf scenario allocates %.0f objects, want <= 3", allocs)
-	}
+	r := rand.New(rand.NewSource(6))
+	retail, retailCut, _ := sliderFixture(r, 1)
+	tpch, dates := tpchShaped()
+	for _, tc := range []struct {
+		kernel string
+		set    *polynomial.Set
+		cut    abstraction.Cut
+	}{
+		{"arity2", retail, retailCut},
+		{"arity1", tpch, randomCut(r, dates, 3)},
+	} {
+		tree := tc.cut.Tree
+		base := New(tc.set.Names)
+		for _, leaf := range tree.Leaves()[:3] {
+			base.SetVar(tree.Node(leaf).Var, 0.5)
+		}
+		var induced *Assignment
+		if allocs := testing.AllocsPerRun(100, func() { induced = Induced(base, tc.cut) }); allocs > 3 {
+			t.Errorf("%s: Induced of a 3-leaf scenario allocates %.0f objects, want <= 3", tc.kernel, allocs)
+		}
 
-	if raceEnabled {
-		return
-	}
-	prog := Compile(abstraction.Apply(set, 1, cut))
-	scenario := []*Assignment{induced}
-	out := prog.EvalBatchN(scenario, nil, 1)
-	if allocs := testing.AllocsPerRun(100, func() { out = prog.EvalBatchN(scenario, out, 1) }); allocs > 1 {
-		t.Errorf("a warmed one-scenario EvalBatchN allocates %.0f objects, want <= 1 (none sized by %d variables or %d polynomials)",
-			allocs, prog.NumVars(), prog.NumPolys())
+		if raceEnabled {
+			continue
+		}
+		prog := compileAs(t, abstraction.Apply(tc.set, 1, tc.cut), tc.kernel)
+		scenario := []*Assignment{induced}
+		out := prog.EvalBatchN(scenario, nil, 1)
+		if allocs := testing.AllocsPerRun(100, func() { out = prog.EvalBatchN(scenario, out, 1) }); allocs > 1 {
+			t.Errorf("%s: a warmed one-scenario EvalBatchN allocates %.0f objects, want <= 1 (none sized by %d variables or %d polynomials)",
+				tc.kernel, allocs, prog.NumVars(), prog.NumPolys())
+		}
 	}
 }

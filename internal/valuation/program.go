@@ -21,6 +21,7 @@ type Program struct {
 	monOff  []int32 // monomial j covers terms monOff[j]..monOff[j+1]
 	tVars   []int32
 	tExps   []int32 // nil when every exponent is 1, as in all SUM provenance
+	arity   int     // 1 or 2 when tExps is nil and every monomial has that many terms, else 0
 
 	// What EvalBatchN needs to re-evaluate only the polynomials a sparse
 	// scenario touches; built by buildSparse on its first call.
@@ -53,7 +54,26 @@ func Compile(set *polynomial.Set) *Program {
 	if exp1 {
 		p.tExps = nil
 	}
+	p.setArity()
 	return p
+}
+
+// setArity picks the kernel evalPoly runs from tExps and monOff.
+func (p *Program) setArity() {
+	p.arity = 0
+	if p.tExps != nil || len(p.coefs) == 0 {
+		return
+	}
+	k := p.monOff[1] - p.monOff[0]
+	if k != 1 && k != 2 {
+		return
+	}
+	for j, end := range p.monOff[1:] {
+		if end-p.monOff[j] != k {
+			return
+		}
+	}
+	p.arity = int(k)
 }
 
 // NumPolys returns the number of polynomials.
@@ -80,14 +100,35 @@ func (p *Program) Eval(vals []float64, out []float64) []float64 {
 	return out
 }
 
-// evalPoly evaluates polynomial pi under vals. Both kernels multiply a
-// monomial's coefficient by its terms left to right and add the monomials
-// in order, so a polynomial's value does not depend on which one ran.
+// evalPoly evaluates polynomial pi under vals. Every kernel multiplies a
+// monomial's coefficient by its terms left to right and adds the monomials
+// in order, so a polynomial's value does not depend on which one ran. The
+// arity kernels step through the terms by a constant stride instead of
+// reading each monomial's end from monOff. Their float64(x) rounds the
+// product before the add: a platform with FMA could fuse the last multiply
+// into the add otherwise, which the term loops below never let it do.
 func (p *Program) evalPoly(pi int, vals []float64) float64 {
 	lo, hi := p.polyOff[pi], p.polyOff[pi+1]
 	coefs, ends := p.coefs[lo:hi], p.monOff[lo+1:hi+1]
 	ti := p.monOff[lo]
 	sum := 0.0
+	switch p.arity {
+	case 2:
+		tv := p.tVars[ti:p.monOff[hi]][:2*len(coefs)]
+		for j, x := range coefs {
+			x *= vals[tv[2*j]]
+			x *= vals[tv[2*j+1]]
+			sum += float64(x)
+		}
+		return sum
+	case 1:
+		tv := p.tVars[ti:p.monOff[hi]][:len(coefs)]
+		for j, x := range coefs {
+			x *= vals[tv[j]]
+			sum += float64(x)
+		}
+		return sum
+	}
 	if p.tExps == nil {
 		// One cursor runs over the polynomial's terms; a monomial ends
 		// where the next begins.

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"github.com/cobra-prov/cobra/internal/polynomial"
@@ -65,10 +66,16 @@ func sameBits(t *testing.T, label string, got, want [][]float64) {
 	}
 }
 
+// randomShapes are the shapes randomSet draws: one per kernel, and
+// "alternating", whose polynomials take arity 2, arity 1 and a mix of 0–3
+// terms in turn, all exponents 1.
+var randomShapes = []string{"generic", "exp1", "arity1", "arity2", "alternating"}
+
 // randomSet draws a set over used variables v0..v{used-1} of a namespace
-// that also holds unused ones: some polynomials empty, some monomials
-// constant, exponents all 1 or mixed 1–4.
-func randomSet(r *rand.Rand, allOnes bool) *polynomial.Set {
+// that also holds unused ones: some polynomials empty and, unless shape
+// fixes the arity, some monomials constant. Exponents are mixed 1–4 in the
+// "generic" shape and all 1 in the others.
+func randomSet(r *rand.Rand, shape string) *polynomial.Set {
 	names := polynomial.NewNames()
 	used := 1 + r.Intn(30)
 	for v := 0; v < used+r.Intn(5); v++ {
@@ -76,15 +83,23 @@ func randomSet(r *rand.Rand, allOnes bool) *polynomial.Set {
 	}
 	set := polynomial.NewSet(names)
 	for g, n := 0, r.Intn(25); g < n; g++ {
+		arity := map[string]int{"arity1": 1, "arity2": 2}[shape]
+		if shape == "alternating" {
+			arity = []int{2, 1, 0}[g%3]
+		}
 		var b polynomial.Builder
 		if r.Intn(8) > 0 {
 			for m, mons := 0, 1+r.Intn(12); m < mons; m++ {
+				k := arity
+				if k == 0 {
+					k = r.Intn(4)
+				}
 				var terms []polynomial.Term
 				// Distinct variables, so that merging cannot raise an
-				// exponent of the all-ones mode above 1.
-				for _, v := range r.Perm(used)[:min(used, r.Intn(4))] {
+				// exponent of 1 above 1.
+				for _, v := range r.Perm(used)[:min(used, k)] {
 					e := int32(1)
-					if !allOnes && r.Intn(3) == 0 {
+					if shape == "generic" && r.Intn(3) == 0 {
 						e = int32(2 + r.Intn(3))
 					}
 					terms = append(terms, polynomial.TExp(polynomial.Var(v), e))
@@ -140,74 +155,141 @@ func randomAssignments(r *rand.Rand, names *polynomial.Names, numVars int, beyon
 	return out
 }
 
-// TestEvalBatchNMatchesReference: on generated programs and scenarios,
-// EvalBatchN's rows are bit-identical to the pre-change loop for every
-// worker count and with reused row buffers, whatever the same Program
-// evaluated before, and so are EvalBatchSource's over a sharded copy of the
-// set.
+// TestEvalBatchNMatchesReference: on generated programs of every shape and
+// generated scenarios, EvalBatchN's rows are bit-identical to the pre-change
+// loop for every worker count and with reused row buffers, whatever the
+// same Program evaluated before, and so are EvalBatchSource's over a
+// sharded copy of the set — for each of the four kernels, and over shards
+// that cross from a uniform arity to a mix and back, where one Program
+// re-pointed at the next shard must not keep the last one's kernel.
 func TestEvalBatchNMatchesReference(t *testing.T) {
-	kernels := map[bool]int{}
+	kernels, crossings := map[string]int{}, 0
 	for trial := 0; trial < 300; trial++ {
 		r := rand.New(rand.NewSource(int64(trial)))
-		allOnes := trial%2 == 0
-		set := randomSet(r, allOnes)
-		prog := Compile(set)
-		if allOnes && prog.tExps != nil {
+		shape := randomShapes[trial%len(randomShapes)]
+		kernel, shards := checkAgainstReference(t, r, fmt.Sprintf("trial %d (%s)", trial, shape), randomSet(r, shape), trial%10 == 0, sameBits)
+		if shape != "generic" && kernel == "generic" {
 			t.Fatalf("trial %d: an all-ones program kept its exponents", trial)
 		}
-		kernels[prog.tExps == nil]++
-		numVars := prog.NumVars()
-
-		// Variables interned after Compile lie beyond the program's
-		// namespace, as does NoVar.
-		beyond := []polynomial.Var{polynomial.NoVar, set.Names.Var("late0"), set.Names.Var("late1")}
-		assignments := randomAssignments(r, set.Names, numVars, beyond)
-		want := referenceEvalBatch(set, numVars, assignments)
-
-		var reuse [][]float64
-		for _, workers := range []int{1, 2, 8} {
-			label := fmt.Sprintf("trial %d workers %d", trial, workers)
-			sameBits(t, label, prog.EvalBatchN(assignments, nil, workers), want)
-			// Stale rows of other scenarios in the reused buffer.
-			reuse = prog.EvalBatchN(assignments[len(assignments)/2:], reuse, workers)
-			reuse = prog.EvalBatchN(assignments, reuse, workers)
-			sameBits(t, label+" reused", reuse, want)
-		}
-
-		// One Program, so one pool of sweeps behind every call: sparse and
-		// full passes interleaved over slices of the scenarios and every
-		// worker count. A sweep that went back dirty — a variable left
-		// moved, a stale mark — changes a bit of a later call's rows.
-		for step := 0; step < 8; step++ {
-			lo := r.Intn(len(assignments))
-			hi := lo + 1 + r.Intn(len(assignments)-lo)
-			workers, sparse := []int{1, 2, 8}[r.Intn(3)], r.Intn(2) == 0
-			reuse = prog.evalBatch(assignments[lo:hi], reuse, workers, sparse)
-			sameBits(t, fmt.Sprintf("trial %d step %d workers %d sparse %v", trial, step, workers, sparse), reuse, want[lo:hi])
-		}
-
-		opts := polynomial.ShardOptions{TargetMonomials: 1 + r.Intn(20)}
-		if trial%10 == 0 {
-			opts.MaxResidentMonomials, opts.SpillDir = 2+set.Size()/3, t.TempDir()
-		}
-		ss, err := polynomial.BuildSharded(set, opts)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		for _, workers := range []int{1, 2, 8} {
-			got, err := EvalBatchSource(ss, assignments, workers)
-			if err != nil {
-				t.Fatalf("trial %d: %v", trial, err)
+		kernels[kernel]++
+		for i := 1; i < len(shards); i++ {
+			if shards[i] != shards[i-1] && strings.HasPrefix(shards[i-1], "arity") {
+				crossings++
 			}
-			sameBits(t, fmt.Sprintf("trial %d sharded workers %d", trial, workers), got, want)
-		}
-		if err := ss.Close(); err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
 		}
 	}
-	if kernels[true] == 0 || kernels[false] == 0 {
-		t.Fatalf("kernels exercised: %v", kernels)
+	if len(kernels) != 4 || crossings == 0 {
+		t.Fatalf("kernels exercised: %v; shards following one of a different arity kernel: %d", kernels, crossings)
 	}
+}
+
+// FuzzProgramEval is TestEvalBatchNMatchesReference's check on one
+// generated set and its scenarios, drawn from seed in the shape numbered
+// shape; the seed corpus is in testdata/fuzz/FuzzProgramEval. Rows are
+// compared bit for bit except that any NaN equals any NaN: when both
+// operands of a multiply or add are NaN, x86 passes on the one the
+// compiler placed first, and the coverage counters of a fuzzing build
+// move that choice, in the reference loop and the kernels alike.
+func FuzzProgramEval(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seed int64, shape uint8, spill bool) {
+		r := rand.New(rand.NewSource(seed))
+		name := randomShapes[int(shape)%len(randomShapes)]
+		checkAgainstReference(t, r, fmt.Sprintf("seed %d (%s)", seed, name), randomSet(r, name), spill, sameUpToNaN)
+	})
+}
+
+// sameUpToNaN is sameBits with every NaN read as math.NaN().
+func sameUpToNaN(t *testing.T, label string, got, want [][]float64) {
+	t.Helper()
+	canonical := func(rows [][]float64) [][]float64 {
+		out := make([][]float64, len(rows))
+		for i, row := range rows {
+			out[i] = slices.Clone(row)
+			for j, x := range row {
+				if math.IsNaN(x) {
+					out[i][j] = math.NaN()
+				}
+			}
+		}
+		return out
+	}
+	sameBits(t, label, canonical(got), canonical(want))
+}
+
+// checkAgainstReference draws scenarios for set and fails unless every way
+// of evaluating them gives referenceEvalBatch's rows, as compared by same:
+// EvalBatchN for Workers 1, 2 and 8 into fresh and into reused rows, sparse
+// and full passes interleaved on one Program, and EvalBatchSource over a
+// sharded copy of set (spilled under a budget with spill). It returns the
+// kernel set compiled to and the kernels of the copy's shards in order.
+func checkAgainstReference(t *testing.T, r *rand.Rand, label string, set *polynomial.Set, spill bool,
+	same func(t *testing.T, label string, got, want [][]float64)) (string, []string) {
+	t.Helper()
+	prog := Compile(set)
+	numVars := prog.NumVars()
+
+	// Variables interned after Compile lie beyond the program's
+	// namespace, as does NoVar.
+	beyond := []polynomial.Var{polynomial.NoVar, set.Names.Var("late0"), set.Names.Var("late1")}
+	assignments := randomAssignments(r, set.Names, numVars, beyond)
+	want := referenceEvalBatch(set, numVars, assignments)
+
+	var reuse [][]float64
+	for _, workers := range []int{1, 2, 8} {
+		at := fmt.Sprintf("%s workers %d", label, workers)
+		same(t, at, prog.EvalBatchN(assignments, nil, workers), want)
+		// Stale rows of other scenarios in the reused buffer.
+		reuse = prog.EvalBatchN(assignments[len(assignments)/2:], reuse, workers)
+		reuse = prog.EvalBatchN(assignments, reuse, workers)
+		same(t, at+" reused", reuse, want)
+	}
+
+	// One Program, so one pool of sweeps behind every call: sparse and
+	// full passes interleaved over slices of the scenarios and every
+	// worker count. A sweep that went back dirty — a variable left
+	// moved, a stale mark — changes a bit of a later call's rows.
+	for step := 0; step < 8; step++ {
+		lo := r.Intn(len(assignments))
+		hi := lo + 1 + r.Intn(len(assignments)-lo)
+		workers, sparse := []int{1, 2, 8}[r.Intn(3)], r.Intn(2) == 0
+		reuse = prog.evalBatch(assignments[lo:hi], reuse, workers, sparse)
+		same(t, fmt.Sprintf("%s step %d workers %d sparse %v", label, step, workers, sparse), reuse, want[lo:hi])
+	}
+
+	// A shard of one polynomial at a time for a third of the sets, so
+	// that "alternating" changes arity from shard to shard.
+	opts := polynomial.ShardOptions{TargetMonomials: 1 + r.Intn(20)}
+	if r.Intn(3) == 0 {
+		opts.TargetMonomials = 1
+	}
+	if spill {
+		opts.MaxResidentMonomials, opts.SpillDir = 2+set.Size()/3, t.TempDir()
+	}
+	ss, err := polynomial.BuildSharded(set, opts)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	for _, workers := range []int{1, 2, 8} {
+		got, err := EvalBatchSource(ss, assignments, workers)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		same(t, fmt.Sprintf("%s sharded workers %d", label, workers), got, want)
+	}
+	var shards []string
+	err = ss.ForEachPackedShard(func(_, _ int, ps *polynomial.PackedSet) error {
+		shard := &Program{coefs: ps.Coefs(), monOff: ps.MonOff(), tExps: ps.Exps()}
+		shard.setArity()
+		shards = append(shards, kernelOf(shard))
+		return nil
+	})
+	if err == nil {
+		err = ss.Close()
+	}
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	return kernelOf(prog), shards
 }
 
 // TestNegativeVarIgnored: an assignment holding NoVar used to index the
@@ -273,15 +355,12 @@ func TestSweepEpochWrap(t *testing.T) {
 }
 
 // TestProgramEvalAllocations pins the invariant the compiled form exists
-// for: Program.Eval into a reused row allocates nothing, on either kernel —
+// for: Program.Eval into a reused row allocates nothing, on every kernel —
 // every per-evaluation buffer belongs to the caller.
 func TestProgramEvalAllocations(t *testing.T) {
-	for _, kernel := range []string{"generic", "exp1"} {
-		set, _ := retailShaped(kernel == "generic")
-		prog := Compile(set)
-		if (prog.tExps == nil) != (kernel == "exp1") {
-			t.Fatalf("%s program compiled to the other kernel", kernel)
-		}
+	for _, kernel := range []string{"generic", "exp1", "arity2", "arity1"} {
+		set := denseShaped(kernel)
+		prog := compileAs(t, set, kernel)
 		vals := New(set.Names).Dense(prog.NumVars())
 		row := prog.Eval(vals, nil)
 		if allocs := testing.AllocsPerRun(10, func() { row = prog.Eval(vals, row) }); allocs != 0 {

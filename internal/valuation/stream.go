@@ -12,8 +12,10 @@ import (
 // (polynomial.PackedShards: a ShardedSet, an IndexedSet, a PackedSet, each
 // also behind WithContext) is evaluated straight from those slabs — they
 // are in a Program's layout, so one Program is re-pointed at shard after
-// shard and a pass builds no *Set, compiles nothing and copies nothing;
-// any other source has each shard compiled to a Program of its own. Rows
+// shard and a pass builds no *Set, compiles nothing and copies nothing,
+// only re-reads each shard's monomial offsets to pick its kernel (one
+// shard may have one term per monomial, the next a mix); any other source
+// has each shard compiled to a Program of its own. Rows
 // are one result per polynomial in set order; because each polynomial
 // evaluates independently and shards concatenate in set order, the rows
 // are bit-identical to compiling the materialized set and calling
@@ -40,6 +42,7 @@ func EvalBatchSource(src polynomial.SetSource, assignments []*Assignment, worker
 			// What Compile builds, with nothing copied; valid until ps changes.
 			prog.polyOff, prog.coefs, prog.monOff = ps.PolyOff(), ps.Coefs(), ps.MonOff()
 			prog.tVars, prog.tExps = ps.Vars(), ps.Exps()
+			prog.setArity()
 			eval(prog)
 			return nil
 		})

@@ -15,7 +15,8 @@ import (
 
 // TestEvalBatchShardedMatchesInMemory is the property the streamed
 // evaluation is held to: over generated sets — exponents all 1 (no exponent
-// column anywhere) or mixed 1–4, constant monomials, empty polynomials, one
+// column anywhere; one or two terms per monomial, a mix, or the two
+// alternating with a mix) or mixed 1–4, constant monomials, empty polynomials, one
 // polynomial larger than the shard target, ±Inf and NaN among coefficients
 // and values — EvalBatchSource returns, from every representation of the
 // set and for every worker count, rows Float64bits-equal to compiling the
@@ -31,7 +32,11 @@ func TestEvalBatchShardedMatchesInMemory(t *testing.T) {
 	spilled, withExps := 0, 0
 	for trial := 0; trial < 120; trial++ {
 		allOnes := trial%2 == 0
-		set := valuation.RandomSet(r, allOnes)
+		shape := "generic"
+		if allOnes {
+			shape = []string{"exp1", "arity1", "arity2", "alternating"}[trial/2%4]
+		}
+		set := valuation.RandomSet(r, shape)
 		names := set.Names
 		if trial%3 == 0 {
 			// One polynomial several shard targets large, over v0 alone so
