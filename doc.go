@@ -256,16 +256,22 @@
 // Close) and stream back one at a time.
 //
 // A spilled shard on disk is its packed form (see "Representation"
-// below) written slab for slab, every number fixed-width little-endian:
-// magic "CSPILL3\n", five counts, the two offset tables, the
-// coefficients, the variable column, the exponent column — omitted when
-// every exponent is 1, as in all SUM provenance — and the keys. The counts
-// fix the file's length, so one comparison bounds everything the decoder
-// allocates, and decoding is a bulk conversion per slab. The file is
+// below) written slab for slab, every number fixed-width in the machine's
+// native byte order: magic "CSPILL3\n", five counts, the two offset
+// tables, the coefficients, the variable column, the exponent column —
+// omitted when every exponent is 1, as in all SUM provenance — and the
+// keys. The counts fix the file's length, so one comparison bounds
+// everything the decoder allocates; decoding is then one copy per slab,
+// straight into the slab's memory, followed by a structural validation of
+// the typed slabs (offsets monotone and ending at the counts, variables
+// inside the namespace, exponents as the encoder writes them). The file is
 // private to the process and never outlives it: variables are raw ids
-// with no name table, and there is one version. It is the out-of-core
-// store's memory image, never an interchange format (those are the ones
-// under "On-disk formats"), and it is all an evicted dataset consists of.
+// with no name table, there is one version, and native byte order is
+// sound because the only reader of a file is the process that wrote it.
+// It is the out-of-core store's memory image, never an interchange format
+// (those are the ones under "On-disk formats"), and it is all an evicted
+// dataset consists of. ShardedSet.SpillIO counts its traffic: shards
+// loaded, bytes read, bytes written.
 //
 // Stages that need polynomials (the signature index, cut application,
 // serialization) get each loaded shard as a *Set viewed over freshly

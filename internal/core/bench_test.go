@@ -58,22 +58,9 @@ func retailShaped() (*polynomial.Set, *abstraction.Tree) {
 
 // BenchmarkBuildIndex is the layer benchmark of the signature index — the
 // scan every Compress, Frontier, Sweep and forest descent starts with — in
-// monomials scanned per second, on the two shapes BENCHMARK.json compresses:
-// retail (many leaves, few signatures per polynomial) and telephony (11
-// leaves, every variable in every polynomial).
+// monomials scanned per second, on benchShapes at one and two workers.
 func BenchmarkBuildIndex(b *testing.B) {
-	retailSet, retailTree := retailShaped()
-	telNames := polynomial.NewNames()
-	telSet := telephony.DirectProvenance(telephony.Config{Customers: 100_000}, telNames)
-	shapes := []struct {
-		name string
-		set  *polynomial.Set
-		tree *abstraction.Tree
-	}{
-		{"retail", retailSet, retailTree},
-		{"telephony", telSet, telephony.PlansTree(telNames)},
-	}
-	for _, sh := range shapes {
+	for _, sh := range benchShapes() {
 		for _, workers := range []int{1, 2} {
 			b.Run(fmt.Sprintf("%s/workers=%d", sh.name, workers), func(b *testing.B) {
 				b.ReportAllocs()
@@ -85,5 +72,66 @@ func BenchmarkBuildIndex(b *testing.B) {
 				b.ReportMetric(float64(b.N)*float64(sh.set.Size())/b.Elapsed().Seconds(), "monomials/s")
 			})
 		}
+	}
+}
+
+// benchShape is one input of this package's layer rows.
+type benchShape struct {
+	name string
+	set  *polynomial.Set
+	tree *abstraction.Tree
+}
+
+// benchShapes are the two shapes BENCHMARK.json compresses, which every
+// layer row of this package runs over: retail (many leaves, few signatures
+// per polynomial) and telephony (11 leaves, every variable in every
+// polynomial).
+func benchShapes() []benchShape {
+	retailSet, retailTree := retailShaped()
+	telNames := polynomial.NewNames()
+	telSet := telephony.DirectProvenance(telephony.Config{Customers: 100_000}, telNames)
+	return []benchShape{
+		{"retail", retailSet, retailTree},
+		{"telephony", telSet, telephony.PlansTree(telNames)},
+	}
+}
+
+// BenchmarkDPSingleTree is the layer row behind the benchmark's
+// core.dp_ms: one optimal-cut computation (signature index, knapsack DP,
+// reconstruction) at one worker, in monomials per second. The bound is the
+// frontier's middle point, so the cut is neither the leaves nor the root.
+func BenchmarkDPSingleTree(b *testing.B) {
+	for _, sh := range benchShapes() {
+		curve, err := FrontierSourceN(sh.set, sh.tree, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		bound := curve[len(curve)/2].MinSize
+		b.Run(sh.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := DPSingleTreeSource(sh.set, sh.tree, bound, 1); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.N)*float64(sh.set.Size())/b.Elapsed().Seconds(), "monomials/s")
+		})
+	}
+}
+
+// BenchmarkFrontier is the layer row behind core.frontier_ms: the whole
+// size/expressiveness curve (one index and DP, a cut reconstructed for
+// every feasible k) at one worker, in monomials per second.
+func BenchmarkFrontier(b *testing.B) {
+	for _, sh := range benchShapes() {
+		b.Run(sh.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := FrontierSourceN(sh.set, sh.tree, 1); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.N)*float64(sh.set.Size())/b.Elapsed().Seconds(), "monomials/s")
+		})
 	}
 }

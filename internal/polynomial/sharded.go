@@ -10,6 +10,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"unsafe"
 )
 
 // DefaultShardMonomials is the shard-size target used when ShardOptions
@@ -98,6 +99,9 @@ type ShardedSet struct {
 	peakResident int    // guarded by statMu
 	spilled      int    // guarded by statMu; shards currently on disk
 	spillDir     string // guarded by statMu
+	loads        int    // guarded by statMu; spill files decoded
+	bytesRead    int64  // guarded by statMu
+	bytesWritten int64  // guarded by statMu
 
 	// usedVars caches the merged per-shard used-variable sets; usedValid
 	// is cleared whenever a new shard is sealed into the set.
@@ -161,6 +165,15 @@ func (ss *ShardedSet) SpilledShards() int {
 	ss.statMu.Lock()
 	defer ss.statMu.Unlock()
 	return ss.spilled
+}
+
+// SpillIO returns the spill traffic over the set's lifetime: the shards
+// loaded from their spill files, the bytes those loads read, and the bytes
+// written spilling shards.
+func (ss *ShardedSet) SpillIO() (loaded int, read, written int64) {
+	ss.statMu.Lock()
+	defer ss.statMu.Unlock()
+	return ss.loads, ss.bytesRead, ss.bytesWritten
 }
 
 // UsedVars returns the distinct variables appearing anywhere in the set,
@@ -290,6 +303,10 @@ func (ss *ShardedSet) loadShardLocked(i int, ps *PackedSet) error {
 	if err != nil {
 		return fmt.Errorf("polynomial: loading shard %d: %w", i, err)
 	}
+	ss.statMu.Lock()
+	ss.loads++
+	ss.bytesRead += int64(len(ss.readBuf))
+	ss.statMu.Unlock()
 	return nil
 }
 
@@ -419,6 +436,7 @@ func (ss *ShardedSet) spillShard(sh *shard) error {
 	ss.statMu.Lock()
 	ss.spilled++
 	ss.resident -= sh.mons
+	ss.bytesWritten += int64(len(buf))
 	ss.statMu.Unlock()
 	return nil
 }
@@ -552,12 +570,13 @@ func BuildSharded(s *Set, opts ShardOptions) (*ShardedSet, error) {
 // Spill files are ephemeral and private to the process that wrote them:
 // they share the in-memory Names namespace, so variables are stored as raw
 // Var ids with no name table, and they never outlive the process, so there
-// is one version and no compatibility path. The on-disk interchange
-// formats (with name tables and cross-process guarantees) live in
-// internal/polyio.
+// is one version and no compatibility path — and the machine that reads a
+// file is the one that wrote it, so numbers are in its native byte order.
+// The on-disk interchange formats (with name tables and cross-process
+// guarantees) live in internal/polyio.
 //
 // A spill file is the shard's PackedSet written slab for slab, every
-// number fixed-width little-endian:
+// number fixed-width in native byte order:
 //
 //	magic     "CSPILL3\n"
 //	counts    polys, mons, terms, exps, keyBytes    5 × uint32
@@ -570,10 +589,11 @@ func BuildSharded(s *Set, opts ShardOptions) (*ShardedSet, error) {
 //	keys      keyBytes bytes
 //
 // The counts fix the file's length exactly, so one comparison against the
-// bytes actually read bounds every allocation the decoder makes; what is
-// left to check is that the offsets are monotone and end where the counts
-// say. Decoding is then a bulk conversion per slab into slabs the caller
-// may reuse from shard to shard.
+// bytes actually read bounds every allocation the decoder makes. Decoding
+// is then one copy per slab, straight into the memory of slabs the caller
+// may reuse from shard to shard, followed by a structural validation of
+// the typed slabs: offsets monotone and ending where the counts say,
+// variables inside the namespace, exponents as the encoder writes them.
 const (
 	spillMagic   = "CSPILL3\n"
 	spillHeadLen = len(spillMagic) + 5*4
@@ -644,6 +664,12 @@ func spillLen(polys, mons, terms, exps, keyBytes uint64) uint64 {
 	return uint64(spillHeadLen) + 4*(polys+1) + 4*(mons+1) + 8*mons + 4*terms + 4*exps + 4*polys + keyBytes
 }
 
+// slabBytes views the memory of a slab as bytes, so that filling it from a
+// spill file is one copy whatever the alignment of the file's bytes.
+func slabBytes[T int32 | float64](s []T) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(s))), len(s)*int(unsafe.Sizeof(*new(T))))
+}
+
 // encodeShardPayload appends the spill encoding of s to buf. It fails
 // only on a shard whose counts overflow the packed layout's int32 offsets.
 func encodeShardPayload(buf []byte, s *Set) ([]byte, error) {
@@ -666,35 +692,35 @@ func encodeShardPayload(buf []byte, s *Set) ([]byte, error) {
 	if polys|mons|terms|keyBytes > math.MaxInt32 {
 		return buf, fmt.Errorf("shard overflows int32 offsets")
 	}
-	le := binary.LittleEndian
+	ne := binary.NativeEndian
 	buf = slices.Grow(buf, int(spillLen(polys, mons, terms, exps, keyBytes)))
 	buf = append(buf, spillMagic...)
 	for _, n := range [...]uint64{polys, mons, terms, exps, keyBytes} {
-		buf = le.AppendUint32(buf, uint32(n))
+		buf = ne.AppendUint32(buf, uint32(n))
 	}
 	off := uint32(0)
-	buf = le.AppendUint32(buf, off)
+	buf = ne.AppendUint32(buf, off)
 	for _, p := range s.Polys {
 		off += uint32(len(p.Mons))
-		buf = le.AppendUint32(buf, off)
+		buf = ne.AppendUint32(buf, off)
 	}
 	off = 0
-	buf = le.AppendUint32(buf, off)
+	buf = ne.AppendUint32(buf, off)
 	for _, p := range s.Polys {
 		for _, m := range p.Mons {
 			off += uint32(len(m.Terms))
-			buf = le.AppendUint32(buf, off)
+			buf = ne.AppendUint32(buf, off)
 		}
 	}
 	for _, p := range s.Polys {
 		for _, m := range p.Mons {
-			buf = le.AppendUint64(buf, math.Float64bits(m.Coef))
+			buf = ne.AppendUint64(buf, math.Float64bits(m.Coef))
 		}
 	}
 	for _, p := range s.Polys {
 		for _, m := range p.Mons {
 			for _, t := range m.Terms {
-				buf = le.AppendUint32(buf, uint32(t.Var))
+				buf = ne.AppendUint32(buf, uint32(t.Var))
 			}
 		}
 	}
@@ -702,13 +728,13 @@ func encodeShardPayload(buf []byte, s *Set) ([]byte, error) {
 		for _, p := range s.Polys {
 			for _, m := range p.Mons {
 				for _, t := range m.Terms {
-					buf = le.AppendUint32(buf, uint32(t.Exp))
+					buf = ne.AppendUint32(buf, uint32(t.Exp))
 				}
 			}
 		}
 	}
 	for _, k := range s.Keys {
-		buf = le.AppendUint32(buf, uint32(len(k)))
+		buf = ne.AppendUint32(buf, uint32(len(k)))
 	}
 	for _, k := range s.Keys {
 		buf = append(buf, k...)
@@ -717,20 +743,21 @@ func encodeShardPayload(buf []byte, s *Set) ([]byte, error) {
 }
 
 // decodeShardPayload parses one spill file into ps, reusing the capacity
-// of its slabs: the key block becomes one string the keys are substrings
-// of, and that is the only allocation once the slabs have grown to the
-// largest shard. Every variable is checked against names, so a PackedSet
-// this returns is safe to evaluate; an exponent column of all ones, which
-// the encoder never writes, is rejected, so it also re-encodes to the
-// same bytes.
+// of its slabs: each slab is one copy out of data, and the key block
+// becomes one string the keys are substrings of — the only allocation once
+// the slabs have grown to the largest shard. The slabs are then validated
+// as typed columns: every variable is checked against names, so a
+// PackedSet this returns is safe to evaluate; an exponent column of all
+// ones, which the encoder never writes, is rejected, so it also re-encodes
+// to the same bytes.
 func decodeShardPayload(data []byte, names *Names, ps *PackedSet) error {
 	if len(data) < spillHeadLen || string(data[:len(spillMagic)]) != spillMagic {
 		return fmt.Errorf("bad spill magic")
 	}
-	le := binary.LittleEndian
+	ne := binary.NativeEndian
 	var counts [5]uint64
 	for i := range counts {
-		counts[i] = uint64(le.Uint32(data[len(spillMagic)+4*i:]))
+		counts[i] = uint64(ne.Uint32(data[len(spillMagic)+4*i:]))
 	}
 	polys, mons, terms, exps, keyBytes := counts[0], counts[1], counts[2], counts[3], counts[4]
 	if polys|mons|terms|keyBytes > math.MaxInt32 || (exps != 0 && exps != terms) {
@@ -739,39 +766,36 @@ func decodeShardPayload(data []byte, names *Names, ps *PackedSet) error {
 	if want := spillLen(polys, mons, terms, exps, keyBytes); want != uint64(len(data)) {
 		return fmt.Errorf("corrupt spill length: counts imply %d bytes, file holds %d", want, len(data))
 	}
-	data = data[spillHeadLen:]
-	next := func(n uint64) []byte {
-		slab := data[:n]
-		data = data[n:]
-		return slab
-	}
 	ps.names, ps.view = names, nil
 	ps.polyOff = resize(ps.polyOff, int(polys)+1)
-	if !decodeOffsets(ps.polyOff, next(4*(polys+1)), mons) {
+	ps.monOff = resize(ps.monOff, int(mons)+1)
+	ps.coefs = resize(ps.coefs, int(mons))
+	ps.vars = resize(ps.vars, int(terms))
+	ps.exps = resize(ps.exps, int(exps))
+	data = data[spillHeadLen:]
+	for _, slab := range [...][]byte{slabBytes(ps.polyOff), slabBytes(ps.monOff), slabBytes(ps.coefs), slabBytes(ps.vars), slabBytes(ps.exps)} {
+		data = data[copy(slab, data):]
+	}
+	if !offsetsValid(ps.polyOff, mons) {
 		return fmt.Errorf("corrupt spill polynomial offsets")
 	}
-	ps.monOff = resize(ps.monOff, int(mons)+1)
-	if !decodeOffsets(ps.monOff, next(4*(mons+1)), terms) {
+	if !offsetsValid(ps.monOff, terms) {
 		return fmt.Errorf("corrupt spill monomial offsets")
 	}
-	ps.coefs = resize(ps.coefs, int(mons))
-	slab := next(8 * mons)
-	for i := range ps.coefs {
-		ps.coefs[i] = math.Float64frombits(le.Uint64(slab[8*i:]))
+	nvars := uint64(names.Len())
+	for _, v := range ps.vars {
+		if uint64(uint32(v)) >= nvars {
+			return fmt.Errorf("corrupt spill variable %d, the namespace has %d", uint32(v), names.Len())
+		}
 	}
-	ps.vars = resize(ps.vars, int(terms))
-	if maxVar := decodeColumn(ps.vars, next(4*terms)); terms > 0 && uint64(maxVar) >= uint64(names.Len()) {
-		return fmt.Errorf("corrupt spill variable %d, the namespace has %d", maxVar, names.Len())
-	}
-	ps.exps = resize(ps.exps, int(exps))
-	if maxExp := decodeColumn(ps.exps, next(4*exps)); maxExp > math.MaxInt32 || (exps > 0 && maxExp == 1 && slices.Min(ps.exps) == 1) {
+	if exps > 0 && !expsValid(ps.exps) {
 		return fmt.Errorf("corrupt spill exponents: one is negative, or all of them are 1")
 	}
 	ps.keys = resize(ps.keys, int(polys))
-	slab = next(4 * polys)
-	block := string(data)
+	keyLens := data[:4*polys]
+	block := string(data[4*polys:])
 	for i := range ps.keys {
-		n := uint64(le.Uint32(slab[4*i:]))
+		n := uint64(ne.Uint32(keyLens[4*i:]))
 		if n > uint64(len(block)) {
 			return fmt.Errorf("corrupt spill key lengths")
 		}
@@ -783,26 +807,31 @@ func decodeShardPayload(data []byte, names *Names, ps *PackedSet) error {
 	return nil
 }
 
-// decodeColumn fills dst from the little-endian uint32s of src and returns
-// the largest of them as unsigned, so a negative entry reads as one past
-// every valid value.
-func decodeColumn(dst []int32, src []byte) (largest uint32) {
-	for i := range dst {
-		v := binary.LittleEndian.Uint32(src[4*i:])
-		dst[i] = int32(v)
-		largest = max(largest, v)
+// offsetsValid reports whether an offset table starts at 0, never
+// decreases and ends at end.
+func offsetsValid(off []int32, end uint64) bool {
+	prev := off[0]
+	if prev != 0 {
+		return false
 	}
-	return largest
+	for _, v := range off {
+		if v < prev {
+			return false
+		}
+		prev = v
+	}
+	return uint64(prev) == end
 }
 
-// decodeOffsets fills dst from the little-endian uint32s of src and
-// reports whether they start at 0, never decrease and end at end.
-func decodeOffsets(dst []int32, src []byte, end uint64) bool {
-	prev, ok := uint32(0), binary.LittleEndian.Uint32(src) == 0
-	for i := range dst {
-		v := binary.LittleEndian.Uint32(src[4*i:])
-		ok = ok && v >= prev
-		dst[i], prev = int32(v), v
+// expsValid reports whether an exponent column holds no negative exponent
+// and one that is not 1.
+func expsValid(exps []int32) bool {
+	allOnes := true
+	for _, e := range exps {
+		if e < 0 {
+			return false
+		}
+		allOnes = allOnes && e == 1
 	}
-	return ok && uint64(prev) == end
+	return !allOnes
 }

@@ -85,7 +85,8 @@ func BenchmarkSpillCodec(b *testing.B) {
 }
 
 // BenchmarkShardedPass times one pass over the benchmark's telephony set
-// spilled under a budget of an eighth of its size, in ns per monomial: the
+// spilled under a budget of an eighth of its size, in ns per monomial and
+// in MB of spill file read per second (from the set's SpillIO counter): the
 // *Set pass (decode into fresh slabs, view them) and the packed pass
 // (decode into the set's scratch).
 func BenchmarkShardedPass(b *testing.B) {
@@ -104,6 +105,7 @@ func BenchmarkShardedPass(b *testing.B) {
 	run := func(name string, pass func(mons *int) error) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
+			_, readBefore, _ := ss.SpillIO()
 			for i := 0; i < b.N; i++ {
 				mons := 0
 				if err := pass(&mons); err != nil {
@@ -113,6 +115,8 @@ func BenchmarkShardedPass(b *testing.B) {
 					b.Fatalf("pass saw %d monomials, want %d", mons, set.Size())
 				}
 			}
+			_, read, _ := ss.SpillIO()
+			b.SetBytes((read - readBefore) / int64(b.N))
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*float64(set.Size())), "ns/monomial")
 		})
 	}

@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -349,17 +351,33 @@ func TestPackedPassCancelRestoresResidency(t *testing.T) {
 	}
 }
 
+// specialCoefs are coefficients a decoder converting number by number
+// could lose: a NaN with a payload, -0, a subnormal and both infinities.
+var specialCoefs = []float64{math.Float64frombits(0x7ff8000000000001), math.Copysign(0, -1), math.SmallestNonzeroFloat64, math.Inf(1), math.Inf(-1)}
+
+// specialPoly puts every special coefficient on its own monomial, with an
+// exponent other than 1, so its shard carries an exponent column.
+func specialPoly(x, y Var) Polynomial {
+	var p Polynomial
+	for i, c := range specialCoefs {
+		p.Mons = append(p.Mons, Monomial{Coef: c, Terms: []Term{TExp(x, int32(i+1)), T(y)}})
+	}
+	return p
+}
+
 // spillSeeds are real encodings: with and without an exponent column,
-// empty polynomials, constant monomials, an empty shard.
+// empty polynomials, constant monomials, an empty shard, and the special
+// coefficients.
 func spillSeeds(tb testing.TB) (*Names, [][]byte) {
 	names := NewNames()
 	x, y := names.Var("x"), names.Var("y")
-	sets := []*Set{NewSet(names), NewSet(names), NewSet(names)}
+	sets := []*Set{NewSet(names), NewSet(names), NewSet(names), NewSet(names)}
 	sets[1].Add("sum", Polynomial{Mons: []Monomial{{Coef: 2, Terms: []Term{T(x), T(y)}}, {Coef: -0.5, Terms: []Term{T(y)}}}})
 	sets[1].Add("", Polynomial{})
 	sets[1].Add("const", Polynomial{Mons: []Monomial{{Coef: math.Inf(1)}}})
 	sets[2].Add("pow", Polynomial{Mons: []Monomial{{Coef: 3, Terms: []Term{T(x), TExp(y, 4)}}}})
 	sets[2].Add("k", Polynomial{Mons: []Monomial{{Coef: math.NaN(), Terms: []Term{TExp(x, 2)}}}})
+	sets[3].Add("special", specialPoly(x, y))
 	var out [][]byte
 	for _, s := range sets {
 		data, err := encodeShardPayload(nil, s)
@@ -376,11 +394,11 @@ func spillSeeds(tb testing.TB) (*Names, [][]byte) {
 func TestSpillDecodeCorruptions(t *testing.T) {
 	names, seeds := spillSeeds(t)
 	sum, pow := seeds[1], seeds[2] // 3 polys, 3 mons, 3 terms, no exps / 2 polys, 2 mons, 3 terms, exps
-	le := binary.LittleEndian
+	ne := binary.NativeEndian
 	const counts = len(spillMagic)
 	polyOff := spillHeadLen
 	put := func(off int, v uint32) func([]byte) []byte {
-		return func(b []byte) []byte { le.PutUint32(b[off:], v); return b }
+		return func(b []byte) []byte { ne.PutUint32(b[off:], v); return b }
 	}
 	for _, tc := range []struct {
 		name    string
@@ -443,12 +461,12 @@ func FuzzSpillDecode(f *testing.F) {
 		f.Add(flipped)
 		for off := len(spillMagic); off < spillHeadLen; off += 4 {
 			huge := bytes.Clone(seed)
-			binary.LittleEndian.PutUint32(huge[off:], 1<<31)
+			binary.NativeEndian.PutUint32(huge[off:], 1<<31)
 			f.Add(huge)
 		}
 		if len(seed) > spillHeadLen+8 {
 			decreasing := bytes.Clone(seed)
-			binary.LittleEndian.PutUint32(decreasing[spillHeadLen+4:], math.MaxInt32)
+			binary.NativeEndian.PutUint32(decreasing[spillHeadLen+4:], math.MaxInt32)
 			f.Add(decreasing)
 			longKey := bytes.Clone(seed)
 			longKey[len(longKey)-1]++
@@ -472,4 +490,148 @@ func FuzzSpillDecode(f *testing.F) {
 			t.Fatalf("decoded set re-encodes to different bytes:\n in  %x\n out %x", data, again)
 		}
 	})
+}
+
+// sameSlabs reports the first slab in which got differs from want, or "";
+// coefficients are compared by their bits.
+func sameSlabs(got, want *PackedSet) string {
+	sameBits := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	switch {
+	case !slices.Equal(got.keys, want.keys):
+		return "keys"
+	case !slices.Equal(got.PolyOff(), want.PolyOff()):
+		return "polynomial offsets"
+	case !slices.Equal(got.MonOff(), want.MonOff()):
+		return "monomial offsets"
+	case !slices.EqualFunc(got.Coefs(), want.Coefs(), sameBits):
+		return "coefficients"
+	case !slices.Equal(got.Vars(), want.Vars()):
+		return "variables"
+	case !slices.Equal(got.Exps(), want.Exps()):
+		return "exponents"
+	}
+	return ""
+}
+
+// TestSpillRoundTripBitIdentical: a set built under a budget, then spilled
+// whole so every shard goes through the decoder, comes back,
+// shard for shard, as exactly the slabs PackSet builds from the same
+// polynomials — the special coefficients included, bit for bit, in shards
+// with an exponent column and without — and decoding the same file from a
+// buffer that starts one byte into another gives the same slabs, so the
+// decoder never reads the file's bytes as typed (aligned) values.
+func TestSpillRoundTripBitIdentical(t *testing.T) {
+	set := buildTestSet(36, 8)
+	x, c0 := set.Names.Var("x0"), set.Names.Var("c0")
+	set.Add("special", specialPoly(x, c0))
+	for p := 0; p < 4; p++ { // SUM-shaped: shards with no exponent column
+		var b Builder
+		for m := 0; m < 8; m++ {
+			b.Add(float64(m)+0.25, T(x), T(set.Names.Var(fmt.Sprintf("c%d", m))))
+		}
+		set.Add(fmt.Sprintf("sum%d", p), b.Polynomial())
+	}
+	ss := mustBuildSharded(t, set, ShardOptions{TargetMonomials: 24, MaxResidentMonomials: 64, SpillDir: t.TempDir()})
+	if err := ss.SpillAll(); err != nil {
+		t.Fatal(err)
+	}
+	var withExps, withoutExps, nanPayloads int
+	err := ss.ForEachPackedShard(func(i, firstPoly int, ps *PackedSet) error {
+		lo, hi := firstPoly, firstPoly+ps.Len()
+		want, err := PackSet(&Set{Names: set.Names, Keys: set.Keys[lo:hi], Polys: set.Polys[lo:hi]})
+		if err != nil {
+			return err
+		}
+		if diff := sameSlabs(ps, want); diff != "" {
+			return fmt.Errorf("shard %d: the packed pass's %s differ from PackSet's", i, diff)
+		}
+		data, err := os.ReadFile(ss.shards[i].path)
+		if err != nil {
+			return err
+		}
+		buf := make([]byte, len(data)+1)
+		copy(buf[1:], data)
+		var unaligned PackedSet
+		if err := decodeShardPayload(buf[1:], set.Names, &unaligned); err != nil {
+			return fmt.Errorf("shard %d, decoded one byte off: %w", i, err)
+		}
+		if diff := sameSlabs(&unaligned, want); diff != "" {
+			return fmt.Errorf("shard %d, decoded one byte off: %s differ from PackSet's", i, diff)
+		}
+		if ps.Exps() == nil {
+			withoutExps++
+		} else {
+			withExps++
+		}
+		for _, c := range ps.Coefs() {
+			if math.Float64bits(c) == math.Float64bits(specialCoefs[0]) {
+				nanPayloads++
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if withExps == 0 || withoutExps == 0 || nanPayloads != 1 {
+		t.Fatalf("fixture: %d shards with an exponent column, %d without, %d NaN payloads seen", withExps, withoutExps, nanPayloads)
+	}
+}
+
+// TestSpillIOCounts: the spill counters are exact. The bytes written are
+// the spill files' sizes, and a packed pass that spills nothing loads
+// every spilled shard once, reading every byte of every spill file.
+func TestSpillIOCounts(t *testing.T) {
+	set := buildTestSet(60, 10)
+	dir := t.TempDir()
+	ss := mustBuildSharded(t, set, ShardOptions{TargetMonomials: 40, MaxResidentMonomials: 120, SpillDir: dir})
+	if _, _, err := passDigests(ss); err != nil { // also settles what stays resident
+		t.Fatal(err)
+	}
+	if spilled := ss.SpilledShards(); spilled == 0 || spilled == ss.NumShards() {
+		t.Fatalf("fixture: %d of %d shards spilled", spilled, ss.NumShards())
+	}
+	var files int64
+	for _, path := range countFilesUnder(t, dir) {
+		st, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files += st.Size()
+	}
+	loadedBefore, readBefore, written := ss.SpillIO()
+	if written != files {
+		t.Fatalf("%d bytes written, the spill files hold %d", written, files)
+	}
+	if err := ss.ForEachPackedShard(func(_, _ int, _ *PackedSet) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	loaded, read, writtenAfter := ss.SpillIO()
+	if loaded-loadedBefore != ss.SpilledShards() || read-readBefore != files || writtenAfter != written {
+		t.Fatalf("one pass loaded %d shards reading %d bytes and wrote %d; want %d shards, %d bytes, 0",
+			loaded-loadedBefore, read-readBefore, writtenAfter-written, ss.SpilledShards(), files)
+	}
+}
+
+// TestSpillDecodeAllocations pins the decoder's allocations: decoding a
+// shard into a scratch that has already grown to it allocates once, for
+// the key block.
+func TestSpillDecodeAllocations(t *testing.T) {
+	shard := telephonyShaped(66)
+	data, err := encodeShardPayload(nil, shard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps := new(PackedSet)
+	if err := decodeShardPayload(data, shard.Names, ps); err != nil { // grows the scratch
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		if err := decodeShardPayload(data, shard.Names, ps); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 1 {
+		t.Fatalf("decoding a %d-monomial shard into a grown scratch allocates %.0f times, want 1", ps.Size(), allocs)
+	}
 }
