@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet vuln staticcheck cobra-lint lint fmt-check cover benchmark-smoke surface ci
+.PHONY: all build test race vet vuln staticcheck cobra-lint lint fmt-check cover benchmark-smoke examples surface ci
 
 all: build
 
@@ -60,6 +60,16 @@ cover:
 benchmark-smoke:
 	cd benchmark && $(GO) test .
 
+# The runnable programs under examples/ have no tests: run each one and fail
+# on a non-zero exit, so a facade change that breaks one cannot land
+# unnoticed. Together they take a few seconds.
+EXAMPLES = quickstart telephony tpch whatif
+
+examples:
+	@set -e; for e in $(EXAMPLES); do \
+		echo "== examples/$$e"; $(GO) run ./examples/$$e > /dev/null; \
+	done
+
 # The two size numbers ROADMAP tracks like a benchmark, printed into every
 # CI log: non-test, non-blank, non-comment Go lines outside benchmark/, and
 # the exported top-level functions of the facade (pinned by
@@ -69,4 +79,4 @@ surface:
 		| awk '/^[[:space:]]*$$/ || /^[[:space:]]*\/\// { next } { n++ } END { print "non-test code lines:", n }'
 	@printf 'cobra.go exported functions: '; grep -c '^func [A-Z]' cobra.go
 
-ci: fmt-check vet cobra-lint build race benchmark-smoke surface
+ci: fmt-check vet cobra-lint build race benchmark-smoke examples surface

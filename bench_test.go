@@ -1,9 +1,9 @@
 package cobra_test
 
-// Micro-benchmarks for the ablations no layer benchmark covers (DP vs
-// greedy, naive evaluation, polynomial arithmetic, sensitivity, the
-// frontier). Each pipeline layer has its own throughput benchmark beside the
-// package it measures, and the gated end-to-end record is benchmark/.
+// Micro-benchmarks for the ablations no layer benchmark covers (greedy
+// compression, naive evaluation, polynomial arithmetic, sensitivity). Each
+// pipeline layer has its own throughput benchmark beside the package it
+// measures, and the gated end-to-end record is benchmark/.
 
 import (
 	"testing"
@@ -11,6 +11,7 @@ import (
 	cobra "github.com/cobra-prov/cobra"
 	"github.com/cobra-prov/cobra/internal/core"
 	"github.com/cobra-prov/cobra/internal/datagen/telephony"
+	"github.com/cobra-prov/cobra/internal/polynomial"
 	"github.com/cobra-prov/cobra/internal/valuation"
 )
 
@@ -20,18 +21,6 @@ func benchSet(b *testing.B) (*cobra.Set, *cobra.Tree) {
 	names := cobra.NewNames()
 	set := telephony.DirectProvenance(telephony.Config{Customers: 100_000}, names)
 	return set, telephony.PlansTree(names)
-}
-
-func BenchmarkCompressDP(b *testing.B) {
-	set, tree := benchSet(b)
-	bound := set.Size() * 2 / 3
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.DPSingleTreeSource(set, tree, bound, 1); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 func BenchmarkCompressGreedy(b *testing.B) {
@@ -62,7 +51,7 @@ func BenchmarkPolynomialAdd(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = cobra.AddPolynomials(p, q)
+		_ = polynomial.Add(p, q)
 	}
 }
 
@@ -73,7 +62,7 @@ func BenchmarkPolynomialMul(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = cobra.MulPolynomials(p, q)
+		_ = polynomial.Mul(p, q)
 	}
 }
 
@@ -84,16 +73,5 @@ func BenchmarkSensitivity(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = valuation.Sensitivity(set, a)
-	}
-}
-
-func BenchmarkFrontier(b *testing.B) {
-	set, tree := benchSet(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.FrontierSourceN(set, tree, 1); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

@@ -186,7 +186,10 @@ func run(dataset string, customers, bound int, scenario, treeFile string, hood b
 	approx := cobra.EvalSet(comp, induced)
 	fmt.Println("\nScenario result: full provenance vs compressed provenance:")
 	printResults(set.Keys, full, approx)
-	acc := cobra.CompareResults(full, approx)
+	acc, err := cobra.CompareResults(full, approx)
+	if err != nil {
+		return err
+	}
 	fmt.Printf("Max relative deviation: %.3g\n", acc.MaxRel)
 
 	tm := cobra.MeasureSpeedup(cobra.Compile(set), cobra.Compile(comp),

@@ -367,7 +367,11 @@ func (s *session) cmdShow(out io.Writer) {
 	if len(s.set.Keys) > max {
 		fmt.Fprintf(out, "  ... (%d more groups)\n", len(s.set.Keys)-max)
 	}
-	acc := cobra.CompareResults(full, approx)
+	acc, err := cobra.CompareResults(full, approx)
+	if err != nil {
+		fmt.Fprintf(out, "error: %v\n", err)
+		return
+	}
 	fmt.Fprintf(out, "max relative deviation: %.3g\n", acc.MaxRel)
 	tm := cobra.MeasureSpeedup(cobra.Compile(s.set), cobra.Compile(comp),
 		s.leafAssign.Dense(s.names.Len()), eff.Dense(s.names.Len()), 0)

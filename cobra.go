@@ -170,19 +170,6 @@ func MustParsePolynomial(input string, names *Names) Polynomial {
 	return polynomial.MustParse(input, names)
 }
 
-// AddPolynomials returns p + q in canonical form.
-func AddPolynomials(p, q Polynomial) Polynomial { return polynomial.Add(p, q) }
-
-// MulPolynomials returns p · q in canonical form.
-func MulPolynomials(p, q Polynomial) Polynomial { return polynomial.Mul(p, q) }
-
-// ScalePolynomial returns c·p.
-func ScalePolynomial(p Polynomial, c float64) Polynomial { return polynomial.Scale(p, c) }
-
-// Derivative returns ∂p/∂v — the exact sensitivity of a provenance
-// polynomial to one variable.
-func Derivative(p Polynomial, v Var) Polynomial { return polynomial.Derivative(p, v) }
-
 // Substitute replaces v in p by the polynomial q (powers expand), e.g. to
 // refine a meta-variable back into a combination of its leaves.
 func Substitute(p Polynomial, v Var, q Polynomial) Polynomial {
@@ -390,8 +377,9 @@ func MeasureSpeedup(full, comp *Program, fullVals, compVals []float64, iters int
 	return t
 }
 
-// CompareResults computes accuracy metrics between result vectors.
-func CompareResults(full, comp []float64) Accuracy {
+// CompareResults computes accuracy metrics between result vectors. Their
+// groups correspond 1:1, so vectors of different lengths are an error.
+func CompareResults(full, comp []float64) (Accuracy, error) {
 	return valuation.CompareResults(full, comp)
 }
 
@@ -423,27 +411,13 @@ func CaptureLineage(query string, cat Catalog, names *Names, opts Options) (*Set
 	return provenance.CaptureLineageN(query, cat, names, opts.Workers)
 }
 
-// Derivable evaluates a lineage polynomial in the Boolean semiring: is the
-// row derivable from the present source tuples?
-func Derivable(lineage Polynomial, present func(Var) bool) bool {
-	return provenance.Derivable(lineage, present)
-}
-
-// MinimalCost evaluates a lineage polynomial in the tropical semiring: the
-// cheapest derivation given per-tuple costs.
-func MinimalCost(lineage Polynomial, cost func(Var) float64) float64 {
-	return provenance.MinimalCost(lineage, cost)
-}
-
 // ParameterizeColumn instruments a numeric column: each cell is multiplied
 // by the product of the variables derived from specs (cell-level
-// instrumentation). It is one sequential pass whatever opts.Workers says,
-// so the instrumented relation is bit-identical across worker counts by
-// construction: variable interning must run in row order, and sharding
-// the rest around it measured 0.8× at 2 workers on TPC-H lineitem (SF
-// 0.05; inside the run-to-run spread at SF 0.01) for 1.43× the bytes.
-// opts stays in the signature until the facade decision of ROADMAP 7e.
-func ParameterizeColumn(rel *Relation, target string, specs []VarSpec, names *Names, _ Options) (*Relation, error) {
+// instrumentation). It takes no Options: it is one sequential pass, because
+// variable interning must run in row order, and sharding the rest around it
+// measured 0.8× at 2 workers on TPC-H lineitem (SF 0.05; inside the
+// run-to-run spread at SF 0.01) for 1.43× the bytes.
+func ParameterizeColumn(rel *Relation, target string, specs []VarSpec, names *Names) (*Relation, error) {
 	return provenance.ParameterizeColumn(rel, target, specs, names)
 }
 

@@ -48,7 +48,10 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 	full := cobra.EvalSet(set, a)
 	approx := cobra.EvalSet(comp, cobra.Induced(a, res.Cuts...))
-	acc := cobra.CompareResults(full, approx)
+	acc, err := cobra.CompareResults(full, approx)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !acc.Exact(1e-9) {
 		t.Fatalf("not exact: %+v", acc)
 	}
@@ -239,7 +242,7 @@ func TestFacadeSQLAndProvenance(t *testing.T) {
 	sales.Append(cobra.Str("a"), cobra.Float(10))
 	sales.Append(cobra.Str("a"), cobra.Float(20))
 	sales.Append(cobra.Str("b"), cobra.Float(5))
-	inst, err := cobra.ParameterizeColumn(sales, "amount", []cobra.VarSpec{{Prefix: "c_", Columns: []string{"cat"}}}, names, cobra.Options{})
+	inst, err := cobra.ParameterizeColumn(sales, "amount", []cobra.VarSpec{{Prefix: "c_", Columns: []string{"cat"}}}, names)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,48 +336,36 @@ func TestFacadeParallelOptions(t *testing.T) {
 }
 
 // TestFacadeParallelCapture exercises the capture surface across worker
-// counts: Capture, CaptureLineage, ParameterizeColumn and AnnotateTuples
-// must return exactly what they return sequentially (zero Options).
+// counts: Capture, CaptureLineage and AnnotateTuples must return exactly
+// what they return sequentially (zero Options). ParameterizeColumn takes
+// no Options, so one instrumented relation serves every worker count.
 func TestFacadeParallelCapture(t *testing.T) {
-	build := func() (*cobra.Relation, *cobra.Names) {
-		names := cobra.NewNames()
-		sales := cobra.NewRelation("sales",
-			cobra.Column{Name: "cat"}, cobra.Column{Name: "amount"})
-		for i := 0; i < 200; i++ {
-			sales.Append(cobra.Str([]string{"a", "b", "c"}[i%3]), cobra.Float(float64(i)))
-		}
-		return sales, names
+	names := cobra.NewNames()
+	sales := cobra.NewRelation("sales",
+		cobra.Column{Name: "cat"}, cobra.Column{Name: "amount"})
+	for i := 0; i < 200; i++ {
+		sales.Append(cobra.Str([]string{"a", "b", "c"}[i%3]), cobra.Float(float64(i)))
 	}
 	const query = "SELECT cat, SUM(amount) AS total FROM sales GROUP BY cat ORDER BY cat"
-	specs := []cobra.VarSpec{{Prefix: "c_", Columns: []string{"cat"}}}
-
-	seqSales, seqNames := build()
-	seqInst, err := cobra.ParameterizeColumn(seqSales, "amount", specs, seqNames, cobra.Options{})
+	inst, err := cobra.ParameterizeColumn(sales, "amount", []cobra.VarSpec{{Prefix: "c_", Columns: []string{"cat"}}}, names)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seqSet, err := cobra.Capture(query, cobra.Catalog{"sales": seqInst}, seqNames, "total", cobra.Options{})
+	cat := cobra.Catalog{"sales": inst}
+	out, err := cobra.RunSQL(query, cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Len() != 3 {
+		t.Fatalf("rows = %d", out.Len())
+	}
+	seqSet, err := cobra.Capture(query, cat, names, "total", cobra.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	for _, w := range []int{1, 2, 8} {
 		opts := cobra.Options{Workers: w}
-		sales, names := build()
-		inst, err := cobra.ParameterizeColumn(sales, "amount", specs, names, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cat := cobra.Catalog{"sales": inst}
-
-		out, err := cobra.RunSQL(query, cat)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if out.Len() != 3 {
-			t.Fatalf("workers=%d: rows = %d", w, out.Len())
-		}
-
 		set, err := cobra.Capture(query, cat, names, "total", opts)
 		if err != nil {
 			t.Fatal(err)

@@ -158,11 +158,11 @@
 // on. Query execution: the SQL engine has a single sequential executor
 // (see "The SQL engine" below), so of a capture only the rendering of
 // result rows into keys and polynomials is sharded, and RunSQL takes no
-// Options at all. Cell-level instrumentation: ParameterizeColumn takes an
-// Options and runs one sequential pass whatever it says (variable
-// interning must stay in row order, and sharding the rest around it ran
-// at 0.8× on TPC-H lineitem at SF 0.05; tuple-level AnnotateTuples gains
-// 1.4× at two workers there and shards). Workers <= 1 — the zero Options — runs fully
+// Options at all. Cell-level instrumentation: ParameterizeColumn takes no
+// Options either and is one sequential pass (variable interning must stay
+// in row order, and sharding the rest around it ran at 0.8× on TPC-H
+// lineitem at SF 0.05; tuple-level AnnotateTuples gains 1.4× at two
+// workers there and shards). Workers <= 1 — the zero Options — runs fully
 // sequentially.
 //
 //	res, err := cobra.Compress(set, cobra.Forest{tree}, bound,
@@ -518,7 +518,7 @@
 // per row, on the telephony join (TestCaptureAllocations) and on TPC-H Q1
 // (TestCaptureAllocationsQ1, both in internal/provenance). The shape of
 // this facade is pinned the same way: TestFacadeSurface fails if cobra.go
-// exports more than 56 functions, a deprecated one, or an X beside an
+// exports more than 50 functions, a deprecated one, or an X beside an
 // XWith, and TestLibraryDoesNotLinkTheHarness if the root package imports
 // the experiment runners or a data generator.
 //

@@ -95,7 +95,10 @@ func main() {
 	for i, key := range set.Keys {
 		fmt.Printf("%s: full %.2f, compressed %.2f\n", key, full[0][i], approx[0][i])
 	}
-	acc := cobra.CompareResults(full[0], approx[0])
+	acc, err := cobra.CompareResults(full[0], approx[0])
+	if err != nil {
+		log.Fatal(err)
+	}
 	exact := "approximate"
 	if acc.Exact(1e-9) {
 		exact = "exact"

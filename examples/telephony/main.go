@@ -64,7 +64,10 @@ func main() {
 	for name, a := range scenarios {
 		full := cobra.EvalSet(set, a)
 		approx := cobra.EvalSet(comp, cobra.Induced(a, res.Cuts...))
-		acc := cobra.CompareResults(full, approx)
+		acc, err := cobra.CompareResults(full, approx)
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("  %-30s max relative deviation %.3g\n", name, acc.MaxRel)
 	}
 

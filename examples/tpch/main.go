@@ -64,7 +64,10 @@ func main() {
 		comp := res.Apply(set)
 		full := cobra.EvalSet(set, a)
 		approx := cobra.EvalSet(comp, cobra.Induced(a, res.Cuts...))
-		acc := cobra.CompareResults(full, approx)
+		acc, err := cobra.CompareResults(full, approx)
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("  scenario '1994 +5%%' at bound 25%%: max relative deviation %.3g\n", acc.MaxRel)
 		for i, key := range set.Keys {
 			if i >= 3 {

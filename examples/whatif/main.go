@@ -167,7 +167,10 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		acc := cobra.CompareResults(full, rows[0])
+		acc, err := cobra.CompareResults(full, rows[0])
+		if err != nil {
+			log.Fatal(err)
+		}
 		exact := "approximate"
 		if acc.Exact(1e-9) {
 			exact = "exact"

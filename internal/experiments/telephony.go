@@ -279,8 +279,14 @@ func E6ScenarioAccuracy(cfg Config) (*Table, error) {
 				return nil, err
 			}
 			comp := abstraction.Apply(set, 1, cut)
-			accA := valuation.CompareResults(full, valuation.EvalSet(comp, valuation.Induced(sc.a, cut)))
-			accW := valuation.CompareResults(full, valuation.EvalSet(comp, inducedWeighted(sc.a, mass, cut)))
+			accA, err := valuation.CompareResults(full, valuation.EvalSet(comp, valuation.Induced(sc.a, cut)))
+			if err != nil {
+				return nil, err
+			}
+			accW, err := valuation.CompareResults(full, valuation.EvalSet(comp, inducedWeighted(sc.a, mass, cut)))
+			if err != nil {
+				return nil, err
+			}
 			exact := "no"
 			if accA.Exact(1e-9) {
 				exact = "yes"

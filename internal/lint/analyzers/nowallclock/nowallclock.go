@@ -37,7 +37,6 @@ var watched = []string{
 	"internal/valuation",
 	"internal/polyio",
 	"internal/provenance",
-	"internal/semiring",
 	"internal/engine",
 	"internal/sql",
 	"internal/relation",

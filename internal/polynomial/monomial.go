@@ -72,23 +72,8 @@ func (m Monomial) Clone() Monomial {
 	return Monomial{Coef: m.Coef, Terms: append([]Term(nil), m.Terms...)}
 }
 
-// Degree returns the total degree (sum of exponents).
-func (m Monomial) Degree() int {
-	d := 0
-	for _, t := range m.Terms {
-		d += int(t.Exp)
-	}
-	return d
-}
-
 // IsConstant reports whether the monomial has no variables.
 func (m Monomial) IsConstant() bool { return len(m.Terms) == 0 }
-
-// HasVar reports whether v appears in m (terms must be canonical).
-func (m Monomial) HasVar(v Var) bool {
-	_, ok := m.ExpOf(v)
-	return ok
-}
 
 // ExpOf returns the exponent of v in m and whether v appears.
 func (m Monomial) ExpOf(v Var) (int32, bool) {

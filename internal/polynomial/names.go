@@ -11,10 +11,7 @@
 // well defined.
 package polynomial
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Var identifies an interned variable. Vars are dense small integers,
 // suitable for indexing slices. The zero Var is a valid variable; use NoVar
@@ -93,13 +90,6 @@ func (n *Names) Len() int { return len(n.names) }
 func (n *Names) All() []string {
 	out := make([]string, len(n.names))
 	copy(out, n.names)
-	return out
-}
-
-// Sorted returns the interned names in lexicographic order.
-func (n *Names) Sorted() []string {
-	out := n.All()
-	sort.Strings(out)
 	return out
 }
 

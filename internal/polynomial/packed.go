@@ -155,11 +155,6 @@ func (ps *PackedSet) PolyOff() []int32 { return ps.polyOff }
 // monomial m covers terms MonOff()[m]..MonOff()[m+1].
 func (ps *PackedSet) MonOff() []int32 { return ps.monOff }
 
-// MonRange returns the [lo,hi) monomial range of polynomial i.
-func (ps *PackedSet) MonRange(i int) (int32, int32) {
-	return ps.polyOff[i], ps.polyOff[i+1]
-}
-
 // UsedVars returns the distinct variables appearing in the set,
 // ascending — a single pass over the variable column.
 func (ps *PackedSet) UsedVars() []Var {

@@ -85,17 +85,6 @@ func (p Polynomial) NumTerms() int {
 	return n
 }
 
-// MaxDegree returns the maximal total degree of any monomial.
-func (p Polynomial) MaxDegree() int {
-	d := 0
-	for _, m := range p.Mons {
-		if md := m.Degree(); md > d {
-			d = md
-		}
-	}
-	return d
-}
-
 // Clone returns a deep copy of p in storage of exactly its size: one array
 // of monomials, one of terms.
 func (p Polynomial) Clone() Polynomial {
@@ -135,13 +124,6 @@ func (p Polynomial) Vars(dst []Var, seen []bool) ([]Var, []bool) {
 		}
 	}
 	return dst, seen
-}
-
-// VarList returns the distinct variables of p in ascending order.
-func (p Polynomial) VarList() []Var {
-	vs, _ := p.Vars(nil, nil)
-	slices.Sort(vs)
-	return vs
 }
 
 // Add returns p + q. When one side is zero the other is returned as is
@@ -321,25 +303,6 @@ func (p Polynomial) EvalDense(vals []float64) float64 {
 		s += x
 	}
 	return s
-}
-
-// PartialEval substitutes concrete values for the variables on which val
-// reports ok, returning a polynomial over the remaining variables.
-func PartialEval(p Polynomial, val func(Var) (float64, bool)) Polynomial {
-	var b Builder
-	b.Grow(len(p.Mons))
-	for _, m := range p.Mons {
-		nm := Monomial{Coef: m.Coef}
-		for _, t := range m.Terms {
-			if x, ok := val(t.Var); ok {
-				nm.Coef *= ipow(x, t.Exp)
-			} else {
-				nm.Terms = append(nm.Terms, t)
-			}
-		}
-		b.AddMonomial(nm)
-	}
-	return b.Polynomial()
 }
 
 // Equal reports exact structural equality (including coefficients).

@@ -3,7 +3,6 @@ package provenance
 import (
 	"github.com/cobra-prov/cobra/internal/engine"
 	"github.com/cobra-prov/cobra/internal/polynomial"
-	"github.com/cobra-prov/cobra/internal/semiring"
 	"github.com/cobra-prov/cobra/internal/sql"
 )
 
@@ -30,17 +29,4 @@ func CaptureLineageN(query string, cat engine.Catalog, names *polynomial.Names, 
 		return nil, err
 	}
 	return renderSet(out.Rows, names, workers, -1, lineageRow)
-}
-
-// Derivable evaluates a lineage polynomial in the Boolean semiring: given
-// which source tuples are present, is the output row derivable? This is the
-// classic "possibility under deletion" specialization of N[X].
-func Derivable(lineage polynomial.Polynomial, present func(polynomial.Var) bool) bool {
-	return semiring.Eval[bool](semiring.Boolean{}, lineage, present, semiring.CoefBool)
-}
-
-// MinimalCost evaluates a lineage polynomial in the tropical semiring:
-// the cheapest derivation of the output row given per-tuple costs.
-func MinimalCost(lineage polynomial.Polynomial, cost func(polynomial.Var) float64) float64 {
-	return semiring.Eval[float64](semiring.Tropical{}, lineage, cost, semiring.CoefTropical)
 }

@@ -1,7 +1,6 @@
 package provenance
 
 import (
-	"math"
 	"testing"
 
 	"github.com/cobra-prov/cobra/internal/engine"
@@ -84,48 +83,5 @@ func TestCaptureLineageGroupingAddsAlternatives(t *testing.T) {
 	want := polynomial.MustParse("r1*s1 + r2*s3", names)
 	if !polynomial.Equal(got, want) {
 		t.Fatalf("lineage of group a = %s, want %s", got.String(names), want.String(names))
-	}
-}
-
-func TestDerivableBoolean(t *testing.T) {
-	names := polynomial.NewNames()
-	lin := polynomial.MustParse("r1*s1 + r2*s3", names)
-	r1, _ := names.Lookup("r1")
-	s1, _ := names.Lookup("s1")
-	r2, _ := names.Lookup("r2")
-	s3, _ := names.Lookup("s3")
-
-	onlyFirst := func(v polynomial.Var) bool { return v == r1 || v == s1 }
-	if !Derivable(lin, onlyFirst) {
-		t.Fatal("row should be derivable from r1, s1")
-	}
-	crossed := func(v polynomial.Var) bool { return v == r1 || v == s3 }
-	if Derivable(lin, crossed) {
-		t.Fatal("r1 with s3 is not a derivation")
-	}
-	second := func(v polynomial.Var) bool { return v == r2 || v == s3 }
-	if !Derivable(lin, second) {
-		t.Fatal("row should be derivable from r2, s3")
-	}
-}
-
-func TestMinimalCostTropical(t *testing.T) {
-	names := polynomial.NewNames()
-	lin := polynomial.MustParse("r1*s1 + r2*s3", names)
-	cost := func(v polynomial.Var) float64 {
-		switch names.Name(v) {
-		case "r1":
-			return 5
-		case "s1":
-			return 4
-		case "r2":
-			return 1
-		case "s3":
-			return 2
-		}
-		return math.Inf(1)
-	}
-	if got := MinimalCost(lin, cost); got != 3 {
-		t.Fatalf("minimal cost = %v, want 3 (r2+s3)", got)
 	}
 }

@@ -422,6 +422,6 @@ func CheckCommutation(query string, cat engine.Catalog, names *polynomial.Names,
 			report.MissingGroups++
 		}
 	}
-	report.Accuracy = valuation.CompareResults(full, comp)
-	return report, nil
+	report.Accuracy, err = valuation.CompareResults(full, comp)
+	return report, err
 }

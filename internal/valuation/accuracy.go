@@ -1,6 +1,9 @@
 package valuation
 
-import "math"
+import (
+	"fmt"
+	"math"
+)
 
 // Accuracy summarizes the deviation of compressed-provenance results from
 // full-provenance results across output groups — what the demo UI shows as
@@ -17,14 +20,15 @@ type Accuracy struct {
 }
 
 // CompareResults computes accuracy metrics between equally long result
-// vectors. It panics if lengths differ (groups must correspond 1:1).
-func CompareResults(full, comp []float64) Accuracy {
+// vectors; groups correspond 1:1, so vectors of different lengths are an
+// error.
+func CompareResults(full, comp []float64) (Accuracy, error) {
 	if len(full) != len(comp) {
-		panic("valuation: result vectors have different lengths")
+		return Accuracy{}, fmt.Errorf("valuation: cannot compare %d full results with %d compressed results: groups must correspond 1:1", len(full), len(comp))
 	}
 	a := Accuracy{Groups: len(full)}
 	if len(full) == 0 {
-		return a
+		return a, nil
 	}
 	var sumAbs, sumRel, sumFull float64
 	for i := range full {
@@ -53,7 +57,7 @@ func CompareResults(full, comp []float64) Accuracy {
 	} else if sumAbs > 1e-12 {
 		a.L1Rel = math.Inf(1)
 	}
-	return a
+	return a, nil
 }
 
 // Exact reports whether the compressed results are exact up to eps

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"github.com/cobra-prov/cobra/internal/abstraction"
@@ -137,7 +138,10 @@ func TestAbstractionSoundness(t *testing.T) {
 		base.MustSet("m1", 0.9).MustSet("m3", 1.2)
 		full := EvalSet(set, base)
 		comp := EvalSet(abstraction.Apply(set, 1, cut), Induced(base, cut))
-		acc := CompareResults(full, comp)
+		acc, err := CompareResults(full, comp)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if !acc.Exact(1e-9) {
 			t.Fatalf("cut %s: not exact: %+v\nfull=%v comp=%v", cut, acc, full, comp)
 		}
@@ -151,7 +155,10 @@ func TestAccuracyNonConstantGroups(t *testing.T) {
 	base := New(set.Names).MustSet("b1", 2.0) // others stay 1
 	full := EvalSet(set, base)
 	comp := EvalSet(abstraction.Apply(set, 1, cut), Induced(base, cut))
-	acc := CompareResults(full, comp)
+	acc, err := CompareResults(full, comp)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if acc.Exact(1e-9) {
 		t.Fatal("expected approximation error for intra-group variation")
 	}
@@ -164,20 +171,18 @@ func TestAccuracyNonConstantGroups(t *testing.T) {
 }
 
 func TestCompareResultsEdgeCases(t *testing.T) {
-	a := CompareResults(nil, nil)
-	if a.Groups != 0 || a.MaxAbs != 0 {
-		t.Fatalf("empty: %+v", a)
+	a, err := CompareResults(nil, nil)
+	if err != nil || a.Groups != 0 || a.MaxAbs != 0 {
+		t.Fatalf("empty: %+v, %v", a, err)
 	}
-	b := CompareResults([]float64{0}, []float64{1})
-	if !math.IsInf(b.MaxRel, 1) {
-		t.Fatalf("zero full with nonzero comp should give +Inf rel, got %+v", b)
+	b, err := CompareResults([]float64{0}, []float64{1})
+	if err != nil || !math.IsInf(b.MaxRel, 1) {
+		t.Fatalf("zero full with nonzero comp should give +Inf rel, got %+v, %v", b, err)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("length mismatch should panic")
-		}
-	}()
-	CompareResults([]float64{1}, []float64{1, 2})
+	_, err = CompareResults([]float64{1}, []float64{1, 2})
+	if err == nil || !strings.Contains(err.Error(), "1 full results with 2 compressed results") {
+		t.Fatalf("length mismatch: got %v, want an error naming both lengths", err)
+	}
 }
 
 func TestProgramMatchesDirectEval(t *testing.T) {

@@ -39,7 +39,7 @@ func captureFixture(t *testing.T, customers int) (cobra.Catalog, *cobra.Names) {
 	instrumented, err := cobra.ParameterizeColumn(prices, "Price", []cobra.VarSpec{
 		{Prefix: "p_", Columns: []string{"Plan"}},
 		{Prefix: "m", Columns: []string{"Mo"}},
-	}, names, cobra.Options{})
+	}, names)
 	if err != nil {
 		t.Fatal(err)
 	}
