@@ -79,7 +79,7 @@
 //     memoized.
 //   - A dataset over a ShardedSet supports Evict(): every shard still in
 //     memory is spilled and the pass buffers dropped, so the idle dataset
-//     holds no monomial; it goes on answering from its spill files, bit
+//     holds no monomial; it goes on answering from its spill file, bit
 //     for bit as before. Nothing is converted or re-encoded, and eviction
 //     is one-way: Resident() answers false from then on. In-memory
 //     datasets, and datasets over an indexed file, ignore Evict.
@@ -252,26 +252,35 @@
 // ShardSet partitions an existing in-memory set into a ShardedSet;
 // NewShardedSetBuilder exposes the sink for custom producers. Once the
 // resident monomial count would exceed Options.MaxResidentMonomials,
-// whole shards spill to a private temp directory (removed wholesale by
-// Close) and stream back one at a time.
+// whole shards spill to the set's one spill file, in a private temp
+// directory (both removed by Close), and stream back one at a time.
 //
-// A spilled shard on disk is its packed form (see "Representation"
-// below) written slab for slab, every number fixed-width in the machine's
-// native byte order: magic "CSPILL3\n", five counts, the two offset
-// tables, the coefficients, the variable column, the exponent column —
-// omitted when every exponent is 1, as in all SUM provenance — and the
-// keys. The counts fix the file's length, so one comparison bounds
-// everything the decoder allocates; decoding is then one copy per slab,
-// straight into the slab's memory, followed by a structural validation of
-// the typed slabs (offsets monotone and ending at the counts, variables
-// inside the namespace, exponents as the encoder writes them). The file is
-// private to the process and never outlives it: variables are raw ids
-// with no name table, there is one version, and native byte order is
-// sound because the only reader of a file is the process that wrote it.
-// It is the out-of-core store's memory image, never an interchange format
-// (those are the ones under "On-disk formats"), and it is all an evicted
-// dataset consists of. ShardedSet.SpillIO counts its traffic: shards
-// loaded, bytes read, bytes written.
+// A spilled shard is one record of that file, at the offset and length
+// the shard records, and the record is its packed form (see
+// "Representation" below) written slab for slab, every number fixed-width
+// in the machine's native byte order: magic "CSPILL3\n", five counts, the
+// two offset tables, the coefficients, the variable column, the exponent
+// column — omitted when every exponent is 1, as in all SUM provenance —
+// and the keys. A spill appends a record; a failed write leaves the end
+// offset where it was and truncates the file back to it, so the file holds
+// only whole records. The
+// counts fix the record's length, so one comparison against the recorded
+// length bounds everything the decoder allocates; loading is then one
+// positioned read per slab, straight into the slab's memory — the
+// kernel's copy is the only one, with no file opened and no staging
+// buffer — followed by a structural validation of the typed slabs
+// (offsets monotone and ending at the counts, variables inside the
+// namespace, exponents as the encoder writes them). A spilled set holds
+// one file descriptor from its first spill to Close, as an open
+// IndexedSet holds its file. The file is private to the process and never
+// outlives it: variables are raw ids with no name table, there is one
+// version, and native byte order is sound because the only reader of a
+// file is the process that wrote it. It is the out-of-core store's memory
+// image, never an interchange format (those are the ones under "On-disk
+// formats"), and it is all an evicted dataset consists of.
+// ShardedSet.SpillIO counts its traffic: shards loaded, split into those
+// a *Set pass viewed and those a packed pass read, bytes read and bytes
+// written.
 //
 // Stages that need polynomials (the signature index, cut application,
 // serialization) get each loaded shard as a *Set viewed over freshly
@@ -283,7 +292,7 @@
 // evaluated until Close, or until Dataset.Evict drops it along with the
 // resident shards; the next pass grows it again. An evicted dataset is
 // evaluated the same way as before, now with every shard loaded from its
-// spill file; a dataset over an indexed v3 file from the slabs the v3
+// spill record; a dataset over an indexed v3 file from the slabs the v3
 // decoder fills.
 //
 // # On-disk formats
@@ -333,7 +342,7 @@
 // decode order and worker count. Damage is always a typed error
 // (polyio.CorruptError or polyio.ChecksumError), never a panic or a
 // silent short read. The per-shard checksums guard what leaves the
-// process; the spill files of an out-of-core dataset, which never do, are
+// process; the spill file of an out-of-core dataset, which never does, is
 // guarded by the spill decoder's structural validation instead.
 //
 // # Representation: packed monomials and per-worker arenas

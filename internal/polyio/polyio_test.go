@@ -296,8 +296,19 @@ func TestBinaryReadsLegacyFullTableStreams(t *testing.T) {
 
 // TestBinaryRejectsOutOfRangeVars: a Term whose Var is outside the
 // namespace must be an explicit write error, not a silently corrupt
-// stream (the old writer truncated it through a uint32 cast).
+// stream (the old writer truncated it through a uint32 cast). Reading
+// is the mirror image: a term naming variable 5 of a one-name table is
+// an error in the v1/v2 body and in the v3 shard payload, so no decoded
+// Var is ever outside the namespace (Names.Name cannot be handed one).
 func TestBinaryRejectsOutOfRangeVars(t *testing.T) {
+	v1 := "CPRVB1\n\x01\x01x\x01\x01k\x01\x00\x00\x00\x00\x00\x00\xf0\x3f\x01\x05\x01"
+	if _, _, err := ReadSet(strings.NewReader(v1), nil); err == nil || !strings.Contains(err.Error(), "variable index 5 out of range") {
+		t.Fatalf("v1 body with a variable past its table: %v", err)
+	}
+	if _, _, err := decodeV3Payload([]byte("\x01\x01x\x01\x01\x01\x01k\x01\x01\x04\x01\x05\x00"), polynomial.NewNames(), 0, false, nil); err == nil || !strings.Contains(err.Error(), "variable index 5 out of range") {
+		t.Fatalf("v3 payload with a variable past its table: %v", err)
+	}
+
 	names := polynomial.NewNames()
 	names.Var("x")
 	set := polynomial.NewSet(names)

@@ -113,7 +113,7 @@ func TestShardedSetConcurrentMetadataDuringPass(t *testing.T) {
 			_ = ss.ResidentMonomials()
 			_ = ss.PeakResidentMonomials()
 			_ = ss.SpilledShards()
-			_, _, _ = ss.SpillIO()
+			_ = ss.SpillIO()
 		}
 	}()
 	for i := 0; i < 20; i++ {

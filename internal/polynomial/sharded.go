@@ -2,6 +2,7 @@ package polynomial
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -25,14 +26,15 @@ type ShardOptions struct {
 	// shard of its own). <= 0 selects DefaultShardMonomials.
 	TargetMonomials int
 	// MaxResidentMonomials bounds the monomials the ShardedSet keeps in
-	// memory at once: sealed shards beyond the budget are spilled to temp
-	// files and re-loaded one at a time during streaming passes. <= 0
-	// disables spilling (everything stays resident). When set, the
-	// effective shard target is clamped to half the budget so that one
-	// in-flight shard plus one loaded shard fit.
+	// memory at once: sealed shards beyond the budget are spilled to the
+	// set's spill file and re-loaded one at a time during streaming
+	// passes. <= 0 disables spilling (everything stays resident). When
+	// set, the effective shard target is clamped to half the budget so
+	// that one in-flight shard plus one loaded shard fit.
 	MaxResidentMonomials int
-	// SpillDir is where spill files are created ("" = os.TempDir()). The
-	// ShardedSet creates a private subdirectory and removes it on Close.
+	// SpillDir is where the spill file is created ("" = os.TempDir()). The
+	// ShardedSet creates a private subdirectory holding its one spill file
+	// and removes it on Close.
 	SpillDir string
 }
 
@@ -53,10 +55,12 @@ func (o ShardOptions) withDefaults() ShardOptions {
 }
 
 // shard is one fixed-size slice of a ShardedSet: resident (set != nil),
-// or spilled to path. Metadata (polys, mons, used) survives spilling.
+// or spilled as the record of n bytes at off in the set's spill file.
+// Metadata (polys, mons, used) survives spilling.
 type shard struct {
 	set   *Set
-	path  string
+	off   int64
+	n     int64
 	polys int
 	mons  int
 	used  []Var // distinct vars of the shard, ascending
@@ -72,7 +76,7 @@ type shard struct {
 // passes (ForEachShard, ForEachPackedShard and everything built on them)
 // serialize on an internal mutex — they run one at a time, each
 // parallelizing within a shard, never across passes, which is also what
-// lets them share one read buffer and one decode scratch — and the
+// lets them share one spill decoder and one decode scratch — and the
 // residency counters and the lazy
 // used-variables cache are guarded separately so metadata reads never
 // block a pass. Building (ShardBuilder.Add/Finish) is single-goroutine.
@@ -92,33 +96,37 @@ type ShardedSet struct {
 	iterMu sync.Mutex
 	closed bool // guarded by iterMu
 
-	// statMu guards the residency counters and the usedVars cache — the
-	// metadata concurrent solvers read while a pass is in flight.
+	// statMu guards the residency counters, the spill traffic and the
+	// usedVars cache — the metadata concurrent solvers read while a pass
+	// is in flight.
 	statMu       sync.Mutex
-	resident     int    // guarded by statMu; monomials currently in memory
-	peakResident int    // guarded by statMu
-	spilled      int    // guarded by statMu; shards currently on disk
-	spillDir     string // guarded by statMu
-	loads        int    // guarded by statMu; spill files decoded
-	bytesRead    int64  // guarded by statMu
-	bytesWritten int64  // guarded by statMu
+	resident     int        // guarded by statMu; monomials currently in memory
+	peakResident int        // guarded by statMu
+	spilled      int        // guarded by statMu; shards currently on disk
+	spillIO      SpillStats // guarded by statMu
 
 	// usedVars caches the merged per-shard used-variable sets; usedValid
 	// is cleared whenever a new shard is sealed into the set.
 	usedVars  []Var // guarded by statMu
 	usedValid bool  // guarded by statMu
 
-	// encBuf is the spill encode scratch, reused across spills. It is
-	// only touched by spillShard, whose callers are serialized (building
-	// is single-goroutine; streaming passes and SpillAll hold iterMu).
-	encBuf []byte
+	// spillDir is the set's private directory and spill its one spill
+	// file, both created by the first spill; spillEnd is where the next
+	// record goes, and encBuf the encode scratch reused across spills.
+	// They are only touched by spillShard, loadShardLocked and Close,
+	// whose callers are serialized (building is single-goroutine;
+	// streaming passes, SpillAll and Close hold iterMu).
+	spillDir string
+	spill    *os.File
+	spillEnd int64
+	encBuf   []byte
 
-	// readBuf holds the bytes of the spill file a pass is decoding, and
-	// scratch the slabs ForEachPackedShard decodes (or copies) every shard
-	// into: one shard's worth of memory, kept from pass to pass until
-	// Close.
-	readBuf []byte    // guarded by iterMu
-	scratch PackedSet // guarded by iterMu
+	// dec holds the header and key bytes of the record a pass is
+	// decoding, and scratch the slabs ForEachPackedShard decodes (or
+	// copies) every shard into: one shard's worth of memory, kept from
+	// pass to pass until Close.
+	dec     spillDecoder // guarded by iterMu
+	scratch PackedSet    // guarded by iterMu
 }
 
 // Names returns the shared variable namespace.
@@ -167,18 +175,28 @@ func (ss *ShardedSet) SpilledShards() int {
 	return ss.spilled
 }
 
-// SpillIO returns the spill traffic over the set's lifetime: the shards
-// loaded from their spill files, the bytes those loads read, and the bytes
-// written spilling shards.
-func (ss *ShardedSet) SpillIO() (loaded int, read, written int64) {
+// SpillStats is a ShardedSet's spill traffic over its lifetime.
+type SpillStats struct {
+	// Loads counts the spilled shards passes read back; SetLoads is how
+	// many of them ForEachShard handed on as a *Set view, the rest went
+	// to packed passes (ForEachPackedShard).
+	Loads, SetLoads int
+	// BytesRead is what the loads read, the sum of their records'
+	// lengths; BytesWritten is what spilling shards wrote, the size of
+	// the spill file.
+	BytesRead, BytesWritten int64
+}
+
+// SpillIO returns the spill traffic so far.
+func (ss *ShardedSet) SpillIO() SpillStats {
 	ss.statMu.Lock()
 	defer ss.statMu.Unlock()
-	return ss.loads, ss.bytesRead, ss.bytesWritten
+	return ss.spillIO
 }
 
 // UsedVars returns the distinct variables appearing anywhere in the set,
 // ascending. It uses per-shard metadata recorded at seal time, so it never
-// touches the spill files; the merged result is computed once and cached
+// touches the spill file; the merged result is computed once and cached
 // (the cache is invalidated when the set gains a shard), and a fresh copy
 // is returned so callers cannot corrupt the cache.
 func (ss *ShardedSet) UsedVars() []Var {
@@ -230,6 +248,9 @@ func (ss *ShardedSet) ForEachShard(fn func(i, firstPoly int, s *Set) error) erro
 		if set == nil {
 			// Spilled monomials were canonical when written; no re-merge needed.
 			set = loaded.View()
+			ss.statMu.Lock()
+			ss.spillIO.SetLoads++
+			ss.statMu.Unlock()
 		}
 		return fn(i, ss.polyOff[i], set)
 	})
@@ -289,23 +310,26 @@ func (ss *ShardedSet) pass(into *PackedSet, fn func(i int, resident *Set, loaded
 	return nil
 }
 
-// loadShard reads spilled shard i into ps through the set's read buffer;
-// iterMu must be held.
+// loadShardLocked reads spilled shard i's record into ps through the
+// set's decoder; iterMu must be held.
 func (ss *ShardedSet) loadShardLocked(i int, ps *PackedSet) error {
 	sh := ss.shards[i]
 	var err error
-	if ss.readBuf, err = readShardFile(sh.path, ss.readBuf); err == nil {
-		err = decodeShardPayload(ss.readBuf, ss.names, ps)
+	if testSpillReadErr != nil {
+		err = testSpillReadErr()
+	}
+	if err == nil {
+		err = ss.dec.decode(ss.spill, sh.off, sh.n, ss.names, ps)
 	}
 	if err == nil && (ps.Len() != sh.polys || ps.Size() != sh.mons) {
-		err = fmt.Errorf("spill file holds %d monomials in %d polynomials, shard has %d in %d", ps.Size(), ps.Len(), sh.mons, sh.polys)
+		err = fmt.Errorf("spill record holds %d monomials in %d polynomials, shard has %d in %d", ps.Size(), ps.Len(), sh.mons, sh.polys)
 	}
 	if err != nil {
 		return fmt.Errorf("polynomial: loading shard %d: %w", i, err)
 	}
 	ss.statMu.Lock()
-	ss.loads++
-	ss.bytesRead += int64(len(ss.readBuf))
+	ss.spillIO.Loads++
+	ss.spillIO.BytesRead += sh.n
 	ss.statMu.Unlock()
 	return nil
 }
@@ -319,7 +343,7 @@ func (ss *ShardedSet) Materialize() (*Set, error) {
 	return out, nil
 }
 
-// SpillAll writes every shard still in memory to the spill directory,
+// SpillAll writes every shard still in memory to the spill file,
 // whatever the budget (none included), and drops the buffers passes keep
 // between calls: afterwards the set holds no monomial — ResidentMonomials
 // is 0 — and a pass loads one shard at a time, as it does for any spilled
@@ -340,13 +364,13 @@ func (ss *ShardedSet) SpillAll() error {
 			return err
 		}
 	}
-	ss.encBuf, ss.readBuf, ss.scratch = nil, nil, PackedSet{}
+	ss.encBuf, ss.dec, ss.scratch = nil, spillDecoder{}, PackedSet{}
 	return nil
 }
 
-// Close removes the spill directory and releases the shards. The set must
-// not be used afterwards. Close waits for any in-flight streaming pass to
-// finish before tearing down.
+// Close closes the spill file, removes the spill directory and releases
+// the shards. The set must not be used afterwards. Close waits for any
+// in-flight streaming pass to finish before tearing down.
 func (ss *ShardedSet) Close() error {
 	ss.iterMu.Lock()
 	defer ss.iterMu.Unlock()
@@ -355,14 +379,15 @@ func (ss *ShardedSet) Close() error {
 	}
 	ss.closed = true
 	ss.shards = nil
-	ss.readBuf, ss.scratch = nil, PackedSet{}
-	ss.statMu.Lock()
-	dir := ss.spillDir
-	ss.statMu.Unlock()
-	if dir != "" {
-		return os.RemoveAll(dir)
+	ss.dec, ss.scratch = spillDecoder{}, PackedSet{}
+	var err error
+	if ss.spill != nil {
+		err = ss.spill.Close()
 	}
-	return nil
+	if ss.spillDir != "" {
+		err = errors.Join(err, os.RemoveAll(ss.spillDir))
+	}
+	return err
 }
 
 func (ss *ShardedSet) trackResident(delta int) {
@@ -399,44 +424,46 @@ func (ss *ShardedSet) spillOver(extra int) error {
 	return nil
 }
 
-// spillShard writes one sealed shard into the set's private spill
-// directory (one directory per set/builder, created on first spill, so
-// Close and ShardBuilder.Discard can remove every spill file wholesale
-// with a single RemoveAll — no per-file bookkeeping, no leaks from
-// abandoned builders). A failed write removes its partial file
-// immediately, so even before Close the directory holds only complete
-// shards.
+// spillShard appends one sealed shard's record to the set's spill file:
+// one file in a private directory (one per set/builder, both created on
+// the first spill), so Close and ShardBuilder.Discard remove everything
+// with a single RemoveAll — no per-shard files, no leaks from abandoned
+// builders. The record is written at the end offset, which moves past it
+// only once the write has succeeded: a failed write truncates the file back
+// to the end offset, so the file holds only whole records.
 func (ss *ShardedSet) spillShard(sh *shard) error {
-	ss.statMu.Lock()
-	dir := ss.spillDir
-	seq := ss.spilled
-	ss.statMu.Unlock()
-	if dir == "" {
-		var err error
-		dir, err = os.MkdirTemp(ss.opts.SpillDir, "cobra-shards-")
-		if err != nil {
-			return fmt.Errorf("polynomial: creating spill dir: %w", err)
+	if ss.spill == nil {
+		if ss.spillDir == "" {
+			dir, err := os.MkdirTemp(ss.opts.SpillDir, "cobra-shards-")
+			if err != nil {
+				return fmt.Errorf("polynomial: creating spill dir: %w", err)
+			}
+			ss.spillDir = dir
 		}
-		ss.statMu.Lock()
-		ss.spillDir = dir
-		ss.statMu.Unlock()
+		f, err := os.Create(filepath.Join(ss.spillDir, "shards.spill"))
+		if err != nil {
+			return fmt.Errorf("polynomial: creating spill file: %w", err)
+		}
+		ss.spill = f
 	}
-	path := filepath.Join(dir, fmt.Sprintf("shard-%06d.bin", seq))
-	// The encode buffer is reused across spills; spillShard callers are
-	// serialized (single-goroutine building, passes under iterMu), so the
-	// set-level scratch is never shared between concurrent writers.
-	buf, err := writeShardFile(path, sh.set, ss.encBuf)
+	buf, err := encodeShardPayload(ss.encBuf[:0], sh.set)
 	ss.encBuf = buf
+	if err == nil {
+		_, err = ss.spill.WriteAt(buf, ss.spillEnd)
+	}
+	if err == nil && testSpillWriteErr != nil {
+		err = testSpillWriteErr()
+	}
 	if err != nil {
-		os.Remove(path)
+		err = errors.Join(err, ss.spill.Truncate(ss.spillEnd))
 		return fmt.Errorf("polynomial: spilling shard: %w", err)
 	}
-	sh.path = path
-	sh.set = nil
+	sh.set, sh.off, sh.n = nil, ss.spillEnd, int64(len(buf))
+	ss.spillEnd += sh.n
 	ss.statMu.Lock()
 	ss.spilled++
 	ss.resident -= sh.mons
-	ss.bytesWritten += int64(len(buf))
+	ss.spillIO.BytesWritten += sh.n
 	ss.statMu.Unlock()
 	return nil
 }
@@ -528,8 +555,8 @@ func (b *ShardBuilder) seal() error {
 }
 
 // Finish seals the last shard and returns the built set. The builder must
-// not be used afterwards. On error the partial set (including any spill
-// files) is released.
+// not be used afterwards. On error the partial set (including its spill
+// file) is released.
 func (b *ShardBuilder) Finish() (*ShardedSet, error) {
 	if b.done {
 		return nil, fmt.Errorf("polynomial: ShardBuilder already finished")
@@ -542,8 +569,8 @@ func (b *ShardBuilder) Finish() (*ShardedSet, error) {
 	return b.ss, nil
 }
 
-// Discard abandons the build, removing any spill files already written.
-// It is a no-op after Finish (the finished set owns the files then), so
+// Discard abandons the build, removing any spill file already written.
+// It is a no-op after Finish (the finished set owns the file then), so
 // callers can safely `defer b.Discard()` to cover every error path.
 func (b *ShardBuilder) Discard() {
 	if b.done {
@@ -558,7 +585,7 @@ func (b *ShardBuilder) Discard() {
 // so the caller should drop the original to realize the memory bound.
 func BuildSharded(s *Set, opts ShardOptions) (*ShardedSet, error) {
 	b := NewShardBuilder(s.Names, opts)
-	defer b.Discard() // release partial spill files on any error path
+	defer b.Discard() // release a partial spill file on any error path
 	if err := b.AddSet(s); err != nil {
 		return nil, err
 	}
@@ -567,16 +594,18 @@ func BuildSharded(s *Set, opts ShardOptions) (*ShardedSet, error) {
 
 // --- spill codec ---------------------------------------------------------
 //
-// Spill files are ephemeral and private to the process that wrote them:
-// they share the in-memory Names namespace, so variables are stored as raw
-// Var ids with no name table, and they never outlive the process, so there
-// is one version and no compatibility path — and the machine that reads a
+// A spill file is ephemeral and private to the process that wrote it: it
+// shares the in-memory Names namespace, so variables are stored as raw Var
+// ids with no name table, and it never outlives the process, so there is
+// one version and no compatibility path — and the machine that reads a
 // file is the one that wrote it, so numbers are in its native byte order.
 // The on-disk interchange formats (with name tables and cross-process
 // guarantees) live in internal/polyio.
 //
-// A spill file is the shard's PackedSet written slab for slab, every
-// number fixed-width in native byte order:
+// A set's one spill file is its spilled shards' records back to back, at
+// the offsets and lengths each shard records. A record is the shard's
+// PackedSet written slab for slab, every number fixed-width in native
+// byte order:
 //
 //	magic     "CSPILL3\n"
 //	counts    polys, mons, terms, exps, keyBytes    5 × uint32
@@ -588,10 +617,11 @@ func BuildSharded(s *Set, opts ShardOptions) (*ShardedSet, error) {
 //	keyLen    polys × uint32
 //	keys      keyBytes bytes
 //
-// The counts fix the file's length exactly, so one comparison against the
-// bytes actually read bounds every allocation the decoder makes. Decoding
-// is then one copy per slab, straight into the memory of slabs the caller
-// may reuse from shard to shard, followed by a structural validation of
+// The counts fix the record's length exactly, so one comparison against
+// the length the shard recorded bounds every allocation the decoder
+// makes. Decoding then reads each slab with one positioned read straight
+// into the memory of slabs the caller may reuse from shard to shard — the
+// kernel's copy is the only one — followed by a structural validation of
 // the typed slabs: offsets monotone and ending where the counts say,
 // variables inside the namespace, exponents as the encoder writes them.
 const (
@@ -600,54 +630,21 @@ const (
 )
 
 // testSpillWriteErr and testSpillReadErr, when non-nil, are consulted
-// before every shard-file write and read — failpoints for exercising spill
-// failures in tests.
-var testSpillWriteErr, testSpillReadErr func(path string) error
+// after every spill record's write (so a failure leaves record bytes past
+// the end offset, as a torn write would) and before every load —
+// failpoints for exercising spill failures in tests.
+var testSpillWriteErr, testSpillReadErr func() error
 
-// writeShardFile encodes s into buf (reusing its capacity) and writes it
-// to path, returning the grown buffer so callers can reuse it for the
-// next spill.
-func writeShardFile(path string, s *Set, buf []byte) ([]byte, error) {
-	if testSpillWriteErr != nil {
-		if err := testSpillWriteErr(path); err != nil {
-			return buf, err
-		}
+// readAt fills p from r at off; a short read is an error.
+func readAt(r io.ReaderAt, p []byte, off int64) error {
+	n, err := r.ReadAt(p, off)
+	if n == len(p) {
+		return nil
 	}
-	buf, err := encodeShardPayload(buf[:0], s)
-	if err != nil {
-		return buf, err
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return buf, err
-	}
-	_, err = f.Write(buf)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return buf, err
-}
-
-// readShardFile reads the whole of path into buf (reusing its capacity)
-// and returns the grown buffer.
-func readShardFile(path string, buf []byte) ([]byte, error) {
-	if testSpillReadErr != nil {
-		if err := testSpillReadErr(path); err != nil {
-			return buf, err
-		}
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return buf, err
-	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return buf, err
-	}
-	buf = resize(buf, int(st.Size()))
-	_, err = io.ReadFull(f, buf)
-	return buf, err
+	return err
 }
 
 // resize returns s with length n, reallocating only when its capacity is
@@ -659,13 +656,13 @@ func resize[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// spillLen is the exact byte length of a spill file with these counts.
+// spillLen is the exact byte length of a spill record with these counts.
 func spillLen(polys, mons, terms, exps, keyBytes uint64) uint64 {
 	return uint64(spillHeadLen) + 4*(polys+1) + 4*(mons+1) + 8*mons + 4*terms + 4*exps + 4*polys + keyBytes
 }
 
-// slabBytes views the memory of a slab as bytes, so that filling it from a
-// spill file is one copy whatever the alignment of the file's bytes.
+// slabBytes views the memory of a slab as bytes, so that a read fills it
+// straight from a spill record, whatever the alignment of the record.
 func slabBytes[T int32 | float64](s []T) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(s))), len(s)*int(unsafe.Sizeof(*new(T))))
 }
@@ -742,29 +739,45 @@ func encodeShardPayload(buf []byte, s *Set) ([]byte, error) {
 	return buf, nil
 }
 
-// decodeShardPayload parses one spill file into ps, reusing the capacity
-// of its slabs: each slab is one copy out of data, and the key block
-// becomes one string the keys are substrings of — the only allocation once
-// the slabs have grown to the largest shard. The slabs are then validated
-// as typed columns: every variable is checked against names, so a
-// PackedSet this returns is safe to evaluate; an exponent column of all
-// ones, which the encoder never writes, is rejected, so it also re-encodes
-// to the same bytes.
-func decodeShardPayload(data []byte, names *Names, ps *PackedSet) error {
-	if len(data) < spillHeadLen || string(data[:len(spillMagic)]) != spillMagic {
+// spillDecoder reads spill records out of an io.ReaderAt — the set's spill
+// file, or any bytes through a bytes.Reader — with the header and key
+// buffers it keeps from record to record.
+type spillDecoder struct {
+	head [spillHeadLen]byte
+	keys []byte // key lengths, then key bytes
+}
+
+// decode reads the record of n bytes at off in r into ps, reusing the
+// capacity of its slabs: each slab is one positioned read straight into
+// its memory, and the key block becomes one string the keys are
+// substrings of — the only allocation once the slabs have grown to the
+// largest shard. The slabs are then validated as typed columns: every
+// variable is checked against names, so a PackedSet this returns is safe
+// to evaluate; an exponent column of all ones, which the encoder never
+// writes, is rejected, so it also re-encodes to the same bytes. A record
+// cut short — r holds fewer than n bytes at off — is an error, never a
+// short slab.
+func (d *spillDecoder) decode(r io.ReaderAt, off, n int64, names *Names, ps *PackedSet) error {
+	if n < int64(spillHeadLen) {
+		return fmt.Errorf("bad spill magic")
+	}
+	if err := readAt(r, d.head[:], off); err != nil {
+		return fmt.Errorf("reading spill header: %w", err)
+	}
+	if string(d.head[:len(spillMagic)]) != spillMagic {
 		return fmt.Errorf("bad spill magic")
 	}
 	ne := binary.NativeEndian
 	var counts [5]uint64
 	for i := range counts {
-		counts[i] = uint64(ne.Uint32(data[len(spillMagic)+4*i:]))
+		counts[i] = uint64(ne.Uint32(d.head[len(spillMagic)+4*i:]))
 	}
 	polys, mons, terms, exps, keyBytes := counts[0], counts[1], counts[2], counts[3], counts[4]
 	if polys|mons|terms|keyBytes > math.MaxInt32 || (exps != 0 && exps != terms) {
 		return fmt.Errorf("corrupt spill counts: %d polynomials, %d monomials, %d terms, %d exponents, %d key bytes", polys, mons, terms, exps, keyBytes)
 	}
-	if want := spillLen(polys, mons, terms, exps, keyBytes); want != uint64(len(data)) {
-		return fmt.Errorf("corrupt spill length: counts imply %d bytes, file holds %d", want, len(data))
+	if want := spillLen(polys, mons, terms, exps, keyBytes); want != uint64(n) {
+		return fmt.Errorf("corrupt spill length: counts imply %d bytes, the record holds %d", want, n)
 	}
 	ps.names, ps.view = names, nil
 	ps.polyOff = resize(ps.polyOff, int(polys)+1)
@@ -772,9 +785,12 @@ func decodeShardPayload(data []byte, names *Names, ps *PackedSet) error {
 	ps.coefs = resize(ps.coefs, int(mons))
 	ps.vars = resize(ps.vars, int(terms))
 	ps.exps = resize(ps.exps, int(exps))
-	data = data[spillHeadLen:]
+	off += int64(spillHeadLen)
 	for _, slab := range [...][]byte{slabBytes(ps.polyOff), slabBytes(ps.monOff), slabBytes(ps.coefs), slabBytes(ps.vars), slabBytes(ps.exps)} {
-		data = data[copy(slab, data):]
+		if err := readAt(r, slab, off); err != nil {
+			return fmt.Errorf("reading spill slabs: %w", err)
+		}
+		off += int64(len(slab))
 	}
 	if !offsetsValid(ps.polyOff, mons) {
 		return fmt.Errorf("corrupt spill polynomial offsets")
@@ -791,9 +807,13 @@ func decodeShardPayload(data []byte, names *Names, ps *PackedSet) error {
 	if exps > 0 && !expsValid(ps.exps) {
 		return fmt.Errorf("corrupt spill exponents: one is negative, or all of them are 1")
 	}
+	d.keys = resize(d.keys, int(4*polys+keyBytes))
+	if err := readAt(r, d.keys, off); err != nil {
+		return fmt.Errorf("reading spill keys: %w", err)
+	}
 	ps.keys = resize(ps.keys, int(polys))
-	keyLens := data[:4*polys]
-	block := string(data[4*polys:])
+	keyLens := d.keys[:4*polys]
+	block := string(d.keys[4*polys:])
 	for i := range ps.keys {
 		n := uint64(ne.Uint32(keyLens[4*i:]))
 		if n > uint64(len(block)) {

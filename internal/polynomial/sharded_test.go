@@ -1,6 +1,7 @@
 package polynomial
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -115,6 +116,9 @@ func TestShardedCloseRemovesSpillDir(t *testing.T) {
 	left, _ := filepath.Glob(filepath.Join(dir, "*", "*"))
 	if len(left) != 0 {
 		t.Fatalf("spill files left after Close: %v", left)
+	}
+	if err := ss.spill.Close(); !errors.Is(err, os.ErrClosed) {
+		t.Fatalf("Close left the spill file's descriptor open: closing it again returned %v", err)
 	}
 	if err := ss.ForEachShard(func(int, int, *Set) error { return nil }); err == nil {
 		t.Fatal("ForEachShard after Close should error")

@@ -6,7 +6,7 @@ package polynomial
 // shard-at-a-time in one deterministic order, under one shared namespace,
 // with residency accounting. It is implemented by both *Set (one resident
 // shard: itself) and *ShardedSet (fixed-size shards that may stream from
-// spill files), so each stage is written once and works in-memory and
+// a spill file), so each stage is written once and works in-memory and
 // out-of-core alike.
 //
 // A source may offer more than this, and a stage asks by type assertion

@@ -174,7 +174,7 @@ func TestShardBuilderSpillErrorPathsLeakNothing(t *testing.T) {
 	for failAt := 1; failAt <= 3; failAt++ {
 		dir := t.TempDir()
 		writes := 0
-		testSpillWriteErr = func(string) error {
+		testSpillWriteErr = func() error {
 			writes++
 			if writes == failAt {
 				return inject

@@ -1,6 +1,7 @@
 package polynomial
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -40,18 +41,21 @@ func telephonyShaped(zips int) *Set {
 
 var benchSpillBuf []byte
 
-// BenchmarkSpillCodec is the layer benchmark of the spill file format, in
-// MB of spill file per second: encoding a shard from its *Set, decoding it
-// into reused slabs (what ForEachPackedShard does per spilled shard) and
-// into fresh ones with a *Set view over them (what ForEachShard does).
+// BenchmarkSpillCodec is the layer benchmark of the spill record format,
+// in MB of record per second: encoding a shard from its *Set, decoding it
+// from memory (a bytes.Reader, so no system call is timed) into reused
+// slabs (what ForEachPackedShard does per spilled shard) and into fresh
+// ones with a *Set view over them (what ForEachShard does).
 func BenchmarkSpillCodec(b *testing.B) {
 	shard := telephonyShaped(66) // 8 712 monomials: one shard of the benchmark's set
 	data, err := encodeShardPayload(nil, shard)
 	if err != nil {
 		b.Fatal(err)
 	}
+	r, n := bytes.NewReader(data), int64(len(data))
+	var dec spillDecoder
 	b.Run("op=encode", func(b *testing.B) {
-		b.SetBytes(int64(len(data)))
+		b.SetBytes(n)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if benchSpillBuf, err = encodeShardPayload(benchSpillBuf[:0], shard); err != nil {
@@ -60,21 +64,21 @@ func BenchmarkSpillCodec(b *testing.B) {
 		}
 	})
 	b.Run("op=decode", func(b *testing.B) {
-		b.SetBytes(int64(len(data)))
+		b.SetBytes(n)
 		b.ReportAllocs()
 		ps := new(PackedSet)
 		for i := 0; i < b.N; i++ {
-			if err := decodeShardPayload(data, shard.Names, ps); err != nil {
+			if err := dec.decode(r, 0, n, shard.Names, ps); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("op=decode+view", func(b *testing.B) {
-		b.SetBytes(int64(len(data)))
+		b.SetBytes(n)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			ps := new(PackedSet)
-			if err := decodeShardPayload(data, shard.Names, ps); err != nil {
+			if err := dec.decode(r, 0, n, shard.Names, ps); err != nil {
 				b.Fatal(err)
 			}
 			if ps.View().Size() != shard.Size() {
@@ -105,7 +109,7 @@ func BenchmarkShardedPass(b *testing.B) {
 	run := func(name string, pass func(mons *int) error) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
-			_, readBefore, _ := ss.SpillIO()
+			before := ss.SpillIO()
 			for i := 0; i < b.N; i++ {
 				mons := 0
 				if err := pass(&mons); err != nil {
@@ -115,8 +119,7 @@ func BenchmarkShardedPass(b *testing.B) {
 					b.Fatalf("pass saw %d monomials, want %d", mons, set.Size())
 				}
 			}
-			_, read, _ := ss.SpillIO()
-			b.SetBytes((read - readBefore) / int64(b.N))
+			b.SetBytes((ss.SpillIO().BytesRead - before.BytesRead) / int64(b.N))
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*float64(set.Size())), "ns/monomial")
 		})
 	}

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"os"
@@ -56,6 +57,23 @@ func residentByShards(ss *ShardedSet) int {
 	return n
 }
 
+// checkSpillFileWhole fails unless an open set's spill file is exactly as
+// long as the records its successful spills wrote: a failed write must
+// leave no partial record behind.
+func checkSpillFileWhole(t *testing.T, ss *ShardedSet, when string) {
+	t.Helper()
+	if ss.spill == nil || ss.closed {
+		return
+	}
+	st, err := ss.spill.Stat()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if written := ss.SpillIO().BytesWritten; st.Size() != written {
+		t.Fatalf("%s: the spill file holds %d bytes, its whole records %d", when, st.Size(), written)
+	}
+}
+
 // TestPackedPassMatchesSetPass: ForEachPackedShard hands out, shard for
 // shard, what ForEachShard does — spilled shards decoded into the scratch,
 // resident ones copied into it — with and without an exponent column.
@@ -97,11 +115,19 @@ func TestPackedPassMatchesSetPass(t *testing.T) {
 // index among all spill writes and reads of a clean run. Each failure must
 // surface as the injected error, leave the residency counter equal to what
 // the resident shards hold (a failed load is never counted; a shard spilled
-// to make room before the failure stays spilled), let the next pass over
+// to make room before the failure stays spilled), keep the spill file to
+// its whole records (a failed write leaves its record's bytes past the end
+// until spillShard truncates them), let the next pass over
 // the same set answer bit-identically, and leak no file once the set is
 // closed or the builder discarded. The first two passes still spill to
 // make room; the second two only read, so a failure there must leave
 // residency at its pre-pass value.
+//
+// Then the spill file itself is damaged — cut short mid-record, or a
+// variable id overwritten past the namespace — and the next pass of either
+// kind must fail with an error naming the shard, never a panic, a short
+// read or a garbage slab, with residency where it was, and Close must
+// still empty the spill directory.
 func TestSpillFailpointSweep(t *testing.T) {
 	set := buildTestSet(36, 8)
 	inject := errors.New("injected spill I/O failure")
@@ -111,7 +137,7 @@ func TestSpillFailpointSweep(t *testing.T) {
 	// (0: none) and returns how many calls it made.
 	scenario := func(failAt int) (calls int) {
 		dir := t.TempDir()
-		failpoint := func(string) error {
+		failpoint := func() error {
 			if calls++; calls == failAt {
 				return inject
 			}
@@ -135,6 +161,7 @@ func TestSpillFailpointSweep(t *testing.T) {
 			if !errors.Is(err, inject) {
 				t.Fatalf("failAt=%d: build failed with %v", failAt, err)
 			}
+			checkSpillFileWhole(t, b.ss, fmt.Sprintf("failAt=%d: failed build", failAt))
 			return calls
 		}
 		defer ss.Close()
@@ -159,6 +186,7 @@ func TestSpillFailpointSweep(t *testing.T) {
 					t.Fatalf("failAt=%d: pass failed with %v", failAt, err)
 				}
 				failed = true
+				checkSpillFileWhole(t, ss, fmt.Sprintf("failAt=%d: failed pass", failAt))
 				if pass >= 2 && ss.ResidentMonomials() != before {
 					t.Fatalf("failAt=%d: a failed load moved residency %d -> %d", failAt, before, ss.ResidentMonomials())
 				}
@@ -191,6 +219,50 @@ func TestSpillFailpointSweep(t *testing.T) {
 		scenario(failAt)
 	}
 	t.Logf("swept %d spill I/O calls", total)
+
+	for _, damage := range []struct {
+		name string
+		do   func(f *os.File, sh *shard) error
+		want string
+	}{
+		{"cut short mid-record", func(f *os.File, sh *shard) error { return f.Truncate(sh.off + sh.n/2) }, io.ErrUnexpectedEOF.Error()},
+		{"variable past the namespace", func(f *os.File, sh *shard) error {
+			vars := sh.off + int64(spillHeadLen+4*(sh.polys+1)+4*(sh.mons+1)+8*sh.mons)
+			_, err := f.WriteAt(binary.NativeEndian.AppendUint32(nil, uint32(set.Names.Len())), vars)
+			return err
+		}, "corrupt spill variable"},
+	} {
+		dir := t.TempDir()
+		ss, err := BuildSharded(set, ShardOptions{TargetMonomials: 24, MaxResidentMonomials: 64, SpillDir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ss.SpillAll(); err != nil {
+			t.Fatal(err)
+		}
+		k := ss.NumShards() / 2
+		if err := damage.do(ss.spill, ss.shards[k]); err != nil {
+			t.Fatal(err)
+		}
+		for _, pass := range []func() error{
+			func() error { return ss.ForEachShard(func(_, _ int, _ *Set) error { return nil }) },
+			func() error { return ss.ForEachPackedShard(func(_, _ int, _ *PackedSet) error { return nil }) },
+		} {
+			err := pass()
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("loading shard %d: ", k)) || !strings.Contains(err.Error(), damage.want) {
+				t.Fatalf("%s in shard %d: the pass returned %v", damage.name, k, err)
+			}
+			if got := ss.ResidentMonomials(); got != 0 {
+				t.Fatalf("%s: %d monomials resident after the failed pass, 0 before", damage.name, got)
+			}
+		}
+		if err := ss.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if left, err := os.ReadDir(dir); err != nil || len(left) != 0 {
+			t.Fatalf("%s: %d entries left in the spill directory (%v)", damage.name, len(left), err)
+		}
+	}
 }
 
 // TestSpillAllFailpointSweep: SpillAll, for a budgeted set (some shards on
@@ -199,8 +271,8 @@ func TestSpillFailpointSweep(t *testing.T) {
 // shards spilled — residency says exactly which — and loses none: every
 // pass answers as a set that never spilled does. Run again without the
 // failure it finishes the job: nothing resident, every shard on disk, both
-// kinds of pass still identical, one file per shard in the set's own
-// directory, and nothing at all after Close.
+// kinds of pass still identical, one spill file in the set's own
+// directory whatever the shard count, and nothing at all after Close.
 func TestSpillAllFailpointSweep(t *testing.T) {
 	set := buildTestSet(36, 8)
 	inject := errors.New("injected spill write failure")
@@ -241,7 +313,7 @@ func TestSpillAllFailpointSweep(t *testing.T) {
 				t.Fatalf("fixture: budget %d, %d shards spilled, %d monomials resident", budget, ss.SpilledShards(), ss.ResidentMonomials())
 			}
 			spilledBefore := ss.SpilledShards()
-			testSpillWriteErr = func(string) error {
+			testSpillWriteErr = func() error {
 				if spills++; spills == failAt {
 					return inject
 				}
@@ -257,6 +329,7 @@ func TestSpillAllFailpointSweep(t *testing.T) {
 				if got := ss.SpilledShards(); got != spilledBefore+failAt-1 {
 					t.Fatalf("%s: %d shards spilled, want the %d from before and %d more", when, got, spilledBefore, failAt-1)
 				}
+				checkSpillFileWhole(t, ss, when)
 				same(ss, when+", after the failure")
 				err = ss.SpillAll()
 			}
@@ -266,8 +339,8 @@ func TestSpillAllFailpointSweep(t *testing.T) {
 			if ss.ResidentMonomials() != 0 || ss.SpilledShards() != ss.NumShards() {
 				t.Fatalf("%s: %d monomials resident, %d of %d shards spilled after SpillAll", when, ss.ResidentMonomials(), ss.SpilledShards(), ss.NumShards())
 			}
-			if files := countFilesUnder(t, dir); len(files) != ss.NumShards() {
-				t.Fatalf("%s: %d spill files for %d shards: %v", when, len(files), ss.NumShards(), files)
+			if files := countFilesUnder(t, dir); len(files) != 1 {
+				t.Fatalf("%s: %d spill files for %d shards, want 1: %v", when, len(files), ss.NumShards(), files)
 			}
 			same(ss, when+", spilled")
 			same(ss, when+", spilled, second pass")
@@ -389,8 +462,10 @@ func spillSeeds(tb testing.TB) (*Names, [][]byte) {
 	return names, out
 }
 
-// TestSpillDecodeCorruptions names every way a spill file can be wrong and
-// the error it gets; each is one edit of a real encoding.
+// TestSpillDecodeCorruptions names every way a spill record can be wrong
+// and the error it gets; each is one edit of a real encoding, decoded as
+// a whole record. A record the reader holds only part of fails the read
+// that reaches past its end.
 func TestSpillDecodeCorruptions(t *testing.T) {
 	names, seeds := spillSeeds(t)
 	sum, pow := seeds[1], seeds[2] // 3 polys, 3 mons, 3 terms, no exps / 2 polys, 2 mons, 3 terms, exps
@@ -409,7 +484,7 @@ func TestSpillDecodeCorruptions(t *testing.T) {
 		{"empty file", sum, func(b []byte) []byte { return nil }, "bad spill magic"},
 		{"old magic", sum, func(b []byte) []byte { b[6] = '2'; return b }, "bad spill magic"},
 		{"truncated header", sum, func(b []byte) []byte { return b[:spillHeadLen-1] }, "bad spill magic"},
-		{"truncated by one byte", sum, func(b []byte) []byte { return b[:len(b)-1] }, "corrupt spill length: counts imply 116 bytes, file holds 115"},
+		{"truncated by one byte", sum, func(b []byte) []byte { return b[:len(b)-1] }, "corrupt spill length: counts imply 116 bytes, the record holds 115"},
 		{"one trailing byte", sum, func(b []byte) []byte { return append(b, 0) }, "corrupt spill length"},
 		{"2^31 monomials", sum, put(counts+4, 1<<31), "corrupt spill counts"},
 		{"2^31 terms", sum, put(counts+8, 1<<31), "corrupt spill counts"},
@@ -432,13 +507,19 @@ func TestSpillDecodeCorruptions(t *testing.T) {
 		{"key lengths short of the block", sum, put(len(sum)-8-12, 2), "corrupt spill key lengths"},
 	} {
 		data := tc.corrupt(bytes.Clone(tc.data))
-		err := decodeShardPayload(data, names, new(PackedSet))
+		err := new(spillDecoder).decode(bytes.NewReader(data), 0, int64(len(data)), names, new(PackedSet))
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: got %v, want an error containing %q", tc.name, err, tc.want)
 		}
 	}
+	for what, held := range map[string]int{"header": spillHeadLen - 1, "slabs": spillHeadLen + 4, "keys": len(sum) - 1} {
+		err := new(spillDecoder).decode(bytes.NewReader(sum[:held]), 0, int64(len(sum)), names, new(PackedSet))
+		if !errors.Is(err, io.ErrUnexpectedEOF) || !strings.Contains(err.Error(), "reading spill "+what) {
+			t.Errorf("a record cut short in its %s: got %v, want reading spill %s: %v", what, err, what, io.ErrUnexpectedEOF)
+		}
+	}
 	for i, seed := range seeds {
-		if err := decodeShardPayload(seed, names, new(PackedSet)); err != nil {
+		if err := new(spillDecoder).decode(bytes.NewReader(seed), 0, int64(len(seed)), names, new(PackedSet)); err != nil {
 			t.Errorf("seed %d does not decode: %v", i, err)
 		}
 	}
@@ -448,8 +529,9 @@ func TestSpillDecodeCorruptions(t *testing.T) {
 // PackedSet that encodes back to exactly them — never a panic, and never an
 // allocation the input's own length does not cover (the length check comes
 // before the first one, so slabs total at most the input's size). The
-// scratch is reused across inputs, as ForEachPackedShard reuses it across
-// shards, so a rejected input must not poison the next decode either.
+// decoder and the scratch are reused across inputs, as ForEachPackedShard
+// reuses them across shards, so a rejected input must not poison the next
+// decode either.
 func FuzzSpillDecode(f *testing.F) {
 	names, seeds := spillSeeds(f)
 	r := rand.New(rand.NewSource(5))
@@ -473,9 +555,10 @@ func FuzzSpillDecode(f *testing.F) {
 			f.Add(longKey)
 		}
 	}
+	var dec spillDecoder
 	scratch := new(PackedSet)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if err := decodeShardPayload(data, names, scratch); err != nil {
+		if err := dec.decode(bytes.NewReader(data), 0, int64(len(data)), names, scratch); err != nil {
 			return
 		}
 		slabs := 4*(len(scratch.polyOff)+len(scratch.monOff)+len(scratch.vars)+len(scratch.exps)) + 8*len(scratch.coefs)
@@ -517,9 +600,11 @@ func sameSlabs(got, want *PackedSet) string {
 // whole so every shard goes through the decoder, comes back,
 // shard for shard, as exactly the slabs PackSet builds from the same
 // polynomials — the special coefficients included, bit for bit, in shards
-// with an exponent column and without — and decoding the same file from a
-// buffer that starts one byte into another gives the same slabs, so the
-// decoder never reads the file's bytes as typed (aligned) values.
+// with an exponent column and without — and decoding the shard's record,
+// read from the spill file at its offset into a buffer one byte into
+// another and decoded from there through a bytes.Reader, gives the same
+// slabs, so the decoder never reads a record's bytes as typed (aligned)
+// values and honours the offset it is given.
 func TestSpillRoundTripBitIdentical(t *testing.T) {
 	set := buildTestSet(36, 8)
 	x, c0 := set.Names.Var("x0"), set.Names.Var("c0")
@@ -545,14 +630,13 @@ func TestSpillRoundTripBitIdentical(t *testing.T) {
 		if diff := sameSlabs(ps, want); diff != "" {
 			return fmt.Errorf("shard %d: the packed pass's %s differ from PackSet's", i, diff)
 		}
-		data, err := os.ReadFile(ss.shards[i].path)
-		if err != nil {
+		sh := ss.shards[i]
+		buf := make([]byte, 1+sh.n)
+		if _, err := ss.spill.ReadAt(buf[1:], sh.off); err != nil {
 			return err
 		}
-		buf := make([]byte, len(data)+1)
-		copy(buf[1:], data)
 		var unaligned PackedSet
-		if err := decodeShardPayload(buf[1:], set.Names, &unaligned); err != nil {
+		if err := new(spillDecoder).decode(bytes.NewReader(buf), 1, sh.n, set.Names, &unaligned); err != nil {
 			return fmt.Errorf("shard %d, decoded one byte off: %w", i, err)
 		}
 		if diff := sameSlabs(&unaligned, want); diff != "" {
@@ -579,8 +663,9 @@ func TestSpillRoundTripBitIdentical(t *testing.T) {
 }
 
 // TestSpillIOCounts: the spill counters are exact. The bytes written are
-// the spill files' sizes, and a packed pass that spills nothing loads
-// every spilled shard once, reading every byte of every spill file.
+// the spill file's size, and a packed pass and a *Set pass that spill
+// nothing each load every spilled shard once, reading exactly its record;
+// only the *Set pass's loads count as SetLoads.
 func TestSpillIOCounts(t *testing.T) {
 	set := buildTestSet(60, 10)
 	dir := t.TempDir()
@@ -588,46 +673,63 @@ func TestSpillIOCounts(t *testing.T) {
 	if _, _, err := passDigests(ss); err != nil { // also settles what stays resident
 		t.Fatal(err)
 	}
-	if spilled := ss.SpilledShards(); spilled == 0 || spilled == ss.NumShards() {
+	spilled := ss.SpilledShards()
+	if spilled == 0 || spilled == ss.NumShards() {
 		t.Fatalf("fixture: %d of %d shards spilled", spilled, ss.NumShards())
 	}
-	var files int64
-	for _, path := range countFilesUnder(t, dir) {
-		st, err := os.Stat(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		files += st.Size()
+	files := countFilesUnder(t, dir)
+	if len(files) != 1 {
+		t.Fatalf("%d spill files, want 1: %v", len(files), files)
 	}
-	loadedBefore, readBefore, written := ss.SpillIO()
-	if written != files {
-		t.Fatalf("%d bytes written, the spill files hold %d", written, files)
+	st, err := os.Stat(files[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var records int64
+	for _, sh := range ss.shards {
+		if sh.set == nil {
+			records += sh.n
+		}
+	}
+	before := ss.SpillIO()
+	if before.BytesWritten != st.Size() || records != st.Size() {
+		t.Fatalf("%d bytes written, the spilled shards' records hold %d, the spill file %d", before.BytesWritten, records, st.Size())
 	}
 	if err := ss.ForEachPackedShard(func(_, _ int, _ *PackedSet) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
-	loaded, read, writtenAfter := ss.SpillIO()
-	if loaded-loadedBefore != ss.SpilledShards() || read-readBefore != files || writtenAfter != written {
-		t.Fatalf("one pass loaded %d shards reading %d bytes and wrote %d; want %d shards, %d bytes, 0",
-			loaded-loadedBefore, read-readBefore, writtenAfter-written, ss.SpilledShards(), files)
+	if err := ss.ForEachShard(func(_, _ int, _ *Set) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	want := SpillStats{
+		Loads:        before.Loads + 2*spilled,
+		SetLoads:     before.SetLoads + spilled,
+		BytesRead:    before.BytesRead + 2*records,
+		BytesWritten: st.Size(),
+	}
+	if got := ss.SpillIO(); got != want {
+		t.Fatalf("after a packed and a *Set pass over %d spilled shards: %+v, want %+v", spilled, got, want)
 	}
 }
 
 // TestSpillDecodeAllocations pins the decoder's allocations: decoding a
 // shard into a scratch that has already grown to it allocates once, for
-// the key block.
+// the key block — the header and key bytes go through the decoder's own
+// buffers.
 func TestSpillDecodeAllocations(t *testing.T) {
 	shard := telephonyShaped(66)
 	data, err := encodeShardPayload(nil, shard)
 	if err != nil {
 		t.Fatal(err)
 	}
+	r, n := bytes.NewReader(data), int64(len(data))
+	var dec spillDecoder
 	ps := new(PackedSet)
-	if err := decodeShardPayload(data, shard.Names, ps); err != nil { // grows the scratch
+	if err := dec.decode(r, 0, n, shard.Names, ps); err != nil { // grows the scratch
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(10, func() {
-		if err := decodeShardPayload(data, shard.Names, ps); err != nil {
+		if err := dec.decode(r, 0, n, shard.Names, ps); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -9,3 +9,7 @@ var (
 	ReferenceEvalBatch = referenceEvalBatch
 	SameBits           = sameBits
 )
+
+// RaceEnabled is raceEnabled, for the allocation pins of package
+// valuation_test.
+const RaceEnabled = raceEnabled

@@ -89,11 +89,13 @@ func BenchmarkEvalBatchSource(b *testing.B) {
 }
 
 // TestEvalBatchSourceAllocations pins what a slider over spilled shards may
-// allocate: at most 10 times per shard (measured: 9 — the key block, the
-// dense vector, the shard's rows and what opening and sizing a file takes)
-// plus the result, never anything per monomial. Before the packed hand-off
+// allocate: at most 3 times per shard (measured: 43 over 16 shards — the
+// key block, the dense vector and the shard's rows) plus the result,
+// never anything per monomial. Before the packed hand-off
 // the same pass allocated a PackedSet, a *Set view and a Program per shard:
-// 25 MB on the benchmark's set.
+// 25 MB on the benchmark's set. Under the race detector sync.Pool drops a
+// share of the Program's pooled sweeps (measured: 58), so the bound there
+// is 10 per shard; the pass over the spilled set still runs.
 func TestEvalBatchSourceAllocations(t *testing.T) {
 	set, ss, _ := outOfCoreSources(t, 200_000)
 	scenario := slider(set.Names)
@@ -105,7 +107,10 @@ func TestEvalBatchSourceAllocations(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	const perShard = 10
+	perShard := 3
+	if valuation.RaceEnabled {
+		perShard = 10
+	}
 	if limit := float64(perShard*ss.NumShards() + 4); allocs > limit {
 		t.Fatalf("one scenario over %d shards (%d monomials) allocates %.0f times, want at most %d per shard (%.0f)",
 			ss.NumShards(), ss.Size(), allocs, perShard, limit)
