@@ -440,6 +440,19 @@
 // per probe row. On the running example the two joins keep 4 of 6 and 3 of
 // 9 columns.
 //
+// Predicates. A table's own WHERE conjuncts are AND-ed in WHERE order,
+// compiled once at plan time into closures over a row, and tested by the
+// table's Scan as it reads each row (ExplainSQL prints them on the Scan
+// line after "where"). A conjunct over several tables runs in a Filter
+// above the join that completes them, and HAVING in a Filter above the
+// GroupBy, through the same compiled closures. A compiled predicate admits
+// a row exactly when Truthy(Eval) of its expression does, with the same
+// error raised by the same conjunct: a column compared with literals reads
+// its cell and runs the comparison's own last step of Eval, with no
+// interface call (two strings are one strings.Compare), and every other
+// operand goes through Eval. Selection moves no values, so captured
+// provenance is the same bits as with tree-walking Eval.
+//
 // Summation order. There is one rule wherever monomials merge, for capture
 // and for cut application: a merged coefficient is the left-to-right
 // float64 sum of its contributions in the order they arrive, term vectors

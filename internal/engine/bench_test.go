@@ -16,10 +16,12 @@ import (
 // BENCHMARK.json's capture workloads run: the telephony 3-way hash join
 // under a SUM over 10 000 customers, on the concrete catalog (float sums,
 // annotations all 1) and on the instrumented one (a symbolic SUM merging
-// 130 k monomials into 11 polynomials), and four TPC-H plans at SF 0.01: Q1
-// and Q6 (scan, date filter and symbolic SUM over all of lineitem, no join
-// — the cost of reading and comparing cells) and Q3 and Q5 (selective
-// filters under 2 and 5 joins, many small groups).
+// 130 k monomials into 11 polynomials), and the seven TPC-H plans of
+// capture_tpch at SF 0.01: Q1 and Q6 (scan, date filter and symbolic SUM
+// over all of lineitem, no join — the cost of reading and comparing
+// cells), Q3, Q5 and Q10 (selective filters under 2, 5 and 3 joins, many
+// small groups), Q12 (IN and a date range on lineitem, a CASE under SUM)
+// and Q14 (a one-month lineitem range joined to part, LIKE inside CASE).
 func BenchmarkExecute(b *testing.B) {
 	telNames := polynomial.NewNames()
 	tel := telephony.Generate(telephony.Config{Customers: 10_000})
@@ -47,6 +49,9 @@ func BenchmarkExecute(b *testing.B) {
 		{"tpch/Q6", tpch.Q6Prov, byMonth},
 		{"tpch/Q3", tpch.Q3Prov, byMonth},
 		{"tpch/Q5", tpch.Q5Prov, byNation},
+		{"tpch/Q10", tpch.Q10Prov, byMonth},
+		{"tpch/Q12", tpch.Q12Prov, byMonth},
+		{"tpch/Q14", tpch.Q14Prov, byMonth},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			stmt, err := sql.Parse(c.query)

@@ -257,7 +257,7 @@ func TestHashJoinAnnotationsMultiply(t *testing.T) {
 
 func TestNestedLoopJoinCrossAndPred(t *testing.T) {
 	r := testRel(t)
-	cross := NewNestedLoopJoin(NewScan(r, "a"), NewScan(r, "b"), nil)
+	cross := NewNestedLoopJoin(NewScan(r, "a"), NewScan(r, "b"))
 	out, err := Collect("out", cross)
 	if err != nil {
 		t.Fatal(err)
@@ -265,11 +265,11 @@ func TestNestedLoopJoinCrossAndPred(t *testing.T) {
 	if out.Len() != 25 {
 		t.Fatalf("cross rows = %d", out.Len())
 	}
-	sc1, sc2 := NewScan(r, "a"), NewScan(r, "b")
-	theta := NewNestedLoopJoin(sc1, sc2, nil)
-	ai, _ := theta.Schema().Index("a.id")
-	bi, _ := theta.Schema().Index("b.id")
-	theta.pred = &Cmp{Op: OpLt, L: &ColRef{Idx: ai, Name: "a.id"}, R: &ColRef{Idx: bi, Name: "b.id"}}
+	// A theta join is a Filter over the cross product.
+	cross = NewNestedLoopJoin(NewScan(r, "a"), NewScan(r, "b"))
+	ai, _ := cross.Schema().Index("a.id")
+	bi, _ := cross.Schema().Index("b.id")
+	theta := NewFilter(cross, &Cmp{Op: OpLt, L: &ColRef{Idx: ai, Name: "a.id"}, R: &ColRef{Idx: bi, Name: "b.id"}})
 	out, err = Collect("out", theta)
 	if err != nil {
 		t.Fatal(err)

@@ -29,10 +29,15 @@ func describe(sb *strings.Builder, it Iterator, depth int) {
 		sb.WriteString(op.rel.Name)
 		sb.WriteString(" (")
 		sb.WriteString(strconv.Itoa(op.rel.Len()))
-		sb.WriteString(" rows)\n")
+		sb.WriteString(" rows)")
+		if op.where != nil {
+			sb.WriteString(" where ")
+			writeConjuncts(sb, op.where)
+		}
+		sb.WriteByte('\n')
 	case *Filter:
 		sb.WriteString("Filter ")
-		sb.WriteString(op.pred.String())
+		writeConjuncts(sb, op.pred)
 		sb.WriteByte('\n')
 		describe(sb, op.in, depth+1)
 	case *Project:
@@ -66,13 +71,7 @@ func describe(sb *strings.Builder, it Iterator, depth int) {
 		describe(sb, op.left, depth+1)
 		describe(sb, op.right, depth+1)
 	case *NestedLoopJoin:
-		sb.WriteString("NestedLoopJoin on ")
-		if op.pred != nil {
-			sb.WriteString(op.pred.String())
-		} else {
-			sb.WriteString("true (cross)")
-		}
-		sb.WriteByte('\n')
+		sb.WriteString("NestedLoopJoin on true (cross)\n")
 		describe(sb, op.left, depth+1)
 		describe(sb, op.right, depth+1)
 	case *GroupBy:
@@ -129,4 +128,15 @@ func describe(sb *strings.Builder, it Iterator, depth int) {
 	default:
 		fmt.Fprintf(sb, "%T\n", it)
 	}
+}
+
+// writeConjuncts writes a predicate as its top-level conjuncts joined by
+// AND, in the order they are tested.
+func writeConjuncts(sb *strings.Builder, e Expr) {
+	if l, ok := e.(*Logic); ok && l.Op == OpAnd {
+		writeConjuncts(sb, l.L)
+		sb.WriteString(" AND ")
+		e = l.R
+	}
+	sb.WriteString(e.String())
 }

@@ -250,6 +250,12 @@ func (c *Cmp) Eval(t *relation.Tuple) (relation.Value, error) {
 	if err != nil {
 		return relation.Null(), err
 	}
+	return c.test(l, r)
+}
+
+// test is Eval's last step, on the operands' values; a compiled predicate
+// runs it on a cell and a literal.
+func (c *Cmp) test(l, r relation.Value) (relation.Value, error) {
 	if l.IsNull() || r.IsNull() {
 		return relation.Null(), nil
 	}
@@ -257,22 +263,17 @@ func (c *Cmp) Eval(t *relation.Tuple) (relation.Value, error) {
 	if err != nil {
 		return relation.Null(), err
 	}
-	var out bool
-	switch c.Op {
-	case OpEq:
-		out = cmp == 0
-	case OpNe:
-		out = cmp != 0
-	case OpLt:
-		out = cmp < 0
-	case OpLe:
-		out = cmp <= 0
-	case OpGt:
-		out = cmp > 0
-	case OpGe:
-		out = cmp >= 0
-	}
-	return relation.Bool(out), nil
+	return relation.Bool(cmpHolds[c.Op][cmp+1]), nil
+}
+
+// cmpHolds[op][c+1] reports whether l op r holds when l.Compare(r) is c.
+var cmpHolds = [...][3]bool{
+	OpEq: {false, true, false},
+	OpNe: {true, false, true},
+	OpLt: {true, false, false},
+	OpLe: {true, true, false},
+	OpGt: {false, false, true},
+	OpGe: {false, true, true},
 }
 
 func (c *Cmp) String() string { return fmt.Sprintf("(%s %s %s)", c.L, c.Op, c.R) }
@@ -342,6 +343,11 @@ func (l *Like) Eval(t *relation.Tuple) (relation.Value, error) {
 	if err != nil {
 		return relation.Null(), err
 	}
+	return l.test(v)
+}
+
+// test is Eval's last step, on the operand's value.
+func (l *Like) test(v relation.Value) (relation.Value, error) {
 	if v.IsNull() {
 		return relation.Null(), nil
 	}
@@ -404,6 +410,11 @@ func (in *InList) Eval(t *relation.Tuple) (relation.Value, error) {
 	if err != nil {
 		return relation.Null(), err
 	}
+	return in.test(v)
+}
+
+// test is Eval's last step, on the operand's value.
+func (in *InList) test(v relation.Value) (relation.Value, error) {
 	if v.IsNull() {
 		return relation.Null(), nil
 	}
@@ -451,6 +462,11 @@ func (b *Between) Eval(t *relation.Tuple) (relation.Value, error) {
 	if err != nil || hi.IsNull() {
 		return relation.Null(), err
 	}
+	return b.test(v, lo, hi)
+}
+
+// test is Eval's last step, on the operands' values, none of them NULL.
+func (b *Between) test(v, lo, hi relation.Value) (relation.Value, error) {
 	c1, err := v.Compare(lo)
 	if err != nil {
 		return relation.Null(), err

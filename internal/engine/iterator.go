@@ -56,10 +56,12 @@ func Collect(name string, it Iterator) (*relation.Relation, error) {
 }
 
 // Scan iterates a materialized relation, optionally re-qualifying its
-// schema under an alias.
+// schema under an alias and emitting only the rows a predicate admits.
 type Scan struct {
 	rel    *relation.Relation
 	schema *relation.Schema
+	where  Expr      // nil admits every row
+	test   predicate // where, compiled
 	pos    int
 }
 
@@ -72,35 +74,43 @@ func NewScan(rel *relation.Relation, alias string) *Scan {
 	return &Scan{rel: rel, schema: rel.Schema.WithQualifier(alias)}
 }
 
+// Where makes the scan emit only the rows pred admits, testing it,
+// compiled, on each row as the scan reads it.
+func (s *Scan) Where(pred Expr) {
+	s.where, s.test = pred, compilePredicate(pred)
+}
+
 func (s *Scan) Schema() *relation.Schema { return s.schema }
 func (s *Scan) Open() error              { s.pos = 0; return nil }
 func (s *Scan) Close() error             { return nil }
 
 func (s *Scan) Next() (relation.Tuple, bool, error) {
-	if s.pos >= len(s.rel.Rows) {
-		return relation.Tuple{}, false, nil
+	for s.pos < len(s.rel.Rows) {
+		t := &s.rel.Rows[s.pos]
+		s.pos++
+		if s.test == nil {
+			return *t, true, nil
+		}
+		if pass, err := s.test(t.Values); pass || err != nil {
+			return *t, pass, err
+		}
 	}
-	t := s.rel.Rows[s.pos]
-	s.pos++
-	return t, true, nil
+	return relation.Tuple{}, false, nil
 }
 
 // Filter passes tuples whose predicate evaluates to TRUE; annotations pass
 // through unchanged (selection is annotation-preserving in the semiring
-// model).
+// model). The planner uses it only above a join and for HAVING: a table's
+// own conjuncts are tested by its Scan.
 type Filter struct {
 	in   Iterator
 	pred Expr
-
-	// cur holds the tuple being tested: Eval takes *Tuple through an
-	// interface, which would force a loop-local tuple to the heap on
-	// every row; a struct field escapes once with the operator.
-	cur relation.Tuple
+	test predicate // pred, compiled
 }
 
 // NewFilter wraps in with a predicate.
 func NewFilter(in Iterator, pred Expr) *Filter {
-	return &Filter{in: in, pred: pred}
+	return &Filter{in: in, pred: pred, test: compilePredicate(pred)}
 }
 
 func (f *Filter) Schema() *relation.Schema { return f.in.Schema() }
@@ -113,13 +123,8 @@ func (f *Filter) Next() (relation.Tuple, bool, error) {
 		if err != nil || !ok {
 			return relation.Tuple{}, false, err
 		}
-		f.cur = t
-		v, err := f.pred.Eval(&f.cur)
-		if err != nil {
-			return relation.Tuple{}, false, err
-		}
-		if Truthy(v) {
-			return t, true, nil
+		if pass, err := f.test(t.Values); pass || err != nil {
+			return t, pass, err
 		}
 	}
 }

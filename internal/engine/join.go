@@ -185,8 +185,7 @@ func (j *HashJoin) Next() (relation.Tuple, bool, error) {
 }
 
 // joinTuples concatenates values and multiplies annotations (the
-// allocating form used by the nested-loop join, whose outputs are often
-// discarded by its predicate).
+// allocating form used by the nested-loop join).
 func joinTuples(l, r relation.Tuple) relation.Tuple {
 	vals := make([]relation.Value, 0, len(l.Values)+len(r.Values))
 	vals = append(vals, l.Values...)
@@ -194,24 +193,21 @@ func joinTuples(l, r relation.Tuple) relation.Tuple {
 	return relation.Tuple{Values: vals, Ann: polynomial.Mul(l.Ann, r.Ann)}
 }
 
-// NestedLoopJoin joins with an arbitrary predicate (cross product when pred
-// is nil). The right side is materialized on Open.
+// NestedLoopJoin is the cross product of its inputs; a predicate over both
+// sides runs in a Filter above it. The right side is materialized on Open.
 type NestedLoopJoin struct {
 	left, right Iterator
-	pred        Expr
 	schema      *relation.Schema
 
 	rightRows []relation.Tuple
-	cur       relation.Tuple
-	haveCur   bool
-	ri        int
+	cur       relation.Tuple // the left row being joined
+	ri        int            // next right row to join with cur
 }
 
-// NewNestedLoopJoin builds a theta-join; pred is evaluated over the
-// concatenated tuple (nil means cross join).
-func NewNestedLoopJoin(left, right Iterator, pred Expr) *NestedLoopJoin {
+// NewNestedLoopJoin builds a cross join.
+func NewNestedLoopJoin(left, right Iterator) *NestedLoopJoin {
 	return &NestedLoopJoin{
-		left: left, right: right, pred: pred,
+		left: left, right: right,
 		schema: left.Schema().Concat(right.Schema()),
 	}
 }
@@ -252,8 +248,7 @@ func (j *NestedLoopJoin) Open() error {
 		lo, hi := valOff[i], valOff[i+1]
 		j.rightRows[i].Values = vals[lo:hi:hi]
 	}
-	j.haveCur = false
-	j.ri = 0
+	j.ri = len(j.rightRows) // no left row yet
 	return nil
 }
 
@@ -268,30 +263,13 @@ func (j *NestedLoopJoin) Close() error {
 }
 
 func (j *NestedLoopJoin) Next() (relation.Tuple, bool, error) {
-	for {
-		if !j.haveCur {
-			t, ok, err := j.left.Next()
-			if err != nil || !ok {
-				return relation.Tuple{}, false, err
-			}
-			j.cur = t
-			j.haveCur = true
-			j.ri = 0
+	for j.ri >= len(j.rightRows) {
+		t, ok, err := j.left.Next()
+		if err != nil || !ok {
+			return relation.Tuple{}, false, err
 		}
-		for j.ri < len(j.rightRows) {
-			joined := joinTuples(j.cur, j.rightRows[j.ri])
-			j.ri++
-			if j.pred == nil {
-				return joined, true, nil
-			}
-			v, err := j.pred.Eval(&joined)
-			if err != nil {
-				return relation.Tuple{}, false, err
-			}
-			if Truthy(v) {
-				return joined, true, nil
-			}
-		}
-		j.haveCur = false
+		j.cur, j.ri = t, 0
 	}
+	j.ri++
+	return joinTuples(j.cur, j.rightRows[j.ri-1]), true, nil
 }

@@ -104,7 +104,7 @@ func lifecyclePlans(t *testing.T) map[string]func(l, r *trackIter) Iterator {
 			}
 			return hj
 		},
-		"nestedloop": func(l, r *trackIter) Iterator { return NewNestedLoopJoin(l, r, nil) },
+		"nestedloop": func(l, r *trackIter) Iterator { return NewNestedLoopJoin(l, r) },
 		"union": func(l, r *trackIter) Iterator {
 			u, err := NewUnion(l, r)
 			if err != nil {

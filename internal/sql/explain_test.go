@@ -3,6 +3,9 @@ package sql
 import (
 	"strings"
 	"testing"
+
+	"github.com/cobra-prov/cobra/internal/engine"
+	"github.com/cobra-prov/cobra/internal/relation"
 )
 
 func TestExplainRunningExample(t *testing.T) {
@@ -68,12 +71,40 @@ func TestExplainPushdownVisible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The single-table predicate must sit below the join, directly above
-	// the Cust scan.
+	// The single-table predicate must sit below the join, tested by the
+	// Cust scan itself.
 	joinPos := strings.Index(out, "HashJoin")
-	filterPos := strings.Index(out, "Filter")
-	if joinPos < 0 || filterPos < 0 || filterPos < joinPos {
+	scanPos := strings.Index(out, "Scan Cust (7 rows) where (Zip = 10001)\n")
+	if joinPos < 0 || scanPos < joinPos || strings.Contains(out, "Filter") {
 		t.Fatalf("pushdown not visible:\n%s", out)
+	}
+}
+
+// TestExplainQ6Shape pins the plan of TPC-H Q6 (the text internal/datagen/
+// tpch states): the lineitem scan tests all four conjuncts, in WHERE order,
+// and no Filter runs.
+func TestExplainQ6Shape(t *testing.T) {
+	var cols []relation.Column
+	for _, c := range []string{"l_quantity", "l_extendedprice", "l_discount", "l_shipdate"} {
+		cols = append(cols, relation.Column{Name: c})
+	}
+	cat := engine.Catalog{"lineitem": relation.NewRelation("lineitem", relation.NewSchema(cols...))}
+	out, err := Explain(`
+SELECT SUM(l_extendedprice * l_discount) AS revenue
+FROM lineitem
+WHERE l_shipdate >= '1994-01-01'
+  AND l_shipdate < '1995-01-01'
+  AND l_discount BETWEEN 0.05 AND 0.07
+  AND l_quantity < 24`, cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "Project [revenue]\n" +
+		"  GroupBy [] aggregates [SUM((l_extendedprice * l_discount))]\n" +
+		"    Scan lineitem (0 rows) where (l_shipdate >= 1994-01-01) AND (l_shipdate < 1995-01-01)" +
+		" AND (l_discount BETWEEN 0.05 AND 0.07) AND (l_quantity < 24)\n"
+	if out != want {
+		t.Fatalf("Q6 plan:\n%s\nwant:\n%s", out, want)
 	}
 }
 

@@ -65,10 +65,10 @@ func Plan(stmt *SelectStmt, cat engine.Catalog) (engine.Iterator, error) {
 }
 
 type plannedTable struct {
-	alias   string
-	scan    *engine.Scan
-	schema  *relation.Schema
-	filters []Expr
+	alias  string
+	scan   *engine.Scan
+	schema *relation.Schema
+	where  Expr // the conjuncts that read only this table, AND-ed in WHERE order
 }
 
 type equiPred struct {
@@ -188,7 +188,11 @@ func (p *planner) classifyConjuncts() error {
 			p.rest = append(p.rest, restPred{expr: c, tables: tabs})
 		case 1:
 			for a := range tabs {
-				p.byAlias[a].filters = append(p.byAlias[a].filters, c)
+				pt := p.byAlias[a]
+				if pt.where != nil {
+					c = &Binary{Op: "AND", L: pt.where, R: c}
+				}
+				pt.where = c
 			}
 		default:
 			// Equi-join predicate?
@@ -216,17 +220,17 @@ func (p *planner) classifyConjuncts() error {
 	return nil
 }
 
-// tableIterator builds scan + pushed filters for one table.
+// tableIterator builds the scan of one table, which tests the table's
+// pushed-down conjuncts on each row it reads.
 func (p *planner) tableIterator(pt *plannedTable) (engine.Iterator, error) {
-	var it engine.Iterator = pt.scan
-	for _, f := range pt.filters {
-		bound, err := bind(f, pt.schema)
+	if pt.where != nil {
+		bound, err := bind(pt.where, pt.schema)
 		if err != nil {
 			return nil, err
 		}
-		it = engine.NewFilter(it, bound)
+		pt.scan.Where(bound)
 	}
-	return it, nil
+	return pt.scan, nil
 }
 
 func (p *planner) buildJoinTree() (engine.Iterator, error) {
@@ -278,7 +282,7 @@ func (p *planner) buildJoinTree() (engine.Iterator, error) {
 			}
 			cur = hj
 		} else {
-			cur = engine.NewNestedLoopJoin(cur, right, nil)
+			cur = engine.NewNestedLoopJoin(cur, right)
 		}
 		joined[pt.alias] = true
 
