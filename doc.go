@@ -121,6 +121,18 @@
 // already a Program's arrays (see "The streaming pipeline") — so they
 // evaluate every polynomial and build no index.
 //
+// A batch answers several analysts at once, and a full pass is bound by
+// the latency of one running sum, not by the work. So when one worker's
+// share of a batch holds two or more scenarios that need a full pass, and
+// the program has no exponent above 1, they are evaluated four at a time:
+// each polynomial is walked once for the four, which keep four sums side
+// by side. Each sum still follows the one rule — products left to right,
+// monomials added in order, every product rounded before its add — so each
+// row is bit-identical to evaluating its scenario alone; a last scenario
+// without a partner, a sparse one, and every call for one scenario run the
+// one-scenario kernels. On whatif_telephony's shape this halves the time
+// per scenario of a full pass.
+//
 // Everything in front of the kernel costs what the scenario names, not what
 // the trees, the namespace or the program hold. An Assignment is a list of
 // (variable, value) entries sorted by variable: reading one is a binary

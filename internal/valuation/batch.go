@@ -1,8 +1,6 @@
 package valuation
 
 import (
-	"slices"
-
 	"github.com/cobra-prov/cobra/internal/parallel"
 	"github.com/cobra-prov/cobra/internal/polynomial"
 )
@@ -29,10 +27,15 @@ func (p *Program) EvalBatch(assignments []*Assignment, out [][]float64) [][]floa
 // the same dense vector as a full pass, and a skipped one would have seen
 // only ones, as the memoized row did, so the rows are bit-identical to
 // evaluating every polynomial. Once a scenario touches every polynomial
-// the full pass runs instead. The workers' scratch — that dense vector, the
-// marks of touched polynomials — is kept by the Program between calls, so
-// a call costs O(entries of its assignments + touched polynomials), not
-// O(variables + polynomials), plus the rows it returns.
+// the full pass runs instead. A worker with two or more full passes to
+// make, on a program with no exponent above 1, makes them in blocks of
+// four scenarios, each polynomial walked once per block with one sum per
+// scenario, added in the same order: the rows are bit-identical to those
+// of one scenario at a time, which is how a call for one scenario still
+// runs. The workers' scratch — that dense vector, the marks of touched
+// polynomials, the block's values — is kept by the Program between
+// calls, so a call costs O(entries of its assignments + touched
+// polynomials), not O(variables + polynomials), plus the rows it returns.
 func (p *Program) EvalBatchN(assignments []*Assignment, out [][]float64, workers int) [][]float64 {
 	p.sparseOnce.Do(p.buildSparse)
 	return p.evalBatch(assignments, out, workers, true)
@@ -47,16 +50,23 @@ func (p *Program) evalBatch(assignments []*Assignment, out [][]float64, workers 
 	} else {
 		out = make([][]float64, len(assignments))
 	}
-	parallel.Chunks(workers, len(assignments), func(_, lo, hi int) {
-		s, _ := p.sweeps.Get().(*sweep)
-		if s == nil {
-			s = &sweep{p: p, dense: slices.Repeat([]float64{1}, p.numVars)}
+	switch n := len(assignments); {
+	case n == 0:
+	case n == 1 || workers <= 1:
+		p.evalChunk(assignments, out, sparse)
+	default:
+		// A program with no exponent above 1 evaluates full passes in
+		// blocks, so each worker gets whole blocks unless that would leave
+		// one idle.
+		unit := 1
+		if p.tExps == nil && n >= blockRows*workers {
+			unit = blockRows
 		}
-		for i := lo; i < hi; i++ {
-			out[i] = s.eval(assignments[i], out[i], sparse)
-		}
-		p.sweeps.Put(s)
-	})
+		parallel.Chunks(workers, (n+unit-1)/unit, func(_, lo, hi int) {
+			lo, hi = lo*unit, min(hi*unit, n)
+			p.evalChunk(assignments[lo:hi], out[lo:hi], sparse)
+		})
+	}
 	return out
 }
 
@@ -71,6 +81,10 @@ type sweep struct {
 	mark    []uint32  // mark[pi] == epoch: pi is in touched; sized by the first sparse scenario
 	epoch   uint32
 	touched []int32
+
+	// The scenarios of the current block, variable v of column k at
+	// vb[v][k]; all ones between blocks, allocated by the first block.
+	vb [][blockRows]float64
 }
 
 // eval returns the row of scenario a, reusing row's capacity; with sparse

@@ -115,6 +115,19 @@ func denseShaped(row string) *polynomial.Set {
 	return set
 }
 
+// denseScenarios draws n scenarios that each move every variable of prog
+// to a value in [0.5, 1.5): each needs a full pass.
+func denseScenarios(r *rand.Rand, prog *Program, n int) []*Assignment {
+	out := make([]*Assignment, n)
+	for i := range out {
+		out[i] = New(prog.names)
+		for v := 0; v < prog.NumVars(); v++ {
+			out[i].SetVar(polynomial.Var(v), 0.5+r.Float64())
+		}
+	}
+	return out
+}
+
 // kernelOf names the kernel evalPoly runs for prog.
 func kernelOf(prog *Program) string {
 	switch {
@@ -149,7 +162,10 @@ var benchRows [][]float64
 //	dense/arity1              1 500 × 84 × 1, a TPC-H group-by-month shape
 //	sparse/touched=6%         retail, two SKUs moved, as an interactive slider does
 //
-// A dense row moves every variable: the full pass of its kernel.
+// A dense row moves every variable: the full pass of its kernel. It is run
+// as scenarios=1, the one-scenario kernel every slider runs, and as
+// scenarios=16, a batch whose full passes run in blocks of blockRows —
+// except on generic, which evaluates every scenario alone either way.
 func BenchmarkProgramEval(b *testing.B) {
 	run := func(b *testing.B, prog *Program, scenarios []*Assignment) {
 		rows := prog.EvalBatchN(scenarios, nil, 1) // builds the index
@@ -167,14 +183,10 @@ func BenchmarkProgramEval(b *testing.B) {
 		kernel, _, _ := strings.Cut(row, "-")
 		set := denseShaped(row)
 		prog := compileAs(b, set, kernel)
-		scenarios := make([]*Assignment, 16)
-		for i := range scenarios {
-			scenarios[i] = New(set.Names)
-			for v := 0; v < prog.NumVars(); v++ {
-				scenarios[i].SetVar(polynomial.Var(v), 0.5+r.Float64())
-			}
+		scenarios := denseScenarios(r, prog, 16)
+		for _, n := range []int{1, 16} {
+			b.Run(fmt.Sprintf("dense/%s/scenarios=%d", row, n), func(b *testing.B) { run(b, prog, scenarios[:n]) })
 		}
-		b.Run("dense/"+row, func(b *testing.B) { run(b, prog, scenarios) })
 	}
 
 	set, skus := retailShaped("arity2")

@@ -88,32 +88,40 @@ func BenchmarkEvalBatchSource(b *testing.B) {
 	}
 }
 
-// TestEvalBatchSourceAllocations pins what a slider over spilled shards may
-// allocate: at most 3 times per shard (measured: 43 over 16 shards — the
-// key block, the dense vector and the shard's rows) plus the result,
-// never anything per monomial. Before the packed hand-off
-// the same pass allocated a PackedSet, a *Set view and a Program per shard:
-// 25 MB on the benchmark's set. Under the race detector sync.Pool drops a
-// share of the Program's pooled sweeps (measured: 58), so the bound there
-// is 10 per shard; the pass over the spilled set still runs.
+// TestEvalBatchSourceAllocations pins what a pass over spilled shards may
+// allocate: at most 3 times per shard plus the result, never anything per
+// monomial (measured: 27 over 16 shards — each shard's key block, and once
+// the sweep, its dense vector and the rows). A batch of 64 scenarios, which
+// runs in blocks, is held to the same bound plus two rows for each scenario
+// past the first, its result and its row of a shard's values (measured:
+// 156). Before the packed hand-off the one-scenario pass allocated a
+// PackedSet, a *Set view and a Program per shard: 25 MB on the benchmark's
+// set. Under the race detector sync.Pool drops a share of the Program's
+// pooled sweeps (measured: 41 for one scenario), so the bound there is 10
+// per shard; the passes over the spilled set still run.
 func TestEvalBatchSourceAllocations(t *testing.T) {
 	set, ss, _ := outOfCoreSources(t, 200_000)
-	scenario := slider(set.Names)
-	if _, err := valuation.EvalBatchSource(ss, scenario, 1); err != nil { // grows the scratch
-		t.Fatal(err)
+	var batch []*valuation.Assignment
+	for m := 0; m < 64; m++ {
+		batch = append(batch, valuation.New(set.Names).MustSet(telephony.MonthVar(1+m%12), 0.5+float64(m)/64))
 	}
-	allocs := testing.AllocsPerRun(5, func() {
-		if _, err := valuation.EvalBatchSource(ss, scenario, 1); err != nil {
-			t.Fatal(err)
-		}
-	})
 	perShard := 3
 	if valuation.RaceEnabled {
 		perShard = 10
 	}
-	if limit := float64(perShard*ss.NumShards() + 4); allocs > limit {
-		t.Fatalf("one scenario over %d shards (%d monomials) allocates %.0f times, want at most %d per shard (%.0f)",
-			ss.NumShards(), ss.Size(), allocs, perShard, limit)
+	for _, scenarios := range [][]*valuation.Assignment{slider(set.Names), batch} {
+		if _, err := valuation.EvalBatchSource(ss, scenarios, 1); err != nil { // grows the scratch
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, err := valuation.EvalBatchSource(ss, scenarios, 1); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if limit := float64(perShard*ss.NumShards() + 4 + 2*(len(scenarios)-1)); allocs > limit {
+			t.Fatalf("%d scenarios over %d shards (%d monomials) allocate %.0f times, want at most %d per shard and 2 per further scenario (%.0f)",
+				len(scenarios), ss.NumShards(), ss.Size(), allocs, perShard, limit)
+		}
+		t.Logf("%d scenarios: %.0f allocations over %d shards, %d monomials", len(scenarios), allocs, ss.NumShards(), ss.Size())
 	}
-	t.Logf("%.0f allocations over %d shards, %d monomials", allocs, ss.NumShards(), ss.Size())
 }

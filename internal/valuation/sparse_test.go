@@ -114,16 +114,18 @@ func randomSet(r *rand.Rand, shape string) *polynomial.Set {
 	return set
 }
 
+// randomValue draws a variable's value: in [0, 2) five times in six, else
+// one of 0, NaN, ±Inf, -0 and 1.
+func randomValue(r *rand.Rand) float64 {
+	if r.Intn(6) == 0 {
+		return []float64{0, math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 1}[r.Intn(6)]
+	}
+	return r.Float64() * 2
+}
+
 // randomAssignments draws scenarios of every shape the sparse path tells
 // apart. beyond lists variables outside the compiled namespace.
 func randomAssignments(r *rand.Rand, names *polynomial.Names, numVars int, beyond []polynomial.Var) []*Assignment {
-	special := []float64{0, math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 1}
-	value := func() float64 {
-		if r.Intn(6) == 0 {
-			return special[r.Intn(len(special))]
-		}
-		return r.Float64() * 2
-	}
 	var out []*Assignment
 	for s, n := 0, 1+r.Intn(24); s < n; s++ {
 		a := New(names)
@@ -131,24 +133,24 @@ func randomAssignments(r *rand.Rand, names *polynomial.Names, numVars int, beyon
 		case 0: // all ones, nothing explicit
 		case 1: // sparse
 			for k := 0; k < 1+r.Intn(3); k++ {
-				a.SetVar(polynomial.Var(r.Intn(numVars)), value())
+				a.SetVar(polynomial.Var(r.Intn(numVars)), randomValue(r))
 			}
 		case 2: // dense
 			for v := 0; v < numVars; v++ {
-				a.SetVar(polynomial.Var(v), value())
+				a.SetVar(polynomial.Var(v), randomValue(r))
 			}
 		case 3: // every variable explicit, almost all exactly 1: what Induced builds
 			for v := 0; v < numVars; v++ {
 				a.SetVar(polynomial.Var(v), 1)
 			}
-			a.SetVar(polynomial.Var(r.Intn(numVars)), value())
+			a.SetVar(polynomial.Var(r.Intn(numVars)), randomValue(r))
 		case 4: // outside the namespace only, or mixed with one inside
 			if r.Intn(2) == 0 {
-				a.SetVar(polynomial.Var(r.Intn(numVars)), value())
+				a.SetVar(polynomial.Var(r.Intn(numVars)), randomValue(r))
 			}
 		}
 		if r.Intn(3) == 0 {
-			a.SetVar(beyond[r.Intn(len(beyond))], value())
+			a.SetVar(beyond[r.Intn(len(beyond))], randomValue(r))
 		}
 		out = append(out, a)
 	}
@@ -256,6 +258,8 @@ func checkAgainstReference(t *testing.T, r *rand.Rand, label string, set *polyno
 		same(t, fmt.Sprintf("%s step %d workers %d sparse %v", label, step, workers, sparse), reuse, want[lo:hi])
 	}
 
+	checkBlocks(t, r, label, set, same)
+
 	// A shard of one polynomial at a time for a third of the sets, so
 	// that "alternating" changes arity from shard to shard.
 	opts := polynomial.ShardOptions{TargetMonomials: 1 + r.Intn(20)}
@@ -290,6 +294,70 @@ func checkAgainstReference(t *testing.T, r *rand.Rand, label string, set *polyno
 		t.Fatalf("%s: %v", label, err)
 	}
 	return kernelOf(prog), shards
+}
+
+// checkBlocks is checkAgainstReference's check of blocked full passes:
+// batches of every length from one scenario to two blocks and one over,
+// scenarios that need a full pass (every variable moved) interleaved with
+// ones that may not (one variable moved), so that blocks fill, a remainder
+// of two or three runs with padded columns and a lone last full-pass
+// scenario runs alone. Each batch is evaluated sparse and full, for
+// Workers 1, 2 and 8, into fresh rows and into rows holding another
+// batch's. Each batch gets a Program of its own, whose one sweep after a
+// call on one worker shows whether a block ran: a full pass of two or more
+// scenarios is blocked unless the program has an exponent above 1.
+//
+// Under the race detector every load is a call, the kernels' sums are
+// spilled around them, and the register allocator places the operands of
+// a column's add differently from evalPoly's (the sum first in one column,
+// the product in the others). When both are NaN, x86 passes on the first,
+// so there the blocks are compared with any NaN equal to any NaN, as
+// FuzzProgramEval compares everything for the same reason; every other
+// build compares them as same does.
+func checkBlocks(t *testing.T, r *rand.Rand, label string, set *polynomial.Set,
+	same func(t *testing.T, label string, got, want [][]float64)) {
+	t.Helper()
+	if raceEnabled {
+		same = sameUpToNaN
+	}
+	var reuse [][]float64
+	for n := 1; n <= 2*blockRows+1; n++ {
+		prog := Compile(set)
+		batch := make([]*Assignment, n)
+		for i := range batch {
+			batch[i] = New(set.Names)
+			if r.Intn(3) == 0 {
+				batch[i].SetVar(polynomial.Var(r.Intn(prog.NumVars()+1)), randomValue(r))
+				continue
+			}
+			for v := 0; v < prog.NumVars(); v++ {
+				batch[i].SetVar(polynomial.Var(v), randomValue(r))
+			}
+		}
+		want := referenceEvalBatch(set, prog.NumVars(), batch)
+		at := fmt.Sprintf("%s batch of %d", label, n)
+		same(t, at+" full", prog.evalBatch(batch, nil, 1, false), want)
+		if s, ok := prog.sweeps.Get().(*sweep); ok {
+			if blocked, want := s.vb != nil, n > 1 && kernelOf(prog) != "generic"; blocked != want {
+				t.Fatalf("%s: %s kernel, a block ran: %v, want %v", at, kernelOf(prog), blocked, want)
+			}
+			prog.sweeps.Put(s)
+		}
+		for _, workers := range []int{1, 2, 8} {
+			for _, sparse := range []bool{false, true} {
+				at := fmt.Sprintf("%s workers %d sparse %v", at, workers, sparse)
+				eval := func(batch []*Assignment, rows [][]float64) [][]float64 {
+					if sparse {
+						return prog.EvalBatchN(batch, rows, workers)
+					}
+					return prog.evalBatch(batch, rows, workers, false)
+				}
+				same(t, at, eval(batch, nil), want)
+				reuse = eval(batch, eval(batch[n/2:], reuse))
+				same(t, at+" reused", reuse, want)
+			}
+		}
+	}
 }
 
 // TestNegativeVarIgnored: an assignment holding NoVar used to index the
@@ -356,8 +424,12 @@ func TestSweepEpochWrap(t *testing.T) {
 
 // TestProgramEvalAllocations pins the invariant the compiled form exists
 // for: Program.Eval into a reused row allocates nothing, on every kernel —
-// every per-evaluation buffer belongs to the caller.
+// every per-evaluation buffer belongs to the caller. Neither does a blocked
+// full pass once its sweep is warm: EvalBatchN of 16 dense scenarios into
+// reused rows, on every kernel that blocks (not under the race detector,
+// where sync.Pool drops pooled sweeps).
 func TestProgramEvalAllocations(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
 	for _, kernel := range []string{"generic", "exp1", "arity2", "arity1"} {
 		set := denseShaped(kernel)
 		prog := compileAs(t, set, kernel)
@@ -365,6 +437,15 @@ func TestProgramEvalAllocations(t *testing.T) {
 		row := prog.Eval(vals, nil)
 		if allocs := testing.AllocsPerRun(10, func() { row = prog.Eval(vals, row) }); allocs != 0 {
 			t.Fatalf("%s kernel: Eval into a reused row allocates %.0f objects, want 0", kernel, allocs)
+		}
+		if kernel == "generic" || raceEnabled {
+			continue
+		}
+		scenarios := denseScenarios(r, prog, 16)
+		rows := prog.EvalBatchN(scenarios, nil, 1)
+		if allocs := testing.AllocsPerRun(5, func() { rows = prog.EvalBatchN(scenarios, rows, 1) }); allocs != 0 {
+			t.Fatalf("%s kernel: EvalBatchN of %d dense scenarios into reused rows allocates %.0f objects, want 0",
+				kernel, len(scenarios), allocs)
 		}
 	}
 }

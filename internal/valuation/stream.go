@@ -21,7 +21,9 @@ import (
 // are bit-identical to compiling the materialized set and calling
 // EvalBatchN, for every source representation and worker count. A shard's
 // program is used for this one batch, so it evaluates every polynomial and
-// never builds the index sparse scenarios are answered from.
+// never builds the index sparse scenarios are answered from: every
+// scenario is a full pass, and two or more run in blocks of four over each
+// shard, as EvalBatchN's full passes do.
 func EvalBatchSource(src polynomial.SetSource, assignments []*Assignment, workers int) ([][]float64, error) {
 	out := make([][]float64, len(assignments))
 	for i := range out {
