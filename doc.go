@@ -294,15 +294,19 @@
 // a *Set pass viewed and those a packed pass read, bytes read and bytes
 // written.
 //
-// Stages that need polynomials (the signature index, cut application,
-// serialization) get each loaded shard as a *Set viewed over freshly
-// decoded slabs. Evaluation does not: EvalBatch reads the slabs
-// themselves, decoded into one scratch the ShardedSet reuses for every
-// shard of every pass, and never builds a *Set. That scratch — one shard's
-// worth of memory, within the half of the budget the shard-size clamp
-// reserves for a shard in flight — stays with a ShardedSet that has been
-// evaluated until Close, or until Dataset.Evict drops it along with the
-// resident shards; the next pass grows it again. An evicted dataset is
+// A ShardedSet keeps every shard in one shape, its packed slabs (see
+// "Representation" below): a resident shard holds them in memory, a
+// spilled one in its record. Stages that need polynomials (the signature
+// index, cut application, serialization) get every shard, resident or
+// loaded, as a *Set viewed over its slabs, built afresh for the pass.
+// Evaluation does not: EvalBatch reads the slabs themselves and never
+// builds a *Set — a resident shard is handed over itself, a spilled one
+// decoded into one scratch the ShardedSet reuses for every spilled shard
+// of every pass. That scratch — one shard's worth of memory, within the
+// half of the budget the shard-size clamp reserves for a shard in flight
+// — stays with a ShardedSet that has loaded a shard until Close, or until
+// Dataset.Evict drops it along with the resident shards; the next pass
+// grows it again. An evicted dataset is
 // evaluated the same way as before, now with every shard loaded from its
 // spill record; a dataset over an indexed v3 file from the slabs the v3
 // decoder fills.
@@ -375,13 +379,14 @@
 //	exps:    [ 1  1 |  1  2 |  1 | ...]        their exponents; absent while all are 1
 //
 // These are the arrays a compiled Program evaluates, so a packed set is
-// evaluated where it lies, and they are what a ShardedSet spills.
-// However a packed set is produced — Pack from any SetSource, PackSet
-// from a Set, Add per polynomial, or the BeginPoly/AppendMonomial
-// builder path that never forms an intermediate Polynomial — the slabs
-// are bit-identical for the same logical content. View() zips the two
-// term columns into one slab and overlays it with Polynomial windows
-// (three allocations however many monomials), so every Set-based
+// evaluated where it lies, and they are what a ShardedSet keeps each
+// shard in, resident, and spills as they are. However a packed set is
+// produced — PackSet from a Set, Add per polynomial, or the
+// BeginPoly/AppendMonomial builder path that never forms an intermediate
+// Polynomial — the slabs are bit-identical for the same logical content.
+// View() builds a fresh *Set on every call: it copies the keys, zips the
+// two term columns into one slab and overlays it with Polynomial windows
+// (four allocations however many monomials), so every Set-based
 // algorithm (indexing, cut application, compiled valuation) runs
 // unchanged over either representation and returns bit-identical
 // answers; ForEachShard presents the view as a single shard, which is

@@ -25,7 +25,7 @@ import (
 //
 // These are the arrays valuation.Program evaluates, so a packed set is
 // evaluated in place (valuation.EvalBatchSource), and they are what a
-// ShardedSet spills, slab for slab.
+// ShardedSet holds a resident shard in and spills, slab for slab.
 //
 // A PackedSet is append-only: Add copies the polynomial's monomials into
 // the slabs (the input is NOT retained, so callers may reuse scratch
@@ -40,8 +40,6 @@ type PackedSet struct {
 	monOff  []int32   // len(coefs)+1; term range of monomial i
 	vars    []int32   // the Var of every term, flat
 	exps    []int32   // the exponent of every term, or empty: all of them are 1
-
-	view *Set // cached view; invalidated by Add
 }
 
 // NewPackedSet returns an empty packed set over names (a fresh namespace
@@ -91,7 +89,6 @@ func (ps *PackedSet) Add(key string, p Polynomial) error {
 func (ps *PackedSet) BeginPoly(key string) {
 	ps.keys = append(ps.keys, key)
 	ps.polyOff = append(ps.polyOff, int32(len(ps.coefs)))
-	ps.view = nil
 }
 
 // AppendMonomial appends one canonical monomial (coefficient plus term
@@ -185,16 +182,17 @@ func (ps *PackedSet) ResidentMonomials() int { return len(ps.coefs) }
 // PeakResidentMonomials equals ResidentMonomials for an in-memory set.
 func (ps *PackedSet) PeakResidentMonomials() int { return len(ps.coefs) }
 
-// View returns the packed set as an ordinary *Set: Keys alias the packed
-// keys, and the Terms of all monomials are cut from one slab the two
-// columns are zipped into (full slice expressions keep appends from
-// clobbering neighbors) — three allocations however many monomials. The
-// view is built once and cached until the next Add. Callers must treat
-// the view as read-only, like any shard passed through ForEachShard.
+// View returns the packed set as an ordinary *Set built afresh on every
+// call: the keys are copied (the strings themselves are shared, being
+// immutable), and the Terms of all monomials are cut from one slab the
+// two columns are zipped into (full slice expressions keep appends from
+// clobbering neighbors) — four allocations however many monomials. The
+// view shares no memory the PackedSet reuses, so later appends and a
+// decode into the same PackedSet leave it as it was. No view is cached: a
+// ShardedSet's resident shard would keep a second copy of itself alive.
+// Callers must treat the view as read-only, like any shard passed through
+// ForEachShard.
 func (ps *PackedSet) View() *Set {
-	if ps.view != nil {
-		return ps.view
-	}
 	terms := make([]Term, len(ps.vars))
 	for i, v := range ps.vars {
 		terms[i] = Term{Var: Var(v), Exp: 1}
@@ -212,12 +210,11 @@ func (ps *PackedSet) View() *Set {
 		lo, hi := ps.polyOff[i], ps.polyOff[i+1]
 		polys[i] = Polynomial{Mons: mons[lo:hi:hi]}
 	}
-	ps.view = &Set{Names: ps.names, Keys: ps.keys, Polys: polys}
-	return ps.view
+	return &Set{Names: ps.names, Keys: slices.Clone(ps.keys), Polys: polys}
 }
 
-// ForEachShard presents the packed set as a single resident shard (its
-// zero-copy view), making *PackedSet a SetSource.
+// ForEachShard presents the packed set as a single resident shard (a
+// fresh view), making *PackedSet a SetSource.
 func (ps *PackedSet) ForEachShard(fn func(i, firstPoly int, s *Set) error) error {
 	return fn(0, 0, ps.View())
 }
@@ -226,30 +223,6 @@ func (ps *PackedSet) ForEachShard(fn func(i, firstPoly int, s *Set) error) error
 // itself.
 func (ps *PackedSet) ForEachPackedShard(fn func(i, firstPoly int, shard *PackedSet) error) error {
 	return fn(0, 0, ps)
-}
-
-// refill replaces the contents with a copy of s, keeping the slabs.
-func (ps *PackedSet) refill(s *Set) error {
-	ps.names = s.Names
-	ps.keys, ps.coefs, ps.vars, ps.exps = ps.keys[:0], ps.coefs[:0], ps.vars[:0], ps.exps[:0]
-	ps.polyOff, ps.monOff = append(ps.polyOff[:0], 0), append(ps.monOff[:0], 0)
-	for i, key := range s.Keys {
-		if err := ps.Add(key, s.Polys[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Pack copies an arbitrary SetSource into a packed set (shard order, so
-// the result is bit-identical to materializing the source).
-func Pack(src SetSource) (*PackedSet, error) {
-	ps := NewPackedSet(src.Namespace())
-	ps.Grow(src.Len(), src.Size(), 0)
-	if err := Copy(src, ps); err != nil {
-		return nil, err
-	}
-	return ps, nil
 }
 
 // PackSet copies an in-memory Set into a packed set. The only failure

@@ -79,7 +79,7 @@ func TestPackedRoundTripBitIdentical(t *testing.T) {
 
 		// Pointer -> packed -> pointer -> packed: the second packing must
 		// match the first slab-for-slab.
-		ps2, err := Pack(ps)
+		ps2, err := PackSet(ps.View())
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -144,6 +144,26 @@ func TestPackedAddDoesNotRetain(t *testing.T) {
 	got := ps.View().Polys[0].Mons[0]
 	if got.Coef != 2 || got.Terms[0] != T(names.Var("x")) {
 		t.Fatalf("packed slab aliases caller storage: %+v", got)
+	}
+}
+
+// TestPackedViewAfterAppend: a view taken before an append must not be
+// what a later View returns — every View sees every monomial appended so
+// far.
+func TestPackedViewAfterAppend(t *testing.T) {
+	names := NewNames()
+	x := names.Var("x")
+	ps := NewPackedSet(names)
+	ps.BeginPoly("k")
+	ps.AppendMonomial(1, []Term{T(x)})
+	before := ps.View()
+	ps.AppendMonomial(2, nil)
+	after := ps.View()
+	if after.Size() != ps.Size() || ps.Size() != 2 {
+		t.Fatalf("View after an append holds %d monomials, the set %d, want 2", after.Size(), ps.Size())
+	}
+	if before.Size() != 1 || before.Polys[0].Mons[0].Coef != 1 {
+		t.Fatalf("the earlier view changed under the append: %v", before)
 	}
 }
 

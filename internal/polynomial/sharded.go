@@ -54,11 +54,12 @@ func (o ShardOptions) withDefaults() ShardOptions {
 	return o
 }
 
-// shard is one fixed-size slice of a ShardedSet: resident (set != nil),
-// or spilled as the record of n bytes at off in the set's spill file.
-// Metadata (polys, mons, used) survives spilling.
+// shard is one fixed-size slice of a ShardedSet: resident, its slabs in
+// set, or spilled (set == nil) as the record of n bytes at off in the
+// set's spill file — those same slabs written as they are. Metadata
+// (polys, mons, used) survives spilling.
 type shard struct {
-	set   *Set
+	set   *PackedSet
 	off   int64
 	n     int64
 	polys int
@@ -122,9 +123,9 @@ type ShardedSet struct {
 	encBuf   []byte
 
 	// dec holds the header and key bytes of the record a pass is
-	// decoding, and scratch the slabs ForEachPackedShard decodes (or
-	// copies) every shard into: one shard's worth of memory, kept from
-	// pass to pass until Close.
+	// decoding, and scratch the slabs every pass decodes a spilled shard
+	// into (a resident shard is handed over as it is): one shard's worth
+	// of memory, kept from pass to pass until SpillAll or Close.
 	dec     spillDecoder // guarded by iterMu
 	scratch PackedSet    // guarded by iterMu
 }
@@ -179,7 +180,8 @@ func (ss *ShardedSet) SpilledShards() int {
 type SpillStats struct {
 	// Loads counts the spilled shards passes read back; SetLoads is how
 	// many of them ForEachShard handed on as a *Set view, the rest went
-	// to packed passes (ForEachPackedShard).
+	// to packed passes (ForEachPackedShard). A resident shard is never a
+	// load: a packed pass gets it as it is, a *Set pass a view of it.
 	Loads, SetLoads int
 	// BytesRead is what the loads read, the sum of their records'
 	// lengths; BytesWritten is what spilling shards wrote, the size of
@@ -234,73 +236,64 @@ func (ss *ShardedSet) NumVars() int {
 
 // ForEachShard invokes fn once per shard in shard order, passing the
 // shard's index, the global index of its first polynomial, and the shard's
-// polynomials as a Set sharing the namespace. Spilled shards are loaded
-// one at a time and evicted again after fn returns, so the resident
-// footprint stays within the budget. fn must not retain or mutate the Set
-// beyond the call, and must not start another pass (ForEachShard,
-// ForEachPackedShard or Materialize) or Close the same set — passes
-// serialize on a mutex held for the whole iteration, so a nested pass
-// deadlocks. Metadata accessors (Size, Len, UsedVars, ResidentMonomials,
-// ...) remain safe to call from fn and from other goroutines. Iteration
-// stops at fn's first error.
+// polynomials as a Set sharing the namespace: a fresh View of the shard's
+// slabs, resident or loaded. Spilled shards are loaded one at a time and
+// evicted again after fn returns, so the resident footprint stays within
+// the budget. fn must not retain or mutate the Set beyond the call, and
+// must not start another pass (ForEachShard, ForEachPackedShard or
+// Materialize) or Close the same set — passes serialize on a mutex held
+// for the whole iteration, so a nested pass deadlocks. Metadata accessors
+// (Size, Len, UsedVars, ResidentMonomials, ...) remain safe to call from
+// fn and from other goroutines. Iteration stops at fn's first error.
 func (ss *ShardedSet) ForEachShard(fn func(i, firstPoly int, s *Set) error) error {
-	return ss.pass(nil, func(i int, set *Set, loaded *PackedSet) error {
-		if set == nil {
-			// Spilled monomials were canonical when written; no re-merge needed.
-			set = loaded.View()
+	return ss.pass(func(i int, ps *PackedSet, loaded bool) error {
+		if loaded {
 			ss.statMu.Lock()
 			ss.spillIO.SetLoads++
 			ss.statMu.Unlock()
 		}
-		return fn(i, ss.polyOff[i], set)
+		return fn(i, ss.polyOff[i], ps.View())
 	})
 }
 
 // ForEachPackedShard is ForEachShard for consumers that read slabs: every
-// shard arrives as a PackedSet — a spilled shard decoded straight into it,
-// a resident one copied — and no *Set is built. The PackedSet is the same
-// scratch for every shard and every pass: fn must not retain it, or
-// anything reached through it, beyond the call. Residency is accounted
-// exactly as in ForEachShard, whose restrictions apply unchanged.
+// shard arrives as the PackedSet it is kept in — a resident shard itself,
+// a spilled one decoded into the scratch every spilled shard of every pass
+// reuses — and no *Set is built. fn must not retain or mutate the
+// PackedSet, or anything reached through it, beyond the call. Residency is
+// accounted exactly as in ForEachShard, whose restrictions apply
+// unchanged.
 func (ss *ShardedSet) ForEachPackedShard(fn func(i, firstPoly int, ps *PackedSet) error) error {
-	//cobra:lockguard pass locks iterMu itself and calls fn under it; only the scratch's address is taken here
-	return ss.pass(&ss.scratch, func(i int, resident *Set, _ *PackedSet) error {
-		if resident != nil {
-			if err := ss.scratch.refill(resident); err != nil {
-				return err
-			}
-		}
-		return fn(i, ss.polyOff[i], &ss.scratch)
+	return ss.pass(func(i int, ps *PackedSet, _ bool) error {
+		return fn(i, ss.polyOff[i], ps)
 	})
 }
 
-// pass is the one streaming pass, under iterMu: fn gets shard i either as
-// the resident Set or, loaded from its spill file, as a PackedSet — into,
-// whose slabs are reused, or a fresh one when into is nil. Spilled shards
-// are loaded one at a time and released again after fn returns.
-func (ss *ShardedSet) pass(into *PackedSet, fn func(i int, resident *Set, loaded *PackedSet) error) error {
+// pass is the one streaming pass, under iterMu: fn gets shard i as a
+// PackedSet, the resident shard itself or, loaded from the spill file,
+// the set's scratch. Spilled shards are loaded one at a time and released
+// again after fn returns.
+func (ss *ShardedSet) pass(fn func(i int, ps *PackedSet, loaded bool) error) error {
 	ss.iterMu.Lock()
 	defer ss.iterMu.Unlock()
 	if ss.closed {
 		return fmt.Errorf("polynomial: ShardedSet is closed")
 	}
 	for i, sh := range ss.shards {
-		var ps *PackedSet
-		if sh.set == nil {
+		ps, loaded := sh.set, sh.set == nil
+		if loaded {
 			// Make room first so the load itself never breaches the budget.
 			if err := ss.spillOver(sh.mons); err != nil {
 				return err
 			}
-			if ps = into; ps == nil {
-				ps = new(PackedSet)
-			}
+			ps = &ss.scratch
 			if err := ss.loadShardLocked(i, ps); err != nil {
 				return err
 			}
 			ss.trackResident(sh.mons)
 		}
-		err := fn(i, sh.set, ps)
-		if ps != nil {
+		err := fn(i, ps, loaded)
+		if loaded {
 			ss.trackResident(-sh.mons)
 		}
 		if err != nil {
@@ -473,10 +466,10 @@ func (ss *ShardedSet) spillShard(sh *shard) error {
 // target size and spill once the resident budget is exceeded. The zero
 // value is not usable; call NewShardBuilder.
 type ShardBuilder struct {
-	ss        *ShardedSet
-	cur       *Set
-	lastPolys int // previous shard's polynomial count, to pre-size the next
-	done      bool
+	ss   *ShardedSet
+	cur  *PackedSet
+	last [3]int // previous shard's polynomials, monomials and terms, to pre-size the next
+	done bool
 }
 
 // NewShardBuilder starts building a ShardedSet over names (a fresh
@@ -493,20 +486,20 @@ func NewShardBuilder(names *Names, opts ShardOptions) *ShardBuilder {
 // Namespace returns the namespace the built set shares.
 func (b *ShardBuilder) Namespace() *Names { return b.ss.names }
 
-// Add appends a named polynomial, sealing and possibly spilling shards as
-// budgets fill up.
+// Add appends a named polynomial, copying it into the open shard's slabs
+// (p is not retained), sealing and possibly spilling shards as budgets
+// fill up.
 func (b *ShardBuilder) Add(key string, p Polynomial) error {
 	if b.done {
 		return fmt.Errorf("polynomial: ShardBuilder already finished")
 	}
 	if b.cur == nil {
-		b.cur = NewSet(b.ss.names)
-		if b.lastPolys > 0 {
-			// Shards of one workload seal at near-identical polynomial
-			// counts, so sizing from the previous shard (with slack for
-			// drift) removes the append-doubling churn of filling a shard.
-			b.cur.Grow(b.lastPolys + b.lastPolys/8)
-		}
+		// Shards of one workload seal at near-identical sizes, so sizing
+		// from the previous shard (with slack for drift) removes the
+		// append-doubling churn of filling a shard.
+		b.cur = NewPackedSet(b.ss.names)
+		polys, mons, terms := b.last[0], b.last[1], b.last[2]
+		b.cur.Grow(polys+polys/8, mons+mons/8, terms+terms/8)
 	}
 	// Spill sealed shards first so the new monomials never push the
 	// resident count past the budget (the open shard itself cannot spill).
@@ -543,7 +536,7 @@ func (b *ShardBuilder) seal() error {
 		return nil
 	}
 	sh := &shard{set: b.cur, polys: b.cur.Len(), mons: b.cur.Size(), used: b.cur.UsedVars()}
-	b.lastPolys = sh.polys
+	b.last = [3]int{sh.polys, sh.mons, b.cur.NumTerms()}
 	b.ss.shards = append(b.ss.shards, sh)
 	b.ss.polyOff = append(b.ss.polyOff, b.ss.polyOff[len(b.ss.polyOff)-1]+sh.polys)
 	b.ss.statMu.Lock()
@@ -581,8 +574,9 @@ func (b *ShardBuilder) Discard() {
 }
 
 // BuildSharded splits an in-memory Set into a ShardedSet under opts. The
-// input set is not retained; its polynomials are shared (not deep-copied),
-// so the caller should drop the original to realize the memory bound.
+// input set is not retained: its polynomials are copied into the shards'
+// slabs, so the caller should drop the original to realize the memory
+// bound.
 func BuildSharded(s *Set, opts ShardOptions) (*ShardedSet, error) {
 	b := NewShardBuilder(s.Names, opts)
 	defer b.Discard() // release a partial spill file on any error path
@@ -619,11 +613,12 @@ func BuildSharded(s *Set, opts ShardOptions) (*ShardedSet, error) {
 //
 // The counts fix the record's length exactly, so one comparison against
 // the length the shard recorded bounds every allocation the decoder
-// makes. Decoding then reads each slab with one positioned read straight
-// into the memory of slabs the caller may reuse from shard to shard — the
-// kernel's copy is the only one — followed by a structural validation of
-// the typed slabs: offsets monotone and ending where the counts say,
-// variables inside the namespace, exponents as the encoder writes them.
+// makes. Encoding appends each slab's memory as it is. Decoding reads
+// each slab with one positioned read straight into the memory of slabs
+// the caller may reuse from shard to shard — the kernel's copy is the
+// only one — followed by a structural validation of the typed slabs:
+// offsets monotone and ending where the counts say, variables inside the
+// namespace, exponents as the encoder writes them.
 const (
 	spillMagic   = "CSPILL3\n"
 	spillHeadLen = len(spillMagic) + 5*4
@@ -661,31 +656,22 @@ func spillLen(polys, mons, terms, exps, keyBytes uint64) uint64 {
 	return uint64(spillHeadLen) + 4*(polys+1) + 4*(mons+1) + 8*mons + 4*terms + 4*exps + 4*polys + keyBytes
 }
 
-// slabBytes views the memory of a slab as bytes, so that a read fills it
-// straight from a spill record, whatever the alignment of the record.
+// slabBytes views the memory of a slab as bytes, so that a spill writes it
+// as it is and a read fills it straight from a spill record, whatever the
+// alignment of the record.
 func slabBytes[T int32 | float64](s []T) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(s))), len(s)*int(unsafe.Sizeof(*new(T))))
 }
 
-// encodeShardPayload appends the spill encoding of s to buf. It fails
-// only on a shard whose counts overflow the packed layout's int32 offsets.
-func encodeShardPayload(buf []byte, s *Set) ([]byte, error) {
-	var mons, terms, exps, keyBytes uint64
-	allOnes := true
-	for i, p := range s.Polys {
-		mons += uint64(len(p.Mons))
-		keyBytes += uint64(len(s.Keys[i]))
-		for _, m := range p.Mons {
-			terms += uint64(len(m.Terms))
-			for _, t := range m.Terms {
-				allOnes = allOnes && t.Exp == 1
-			}
-		}
+// encodeShardPayload appends the spill record of ps to buf: the header,
+// each slab's memory as it is, then the keys. It fails only on a shard
+// whose counts overflow the record's int32 offsets.
+func encodeShardPayload(buf []byte, ps *PackedSet) ([]byte, error) {
+	polys, mons, terms, exps := uint64(len(ps.keys)), uint64(len(ps.coefs)), uint64(len(ps.vars)), uint64(len(ps.exps))
+	var keyBytes uint64
+	for _, k := range ps.keys {
+		keyBytes += uint64(len(k))
 	}
-	if !allOnes {
-		exps = terms
-	}
-	polys := uint64(len(s.Polys))
 	if polys|mons|terms|keyBytes > math.MaxInt32 {
 		return buf, fmt.Errorf("shard overflows int32 offsets")
 	}
@@ -695,45 +681,13 @@ func encodeShardPayload(buf []byte, s *Set) ([]byte, error) {
 	for _, n := range [...]uint64{polys, mons, terms, exps, keyBytes} {
 		buf = ne.AppendUint32(buf, uint32(n))
 	}
-	off := uint32(0)
-	buf = ne.AppendUint32(buf, off)
-	for _, p := range s.Polys {
-		off += uint32(len(p.Mons))
-		buf = ne.AppendUint32(buf, off)
+	for _, slab := range [...][]byte{slabBytes(ps.polyOff), slabBytes(ps.monOff), slabBytes(ps.coefs), slabBytes(ps.vars), slabBytes(ps.exps)} {
+		buf = append(buf, slab...)
 	}
-	off = 0
-	buf = ne.AppendUint32(buf, off)
-	for _, p := range s.Polys {
-		for _, m := range p.Mons {
-			off += uint32(len(m.Terms))
-			buf = ne.AppendUint32(buf, off)
-		}
-	}
-	for _, p := range s.Polys {
-		for _, m := range p.Mons {
-			buf = ne.AppendUint64(buf, math.Float64bits(m.Coef))
-		}
-	}
-	for _, p := range s.Polys {
-		for _, m := range p.Mons {
-			for _, t := range m.Terms {
-				buf = ne.AppendUint32(buf, uint32(t.Var))
-			}
-		}
-	}
-	if exps > 0 {
-		for _, p := range s.Polys {
-			for _, m := range p.Mons {
-				for _, t := range m.Terms {
-					buf = ne.AppendUint32(buf, uint32(t.Exp))
-				}
-			}
-		}
-	}
-	for _, k := range s.Keys {
+	for _, k := range ps.keys {
 		buf = ne.AppendUint32(buf, uint32(len(k)))
 	}
-	for _, k := range s.Keys {
+	for _, k := range ps.keys {
 		buf = append(buf, k...)
 	}
 	return buf, nil
@@ -779,7 +733,7 @@ func (d *spillDecoder) decode(r io.ReaderAt, off, n int64, names *Names, ps *Pac
 	if want := spillLen(polys, mons, terms, exps, keyBytes); want != uint64(n) {
 		return fmt.Errorf("corrupt spill length: counts imply %d bytes, the record holds %d", want, n)
 	}
-	ps.names, ps.view = names, nil
+	ps.names = names
 	ps.polyOff = resize(ps.polyOff, int(polys)+1)
 	ps.monOff = resize(ps.monOff, int(mons)+1)
 	ps.coefs = resize(ps.coefs, int(mons))

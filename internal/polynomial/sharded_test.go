@@ -162,6 +162,47 @@ func TestShardBuilderStreaming(t *testing.T) {
 	}
 }
 
+// TestShardBuilderDoesNotRetain: ShardBuilder.Add copies a polynomial
+// into the open shard's slabs, so mutating the caller's terms and
+// coefficients afterwards reaches neither kind of pass, whether the shard
+// stayed resident or was spilled.
+func TestShardBuilderDoesNotRetain(t *testing.T) {
+	want := buildTestSet(20, 5)
+	z := want.Names.Var("z")
+	for _, spill := range []bool{false, true} {
+		in := want.Clone()
+		b := NewShardBuilder(want.Names, ShardOptions{TargetMonomials: 25, SpillDir: t.TempDir()})
+		for i, key := range in.Keys {
+			if err := b.Add(key, in.Polys[i]); err != nil {
+				t.Fatal(err)
+			}
+			m := &in.Polys[i].Mons[0]
+			m.Coef, m.Terms[0] = -1, TExp(z, 9)
+		}
+		ss, err := b.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ss.Close()
+		if spill {
+			if err := ss.SpillAll(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		viaSet, viaPacked, err := passDigests(ss)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < ss.NumShards(); i++ {
+			lo, hi := ss.PolyOffset(i), ss.PolyOffset(i+1)
+			shard := fmt.Sprint(lo, "\n", shardDigest(&Set{Keys: want.Keys[lo:hi], Polys: want.Polys[lo:hi]}))
+			if viaSet[i] != shard || viaPacked[i] != shard {
+				t.Fatalf("spilled %v: shard %d does not hold what was added:\n*Set pass %s\npacked pass %s\nwant %s", spill, i, viaSet[i], viaPacked[i], shard)
+			}
+		}
+	}
+}
+
 func TestShardedEmptyAndZeroPolys(t *testing.T) {
 	names := NewNames()
 	ss, err := BuildSharded(NewSet(names), ShardOptions{})

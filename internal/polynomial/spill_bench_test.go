@@ -39,16 +39,26 @@ func telephonyShaped(zips int) *Set {
 	return set
 }
 
+// mustPack packs s for the spill encoder, which writes a shard's slabs.
+func mustPack(tb testing.TB, s *Set) *PackedSet {
+	ps, err := PackSet(s)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return ps
+}
+
 var benchSpillBuf []byte
 
 // BenchmarkSpillCodec is the layer benchmark of the spill record format,
-// in MB of record per second: encoding a shard from its *Set, decoding it
+// in MB of record per second: encoding a shard from its slabs, decoding it
 // from memory (a bytes.Reader, so no system call is timed) into reused
-// slabs (what ForEachPackedShard does per spilled shard) and into fresh
-// ones with a *Set view over them (what ForEachShard does).
+// slabs (what ForEachPackedShard does per spilled shard), and that plus a
+// *Set view over them (what ForEachShard does).
 func BenchmarkSpillCodec(b *testing.B) {
 	shard := telephonyShaped(66) // 8 712 monomials: one shard of the benchmark's set
-	data, err := encodeShardPayload(nil, shard)
+	packed := mustPack(b, shard)
+	data, err := encodeShardPayload(nil, packed)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -58,7 +68,7 @@ func BenchmarkSpillCodec(b *testing.B) {
 		b.SetBytes(n)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if benchSpillBuf, err = encodeShardPayload(benchSpillBuf[:0], shard); err != nil {
+			if benchSpillBuf, err = encodeShardPayload(benchSpillBuf[:0], packed); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -76,8 +86,8 @@ func BenchmarkSpillCodec(b *testing.B) {
 	b.Run("op=decode+view", func(b *testing.B) {
 		b.SetBytes(n)
 		b.ReportAllocs()
+		ps := new(PackedSet)
 		for i := 0; i < b.N; i++ {
-			ps := new(PackedSet)
 			if err := dec.decode(r, 0, n, shard.Names, ps); err != nil {
 				b.Fatal(err)
 			}
@@ -91,8 +101,9 @@ func BenchmarkSpillCodec(b *testing.B) {
 // BenchmarkShardedPass times one pass over the benchmark's telephony set
 // spilled under a budget of an eighth of its size, in ns per monomial and
 // in MB of spill file read per second (from the set's SpillIO counter): the
-// *Set pass (decode into fresh slabs, view them) and the packed pass
-// (decode into the set's scratch).
+// *Set pass (a view of every shard, a spilled one decoded into the set's
+// scratch first) and the packed pass (a resident shard as it is, a spilled
+// one decoded into the scratch).
 func BenchmarkShardedPass(b *testing.B) {
 	set := telephonyShaped(1055)
 	ss, err := BuildSharded(set, ShardOptions{MaxResidentMonomials: set.Size() / 8, SpillDir: b.TempDir()})

@@ -46,7 +46,7 @@ func passDigests(ss *ShardedSet) (viaSet, viaPacked []string, err error) {
 }
 
 // residentByShards is what ResidentMonomials must report between passes:
-// the monomials of the shards that hold a Set.
+// the monomials of the resident shards, those that hold their slabs.
 func residentByShards(ss *ShardedSet) int {
 	n := 0
 	for _, sh := range ss.shards {
@@ -453,7 +453,7 @@ func spillSeeds(tb testing.TB) (*Names, [][]byte) {
 	sets[3].Add("special", specialPoly(x, y))
 	var out [][]byte
 	for _, s := range sets {
-		data, err := encodeShardPayload(nil, s)
+		data, err := encodeShardPayload(nil, mustPack(tb, s))
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -565,7 +565,7 @@ func FuzzSpillDecode(f *testing.F) {
 		if slabs > len(data) {
 			t.Fatalf("decoded %d bytes of slabs from %d bytes of input", slabs, len(data))
 		}
-		again, err := encodeShardPayload(nil, scratch.View())
+		again, err := encodeShardPayload(nil, scratch)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -718,7 +718,7 @@ func TestSpillIOCounts(t *testing.T) {
 // buffers.
 func TestSpillDecodeAllocations(t *testing.T) {
 	shard := telephonyShaped(66)
-	data, err := encodeShardPayload(nil, shard)
+	data, err := encodeShardPayload(nil, mustPack(t, shard))
 	if err != nil {
 		t.Fatal(err)
 	}
