@@ -349,7 +349,10 @@ func Induced(base *Assignment, cuts ...Cut) *Assignment {
 // EvalSet evaluates every polynomial of the set under the assignment.
 func EvalSet(set *Set, a *Assignment) []float64 { return valuation.EvalSet(set, a) }
 
-// Compile flattens a set for fast repeated valuation.
+// Compile packs a set for fast repeated valuation: the Program evaluates
+// the packed copy in place. It panics if the set overflows the packed
+// layout's int32 offsets (≈2.1 billion monomials or terms); an in-memory
+// Dataset's EvalBatch returns that error instead.
 func Compile(set *Set) *Program { return valuation.Compile(set) }
 
 // EvalBatch evaluates the compiled program under many scenario assignments —

@@ -26,7 +26,9 @@ import (
 //
 // The backing store is chosen by Options.MaxResidentMonomials at
 // capture/open time: an in-memory Set, or a spill-to-disk ShardedSet whose
-// resident footprint stays within the budget. A ShardedSet-backed dataset
+// resident footprint stays within the budget. A dataset derived by Apply
+// in memory holds a PackedSet, the slabs its EvalBatch Program reads in
+// place, and nothing else. A ShardedSet-backed dataset
 // can additionally be Evicted: every shard still in memory is spilled, so
 // the idle dataset holds no monomial, and it keeps answering identically,
 // one loaded shard at a time.
@@ -236,7 +238,7 @@ func (d *Dataset) UsedVars() []Var { return append([]Var(nil), d.st.usedVars...)
 func (d *Dataset) Workers() int { return d.workers }
 
 // OutOfCore reports whether the dataset is backed by an on-disk store — a
-// spill-to-disk ShardedSet or an indexed file — (true) or an in-memory Set
+// spill-to-disk ShardedSet or an indexed file — (true) or held in memory
 // (false).
 func (d *Dataset) OutOfCore() bool { return d.st.outOfCore }
 
@@ -343,10 +345,11 @@ func (d *Dataset) Compress(ctx context.Context, bound int) (*Result, error) {
 }
 
 // Apply applies cuts, producing a derived Dataset of the same
-// representation: an in-memory dataset yields an in-memory one, an
-// out-of-core dataset streams into a new ShardedSet under the same
-// residency budget. The derived dataset shares the namespace and forest
-// and is independently closable.
+// representation: an out-of-core dataset streams into a new ShardedSet
+// under the same residency budget, and an in-memory one is applied into a
+// PackedSet — the slabs the derived dataset's Program evaluates in place,
+// so they are its only copy of the compressed provenance. The derived
+// dataset shares the namespace and forest and is independently closable.
 func (d *Dataset) Apply(ctx context.Context, cuts ...Cut) (*Dataset, error) {
 	st := d.st
 	src, release, err := st.acquire()
@@ -355,35 +358,30 @@ func (d *Dataset) Apply(ctx context.Context, cuts ...Cut) (*Dataset, error) {
 	}
 	defer release()
 	name := st.name + "/applied"
-	if s, ok := polynomial.Unwrap(src).(*Set); ok {
-		if err := ctx.Err(); err != nil {
+	src = polynomial.WithContext(ctx, src)
+	if !st.outOfCore {
+		out := polynomial.NewPackedSet(st.names)
+		if err := abstraction.ApplySource(src, out, d.workers, cuts...); err != nil {
 			return nil, err
 		}
-		return OpenDataset(name, abstraction.Apply(s, d.workers, cuts...), st.trees, st.opts)
+		return OpenDataset(name, out, st.trees, st.opts)
 	}
-	if st.outOfCore {
-		// ShardedSet or IndexedSet: stream into a fresh budgeted ShardedSet
-		// so the derived dataset stays out-of-core.
-		shardOpts := st.opts.shardOptions()
-		if ss, ok := polynomial.Unwrap(src).(*ShardedSet); ok {
-			shardOpts = ss.Options()
-		}
-		b := polynomial.NewShardBuilder(st.names, shardOpts)
-		defer b.Discard() // release partial spill files on any error path
-		if err := abstraction.ApplySource(polynomial.WithContext(ctx, src), b, d.workers, cuts...); err != nil {
-			return nil, err
-		}
-		ss, err := b.Finish()
-		if err != nil {
-			return nil, err
-		}
-		return OpenDataset(name, ss, st.trees, st.opts)
+	// ShardedSet or IndexedSet: stream into a fresh budgeted ShardedSet so
+	// the derived dataset stays out-of-core.
+	shardOpts := st.opts.shardOptions()
+	if ss, ok := polynomial.Unwrap(src).(*ShardedSet); ok {
+		shardOpts = ss.Options()
 	}
-	out := polynomial.NewSet(st.names)
-	if err := abstraction.ApplySource(polynomial.WithContext(ctx, src), out, d.workers, cuts...); err != nil {
+	b := polynomial.NewShardBuilder(st.names, shardOpts)
+	defer b.Discard() // release partial spill files on any error path
+	if err := abstraction.ApplySource(src, b, d.workers, cuts...); err != nil {
 		return nil, err
 	}
-	return OpenDataset(name, out, st.trees, st.opts)
+	ss, err := b.Finish()
+	if err != nil {
+		return nil, err
+	}
+	return OpenDataset(name, ss, st.trees, st.opts)
 }
 
 // evalChunkRows is how many scenario rows evaluate between context checks
@@ -392,27 +390,37 @@ const evalChunkRows = 1024
 
 // EvalBatch evaluates every polynomial of the dataset under many scenario
 // assignments — one result row per assignment, in assignment order. For an
-// in-memory dataset the set is compiled to a Program once and reused by
-// every subsequent call (this is the hot path a serving deployment pays
-// per request); out-of-core datasets evaluate one shard at a time within
-// the residency budget, reading each shard's slabs as they were spilled
-// (or decoded from an indexed file) — no polynomial is rebuilt and nothing
-// is compiled. Rows are bit-identical to Compile + EvalBatch on
-// the materialized set for every worker count.
+// in-memory dataset one Program is built on first use and reused by every
+// subsequent call (this is the hot path a serving deployment pays per
+// request): it evaluates a PackedSet source — a derived dataset's — in
+// place, and packs any other source once, failing with PackSet's error if
+// the set overflows the packed layout. Out-of-core datasets evaluate one
+// shard at a time within the residency budget, reading each shard's slabs
+// as they were spilled (or decoded from an indexed file) — no polynomial
+// is rebuilt and nothing is copied. Rows are bit-identical to Compile +
+// EvalBatch on the materialized set for every worker count.
 func (d *Dataset) EvalBatch(ctx context.Context, assignments []*Assignment) ([][]float64, error) {
 	st := d.st
 	src, release, err := st.acquire()
 	if err != nil {
 		return nil, err
 	}
-	if s, ok := polynomial.Unwrap(src).(*Set); ok {
+	if !st.outOfCore {
 		//cobra:lockguard runMemoized locks memoMu itself; only the cell's address is taken here
 		prog, err := runMemoized(&st.memoMu, &st.prog, ctx, func() (*Program, error) {
-			return valuation.Compile(s), nil
+			ps, ok := polynomial.Unwrap(src).(*polynomial.PackedSet)
+			if !ok {
+				ps = polynomial.NewPackedSet(st.names)
+				ps.Grow(st.npolys, st.size, 0)
+				if err := polynomial.Copy(polynomial.WithContext(ctx, src), ps); err != nil {
+					return nil, err
+				}
+			}
+			return valuation.NewProgram(ps), nil
 		})
-		// The compiled program no longer needs the source (and in-memory
-		// datasets never evict), so release before evaluating: concurrent
-		// EvalBatch calls proceed fully in parallel.
+		// The program's slabs never change (in-memory datasets never
+		// evict, and Close only drops the source), so release before
+		// evaluating: concurrent EvalBatch calls proceed fully in parallel.
 		release()
 		if err != nil {
 			return nil, err

@@ -80,6 +80,72 @@ func rowsEqual(t *testing.T, got, want [][]float64, what string) {
 	}
 }
 
+// solvesMatchOneShot checks the dataset's Compress at bound, Frontier and
+// Sweep against the one-shot calls on set, and returns the Compress result.
+func solvesMatchOneShot(t *testing.T, what string, ds *cobra.Dataset, set *cobra.Set, trees cobra.Forest, bound int) *cobra.Result {
+	t.Helper()
+	ctx := context.Background()
+	res, err := ds.Compress(ctx, bound)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := cobra.Compress(set, trees, bound, cobra.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Size != want.Size || res.NumMeta != want.NumMeta || !res.Cuts[0].Equal(want.Cuts[0]) {
+		t.Fatalf("%s Compress: got size=%d meta=%d cut=%v, want size=%d meta=%d cut=%v",
+			what, res.Size, res.NumMeta, res.Cuts[0], want.Size, want.NumMeta, want.Cuts[0])
+	}
+
+	fr, err := ds.Frontier(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantFr, err := cobra.Frontier(set, trees[0], cobra.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fr) != len(wantFr) {
+		t.Fatalf("%s Frontier: %d points, want %d", what, len(fr), len(wantFr))
+	}
+	for i := range fr {
+		if fr[i].NumMeta != wantFr[i].NumMeta || fr[i].MinSize != wantFr[i].MinSize || !fr[i].Cut.Equal(wantFr[i].Cut) {
+			t.Fatalf("%s Frontier point %d: %+v want %+v", what, i, fr[i], wantFr[i])
+		}
+	}
+
+	bounds := []int{-1, 0, bound, set.Size() * 2}
+	answers, err := ds.Sweep(ctx, bounds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantAns, err := cobra.FrontierSweep(set, trees, bounds, cobra.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range answers {
+		g, w := answers[i], wantAns[i]
+		if (g.Err == nil) != (w.Err == nil) {
+			t.Fatalf("%s Sweep bound %d: err=%v want %v", what, g.Bound, g.Err, w.Err)
+		}
+		if g.Err != nil {
+			if g.Err.Error() != w.Err.Error() {
+				t.Fatalf("%s Sweep bound %d: err %q want %q", what, g.Bound, g.Err, w.Err)
+			}
+			continue
+		}
+		if g.Result.Size != w.Result.Size || g.Result.NumMeta != w.Result.NumMeta {
+			t.Fatalf("%s Sweep bound %d: size=%d meta=%d, want size=%d meta=%d",
+				what, g.Bound, g.Result.Size, g.Result.NumMeta, w.Result.Size, w.Result.NumMeta)
+		}
+	}
+	return res
+}
+
+// TestDatasetMatchesOneShotCalls checks every Dataset method against its
+// one-shot call, and so does the dataset Apply derives: in memory that one
+// is a PackedSet, which Compress, Frontier and Sweep read through View.
 func TestDatasetMatchesOneShotCalls(t *testing.T) {
 	for _, tc := range []struct {
 		name        string
@@ -91,63 +157,7 @@ func TestDatasetMatchesOneShotCalls(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			ds, set, trees := telephonyDataset(t, tc.maxResident)
 			ctx := context.Background()
-			bound := set.Size() / 2
-
-			res, err := ds.Compress(ctx, bound)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := cobra.Compress(set, trees, bound, cobra.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Size != want.Size || res.NumMeta != want.NumMeta || !res.Cuts[0].Equal(want.Cuts[0]) {
-				t.Fatalf("Compress: got size=%d meta=%d cut=%v, want size=%d meta=%d cut=%v",
-					res.Size, res.NumMeta, res.Cuts[0], want.Size, want.NumMeta, want.Cuts[0])
-			}
-
-			fr, err := ds.Frontier(ctx)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantFr, err := cobra.Frontier(set, trees[0], cobra.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(fr) != len(wantFr) {
-				t.Fatalf("Frontier: %d points, want %d", len(fr), len(wantFr))
-			}
-			for i := range fr {
-				if fr[i].NumMeta != wantFr[i].NumMeta || fr[i].MinSize != wantFr[i].MinSize || !fr[i].Cut.Equal(wantFr[i].Cut) {
-					t.Fatalf("Frontier point %d: %+v want %+v", i, fr[i], wantFr[i])
-				}
-			}
-
-			bounds := []int{-1, 0, bound, set.Size() * 2}
-			answers, err := ds.Sweep(ctx, bounds)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantAns, err := cobra.FrontierSweep(set, trees, bounds, cobra.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range answers {
-				g, w := answers[i], wantAns[i]
-				if (g.Err == nil) != (w.Err == nil) {
-					t.Fatalf("Sweep bound %d: err=%v want %v", g.Bound, g.Err, w.Err)
-				}
-				if g.Err != nil {
-					if g.Err.Error() != w.Err.Error() {
-						t.Fatalf("Sweep bound %d: err %q want %q", g.Bound, g.Err, w.Err)
-					}
-					continue
-				}
-				if g.Result.Size != w.Result.Size || g.Result.NumMeta != w.Result.NumMeta {
-					t.Fatalf("Sweep bound %d: size=%d meta=%d, want size=%d meta=%d",
-						g.Bound, g.Result.Size, g.Result.NumMeta, w.Result.Size, w.Result.NumMeta)
-				}
-			}
+			res := solvesMatchOneShot(t, "dataset", ds, set, trees, set.Size()/2)
 
 			asgs := telScenarios(t, ds.Names())
 			rows, err := ds.EvalBatch(ctx, asgs)
@@ -176,8 +186,48 @@ func TestDatasetMatchesOneShotCalls(t *testing.T) {
 			applied := cobra.Apply(set, cobra.Options{}, res.Cuts...)
 			wantDerived := cobra.EvalBatch(cobra.Compile(applied), induced, cobra.Options{})
 			rowsEqual(t, gotDerived, wantDerived, "derived EvalBatch")
+			if tc.maxResident == 0 {
+				solvesMatchOneShot(t, "derived", derived, applied, trees, applied.Size())
+			}
 		})
 	}
+}
+
+// TestDatasetPackedSourceMemoizes: an in-memory dataset memoizes one
+// Program whatever its source — a PackedSet is evaluated in place, not
+// streamed through a fresh Program per call — so a warm one-scenario
+// EvalBatch allocates the same over a PackedSet as over the Set it packs,
+// and answers the same rows bit for bit. (Under -race, where sync.Pool
+// drops the pooled scratch, only the rows are checked.)
+func TestDatasetPackedSourceMemoizes(t *testing.T) {
+	_, set, trees := telephonySet(t)
+	ps, err := polynomial.PackSet(set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	asgs := telScenarios(t, set.Names)[:1]
+	var allocs [2]float64
+	var rows [2][][]float64
+	for i, src := range []cobra.SetSource{set, ps} {
+		ds, err := cobra.OpenDataset("tel", src, trees, cobra.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ds.Close()
+		if rows[i], err = ds.EvalBatch(ctx, asgs); err != nil {
+			t.Fatal(err)
+		}
+		allocs[i] = testing.AllocsPerRun(20, func() {
+			if _, err := ds.EvalBatch(ctx, asgs); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if !raceEnabled && allocs[0] != allocs[1] {
+		t.Fatalf("warm one-scenario EvalBatch allocates %v over a Set, %v over its PackedSet", allocs[0], allocs[1])
+	}
+	rowsEqual(t, rows[1], rows[0], "PackedSet-backed EvalBatch")
 }
 
 func TestDatasetMemoizesAcrossWorkerViews(t *testing.T) {

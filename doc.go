@@ -68,9 +68,12 @@
 //     (single-flight), repeat callers get the cached answer. Sweep
 //     answers every bound from the memoized curve by lookup.
 //   - EvalBatch(ctx, assignments) evaluates scenarios against a
-//     memoized compiled program (in-memory) or shard-at-a-time
-//     (out-of-core), straight from each shard's slabs as they were
-//     spilled: no polynomial is rebuilt and nothing is compiled.
+//     memoized Program (in-memory) or shard-at-a-time (out-of-core),
+//     straight from each shard's slabs as they were spilled: no
+//     polynomial is rebuilt and nothing is copied.
+//   - Apply(ctx, cuts...) derives the compressed dataset: out-of-core
+//     into a new ShardedSet, in memory into a PackedSet, whose slabs the
+//     derived dataset's Program then evaluates in place.
 //   - WithWorkers(n) returns a view with a different parallelism budget
 //     sharing the same memoized state — sound because results are
 //     bit-identical for every worker count.
@@ -92,17 +95,21 @@
 //
 // # Evaluation
 //
-// A compiled Program holds the polynomials as flat arrays, and Compile
-// picks one of three kernels for it. A program with a higher power runs
-// the general kernel. One whose exponents are all 1 — all SUM provenance's
-// are — runs a kernel that loads no exponents and takes no branch per
-// term. One that also has the same number of terms, one or two, in every
-// monomial — plan·month and sku·week, a group's month — runs a stride
-// kernel, which steps through the terms by that number instead of reading
-// where each monomial ends. Every kernel follows one rule: a monomial is
-// multiplied left to right and a polynomial's monomials are added in
-// order, so the rows are bit-identical whichever kernel runs. An
-// out-of-core pass picks the kernel again for every shard.
+// A Program evaluates a PackedSet (see "Representation") in place: it
+// holds the packed set's slabs, not a copy of them, and picks one of three
+// kernels for them. Compile packs a Set and returns the Program over the
+// packed copy; a derived in-memory dataset is already packed, so its
+// Program and the dataset share the one copy of the compressed
+// provenance. A program with a higher power runs the general kernel. One
+// whose exponents are all 1 — all SUM provenance's are — runs a kernel
+// that loads no exponents and takes no branch per term. One that also has
+// the same number of terms, one or two, in every monomial — plan·month
+// and sku·week, a group's month — runs a stride kernel, which steps
+// through the terms by that number instead of reading where each monomial
+// ends. Every kernel follows one rule: a monomial is multiplied left to
+// right and a polynomial's monomials are added in order, so the rows are
+// bit-identical whichever kernel runs. An out-of-core pass picks the
+// kernel again for every shard.
 //
 // A what-if scenario moves a few variables off 1 and leaves the rest, so
 // the first EvalBatch on a Program builds, once, an index from each
@@ -117,9 +124,9 @@
 // re-evaluated polynomial runs the same kernel over the same values, and a
 // skipped one would have read only ones, exactly as it did for the
 // baseline row. Out-of-core datasets evaluate each shard for one
-// batch and drop it — one Program pointed at the shard's slabs, which are
-// already a Program's arrays (see "The streaming pipeline") — so they
-// evaluate every polynomial and build no index.
+// batch and drop it — one Program bound to shard after shard, each a
+// PackedSet (see "The streaming pipeline") — so they evaluate every
+// polynomial and build no index.
 //
 // A batch answers several analysts at once, and a full pass is bound by
 // the latency of one running sum, not by the work. So when one worker's
@@ -378,10 +385,12 @@
 //	vars:    [p1 m1 | p1 m3 | p2 | ...]        the variable of every term, flat
 //	exps:    [ 1  1 |  1  2 |  1 | ...]        their exponents; absent while all are 1
 //
-// These are the arrays a compiled Program evaluates, so a packed set is
-// evaluated where it lies, and they are what a ShardedSet keeps each
-// shard in, resident, and spills as they are. However a packed set is
-// produced — PackSet from a Set, Add per polynomial, or the
+// These are the arrays a Program evaluates — valuation.NewProgram binds a
+// Program to a packed set's own slabs, Compile packs a Set first — so a
+// packed set is evaluated where it lies. They are what a ShardedSet keeps
+// each shard in, resident, and spills as they are, and what an in-memory
+// Dataset.Apply writes the compressed provenance into. However a packed
+// set is produced — PackSet from a Set, Add per polynomial, or the
 // BeginPoly/AppendMonomial builder path that never forms an intermediate
 // Polynomial — the slabs are bit-identical for the same logical content.
 // View() builds a fresh *Set on every call: it copies the keys, zips the

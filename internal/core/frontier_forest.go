@@ -93,8 +93,9 @@ func FrontierForestSource(src polynomial.SetSource, trees abstraction.Forest, wo
 		return nil, err
 	}
 
-	// Per-tree DP states, one frontier run each. In-memory sets and
-	// indexed (random-access) sources solve the trees in parallel over
+	// Per-tree DP states, one frontier run each. In-memory sets — a Set,
+	// or a PackedSet, whose every pass reads its slabs into a fresh View —
+	// and indexed (random-access) sources solve the trees in parallel over
 	// the pool: their independent passes can run concurrently, each
 	// tree's indexing pass sharding the leftover width. Other sources —
 	// ShardedSets streaming spill files under one residency budget, whose
@@ -114,10 +115,10 @@ func FrontierForestSource(src polynomial.SetSource, trees abstraction.Forest, wo
 		states[i], errs[i] = solveDP(trees[i], idx)
 	}
 	base := polynomial.Unwrap(src)
-	_, concurrentOK := base.(*polynomial.Set)
-	if ix, ok := base.(polynomial.IndexedSource); ok && ix.ConcurrentPasses() {
-		concurrentOK = true
-	}
+	_, set := base.(*polynomial.Set)
+	_, packed := base.(*polynomial.PackedSet)
+	ix, indexed := base.(polynomial.IndexedSource)
+	concurrentOK := set || packed || indexed && ix.ConcurrentPasses()
 	if concurrentOK && workers > 1 {
 		inner := workers / len(trees)
 		parallel.ForEach(workers, len(trees), func(i int) { solve(i, inner) })

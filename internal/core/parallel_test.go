@@ -194,7 +194,8 @@ func equalForestCurves(t *testing.T, ctx string, seq, par []ForestFrontierPoint)
 
 // TestFrontierForestWorkersIdentical extends the determinism table to the
 // forest frontier: the composed curve must be bit-identical for Workers ∈
-// {1, 2, 8}, over in-memory and sharded sources alike.
+// {1, 2, 8}, over in-memory, packed and sharded sources alike. The packed
+// source solves its trees concurrently, as a Set does.
 func TestFrontierForestWorkersIdentical(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
 	set, forest := bigPartitionedForest(r)
@@ -220,6 +221,17 @@ func TestFrontierForestWorkersIdentical(t *testing.T) {
 			t.Fatalf("sharded workers %d: %v", w, err)
 		}
 		equalForestCurves(t, fmt.Sprintf("sharded workers %d", w), seq, par)
+	}
+	ps, err := polynomial.PackSet(set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range workerTable {
+		par, err := FrontierForestSource(ps, forest, w)
+		if err != nil {
+			t.Fatalf("packed workers %d: %v", w, err)
+		}
+		equalForestCurves(t, fmt.Sprintf("packed workers %d", w), seq, par)
 	}
 }
 

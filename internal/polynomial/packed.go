@@ -224,21 +224,3 @@ func (ps *PackedSet) ForEachShard(fn func(i, firstPoly int, s *Set) error) error
 func (ps *PackedSet) ForEachPackedShard(fn func(i, firstPoly int, shard *PackedSet) error) error {
 	return fn(0, 0, ps)
 }
-
-// PackSet copies an in-memory Set into a packed set. The only failure
-// mode is a set whose monomial or term count overflows the packed
-// layout's int32 offsets.
-func PackSet(s *Set) (*PackedSet, error) {
-	ps := NewPackedSet(s.Names)
-	nt := 0
-	for _, p := range s.Polys {
-		nt += p.NumTerms()
-	}
-	ps.Grow(s.Len(), s.Size(), nt)
-	for i, key := range s.Keys {
-		if err := ps.Add(key, s.Polys[i]); err != nil {
-			return nil, err
-		}
-	}
-	return ps, nil
-}

@@ -7,11 +7,18 @@ import (
 	"github.com/cobra-prov/cobra/internal/polynomial"
 )
 
-// Program is a polynomial set compiled to flat arrays for fast repeated
-// valuation — the hot path of hypothetical reasoning, where an analyst
+// Program evaluates a polynomial set, packed, under scenario after
+// scenario — the hot path of hypothetical reasoning, where an analyst
 // applies many scenarios to the same provenance. Both the full and the
 // compressed provenance are evaluated through Program, so the measured
 // speedup isolates the effect of compression.
+//
+// A Program copies nothing: its slab fields are a polynomial.PackedSet's
+// own polyOff, coefs, monOff, vars and exps, bound in place (bind), and
+// what it adds is the kernel it runs (arity), the index sparse scenarios
+// are answered from and the workers' pooled scratch. It holds slice
+// headers rather than the *PackedSet so the kernels read their slabs with
+// no extra indirection.
 type Program struct {
 	names   *polynomial.Names
 	numVars int
@@ -33,29 +40,16 @@ type Program struct {
 	sweeps sync.Pool // of *sweep: the workers' scratch outlives an EvalBatchN call
 }
 
-// Compile flattens set into a Program.
+// Compile packs set (polynomial.PackSet) and returns the Program over the
+// packed copy. It panics with PackSet's error if the set overflows the
+// packed layout's int32 offsets (≈2.1 billion monomials or terms); pack
+// the set and call NewProgram to get that error as a value.
 func Compile(set *polynomial.Set) *Program {
-	p := &Program{names: set.Names, numVars: set.Names.Len()}
-	p.polyOff = make([]int32, 1, len(set.Polys)+1)
-	exp1 := true
-	for _, poly := range set.Polys {
-		for _, m := range poly.Mons {
-			p.coefs = append(p.coefs, m.Coef)
-			p.monOff = append(p.monOff, int32(len(p.tVars)))
-			for _, t := range m.Terms {
-				p.tVars = append(p.tVars, int32(t.Var))
-				p.tExps = append(p.tExps, t.Exp)
-				exp1 = exp1 && t.Exp == 1
-			}
-		}
-		p.polyOff = append(p.polyOff, int32(len(p.coefs)))
+	ps, err := polynomial.PackSet(set)
+	if err != nil {
+		panic(err)
 	}
-	p.monOff = append(p.monOff, int32(len(p.tVars)))
-	if exp1 {
-		p.tExps = nil
-	}
-	p.setArity()
-	return p
+	return NewProgram(ps)
 }
 
 // setArity picks the kernel evalPoly runs from tExps and monOff.
@@ -153,6 +147,21 @@ func (p *Program) evalPoly(pi int, vals []float64) float64 {
 		sum += x
 	}
 	return sum
+}
+
+// NewProgram returns the Program over ps's slabs, copying nothing: ps must
+// not change while the Program is in use.
+func NewProgram(ps *polynomial.PackedSet) *Program {
+	p := &Program{names: ps.Names(), numVars: ps.Names().Len()}
+	p.bind(ps)
+	return p
+}
+
+// bind points the program at ps's slabs and picks the kernel for them.
+func (p *Program) bind(ps *polynomial.PackedSet) {
+	p.polyOff, p.coefs, p.monOff = ps.PolyOff(), ps.Coefs(), ps.MonOff()
+	p.tVars, p.tExps = ps.Vars(), ps.Exps()
+	p.setArity()
 }
 
 // buildSparse builds the postings index and the all-ones row.

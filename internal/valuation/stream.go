@@ -10,12 +10,12 @@ import (
 // the next one loads, so peak memory is one shard instead of the whole
 // set. A source that hands its shards over packed
 // (polynomial.PackedShards: a ShardedSet, an IndexedSet, a PackedSet, each
-// also behind WithContext) is evaluated straight from those slabs — they
-// are in a Program's layout, so one Program is re-pointed at shard after
-// shard and a pass builds no *Set, compiles nothing and copies nothing,
-// only re-reads each shard's monomial offsets to pick its kernel (one
-// shard may have one term per monomial, the next a mix); any other source
-// has each shard compiled to a Program of its own. Rows
+// also behind WithContext) is evaluated straight from those slabs — a
+// Program's slabs are a PackedSet's, so one Program is bound to shard after
+// shard and a pass builds no *Set and copies nothing, only re-reads each
+// shard's monomial offsets to pick its kernel (one shard may have one term
+// per monomial, the next a mix); any other source has each shard packed
+// first, and fails with PackSet's error. Rows
 // are one result per polynomial in set order; because each polynomial
 // evaluates independently and shards concatenate in set order, the rows
 // are bit-identical to compiling the materialized set and calling
@@ -29,29 +29,27 @@ func EvalBatchSource(src polynomial.SetSource, assignments []*Assignment, worker
 	for i := range out {
 		out[i] = make([]float64, 0, src.Len())
 	}
+	names := src.Namespace()
+	prog := &Program{names: names, numVars: names.Len()}
 	var rows [][]float64
-	eval := func(prog *Program) {
+	eval := func(_, _ int, ps *polynomial.PackedSet) error {
+		prog.bind(ps) // valid until ps changes, which is after eval returns
 		rows = prog.evalBatch(assignments, rows, workers, false)
 		for a := range rows {
 			out[a] = append(out[a], rows[a]...)
 		}
+		return nil
 	}
 	var err error
 	if packed, ok := polynomial.PackedShards(src); ok {
-		names := src.Namespace()
-		prog := &Program{names: names, numVars: names.Len()}
-		err = packed.ForEachPackedShard(func(_, _ int, ps *polynomial.PackedSet) error {
-			// What Compile builds, with nothing copied; valid until ps changes.
-			prog.polyOff, prog.coefs, prog.monOff = ps.PolyOff(), ps.Coefs(), ps.MonOff()
-			prog.tVars, prog.tExps = ps.Vars(), ps.Exps()
-			prog.setArity()
-			eval(prog)
-			return nil
-		})
+		err = packed.ForEachPackedShard(eval)
 	} else {
-		err = polynomial.ForEachShardN(src, workers, func(_, _ int, s *polynomial.Set) error {
-			eval(Compile(s))
-			return nil
+		err = polynomial.ForEachShardN(src, workers, func(i, firstPoly int, s *polynomial.Set) error {
+			ps, err := polynomial.PackSet(s)
+			if err != nil {
+				return err
+			}
+			return eval(i, firstPoly, ps)
 		})
 	}
 	if err != nil {

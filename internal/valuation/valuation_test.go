@@ -237,3 +237,29 @@ func TestProgramEvalReuse(t *testing.T) {
 		t.Fatalf("out2 = %v", out2)
 	}
 }
+
+// TestNewProgramAliasesSlabs: a Program over a PackedSet reads the set's
+// own slabs, so the packed set is the only copy of the polynomials.
+func TestNewProgramAliasesSlabs(t *testing.T) {
+	r := rand.New(rand.NewSource(23))
+	for _, shape := range randomShapes {
+		ps, err := polynomial.PackSet(randomSet(r, shape))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ps.Size() == 0 {
+			t.Fatalf("%s: empty fixture", shape)
+		}
+		prog := NewProgram(ps)
+		if &prog.coefs[0] != &ps.Coefs()[0] || &prog.polyOff[0] != &ps.PolyOff()[0] ||
+			&prog.monOff[0] != &ps.MonOff()[0] {
+			t.Fatalf("%s: the program copied the coefficient or offset slabs", shape)
+		}
+		if len(prog.tVars) > 0 && &prog.tVars[0] != &ps.Vars()[0] {
+			t.Fatalf("%s: the program copied the variable column", shape)
+		}
+		if (prog.tExps == nil) != (ps.Exps() == nil) || prog.tExps != nil && &prog.tExps[0] != &ps.Exps()[0] {
+			t.Fatalf("%s: the program copied the exponent column", shape)
+		}
+	}
+}
