@@ -210,7 +210,7 @@ func Apply(set *Set, opts Options, cuts ...Cut) *Set {
 // open a Dataset and use its memoized Compress, which also accepts a
 // context.
 func Compress(src SetSource, trees Forest, bound int, opts Options) (*Result, error) {
-	ds, err := OpenDataset("", src, trees, opts)
+	ds, err := newDataset("", src, trees, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -279,7 +279,7 @@ type CrossTreeError = core.CrossTreeError
 // pass; the points are bit-identical for every source representation and
 // worker count.
 func Frontier(src SetSource, tree *Tree, opts Options) ([]FrontierPoint, error) {
-	ds, err := OpenDataset("", src, Forest{tree}, opts)
+	ds, err := newDataset("", src, Forest{tree}, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -295,7 +295,7 @@ func Frontier(src SetSource, tree *Tree, opts Options) ([]FrontierPoint, error) 
 // curve exact (CrossTreeError otherwise) — and is bit-identical for every
 // source representation and worker count.
 func FrontierForest(src SetSource, trees Forest, opts Options) ([]ForestFrontierPoint, error) {
-	ds, err := OpenDataset("", src, trees, opts)
+	ds, err := newDataset("", src, trees, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -326,7 +326,7 @@ func BestForForestBound(points []ForestFrontierPoint, bound int) (ForestFrontier
 // coordinate descent may settle for less. Per-bound infeasibility lands in
 // the answer's Err; hard errors fail the sweep.
 func FrontierSweep(src SetSource, trees Forest, bounds []int, opts Options) ([]SweepAnswer, error) {
-	ds, err := OpenDataset("", src, trees, opts)
+	ds, err := newDataset("", src, trees, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -26,12 +26,14 @@ import (
 //
 // The backing store is chosen by Options.MaxResidentMonomials at
 // capture/open time: an in-memory Set, or a spill-to-disk ShardedSet whose
-// resident footprint stays within the budget. A dataset derived by Apply
-// in memory holds a PackedSet, the slabs its EvalBatch Program reads in
-// place, and nothing else. A ShardedSet-backed dataset
-// can additionally be Evicted: every shard still in memory is spilled, so
-// the idle dataset holds no monomial, and it keeps answering identically,
-// one loaded shard at a time.
+// resident footprint stays within the budget. A v3 file opened as a
+// polyio.IndexedSet is decoded once, at open, into the dataset's own
+// ShardedSet under that budget, so no later call decodes it again. A
+// dataset derived by Apply in memory holds a PackedSet, the slabs its
+// EvalBatch Program reads in place, and nothing else. A ShardedSet-backed
+// dataset can additionally be Evicted: every shard still in memory is
+// spilled, so the idle dataset holds no monomial, and it keeps answering
+// identically, one loaded shard at a time.
 //
 // Methods take a context: a canceled context stops an in-flight solve at
 // the next shard boundary (and between evaluation chunks), so a
@@ -67,6 +69,7 @@ type datasetState struct {
 	closed    bool      // guarded by mu
 	evicted   bool      // guarded by mu; set once by Evict, never cleared
 	outOfCore bool      // set at open, immutable afterwards
+	decoded   SetSource // set at open, immutable afterwards: the indexed source src was decoded from, closed with it
 
 	// memoMu guards the memoized derived state. Computations run outside
 	// the lock (a busy/wait flight per memo), so a slow frontier never
@@ -133,21 +136,47 @@ func isCtxErr(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// OpenDataset wraps an existing source — an in-memory Set or a ShardedSet
-// — as a named Dataset over the given abstraction forest. The Dataset
-// takes ownership of the source: do not mutate it afterwards, and release
-// it through Dataset.Close. trees may be empty if only EvalBatch is
-// needed; the compression and frontier methods then fail like their
-// one-shot counterparts.
+// OpenDataset wraps an existing source — an in-memory Set, a ShardedSet
+// or an indexed v3 file (polyio.IndexedSet) — as a named Dataset over the
+// given abstraction forest. The Dataset takes ownership of the source: do
+// not mutate it afterwards, and release it through Dataset.Close. trees
+// may be empty if only EvalBatch is needed; the compression and frontier
+// methods then fail like their one-shot counterparts.
+//
+// An indexed file is decoded ONCE, here: every shard is read, checked and
+// decoded in one pass and kept as it decoded in a ShardedSet under
+// opts.MaxResidentMonomials, spilling past the budget as ReadSetStream
+// does, so every later call reads that set and never the file. The open
+// therefore costs a pass over the file and cannot be canceled. On an
+// error — a damaged shard is a typed polyio error — nothing is left in
+// opts.SpillDir and the source is not closed: it is still the caller's.
 func OpenDataset(name string, src SetSource, trees Forest, opts Options) (*Dataset, error) {
+	ix, ok := polynomial.Unwrap(src).(polynomial.IndexedSource)
+	if !ok || !ix.ConcurrentPasses() {
+		return newDataset(name, src, trees, opts)
+	}
+	b := polynomial.NewShardBuilder(ix.Namespace(), opts.shardOptions())
+	defer b.Discard() // release partial spill files on any error path
+	if err := ix.ForEachPackedShard(func(_, _ int, ps *polynomial.PackedSet) error { return b.AddPacked(ps) }); err != nil {
+		return nil, fmt.Errorf("cobra: opening dataset %q: %w", name, err)
+	}
+	ss, err := b.Finish()
+	if err != nil {
+		return nil, err
+	}
+	ds, _ := newDataset(name, ss, trees, opts) // fails only on a nil source
+	ds.st.decoded = src
+	return ds, nil
+}
+
+// newDataset wraps src as it is. The one-shot facade calls use it
+// directly: they make one pass over a source they do not own, so an
+// indexed one is read where it is rather than decoded into a copy.
+func newDataset(name string, src SetSource, trees Forest, opts Options) (*Dataset, error) {
 	if src == nil {
 		return nil, errors.New("cobra: OpenDataset needs a source")
 	}
-	base := polynomial.Unwrap(src)
-	_, ooc := base.(*ShardedSet)
-	if ix, ok := base.(polynomial.IndexedSource); ok && ix.ConcurrentPasses() {
-		ooc = true // an indexed on-disk set is out-of-core by construction
-	}
+	_, ooc := polynomial.Unwrap(src).(*ShardedSet)
 	st := &datasetState{
 		name:      name,
 		trees:     trees,
@@ -237,9 +266,9 @@ func (d *Dataset) UsedVars() []Var { return append([]Var(nil), d.st.usedVars...)
 // Workers returns the worker budget this handle solves with.
 func (d *Dataset) Workers() int { return d.workers }
 
-// OutOfCore reports whether the dataset is backed by an on-disk store — a
-// spill-to-disk ShardedSet or an indexed file — (true) or held in memory
-// (false).
+// OutOfCore reports whether the dataset is backed by a spill-to-disk
+// ShardedSet — its own, when it was opened over an indexed file — (true)
+// or held in memory (false).
 func (d *Dataset) OutOfCore() bool { return d.st.outOfCore }
 
 // Resident reports whether the dataset may still hold monomials between
@@ -273,16 +302,18 @@ func (st *datasetState) acquire() (SetSource, func(), error) {
 
 // Evict spills every shard of a ShardedSet-backed dataset that is still in
 // memory and drops the buffers its passes keep, so an idle dataset costs no
-// monomial of memory. Nothing is converted and nothing is written outside
-// the set's own spill directory: the dataset goes on answering from the
-// spill files it already had, bit for bit as before, its passes still one
-// at a time, and memoized curves and compressions are untouched. Eviction
-// is one-way. Evict reports whether this call evicted the dataset: true
-// once per ShardedSet-backed dataset (also when the budget had already
-// spilled every shard), false for an in-memory, an already evicted, a
-// closed or an IndexedSet-backed dataset (which is a file already). On an
-// error the dataset stays resident and usable. Evict waits for in-flight
-// solves to finish.
+// monomial of memory. That includes a dataset opened over an indexed v3
+// file, whose ShardedSet was decoded from it at open: its shards spill to
+// its own spill file like any other, and the v3 file is never touched.
+// Nothing is converted and nothing is written outside the set's own spill
+// directory: the dataset goes on answering from its spill file, bit for
+// bit as before, its passes still one at a time, and memoized curves and
+// compressions are untouched. Eviction is one-way. Evict reports whether
+// this call evicted the dataset: true once per ShardedSet-backed dataset
+// (also when the budget had already spilled every shard), false for an
+// in-memory, an already evicted or a closed dataset. On an error the
+// dataset stays resident and usable. Evict waits for in-flight solves to
+// finish.
 func (d *Dataset) Evict() (bool, error) {
 	st := d.st
 	st.mu.Lock()
@@ -298,9 +329,9 @@ func (d *Dataset) Evict() (bool, error) {
 	return true, nil
 }
 
-// Close releases the dataset: the backing source, spill files included.
-// Close waits for in-flight solves to finish; the dataset must not be used
-// afterwards.
+// Close releases the dataset: the backing source, spill files included,
+// and the indexed source it was opened over. Close waits for in-flight
+// solves to finish; the dataset must not be used afterwards.
 func (d *Dataset) Close() error {
 	st := d.st
 	st.mu.Lock()
@@ -310,8 +341,10 @@ func (d *Dataset) Close() error {
 	}
 	st.closed = true
 	var err error
-	if c, ok := st.src.(io.Closer); ok {
-		err = c.Close()
+	for _, src := range []SetSource{st.src, st.decoded} {
+		if c, ok := src.(io.Closer); ok {
+			err = errors.Join(err, c.Close())
+		}
 	}
 	st.src = nil
 	return err
@@ -366,13 +399,9 @@ func (d *Dataset) Apply(ctx context.Context, cuts ...Cut) (*Dataset, error) {
 		}
 		return OpenDataset(name, out, st.trees, st.opts)
 	}
-	// ShardedSet or IndexedSet: stream into a fresh budgeted ShardedSet so
-	// the derived dataset stays out-of-core.
-	shardOpts := st.opts.shardOptions()
-	if ss, ok := polynomial.Unwrap(src).(*ShardedSet); ok {
-		shardOpts = ss.Options()
-	}
-	b := polynomial.NewShardBuilder(st.names, shardOpts)
+	// Stream into a fresh ShardedSet under the source's options so the
+	// derived dataset stays out-of-core.
+	b := polynomial.NewShardBuilder(st.names, polynomial.Unwrap(src).(*ShardedSet).Options())
 	defer b.Discard() // release partial spill files on any error path
 	if err := abstraction.ApplySource(src, b, d.workers, cuts...); err != nil {
 		return nil, err
@@ -396,9 +425,9 @@ const evalChunkRows = 1024
 // place, and packs any other source once, failing with PackSet's error if
 // the set overflows the packed layout. Out-of-core datasets evaluate one
 // shard at a time within the residency budget, reading each shard's slabs
-// as they were spilled (or decoded from an indexed file) — no polynomial
-// is rebuilt and nothing is copied. Rows are bit-identical to Compile +
-// EvalBatch on the materialized set for every worker count.
+// as they were spilled — no polynomial is rebuilt and nothing is copied.
+// Rows are bit-identical to Compile + EvalBatch on the materialized set
+// for every worker count.
 func (d *Dataset) EvalBatch(ctx context.Context, assignments []*Assignment) ([][]float64, error) {
 	st := d.st
 	src, release, err := st.acquire()

@@ -18,12 +18,18 @@ func TestDatasetConcurrentAccess(t *testing.T) {
 	for _, tc := range []struct {
 		name        string
 		maxResident int
+		indexed     bool
 	}{
-		{"in-memory", 0},
-		{"out-of-core", 512},
+		{"in-memory", 0, false},
+		{"out-of-core", 512, false},
+		{"indexed", 512, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			ds, set, trees := telephonyDataset(t, tc.maxResident)
+			open := telephonyDataset
+			if tc.indexed {
+				open = indexedTelephonyDataset
+			}
+			ds, set, trees := open(t, tc.maxResident)
 			ctx := context.Background()
 
 			// Expected values from a fresh, unshared dataset so the

@@ -4,8 +4,12 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
+	"sync"
 	"testing"
 
 	cobra "github.com/cobra-prov/cobra"
@@ -43,6 +47,24 @@ func telephonyDataset(t *testing.T, maxResident int) (*cobra.Dataset, *cobra.Set
 	}
 	t.Cleanup(func() { ds.Close() })
 	_ = names
+	return ds, set, trees
+}
+
+// indexedTelephonyDataset is telephonyDataset over a v3 file of the
+// workload, decoded at open under maxResident.
+func indexedTelephonyDataset(t *testing.T, maxResident int) (*cobra.Dataset, *cobra.Set, cobra.Forest) {
+	t.Helper()
+	names, set, trees := telephonySet(t)
+	ix, err := polyio.OpenIndexedFile(writeV3File(t, t.TempDir(), set, true), names)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, err := cobra.OpenDataset("tel", ix, trees, cobra.Options{MaxResidentMonomials: maxResident, SpillDir: t.TempDir()})
+	if err != nil {
+		ix.Close()
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ds.Close() })
 	return ds, set, trees
 }
 
@@ -143,51 +165,111 @@ func solvesMatchOneShot(t *testing.T, what string, ds *cobra.Dataset, set *cobra
 	return res
 }
 
+// writeV3File writes set to dir as a v3 file of several shards — those of
+// a ShardedSet of about 256 monomials each — DEFLATE-compressed or raw,
+// and returns its path.
+func writeV3File(t *testing.T, dir string, set *cobra.Set, compress bool) string {
+	t.Helper()
+	ss, err := polynomial.BuildSharded(set, polynomial.ShardOptions{TargetMonomials: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ss.Close()
+	path := filepath.Join(dir, "set.v3")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := polyio.WriteSetStreamV3(f, ss, polyio.V3Options{Compress: compress}); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
 // TestDatasetMatchesOneShotCalls checks every Dataset method against its
-// one-shot call, and so does the dataset Apply derives: in memory that one
-// is a PackedSet, which Compress, Frontier and Sweep read through View.
+// one-shot call on the in-memory set, for Workers 1, 2 and 8 and every
+// way a dataset is opened: over the set, over a ShardedSet of it, and over
+// a v3 file of it (compressed and raw), decoded at open. So does the
+// dataset Apply derives: in memory that one is a PackedSet, which
+// Compress, Frontier and Sweep read through View, and out-of-core a
+// ShardedSet.
 func TestDatasetMatchesOneShotCalls(t *testing.T) {
 	for _, tc := range []struct {
 		name        string
 		maxResident int
+		file        string // "": open the set or its ShardedSet; else open a v3 file of it
 	}{
-		{"in-memory", 0},
-		{"out-of-core", 512},
+		{"in-memory", 0, ""},
+		{"out-of-core", 512, ""},
+		{"indexed-compressed", 512, "compressed"},
+		{"indexed-raw", 512, "raw"},
+		{"indexed-unbudgeted", 0, "raw"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			ds, set, trees := telephonyDataset(t, tc.maxResident)
-			ctx := context.Background()
-			res := solvesMatchOneShot(t, "dataset", ds, set, trees, set.Size()/2)
+			for _, workers := range []int{1, 2, 8} {
+				t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+					names := cobra.NewNames()
+					set := telephony.DirectProvenance(telephony.Config{Customers: 600, Zips: 6}, names)
+					trees := cobra.Forest{telephony.PlansTree(names)}
+					opts := cobra.Options{Workers: workers, MaxResidentMonomials: tc.maxResident, SpillDir: t.TempDir()}
+					var src cobra.SetSource = set
+					switch {
+					case tc.file != "":
+						ix, err := polyio.OpenIndexedFile(writeV3File(t, t.TempDir(), set, tc.file == "compressed"), names)
+						if err != nil {
+							t.Fatal(err)
+						}
+						src = ix
+					case tc.maxResident > 0:
+						ss, err := cobra.ShardSet(set, opts)
+						if err != nil {
+							t.Fatal(err)
+						}
+						src = ss
+					}
+					ds, err := cobra.OpenDataset("tel", src, trees, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer ds.Close()
+					if ds.OutOfCore() != (tc.maxResident > 0 || tc.file != "") {
+						t.Fatalf("OutOfCore() = %v", ds.OutOfCore())
+					}
+					ctx := context.Background()
+					res := solvesMatchOneShot(t, "dataset", ds, set, trees, set.Size()/2)
 
-			asgs := telScenarios(t, ds.Names())
-			rows, err := ds.EvalBatch(ctx, asgs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantRows := cobra.EvalBatch(cobra.Compile(set), asgs, cobra.Options{})
-			rowsEqual(t, rows, wantRows, "EvalBatch")
+					asgs := telScenarios(t, ds.Names())
+					rows, err := ds.EvalBatch(ctx, asgs)
+					if err != nil {
+						t.Fatal(err)
+					}
+					wantRows := cobra.EvalBatch(cobra.Compile(set), asgs, cobra.Options{})
+					rowsEqual(t, rows, wantRows, "EvalBatch")
 
-			derived, err := ds.Apply(ctx, res.Cuts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer derived.Close()
-			if derived.Size() != res.Size {
-				t.Fatalf("Apply: derived size %d, want %d", derived.Size(), res.Size)
-			}
-			induced := make([]*cobra.Assignment, len(asgs))
-			for i, a := range asgs {
-				induced[i] = cobra.Induced(a, res.Cuts...)
-			}
-			gotDerived, err := derived.EvalBatch(ctx, induced)
-			if err != nil {
-				t.Fatal(err)
-			}
-			applied := cobra.Apply(set, cobra.Options{}, res.Cuts...)
-			wantDerived := cobra.EvalBatch(cobra.Compile(applied), induced, cobra.Options{})
-			rowsEqual(t, gotDerived, wantDerived, "derived EvalBatch")
-			if tc.maxResident == 0 {
-				solvesMatchOneShot(t, "derived", derived, applied, trees, applied.Size())
+					derived, err := ds.Apply(ctx, res.Cuts...)
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer derived.Close()
+					if derived.Size() != res.Size {
+						t.Fatalf("Apply: derived size %d, want %d", derived.Size(), res.Size)
+					}
+					induced := make([]*cobra.Assignment, len(asgs))
+					for i, a := range asgs {
+						induced[i] = cobra.Induced(a, res.Cuts...)
+					}
+					gotDerived, err := derived.EvalBatch(ctx, induced)
+					if err != nil {
+						t.Fatal(err)
+					}
+					applied := cobra.Apply(set, cobra.Options{}, res.Cuts...)
+					wantDerived := cobra.EvalBatch(cobra.Compile(applied), induced, cobra.Options{})
+					rowsEqual(t, gotDerived, wantDerived, "derived EvalBatch")
+					solvesMatchOneShot(t, "derived", derived, applied, trees, applied.Size())
+				})
 			}
 		})
 	}
@@ -466,50 +548,226 @@ func TestDatasetEvictBitIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestDatasetEvictIndexedIsNoop: a dataset over an indexed v3 file is a
-// file already; Evict has nothing to do and must not touch it.
-func TestDatasetEvictIndexedIsNoop(t *testing.T) {
-	names, set, trees := telephonySet(t)
-	dir := t.TempDir()
-	path := filepath.Join(dir, "set.v3")
-	f, err := os.Create(path)
+// TestDatasetEvictIndexed: a dataset opened over an indexed v3 file holds
+// the ShardedSet the file was decoded into at open, so it evicts like any
+// ShardedSet-backed dataset and answers bit for bit as before. The v3 file
+// is never written, spill files appear only in the dataset's private
+// subdirectory of SpillDir and go with Close, and an unbudgeted open keeps
+// the whole set resident until Evict, as ReadSetStream with no budget does.
+func TestDatasetEvictIndexed(t *testing.T) {
+	names := cobra.NewNames()
+	set := telephony.DirectProvenance(telephony.Config{Customers: 600, Zips: 12}, names)
+	trees := cobra.Forest{telephony.PlansTree(names)}
+	ctx := context.Background()
+	want := cobra.EvalBatch(cobra.Compile(set), telScenarios(t, names), cobra.Options{})
+	// compressMatches solves a bound the dataset has not memoized and
+	// checks it against the one-shot call on the set.
+	compressMatches := func(ds *cobra.Dataset, bound, workers int, what string) {
+		t.Helper()
+		got, err := ds.WithWorkers(workers).Compress(ctx, bound)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := cobra.Compress(set, trees, bound, cobra.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Size != res.Size || !got.Cuts[0].Equal(res.Cuts[0]) {
+			t.Fatalf("%s: Compress size=%d cut=%v, want size=%d cut=%v", what, got.Size, got.Cuts[0], res.Size, res.Cuts[0])
+		}
+	}
+	for _, budget := range []int{0, set.Size() / 3} {
+		dir := t.TempDir()
+		path := writeV3File(t, dir, set, true)
+		written, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ix, err := polyio.OpenIndexedFile(path, names)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spill := t.TempDir()
+		ds, err := cobra.OpenDataset("indexed", ix, trees, cobra.Options{MaxResidentMonomials: budget, SpillDir: spill})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if budget == 0 {
+			spillDirHoldsOnly(t, spill) // resident: nothing spilled
+		} else {
+			spillDirHoldsOnly(t, spill, "cobra-shards-*")
+		}
+		before, err := ds.EvalBatch(ctx, telScenarios(t, names))
+		if err != nil {
+			t.Fatal(err)
+		}
+		compressMatches(ds, set.Size()/2, 2, fmt.Sprintf("budget %d, before Evict", budget))
+		if evicted, err := ds.Evict(); err != nil || !evicted {
+			t.Fatalf("budget %d: Evict() = %v, %v on an indexed dataset; want true, nil", budget, evicted, err)
+		}
+		if !ds.OutOfCore() || ds.Resident() {
+			t.Fatalf("budget %d: OutOfCore() = %v, Resident() = %v after Evict", budget, ds.OutOfCore(), ds.Resident())
+		}
+		spillDirHoldsOnly(t, spill, "cobra-shards-*")
+		shards, err := filepath.Glob(filepath.Join(spill, "cobra-shards-*"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		spillDirHoldsOnly(t, shards[0], "shards.spill")
+		after, err := ds.EvalBatch(ctx, telScenarios(t, names))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rowsEqual(t, before, want, "indexed EvalBatch before Evict")
+		rowsEqual(t, after, want, "indexed EvalBatch after Evict")
+		compressMatches(ds, set.Size()/3, 1, fmt.Sprintf("budget %d, after Evict", budget))
+		if err := ds.Close(); err != nil {
+			t.Fatal(err)
+		}
+		spillDirHoldsOnly(t, spill)
+		spillDirHoldsOnly(t, dir, "set.v3")
+		if now, _ := os.ReadFile(path); !bytes.Equal(now, written) {
+			t.Fatal("the dataset wrote to its v3 file")
+		}
+		if err := ix.Close(); err != nil {
+			t.Fatalf("closing the IndexedSet again: %v", err)
+		}
+	}
+}
+
+// countingReaderAt counts the ReadAt calls at each offset of r.
+type countingReaderAt struct {
+	r  io.ReaderAt
+	mu sync.Mutex
+	at map[int64]int
+}
+
+func (c *countingReaderAt) ReadAt(p []byte, off int64) (int, error) {
+	c.mu.Lock()
+	c.at[off]++
+	c.mu.Unlock()
+	return c.r.ReadAt(p, off)
+}
+
+// TestDatasetOpenIndexedDecodesOnce: a dataset over an indexed v3 file
+// reads each shard's stored bytes once, at open — Compress, Apply and
+// EvalBatch after it read the dataset's ShardedSet, spilled under the
+// budget, and never the file — and answers what the in-memory set does.
+func TestDatasetOpenIndexedDecodesOnce(t *testing.T) {
+	names := cobra.NewNames()
+	set := telephony.DirectProvenance(telephony.Config{Customers: 2000, Zips: 20}, names)
+	trees := cobra.Forest{telephony.PlansTree(names)}
+	data, err := os.ReadFile(writeV3File(t, t.TempDir(), set, true))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cobra.WriteSet(f, set, cobra.FormatBinary); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	written, err := os.ReadFile(path)
+	cr := &countingReaderAt{r: bytes.NewReader(data), at: map[int64]int{}}
+	ix, err := polyio.OpenIndexedSet(cr, int64(len(data)), names)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, err := polyio.OpenIndexedFile(path, names)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds, err := cobra.OpenDataset("indexed", ix, trees, cobra.Options{SpillDir: dir})
+	clear(cr.at) // the header, trailer and footer reads of the open
+	ctx := context.Background()
+	ds, err := cobra.OpenDataset("once", ix, trees, cobra.Options{MaxResidentMonomials: set.Size() / 8, SpillDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ds.Close()
-	if evicted, err := ds.Evict(); err != nil || evicted {
-		t.Fatalf("Evict() = %v, %v on an indexed dataset; want false, nil", evicted, err)
-	}
-	if !ds.OutOfCore() || !ds.Resident() {
-		t.Fatalf("OutOfCore() = %v, Resident() = %v", ds.OutOfCore(), ds.Resident())
-	}
-	spillDirHoldsOnly(t, dir, "set.v3")
-	if now, _ := os.ReadFile(path); !bytes.Equal(now, written) {
-		t.Fatal("Evict rewrote the indexed file")
-	}
-	rows, err := ds.EvalBatch(context.Background(), telScenarios(t, names))
+	res, err := ds.Compress(ctx, set.Size()/3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rowsEqual(t, rows, cobra.EvalBatch(cobra.Compile(set), telScenarios(t, names), cobra.Options{}), "indexed EvalBatch")
+	comp, err := ds.Apply(ctx, res.Cuts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer comp.Close()
+	asgs := telScenarios(t, names)
+	induced := make([]*cobra.Assignment, len(asgs))
+	for i, a := range asgs {
+		induced[i] = cobra.Induced(a, res.Cuts...)
+	}
+	rows, err := comp.EvalBatch(ctx, induced)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := ds.EvalBatch(ctx, asgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cr.at) != ix.NumShards() || ix.NumShards() < 4 {
+		t.Fatalf("%d offsets read after open, the file has %d shards", len(cr.at), ix.NumShards())
+	}
+	for off, n := range cr.at {
+		if n != 1 {
+			t.Fatalf("the shard at offset %d was read %d times", off, n)
+		}
+	}
+	want, err := cobra.Compress(set, trees, set.Size()/3, cobra.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Size != want.Size || !res.Cuts[0].Equal(want.Cuts[0]) {
+		t.Fatalf("Compress: size=%d cut=%v, want size=%d cut=%v", res.Size, res.Cuts[0], want.Size, want.Cuts[0])
+	}
+	rowsEqual(t, rows, cobra.EvalBatch(cobra.Compile(cobra.Apply(set, cobra.Options{}, res.Cuts...)), induced, cobra.Options{}), "derived EvalBatch")
+	rowsEqual(t, full, cobra.EvalBatch(cobra.Compile(set), asgs, cobra.Options{}), "EvalBatch")
+}
+
+// TestDatasetOpenIndexedCorruptShard: a shard that fails its checksum in
+// the middle of the decode makes OpenDataset return the typed error naming
+// it and leave nothing in SpillDir, though earlier shards had spilled; the
+// IndexedSet stays open, the caller's to read and to close.
+func TestDatasetOpenIndexedCorruptShard(t *testing.T) {
+	names := cobra.NewNames()
+	set := telephony.DirectProvenance(telephony.Config{Customers: 2000, Zips: 20}, names)
+	trees := cobra.Forest{telephony.PlansTree(names)}
+	path := writeV3File(t, t.TempDir(), set, true)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Find each shard's stored bytes by the reads of one pass.
+	cr := &countingReaderAt{r: bytes.NewReader(data), at: map[int64]int{}}
+	probe, err := polyio.OpenIndexedSet(cr, int64(len(data)), names)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clear(cr.at)
+	if err := probe.ForEachShard(func(_, _ int, _ *cobra.Set) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	offs := make([]int64, 0, len(cr.at))
+	for off := range cr.at {
+		offs = append(offs, off)
+	}
+	slices.Sort(offs)
+	mid := len(offs) / 2
+	data[offs[mid]+4] ^= 0xff
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	ix, err := polyio.OpenIndexedFile(path, names)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spill := t.TempDir()
+	_, err = cobra.OpenDataset("corrupt", ix, trees, cobra.Options{MaxResidentMonomials: set.Size() / 8, SpillDir: spill})
+	var ce *polyio.ChecksumError
+	if !errors.As(err, &ce) || ce.Shard != mid {
+		t.Fatalf("OpenDataset over a file with shard %d damaged: %v, want a ChecksumError for it", mid, err)
+	}
+	spillDirHoldsOnly(t, spill)
+	if _, err := ix.DecodeShard(0); err != nil {
+		t.Fatalf("the IndexedSet was closed by the failed open: %v", err)
+	}
+	if err := ix.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.Close(); err != nil {
+		t.Fatalf("a second Close: %v", err)
+	}
 }
 
 // TestDatasetEvictFailureLeavesUsable: an Evict that cannot spill (its

@@ -85,7 +85,9 @@
 //     holds no monomial; it goes on answering from its spill file, bit
 //     for bit as before. Nothing is converted or re-encoded, and eviction
 //     is one-way: Resident() answers false from then on. In-memory
-//     datasets, and datasets over an indexed file, ignore Evict.
+//     datasets ignore Evict. A dataset opened over an indexed v3 file
+//     holds the ShardedSet the file was decoded into at open, and evicts
+//     like any other.
 //
 // The serve package and cmd/cobra-serve wrap a registry of Datasets in a
 // long-lived HTTP/JSON daemon: background capture/compress jobs, request
@@ -258,6 +260,12 @@
 // A Dataset opened over a ShardedSet routes every method down this
 // streaming path automatically, and the one-shot Compress and Frontier
 // take any SetSource, so there is no separate "streamed" entry point.
+// A Dataset opened over a v3 file (a polyio.IndexedSet) decodes the file
+// once, at open: each shard is read, checksummed, inflated and decoded in
+// one pass and kept, as the PackedSet it decoded into, as a shard of the
+// dataset's own ShardedSet (ShardBuilder.AddPacked, no second copy),
+// spilling under Options.MaxResidentMonomials as ReadSetStream does.
+// Every later call reads that ShardedSet, never the file.
 //
 // Capture is streaming too: CaptureToShards (and CaptureLineageToShards
 // for tuple-level lineage) executes the query through the engine's
@@ -290,8 +298,7 @@
 // buffer — followed by a structural validation of the typed slabs
 // (offsets monotone and ending at the counts, variables inside the
 // namespace, exponents as the encoder writes them). A spilled set holds
-// one file descriptor from its first spill to Close, as an open
-// IndexedSet holds its file. The file is private to the process and never
+// one file descriptor from its first spill to Close. The file is private to the process and never
 // outlives it: variables are raw ids with no name table, there is one
 // version, and native byte order is sound because the only reader of a
 // file is the process that wrote it. It is the out-of-core store's memory
@@ -315,8 +322,8 @@
 // Dataset.Evict drops it along with the resident shards; the next pass
 // grows it again. An evicted dataset is
 // evaluated the same way as before, now with every shard loaded from its
-// spill record; a dataset over an indexed v3 file from the slabs the v3
-// decoder fills.
+// spill record, and so is a dataset opened over an indexed v3 file: its
+// shards are the slabs the v3 decoder filled at open.
 //
 // # On-disk formats
 //

@@ -13,6 +13,7 @@ package telephony
 
 import (
 	"fmt"
+	"strconv"
 
 	"github.com/cobra-prov/cobra/internal/abstraction"
 	"github.com/cobra-prov/cobra/internal/engine"
@@ -79,11 +80,11 @@ func (c Config) withDefaults() Config {
 }
 
 // zipName formats the i-th zip code (10001, 10002, ...).
-func zipName(i int) string { return fmt.Sprintf("%d", 10001+i) }
+func zipName(i int) string { return strconv.Itoa(10001 + i) }
 
 // planOf deterministically assigns plans round-robin within each zip, so
 // every zip with at least 11·Zips customers covers every plan.
-func planOf(custIdx, zips int) string { return PlanNames[(custIdx/zips)%len(PlanNames)] }
+func planOf(custIdx, zips int) int { return (custIdx / zips) % len(PlanNames) }
 
 // duration is a deterministic pseudo-random call duration in minutes for a
 // (customer, month) pair — a hash, not an RNG stream, so the direct
@@ -105,38 +106,49 @@ func price(planIdx, month int) float64 {
 
 // Generate materializes the database at the configured scale. Memory grows
 // with Customers × Months; use DirectProvenance for paper-scale provenance.
+// Each relation's cells are one slab (see table), and each zip code is
+// formatted once.
 func Generate(cfg Config) engine.Catalog {
 	cfg = cfg.withDefaults()
-
-	cust := relation.NewRelation("Cust", relation.NewSchema(
-		relation.Column{Name: "ID", Kind: relation.KindInt},
-		relation.Column{Name: "Plan", Kind: relation.KindString},
-		relation.Column{Name: "Zip", Kind: relation.KindString},
-	))
-	calls := relation.NewRelation("Calls", relation.NewSchema(
-		relation.Column{Name: "CID", Kind: relation.KindInt},
-		relation.Column{Name: "Mo", Kind: relation.KindInt},
-		relation.Column{Name: "Dur", Kind: relation.KindFloat},
-	))
+	zips := make([]relation.Value, cfg.Zips)
+	for z := range zips {
+		zips[z] = relation.Str(zipName(z))
+	}
+	cust := make([]relation.Value, 0, 3*cfg.Customers)
+	calls := make([]relation.Value, 0, 3*cfg.Customers*cfg.Months)
 	for i := 0; i < cfg.Customers; i++ {
-		cust.Append(relation.Int(int64(i+1)), relation.Str(planOf(i, cfg.Zips)), relation.Str(zipName(i%cfg.Zips)))
+		cust = append(cust, relation.Int(int64(i+1)), relation.Str(PlanNames[planOf(i, cfg.Zips)]), zips[i%cfg.Zips])
 		for m := 1; m <= cfg.Months; m++ {
-			calls.Append(relation.Int(int64(i+1)), relation.Int(int64(m)), relation.Float(float64(duration(i, m))))
+			calls = append(calls, relation.Int(int64(i+1)), relation.Int(int64(m)), relation.Float(float64(duration(i, m))))
 		}
 	}
-
-	plans := relation.NewRelation("Plans", relation.NewSchema(
-		relation.Column{Name: "Plan", Kind: relation.KindString},
-		relation.Column{Name: "Mo", Kind: relation.KindInt},
-		relation.Column{Name: "Price", Kind: relation.KindFloat},
-	))
+	plans := make([]relation.Value, 0, 3*len(PlanNames)*cfg.Months)
 	for pi, plan := range PlanNames {
 		for m := 1; m <= cfg.Months; m++ {
-			plans.Append(relation.Str(plan), relation.Int(int64(m)), relation.Float(price(pi, m)))
+			plans = append(plans, relation.Str(plan), relation.Int(int64(m)), relation.Float(price(pi, m)))
 		}
 	}
+	return engine.Catalog{
+		"Cust":  table("Cust", cust, "ID", "Plan", "Zip"),
+		"Calls": table("Calls", calls, "CID", "Mo", "Dur"),
+		"Plans": table("Plans", plans, "Plan", "Mo", "Price"),
+	}
+}
 
-	return engine.Catalog{"Cust": cust, "Calls": calls, "Plans": plans}
+// table builds a three-column relation over cells, row after row: every
+// row is a full-slice window (cap == len) of that one slab, annotated with
+// the shared polynomial.One(), and each column has the kind of the first
+// row's cell.
+func table(name string, cells []relation.Value, c0, c1, c2 string) *relation.Relation {
+	rel := relation.NewRelation(name, relation.NewSchema(
+		relation.Column{Name: c0, Kind: cells[0].Kind()},
+		relation.Column{Name: c1, Kind: cells[1].Kind()},
+		relation.Column{Name: c2, Kind: cells[2].Kind()}))
+	rel.Rows = make([]relation.Tuple, len(cells)/3)
+	for i := range rel.Rows {
+		rel.Rows[i] = relation.NewTuple(cells[3*i : 3*i+3 : 3*i+3]...)
+	}
+	return rel
 }
 
 // InstrumentPrices parameterizes every price cell with its plan and month
@@ -189,20 +201,20 @@ func InstrumentPrices(cat engine.Catalog, names *polynomial.Names) (engine.Catal
 // engine path up to floating-point summation order.
 func DirectProvenance(cfg Config, names *polynomial.Names) *polynomial.Set {
 	cfg = cfg.withDefaults()
-	nPlans := len(PlanNames)
-	// coef[zip][plan][month-1]
-	coef := make([][][]float64, cfg.Zips)
-	for z := range coef {
-		coef[z] = make([][]float64, nPlans)
-		for p := range coef[z] {
-			coef[z][p] = make([]float64, cfg.Months)
-		}
+	nPlans, months := len(PlanNames), cfg.Months
+	// prices[p*months+m-1] = price(p, m), computed once rather than once
+	// per customer-month.
+	prices := make([]float64, nPlans*months)
+	for k := range prices {
+		prices[k] = price(k/months, k%months+1)
 	}
+	// coef[(zip*nPlans+plan)*months+month-1]
+	coef := make([]float64, cfg.Zips*nPlans*months)
 	for i := 0; i < cfg.Customers; i++ {
-		z := i % cfg.Zips
-		p := (i / cfg.Zips) % nPlans
-		for m := 1; m <= cfg.Months; m++ {
-			coef[z][p][m-1] += float64(duration(i, m)) * price(p, m)
+		z, p := i%cfg.Zips, planOf(i, cfg.Zips)
+		row, pr := coef[(z*nPlans+p)*months:][:months], prices[p*months:][:months]
+		for m := 1; m <= months; m++ {
+			row[m-1] += float64(duration(i, m)) * pr[m-1]
 		}
 	}
 
@@ -221,7 +233,7 @@ func DirectProvenance(cfg Config, names *polynomial.Names) *polynomial.Set {
 		b.Grow(nPlans * cfg.Months)
 		for p := 0; p < nPlans; p++ {
 			for m := 0; m < cfg.Months; m++ {
-				if c := coef[z][p][m]; c != 0 {
+				if c := coef[(z*nPlans+p)*months+m]; c != 0 {
 					b.Add(c, polynomial.T(planVars[p]), polynomial.T(monthVars[m]))
 				}
 			}

@@ -184,3 +184,14 @@ func TestFigure1DBShape(t *testing.T) {
 		}
 	}
 }
+
+// TestGenerateAllocations pins Generate's allocations: each relation is
+// built in one slab of cells, so a 10 000-customer catalog (120 000 call
+// rows) costs a few allocations per relation and per zip, not one per row.
+func TestGenerateAllocations(t *testing.T) {
+	cfg := Config{Customers: 10_000}
+	allocs := testing.AllocsPerRun(3, func() { Generate(cfg) })
+	if zips := cfg.withDefaults().Zips; allocs > float64(40+2*zips) {
+		t.Fatalf("Generate(%+v) allocates %v times, want at most %d", cfg, allocs, 40+2*zips)
+	}
+}

@@ -340,7 +340,8 @@ func (ix *IndexedSet) ForEachShard(fn func(i, firstPoly int, s *polynomial.Set) 
 
 // ForEachPackedShard is ForEachShard handing out the PackedSet each shard
 // decodes into, with no *Set built over it
-// (polynomial.PackedShardSource).
+// (polynomial.PackedShardSource). Every shard decodes into a PackedSet of
+// its own, so fn may keep it (polynomial.IndexedSource).
 func (ix *IndexedSet) ForEachPackedShard(fn func(i, firstPoly int, ps *polynomial.PackedSet) error) error {
 	for i := range ix.shards {
 		ps, err := ix.decodeShardPacked(i)

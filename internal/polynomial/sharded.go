@@ -528,6 +528,32 @@ func (b *ShardBuilder) AddSet(s *Set) error {
 	return nil
 }
 
+// AddPacked appends the polynomials of ps in order, adopting ps itself as
+// a shard, with no copy, when it is no larger than a shard Add seals:
+// everything before its last polynomial is under the shard target. A
+// larger one goes through Add, which re-splits it. The shard open before
+// the call is sealed first, and sealed shards spill under the budget as
+// they do for Add. The builder owns ps from the call on: the caller must
+// not use it again. ps must share the builder's namespace.
+func (b *ShardBuilder) AddPacked(ps *PackedSet) error {
+	if b.done || ps.names != b.ss.names {
+		return fmt.Errorf("polynomial: AddPacked after Finish, or of a set over another namespace")
+	}
+	if n, target := ps.Len(), b.ss.opts.TargetMonomials; n > 0 && (n-1 >= target || int(ps.polyOff[n-1]) >= target) {
+		return b.AddSet(ps.View())
+	}
+	if err := b.seal(); err != nil {
+		return err
+	}
+	if err := b.ss.spillOver(ps.Size()); err != nil {
+		return err
+	}
+	b.ss.size += ps.Size()
+	b.ss.trackResident(ps.Size())
+	b.cur = ps
+	return b.seal()
+}
+
 // seal freezes the current shard, records its metadata, and spills older
 // shards if the resident budget is exceeded. Sealing extends the set, so
 // it invalidates the cached UsedVars merge.

@@ -231,3 +231,141 @@ func TestShardedEmptyAndZeroPolys(t *testing.T) {
 		t.Fatalf("zero-poly round trip: %v", back.Keys)
 	}
 }
+
+// packPieces packs want into consecutive pieces of per polynomials.
+func packPieces(t *testing.T, want *Set, per int) []*PackedSet {
+	t.Helper()
+	var out []*PackedSet
+	for lo := 0; lo < want.Len(); lo += per {
+		hi := min(lo+per, want.Len())
+		ps, err := PackSet(&Set{Names: want.Names, Keys: want.Keys[lo:hi], Polys: want.Polys[lo:hi]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, ps)
+	}
+	return out
+}
+
+// TestShardBuilderAddPacked: a packed set no larger than a shard Add seals
+// becomes a shard as it is — the pass hands over the very PackedSet — and
+// a larger one is re-split by Add. Either way, with and without a budget,
+// the set holds what BuildSharded builds from the same polynomials, shard
+// for shard, and stays within its budget.
+func TestShardBuilderAddPacked(t *testing.T) {
+	want := buildTestSet(20, 5) // 100 monomials; a target of 25 seals every 5 polynomials
+	for _, tc := range []struct {
+		name   string
+		per    int
+		budget int
+		adopt  bool
+		short  bool // pieces shorter than a shard: each stays a shard of its own
+	}{
+		{"adopt", 5, 0, true, false},
+		{"adopt/budget", 5, 50, true, false},
+		{"short-pieces", 3, 0, true, true},
+		{"resplit", 10, 0, false, false},
+		{"resplit/budget", 10, 50, false, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := ShardOptions{TargetMonomials: 25, MaxResidentMonomials: tc.budget, SpillDir: t.TempDir()}
+			pieces := packPieces(t, want, tc.per)
+			b := NewShardBuilder(want.Names, opts)
+			for _, ps := range pieces {
+				if err := b.AddPacked(ps); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ss, err := b.Finish()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ss.Close()
+			if ss.Size() != want.Size() || ss.Len() != want.Len() {
+				t.Fatalf("set holds %d monomials in %d polynomials, want %d in %d", ss.Size(), ss.Len(), want.Size(), want.Len())
+			}
+			if tc.budget > 0 && (ss.SpilledShards() == 0 || ss.PeakResidentMonomials() > tc.budget) {
+				t.Fatalf("%d shards spilled, peak %d resident monomials (budget %d)", ss.SpilledShards(), ss.PeakResidentMonomials(), tc.budget)
+			}
+			if tc.adopt && tc.budget == 0 {
+				err := ss.ForEachPackedShard(func(i, _ int, ps *PackedSet) error {
+					if ps != pieces[i] {
+						return fmt.Errorf("shard %d is not the PackedSet added", i)
+					}
+					return nil
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			if tc.short {
+				if ss.NumShards() != len(pieces) {
+					t.Fatalf("%d shards from %d pieces", ss.NumShards(), len(pieces))
+				}
+				m, err := ss.Materialize()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if shardDigest(m) != shardDigest(want) {
+					t.Fatal("adopted pieces do not hold the set")
+				}
+				return
+			}
+			ref, err := BuildSharded(want, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ref.Close()
+			gotSet, gotPacked, err := passDigests(ss)
+			if err != nil {
+				t.Fatal(err)
+			}
+			refSet, _, err := passDigests(ref)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fmt.Sprint(gotSet) != fmt.Sprint(refSet) || fmt.Sprint(gotPacked) != fmt.Sprint(refSet) {
+				t.Fatalf("shards differ from BuildSharded's:\n%q\nwant\n%q", gotSet, refSet)
+			}
+		})
+	}
+}
+
+// TestShardBuilderAddPackedMixed: AddPacked seals the shard Add left open
+// first, so the polynomials keep their order; it refuses a set over
+// another namespace, and a finished builder.
+func TestShardBuilderAddPackedMixed(t *testing.T) {
+	want := buildTestSet(12, 5)
+	b := NewShardBuilder(want.Names, ShardOptions{TargetMonomials: 25})
+	for i := 0; i < 2; i++ {
+		if err := b.Add(want.Keys[i], want.Polys[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, ps := range packPieces(t, &Set{Names: want.Names, Keys: want.Keys[2:], Polys: want.Polys[2:]}, 5) {
+		if err := b.AddPacked(ps); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := b.AddPacked(NewPackedSet(nil)); err == nil {
+		t.Fatal("AddPacked accepted a set over another namespace")
+	}
+	ss, err := b.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ss.Close()
+	if ss.NumShards() != 3 {
+		t.Fatalf("%d shards, want 3: the open one, then each piece", ss.NumShards())
+	}
+	m, err := ss.Materialize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if shardDigest(m) != shardDigest(want) {
+		t.Fatal("mixed Add and AddPacked do not hold the set in order")
+	}
+	if err := b.AddPacked(NewPackedSet(want.Names)); err == nil {
+		t.Fatal("AddPacked accepted after Finish")
+	}
+}

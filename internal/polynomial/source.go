@@ -87,11 +87,16 @@ func PackedShards(src SetSource) (PackedShardSource, bool) {
 // streaming passes may run concurrently without serializing on shared
 // mutable state (unlike *ShardedSet, whose passes fight over one
 // residency budget and therefore serialize). It is the seam that lets
-// FrontierForestSource solve the trees of a spilled forest in parallel.
+// FrontierForestSource solve the trees of a spilled forest in parallel,
+// and what lets a Dataset decode such a source once into a ShardedSet.
 // Implemented by polyio.IndexedSet.
 type IndexedSource interface {
 	SetSource
 	ShardParallelSource
+	// Passes run concurrently, so none reuses another's decoded shard:
+	// ForEachPackedShard hands each shard over in a PackedSet of its own,
+	// which fn may keep — an exception to PackedShardSource's rule.
+	PackedShardSource
 	// ConcurrentPasses reports whether independent streaming passes over
 	// this source may run concurrently. IndexedSource implementations
 	// return true; the method exists so wrappers (ContextSource) can

@@ -104,8 +104,7 @@ func (r *registry) closeAll() {
 // enforceLocked evicts least-recently-used resident out-of-core datasets
 // until the residency budget holds, never evicting keep (the dataset
 // serving the current request). Eviction is best-effort: a failed Evict
-// leaves the dataset resident rather than failing the request, and so
-// does a dataset that cannot be evicted (one over an indexed file). r.mu
+// leaves the dataset resident rather than failing the request. r.mu
 // must be held; Evict waits for the victim's in-flight solves, which never
 // take registry locks, so holding r.mu here cannot deadlock.
 func (r *registry) enforceLocked(keep string) {
