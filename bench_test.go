@@ -94,7 +94,7 @@ func BenchmarkDatasetOpenIndexed(b *testing.B) {
 	dir := b.TempDir()
 	opts := cobra.Options{MaxResidentMonomials: set.Size() / 8, SpillDir: dir}
 	path := filepath.Join(dir, "set.v3")
-	ss, err := cobra.ShardSet(set, opts)
+	ss, err := polynomial.BuildSharded(set, polynomial.ShardOptions{MaxResidentMonomials: opts.MaxResidentMonomials, SpillDir: dir})
 	if err != nil {
 		b.Fatal(err)
 	}

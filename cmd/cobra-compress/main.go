@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -80,7 +81,11 @@ func run(in, treeFile string, bound int, algo, out string, outFormat cobra.Forma
 	var res *cobra.Result
 	switch algo {
 	case "dp":
-		res, err = cobra.Compress(set, cobra.Forest{tree}, bound, cobra.Options{})
+		var ds *cobra.Dataset
+		if ds, err = cobra.OpenDataset("input", set, cobra.Forest{tree}, cobra.Options{}); err == nil {
+			res, err = ds.Compress(context.Background(), bound)
+			ds.Close()
+		}
 	case "greedy":
 		res, err = cobra.CompressGreedy(set, tree, bound)
 	default:

@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -133,7 +134,12 @@ func run(dataset string, customers, bound int, scenario, treeFile string, hood b
 	if bound <= 0 {
 		bound = set.Size() * 2 / 3
 	}
-	frontier, err := cobra.Frontier(set, tree, cobra.Options{})
+	ds, err := cobra.OpenDataset(dataset, set, cobra.Forest{tree}, cobra.Options{})
+	if err != nil {
+		return err
+	}
+	defer ds.Close()
+	frontier, err := ds.Frontier(context.Background())
 	if err != nil {
 		return err
 	}

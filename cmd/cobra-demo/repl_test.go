@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	cobra "github.com/cobra-prov/cobra"
+	"github.com/cobra-prov/cobra/internal/core"
 )
 
 // newTestSession builds a Figure-1 session.
@@ -98,7 +99,7 @@ func TestReplSweep(t *testing.T) {
 func TestReplBoundMatchesCompress(t *testing.T) {
 	s := newTestSession(t)
 	for bound := 4; bound <= 15; bound++ {
-		res, err := cobra.Compress(s.set, cobra.Forest{s.tree}, bound, cobra.Options{})
+		res, err := core.CompressSource(s.set, cobra.Forest{s.tree}, bound, 1)
 		if err != nil {
 			t.Fatalf("bound %d: %v", bound, err)
 		}

@@ -1,7 +1,6 @@
 package cobra
 
 import (
-	"context"
 	"io"
 	"runtime"
 
@@ -34,19 +33,13 @@ type (
 	Set = polynomial.Set
 	// ShardedSet is a Set split into fixed-size shards that spill to disk
 	// past a memory budget — the out-of-core representation every pipeline
-	// stage streams through.
+	// stage streams through. OpenDataset and CaptureDataset build one when
+	// Options.MaxResidentMonomials is set.
 	ShardedSet = polynomial.ShardedSet
-	// ShardBuilder streams polynomials into a ShardedSet without ever
-	// materializing the whole set.
-	ShardBuilder = polynomial.ShardBuilder
 	// SetSource is the streaming view every pipeline stage consumes: keyed
 	// polynomials iterated shard-at-a-time, implemented by both *Set and
 	// *ShardedSet, so each stage works in-memory and out-of-core alike.
 	SetSource = polynomial.SetSource
-	// SetSink receives keyed polynomials one at a time; implemented by
-	// *Set (materializes) and *ShardBuilder (seals shards, spills past the
-	// budget).
-	SetSink = polynomial.SetSink
 
 	// Tree is an abstraction tree over provenance variables.
 	Tree = abstraction.Tree
@@ -108,9 +101,12 @@ type Options struct {
 
 	// MaxResidentMonomials bounds the monomials a ShardedSet keeps in
 	// memory at once: shards beyond the budget spill to temp files and
-	// stream back one at a time through the out-of-core pipeline (and it
-	// selects the out-of-core representation for CaptureDataset). <= 0
-	// (the zero value) disables spilling. The bound is per sharded set and
+	// stream back one at a time through the out-of-core pipeline. > 0
+	// selects the out-of-core representation: CaptureDataset streams into
+	// a ShardedSet under this budget, and OpenDataset shards any source
+	// that is not already a ShardedSet (an indexed file is decoded into one
+	// whatever the budget). <= 0 (the zero value) disables spilling and
+	// keeps an in-memory source in memory. The bound is per sharded set and
 	// holds as long as no single polynomial exceeds half the budget (whole
 	// polynomials are never split).
 	MaxResidentMonomials int
@@ -200,24 +196,6 @@ func Apply(set *Set, opts Options, cuts ...Cut) *Set {
 	return abstraction.Apply(set, opts.Workers, cuts...)
 }
 
-// Compress finds the optimal abstraction under the bound: the exact DP for
-// one tree, coordinate descent for a forest, over any SetSource — a sharded
-// set is indexed shard-at-a-time, with peak memory of one shard plus the
-// index. opts.Workers goroutines shard the signature indexing and cut
-// application; the result is bit-identical for every worker count and
-// source representation. See also CompressGreedy and CompressExhaustive for
-// the baseline algorithms. One-shot: for repeated bounds over the same set,
-// open a Dataset and use its memoized Compress, which also accepts a
-// context.
-func Compress(src SetSource, trees Forest, bound int, opts Options) (*Result, error) {
-	ds, err := newDataset("", src, trees, opts)
-	if err != nil {
-		return nil, err
-	}
-	//cobra:ctx one-shot context-free wrapper; the Dataset API threads the caller's context
-	return ds.Compress(context.Background(), bound)
-}
-
 // CompressGreedy runs the greedy baseline on a single tree.
 func CompressGreedy(set *Set, tree *Tree, bound int) (*Result, error) {
 	return core.Greedy(set, tree, bound)
@@ -228,30 +206,11 @@ func CompressExhaustive(set *Set, tree *Tree, bound int) (*Result, error) {
 	return core.Exhaustive(set, tree, bound)
 }
 
-// Out-of-core pipeline: sharded sets stream through compression,
-// application and valuation one shard at a time, so provenance larger
-// than MaxResidentMonomials never materializes. Every entry point that
-// takes a SetSource returns results bit-identical to the in-memory ones
-// for every worker count.
-
-// ShardSet splits an in-memory set into a ShardedSet under
-// opts.MaxResidentMonomials (the caller should drop the original set to
-// realize the memory bound). Close the result to remove spill files.
-func ShardSet(set *Set, opts Options) (*ShardedSet, error) {
-	return polynomial.BuildSharded(set, opts.shardOptions())
-}
-
-// NewShardedSetBuilder streams polynomials into a ShardedSet as they are
-// produced — e.g. while reading a binary stream or capturing provenance — so
-// the full set never materializes.
-func NewShardedSetBuilder(names *Names, opts Options) *ShardBuilder {
-	return polynomial.NewShardBuilder(names, opts.shardOptions())
-}
-
 // Frontier sweeps: one DP run, many bounds. Hypothetical reasoning in
 // practice means sliding a size bound interactively; a frontier is the
-// complete bound→optimum curve, and a sweep answers an arbitrary batch of
-// bounds from it without re-running the DP per bound.
+// complete bound→optimum curve (Dataset.Frontier, Dataset.ForestFrontier),
+// and Dataset.Sweep answers an arbitrary batch of bounds from it without
+// re-running the DP per bound.
 
 // FrontierPoint is one point of the expressiveness/size tradeoff curve.
 type FrontierPoint = core.FrontierPoint
@@ -261,77 +220,21 @@ type FrontierPoint = core.FrontierPoint
 // nodes across the forest, with one cut per tree in forest order.
 type ForestFrontierPoint = core.ForestFrontierPoint
 
-// SweepAnswer is FrontierSweep's answer for one requested bound: exactly
+// SweepAnswer is Dataset.Sweep's answer for one requested bound: exactly
 // one of Result (what per-bound compression would return) and Err (an
 // *InfeasibleError for unreachable bounds) is set.
 type SweepAnswer = core.SweepAnswer
 
 // CrossTreeError reports a monomial coupling two trees of a forest — the
-// case in which no exact forest-level frontier exists (use Compress's
-// coordinate descent there); test with errors.As.
+// case in which no exact forest-level frontier exists (Dataset.Compress
+// uses coordinate descent there); test with errors.As.
 type CrossTreeError = core.CrossTreeError
-
-// Frontier computes the complete tradeoff curve for a tree in one DP run:
-// for every feasible number of meta-variables, the minimal compressed size
-// and a cut attaining it. It takes any SetSource — for a sharded
-// out-of-core set peak residency stays within its MaxResidentMonomials
-// budget — and uses opts.Workers goroutines for the signature indexing
-// pass; the points are bit-identical for every source representation and
-// worker count.
-func Frontier(src SetSource, tree *Tree, opts Options) ([]FrontierPoint, error) {
-	ds, err := newDataset("", src, Forest{tree}, opts)
-	if err != nil {
-		return nil, err
-	}
-	//cobra:ctx one-shot context-free wrapper; the Dataset API threads the caller's context
-	return ds.Frontier(context.Background())
-}
-
-// FrontierForest computes the forest-level tradeoff curve from one DP run
-// per tree (solved in parallel across trees for in-memory sets, strictly
-// one at a time for sharded sources) composed by a knapsack-style DP over
-// the trees. It requires each monomial to touch at most one tree of the
-// forest — the condition under which the joint size is additive and the
-// curve exact (CrossTreeError otherwise) — and is bit-identical for every
-// source representation and worker count.
-func FrontierForest(src SetSource, trees Forest, opts Options) ([]ForestFrontierPoint, error) {
-	ds, err := newDataset("", src, trees, opts)
-	if err != nil {
-		return nil, err
-	}
-	//cobra:ctx one-shot context-free wrapper; the Dataset API threads the caller's context
-	return ds.ForestFrontier(context.Background())
-}
 
 // BestForBound picks the frontier point a given bound admits: the maximal
 // feasible number of meta-variables, ties broken toward the smallest
 // MinSize — the optimizer's own choice, deterministically.
 func BestForBound(frontier []FrontierPoint, bound int) (FrontierPoint, bool) {
 	return core.BestForBound(frontier, bound)
-}
-
-// BestForForestBound is BestForBound over a forest-level curve.
-func BestForForestBound(points []ForestFrontierPoint, bound int) (ForestFrontierPoint, bool) {
-	return core.BestForForestBound(points, bound)
-}
-
-// FrontierSweep answers an arbitrary batch of bounds from ONE DP run over
-// any SetSource (an in-memory Set or a sharded out-of-core set): the
-// tradeoff curve is computed once and every bound becomes a lookup, so a
-// batch of N bounds costs one compression instead of N. For a single tree
-// each answer is bit-identical — cut, sizes, statistics, error — to
-// Compress at that bound, for every worker count; for a forest the
-// answers are exact optima over partitioned instances (each monomial
-// touching at most one tree; CrossTreeError otherwise), where Compress's
-// coordinate descent may settle for less. Per-bound infeasibility lands in
-// the answer's Err; hard errors fail the sweep.
-func FrontierSweep(src SetSource, trees Forest, bounds []int, opts Options) ([]SweepAnswer, error) {
-	ds, err := newDataset("", src, trees, opts)
-	if err != nil {
-		return nil, err
-	}
-	//cobra:ctx one-shot context-free wrapper; the Dataset API threads the caller's context
-	return ds.Sweep(context.Background(), bounds)
 }
 
 // NewAssignment returns an empty valuation over names (unassigned
@@ -354,14 +257,6 @@ func EvalSet(set *Set, a *Assignment) []float64 { return valuation.EvalSet(set, 
 // layout's int32 offsets (≈2.1 billion monomials or terms); an in-memory
 // Dataset's EvalBatch returns that error instead.
 func Compile(set *Set) *Program { return valuation.Compile(set) }
-
-// EvalBatch evaluates the compiled program under many scenario assignments —
-// one result row per assignment — chunking the scenarios across opts.Workers
-// goroutines with a dense valuation arena per worker. Rows are bit-identical
-// to evaluating each assignment alone, for every worker count.
-func EvalBatch(p *Program, assignments []*Assignment, opts Options) [][]float64 {
-	return p.EvalBatchN(assignments, nil, opts.Workers)
-}
 
 // MeasureSpeedup times repeated valuation of both programs under their
 // respective dense valuations and reports per-iteration times. iters <= 0
@@ -439,46 +334,6 @@ func Capture(query string, cat Catalog, names *Names, valueCol string, opts Opti
 	return provenance.CaptureN(query, cat, names, valueCol, opts.Workers)
 }
 
-// CaptureToShards runs a query and streams its provenance polynomials
-// straight into a budgeted ShardedSet, row by row, without ever
-// materializing the result relation or the full provenance set — capture
-// for queries whose provenance exceeds memory. names must be the
-// namespace the catalog was instrumented under. The built set's
-// PeakResidentMonomials stays within opts.MaxResidentMonomials (when
-// set), and materializing it yields exactly Capture's set for every
-// worker count. Close the result to remove its spill files.
-//
-// One caveat versus Capture: with an empty valueCol the symbolic column
-// is inferred from the first buffered batch of rows (Capture scans the
-// whole materialized result). A result whose symbolic column holds no
-// polynomial value that early fails loudly — pass valueCol explicitly
-// there; a second symbolic column is still rejected wherever in the
-// stream it appears.
-func CaptureToShards(query string, cat Catalog, names *Names, valueCol string, opts Options) (*ShardedSet, error) {
-	b := polynomial.NewShardBuilder(names, opts.shardOptions())
-	defer b.Discard() // release partial spill files on any error path
-	if err := provenance.CaptureStream(query, cat, valueCol, b, opts.Workers); err != nil {
-		return nil, err
-	}
-	return b.Finish()
-}
-
-// CaptureLineageToShards is CaptureToShards for tuple-level lineage: one
-// N[X] polynomial per output row, streamed into a budgeted ShardedSet,
-// bit-identical to CaptureLineage's set for every worker count.
-func CaptureLineageToShards(query string, cat Catalog, names *Names, opts Options) (*ShardedSet, error) {
-	b := polynomial.NewShardBuilder(names, opts.shardOptions())
-	defer b.Discard() // release partial spill files on any error path
-	if err := provenance.CaptureLineageStream(query, cat, b, opts.Workers); err != nil {
-		return nil, err
-	}
-	return b.Finish()
-}
-
-// Concretize evaluates every symbolic cell under the assignment, producing
-// a concrete catalog for query re-execution.
-func Concretize(cat Catalog, a *Assignment) Catalog { return provenance.Concretize(cat, a) }
-
 // CheckCommutation verifies that provenance valuation equals query
 // re-execution over the concretized database.
 func CheckCommutation(query string, cat Catalog, names *Names, valueCol string, a *Assignment) (CommutationReport, error) {
@@ -514,14 +369,6 @@ func WriteSet(w io.Writer, src SetSource, format Format) error {
 // text otherwise.
 func ReadSet(r io.Reader, names *Names) (*Set, Format, error) {
 	return polyio.ReadSet(r, names)
-}
-
-// ReadSetStream reads a binary set stream (any version) into a ShardedSet,
-// decoding polynomial-at-a-time straight into the budgeted store — the
-// opts.MaxResidentMonomials bound holds on the read side regardless of
-// how the stream was sharded when written.
-func ReadSetStream(r io.Reader, names *Names, opts Options) (*ShardedSet, error) {
-	return polyio.ReadSetStream(r, names, opts.shardOptions())
 }
 
 // WriteAssignmentJSON writes an assignment as {"variable": value}.

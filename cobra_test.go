@@ -7,9 +7,12 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
 	"testing"
 
 	cobra "github.com/cobra-prov/cobra"
+	"github.com/cobra-prov/cobra/internal/core"
+	"github.com/cobra-prov/cobra/internal/polyio"
 )
 
 // TestFacadeEndToEnd exercises the documented public API surface: build a
@@ -29,7 +32,8 @@ func TestFacadeEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res, err := cobra.Compress(set, cobra.Forest{tree}, 2, cobra.Options{})
+	ds := openDataset(t, set, cobra.Forest{tree}, cobra.Options{})
+	res, err := ds.Compress(context.Background(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +79,7 @@ func TestFacadeCompressBaselines(t *testing.T) {
 		t.Fatalf("baselines: greedy=%d exhaustive=%d", g.Size, e.Size)
 	}
 
-	_, err = cobra.Compress(set, cobra.Forest{tree}, 0, cobra.Options{})
+	_, err = openDataset(t, set, cobra.Forest{tree}, cobra.Options{}).Compress(context.Background(), 0)
 	var ie *cobra.InfeasibleError
 	if !errors.As(err, &ie) || !errors.Is(err, cobra.ErrInfeasible) {
 		t.Fatalf("expected InfeasibleError, got %v", err)
@@ -111,7 +115,7 @@ func TestFacadeSerializationRoundTrip(t *testing.T) {
 }
 
 // TestFacadeStreamedPipeline drives the out-of-core surface end to end:
-// shard under a budget that forces spills, compress/apply/evaluate
+// open the set under a budget that forces spills, compress/apply/evaluate
 // streamed, round-trip through the binary format, and check everything
 // against the in-memory path.
 func TestFacadeStreamedPipeline(t *testing.T) {
@@ -134,24 +138,23 @@ func TestFacadeStreamedPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	opts := cobra.Options{Workers: 4, MaxResidentMonomials: set.Size() / 6}
-	ss, err := cobra.ShardSet(set, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ss.Close()
-	if ss.SpilledShards() == 0 {
-		t.Fatal("budget of size/6 should force spills")
-	}
-
+	spill := t.TempDir()
+	opts := cobra.Options{Workers: 4, MaxResidentMonomials: set.Size() / 6, SpillDir: spill}
 	ctx := context.Background()
-	ds, err := cobra.OpenDataset("facade", ss, cobra.Forest{tree}, opts)
+	ds, err := cobra.OpenDataset("facade", set, cobra.Forest{tree}, opts)
 	if err != nil {
 		t.Fatal(err)
+	}
+	defer ds.Close()
+	if !ds.OutOfCore() {
+		t.Fatal("a budget must shard the set")
+	}
+	if entries, _ := os.ReadDir(spill); len(entries) != 1 {
+		t.Fatalf("a budget of size/6 should force spills: spill dir holds %d entries", len(entries))
 	}
 
 	bound := set.Size() / 2
-	want, err := cobra.Compress(set, cobra.Forest{tree}, bound, cobra.Options{})
+	want, err := core.CompressSource(set, cobra.Forest{tree}, bound, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,9 +162,7 @@ func TestFacadeStreamedPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Size != want.Size || got.NumMeta != want.NumMeta || !got.Cuts[0].Equal(want.Cuts[0]) {
-		t.Fatalf("streamed compress differs: %+v vs %+v", got, want)
-	}
+	resultsEqual(t, "streamed compress", got, want)
 
 	compressed, err := ds.Apply(ctx, got.Cuts...)
 	if err != nil {
@@ -183,18 +184,12 @@ func TestFacadeStreamedPipeline(t *testing.T) {
 		}
 		assignments[i] = a
 	}
-	wantRows := cobra.EvalBatch(cobra.Compile(set), assignments, opts)
+	wantRows := cobra.Compile(set).EvalBatchN(assignments, nil, 1)
 	gotRows, err := ds.EvalBatch(ctx, assignments)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range wantRows {
-		for j := range wantRows[i] {
-			if gotRows[i][j] != wantRows[i][j] {
-				t.Fatalf("row %d cell %d: %v != %v", i, j, gotRows[i][j], wantRows[i][j])
-			}
-		}
-	}
+	rowsEqual(t, gotRows, wantRows, "streamed EvalBatch")
 
 	// The applied dataset evaluates like the in-memory applied set under
 	// the induced assignments.
@@ -206,31 +201,27 @@ func TestFacadeStreamedPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantDerived := cobra.EvalBatch(cobra.Compile(wantApplied), induced, opts)
-	for i := range wantDerived {
-		for j := range wantDerived[i] {
-			if gotDerived[i][j] != wantDerived[i][j] {
-				t.Fatalf("derived row %d cell %d: %v != %v", i, j, gotDerived[i][j], wantDerived[i][j])
-			}
-		}
-	}
+	rowsEqual(t, gotDerived, cobra.Compile(wantApplied).EvalBatchN(induced, nil, 1), "derived EvalBatch")
 
-	// Binary round trip, shard by shard, under the same budget.
+	// Binary round trip: the file opens as a dataset of its own, decoded
+	// shard by shard under the same budget, and answers the same rows.
 	var buf bytes.Buffer
-	if err := cobra.WriteSet(&buf, ss, cobra.FormatBinary); err != nil {
+	if err := cobra.WriteSet(&buf, set, cobra.FormatBinary); err != nil {
 		t.Fatal(err)
 	}
-	back, err := cobra.ReadSetStream(&buf, nil, opts)
+	ix, err := polyio.OpenIndexedSet(bytes.NewReader(buf.Bytes()), int64(buf.Len()), names)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer back.Close()
-	if back.Len() != set.Len() || back.Size() != set.Size() {
-		t.Fatalf("stream round trip: len/size %d/%d vs %d/%d", back.Len(), back.Size(), set.Len(), set.Size())
+	back := openDataset(t, ix, cobra.Forest{tree}, opts)
+	if back.Len() != set.Len() || back.Size() != set.Size() || !back.OutOfCore() {
+		t.Fatalf("binary round trip: len/size %d/%d (out of core %v) vs %d/%d", back.Len(), back.Size(), back.OutOfCore(), set.Len(), set.Size())
 	}
-	if back.PeakResidentMonomials() > opts.MaxResidentMonomials {
-		t.Fatalf("reader peak %d exceeds budget %d", back.PeakResidentMonomials(), opts.MaxResidentMonomials)
+	backRows, err := back.EvalBatch(ctx, assignments)
+	if err != nil {
+		t.Fatal(err)
 	}
+	rowsEqual(t, backRows, wantRows, "round-tripped EvalBatch")
 }
 
 func TestFacadeSQLAndProvenance(t *testing.T) {
@@ -292,24 +283,25 @@ func TestFacadeParallelOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := cobra.Options{Workers: 4}
+	ctx := context.Background()
+	seqDS := openDataset(t, set, cobra.Forest{tree}, cobra.Options{})
+	parDS := openDataset(t, set, cobra.Forest{tree}, opts)
 
-	seq, err := cobra.Compress(set, cobra.Forest{tree}, 3, cobra.Options{})
+	seq, err := seqDS.Compress(ctx, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := cobra.Compress(set, cobra.Forest{tree}, 3, opts)
+	par, err := parDS.Compress(ctx, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if par.Size != seq.Size || par.NumMeta != seq.NumMeta || !par.Cuts[0].Equal(seq.Cuts[0]) {
-		t.Fatalf("Compress diverged across workers: seq=%+v par=%+v", seq, par)
-	}
+	resultsEqual(t, "Compress across workers", par, seq)
 
-	sf, err := cobra.Frontier(set, tree, cobra.Options{})
+	sf, err := seqDS.Frontier(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pf, err := cobra.Frontier(set, tree, opts)
+	pf, err := parDS.Frontier(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,9 +319,11 @@ func TestFacadeParallelOptions(t *testing.T) {
 	if err := a.Set("m3", 0.8); err != nil {
 		t.Fatal(err)
 	}
-	prog := cobra.Compile(set)
-	rows := cobra.EvalBatch(prog, []*cobra.Assignment{a, cobra.NewAssignment(names)}, opts)
-	single := prog.EvalAssignment(a, nil)
+	rows, err := parDS.EvalBatch(ctx, []*cobra.Assignment{a, cobra.NewAssignment(names)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	single := cobra.Compile(set).EvalAssignment(a, nil)
 	if len(rows) != 2 || rows[0][0] != single[0] {
 		t.Fatalf("EvalBatch diverged: %v vs %v", rows, single)
 	}
@@ -388,18 +382,20 @@ func TestFacadeParallelCapture(t *testing.T) {
 	}
 }
 
-// TestFacadeFrontierForestSweep exercises the forest-level sweep surface
-// on a partitioned two-dimension fixture: one FrontierSweep call must
-// answer every bound with the exact optimum, and the forest curve must be
-// navigable through BestForForestBound.
+// TestFacadeFrontierForestSweep exercises the forest-level surface on a
+// partitioned two-dimension fixture: one Sweep must answer every bound
+// with the exact optimum, Compress must give the same answer at each
+// bound, and the forest curve must be the exact one.
 func TestFacadeFrontierForestSweep(t *testing.T) {
 	names := cobra.NewNames()
-	set := cobra.NewSet(names)
 	// Dimension 1 (consumer plans) appears only in group g1's monomials,
 	// dimension 2 (agents) only in g2's — partitioned, so the forest
 	// frontier is exact.
-	set.Add("g1", cobra.MustParsePolynomial("10*p1*c0 + 20*p1*c1 + 30*p2*c0 + 40*p2*c1", names))
-	set.Add("g2", cobra.MustParsePolynomial("1*a1*c0 + 2*a1*c1 + 3*a2*c0 + 4*a2*c1", names))
+	g1 := cobra.MustParsePolynomial("10*p1*c0 + 20*p1*c1 + 30*p2*c0 + 40*p2*c1", names)
+	g2 := cobra.MustParsePolynomial("1*a1*c0 + 2*a1*c1 + 3*a2*c0 + 4*a2*c1", names)
+	set := cobra.NewSet(names)
+	set.Add("g1", g1)
+	set.Add("g2", g2)
 	plans, err := cobra.TreeFromPaths("Plans", names, []string{"p1"}, []string{"p2"})
 	if err != nil {
 		t.Fatal(err)
@@ -409,8 +405,10 @@ func TestFacadeFrontierForestSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	forest := cobra.Forest{plans, agents}
+	ctx := context.Background()
+	ds := openDataset(t, set, forest, cobra.Options{Workers: 2})
 
-	curve, err := cobra.FrontierForest(set, forest, cobra.Options{Workers: 2})
+	curve, err := ds.ForestFrontier(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -427,16 +425,15 @@ func TestFacadeFrontierForestSweep(t *testing.T) {
 			t.Fatalf("point %d: applied %d != %d", i, got, want.size)
 		}
 	}
-	if p, ok := cobra.BestForForestBound(curve, 7); !ok || p.NumMeta != 3 {
-		t.Fatalf("BestForForestBound(7) = %+v, %v", p, ok)
-	}
 
-	answers, err := cobra.FrontierSweep(set, forest, []int{8, 7, 4, 3, 1}, cobra.Options{})
+	bounds := []int{8, 7, 4, 3, 1}
+	answers, err := ds.Sweep(ctx, bounds)
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantMeta := []int{4, 3, 2, -1, -1} // -1 = infeasible
 	for i, a := range answers {
+		res, err := ds.Compress(ctx, bounds[i])
 		if wantMeta[i] < 0 {
 			var ie *cobra.InfeasibleError
 			if a.Err == nil || !errors.As(a.Err, &ie) {
@@ -445,17 +442,27 @@ func TestFacadeFrontierForestSweep(t *testing.T) {
 			if ie.MinAchievable != 4 {
 				t.Fatalf("bound %d: MinAchievable = %d, want 4", a.Bound, ie.MinAchievable)
 			}
+			if err == nil || err.Error() != a.Err.Error() {
+				t.Fatalf("bound %d: Compress err = %v, Sweep err = %v", a.Bound, err, a.Err)
+			}
 			continue
 		}
 		if a.Err != nil || a.Result.NumMeta != wantMeta[i] {
 			t.Fatalf("bound %d: got %+v, want %d meta-variables", a.Bound, a, wantMeta[i])
 		}
+		if err != nil {
+			t.Fatalf("bound %d: Compress: %v", a.Bound, err)
+		}
+		resultsEqual(t, fmt.Sprintf("bound %d: Compress against Sweep", a.Bound), res, a.Result)
 	}
 
 	// Coupling the dimensions must surface a CrossTreeError.
-	set.Add("bad", cobra.MustParsePolynomial("5*p1*a1", names))
+	coupled := cobra.NewSet(names)
+	coupled.Add("g1", g1)
+	coupled.Add("g2", g2)
+	coupled.Add("bad", cobra.MustParsePolynomial("5*p1*a1", names))
 	var ce *cobra.CrossTreeError
-	if _, err := cobra.FrontierSweep(set, forest, []int{4}, cobra.Options{}); !errors.As(err, &ce) {
+	if _, err := openDataset(t, coupled, forest, cobra.Options{}).Sweep(ctx, []int{4}); !errors.As(err, &ce) {
 		t.Fatalf("want CrossTreeError, got %v", err)
 	}
 }

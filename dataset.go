@@ -21,19 +21,22 @@ import (
 // goroutines may call Compress, Apply, EvalBatch, Frontier, ForestFrontier
 // and Sweep on the same handle, and expensive state (the tradeoff curves,
 // per-bound compressions, the compiled valuation program) is computed once
-// and shared. Every answer is bit-identical to the corresponding one-shot
-// facade call for every worker count and source representation.
+// and shared. Every answer is bit-identical, for every worker count and
+// source representation, to the algorithm of the internal packages run
+// once over the materialized set with one worker: the DP, frontier, sweep,
+// cut application and compiled batch evaluation (TestDatasetMatchesOneShotCalls
+// checks each).
 //
 // The backing store is chosen by Options.MaxResidentMonomials at
-// capture/open time: an in-memory Set, or a spill-to-disk ShardedSet whose
-// resident footprint stays within the budget. A v3 file opened as a
-// polyio.IndexedSet is decoded once, at open, into the dataset's own
-// ShardedSet under that budget, so no later call decodes it again. A
-// dataset derived by Apply in memory holds a PackedSet, the slabs its
-// EvalBatch Program reads in place, and nothing else. A ShardedSet-backed
-// dataset can additionally be Evicted: every shard still in memory is
-// spilled, so the idle dataset holds no monomial, and it keeps answering
-// identically, one loaded shard at a time.
+// capture/open time (see OpenDataset for the rule): an in-memory Set, or a
+// spill-to-disk ShardedSet whose resident footprint stays within the
+// budget. A v3 file opened as a polyio.IndexedSet is decoded once, at
+// open, into the dataset's own ShardedSet under that budget, so no later
+// call decodes it again. A dataset derived by Apply in memory holds a
+// PackedSet, the slabs its EvalBatch Program reads in place, and nothing
+// else. A ShardedSet-backed dataset can additionally be Evicted: every
+// shard still in memory is spilled, so the idle dataset holds no monomial,
+// and it keeps answering identically, one loaded shard at a time.
 //
 // Methods take a context: a canceled context stops an in-flight solve at
 // the next shard boundary (and between evaluation chunks), so a
@@ -69,7 +72,7 @@ type datasetState struct {
 	closed    bool      // guarded by mu
 	evicted   bool      // guarded by mu; set once by Evict, never cleared
 	outOfCore bool      // set at open, immutable afterwards
-	decoded   SetSource // set at open, immutable afterwards: the indexed source src was decoded from, closed with it
+	origin    io.Closer // set at open, immutable afterwards: the source src was built from, if it holds resources; closed with it
 
 	// memoMu guards the memoized derived state. Computations run outside
 	// the lock (a busy/wait flight per memo), so a slow frontier never
@@ -141,53 +144,48 @@ func isCtxErr(err error) bool {
 // given abstraction forest. The Dataset takes ownership of the source: do
 // not mutate it afterwards, and release it through Dataset.Close. trees
 // may be empty if only EvalBatch is needed; the compression and frontier
-// methods then fail like their one-shot counterparts.
+// methods then fail.
 //
-// An indexed file is decoded ONCE, here: every shard is read, checked and
-// decoded in one pass and kept as it decoded in a ShardedSet under
-// opts.MaxResidentMonomials, spilling past the budget as ReadSetStream
-// does, so every later call reads that set and never the file. The open
-// therefore costs a pass over the file and cannot be canceled. On an
-// error — a damaged shard is a typed polyio error — nothing is left in
-// opts.SpillDir and the source is not closed: it is still the caller's.
+// The budget rule: a ShardedSet is kept as it is, under its own budget.
+// Any other source becomes the dataset's own ShardedSet under
+// opts.MaxResidentMonomials, in one pass at open, when that budget is set
+// — the dataset is then OutOfCore and can be evicted — and is kept as it
+// is when it is not. An indexed file is always decoded once, here: every
+// shard is read, checked and decoded in one pass and kept as it decoded,
+// spilling past the budget if one is set, so every later call reads that
+// set and never the file. The pass cannot be canceled. On an error — a
+// spill that cannot be written, or a damaged shard, which is a typed
+// polyio error — nothing is left in opts.SpillDir and the source is not
+// closed: it is still the caller's.
 func OpenDataset(name string, src SetSource, trees Forest, opts Options) (*Dataset, error) {
-	ix, ok := polynomial.Unwrap(src).(polynomial.IndexedSource)
-	if !ok || !ix.ConcurrentPasses() {
-		return newDataset(name, src, trees, opts)
-	}
-	b := polynomial.NewShardBuilder(ix.Namespace(), opts.shardOptions())
-	defer b.Discard() // release partial spill files on any error path
-	if err := ix.ForEachPackedShard(func(_, _ int, ps *polynomial.PackedSet) error { return b.AddPacked(ps) }); err != nil {
-		return nil, fmt.Errorf("cobra: opening dataset %q: %w", name, err)
-	}
-	ss, err := b.Finish()
-	if err != nil {
-		return nil, err
-	}
-	ds, _ := newDataset(name, ss, trees, opts) // fails only on a nil source
-	ds.st.decoded = src
-	return ds, nil
-}
-
-// newDataset wraps src as it is. The one-shot facade calls use it
-// directly: they make one pass over a source they do not own, so an
-// indexed one is read where it is rather than decoded into a copy.
-func newDataset(name string, src SetSource, trees Forest, opts Options) (*Dataset, error) {
 	if src == nil {
 		return nil, errors.New("cobra: OpenDataset needs a source")
 	}
-	_, ooc := polynomial.Unwrap(src).(*ShardedSet)
-	st := &datasetState{
-		name:      name,
-		trees:     trees,
-		opts:      opts,
-		names:     src.Namespace(),
-		size:      src.Size(),
-		npolys:    src.Len(),
-		usedVars:  src.UsedVars(),
-		src:       src,
-		outOfCore: ooc,
+	base := polynomial.Unwrap(src)
+	ix, indexed := base.(polynomial.IndexedSource)
+	indexed = indexed && ix.ConcurrentPasses()
+	_, ooc := base.(*ShardedSet)
+	st := &datasetState{name: name, trees: trees, opts: opts, src: src, outOfCore: ooc}
+	if indexed || !ooc && opts.MaxResidentMonomials > 0 {
+		b := polynomial.NewShardBuilder(src.Namespace(), opts.shardOptions())
+		defer b.Discard() // release partial spill files on any error path
+		var err error
+		if indexed {
+			err = ix.ForEachPackedShard(func(_, _ int, ps *polynomial.PackedSet) error { return b.AddPacked(ps) })
+		} else {
+			err = polynomial.Copy(src, b)
+		}
+		var ss *ShardedSet
+		if err == nil {
+			ss, err = b.Finish()
+		}
+		if err != nil {
+			return nil, fmt.Errorf("cobra: opening dataset %q: %w", name, err)
+		}
+		st.src, st.outOfCore = ss, true
+		st.origin, _ = src.(io.Closer) // a *Set is not one, and is not kept
 	}
+	st.names, st.size, st.npolys, st.usedVars = st.src.Namespace(), st.src.Size(), st.src.Len(), st.src.UsedVars()
 	return &Dataset{st: st, workers: opts.Workers}, nil
 }
 
@@ -204,7 +202,7 @@ func CaptureDataset(ctx context.Context, name, query string, cat Catalog, names 
 	if opts.MaxResidentMonomials > 0 {
 		b := polynomial.NewShardBuilder(names, opts.shardOptions())
 		defer b.Discard() // release partial spill files on any error path
-		var sink SetSink = b
+		var sink polynomial.SetSink = b
 		if ctx.Done() != nil {
 			sink = ctxSink{ctx: ctx, sink: b}
 		}
@@ -232,7 +230,7 @@ func CaptureDataset(ctx context.Context, name, query string, cat Catalog, names 
 // within one row.
 type ctxSink struct {
 	ctx  context.Context
-	sink SetSink
+	sink polynomial.SetSink
 }
 
 func (c ctxSink) Add(key string, p Polynomial) error {
@@ -330,7 +328,8 @@ func (d *Dataset) Evict() (bool, error) {
 }
 
 // Close releases the dataset: the backing source, spill files included,
-// and the indexed source it was opened over. Close waits for in-flight
+// and the source it was built from when that holds resources (an indexed
+// file). Close waits for in-flight
 // solves to finish; the dataset must not be used afterwards.
 func (d *Dataset) Close() error {
 	st := d.st
@@ -341,8 +340,8 @@ func (d *Dataset) Close() error {
 	}
 	st.closed = true
 	var err error
-	for _, src := range []SetSource{st.src, st.decoded} {
-		if c, ok := src.(io.Closer); ok {
+	for _, c := range []any{st.src, st.origin} {
+		if c, ok := c.(io.Closer); ok {
 			err = errors.Join(err, c.Close())
 		}
 	}
@@ -350,11 +349,13 @@ func (d *Dataset) Close() error {
 	return err
 }
 
-// Compress finds the optimal abstraction under the bound — the exact DP
-// for one tree, coordinate descent for a forest — memoized per bound: the
-// first call per bound pays the solve, repeats are a lookup. The Result is
-// bit-identical to Compress on the materialized set for every worker
-// count and source representation.
+// Compress finds the optimal abstraction under the bound, memoized per
+// bound: the first call per bound pays the solve, repeats are a lookup. It
+// is exact for one tree (the DP) and for a partitioned forest, where every
+// monomial holds leaves of at most one tree (the composed forest curve, so
+// the answer is Sweep's at that bound); for a coupled forest it runs
+// coordinate descent, a heuristic. The Result is bit-identical for every
+// worker count and source representation.
 func (d *Dataset) Compress(ctx context.Context, bound int) (*Result, error) {
 	st := d.st
 	st.memoMu.Lock()
@@ -426,8 +427,8 @@ const evalChunkRows = 1024
 // the set overflows the packed layout. Out-of-core datasets evaluate one
 // shard at a time within the residency budget, reading each shard's slabs
 // as they were spilled — no polynomial is rebuilt and nothing is copied.
-// Rows are bit-identical to Compile + EvalBatch on the materialized set
-// for every worker count.
+// Rows are bit-identical to Compile(set).EvalBatchN on the materialized
+// set for every worker count.
 func (d *Dataset) EvalBatch(ctx context.Context, assignments []*Assignment) ([][]float64, error) {
 	st := d.st
 	src, release, err := st.acquire()
@@ -519,8 +520,10 @@ func (d *Dataset) ForestFrontier(ctx context.Context) ([]ForestFrontierPoint, er
 
 // Sweep answers an arbitrary batch of bounds from the memoized tradeoff
 // curve: the first sweep (or Frontier call) pays the DP once, every bound
-// ever after is a lookup. Answers are returned in bounds order and are
-// bit-identical to FrontierSweep over the same source.
+// ever after is a lookup. Answers are returned in bounds order. For a
+// single tree each answer is bit-identical — cut, sizes, statistics,
+// error — to Compress at that bound; for a forest the answers are exact
+// optima over partitioned instances (CrossTreeError otherwise).
 func (d *Dataset) Sweep(ctx context.Context, bounds []int) ([]SweepAnswer, error) {
 	st := d.st
 	if len(st.trees) == 0 {

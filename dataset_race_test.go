@@ -360,11 +360,7 @@ func TestDatasetFirstEvalBatchConcurrent(t *testing.T) {
 		asgs = append(asgs, a)
 	}
 	opts := cobra.Options{MaxResidentMonomials: set.Size() / 4, SpillDir: t.TempDir()}
-	ss, err := cobra.ShardSet(set, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ooc, err := cobra.OpenDataset("ooc", ss, nil, opts)
+	ooc, err := cobra.OpenDataset("ooc", set, nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

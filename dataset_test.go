@@ -13,9 +13,12 @@ import (
 	"testing"
 
 	cobra "github.com/cobra-prov/cobra"
+	"github.com/cobra-prov/cobra/internal/abstraction"
+	"github.com/cobra-prov/cobra/internal/core"
 	"github.com/cobra-prov/cobra/internal/datagen/telephony"
 	"github.com/cobra-prov/cobra/internal/polyio"
 	"github.com/cobra-prov/cobra/internal/polynomial"
+	"github.com/cobra-prov/cobra/internal/valuation"
 )
 
 // telephonySet builds the small deterministic telephony workload the
@@ -31,23 +34,36 @@ func telephonySet(t *testing.T) (*cobra.Names, *cobra.Set, cobra.Forest) {
 // maxResident selects the out-of-core representation.
 func telephonyDataset(t *testing.T, maxResident int) (*cobra.Dataset, *cobra.Set, cobra.Forest) {
 	t.Helper()
-	names, set, trees := telephonySet(t)
-	opts := cobra.Options{MaxResidentMonomials: maxResident, SpillDir: t.TempDir()}
-	var src cobra.SetSource = set
-	if maxResident > 0 {
-		ss, err := cobra.ShardSet(set, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		src = ss
-	}
-	ds, err := cobra.OpenDataset("tel", src, trees, opts)
+	_, set, trees := telephonySet(t)
+	ds := openDataset(t, set, trees, cobra.Options{MaxResidentMonomials: maxResident, SpillDir: t.TempDir()})
+	return ds, set, trees
+}
+
+// openDataset opens src as a Dataset over trees and closes it when the
+// test ends.
+func openDataset(t testing.TB, src cobra.SetSource, trees cobra.Forest, opts cobra.Options) *cobra.Dataset {
+	t.Helper()
+	ds, err := cobra.OpenDataset("test", src, trees, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ds.Close() })
-	_ = names
-	return ds, set, trees
+	return ds
+}
+
+// resultsEqual checks that two Results are the same bits: cuts, sizes and
+// statistics.
+func resultsEqual(t testing.TB, what string, got, want *cobra.Result) {
+	t.Helper()
+	if got.Size != want.Size || got.NumMeta != want.NumMeta || got.UsedMeta != want.UsedMeta ||
+		got.OriginalSize != want.OriginalSize || got.OriginalVars != want.OriginalVars || len(got.Cuts) != len(want.Cuts) {
+		t.Fatalf("%s: got %+v, want %+v", what, got, want)
+	}
+	for i := range got.Cuts {
+		if !got.Cuts[i].Equal(want.Cuts[i]) {
+			t.Fatalf("%s: cut %d = %v, want %v", what, i, got.Cuts[i], want.Cuts[i])
+		}
+	}
 }
 
 // indexedTelephonyDataset is telephonyDataset over a v3 file of the
@@ -102,29 +118,35 @@ func rowsEqual(t *testing.T, got, want [][]float64, what string) {
 	}
 }
 
-// solvesMatchOneShot checks the dataset's Compress at bound, Frontier and
-// Sweep against the one-shot calls on set, and returns the Compress result.
-func solvesMatchOneShot(t *testing.T, what string, ds *cobra.Dataset, set *cobra.Set, trees cobra.Forest, bound int) *cobra.Result {
+// solvesMatchReference checks the dataset's Compress at bound, Frontier
+// and Sweep against the algorithms of the internal packages run once over
+// set with one worker, and Compress's size and meta-variable count against
+// exhaustive search. It returns the Compress result.
+func solvesMatchReference(t *testing.T, what string, ds *cobra.Dataset, set *cobra.Set, trees cobra.Forest, bound int) *cobra.Result {
 	t.Helper()
 	ctx := context.Background()
 	res, err := ds.Compress(ctx, bound)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := cobra.Compress(set, trees, bound, cobra.Options{})
+	want, err := core.CompressSource(set, trees, bound, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Size != want.Size || res.NumMeta != want.NumMeta || !res.Cuts[0].Equal(want.Cuts[0]) {
-		t.Fatalf("%s Compress: got size=%d meta=%d cut=%v, want size=%d meta=%d cut=%v",
-			what, res.Size, res.NumMeta, res.Cuts[0], want.Size, want.NumMeta, want.Cuts[0])
+	resultsEqual(t, what+" Compress", res, want)
+	ex, err := core.Exhaustive(set, trees[0], bound)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Size != ex.Size || res.NumMeta != ex.NumMeta {
+		t.Fatalf("%s Compress: size=%d meta=%d, exhaustive search finds size=%d meta=%d", what, res.Size, res.NumMeta, ex.Size, ex.NumMeta)
 	}
 
 	fr, err := ds.Frontier(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantFr, err := cobra.Frontier(set, trees[0], cobra.Options{})
+	wantFr, err := core.FrontierSourceN(set, trees[0], 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +164,7 @@ func solvesMatchOneShot(t *testing.T, what string, ds *cobra.Dataset, set *cobra
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantAns, err := cobra.FrontierSweep(set, trees, bounds, cobra.Options{})
+	wantAns, err := core.FrontierSweepSource(set, trees, bounds, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,10 +179,7 @@ func solvesMatchOneShot(t *testing.T, what string, ds *cobra.Dataset, set *cobra
 			}
 			continue
 		}
-		if g.Result.Size != w.Result.Size || g.Result.NumMeta != w.Result.NumMeta {
-			t.Fatalf("%s Sweep bound %d: size=%d meta=%d, want size=%d meta=%d",
-				what, g.Bound, g.Result.Size, g.Result.NumMeta, w.Result.Size, w.Result.NumMeta)
-		}
+		resultsEqual(t, fmt.Sprintf("%s Sweep bound %d", what, g.Bound), g.Result, w.Result)
 	}
 	return res
 }
@@ -189,10 +208,13 @@ func writeV3File(t *testing.T, dir string, set *cobra.Set, compress bool) string
 	return path
 }
 
-// TestDatasetMatchesOneShotCalls checks every Dataset method against its
-// one-shot call on the in-memory set, for Workers 1, 2 and 8 and every
-// way a dataset is opened: over the set, over a ShardedSet of it, and over
-// a v3 file of it (compressed and raw), decoded at open. So does the
+// TestDatasetMatchesOneShotCalls checks every Dataset method against a
+// one-shot call of the algorithm of the internal packages it runs, applied
+// once to the in-memory set with one worker — core's DP, frontier and sweep,
+// abstraction.Apply, valuation.Compile + EvalBatchN — for Workers 1, 2
+// and 8 and every way a dataset is opened: over the set, over the set
+// under a budget (OpenDataset shards it), over a ShardedSet of it, and
+// over a v3 file of it (compressed and raw), decoded at open. So does the
 // dataset Apply derives: in memory that one is a PackedSet, which
 // Compress, Frontier and Sweep read through View, and out-of-core a
 // ShardedSet.
@@ -200,10 +222,11 @@ func TestDatasetMatchesOneShotCalls(t *testing.T) {
 	for _, tc := range []struct {
 		name        string
 		maxResident int
-		file        string // "": open the set or its ShardedSet; else open a v3 file of it
+		src         string // "set", "sharded" (a ShardedSet of it) or "compressed"/"raw" (a v3 file of it)
 	}{
-		{"in-memory", 0, ""},
-		{"out-of-core", 512, ""},
+		{"in-memory", 0, "set"},
+		{"budgeted-set", 512, "set"},
+		{"out-of-core", 512, "sharded"},
 		{"indexed-compressed", 512, "compressed"},
 		{"indexed-raw", 512, "raw"},
 		{"indexed-unbudgeted", 0, "raw"},
@@ -214,17 +237,18 @@ func TestDatasetMatchesOneShotCalls(t *testing.T) {
 					names := cobra.NewNames()
 					set := telephony.DirectProvenance(telephony.Config{Customers: 600, Zips: 6}, names)
 					trees := cobra.Forest{telephony.PlansTree(names)}
-					opts := cobra.Options{Workers: workers, MaxResidentMonomials: tc.maxResident, SpillDir: t.TempDir()}
+					spill := t.TempDir()
+					opts := cobra.Options{Workers: workers, MaxResidentMonomials: tc.maxResident, SpillDir: spill}
 					var src cobra.SetSource = set
-					switch {
-					case tc.file != "":
-						ix, err := polyio.OpenIndexedFile(writeV3File(t, t.TempDir(), set, tc.file == "compressed"), names)
+					switch tc.src {
+					case "compressed", "raw":
+						ix, err := polyio.OpenIndexedFile(writeV3File(t, t.TempDir(), set, tc.src == "compressed"), names)
 						if err != nil {
 							t.Fatal(err)
 						}
 						src = ix
-					case tc.maxResident > 0:
-						ss, err := cobra.ShardSet(set, opts)
+					case "sharded":
+						ss, err := polynomial.BuildSharded(set, polynomial.ShardOptions{MaxResidentMonomials: tc.maxResident, SpillDir: spill})
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -235,18 +259,18 @@ func TestDatasetMatchesOneShotCalls(t *testing.T) {
 						t.Fatal(err)
 					}
 					defer ds.Close()
-					if ds.OutOfCore() != (tc.maxResident > 0 || tc.file != "") {
+					if ds.OutOfCore() != (tc.maxResident > 0 || tc.src != "set") {
 						t.Fatalf("OutOfCore() = %v", ds.OutOfCore())
 					}
 					ctx := context.Background()
-					res := solvesMatchOneShot(t, "dataset", ds, set, trees, set.Size()/2)
+					res := solvesMatchReference(t, "dataset", ds, set, trees, set.Size()/2)
 
 					asgs := telScenarios(t, ds.Names())
 					rows, err := ds.EvalBatch(ctx, asgs)
 					if err != nil {
 						t.Fatal(err)
 					}
-					wantRows := cobra.EvalBatch(cobra.Compile(set), asgs, cobra.Options{})
+					wantRows := valuation.Compile(set).EvalBatchN(asgs, nil, 1)
 					rowsEqual(t, rows, wantRows, "EvalBatch")
 
 					derived, err := ds.Apply(ctx, res.Cuts...)
@@ -254,8 +278,8 @@ func TestDatasetMatchesOneShotCalls(t *testing.T) {
 						t.Fatal(err)
 					}
 					defer derived.Close()
-					if derived.Size() != res.Size {
-						t.Fatalf("Apply: derived size %d, want %d", derived.Size(), res.Size)
+					if derived.Size() != res.Size || derived.OutOfCore() != ds.OutOfCore() {
+						t.Fatalf("Apply: derived size %d (out of core %v), want %d (%v)", derived.Size(), derived.OutOfCore(), res.Size, ds.OutOfCore())
 					}
 					induced := make([]*cobra.Assignment, len(asgs))
 					for i, a := range asgs {
@@ -265,10 +289,39 @@ func TestDatasetMatchesOneShotCalls(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					applied := cobra.Apply(set, cobra.Options{}, res.Cuts...)
-					wantDerived := cobra.EvalBatch(cobra.Compile(applied), induced, cobra.Options{})
-					rowsEqual(t, gotDerived, wantDerived, "derived EvalBatch")
-					solvesMatchOneShot(t, "derived", derived, applied, trees, applied.Size())
+					applied := abstraction.Apply(set, 1, res.Cuts...)
+					rowsEqual(t, gotDerived, valuation.Compile(applied).EvalBatchN(induced, nil, 1), "derived EvalBatch")
+					solvesMatchReference(t, "derived", derived, applied, trees, applied.Size())
+
+					if tc.name != "budgeted-set" {
+						return
+					}
+					// The set OpenDataset sharded under the budget evicts, answers
+					// the same bits from its spill file, and leaves nothing behind.
+					if evicted, err := ds.Evict(); err != nil || !evicted {
+						t.Fatalf("Evict() = %v, %v", evicted, err)
+					}
+					after, err := ds.EvalBatch(ctx, asgs)
+					if err != nil {
+						t.Fatal(err)
+					}
+					rowsEqual(t, after, wantRows, "EvalBatch after Evict")
+					fresh, err := ds.Compress(ctx, set.Size()/3)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := core.CompressSource(set, trees, set.Size()/3, 1)
+					if err != nil {
+						t.Fatal(err)
+					}
+					resultsEqual(t, "Compress after Evict", fresh, want)
+					if err := derived.Close(); err != nil {
+						t.Fatal(err)
+					}
+					if err := ds.Close(); err != nil {
+						t.Fatal(err)
+					}
+					spillDirHoldsOnly(t, spill)
 				})
 			}
 		})
@@ -449,7 +502,7 @@ func TestDatasetEvictionAnswersIdentically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := cobra.Compress(set, ds.Trees(), bound, cobra.Options{})
+	want, err := core.CompressSource(set, ds.Trees(), bound, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -527,8 +580,8 @@ func TestDatasetEvictBitIdenticalAcrossWorkers(t *testing.T) {
 				applied.Close()
 			}
 			rowsEqual(t, rows[1], rows[0], "evicted vs kept")
-			rowsEqual(t, rows[1], cobra.EvalBatch(cobra.Compile(set), telScenarios(t, set.Names), cobra.Options{}), "evicted vs in-memory")
-			want, err := cobra.Compress(set, gone.Trees(), bound, cobra.Options{Workers: workers})
+			rowsEqual(t, rows[1], valuation.Compile(set).EvalBatchN(telScenarios(t, set.Names), nil, 1), "evicted vs in-memory")
+			want, err := core.CompressSource(set, gone.Trees(), bound, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -553,22 +606,22 @@ func TestDatasetEvictBitIdenticalAcrossWorkers(t *testing.T) {
 // ShardedSet-backed dataset and answers bit for bit as before. The v3 file
 // is never written, spill files appear only in the dataset's private
 // subdirectory of SpillDir and go with Close, and an unbudgeted open keeps
-// the whole set resident until Evict, as ReadSetStream with no budget does.
+// the whole set resident until Evict, as any unbudgeted ShardedSet does.
 func TestDatasetEvictIndexed(t *testing.T) {
 	names := cobra.NewNames()
 	set := telephony.DirectProvenance(telephony.Config{Customers: 600, Zips: 12}, names)
 	trees := cobra.Forest{telephony.PlansTree(names)}
 	ctx := context.Background()
-	want := cobra.EvalBatch(cobra.Compile(set), telScenarios(t, names), cobra.Options{})
+	want := valuation.Compile(set).EvalBatchN(telScenarios(t, names), nil, 1)
 	// compressMatches solves a bound the dataset has not memoized and
-	// checks it against the one-shot call on the set.
+	// checks it against the DP run once on the set.
 	compressMatches := func(ds *cobra.Dataset, bound, workers int, what string) {
 		t.Helper()
 		got, err := ds.WithWorkers(workers).Compress(ctx, bound)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := cobra.Compress(set, trees, bound, cobra.Options{})
+		res, err := core.CompressSource(set, trees, bound, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -703,15 +756,15 @@ func TestDatasetOpenIndexedDecodesOnce(t *testing.T) {
 			t.Fatalf("the shard at offset %d was read %d times", off, n)
 		}
 	}
-	want, err := cobra.Compress(set, trees, set.Size()/3, cobra.Options{})
+	want, err := core.CompressSource(set, trees, set.Size()/3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Size != want.Size || !res.Cuts[0].Equal(want.Cuts[0]) {
 		t.Fatalf("Compress: size=%d cut=%v, want size=%d cut=%v", res.Size, res.Cuts[0], want.Size, want.Cuts[0])
 	}
-	rowsEqual(t, rows, cobra.EvalBatch(cobra.Compile(cobra.Apply(set, cobra.Options{}, res.Cuts...)), induced, cobra.Options{}), "derived EvalBatch")
-	rowsEqual(t, full, cobra.EvalBatch(cobra.Compile(set), asgs, cobra.Options{}), "EvalBatch")
+	rowsEqual(t, rows, valuation.Compile(abstraction.Apply(set, 1, res.Cuts...)).EvalBatchN(induced, nil, 1), "derived EvalBatch")
+	rowsEqual(t, full, valuation.Compile(set).EvalBatchN(asgs, nil, 1), "EvalBatch")
 }
 
 // TestDatasetOpenIndexedCorruptShard: a shard that fails its checksum in
@@ -778,7 +831,7 @@ func TestDatasetEvictFailureLeavesUsable(t *testing.T) {
 	ds, ss, dir, set, _ := shardedDataset(t, false)
 	ctx := context.Background()
 	asgs := telScenarios(t, ds.Names())
-	want := cobra.EvalBatch(cobra.Compile(set), asgs, cobra.Options{})
+	want := valuation.Compile(set).EvalBatchN(asgs, nil, 1)
 	if err := os.RemoveAll(dir); err != nil {
 		t.Fatal(err)
 	}
@@ -899,7 +952,7 @@ func TestCaptureDatasetMatchesCapture(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rowsEqual(t, rows, cobra.EvalBatch(cobra.Compile(want), asgs, cobra.Options{}), "captured EvalBatch")
+			rowsEqual(t, rows, valuation.Compile(want).EvalBatchN(asgs, nil, 1), "captured EvalBatch")
 		})
 	}
 }

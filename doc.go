@@ -26,36 +26,21 @@
 // The central handle is the Dataset: a named, immutable provenance set
 // paired with its abstraction forest. Open one, then ask it questions —
 // results are memoized on the handle, so the expensive dynamic program
-// runs once no matter how many goroutines ask:
-//
-//	names := cobra.NewNames()
-//	set := cobra.NewSet(names)
-//	set.Add("zip 10001", cobra.MustParsePolynomial("208.8*p1*m1 + 240*p1*m3", names))
-//
-//	tree := cobra.NewTree("Plans", names)
-//	std := tree.MustAddChild(tree.Root(), "Standard")
-//	tree.MustAddChild(std, "p1")
-//	tree.MustAddChild(std, "p2")
-//
-//	ds, err := cobra.OpenDataset("zips", set, cobra.Forest{tree}, cobra.Options{})
-//	if err != nil { ... }
-//	defer ds.Close()
-//
-//	ctx := context.Background()
-//	res, err := ds.Compress(ctx, 1)       // optimal cut under the bound
-//	if err != nil { ... }
-//	small, err := ds.Apply(ctx, res.Cuts...) // derived compressed Dataset
-//
-//	a := cobra.NewAssignment(names)
-//	a.Set("m3", 0.8) // "March prices decreased by 20%"
-//	rows, err := small.EvalBatch(ctx, []*cobra.Assignment{cobra.Induced(a, res.Cuts...)})
+// runs once no matter how many goroutines ask. ExampleOpenDataset is the
+// walk-through, run by go test: build a set and a tree, open them as a
+// Dataset, compress under a bound, derive the compressed dataset with
+// Apply, and answer a what-if on both with EvalBatch.
 //
 // CaptureDataset builds the handle straight from an instrumented SQL
-// query; OpenDataset accepts any SetSource — an in-memory Set or an
-// out-of-core ShardedSet (choose with Options.MaxResidentMonomials, spill
-// location with Options.SpillDir). One-shot helpers (Compress, Frontier,
-// FrontierSweep, EvalBatch, ...) remain as thin wrappers that open a
-// transient Dataset per call.
+// query; OpenDataset accepts any SetSource — an in-memory Set, a
+// ShardedSet, or a v3 file opened as a polyio.IndexedSet.
+// Options.MaxResidentMonomials chooses between an in-memory and an
+// out-of-core ShardedSet representation (OpenDataset documents the rule),
+// and Options.SpillDir where the spill files go. Every algorithm has one
+// entry point, a Dataset method. What stays beside it takes or returns
+// values a caller holds: Apply and Compile on an in-memory Set,
+// BestForBound on a curve, and the baselines CompressGreedy and
+// CompressExhaustive.
 //
 // # Datasets: capture once, answer many times
 //
@@ -171,10 +156,13 @@
 //
 // Every stage of the instrument → capture → compress → evaluate pipeline
 // but two scales across cores through the Options knob: AnnotateTuples,
-// Capture, CaptureLineage, Compress, Apply, Frontier, FrontierForest,
-// FrontierSweep and EvalBatch take an Options value and shard their work
-// over up to Options.Workers goroutines (AutoWorkers returns the
-// saturating count); each has exactly one name and one signature. The two
+// Capture, CaptureLineage and Apply take an Options value, and a Dataset
+// from OpenDataset or CaptureDataset runs Compress, Frontier,
+// ForestFrontier, Sweep, Apply and EvalBatch with the Workers it was
+// opened with (WithWorkers(n) returns a view with another budget). Each
+// shards its work over up to Options.Workers goroutines (AutoWorkers
+// returns the saturating count) and has exactly one name and one
+// signature. The two
 // stages are the ones a second, parallel implementation measured slower
 // on. Query execution: the SQL engine has a single sequential executor
 // (see "The SQL engine" below), so of a capture only the rendering of
@@ -186,7 +174,7 @@
 // workers there and shards). Workers <= 1 — the zero Options — runs fully
 // sequentially.
 //
-//	res, err := cobra.Compress(set, cobra.Forest{tree}, bound,
+//	ds, err := cobra.OpenDataset("zips", set, cobra.Forest{tree},
 //		cobra.Options{Workers: cobra.AutoWorkers()})
 //
 // Determinism guarantee: parallel runs return bit-identical results to the
@@ -213,9 +201,8 @@
 // the optimizer's dominant cost — the signature-indexing scan over the
 // provenance — every time. A frontier is the complete bound→optimum curve
 // from ONE such run: for every feasible number of meta-variables k, the
-// minimal compressed size and a cut attaining it (Dataset.Frontier; the
-// one-shot Frontier helper wraps it). Any bound is then
-// answered by lookup (BestForBound: maximal feasible k, ties toward the
+// minimal compressed size and a cut attaining it (Dataset.Frontier). Any
+// bound is then answered by lookup (BestForBound: maximal feasible k, ties toward the
 // smaller size — the DP's own choice), and Dataset.Sweep answers an
 // arbitrary batch of bounds this way — the curve is memoized on the
 // handle, so a second sweep costs only lookups:
@@ -227,7 +214,7 @@
 // count and source representation; a 32-bound batch costs one compression
 // instead of 32 (the compress_sweep workload of benchmark/ times it).
 //
-// Forests sweep too: FrontierForest computes each tree's curve (in
+// Forests sweep too: Dataset.ForestFrontier computes each tree's curve (in
 // parallel across trees for in-memory sets; strictly one tree at a time
 // for sharded sources, so the residency budget holds) and composes them
 // into one forest-level curve with a knapsack-style DP over the trees.
@@ -235,19 +222,22 @@
 // of at most one tree — dimensions instrumented on disjoint parts of the
 // data — because the joint compressed size is then additive across trees.
 // A monomial coupling two trees makes the joint problem NP-hard, and the
-// sweep refuses it with a CrossTreeError rather than return wrong minima;
-// Compress's coordinate descent remains the tool for coupled forests. On
-// partitioned instances the sweep's answers are exact optima (matching
-// exhaustive search), where coordinate descent may settle for less.
+// sweep refuses it with a CrossTreeError rather than return wrong minima.
+// On partitioned instances the sweep's answers are exact optima (matching
+// exhaustive search), and Dataset.Compress answers a partitioned forest
+// from the same curve, so at each bound it returns the sweep's answer. A
+// coupled forest goes to Compress's coordinate descent, a heuristic that
+// may settle for less than the optimum.
 //
 // # The streaming pipeline: SetSource and SetSink
 //
 // Every stage of the pipeline is written once against two small
-// interfaces: a SetSource iterates keyed polynomials shard-at-a-time
-// (implemented by both the in-memory Set — one shard: itself — and the
-// spilling ShardedSet), and a SetSink receives them one at a time
-// (implemented by Set, which materializes, and ShardBuilder, which seals
-// fixed-size shards and spills past Options.MaxResidentMonomials). Each
+// interfaces of internal/polynomial: a SetSource iterates keyed
+// polynomials shard-at-a-time (implemented by both the in-memory Set — one
+// shard: itself — and the spilling ShardedSet), and a SetSink receives
+// them one at a time (implemented by Set, which materializes, and
+// ShardBuilder, which seals fixed-size shards and spills past
+// Options.MaxResidentMonomials). Each
 // stage streams from a source into a sink, so the whole pipeline runs
 // end-to-end without ever holding more than one shard per stage:
 //
@@ -255,30 +245,29 @@
 //	SetSource ──Dataset.Compress─▶ cut            (index built shard-at-a-time)
 //	SetSource ──Dataset.Apply────▶ SetSink        (compressed shards re-spill)
 //	SetSource ──Dataset.EvalBatch▶ result rows    (one shard's slabs evaluated at a time)
-//	SetSource ──WriteSet(FormatBinary)─▶ v3 frames ──ReadSetStream──▶ SetSink
+//	SetSource ──WriteSet(FormatBinary)─▶ v3 frames ──OpenDataset──▶ ShardedSet
 //
-// A Dataset opened over a ShardedSet routes every method down this
-// streaming path automatically, and the one-shot Compress and Frontier
-// take any SetSource, so there is no separate "streamed" entry point.
+// A Dataset opened over a ShardedSet — or over any other source under a
+// budget, which OpenDataset first copies into a ShardedSet of its own —
+// routes every method down this streaming path automatically, so there is
+// no separate "streamed" entry point.
 // A Dataset opened over a v3 file (a polyio.IndexedSet) decodes the file
 // once, at open: each shard is read, checksummed, inflated and decoded in
 // one pass and kept, as the PackedSet it decoded into, as a shard of the
 // dataset's own ShardedSet (ShardBuilder.AddPacked, no second copy),
-// spilling under Options.MaxResidentMonomials as ReadSetStream does.
+// spilling under Options.MaxResidentMonomials if it is set.
 // Every later call reads that ShardedSet, never the file.
 //
-// Capture is streaming too: CaptureToShards (and CaptureLineageToShards
-// for tuple-level lineage) executes the query through the engine's
-// Volcano pull loop and hands each output row's polynomial straight to a
-// ShardBuilder — the result relation and the full provenance set never
-// materialize, so a join whose provenance exceeds memory captures within
-// the budget. All streamed entry points return results bit-identical to
-// their in-memory counterparts for every worker count — the determinism
-// guarantee extends to the out-of-core path.
+// Capture is streaming too: CaptureDataset under a budget executes the
+// query through the engine's Volcano pull loop and hands each output row's
+// polynomial straight to the dataset's ShardBuilder — the result relation
+// and the full provenance set never materialize, so a join whose
+// provenance exceeds memory captures within the budget. Every dataset
+// answers bit-identically to the in-memory one for every worker count —
+// the determinism guarantee extends to the out-of-core path.
 //
-// ShardSet partitions an existing in-memory set into a ShardedSet;
-// NewShardedSetBuilder exposes the sink for custom producers. Once the
-// resident monomial count would exceed Options.MaxResidentMonomials,
+// OpenDataset under a budget partitions an in-memory set into shards the
+// same way. Once the resident monomial count would exceed Options.MaxResidentMonomials,
 // whole shards spill to the set's one spill file, in a private temp
 // directory (both removed by Close), and stream back one at a time.
 //
@@ -330,12 +319,13 @@
 // There are three interchange formats — text, JSON and one binary — and
 // WriteSet(w, src, format) writes each; ReadSet(r, names) reads any of
 // them and reports the Format it detected from the first bytes, so no
-// caller passes an input format. ReadSetStream reads the binary one
-// straight into a budgeted ShardedSet.
+// caller passes an input format. A binary file opened with
+// polyio.OpenIndexedSet and handed to OpenDataset is decoded straight into
+// a budgeted ShardedSet.
 //
 // Binary (FormatBinary) is written as v3 and only as v3. Two superseded
-// versions are read-only legacy: ReadSet and ReadSetStream still read
-// them, report them as FormatBinary too, and nothing writes them. v1 is a
+// versions are read-only legacy: ReadSet still reads them, reports them as
+// FormatBinary too, and nothing writes them. v1 is a
 // single record: magic "CPRVB1\n", a variable-name table, then every
 // polynomial with varint terms referencing table indices. v2 frames that
 // record per shard: magic "CPRVB2\n", then 'S' plus a v1 body for each
@@ -345,8 +335,8 @@
 // (internal/polyio/testdata/legacy).
 //
 // The v3 format (WriteSet with FormatBinary, or polyio.WriteSetStreamV3
-// to choose compression; read in sequence by ReadSet and ReadSetStream, at
-// random by polyio.OpenIndexedSet) frames shards too, so neither side of a
+// to choose compression; read in sequence by ReadSet, at random by
+// polyio.OpenIndexedSet) frames shards too, so neither side of a
 // transfer ever holds more than one, and makes every shard independently
 // decodable:
 //
@@ -447,11 +437,11 @@
 // into them; P() returns a slice with cap == len. Values cannot be compared
 // with == (two cells holding "a" may point at different bytes): use Equal,
 // or Compare. Every slab sized in cells — Collect's chunks, a join's build
-// rows, the key table, Sort and Distinct's copies, Relation.Clone — is
+// rows, the key table, Sort's copies, Relation.Clone — is
 // sized by these 16 bytes; the struct of one field per kind this replaced
 // was 72.
 //
-// Key equivalence. Hash joins, GROUP BY and DISTINCT share one key table:
+// Key equivalence. Hash joins and GROUP BY share one key table:
 // a 64-bit hash of the key cells by kind, every hash tie settled by
 // comparing the cells. Two keys are equal exactly when Value.Compare says 0
 // on every cell — INT 2 joins FLOAT 2.0 and -0.0 groups with +0.0, just as
@@ -573,7 +563,7 @@
 // per row, on the telephony join (TestCaptureAllocations) and on TPC-H Q1
 // (TestCaptureAllocationsQ1, both in internal/provenance). The shape of
 // this facade is pinned the same way: TestFacadeSurface fails if cobra.go
-// exports more than 50 functions, a deprecated one, or an X beside an
+// exports more than 38 functions, a deprecated one, or an X beside an
 // XWith, and TestLibraryDoesNotLinkTheHarness if the root package imports
 // the experiment runners or a data generator.
 //
@@ -588,7 +578,8 @@
 // telephony running example and a TPC-H workload (internal/datagen), fast
 // compiled valuation (Compile, MeasureSpeedup), accuracy metrics, and
 // serialization for interoperating with external provenance engines
-// (ReadSet/WriteSet, out-of-core via ReadSetStream). See ROADMAP.md
+// (ReadSet/WriteSet; out of core, OpenDataset over polyio.OpenIndexedSet).
+// See ROADMAP.md
 // in the repository root, the experiment index in internal/experiments
 // (E1–E9 and E11, the paper's tables; cmd/cobra-bench prints them — the
 // engineering measurements are the workloads of benchmark/), the runnable

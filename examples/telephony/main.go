@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -35,12 +36,19 @@ func main() {
 	fmt.Printf("captured %d polynomials (one per zip), %d monomials, %d variables\n",
 		set.Len(), set.Size(), set.NumVars())
 
-	// Compress with the Figure-2 plans tree at a sweep of bounds.
+	// Open it as a Dataset over the Figure-2 plans tree and compress at a
+	// sweep of bounds.
 	tree := telephony.PlansTree(names)
+	ds, err := cobra.OpenDataset("telephony", set, cobra.Forest{tree}, cobra.Options{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer ds.Close()
+	ctx := context.Background()
 	fmt.Println("\nbound sweep (size / meta-variables):")
 	for _, frac := range []float64{0.8, 0.6, 0.4, 0.3} {
 		bound := int(float64(set.Size()) * frac)
-		res, err := cobra.Compress(set, cobra.Forest{tree}, bound, cobra.Options{})
+		res, err := ds.Compress(ctx, bound)
 		if err != nil {
 			fmt.Printf("  bound %5d: %v\n", bound, err)
 			continue
@@ -50,7 +58,7 @@ func main() {
 	}
 
 	// The paper's scenarios on a compressed provenance.
-	res, err := cobra.Compress(set, cobra.Forest{tree}, set.Size()/3, cobra.Options{})
+	res, err := ds.Compress(ctx, set.Size()/3)
 	if err != nil {
 		log.Fatal(err)
 	}

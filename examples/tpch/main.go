@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -26,6 +27,7 @@ func main() {
 		log.Fatal(err)
 	}
 	tree := tpch.DateTree(names)
+	ctx := context.Background()
 
 	for _, q := range []tpch.Query{tpch.Queries[0], tpch.Queries[3]} { // Q1, Q6
 		set, err := cobra.Capture(q.Prov, inst, names, q.ValueCol, cobra.Options{})
@@ -34,10 +36,14 @@ func main() {
 		}
 		fmt.Printf("\n%s: %d groups, %d monomials, %d variables\n",
 			q.Name, set.Len(), set.Size(), set.NumVars())
+		ds, err := cobra.OpenDataset(q.Name, set, cobra.Forest{tree}, cobra.Options{})
+		if err != nil {
+			log.Fatal(err)
+		}
 
 		// Compress to half, then to a fifth.
 		for _, frac := range []float64{0.5, 0.2} {
-			res, err := cobra.Compress(set, cobra.Forest{tree}, int(float64(set.Size())*frac), cobra.Options{})
+			res, err := ds.Compress(ctx, int(float64(set.Size())*frac))
 			if err != nil {
 				fmt.Printf("  bound %.0f%%: %v\n", frac*100, err)
 				continue
@@ -57,7 +63,8 @@ func main() {
 				}
 			}
 		}
-		res, err := cobra.Compress(set, cobra.Forest{tree}, set.Size()/4, cobra.Options{})
+		res, err := ds.Compress(ctx, set.Size()/4)
+		ds.Close()
 		if err != nil {
 			log.Fatal(err)
 		}

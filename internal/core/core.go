@@ -12,8 +12,10 @@
 // fashion, and using dynamic programming, computes an abstraction for the
 // sub-tree rooted by each one of the inner nodes"). Exhaustive enumeration
 // (Exhaustive) serves as a testing oracle, Greedy as a baseline for
-// ablation, and ForestDescentSource extends the solution heuristically to
-// multiple trees.
+// ablation. A forest whose monomials each hold leaves of at most one tree
+// is solved exactly by composing the per-tree curves (FrontierForestSource);
+// ForestDescentSource extends the solution heuristically to forests whose
+// trees a monomial couples.
 package core
 
 import (
@@ -87,20 +89,32 @@ func (r *Result) CompressionRatio() float64 {
 	return float64(r.Size) / float64(r.OriginalSize)
 }
 
-// CompressSource solves a compression instance over any SetSource: exact DP
-// for a single tree, coordinate descent for a forest. workers caps the
-// goroutines the solver may use (<= 1 keeps every code path sequential);
-// the result is identical for every value — parallelism only shards
-// deterministic work (signature indexing, cut application).
+// CompressSource solves a compression instance over any SetSource: exact
+// DP for a single tree; for a forest, the exact optimum when the forest is
+// partitioned — every monomial holds leaves of at most one tree — and
+// coordinate descent when it is coupled. A forest is first swept at the
+// bound (FrontierSweepSource): its partition check stops at the first
+// monomial that couples two trees (or holds two leaves of one), which
+// sends the forest to descent, and a partitioned forest's answer is the
+// sweep's. workers caps the goroutines the solver may use (<= 1 keeps
+// every code path sequential); the result is identical for every value —
+// parallelism only shards deterministic work (signature indexing, cut
+// application).
 func CompressSource(src polynomial.SetSource, trees abstraction.Forest, bound int, workers int) (*Result, error) {
 	switch len(trees) {
 	case 0:
 		return nil, errors.New("core: no abstraction trees given")
 	case 1:
 		return DPSingleTreeSource(src, trees[0], bound, workers)
-	default:
-		return ForestDescentSource(src, trees, bound, 0, workers)
 	}
+	answers, err := FrontierSweepSource(src, trees, []int{bound}, workers)
+	switch {
+	case errors.As(err, new(*CrossTreeError)) || errors.As(err, new(*MultiVarError)):
+		return ForestDescentSource(src, trees, bound, 0, workers)
+	case err != nil:
+		return nil, err
+	}
+	return answers[0].Result, answers[0].Err
 }
 
 const inf = int64(1) << 60

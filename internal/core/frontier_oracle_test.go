@@ -463,3 +463,96 @@ func TestFrontierSweepEmptyAndNoTrees(t *testing.T) {
 		t.Fatalf("empty bounds: %d answers", len(answers))
 	}
 }
+
+// TestCompressPartitionedForestIsExact: on a partitioned forest Compress
+// returns the exact optimum — Sweep's answer at the bound, bit for bit,
+// with exhaustive search's size and meta-variable count — at every bound,
+// for every worker count, in memory and sharded. Coordinate descent, which
+// Compress ran on every forest before, settles for fewer variables on five
+// (trial, bound) pairs of these instances, the first at trial 29, bound 21
+// (3 against 5) and the last at trial 301.
+func TestCompressPartitionedForestIsExact(t *testing.T) {
+	r := rand.New(rand.NewSource(37))
+	spill := t.TempDir() // removed even when a trial fails before its Close
+	for trial := 0; trial < 310; trial++ {
+		set, forest := randPartitionedInstance(r)
+		if len(forest) == 1 {
+			continue
+		}
+		var bounds []int
+		for b := -1; b <= set.Size()+1; b++ {
+			bounds = append(bounds, b)
+		}
+		ss, err := polynomial.BuildSharded(set, polynomial.ShardOptions{MaxResidentMonomials: max(2, set.Size()/4), SpillDir: spill})
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		want, err := FrontierSweepSource(set, forest, bounds, 1)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		minByK := bruteForestMinima(t, set, forest)
+		for i, bound := range bounds {
+			ctx := fmt.Sprintf("trial %d bound %d", trial, bound)
+			// Exhaustive search's answer: the most cut nodes whose smallest
+			// joint size fits the bound, at that size.
+			exMeta, exSize := -1, 0
+			for k, size := range minByK {
+				if size <= bound && k > exMeta {
+					exMeta, exSize = k, size
+				}
+			}
+			if (exMeta >= 0) != (want[i].Err == nil) {
+				t.Fatalf("%s: sweep err=%v, exhaustive search feasible=%v", ctx, want[i].Err, exMeta >= 0)
+			}
+			if exMeta >= 0 && (want[i].Result.NumMeta != exMeta || want[i].Result.Size != exSize) {
+				t.Fatalf("%s: sweep (vars=%d,size=%d) != exhaustive (vars=%d,size=%d)",
+					ctx, want[i].Result.NumMeta, want[i].Result.Size, exMeta, exSize)
+			}
+			for _, src := range []polynomial.SetSource{set, ss} {
+				for _, w := range []int{1, 2, 8} {
+					got, err := CompressSource(src, forest, bound, w)
+					if want[i].Err != nil {
+						if err == nil || err.Error() != want[i].Err.Error() {
+							t.Fatalf("%s workers %d: err = %v, want %v", ctx, w, err, want[i].Err)
+						}
+						continue
+					}
+					if err != nil {
+						t.Fatalf("%s workers %d: %v", ctx, w, err)
+					}
+					equalResults(t, fmt.Sprintf("%s workers %d (%T)", ctx, w, src), want[i].Result, got)
+				}
+			}
+		}
+		if err := ss.Close(); err != nil {
+			t.Fatalf("trial %d: close: %v", trial, err)
+		}
+	}
+}
+
+// TestCompressCoupledForestKeepsDescent: a forest whose trees one monomial
+// couples is still answered by coordinate descent, bit for bit, and the
+// partition check in front of it stops at that monomial.
+func TestCompressCoupledForestKeepsDescent(t *testing.T) {
+	set, forest := twoTreeInstance(t)
+	if _, err := forestPartitionSource(set, forest, 1); !errors.As(err, new(*CrossTreeError)) {
+		t.Fatalf("partition check on a coupled forest: %v, want a CrossTreeError", err)
+	}
+	for _, bound := range []int{0, 1, 2, 4, 8, 12, 16} {
+		want, wantErr := ForestDescentSource(set, forest, bound, 0, 1)
+		for _, w := range []int{1, 2, 8} {
+			got, err := CompressSource(set, forest, bound, w)
+			if wantErr != nil {
+				if err == nil || err.Error() != wantErr.Error() {
+					t.Fatalf("bound %d workers %d: err = %v, want %v", bound, w, err, wantErr)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("bound %d workers %d: %v", bound, w, err)
+			}
+			equalResults(t, fmt.Sprintf("bound %d workers %d", bound, w), want, got)
+		}
+	}
+}

@@ -435,47 +435,6 @@ func TestLimit(t *testing.T) {
 	}
 }
 
-func TestDistinctAddsAnnotations(t *testing.T) {
-	names := polynomial.NewNames()
-	x, y := names.Var("x"), names.Var("y")
-	s := relation.NewSchema(relation.Column{Name: "k", Kind: relation.KindInt})
-	r := relation.NewRelation("t", s)
-	r.Append(relation.Int(1))
-	r.Append(relation.Int(1))
-	r.Append(relation.Int(2))
-	r.Rows[0].Ann = polynomial.VarPoly(x)
-	r.Rows[1].Ann = polynomial.VarPoly(y)
-
-	out, err := Collect("out", NewDistinct(NewScan(r, "")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Len() != 2 {
-		t.Fatalf("distinct rows = %d", out.Len())
-	}
-	want := polynomial.MustParse("x + y", names)
-	if !polynomial.Equal(out.Rows[0].Ann, want) {
-		t.Fatalf("merged ann = %s", out.Rows[0].Ann.String(names))
-	}
-}
-
-func TestUnion(t *testing.T) {
-	r := testRel(t)
-	u, err := NewUnion(NewScan(r, "a"), NewScan(r, "b"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := Collect("out", u)
-	if err != nil || out.Len() != 10 {
-		t.Fatalf("union rows = %d, %v", out.Len(), err)
-	}
-	s2 := relation.NewSchema(relation.Column{Name: "only", Kind: relation.KindInt})
-	r2 := relation.NewRelation("r2", s2)
-	if _, err := NewUnion(NewScan(r, ""), NewScan(r2, "")); err == nil {
-		t.Fatal("arity mismatch should error")
-	}
-}
-
 func TestAvgSymbolic(t *testing.T) {
 	names := polynomial.NewNames()
 	s := relation.NewSchema(relation.Column{Name: "v", Kind: relation.KindPoly})

@@ -118,13 +118,6 @@ func describe(sb *strings.Builder, it Iterator, depth int) {
 		sb.WriteString(strconv.Itoa(op.n))
 		sb.WriteByte('\n')
 		describe(sb, op.in, depth+1)
-	case *Distinct:
-		sb.WriteString("Distinct\n")
-		describe(sb, op.in, depth+1)
-	case *Union:
-		sb.WriteString("Union\n")
-		describe(sb, op.l, depth+1)
-		describe(sb, op.r, depth+1)
 	default:
 		fmt.Fprintf(sb, "%T\n", it)
 	}

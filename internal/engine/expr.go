@@ -8,8 +8,8 @@
 // There is one executor: the pull loop of Stream, which Collect
 // materializes. Its contracts, beyond the Iterator's row-validity rule:
 //
-//   - Keys (keyTable): hash joins, GROUP BY and DISTINCT hash the key cells
-//     by kind and settle every tie by comparing cells; equality is
+//   - Keys (keyTable): hash joins and GROUP BY hash the key cells by
+//     kind and settle every tie by comparing cells; equality is
 //     Value.Compare == 0, so INT and FLOAT keys meet (as float64) and two
 //     INT keys are compared exactly. NULL never joins and is a group of its
 //     own; a symbolic key cell is an error.

@@ -1,10 +1,8 @@
 package engine
 
 import (
-	"fmt"
 	"sort"
 
-	"github.com/cobra-prov/cobra/internal/polynomial"
 	"github.com/cobra-prov/cobra/internal/relation"
 )
 
@@ -337,125 +335,4 @@ func (s *Sort) Next() (relation.Tuple, bool, error) {
 	t := s.rows[s.pos]
 	s.pos++
 	return t, true, nil
-}
-
-// Distinct merges duplicate tuples, adding their annotations (the semiring
-// semantics of duplicate elimination), in the order they were first seen.
-// Rows are duplicates when the keyTable says so (Compare == 0 cell by cell,
-// NULL equal to NULL); symbolic values have no such equality, so Distinct
-// requires concrete tuples.
-type Distinct struct {
-	in   Iterator
-	rows []relation.Tuple
-	pos  int
-}
-
-// NewDistinct builds a duplicate-eliminating node.
-func NewDistinct(in Iterator) *Distinct { return &Distinct{in: in} }
-
-func (d *Distinct) Schema() *relation.Schema { return d.in.Schema() }
-func (d *Distinct) Close() error             { d.rows = nil; return d.in.Close() }
-
-func (d *Distinct) Open() error {
-	if err := d.in.Open(); err != nil {
-		return err
-	}
-	if err := d.build(); err != nil {
-		d.in.Close() // the drain error is the primary failure
-		return err
-	}
-	return nil
-}
-
-// build drains the (already opened) input, merging duplicates. The key
-// table's copy of each distinct row is the retained row.
-func (d *Distinct) build() error {
-	d.rows = d.rows[:0]
-	d.pos = 0
-	var seen keyTable
-	cols := columns(d.in.Schema().Len())
-	for {
-		t, ok, err := d.in.Next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-		for i := range t.Values {
-			if t.Values[i].Kind() == relation.KindPoly {
-				return fmt.Errorf("engine: DISTINCT over symbolic values is not supported")
-			}
-		}
-		if i, dup := seen.lookup(hashKey(t.Values, cols), t.Values, cols, true); dup {
-			d.rows[i].Ann = polynomial.Add(d.rows[i].Ann, t.Ann)
-		} else {
-			d.rows = append(d.rows, relation.Tuple{Ann: t.Ann})
-		}
-	}
-	for i := range d.rows {
-		d.rows[i].Values = seen.key(i)
-	}
-	return nil
-}
-
-func (d *Distinct) Next() (relation.Tuple, bool, error) {
-	if d.pos >= len(d.rows) {
-		return relation.Tuple{}, false, nil
-	}
-	t := d.rows[d.pos]
-	d.pos++
-	return t, true, nil
-}
-
-// Union concatenates two inputs with identical arity (bag union; annotations
-// untouched — combine with Distinct for set semantics).
-type Union struct {
-	l, r   Iterator
-	onLeft bool
-}
-
-// NewUnion builds a bag-union node.
-func NewUnion(l, r Iterator) (*Union, error) {
-	if l.Schema().Len() != r.Schema().Len() {
-		return nil, fmt.Errorf("engine: UNION arity mismatch: %d vs %d", l.Schema().Len(), r.Schema().Len())
-	}
-	return &Union{l: l, r: r}, nil
-}
-
-func (u *Union) Schema() *relation.Schema { return u.l.Schema() }
-
-func (u *Union) Open() error {
-	u.onLeft = true
-	if err := u.l.Open(); err != nil {
-		return err
-	}
-	if err := u.r.Open(); err != nil {
-		u.l.Close() // don't leak the already-opened left child
-		return err
-	}
-	return nil
-}
-
-func (u *Union) Close() error {
-	err1 := u.l.Close()
-	err2 := u.r.Close()
-	if err1 != nil {
-		return err1
-	}
-	return err2
-}
-
-func (u *Union) Next() (relation.Tuple, bool, error) {
-	if u.onLeft {
-		t, ok, err := u.l.Next()
-		if err != nil {
-			return relation.Tuple{}, false, err
-		}
-		if ok {
-			return t, true, nil
-		}
-		u.onLeft = false
-	}
-	return u.r.Next()
 }

@@ -9,8 +9,8 @@ import (
 	"github.com/cobra-prov/cobra/internal/relation"
 )
 
-// keyTable numbers the distinct keys of a hash join, GROUP BY or DISTINCT
-// 0, 1, 2, … in first-seen order. A key is the cells of a row in a fixed
+// keyTable numbers the distinct keys of a hash join or GROUP BY 0, 1, 2,
+// … in first-seen order. A key is the cells of a row in a fixed
 // list of columns, all concrete; two keys are the same when
 // relation.Value.Compare says 0 cell by cell — so INT 2 and FLOAT 2.0, or
 // -0.0 and +0.0, are one key, exactly as the = of a Filter would decide,

@@ -119,8 +119,8 @@ func TestHashJoinKeepAndOrder(t *testing.T) {
 }
 
 // TestBigIntKeysExact: INT keys above 2^53, where neighbours share one
-// float64 (and so one hash), are distinct keys to a hash join, a GROUP BY
-// and a DISTINCT — they used to compare as floats and fall together — while
+// float64 (and so one hash), are distinct keys to a hash join and a GROUP
+// BY — they used to compare as floats and fall together — while
 // an INT key still meets the FLOAT key it rounds to.
 func TestBigIntKeysExact(t *testing.T) {
 	const big = int64(1) << 53
@@ -167,20 +167,6 @@ func TestBigIntKeysExact(t *testing.T) {
 	}
 	if want := "9007199254740992:1 9007199254740993:2 9007199254740994:1"; strings.Join(got, " ") != want {
 		t.Fatalf("groups = %v, want %s", got, want)
-	}
-
-	keys := relation.NewRelation("keys", relation.NewSchema(relation.Column{Name: "k"}))
-	for _, row := range l.Rows {
-		keys.Append(row.Values[0])
-	}
-	if out, err = Collect("out", NewDistinct(NewScan(keys, ""))); err != nil {
-		t.Fatal(err)
-	}
-	if out.Len() != 3 || out.Rows[1].Values[0].I() != big+1 || out.Rows[1].Ann.NumMonomials() != 1 {
-		t.Fatalf("distinct:\n%s", out)
-	}
-	if c, ok := out.Rows[1].Ann.IsConstant(); !ok || c != 2 {
-		t.Fatalf("the duplicate's annotation = %v, want 2", out.Rows[1].Ann)
 	}
 }
 

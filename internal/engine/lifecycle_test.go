@@ -88,7 +88,6 @@ func lifecyclePlans(t *testing.T) map[string]func(l, r *trackIter) Iterator {
 		"sort": func(l, _ *trackIter) Iterator {
 			return NewSort(l, []SortKey{{Expr: &ColRef{Idx: 2, Name: "val"}, Desc: true}})
 		},
-		"distinct": func(l, _ *trackIter) Iterator { return NewDistinct(l) },
 		"groupby": func(l, _ *trackIter) Iterator {
 			gb, err := NewGroupBy(l, []Expr{&ColRef{Idx: 1, Name: "grp"}}, []string{"grp"},
 				[]AggSpec{{Kind: AggSum, Arg: &ColRef{Idx: 2, Name: "val"}, Name: "s"}})
@@ -105,18 +104,11 @@ func lifecyclePlans(t *testing.T) map[string]func(l, r *trackIter) Iterator {
 			return hj
 		},
 		"nestedloop": func(l, r *trackIter) Iterator { return NewNestedLoopJoin(l, r) },
-		"union": func(l, r *trackIter) Iterator {
-			u, err := NewUnion(l, r)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return u
-		},
 	}
 }
 
 func isBinary(name string) bool {
-	return name == "hashjoin" || name == "nestedloop" || name == "union"
+	return name == "hashjoin" || name == "nestedloop"
 }
 
 func TestLifecycleHappyPath(t *testing.T) {
@@ -160,7 +152,7 @@ func TestLifecycleLeftNextError(t *testing.T) {
 // must not be.
 func TestLifecycleRightOpenError(t *testing.T) {
 	rel := testRel(t)
-	for _, name := range []string{"hashjoin", "nestedloop", "union"} {
+	for _, name := range []string{"hashjoin", "nestedloop"} {
 		build := lifecyclePlans(t)[name]
 		l, r := track(NewScan(rel, "")), track(NewScan(rel, "x"))
 		r.openErr = errInjected
@@ -182,7 +174,7 @@ func TestLifecycleRightOpenError(t *testing.T) {
 // materialization phase of joins): both children must close exactly once.
 func TestLifecycleRightNextError(t *testing.T) {
 	rel := testRel(t)
-	for _, name := range []string{"hashjoin", "nestedloop", "union"} {
+	for _, name := range []string{"hashjoin", "nestedloop"} {
 		build := lifecyclePlans(t)[name]
 		l, r := track(NewScan(rel, "")), track(NewScan(rel, "x"))
 		r.failNextAt = 2

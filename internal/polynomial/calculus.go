@@ -1,30 +1,5 @@
 package polynomial
 
-// Derivative returns ∂p/∂v. For hypothetical reasoning this is the exact
-// sensitivity of a result to a provenance variable: how much the output
-// moves per unit change of the variable, at any valuation point.
-func Derivative(p Polynomial, v Var) Polynomial {
-	var b Builder
-	for _, m := range p.Mons {
-		e, ok := m.ExpOf(v)
-		if !ok {
-			continue
-		}
-		nm := Monomial{Coef: m.Coef * float64(e), Terms: make([]Term, 0, len(m.Terms))}
-		for _, t := range m.Terms {
-			if t.Var == v {
-				if t.Exp > 1 {
-					nm.Terms = append(nm.Terms, Term{Var: v, Exp: t.Exp - 1})
-				}
-				continue
-			}
-			nm.Terms = append(nm.Terms, t)
-		}
-		b.AddMonomial(nm)
-	}
-	return b.Polynomial()
-}
-
 // Substitute replaces every occurrence of v in p by the polynomial q,
 // expanding powers: x^e ↦ q^e. Substituting a single variable for another
 // is equivalent to MapVars; substituting richer polynomials supports

@@ -5,77 +5,6 @@ import (
 	"testing"
 )
 
-func TestDerivativeBasics(t *testing.T) {
-	n := NewNames()
-	x, _ := n.Var("x"), n.Var("y")
-
-	cases := []struct{ in, want string }{
-		{"x", "1"},
-		{"5", "0"},
-		{"x^3", "3*x^2"},
-		{"2*x^2*y + 3*y", "4*x*y"},
-		{"x + x^2 + x^3", "1 + 2*x + 3*x^2"},
-		{"y^4", "0"},
-	}
-	for _, tc := range cases {
-		p := MustParse(tc.in, n)
-		want := MustParse(tc.want, n)
-		got := Derivative(p, x)
-		if !Equal(got, want) {
-			t.Errorf("d/dx %s = %s, want %s", tc.in, got.String(n), tc.want)
-		}
-	}
-}
-
-func TestDerivativeLinearityAndProductRule(t *testing.T) {
-	r := rand.New(rand.NewSource(81))
-	n := NewNames()
-	for i := 0; i < 4; i++ {
-		n.Var(string(rune('a' + i)))
-	}
-	v := Var(0)
-	for i := 0; i < 200; i++ {
-		p, q := randPoly(r, 4), randPoly(r, 4)
-		// d(p+q) = dp + dq
-		if !Equal(Derivative(Add(p, q), v), Add(Derivative(p, v), Derivative(q, v))) {
-			t.Fatal("linearity broken")
-		}
-		// d(p*q) = dp*q + p*dq
-		lhs := Derivative(Mul(p, q), v)
-		rhs := Add(Mul(Derivative(p, v), q), Mul(p, Derivative(q, v)))
-		if !Equal(lhs, rhs) {
-			t.Fatalf("product rule broken:\np=%s\nq=%s", p.String(n), q.String(n))
-		}
-	}
-}
-
-func TestDerivativeNumerically(t *testing.T) {
-	// Finite differences approximate the symbolic derivative.
-	n := NewNames()
-	p := MustParse("2*x^2*y + 3*x + y^2", n)
-	x, _ := n.Lookup("x")
-	at := func(xv, yv float64) float64 {
-		return p.Eval(func(v Var) float64 {
-			if v == x {
-				return xv
-			}
-			return yv
-		})
-	}
-	d := Derivative(p, x)
-	got := d.Eval(func(v Var) float64 {
-		if v == x {
-			return 1.5
-		}
-		return 2.0
-	})
-	h := 1e-6
-	want := (at(1.5+h, 2) - at(1.5-h, 2)) / (2 * h)
-	if diff := got - want; diff > 1e-4 || diff < -1e-4 {
-		t.Fatalf("symbolic %v vs numeric %v", got, want)
-	}
-}
-
 func TestSubstituteBasics(t *testing.T) {
 	n := NewNames()
 	x, _ := n.Var("x"), n.Var("y")

@@ -42,7 +42,7 @@ func lineageCatalog(t *testing.T, names *polynomial.Names) engine.Catalog {
 func TestCaptureLineageJoin(t *testing.T) {
 	names := polynomial.NewNames()
 	cat := lineageCatalog(t, names)
-	set, err := CaptureLineage("SELECT r.k, s.v FROM r, s WHERE r.k = s.k ORDER BY r.k, s.v", cat, names)
+	set, err := CaptureLineageN("SELECT r.k, s.v FROM r, s WHERE r.k = s.k ORDER BY r.k, s.v", cat, names, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,8 +68,8 @@ func TestCaptureLineageGroupingAddsAlternatives(t *testing.T) {
 	cat := lineageCatalog(t, names)
 	// Grouping merges alternative derivations: the annotation of a group is
 	// the sum of its rows' annotations.
-	out, err := CaptureLineage(
-		"SELECT s.v, COUNT(*) AS n FROM r, s WHERE r.k = s.k GROUP BY s.v ORDER BY s.v", cat, names)
+	out, err := CaptureLineageN(
+		"SELECT s.v, COUNT(*) AS n FROM r, s WHERE r.k = s.k GROUP BY s.v ORDER BY s.v", cat, names, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

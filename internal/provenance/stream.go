@@ -120,43 +120,6 @@ func CaptureStream(query string, cat engine.Catalog, valueCol string, sink polyn
 	return nil
 }
 
-// CaptureLineageStream runs a query over tuple-annotated relations and
-// streams one lineage polynomial per output row into sink — the
-// non-materializing counterpart of CaptureLineage, with the same key
-// rendering (all column values joined by "|") and the same row order for
-// every worker count.
-func CaptureLineageStream(query string, cat engine.Catalog, sink polynomial.SetSink, workers int) error {
-	it, err := sql.Open(query, cat)
-	if err != nil {
-		return err
-	}
-	batch := make([]relation.Tuple, 0, captureBatchRows)
-	var batchVals []relation.Value // reused across batches; see CaptureStream
-	flush := func() error {
-		err := sinkRows(batch, workers, -1, lineageRow, sink)
-		batch = batch[:0]
-		batchVals = batchVals[:0]
-		return err
-	}
-	err = engine.Stream(it, func(t relation.Tuple) error {
-		if batchVals == nil {
-			batchVals = make([]relation.Value, 0, captureBatchRows*len(t.Values))
-		}
-		off := len(batchVals)
-		batchVals = append(batchVals, t.Values...)
-		t.Values = batchVals[off:len(batchVals):len(batchVals)]
-		batch = append(batch, t)
-		if len(batch) >= captureBatchRows {
-			return flush()
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	return flush()
-}
-
 // lineageRow renders one output row into its lineage key (all column
 // values joined by "|", appended to buf) and annotation; valIdx is
 // unused (lineage keys span every column).

@@ -101,34 +101,6 @@ func TestCaptureStreamToBuilderBounded(t *testing.T) {
 	}
 }
 
-// TestCaptureLineageStreamMatchesCaptureLineage: tuple-level streaming
-// lineage capture must match CaptureLineage exactly for every worker
-// count.
-func TestCaptureLineageStreamMatchesCaptureLineage(t *testing.T) {
-	names := polynomial.NewNames()
-	cat := telephony.Generate(telephony.Config{Customers: 200})
-	cust, err := AnnotateTuples(cat["Cust"], VarSpec{Prefix: "c", Columns: []string{"ID"}}, names)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cat["Cust"] = cust
-	query := "SELECT Cust.Zip, Calls.Mo FROM Cust, Calls WHERE Cust.ID = Calls.CID AND Calls.Dur > 900"
-	want, err := CaptureLineage(query, cat, names)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want.Len() == 0 {
-		t.Fatal("fixture produced no lineage rows")
-	}
-	for _, w := range []int{1, 2, 8} {
-		got := polynomial.NewSet(names)
-		if err := CaptureLineageStream(query, cat, got, w); err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
-		}
-		assertSameSet(t, want, got, w)
-	}
-}
-
 // TestCaptureStreamErrors: planner errors, an unknown value column, and a
 // symbolic-column-free result must surface the same way Capture reports
 // them.

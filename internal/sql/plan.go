@@ -29,19 +29,6 @@ func Open(query string, cat engine.Catalog) (engine.Iterator, error) {
 	return Plan(stmt, cat)
 }
 
-// Stream parses, plans and executes a SELECT, invoking fn once per result
-// row in result order without materializing the result — row values are
-// bit-identical to Run's, since the sequential Volcano schedule is exactly
-// what Run collects. Tuples follow the engine's row-validity contract: a
-// tuple's Values slice is valid only until fn returns; copy to retain.
-func Stream(query string, cat engine.Catalog, fn func(relation.Tuple) error) error {
-	plan, err := Open(query, cat)
-	if err != nil {
-		return err
-	}
-	return engine.Stream(plan, fn)
-}
-
 // Plan binds a parsed statement against the catalog and builds an engine
 // plan: filters pushed below joins, hash joins on extracted equality
 // predicates (left-deep in FROM order) that emit only the columns still

@@ -5,10 +5,21 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/cobra-prov/cobra/internal/engine"
 	"github.com/cobra-prov/cobra/internal/relation"
 )
 
-// TestStreamMatchesRun: the streaming executor must deliver exactly Run's
+// stream is how a streaming consumer runs a query: Open, then the
+// engine's one pull loop.
+func stream(query string, cat engine.Catalog, fn func(relation.Tuple) error) error {
+	plan, err := Open(query, cat)
+	if err != nil {
+		return err
+	}
+	return engine.Stream(plan, fn)
+}
+
+// TestStreamMatchesRun: Open + engine.Stream must deliver exactly Run's
 // rows in Run's order, and Open must expose the result schema before
 // execution.
 func TestStreamMatchesRun(t *testing.T) {
@@ -31,7 +42,7 @@ func TestStreamMatchesRun(t *testing.T) {
 	}
 
 	var rows []relation.Tuple
-	if err := Stream(query, cat, func(tu relation.Tuple) error {
+	if err := stream(query, cat, func(tu relation.Tuple) error {
 		// Streamed tuples are valid only until the callback returns
 		// (row-validity contract): clone to retain.
 		rows = append(rows, tu.Clone())
@@ -56,16 +67,16 @@ func TestStreamMatchesRun(t *testing.T) {
 // delivered; a callback error aborts the stream.
 func TestStreamErrors(t *testing.T) {
 	cat := testCatalog()
-	if err := Stream("SELECT FROM", cat, func(relation.Tuple) error { return nil }); err == nil {
+	if err := stream("SELECT FROM", cat, func(relation.Tuple) error { return nil }); err == nil {
 		t.Fatal("want parse error")
 	}
-	if err := Stream("SELECT x.y FROM Nope", cat, func(relation.Tuple) error { return nil }); err == nil ||
+	if err := stream("SELECT x.y FROM Nope", cat, func(relation.Tuple) error { return nil }); err == nil ||
 		!strings.Contains(err.Error(), "Nope") {
 		t.Fatalf("want unknown-table error, got %v", err)
 	}
 	boom := errors.New("stop")
 	calls := 0
-	err := Stream("SELECT Cust.ID FROM Cust", cat, func(relation.Tuple) error {
+	err := stream("SELECT Cust.ID FROM Cust", cat, func(relation.Tuple) error {
 		calls++
 		return boom
 	})

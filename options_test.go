@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	cobra "github.com/cobra-prov/cobra"
+	"github.com/cobra-prov/cobra/internal/core"
+	"github.com/cobra-prov/cobra/internal/polynomial"
 )
 
 // optionsFixture builds a small set and tree for the edge-value sweeps.
@@ -30,11 +32,12 @@ func optionsFixture(t *testing.T) (*cobra.Names, *cobra.Set, *cobra.Tree) {
 
 // TestOptionsWorkersEdgeValues: negative and zero Workers must behave
 // exactly like the documented sequential default (Workers <= 1), across
-// compression, application, valuation, SQL and capture entry points.
+// compression, application, valuation and sweeps.
 func TestOptionsWorkersEdgeValues(t *testing.T) {
 	names, set, tree := optionsFixture(t)
+	ctx := context.Background()
 	bound := set.Size() / 2
-	want, err := cobra.Compress(set, cobra.Forest{tree}, bound, cobra.Options{})
+	want, err := core.CompressSource(set, cobra.Forest{tree}, bound, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,37 +47,35 @@ func TestOptionsWorkersEdgeValues(t *testing.T) {
 	if err := a.Set("m3", 0.8); err != nil {
 		t.Fatal(err)
 	}
-	wantRows := cobra.EvalBatch(cobra.Compile(set), []*cobra.Assignment{a}, cobra.Options{})
+	wantRows := cobra.Compile(set).EvalBatchN([]*cobra.Assignment{a}, nil, 1)
 
 	for _, w := range []int{-7, -1, 0} {
 		opts := cobra.Options{Workers: w}
-		got, err := cobra.Compress(set, cobra.Forest{tree}, bound, opts)
+		ds := openDataset(t, set, cobra.Forest{tree}, opts)
+		got, err := ds.Compress(ctx, bound)
 		if err != nil {
 			t.Fatalf("Workers=%d: %v", w, err)
 		}
-		if got.Size != want.Size || !got.Cuts[0].Equal(want.Cuts[0]) {
-			t.Fatalf("Workers=%d: compress differs", w)
-		}
+		resultsEqual(t, fmt.Sprintf("Workers=%d: Compress", w), got, want)
 		if applied := cobra.Apply(set, opts, got.Cuts...); applied.String() != wantApplied.String() {
 			t.Fatalf("Workers=%d: apply differs", w)
 		}
-		rows := cobra.EvalBatch(cobra.Compile(set), []*cobra.Assignment{a}, opts)
-		for j := range wantRows[0] {
-			if rows[0][j] != wantRows[0][j] {
-				t.Fatalf("Workers=%d: eval differs at %d", w, j)
-			}
+		rows, err := ds.EvalBatch(ctx, []*cobra.Assignment{a})
+		if err != nil {
+			t.Fatalf("Workers=%d: eval: %v", w, err)
 		}
-		if _, err := cobra.Frontier(set, tree, opts); err != nil {
+		rowsEqual(t, rows, wantRows, fmt.Sprintf("Workers=%d: EvalBatch", w))
+		if _, err := ds.Frontier(ctx); err != nil {
 			t.Fatalf("Workers=%d: frontier: %v", w, err)
 		}
-		answers, err := cobra.FrontierSweep(set, cobra.Forest{tree}, []int{bound}, opts)
+		answers, err := ds.Sweep(ctx, []int{bound})
 		if err != nil {
 			t.Fatalf("Workers=%d: sweep: %v", w, err)
 		}
-		if len(answers) != 1 || answers[0].Err != nil ||
-			answers[0].Result.Size != want.Size || !answers[0].Result.Cuts[0].Equal(want.Cuts[0]) {
-			t.Fatalf("Workers=%d: sweep differs: %+v", w, answers[0])
+		if len(answers) != 1 || answers[0].Err != nil {
+			t.Fatalf("Workers=%d: sweep: %+v", w, answers)
 		}
+		resultsEqual(t, fmt.Sprintf("Workers=%d: Sweep", w), answers[0].Result, want)
 	}
 }
 
@@ -84,20 +85,22 @@ func TestOptionsWorkersEdgeValues(t *testing.T) {
 func TestFrontierSweepEdgeValues(t *testing.T) {
 	_, set, tree := optionsFixture(t)
 	forest := cobra.Forest{tree}
+	ctx := context.Background()
 	bound := set.Size() / 2
-	want, err := cobra.Compress(set, forest, bound, cobra.Options{})
+	want, err := core.CompressSource(set, forest, bound, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	empty, err := cobra.FrontierSweep(set, forest, nil, cobra.Options{})
+	empty, err := openDataset(t, set, forest, cobra.Options{}).Sweep(ctx, nil)
 	if err != nil || len(empty) != 0 {
 		t.Fatalf("empty bounds: %v, %d answers", err, len(empty))
 	}
 
 	bounds := []int{bound, -1, bound, 0, set.Size() * 10}
 	for _, w := range []int{-7, 0, 1, 8} {
-		answers, err := cobra.FrontierSweep(set, forest, bounds, cobra.Options{Workers: w})
+		ds := openDataset(t, set, forest, cobra.Options{Workers: w})
+		answers, err := ds.Sweep(ctx, bounds)
 		if err != nil {
 			t.Fatalf("Workers=%d: %v", w, err)
 		}
@@ -105,7 +108,7 @@ func TestFrontierSweepEdgeValues(t *testing.T) {
 			t.Fatalf("Workers=%d: %d answers for %d bounds", w, len(answers), len(bounds))
 		}
 		for i, a := range answers {
-			cw, cwErr := cobra.Compress(set, forest, bounds[i], cobra.Options{Workers: w})
+			cw, cwErr := ds.Compress(ctx, bounds[i])
 			if (a.Err == nil) != (cwErr == nil) {
 				t.Fatalf("Workers=%d bound %d: sweep err=%v compress err=%v", w, bounds[i], a.Err, cwErr)
 			}
@@ -115,9 +118,7 @@ func TestFrontierSweepEdgeValues(t *testing.T) {
 				}
 				continue
 			}
-			if a.Result.Size != cw.Size || a.Result.NumMeta != cw.NumMeta || !a.Result.Cuts[0].Equal(cw.Cuts[0]) {
-				t.Fatalf("Workers=%d bound %d: sweep %+v != compress %+v", w, bounds[i], a.Result, cw)
-			}
+			resultsEqual(t, fmt.Sprintf("Workers=%d bound %d: sweep against compress", w, bounds[i]), a.Result, cw)
 		}
 		// Repeated bounds answer consistently.
 		if answers[0].Result.Size != answers[2].Result.Size || !answers[0].Result.Cuts[0].Equal(answers[2].Result.Cuts[0]) {
@@ -125,28 +126,24 @@ func TestFrontierSweepEdgeValues(t *testing.T) {
 		}
 	}
 
-	// The same sweep over a spilled sharded source.
-	ss, err := cobra.ShardSet(set, cobra.Options{MaxResidentMonomials: set.Size() / 4})
+	// The same sweep over the set sharded under a budget that spills.
+	dsf := openDataset(t, set, forest, cobra.Options{Workers: 2, MaxResidentMonomials: set.Size() / 4, SpillDir: t.TempDir()})
+	if !dsf.OutOfCore() {
+		t.Fatal("a budget must shard the set")
+	}
+	answers, err := dsf.Sweep(ctx, []int{bound})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ss.Close()
-	answers, err := cobra.FrontierSweep(ss, forest, []int{bound}, cobra.Options{Workers: 2})
+	if answers[0].Err != nil {
+		t.Fatalf("sharded sweep: %v", answers[0].Err)
+	}
+	resultsEqual(t, "sharded sweep", answers[0].Result, want)
+	curve, err := dsf.Frontier(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if answers[0].Err != nil || answers[0].Result.Size != want.Size || !answers[0].Result.Cuts[0].Equal(want.Cuts[0]) {
-		t.Fatalf("sharded sweep differs: %+v", answers[0])
-	}
-	dsf, err := cobra.OpenDataset("sweep", ss, cobra.Forest{tree}, cobra.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	curve, err := dsf.Frontier(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	inMem, err := cobra.Frontier(set, tree, cobra.Options{})
+	inMem, err := core.FrontierSourceN(set, tree, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,65 +158,65 @@ func TestFrontierSweepEdgeValues(t *testing.T) {
 }
 
 // TestOptionsResidencyEdgeValues: zero and negative MaxResidentMonomials
-// must behave like the documented default — spilling disabled, everything
+// must behave like the documented default — spilling disabled, an
+// in-memory set kept in memory, a ShardedSet built under it fully
 // resident — not panic, not spill, not truncate.
 func TestOptionsResidencyEdgeValues(t *testing.T) {
 	_, set, tree := optionsFixture(t)
 	bound := set.Size() / 2
-	want, err := cobra.Compress(set, cobra.Forest{tree}, bound, cobra.Options{})
+	want, err := core.CompressSource(set, cobra.Forest{tree}, bound, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, budget := range []int{0, -1, -1 << 30} {
-		opts := cobra.Options{MaxResidentMonomials: budget}
-		ss, err := cobra.ShardSet(set, opts)
+		opts := cobra.Options{MaxResidentMonomials: budget, SpillDir: t.TempDir()}
+		ss, err := polynomial.BuildSharded(set, polynomial.ShardOptions{MaxResidentMonomials: budget, SpillDir: opts.SpillDir})
 		if err != nil {
 			t.Fatalf("budget=%d: %v", budget, err)
 		}
 		if ss.SpilledShards() != 0 {
 			t.Fatalf("budget=%d: spilled %d shards with spilling disabled", budget, ss.SpilledShards())
 		}
-		if ss.Len() != set.Len() || ss.Size() != set.Size() {
-			t.Fatalf("budget=%d: len/size %d/%d, want %d/%d", budget, ss.Len(), ss.Size(), set.Len(), set.Size())
-		}
-		ds, err := cobra.OpenDataset("edge", ss, cobra.Forest{tree}, opts)
-		if err != nil {
-			t.Fatalf("budget=%d: %v", budget, err)
-		}
-		got, err := ds.Compress(context.Background(), bound)
-		if err != nil {
-			t.Fatalf("budget=%d: %v", budget, err)
-		}
-		if got.Size != want.Size || !got.Cuts[0].Equal(want.Cuts[0]) {
-			t.Fatalf("budget=%d: streamed compress differs", budget)
-		}
-		if err := ss.Close(); err != nil {
-			t.Fatalf("budget=%d: close: %v", budget, err)
+		for _, src := range []cobra.SetSource{set, ss} {
+			ds := openDataset(t, src, cobra.Forest{tree}, opts)
+			if _, sharded := src.(*cobra.ShardedSet); ds.OutOfCore() != sharded {
+				t.Fatalf("budget=%d: OutOfCore() = %v over a %T", budget, ds.OutOfCore(), src)
+			}
+			if ds.Len() != set.Len() || ds.Size() != set.Size() {
+				t.Fatalf("budget=%d: len/size %d/%d, want %d/%d", budget, ds.Len(), ds.Size(), set.Len(), set.Size())
+			}
+			got, err := ds.Compress(context.Background(), bound)
+			if err != nil {
+				t.Fatalf("budget=%d: %v", budget, err)
+			}
+			resultsEqual(t, fmt.Sprintf("budget=%d %T: Compress", budget, src), got, want)
 		}
 	}
 }
 
-// TestShardSetEmptySet: sharding an empty set must yield a usable,
-// zero-shard set rather than panicking or spilling — and the streamed
-// stages must handle it.
+// TestShardSetEmptySet: an empty set opened in memory, sharded under a
+// budget (into no shard at all) or with edge values, must give a usable
+// dataset rather than panic or spill — and the streamed stages must handle
+// it.
 func TestShardSetEmptySet(t *testing.T) {
 	names := cobra.NewNames()
-	empty := cobra.NewSet(names)
 	for _, opts := range []cobra.Options{{}, {MaxResidentMonomials: -3}, {MaxResidentMonomials: 4, Workers: -2}} {
-		ss, err := cobra.ShardSet(empty, opts)
-		if err != nil {
-			t.Fatalf("opts=%+v: %v", opts, err)
+		opts.SpillDir = t.TempDir()
+		ds := openDataset(t, cobra.NewSet(names), nil, opts)
+		if ds.OutOfCore() != (opts.MaxResidentMonomials > 0) {
+			t.Fatalf("opts=%+v: OutOfCore() = %v", opts, ds.OutOfCore())
 		}
-		if ss.Len() != 0 || ss.Size() != 0 || ss.NumShards() != 0 || ss.SpilledShards() != 0 {
-			t.Fatalf("opts=%+v: empty set sharded to len/size/shards/spilled %d/%d/%d/%d",
-				opts, ss.Len(), ss.Size(), ss.NumShards(), ss.SpilledShards())
+		if ds.Len() != 0 || ds.Size() != 0 || len(ds.UsedVars()) != 0 {
+			t.Fatalf("opts=%+v: empty set opened to len/size/vars %d/%d/%d", opts, ds.Len(), ds.Size(), len(ds.UsedVars()))
 		}
-		if vars := ss.UsedVars(); len(vars) != 0 {
-			t.Fatalf("opts=%+v: empty set has %d used vars", opts, len(vars))
-		}
-		ds, err := cobra.OpenDataset("empty", ss, nil, opts)
-		if err != nil {
-			t.Fatalf("opts=%+v: %v", opts, err)
+		if ss := cobra.ShardedSource(ds); ss != nil {
+			if ss.NumShards() != 0 || ss.SpilledShards() != 0 {
+				t.Fatalf("opts=%+v: empty set sharded to shards/spilled %d/%d", opts, ss.NumShards(), ss.SpilledShards())
+			}
+			back, err := ss.Materialize()
+			if err != nil || back.Len() != 0 {
+				t.Fatalf("opts=%+v: materialize: %v len %d", opts, err, back.Len())
+			}
 		}
 		rows, err := ds.EvalBatch(context.Background(), []*cobra.Assignment{cobra.NewAssignment(names)})
 		if err != nil {
@@ -228,12 +225,9 @@ func TestShardSetEmptySet(t *testing.T) {
 		if len(rows) != 1 || len(rows[0]) != 0 {
 			t.Fatalf("opts=%+v: eval rows %v", opts, rows)
 		}
-		back, err := ss.Materialize()
-		if err != nil || back.Len() != 0 {
-			t.Fatalf("opts=%+v: materialize: %v len %d", opts, err, back.Len())
-		}
-		if err := ss.Close(); err != nil {
+		if err := ds.Close(); err != nil {
 			t.Fatalf("opts=%+v: close: %v", opts, err)
 		}
+		spillDirHoldsOnly(t, opts.SpillDir)
 	}
 }

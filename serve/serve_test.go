@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -322,6 +323,55 @@ func TestServeRegisterAndErrors(t *testing.T) {
 	}
 	if code := doJSON(t, "GET", ts.URL+"/v1/datasets/mini", nil, &er); code != http.StatusNotFound {
 		t.Fatal("dataset survived delete")
+	}
+}
+
+// TestServeRegisterSpillFailure: a register whose budget makes OpenDataset
+// spill, under a SpillDir that cannot hold a directory (a regular file —
+// root ignores permission bits, so a read-only directory would not fail),
+// answers 500 and registers nothing, leaving nothing beside that file.
+func TestServeRegisterSpillFailure(t *testing.T) {
+	dir := t.TempDir()
+	notDir := dir + "/spill"
+	if err := os.WriteFile(notDir, []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, ts := startServer(t, serve.Config{MaxWorkers: 2, SpillDir: notDir})
+	names := cobra.NewNames()
+	set := telephony.DirectProvenance(telephony.Config{Customers: 40}, names)
+	var prov strings.Builder
+	if err := cobra.WriteSet(&prov, set, cobra.FormatText); err != nil {
+		t.Fatal(err)
+	}
+	treeJSON, err := json.Marshal(telephony.PlansTree(names))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := serve.RegisterRequest{Provenance: prov.String(), Trees: []json.RawMessage{treeJSON}, MaxResidentMonomials: set.Size() / 8}
+	var er serve.ErrorResponse
+	if code := doJSON(t, "PUT", ts.URL+"/v1/datasets/d", req, &er); code != http.StatusInternalServerError {
+		t.Fatalf("register with an unwritable spill dir: status %d (%+v), want 500", code, er)
+	}
+	var list serve.DatasetsResponse
+	if code := doJSON(t, "GET", ts.URL+"/v1/datasets", nil, &list); code != http.StatusOK || len(list.Datasets) != 0 {
+		t.Fatalf("after a failed register: status %d, datasets %+v", code, list.Datasets)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != "spill" || !entries[0].Type().IsRegular() {
+		t.Fatalf("the spill location holds %v after a failed register", entries)
+	}
+	if data, err := os.ReadFile(notDir); err != nil || string(data) != "x" {
+		t.Fatalf("the spill file was touched: %q, %v", data, err)
+	}
+
+	// Without a budget nothing spills, and the same register succeeds.
+	req.MaxResidentMonomials = 0
+	var info serve.DatasetInfo
+	if code := doJSON(t, "PUT", ts.URL+"/v1/datasets/d", req, &info); code != http.StatusCreated || info.OutOfCore {
+		t.Fatalf("unbudgeted register: status %d, %+v", code, info)
 	}
 }
 

@@ -367,19 +367,12 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		}
 		trees[i] = t
 	}
+	// OpenDataset shards the set under a budget; with a non-nil source,
+	// writing that ShardedSet's spill file is all that can fail.
 	opts := cobra.Options{MaxResidentMonomials: req.MaxResidentMonomials, SpillDir: s.cfg.SpillDir}
-	var src cobra.SetSource = set
-	if req.MaxResidentMonomials > 0 {
-		ss, err := cobra.ShardSet(set, opts)
-		if err != nil {
-			writeErr(w, http.StatusInternalServerError, "sharding: %v", err)
-			return
-		}
-		src = ss
-	}
-	ds, err := cobra.OpenDataset(name, src, trees, opts)
+	ds, err := cobra.OpenDataset(name, set, trees, opts)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
+		writeErr(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	if err := s.reg.put(name, ds); err != nil {
@@ -444,15 +437,7 @@ func (s *Server) captureDataset(ctx context.Context, name string, req CaptureReq
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		var src cobra.SetSource = set
-		if opts.MaxResidentMonomials > 0 {
-			ss, err := cobra.ShardSet(set, opts)
-			if err != nil {
-				return nil, err
-			}
-			src = ss
-		}
-		return cobra.OpenDataset(name, src, trees, opts)
+		return cobra.OpenDataset(name, set, trees, opts)
 	default:
 		return nil, fmt.Errorf("unknown generator %q", req.Generator)
 	}

@@ -2,10 +2,12 @@ package cobra_test
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
 	cobra "github.com/cobra-prov/cobra"
+	"github.com/cobra-prov/cobra/internal/core"
 )
 
 // captureFixture builds a small instrumented telephony-style catalog whose
@@ -54,10 +56,46 @@ WHERE Cust.Plan = Plans.Plan
   AND Cust.ID = Calls.CID
   AND Calls.Mo = Plans.Mo`
 
-// TestCaptureToShardsBoundedAndIdentical: the facade's streaming capture
-// must stay within the residency budget on a join whose full provenance
-// exceeds it, and materialize to exactly Capture's set for Workers ∈
-// {1, 2, 8}.
+// setsEqual checks that got holds want's polynomials under want's keys, in
+// want's order.
+func setsEqual(t *testing.T, what string, got, want *cobra.Set) {
+	t.Helper()
+	if got.Len() != want.Len() {
+		t.Fatalf("%s: %d polynomials, want %d", what, got.Len(), want.Len())
+	}
+	for i := range want.Keys {
+		if got.Keys[i] != want.Keys[i] || got.Polys[i].String(want.Names) != want.Polys[i].String(want.Names) {
+			t.Fatalf("%s: polynomial %d differs", what, i)
+		}
+	}
+}
+
+// shardedWithin checks that ds answers from a ShardedSet that spilled and
+// never held more than budget monomials, and that the set holds exactly
+// want's polynomials.
+func shardedWithin(t *testing.T, what string, ds *cobra.Dataset, budget int, want *cobra.Set) {
+	t.Helper()
+	ss := cobra.ShardedSource(ds)
+	if !ds.OutOfCore() || ss == nil {
+		t.Fatalf("%s: out of core %v, sharded %v", what, ds.OutOfCore(), ss != nil)
+	}
+	if peak := ss.PeakResidentMonomials(); peak > budget {
+		t.Errorf("%s: peak resident %d exceeds budget %d", what, peak, budget)
+	}
+	if ss.SpilledShards() == 0 {
+		t.Errorf("%s: no spills (size %d, budget %d)", what, ss.Size(), budget)
+	}
+	got, err := ss.Materialize()
+	if err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	setsEqual(t, what, got, want)
+}
+
+// TestCaptureToShardsBoundedAndIdentical: a budgeted CaptureDataset streams
+// a join whose full provenance exceeds the budget into its own ShardedSet,
+// which must stay within the budget and materialize to exactly Capture's
+// set for Workers ∈ {1, 2, 8}, leaving nothing in SpillDir after Close.
 func TestCaptureToShardsBoundedAndIdentical(t *testing.T) {
 	cat, names := captureFixture(t, 120)
 	want, err := cobra.Capture(captureJoinQuery, cat, names, "rev", cobra.Options{})
@@ -69,50 +107,31 @@ func TestCaptureToShardsBoundedAndIdentical(t *testing.T) {
 		t.Fatalf("fixture too small: %d monomials", want.Size())
 	}
 	for _, w := range []int{1, 2, 8} {
-		opts := cobra.Options{Workers: w, MaxResidentMonomials: budget}
-		ss, err := cobra.CaptureToShards(captureJoinQuery, cat, names, "rev", opts)
+		spill := t.TempDir()
+		opts := cobra.Options{Workers: w, MaxResidentMonomials: budget, SpillDir: spill}
+		ds, err := cobra.CaptureDataset(context.Background(), "captured", captureJoinQuery, cat, names, "rev", nil, opts)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
-		if peak := ss.PeakResidentMonomials(); peak > budget {
-			t.Errorf("workers=%d: peak resident %d exceeds budget %d", w, peak, budget)
-		}
-		if ss.SpilledShards() == 0 {
-			t.Errorf("workers=%d: no spills (size %d, budget %d)", w, ss.Size(), budget)
-		}
-		got, err := ss.Materialize()
-		if err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
-		}
-		if got.Len() != want.Len() {
-			t.Fatalf("workers=%d: %d polynomials, want %d", w, got.Len(), want.Len())
-		}
-		for i := range want.Keys {
-			if got.Keys[i] != want.Keys[i] || got.Polys[i].String(names) != want.Polys[i].String(names) {
-				t.Fatalf("workers=%d: polynomial %d differs", w, i)
-			}
-		}
-		if err := ss.Close(); err != nil {
+		shardedWithin(t, fmt.Sprintf("workers=%d", w), ds, budget, want)
+		spillDirHoldsOnly(t, spill, "cobra-shards-*")
+		if err := ds.Close(); err != nil {
 			t.Fatalf("workers=%d: close: %v", w, err)
 		}
+		spillDirHoldsOnly(t, spill)
 	}
 }
 
-// TestCaptureToShardsThenCompress: the captured sharded set must flow
-// straight into the streamed compression/valuation pipeline.
+// TestCaptureToShardsThenCompress: the dataset a budgeted CaptureDataset
+// streams into its own spilling ShardedSet answers exactly what Capture's
+// set does — polynomial statistics, compression and rows — for Workers ∈
+// {1, 2, 8}.
 func TestCaptureToShardsThenCompress(t *testing.T) {
 	cat, names := captureFixture(t, 60)
 	full, err := cobra.Capture(captureJoinQuery, cat, names, "rev", cobra.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := cobra.Options{Workers: 2, MaxResidentMonomials: full.Size() / 4}
-	ss, err := cobra.CaptureToShards(captureJoinQuery, cat, names, "rev", opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ss.Close()
-
 	tree, err := cobra.TreeFromPaths("Plans", names,
 		[]string{"Std", "p_A"}, []string{"Std", "p_F1"},
 		[]string{"Premium", "p_Y1"}, []string{"Premium", "p_V"})
@@ -123,25 +142,43 @@ func TestCaptureToShardsThenCompress(t *testing.T) {
 	// polynomials, so the bound admits the full size and the DP maximizes
 	// expressiveness.
 	bound := full.Size()
-	want, err := cobra.Compress(full, cobra.Forest{tree}, bound, cobra.Options{})
+	want, err := core.CompressSource(full, cobra.Forest{tree}, bound, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds, err := cobra.OpenDataset("captured", ss, cobra.Forest{tree}, opts)
-	if err != nil {
+	a := cobra.NewAssignment(names)
+	if err := a.Set("m2", 0.5); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ds.Compress(context.Background(), bound)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Size != want.Size || got.NumMeta != want.NumMeta || !got.Cuts[0].Equal(want.Cuts[0]) {
-		t.Fatalf("capture→compress differs: %+v vs %+v", got, want)
+	asgs := []*cobra.Assignment{a, cobra.NewAssignment(names)}
+	wantRows := cobra.Compile(full).EvalBatchN(asgs, nil, 1)
+	ctx := context.Background()
+	for _, w := range []int{1, 2, 8} {
+		opts := cobra.Options{Workers: w, MaxResidentMonomials: full.Size() / 4, SpillDir: t.TempDir()}
+		ds, err := cobra.CaptureDataset(ctx, "captured", captureJoinQuery, cat, names, "rev", cobra.Forest{tree}, opts)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", w, err)
+		}
+		defer ds.Close()
+		if !ds.OutOfCore() || ds.Len() != full.Len() || ds.Size() != full.Size() {
+			t.Fatalf("workers=%d: out of core %v, len/size %d/%d, want true, %d/%d", w, ds.OutOfCore(), ds.Len(), ds.Size(), full.Len(), full.Size())
+		}
+		got, err := ds.Compress(ctx, bound)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", w, err)
+		}
+		resultsEqual(t, fmt.Sprintf("workers=%d: capture→compress", w), got, want)
+		rows, err := ds.EvalBatch(ctx, asgs)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", w, err)
+		}
+		rowsEqual(t, rows, wantRows, fmt.Sprintf("workers=%d: captured EvalBatch", w))
 	}
 }
 
-// TestCaptureLineageToShardsMatches: tuple-level streaming capture at the
-// facade, swept over worker counts.
+// TestCaptureLineageToShardsMatches: tuple-level capture at the facade,
+// swept over worker counts, is the same set for every count, and a
+// budgeted OpenDataset shards it within the budget without changing it.
 func TestCaptureLineageToShardsMatches(t *testing.T) {
 	cat, names := captureFixture(t, 80)
 	annotated, err := cobra.AnnotateTuples(cat["Cust"], cobra.VarSpec{Prefix: "c", Columns: []string{"ID"}}, names, cobra.Options{})
@@ -157,39 +194,36 @@ func TestCaptureLineageToShardsMatches(t *testing.T) {
 	if want.Len() == 0 {
 		t.Fatal("fixture produced no lineage rows")
 	}
+	budget := 1 + want.Size()/4
 	for _, w := range []int{1, 2, 8} {
-		opts := cobra.Options{Workers: w, MaxResidentMonomials: 1 + want.Size()/4}
-		ss, err := cobra.CaptureLineageToShards(query, cat, names, opts)
+		got, err := cobra.CaptureLineage(query, cat, names, cobra.Options{Workers: w})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
-		got, err := ss.Materialize()
-		if err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
-		}
-		if got.Len() != want.Len() {
-			t.Fatalf("workers=%d: %d rows, want %d", w, got.Len(), want.Len())
-		}
-		for i := range want.Keys {
-			if got.Keys[i] != want.Keys[i] || got.Polys[i].String(names) != want.Polys[i].String(names) {
-				t.Fatalf("workers=%d: row %d differs", w, i)
-			}
-		}
-		if err := ss.Close(); err != nil {
+		setsEqual(t, fmt.Sprintf("workers=%d", w), got, want)
+		spill := t.TempDir()
+		ds := openDataset(t, got, nil, cobra.Options{Workers: w, MaxResidentMonomials: budget, SpillDir: spill})
+		shardedWithin(t, fmt.Sprintf("workers=%d: sharded", w), ds, budget, want)
+		if err := ds.Close(); err != nil {
 			t.Fatalf("workers=%d: close: %v", w, err)
 		}
+		spillDirHoldsOnly(t, spill)
 	}
 }
 
-// TestCaptureToShardsErrors: failures must not leave a usable or leaking
-// set behind.
+// TestCaptureToShardsErrors: a budgeted capture that fails must not leave
+// a dataset or a spill file behind.
 func TestCaptureToShardsErrors(t *testing.T) {
 	cat, names := captureFixture(t, 10)
-	if _, err := cobra.CaptureToShards("SELECT FROM", cat, names, "", cobra.Options{}); err == nil {
+	spill := t.TempDir()
+	opts := cobra.Options{MaxResidentMonomials: 4, SpillDir: spill}
+	ctx := context.Background()
+	if _, err := cobra.CaptureDataset(ctx, "bad", "SELECT FROM", cat, names, "", nil, opts); err == nil {
 		t.Fatal("want parse error")
 	}
-	_, err := cobra.CaptureToShards(captureJoinQuery, cat, names, "nope", cobra.Options{})
+	_, err := cobra.CaptureDataset(ctx, "bad", captureJoinQuery, cat, names, "nope", nil, opts)
 	if err == nil || !strings.Contains(err.Error(), "nope") {
 		t.Fatalf("want unknown-column error, got %v", err)
 	}
+	spillDirHoldsOnly(t, spill)
 }
