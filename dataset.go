@@ -62,6 +62,9 @@ type datasetState struct {
 	size     int
 	npolys   int
 	usedVars []Var
+	// applyRead is, for a dataset made by Apply, the monomials the cut
+	// application read; set before the dataset is returned.
+	applyRead int
 
 	// mu guards the source's lifecycle: solves hold the read lock for
 	// their whole pass (concurrent solves are safe — in-memory reads are
@@ -264,6 +267,40 @@ func (d *Dataset) UsedVars() []Var { return append([]Var(nil), d.st.usedVars...)
 // Workers returns the worker budget this handle solves with.
 func (d *Dataset) Workers() int { return d.workers }
 
+// Stats is a snapshot of a dataset's counters: what it holds and what its
+// operations have cost so far.
+type Stats struct {
+	// Size, Polynomials and UsedVars are the provenance's monomials,
+	// polynomials (query-output groups) and distinct variables.
+	Size, Polynomials, UsedVars int
+	// Resident is the monomials in memory now (0 once closed), and
+	// PeakResident the most that ever were at once.
+	Resident, PeakResident int
+	// Spill is the spill traffic of a ShardedSet-backed dataset so far,
+	// and nil for any other.
+	Spill *polynomial.SpillStats
+	// ApplyRead is, for a dataset made by Apply, the monomials the cut
+	// application read (Size is how many it wrote), and 0 for any other.
+	ApplyRead int
+}
+
+// Stats returns the dataset's counters. It starts no pass.
+func (d *Dataset) Stats() Stats {
+	st := d.st
+	s := Stats{Size: st.size, Polynomials: st.npolys, UsedVars: len(st.usedVars), ApplyRead: st.applyRead}
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	if st.closed {
+		return s
+	}
+	s.Resident, s.PeakResident = st.src.ResidentMonomials(), st.src.PeakResidentMonomials()
+	if ss, ok := polynomial.Unwrap(st.src).(*ShardedSet); ok {
+		spill := ss.SpillIO()
+		s.Spill = &spill
+	}
+	return s
+}
+
 // OutOfCore reports whether the dataset is backed by a spill-to-disk
 // ShardedSet — its own, when it was opened over an indexed file — (true)
 // or held in memory (false).
@@ -353,7 +390,8 @@ func (d *Dataset) Close() error {
 // bound: the first call per bound pays the solve, repeats are a lookup. It
 // is exact for one tree (the DP) and for a partitioned forest, where every
 // monomial holds leaves of at most one tree (the composed forest curve, so
-// the answer is Sweep's at that bound); for a coupled forest it runs
+// the answer is Sweep's at that bound, read from ForestFrontier's curve
+// with no pass once that is memoized); for a coupled forest it runs
 // coordinate descent, a heuristic. The Result is bit-identical for every
 // worker count and source representation.
 func (d *Dataset) Compress(ctx context.Context, bound int) (*Result, error) {
@@ -369,6 +407,9 @@ func (d *Dataset) Compress(ctx context.Context, bound int) (*Result, error) {
 	}
 	st.memoMu.Unlock()
 	return runMemoized(&st.memoMu, m, ctx, func() (*Result, error) {
+		if a, ok := st.forestAnswer(bound); ok {
+			return a.Result, a.Err
+		}
 		src, release, err := st.acquire()
 		if err != nil {
 			return nil, err
@@ -398,7 +439,7 @@ func (d *Dataset) Apply(ctx context.Context, cuts ...Cut) (*Dataset, error) {
 		if err := abstraction.ApplySource(src, out, d.workers, cuts...); err != nil {
 			return nil, err
 		}
-		return OpenDataset(name, out, st.trees, st.opts)
+		return st.applied(OpenDataset(name, out, st.trees, st.opts))
 	}
 	// Stream into a fresh ShardedSet under the source's options so the
 	// derived dataset stays out-of-core.
@@ -411,7 +452,16 @@ func (d *Dataset) Apply(ctx context.Context, cuts ...Cut) (*Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	return OpenDataset(name, ss, st.trees, st.opts)
+	return st.applied(OpenDataset(name, ss, st.trees, st.opts))
+}
+
+// applied records on a dataset Apply made from st that the cut
+// application read all of st's monomials.
+func (st *datasetState) applied(d *Dataset, err error) (*Dataset, error) {
+	if err == nil {
+		d.st.applyRead = st.size
+	}
+	return d, err
 }
 
 // evalChunkRows is how many scenario rows evaluate between context checks
@@ -543,4 +593,17 @@ func (d *Dataset) Sweep(ctx context.Context, bounds []int) ([]SweepAnswer, error
 		return nil, err
 	}
 	return core.AnswersFromCurves(len(st.trees), single, forest, st.size, st.usedVars, bounds), nil
+}
+
+// forestAnswer is CompressSource's answer at bound for a partitioned
+// forest, read from the curve ForestFrontier memoized (FrontierSweepSource
+// computes it from that very curve), or false when no curve is memoized.
+func (st *datasetState) forestAnswer(bound int) (core.SweepAnswer, bool) {
+	st.memoMu.Lock()
+	done, curve := len(st.trees) > 1 && st.forest.done && st.forest.err == nil, st.forest.val
+	st.memoMu.Unlock()
+	if !done {
+		return core.SweepAnswer{}, false
+	}
+	return core.AnswersFromCurves(len(st.trees), nil, curve, st.size, st.usedVars, []int{bound})[0], true
 }

@@ -6,10 +6,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	cobra "github.com/cobra-prov/cobra"
@@ -954,5 +956,143 @@ func TestCaptureDatasetMatchesCapture(t *testing.T) {
 			}
 			rowsEqual(t, rows, valuation.Compile(want).EvalBatchN(asgs, nil, 1), "captured EvalBatch")
 		})
+	}
+}
+
+// passCounter is an in-memory source that counts the passes made over it.
+type passCounter struct {
+	*cobra.Set
+	passes atomic.Int64
+}
+
+func (c *passCounter) ForEachShard(fn func(i, firstPoly int, s *cobra.Set) error) error {
+	c.passes.Add(1)
+	return c.Set.ForEachShard(fn)
+}
+
+// partitionedForest builds a two-tree instance in which every monomial
+// holds leaves of one tree only: three groups of three plans and two of
+// four agents, each polynomial over one of the trees and six contexts.
+func partitionedForest() (*cobra.Set, cobra.Forest) {
+	r := rand.New(rand.NewSource(7))
+	names := cobra.NewNames()
+	var plans, agents [][]string
+	for g := 0; g < 3; g++ {
+		for l := 0; l < 3; l++ {
+			plans = append(plans, []string{fmt.Sprintf("P%d", g), fmt.Sprintf("p%d_%d", g, l)})
+		}
+	}
+	for g := 0; g < 2; g++ {
+		for l := 0; l < 4; l++ {
+			agents = append(agents, []string{fmt.Sprintf("A%d", g), fmt.Sprintf("a%d_%d", g, l)})
+		}
+	}
+	pt, err := cobra.TreeFromPaths("Plans", names, plans...)
+	if err != nil {
+		panic(err)
+	}
+	at, err := cobra.TreeFromPaths("Agents", names, agents...)
+	if err != nil {
+		panic(err)
+	}
+	set := cobra.NewSet(names)
+	for i := 0; i < 8; i++ {
+		leaves := plans
+		if i%2 == 1 {
+			leaves = agents
+		}
+		var b polynomial.Builder
+		for m := 0; m < 20; m++ {
+			leaf := names.Var(leaves[r.Intn(len(leaves))][1])
+			b.Add(float64(1+r.Intn(90))/10, polynomial.T(leaf), polynomial.T(names.Var(fmt.Sprintf("c%d", r.Intn(6)))))
+		}
+		set.Add(fmt.Sprintf("g%d", i), b.Polynomial())
+	}
+	return set, cobra.Forest{pt, at}
+}
+
+// TestCompressAfterForestFrontierMakesNoPass: once ForestFrontier has
+// memoized a partitioned forest's curve, Compress answers every bound
+// from it without a pass over the source, and with the Result — or error
+// — a dataset that never computed the curve gives, for every worker
+// count.
+func TestCompressAfterForestFrontierMakesNoPass(t *testing.T) {
+	set, forest := partitionedForest()
+	ctx := context.Background()
+	for _, w := range []int{1, 2, 8} {
+		src := &passCounter{Set: set}
+		ds := openDataset(t, src, forest, cobra.Options{Workers: w})
+		fresh := openDataset(t, set, forest, cobra.Options{Workers: w})
+		if _, err := ds.ForestFrontier(ctx); err != nil {
+			t.Fatal(err)
+		}
+		before := src.passes.Load()
+		if before == 0 {
+			t.Fatal("ForestFrontier made no pass the counter saw")
+		}
+		for bound := -1; bound <= set.Size()+1; bound++ {
+			got, gotErr := ds.Compress(ctx, bound)
+			want, wantErr := fresh.Compress(ctx, bound)
+			what := fmt.Sprintf("workers=%d bound %d", w, bound)
+			if (gotErr == nil) != (wantErr == nil) || gotErr != nil && gotErr.Error() != wantErr.Error() {
+				t.Fatalf("%s: error %v, want %v", what, gotErr, wantErr)
+			}
+			if gotErr == nil {
+				resultsEqual(t, what, got, want)
+			}
+		}
+		if n := src.passes.Load() - before; n != 0 {
+			t.Fatalf("workers=%d: Compress made %d passes after ForestFrontier", w, n)
+		}
+	}
+	// Without the memoized curve, the same source is read.
+	src := &passCounter{Set: set}
+	if _, err := openDataset(t, src, forest, cobra.Options{}).Compress(ctx, set.Size()/2); err != nil || src.passes.Load() == 0 {
+		t.Fatalf("Compress with no curve: err %v, %d passes", err, src.passes.Load())
+	}
+}
+
+// TestDatasetStats: the counters a dataset reports, in memory, out of
+// core and after Apply.
+func TestDatasetStats(t *testing.T) {
+	ctx := context.Background()
+	_, set, trees := telephonySet(t)
+	ds := openDataset(t, set, trees, cobra.Options{})
+	st := ds.Stats()
+	if st.Size != set.Size() || st.Polynomials != set.Len() || st.UsedVars != len(set.UsedVars()) ||
+		st.Resident != set.Size() || st.PeakResident != set.Size() || st.Spill != nil || st.ApplyRead != 0 {
+		t.Fatalf("in memory: %+v", st)
+	}
+	res, err := ds.Compress(ctx, set.Size()/2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	comp, err := ds.Apply(ctx, res.Cuts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer comp.Close()
+	if st := comp.Stats(); st.ApplyRead != set.Size() || st.Size != res.Size || st.Resident != res.Size {
+		t.Fatalf("applied: %+v, want %d read and %d written", st, set.Size(), res.Size)
+	}
+
+	sharded, ss, _, shSet, _ := shardedDataset(t, true)
+	if _, err := sharded.Compress(ctx, shSet.Size()/2); err != nil {
+		t.Fatal(err)
+	}
+	st = sharded.Stats()
+	if st.Spill == nil || *st.Spill != ss.SpillIO() || st.Spill.Loads == 0 || st.Spill.BytesWritten == 0 ||
+		st.Resident != ss.ResidentMonomials() || st.PeakResident != ss.PeakResidentMonomials() || st.PeakResident > shSet.Size()/3 {
+		t.Fatalf("out of core: %+v, set %+v", st, ss.SpillIO())
+	}
+	if ok, err := sharded.Evict(); !ok || err != nil {
+		t.Fatalf("Evict: %v, %v", ok, err)
+	}
+	if st := sharded.Stats(); st.Resident != 0 || st.Size != shSet.Size() {
+		t.Fatalf("evicted: %+v", st)
+	}
+	sharded.Close()
+	if st := sharded.Stats(); st.Resident != 0 || st.Spill != nil || st.Size != shSet.Size() {
+		t.Fatalf("closed: %+v", st)
 	}
 }

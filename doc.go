@@ -478,9 +478,10 @@
 //
 // Summation order. There is one rule wherever monomials merge, for capture
 // and for cut application: a merged coefficient is the left-to-right
-// float64 sum of its contributions in the order they arrive, term vectors
-// whose sum is exactly zero are dropped, and only the distinct term vectors
-// are sorted at the end (polynomial.Accumulator).
+// float64 sum of its contributions in the order they arrive, zero
+// contributions are skipped, term vectors whose sum is exactly zero are
+// dropped, and only the distinct term vectors are sorted at the end
+// (polynomial.Accumulator).
 //
 // Capture: a symbolic SUM, COUNT or AVG — and a group's annotation —
 // merges each row's monomials as the rows arrive, so the arrival order is
@@ -492,7 +493,13 @@
 //
 // Cut application (Apply, Compress, Dataset.Apply): a polynomial's
 // monomials are substituted and merged in the polynomial's canonical
-// order, which is the same for every worker count and every source.
+// order, which is the same for every worker count and every source. A
+// polynomial whose substituted monomials each fit one 64-bit key — at
+// most two terms, every exponent 1, distinct variables, which is all SUM
+// provenance under a cut — merges those keys in an open-addressed table
+// and sorts them, which is unsigned key order and canonical order at once;
+// any other polynomial goes through the Accumulator. Both follow the rule
+// above, so which one ran never shows in the bits.
 //
 // Both replaced "collect every monomial, sort, merge neighbours", which
 // sorted 12 000 monomials per group to keep 132 — and 210 per store to keep
@@ -552,7 +559,8 @@
 // (TestBuildIndexAllocations, internal/core), and no solver entry point
 // allocates more at two workers than a small overhead above one
 // (TestWorkerAllocParity, internal/core); cut application stays within
-// four allocations per polynomial (TestApplySourceAllocations,
+// four allocations per polynomial, and into a PackedSet allocates
+// nothing per polynomial (TestApplySourceAllocations,
 // internal/abstraction); Program.Eval into a reused row allocates nothing
 // (TestProgramEvalAllocations), a slider over spilled shards allocates at
 // most ten times per shard and nothing per monomial

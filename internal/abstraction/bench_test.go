@@ -101,41 +101,61 @@ func onePolynomial() (*polynomial.Set, abstraction.Cut) {
 	return set, cut
 }
 
-// BenchmarkApplySource is the layer benchmark of cut application, in input
-// monomials remapped per second, on the two shapes BENCHMARK.json applies
-// cuts to — retail (the substitution reorders most monomials and merges
-// five into one) and telephony (eleven plans into three groups) — and on
-// the one it does not: a single large polynomial.
-func BenchmarkApplySource(b *testing.B) {
+// applyShape is one input cut application is measured and checked on.
+type applyShape struct {
+	name string
+	set  *polynomial.Set
+	cut  abstraction.Cut
+}
+
+// applyShapes are the shapes BenchmarkApplySource runs: retail, the
+// telephony provenance of 100 000 customers under the cut into three plan
+// groups, and one polynomial.
+func applyShapes(tb testing.TB) []applyShape {
 	retailSet, retailCut := retailShaped()
 	oneSet, oneCut := onePolynomial()
 	telNames := polynomial.NewNames()
 	telSet := telephony.DirectProvenance(telephony.Config{Customers: 100_000}, telNames)
 	telCut, err := telephony.PlansTree(telNames).CutOf("Business", "Special", "Standard")
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	shapes := []struct {
-		name string
-		set  *polynomial.Set
-		cut  abstraction.Cut
-	}{
+	return []applyShape{
 		{"retail", retailSet, retailCut},
 		{"telephony", telSet, telCut},
 		{"one-polynomial", oneSet, oneCut},
 	}
-	for _, sh := range shapes {
-		for _, workers := range []int{1, 2} {
-			b.Run(fmt.Sprintf("%s/workers=%d", sh.name, workers), func(b *testing.B) {
-				b.ReportAllocs()
-				for b.Loop() {
-					out := polynomial.NewSet(sh.set.Names)
-					if err := abstraction.ApplySource(sh.set, out, workers, sh.cut); err != nil {
-						b.Fatal(err)
+}
+
+// BenchmarkApplySource is the layer benchmark of cut application, in input
+// monomials remapped per second, on the two shapes BENCHMARK.json applies
+// cuts to — retail (the substitution reorders most monomials and merges
+// five into one) and telephony (eleven plans into three groups) — and on
+// the one it does not: a single large polynomial. Each shape runs into a
+// *Set sink, which keeps an exactly-sized copy of every polynomial, and
+// into a *PackedSet, the sink an in-memory Dataset.Apply fills, which
+// copies the merged monomials into its slabs.
+func BenchmarkApplySource(b *testing.B) {
+	sinks := []struct {
+		name string
+		make func(*polynomial.Names) polynomial.SetSink
+	}{
+		{"set", func(n *polynomial.Names) polynomial.SetSink { return polynomial.NewSet(n) }},
+		{"packed", func(n *polynomial.Names) polynomial.SetSink { return polynomial.NewPackedSet(n) }},
+	}
+	for _, sh := range applyShapes(b) {
+		for _, sk := range sinks {
+			for _, workers := range []int{1, 2} {
+				b.Run(fmt.Sprintf("%s/sink=%s/workers=%d", sh.name, sk.name, workers), func(b *testing.B) {
+					b.ReportAllocs()
+					for b.Loop() {
+						if err := abstraction.ApplySource(sh.set, sk.make(sh.set.Names), workers, sh.cut); err != nil {
+							b.Fatal(err)
+						}
 					}
-				}
-				b.ReportMetric(float64(b.N)*float64(sh.set.Size())/b.Elapsed().Seconds(), "monomials/s")
-			})
+					b.ReportMetric(float64(b.N)*float64(sh.set.Size())/b.Elapsed().Seconds(), "monomials/s")
+				})
+			}
 		}
 	}
 }

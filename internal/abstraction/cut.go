@@ -155,60 +155,52 @@ func (c Cut) Equal(o Cut) bool {
 }
 
 // Apply applies one or more cuts (over disjoint trees) to an in-memory
-// polynomial set, returning the compressed set. Up to workers goroutines
-// share the polynomials between them; each polynomial is substituted and
-// merged sequentially, a merged coefficient being the left-to-right float64
-// sum of its contributions in the polynomial's canonical order, so the
-// compressed set is bit-identical for every worker count. It shares no
-// storage with s and holds exactly its own size.
+// polynomial set, returning the compressed set: ApplySource into a fresh
+// *Set, so each polynomial is merged by ApplySource's rule (on 64-bit keys
+// where it fits) into an exactly-sized copy sharing no storage with s or
+// with its siblings, bit-identical for every worker count.
 func Apply(s *polynomial.Set, workers int, cuts ...Cut) *polynomial.Set {
-	return s.MapVarsN(cutMapping(cuts), workers)
+	out := polynomial.NewSet(s.Names)
+	out.Grow(s.Len())
+	_ = ApplySource(s, out, workers, cuts...) // a *Set fails neither as a source nor as a sink
+	return out
 }
 
-// cutMapping combines the cuts' substitutions into one remap function: a
-// dense table indexed by Var (identity where no cut applies, and beyond the
-// largest leaf Var), each leaf mapped to the cut node covering it.
-func cutMapping(cuts []Cut) func(polynomial.Var) polynomial.Var {
+// cutTable combines the cuts' substitutions into one dense table indexed
+// by Var (identity where no cut applies; variables beyond it are left as
+// they are), each leaf mapped to the cut node covering it.
+func cutTable(cuts []Cut) []polynomial.Var {
 	var table []polynomial.Var
 	for _, c := range cuts {
 		for _, id := range c.Nodes {
 			to := c.Tree.Node(id).Var
 			for _, leaf := range c.Tree.LeavesUnder(id) {
-				from := c.Tree.Node(leaf).Var
-				for int(from) >= len(table) {
-					table = append(table, polynomial.Var(len(table)))
+				from := int(c.Tree.Node(leaf).Var)
+				for v := len(table); v <= from; v++ {
+					table = append(table, polynomial.Var(v))
 				}
 				table[from] = to
 			}
 		}
 	}
-	return func(v polynomial.Var) polynomial.Var {
-		if uint(v) < uint(len(table)) {
-			return table[v]
-		}
-		return v
-	}
+	return table
 }
 
 // ApplySource is the one streaming implementation behind every cut
-// application: it remaps src shard-at-a-time (each shard through
-// Set.MapVarsN, its polynomials spread over the workers) and feeds the
-// compressed polynomials to sink in shard order. A polynomial never spans
-// shards and is merged by one worker in its own canonical order, so
-// whatever the source and sink — in-memory Set to Set, spilling ShardedSet
-// to ShardBuilder, or any mix — the emitted polynomials are bit-identical
-// for every worker count.
+// application: polynomial.MapSource over the cuts' substitution as a dense
+// table, src shard by shard into sink in src's order. A polynomial never
+// spans shards and is merged by one worker in its own canonical order — on
+// 64-bit keys when every substituted monomial has at most two distinct
+// variables, each with exponent 1 (every SUM instance), through an
+// Accumulator otherwise, with the same summation order either way — so
+// whatever the source and sink, the emitted polynomials are bit-identical
+// for every worker count. With one worker a *PackedSet or *ShardBuilder
+// sink gets the mapper's reused scratch through its copying Add (the
+// builder sealing the same shards as ever); any other sink (*Set, which
+// keeps what it is given) gets each polynomial in exactly-sized storage of
+// its own, as every sink does with more workers.
 func ApplySource(src polynomial.SetSource, sink polynomial.SetSink, workers int, cuts ...Cut) error {
-	f := cutMapping(cuts)
-	return polynomial.ForEachShardN(src, workers, func(_, _ int, shard *polynomial.Set) error {
-		mapped := shard.MapVarsN(f, workers)
-		for i, key := range mapped.Keys {
-			if err := sink.Add(key, mapped.Polys[i]); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
+	return polynomial.MapSource(src, sink, cutTable(cuts), workers)
 }
 
 // EnumerateCuts yields every cut of the tree in a deterministic order,

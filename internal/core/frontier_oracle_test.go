@@ -176,10 +176,11 @@ func TestFrontierForestShardedOracle(t *testing.T) {
 		if budget < 2 {
 			budget = 2
 		}
-		ss, err := polynomial.BuildSharded(set, polynomial.ShardOptions{MaxResidentMonomials: budget})
+		ss, err := polynomial.BuildSharded(set, polynomial.ShardOptions{MaxResidentMonomials: budget, SpillDir: t.TempDir()})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
+		t.Cleanup(func() { ss.Close() }) // a failed trial leaves no spill behind
 		got, err := FrontierForestSource(ss, forest, 1)
 		if err != nil {
 			ss.Close()
@@ -265,10 +266,11 @@ func TestFrontierSweepForestMatchesExhaustive(t *testing.T) {
 		if budget < 2 {
 			budget = 2
 		}
-		ss, err := polynomial.BuildSharded(set, polynomial.ShardOptions{MaxResidentMonomials: budget})
+		ss, err := polynomial.BuildSharded(set, polynomial.ShardOptions{MaxResidentMonomials: budget, SpillDir: t.TempDir()})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
+		t.Cleanup(func() { ss.Close() }) // a failed trial leaves no spill behind
 		inMem, err := FrontierSweepSource(set, forest, bounds, 1)
 		if err != nil {
 			ss.Close()

@@ -210,11 +210,11 @@ func TestFrontierForestWorkersIdentical(t *testing.T) {
 		}
 		equalForestCurves(t, fmt.Sprintf("workers %d", w), seq, par)
 	}
-	ss, err := polynomial.BuildSharded(set, polynomial.ShardOptions{MaxResidentMonomials: set.Size() / 4})
+	ss, err := polynomial.BuildSharded(set, polynomial.ShardOptions{MaxResidentMonomials: set.Size() / 4, SpillDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ss.Close()
+	t.Cleanup(func() { ss.Close() })
 	for _, w := range workerTable {
 		par, err := FrontierForestSource(ss, forest, w)
 		if err != nil {
@@ -245,11 +245,11 @@ func TestFrontierSourceNWorkersIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss, err := polynomial.BuildSharded(set, polynomial.ShardOptions{MaxResidentMonomials: set.Size() / 4})
+	ss, err := polynomial.BuildSharded(set, polynomial.ShardOptions{MaxResidentMonomials: set.Size() / 4, SpillDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ss.Close()
+	t.Cleanup(func() { ss.Close() })
 	for _, w := range workerTable {
 		par, err := FrontierSourceN(ss, tree, w)
 		if err != nil {

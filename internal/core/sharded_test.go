@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"os"
 	"testing"
 
 	"github.com/cobra-prov/cobra/internal/abstraction"
@@ -144,11 +145,11 @@ func TestBuildIndexShardedMultiVarError(t *testing.T) {
 	tree := telephony.PlansTree(names)
 	set := polynomial.NewSet(names)
 	set.Add("bad", polynomial.MustParse("3*p1*p2", names))
-	ss, err := polynomial.BuildSharded(set, polynomial.ShardOptions{})
+	ss, err := polynomial.BuildSharded(set, polynomial.ShardOptions{SpillDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ss.Close()
+	t.Cleanup(func() { ss.Close() })
 	for _, w := range []int{1, 8} {
 		_, err := DPSingleTreeSource(ss, tree, 10, w)
 		var mv *MultiVarError
@@ -165,11 +166,11 @@ func TestCompressShardedLargeSingleShard(t *testing.T) {
 	names := polynomial.NewNames()
 	set := telephony.DirectProvenance(telephony.Config{Customers: 60_000}, names)
 	tree := telephony.PlansTree(names)
-	ss, err := polynomial.BuildSharded(set, polynomial.ShardOptions{TargetMonomials: set.Size()})
+	ss, err := polynomial.BuildSharded(set, polynomial.ShardOptions{TargetMonomials: set.Size(), SpillDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ss.Close()
+	t.Cleanup(func() { ss.Close() })
 	if ss.NumShards() != 1 || ss.Size() < minParallelIndexMons {
 		t.Fatalf("fixture: %d shards, %d mons", ss.NumShards(), ss.Size())
 	}
@@ -190,9 +191,11 @@ func TestCompressShardedLargeSingleShard(t *testing.T) {
 }
 
 func ExampleCompressSource() {
+	dir, _ := os.MkdirTemp("", "cobra-example-")
+	defer os.RemoveAll(dir) // the spill goes here, not loose in os.TempDir()
 	names := polynomial.NewNames()
 	set := telephony.DirectProvenance(telephony.Config{Customers: 1000}, names)
-	ss, _ := polynomial.BuildSharded(set, polynomial.ShardOptions{MaxResidentMonomials: set.Size() / 2})
+	ss, _ := polynomial.BuildSharded(set, polynomial.ShardOptions{MaxResidentMonomials: set.Size() / 2, SpillDir: dir})
 	defer ss.Close()
 	res, _ := CompressSource(ss, abstraction.Forest{telephony.PlansTree(names)}, set.Size()/2, 4)
 	fmt.Println(len(res.Cuts) == 1 && res.Size <= set.Size()/2)

@@ -348,7 +348,7 @@ func TestBinaryRejectsNonPositiveExponents(t *testing.T) {
 }
 
 // TestWritersEmitOnlyUsedVars: interned-but-unused variables (e.g. leaves
-// abstracted away by MapVars, or unrelated sets sharing a namespace) must
+// abstracted away by a cut, or unrelated sets sharing a namespace) must
 // not leak into binary or JSON files.
 func TestWritersEmitOnlyUsedVars(t *testing.T) {
 	names := polynomial.NewNames()

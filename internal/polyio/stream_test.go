@@ -44,9 +44,16 @@ func randomSet(seed int64, polys int) *polynomial.Set {
 // different Var ids (frames intern shard-by-shard), which permutes canonical
 // monomial order; comparison must therefore be namespace-independent.
 func polyToCommon(p polynomial.Polynomial, from, common *polynomial.Names) polynomial.Polynomial {
-	return polynomial.MapVars(p, func(v polynomial.Var) polynomial.Var {
-		return common.Var(from.Name(v))
-	})
+	table := make([]polynomial.Var, from.Len())
+	for v := range table {
+		table[v] = common.Var(from.Name(polynomial.Var(v)))
+	}
+	in, out := polynomial.NewSet(from), polynomial.NewSet(common)
+	in.Add("p", p)
+	if err := polynomial.MapSource(in, out, table, 1); err != nil {
+		panic(err) // a *Set fails neither as a source nor as a sink
+	}
+	return out.Polys[0]
 }
 
 // setsEquivalent reports semantic equality: same key sequence, and the same

@@ -7,7 +7,7 @@ import "slices"
 // (Builder): a symbolic SUM over thousands of rows whose provenance has a
 // hundred distinct term vectors keeps a hundred entries, and the canonical
 // sort in Polynomial runs over those only. Capture and cut application
-// (MapVars) both sum through it. The zero Accumulator is ready to use.
+// (MapSource) both sum through it. The zero Accumulator is ready to use.
 //
 // Summation order: a merged coefficient is the left-to-right float64 sum
 // of its contributions in the order they were added. (Builder, left to the
@@ -78,7 +78,7 @@ func (a *Accumulator) Add(coef float64, terms []Term) bool {
 }
 
 // rehash rebuilds slots with at least size entries (a power of two), in
-// the storage it has when that is enough: a reused accumulator (MapVars)
+// the storage it has when that is enough: a reused accumulator (MapSource)
 // truncates mons and hashes and leaves slots stale until the distinct term
 // vectors outgrow the linear scan again, which brings it here.
 func (a *Accumulator) rehash(size int) {

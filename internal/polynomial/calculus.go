@@ -2,7 +2,7 @@ package polynomial
 
 // Substitute replaces every occurrence of v in p by the polynomial q,
 // expanding powers: x^e ↦ q^e. Substituting a single variable for another
-// is equivalent to MapVars; substituting richer polynomials supports
+// is equivalent to MapSource; substituting richer polynomials supports
 // refinement scenarios such as "replace the meta-variable by 0.5·a + 0.5·b".
 func Substitute(p Polynomial, v Var, q Polynomial) Polynomial {
 	var b Builder

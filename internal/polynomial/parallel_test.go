@@ -42,9 +42,9 @@ func TestSetMapVarsNBitIdentical(t *testing.T) {
 	one.Add("big", bigMapInstance(r, names))
 
 	for _, s := range []*Set{many, one} {
-		want := s.MapVars(f)
+		want := mapSet(s, f, 1)
 		for _, workers := range []int{2, 8} {
-			got := s.MapVarsN(f, workers)
+			got := mapSet(s, f, workers)
 			if got.Len() != want.Len() {
 				t.Fatalf("workers=%d: %d polys, want %d", workers, got.Len(), want.Len())
 			}

@@ -131,7 +131,7 @@ func TestMapVarsMerges(t *testing.T) {
 	b1, b2, sb := n.Var("b1"), n.Var("b2"), n.Var("SB")
 	// 3*b1 + 4*b2 --[b1,b2 -> SB]--> 7*SB
 	p := New(Mono(3, T(b1)), Mono(4, T(b2)))
-	q := MapVars(p, func(v Var) Var {
+	q := mapPoly(p, func(v Var) Var {
 		if v == b1 || v == b2 {
 			return sb
 		}
@@ -139,7 +139,7 @@ func TestMapVarsMerges(t *testing.T) {
 	})
 	want := New(Mono(7, T(sb)))
 	if !Equal(q, want) {
-		t.Fatalf("MapVars: got %s want %s", q.String(n), want.String(n))
+		t.Fatalf("mapped: got %s want %s", q.String(n), want.String(n))
 	}
 }
 
@@ -148,7 +148,7 @@ func TestMapVarsExponentMerge(t *testing.T) {
 	x, y, u := n.Var("x"), n.Var("y"), n.Var("u")
 	// x*y --[x,y->u]--> u^2
 	p := New(Mono(5, T(x), T(y)))
-	q := MapVars(p, func(Var) Var { return u })
+	q := mapPoly(p, func(Var) Var { return u })
 	want := New(Mono(5, TExp(u, 2)))
 	if !Equal(q, want) {
 		t.Fatalf("got %s want %s", q.String(n), want.String(n))
@@ -276,7 +276,7 @@ func TestSetMapVars(t *testing.T) {
 	s := NewSet(n)
 	s.Add("g", MustParse("2*a + 3*b", n))
 	u := n.Var("u")
-	m := s.MapVars(func(Var) Var { return u })
+	m := mapSet(s, func(Var) Var { return u }, 1)
 	if m.Size() != 1 {
 		t.Fatalf("mapped size = %d, want 1", m.Size())
 	}
@@ -285,7 +285,7 @@ func TestSetMapVars(t *testing.T) {
 	}
 	// Original untouched.
 	if s.Size() != 2 {
-		t.Fatal("MapVars mutated the source set")
+		t.Fatal("mapping mutated the source set")
 	}
 }
 
@@ -441,7 +441,7 @@ func TestEvalIntoReal(t *testing.T) {
 }
 
 func TestPropertyMapVarsPreservesValuation(t *testing.T) {
-	// For any map f and valuation val on metas, evaluating MapVars(p, f)
+	// For any map f and valuation val on metas, evaluating p mapped by f
 	// under val equals evaluating p under val∘f. This is exactly the
 	// soundness of abstraction for tree-consistent valuations.
 	r := rand.New(rand.NewSource(3))
@@ -455,10 +455,10 @@ func TestPropertyMapVarsPreservesValuation(t *testing.T) {
 		f := func(v Var) Var { return mapping[v] }
 		vals := randVal(r, nv)
 		val := func(v Var) float64 { return vals[v] }
-		got := MapVars(p, f).Eval(val)
+		got := mapPoly(p, f).Eval(val)
 		want := p.Eval(func(v Var) float64 { return val(f(v)) })
 		if got != want {
-			t.Fatalf("MapVars valuation mismatch: %v != %v", got, want)
+			t.Fatalf("mapped valuation mismatch: %v != %v", got, want)
 		}
 	}
 }
